@@ -529,7 +529,7 @@ type GNNReport struct {
 	LabelMean        float64
 	Samples          int
 	TrainTime        time.Duration
-	SpeedupX         float64 // exact V-P&R time / ML inference time per shape
+	SpeedupX         float64 // exact V-P&R sweep time / PredictBestShape time, over the dataset's clusters
 }
 
 // Model returns the trained Total Cost predictor, training it on first use.
@@ -559,6 +559,7 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 		nSeeds = 1
 	}
 	var samples []gnn.Sample
+	var graphs []*gnn.GraphInput
 	var exactTime time.Duration
 	names := s.smallDesigns()
 	if s.Fast {
@@ -588,6 +589,7 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 					continue
 				}
 				g := gnn.BuildGraphInput(sub, features.Options{Seed: s.Seed})
+				graphs = append(graphs, g)
 				runner := vpr.Runner{Opt: vpr.Options{Seed: s.Seed}}
 				t0 := time.Now()
 				for _, shape := range vpr.ShapeCandidates() {
@@ -627,19 +629,14 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 		TrainTime: trainTime,
 	}
 	rep.LabelMin, rep.LabelMax, rep.LabelMean = labelStats(samples)
-	// Inference speedup: time 20 predictions vs the recorded exact V-P&R.
-	if len(samples) > 0 && exactTime > 0 {
-		t0 = time.Now()
-		n := 0
-		for _, shape := range vpr.ShapeCandidates() {
-			model.Predict(samples[0].Graph, shape)
-			n++
-		}
-		perPredict := time.Since(t0) / time.Duration(n)
-		perExact := exactTime / time.Duration(len(samples))
-		if perPredict > 0 {
-			rep.SpeedupX = float64(perExact) / float64(perPredict)
-		}
+	// Inference speedup on the path the flow runs: the exact 20-shape sweep
+	// recorded above against PredictBestShape on the same clusters.
+	t0 = time.Now()
+	for _, g := range graphs {
+		model.PredictBestShapeWorkers(g, s.Workers)
+	}
+	if predictTime := time.Since(t0); predictTime > 0 {
+		rep.SpeedupX = float64(exactTime) / float64(predictTime)
 	}
 	return model, rep, nil
 }

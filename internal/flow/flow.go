@@ -435,7 +435,7 @@ func selectShapes(d *netlist.Design, assign []int, nClusters int, opt Options) (
 				return nil, nil, err
 			}
 			g := gnn.BuildGraphInput(sub, featOptions(opt.Seed))
-			shapes[c] = opt.Model.PredictBestShape(g)
+			shapes[c] = opt.Model.PredictBestShapeWorkers(g, opt.Workers)
 		}
 	}
 	return shapes, shaped, nil

@@ -25,6 +25,26 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictBestShape measures the flow's unit of inference work: all
+// 20 candidates on one graph, sequentially and at the automatic worker budget.
+func BenchmarkPredictBestShape(b *testing.B) {
+	g := benchGraph(b)
+	m := NewModel(1)
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"W=1", 1}, {"auto", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchShape = m.PredictBestShapeWorkers(g, bc.workers)
+			}
+		})
+	}
+}
+
+var benchShape vpr.Shape
+
 // BenchmarkTrainStep measures one forward+backward+Adam step.
 func BenchmarkTrainStep(b *testing.B) {
 	g := benchGraph(b)

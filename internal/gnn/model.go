@@ -110,21 +110,24 @@ func (m *Model) inputTensor(g *GraphInput, shape vpr.Shape) *Tensor {
 	return x
 }
 
-// Predict returns the predicted Total Cost for a cluster graph and shape.
-func (m *Model) Predict(g *GraphInput, shape vpr.Shape) float64 {
-	c := NewCtx(false)
-	out := m.forward(c, g, shape)
-	return out.Data[0]*m.labelStd + m.labelMean
-}
-
-// GraphInput is one cluster graph prepared for the model.
+// GraphInput is one cluster graph prepared for the model. Build it with
+// BuildGraphInput: S feeds the taped training forward, the unexported fields
+// feed inference.
 type GraphInput struct {
 	S *Sparse
 	F *features.Features
+
+	merged *Sparse   // S with duplicate entries summed
+	rowSum []float64 // merged·1
 }
 
 // NumNodes returns the node count.
 func (g *GraphInput) NumNodes() int { return g.F.NumCells }
+
+// maxEdgePins bounds the hyperedges that enter the operator: a net with more
+// distinct member cells is a global signal, and its clique would dominate
+// both the operator's size and every node's neighbourhood.
+const maxEdgePins = 64
 
 // BuildGraphInput converts a cluster sub-netlist into the model's input:
 // extracted features plus the normalized hypergraph propagation operator
@@ -132,43 +135,53 @@ func (g *GraphInput) NumNodes() int { return g.F.NumCells }
 //	S = 1/2 I + 1/2 D_v^{-1/2} H D_e^{-1} H^T D_v^{-1/2}
 //
 // (clique-free hyperedge averaging with a self-connection for stability).
+//
+// Row u of S lists the self entry first, then, for every hyperedge containing
+// u in net order, one entry per member in pin order. That order is part of
+// the training contract: SpMM sums entries as stored, so changing it would
+// change trained weights in the last bits.
 func BuildGraphInput(sub *netlist.Design, fopt features.Options) *GraphInput {
 	f := features.Extract(sub, fopt)
 	n := len(sub.Insts)
-	s := NewSparse(n)
-	if n == 0 {
-		return &GraphInput{S: s, F: f}
-	}
-	// Hyperedges: nets with 2..64 instance pins.
-	var edges [][]int
+	// Hyperedges: nets with 2..maxEdgePins distinct member cells, flat.
+	// stamp[v] == net index + 1 marks v as already seen on the current net.
+	stamp := make([]int, n)
+	edgeStart := []int{0}
+	var edgeMem []int
 	deg := make([]float64, n)
-	for _, net := range sub.Nets {
-		var members []int
-		seen := map[int]bool{}
+	rowCap := make([]int, n)
+	for ni, net := range sub.Nets {
+		first := len(edgeMem)
 		for _, pr := range net.Pins {
-			if !pr.IsPort() && !seen[pr.Inst] {
-				seen[pr.Inst] = true
-				members = append(members, pr.Inst)
+			if !pr.IsPort() && stamp[pr.Inst] != ni+1 {
+				stamp[pr.Inst] = ni + 1
+				edgeMem = append(edgeMem, pr.Inst)
 			}
 		}
-		if len(members) < 2 || len(members) > 64 {
+		size := len(edgeMem) - first
+		if size < 2 || size > maxEdgePins {
+			edgeMem = edgeMem[:first]
 			continue
 		}
-		edges = append(edges, members)
-		for _, v := range members {
+		edgeStart = append(edgeStart, len(edgeMem))
+		for _, v := range edgeMem[first:] {
 			deg[v]++
+			rowCap[v] += size
 		}
 	}
 	invSqrt := make([]float64, n)
 	for i := range invSqrt {
+		rowCap[i]++ // self entry
 		if deg[i] > 0 {
 			invSqrt[i] = 1 / math.Sqrt(deg[i])
 		}
 	}
+	s := NewSparse(rowCap)
 	for i := 0; i < n; i++ {
 		s.Add(i, i, 0.5)
 	}
-	for _, members := range edges {
+	for e := 0; e+1 < len(edgeStart); e++ {
+		members := edgeMem[edgeStart[e]:edgeStart[e+1]]
 		de := float64(len(members))
 		for _, u := range members {
 			for _, v := range members {
@@ -176,5 +189,6 @@ func BuildGraphInput(sub *netlist.Design, fopt features.Options) *GraphInput {
 			}
 		}
 	}
-	return &GraphInput{S: s, F: f}
+	merged, rowSum := coalesce(s)
+	return &GraphInput{S: s, F: f, merged: merged, rowSum: rowSum}
 }

@@ -214,26 +214,42 @@ func (c *Ctx) MeanRows(x *Tensor) *Tensor {
 	return out
 }
 
-// Sparse is a fixed (non-learnable) sparse matrix in CSR-like row lists,
-// used for the hypergraph propagation operator.
+// Sparse is a fixed (non-learnable) n x n sparse matrix in flat CSR storage
+// with a fill cursor per row: row i owns slots start[i]..start[i+1] and holds
+// entries in start[i]..end[i], in the order they were added. Entries are not
+// coalesced — the same (i, j) may appear more than once — and SpMM adds them
+// up in exactly that order, which is what keeps training arithmetic stable
+// across storage changes.
 type Sparse struct {
-	N    int
-	rows [][]sparseEntry
+	N     int
+	start []int // len N+1
+	end   []int // len N
+	col   []int
+	val   []float64
 }
 
-type sparseEntry struct {
-	col int
-	val float64
+// NewSparse allocates an empty n x n sparse matrix, n = len(rowCap), whose
+// row i has room for rowCap[i] entries.
+func NewSparse(rowCap []int) *Sparse {
+	n := len(rowCap)
+	s := &Sparse{N: n, start: make([]int, n+1), end: make([]int, n)}
+	for i, c := range rowCap {
+		s.start[i+1] = s.start[i] + c
+	}
+	copy(s.end, s.start)
+	s.col = make([]int, s.start[n])
+	s.val = make([]float64, s.start[n])
+	return s
 }
 
-// NewSparse allocates an empty n x n sparse matrix.
-func NewSparse(n int) *Sparse {
-	return &Sparse{N: n, rows: make([][]sparseEntry, n)}
-}
-
-// Add accumulates S[i][j] += v.
+// Add appends the entry S[i][j] += v to row i.
 func (s *Sparse) Add(i, j int, v float64) {
-	s.rows[i] = append(s.rows[i], sparseEntry{j, v})
+	k := s.end[i]
+	if k == s.start[i+1] {
+		badShape(fmt.Sprintf("gnn: sparse row %d is full", i))
+	}
+	s.col[k], s.val[k] = j, v
+	s.end[i] = k + 1
 }
 
 // SpMM returns S @ x ([n x n] @ [n x d]). S carries no gradient; the
@@ -244,22 +260,24 @@ func (c *Ctx) SpMM(s *Sparse, x *Tensor) *Tensor {
 	}
 	out := NewTensor(x.R, x.C)
 	d := x.C
-	for i, row := range s.rows {
-		for _, e := range row {
-			xv := x.Data[e.col*d : (e.col+1)*d]
+	for i := 0; i < s.N; i++ {
+		for k := s.start[i]; k < s.end[i]; k++ {
+			col, val := s.col[k], s.val[k]
+			xv := x.Data[col*d : (col+1)*d]
 			ov := out.Data[i*d : (i+1)*d]
 			for j := 0; j < d; j++ {
-				ov[j] += e.val * xv[j]
+				ov[j] += val * xv[j]
 			}
 		}
 	}
 	c.push(func() {
-		for i, row := range s.rows {
-			for _, e := range row {
+		for i := 0; i < s.N; i++ {
+			for k := s.start[i]; k < s.end[i]; k++ {
+				col, val := s.col[k], s.val[k]
 				og := out.Grad[i*d : (i+1)*d]
-				xg := x.Grad[e.col*d : (e.col+1)*d]
+				xg := x.Grad[col*d : (col+1)*d]
 				for j := 0; j < d; j++ {
-					xg[j] += e.val * og[j]
+					xg[j] += val * og[j]
 				}
 			}
 		}

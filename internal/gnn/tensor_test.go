@@ -29,7 +29,7 @@ func TestSpMMShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	c := NewCtx(false)
-	s := NewSparse(3)
+	s := NewSparse(make([]int, 3))
 	c.SpMM(s, NewTensor(4, 2))
 }
 

@@ -52,11 +52,13 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 	for ep := 0; ep < opt.Epochs; ep++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sum float64
+		used := 0
 		for _, idx := range order {
 			s := train[idx]
 			if s.Graph.NumNodes() == 0 {
 				continue
 			}
+			used++
 			c := NewCtx(true)
 			out := m.forward(c, s.Graph, s.Shape)
 			label := (s.Label - m.labelMean) / m.labelStd
@@ -64,7 +66,10 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 			c.Backward()
 			adam.Step()
 		}
-		losses = append(losses, sum/float64(len(train)))
+		if used > 0 {
+			sum /= float64(used)
+		}
+		losses = append(losses, sum)
 	}
 	return losses
 }
@@ -124,11 +129,19 @@ type Metrics struct {
 func (m *Model) Evaluate(samples []Sample) Metrics {
 	var mae, se, labelSum float64
 	n := 0
+	// Samples of one graph usually sit next to each other; keep the
+	// per-graph inference state across them.
+	var inf *inference
+	var sc *scratch
 	for _, s := range samples {
 		if s.Graph.NumNodes() == 0 {
 			continue
 		}
-		p := m.Predict(s.Graph, s.Shape)
+		if inf == nil || inf.g != s.Graph {
+			inf = m.prepare(s.Graph)
+			sc = newScratch(inf.n)
+		}
+		p := inf.cost(sc, s.Shape)
 		d := p - s.Label
 		mae += math.Abs(d)
 		se += d * d
@@ -156,33 +169,18 @@ func (m *Model) Evaluate(samples []Sample) Metrics {
 
 // CostModelFor wraps the trained model as a vpr.CostModel bound to one
 // prepared cluster graph, making it a drop-in replacement for the exact
-// V-P&R runner in vpr.BestShape.
+// V-P&R runner in vpr.BestShape. The shape-independent part of the
+// prediction is computed here, once; train the model before calling it.
 func (m *Model) CostModelFor(g *GraphInput) vpr.CostModel {
-	return &modelCost{m: m, g: g}
+	return modelCost{inf: m.prepare(g)}
 }
 
 type modelCost struct {
-	m *Model
-	g *GraphInput
+	inf *inference
 }
 
 // TotalCost implements vpr.CostModel; the sub-design argument is unused
 // because the graph input was prepared up front.
-func (mc *modelCost) TotalCost(_ *netlist.Design, shape vpr.Shape) float64 {
-	return mc.m.Predict(mc.g, shape)
-}
-
-// PredictBestShape evaluates all 20 candidates on one graph and returns the
-// arg-min shape, the accelerated path of Figure 3.
-func (m *Model) PredictBestShape(g *GraphInput) vpr.Shape {
-	cands := vpr.ShapeCandidates()
-	best := cands[0]
-	bestCost := math.Inf(1)
-	for _, s := range cands {
-		if c := m.Predict(g, s); c < bestCost {
-			bestCost = c
-			best = s
-		}
-	}
-	return best
+func (mc modelCost) TotalCost(_ *netlist.Design, shape vpr.Shape) float64 {
+	return mc.inf.cost(newScratch(mc.inf.n), shape)
 }

@@ -16,6 +16,7 @@ package vpr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/place"
@@ -182,13 +183,19 @@ func perimeterPoint(r netlist.Rect, t float64) (float64, float64) {
 // the driver is external and sinks are internal, and an output port when the
 // driver is internal and sinks are external — exactly the paper's port
 // creation rule.
+//
+// Only nets incident to a member are visited (through the design's compact
+// connectivity view), in ascending net ID, so the cost is proportional to the
+// cluster and not to the design, and the sub-netlist is the one a scan over
+// every net would build.
 func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error) {
-	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
-	inside := make(map[int]bool, len(members))
-	for _, id := range members {
-		inside[id] = true
+	cv, err := d.CompactChecked()
+	if err != nil {
+		return nil, err
 	}
+	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
 	newID := make(map[int]int, len(members))
+	var incident []int
 	for _, id := range members {
 		inst := d.Insts[id]
 		ni, err := sub.AddInstance(inst.Name, inst.Master)
@@ -196,16 +203,26 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 			return nil, err
 		}
 		newID[id] = ni.ID
+		for _, netID := range cv.InstNets[cv.InstStart[id]:cv.InstStart[id+1]] {
+			incident = append(incident, int(netID))
+		}
 	}
-	for _, n := range d.Nets {
+	slices.Sort(incident)
+	for _, netID := range slices.Compact(incident) {
+		n := d.Nets[netID]
 		var internal []netlist.PinRef
 		externalDrv := false
 		externalSink := false
 		internalDrv := false
-		drv, hasDrv := d.Driver(n)
+		var drv netlist.PinRef
+		hasDrv := cv.NetDrv[netID] >= 0
+		if hasDrv {
+			drv = n.Pins[cv.NetDrv[netID]-cv.NetStart[netID]]
+		}
 		for _, pr := range n.Pins {
-			if !pr.IsPort() && inside[pr.Inst] {
-				internal = append(internal, netlist.PinRef{Inst: newID[pr.Inst], Pin: pr.Pin})
+			// A port pin's Inst is negative and so never a member.
+			if sid, inside := newID[pr.Inst]; inside {
+				internal = append(internal, netlist.PinRef{Inst: sid, Pin: pr.Pin})
 				if hasDrv && pr == drv {
 					internalDrv = true
 				}
@@ -216,9 +233,6 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 					externalSink = true
 				}
 			}
-		}
-		if len(internal) == 0 {
-			continue
 		}
 		needInPort := externalDrv
 		needOutPort := internalDrv && externalSink

@@ -1,7 +1,10 @@
 package vpr
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"ppaclust/internal/cluster"
@@ -190,5 +193,126 @@ func TestInduceEmptyMembers(t *testing.T) {
 	}
 	if len(sub.Insts) != 0 || len(sub.Nets) != 0 {
 		t.Fatal("empty member set should give empty sub-design")
+	}
+}
+
+// induceFullScan is the reference for InduceSubNetlist: it walks every net of
+// the design and asks Design.Driver for each, which is what InduceSubNetlist
+// did before it learned to visit only the members' nets.
+func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
+	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
+	newID := make(map[int]int, len(members))
+	for _, id := range members {
+		ni, err := sub.AddInstance(d.Insts[id].Name, d.Insts[id].Master)
+		if err != nil {
+			return nil, err
+		}
+		newID[id] = ni.ID
+	}
+	for _, n := range d.Nets {
+		var internal []netlist.PinRef
+		var externalDrv, externalSink, internalDrv bool
+		drv, hasDrv := d.Driver(n)
+		for _, pr := range n.Pins {
+			if sid, inside := newID[pr.Inst]; !pr.IsPort() && inside {
+				internal = append(internal, netlist.PinRef{Inst: sid, Pin: pr.Pin})
+				internalDrv = internalDrv || (hasDrv && pr == drv)
+			} else if hasDrv && pr == drv {
+				externalDrv = true
+			} else {
+				externalSink = true
+			}
+		}
+		needOutPort := internalDrv && externalSink
+		if len(internal) == 0 || (len(internal) < 2 && !externalDrv && !needOutPort) {
+			continue
+		}
+		sn, err := sub.AddNet(n.Name)
+		if err != nil {
+			return nil, err
+		}
+		sn.Weight, sn.Clock = n.Weight, n.Clock
+		for _, pr := range internal {
+			sub.Connect(sn, pr)
+		}
+		if externalDrv {
+			if _, err := sub.AddPort("vin_"+n.Name, netlist.DirInput); err != nil {
+				return nil, err
+			}
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: "vin_" + n.Name})
+		}
+		if needOutPort {
+			if _, err := sub.AddPort("vout_"+n.Name, netlist.DirOutput); err != nil {
+				return nil, err
+			}
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: "vout_" + n.Name})
+		}
+	}
+	return sub, nil
+}
+
+// dumpDesign renders everything InduceSubNetlist decides — instance, net and
+// port order, names, masters, weights, pin order — as text.
+func dumpDesign(d *netlist.Design) string {
+	var sb strings.Builder
+	for _, in := range d.Insts {
+		fmt.Fprintf(&sb, "I %d %s %s\n", in.ID, in.Name, in.Master.Name)
+	}
+	for _, p := range d.Ports {
+		fmt.Fprintf(&sb, "P %s %v\n", p.Name, p.Dir)
+	}
+	for _, n := range d.Nets {
+		fmt.Fprintf(&sb, "N %d %s w=%v clk=%v", n.ID, n.Name, n.Weight, n.Clock)
+		for _, pr := range n.Pins {
+			fmt.Fprintf(&sb, " %d/%s", pr.Inst, pr.Pin)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestInduceSubNetlistMatchesFullScan: visiting only the members' nets builds
+// the same sub-netlist, byte for byte, as scanning the whole design — over
+// clusterings of generated designs and over random member sets (unsorted,
+// spanning hierarchy, including top-level port nets and clock nets).
+func TestInduceSubNetlistMatchesFullScan(t *testing.T) {
+	check := func(d *netlist.Design, members []int) {
+		t.Helper()
+		got, err := InduceSubNetlist(d, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := induceFullScan(d, members)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := dumpDesign(got), dumpDesign(want); g != w {
+			t.Fatalf("%d members: sub-netlist differs from the full scan\n--- incident\n%.2000s\n--- full scan\n%.2000s",
+				len(members), g, w)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		spec := designs.TinySpec(seed)
+		if seed%2 == 0 {
+			spec, _ = designs.Named("aes")
+			spec.TargetInsts = 900
+			spec.Seed = seed
+		}
+		d := designs.Generate(spec).Design
+		res := cluster.MultilevelFC(d.ToHypergraph().H, cluster.Options{Seed: seed, TargetClusters: 5 + int(seed)})
+		members := make([][]int, res.NumClusters)
+		for v, c := range res.Assign {
+			members[c] = append(members[c], v)
+		}
+		for _, m := range members {
+			check(d, m)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		for trial := 0; trial < 20; trial++ {
+			k := 1 + rng.Intn(len(d.Insts)/2)
+			check(d, rng.Perm(len(d.Insts))[:k])
+		}
+		all := rng.Perm(len(d.Insts))
+		check(d, all)
 	}
 }

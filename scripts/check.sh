@@ -44,14 +44,14 @@ PPACLUST_WORKERS=4 go test -race \
     -run 'WorkersEquivalent|ParallelPropagation|ParallelSchedule|Deterministic|Incremental|WirelenCache|ContractMatchesReference|NeighborsMatchesNaive' \
     ./internal/sta/ ./internal/cluster/ ./internal/place/ ./internal/flow/ \
     ./internal/par/ ./internal/netlist/ ./internal/hypergraph/ \
-    ./internal/route/ ./internal/cts/ ./internal/designs/
+    ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/
 
-# Allocation contract: the placer/clustering inner-loop primitives must be
-# allocation-free in steady state. Run without -race (its instrumentation
-# perturbs testing.AllocsPerRun counts).
+# Allocation contract: the placer/clustering inner-loop primitives and the
+# GNN's per-shape inference must be allocation-free in steady state. Run
+# without -race (its instrumentation perturbs testing.AllocsPerRun counts).
 echo "==> steady-state allocation assertions"
 go test -run 'AllocFree' ./internal/netlist/ ./internal/hypergraph/ \
-    ./internal/route/ ./internal/cts/ ./internal/sta/
+    ./internal/route/ ./internal/cts/ ./internal/sta/ ./internal/gnn/
 
 if [[ "${1:-}" != "quick" ]]; then
     # Scale smoke: one 10k-cell generate+place row through the sweep harness,
