@@ -156,10 +156,11 @@ func Extract(sub *netlist.Design, opt Options) *Features {
 	adj := buildAdjacency(sub)
 	var degSum float64
 	var edges int
+	cm := sub.Compact()
 	for i, inst := range sub.Insts {
 		f.CellArea[i] = inst.Master.Area()
 		f.CellType[i] = CellTypeIndex(inst.Master)
-		f.CellDegree[i] = float64(len(sub.NetsOf(inst.ID)))
+		f.CellDegree[i] = float64(cm.InstStart[inst.ID+1] - cm.InstStart[inst.ID])
 		degSum += f.CellDegree[i]
 		edges += len(adj[i])
 	}

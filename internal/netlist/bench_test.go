@@ -23,6 +23,20 @@ func BenchmarkWirelenCacheMove(b *testing.B) {
 	}
 }
 
+// BenchmarkWirelenCacheMoveHighFanout is BenchmarkWirelenCacheMove on cells of
+// one 100 000-pin net — the clock-net shape of the scale designs, where a
+// MoveCell that scans the net for the moved cell's pins costs O(fan-out).
+func BenchmarkWirelenCacheMoveHighFanout(b *testing.B) {
+	const nSmall, nBig = 100, 100000
+	d := fanoutDesign(b, nSmall, nBig)
+	c := NewWirelenCache(d)
+	rng := rand.New(rand.NewSource(7))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.MoveCell(nSmall+2+rng.Intn(nBig-2), rng.Float64()*1000, rng.Float64()*1000)
+	}
+}
+
 // BenchmarkNetHPWL measures one from-scratch per-net recompute, the unit of
 // work MoveCell's bbox expansion replaces per incident net.
 func BenchmarkNetHPWL(b *testing.B) {

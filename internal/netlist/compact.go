@@ -22,8 +22,8 @@ import (
 //     with index -1-PinInst[k]; PinInst[k] == CompactNoPort marks a pin
 //     reference naming an unknown port (PinPos convention: position (0,0)).
 //   - Instance i's distinct incident nets occupy
-//     InstNets[InstStart[i]:InstStart[i+1]] in ascending net-ID order — the
-//     exact contents and order of Design.NetsOf(i).
+//     InstNets[InstStart[i]:InstStart[i+1]] in ascending net-ID order, each
+//     net once however many of its pins the instance owns.
 //
 // A Compact is a topology snapshot: it stays valid while only positions
 // (Instance.X/Y, Port.X/Y) change. Any mutation through AddInstance, AddNet,
@@ -102,13 +102,11 @@ func (d *Design) CompactChecked() (*Compact, error) {
 	return c, nil
 }
 
-// InvalidateConnectivity retires the cached Compact view and lazy
-// connectivity index after direct net-pin surgery (code that rewires
-// Net.Pins in place instead of going through Connect, such as buffer
-// insertion).
+// InvalidateConnectivity retires the cached Compact view after direct
+// net-pin surgery (code that rewires Net.Pins in place instead of going
+// through Connect, such as buffer insertion).
 func (d *Design) InvalidateConnectivity() {
 	d.topoGen++
-	d.netsOfInst = nil
 }
 
 func buildCompact(d *Design, gen uint64) (*Compact, error) {
@@ -179,8 +177,8 @@ func buildCompact(d *Design, gen uint64) (*Compact, error) {
 	c.NetStart[len(d.Nets)] = int32(len(c.PinInst))
 
 	// Instance -> net CSR: count distinct instances per net (dedup with a
-	// last-net stamp), prefix-sum, fill. Filling in net order reproduces
-	// NetsOf's ascending net-ID order per instance.
+	// last-net stamp), prefix-sum, fill. Filling in net order leaves each
+	// instance's nets in ascending net-ID order.
 	lastNet := make([]int32, len(d.Insts))
 	for i := range lastNet {
 		lastNet[i] = -1

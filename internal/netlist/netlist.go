@@ -300,7 +300,6 @@ type Design struct {
 	instByName map[string]int
 	netByName  map[string]int
 	portByName map[string]int
-	netsOfInst [][]int // lazily built connectivity index
 
 	// Compact-view cache: topoGen counts topology mutations; the cached
 	// view is valid while its generation matches.
@@ -340,7 +339,6 @@ func (d *Design) AddInstance(name string, master *Master) (*Instance, error) {
 	inst := &Instance{ID: len(d.Insts), Name: name, Master: master}
 	d.Insts = append(d.Insts, inst)
 	d.instByName[name] = inst.ID
-	d.netsOfInst = nil
 	d.topoGen++
 	return inst, nil
 }
@@ -373,7 +371,6 @@ func (d *Design) AddPort(name string, dir PinDir) (*Port, error) {
 // netlists legitimately connect one net to an instance on multiple pins.
 func (d *Design) Connect(n *Net, ref PinRef) {
 	n.Pins = append(n.Pins, ref)
-	d.netsOfInst = nil
 	d.topoGen++
 }
 
@@ -407,23 +404,6 @@ func (d *Design) PortIndex(name string) int {
 		return i
 	}
 	return -1
-}
-
-// NetsOf returns the IDs of nets connected to instance id.
-func (d *Design) NetsOf(id int) []int {
-	if d.netsOfInst == nil {
-		d.netsOfInst = make([][]int, len(d.Insts))
-		for _, n := range d.Nets {
-			seen := make(map[int]bool, len(n.Pins))
-			for _, p := range n.Pins {
-				if !p.IsPort() && !seen[p.Inst] {
-					seen[p.Inst] = true
-					d.netsOfInst[p.Inst] = append(d.netsOfInst[p.Inst], n.ID)
-				}
-			}
-		}
-	}
-	return d.netsOfInst[id]
 }
 
 // Driver returns the driving pin reference of net n: the first output

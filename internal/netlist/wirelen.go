@@ -1,15 +1,19 @@
 package netlist
 
 // WirelenCache maintains per-net bounding boxes and half-perimeter
-// wirelengths so single-cell moves cost O(pins-of-cell) amortized instead of
-// recomputing every touched net from scratch. It is the wirelength oracle of
-// the detailed placer's swap loop and is exposed for future incremental
-// passes (timing-driven refinement, annealing).
+// wirelengths so a single-cell move costs O(pins of the cell), whatever the
+// fan-out of its nets, instead of recomputing every touched net from scratch.
+// The one exception is a move that takes a bbox-owning pin inward: the new
+// edge may be any other pin, so that net is recomputed exactly in O(pins of
+// the net). It is the wirelength oracle of the detailed placer's swap loop
+// and is exposed for future incremental passes (timing-driven refinement,
+// annealing).
 //
 // The cache runs on the design's Compact CSR view plus its own position
-// mirrors (instance origins and port coordinates in flat arrays), so the
-// move path walks contiguous int32/float64 memory with no master-pin map
-// lookups.
+// mirrors (instance origins and port coordinates in flat arrays) and an
+// instance -> pin-slot index, so the move path walks contiguous
+// int32/float64 memory with no master-pin map lookups and never scans a net
+// to find the moved cell's pins on it.
 //
 // All cached values are bit-identical (math.Float64bits) to Design.NetHPWL /
 // Design.HPWL on the same positions: the from-scratch recompute uses the
@@ -32,6 +36,15 @@ type WirelenCache struct {
 	// through this cache, so portX/portY are snapshots from Rebuild.
 	instX, instY []float64
 	portX, portY []float64
+
+	// Instance -> pin-slot CSR: instance i's pins are the Compact slots
+	// slots[slotStart[i]:slotStart[i+1]], ascending. A net's slots are one
+	// contiguous range and InstNets is ascending in net ID, so walking an
+	// instance's slots alongside its InstNets yields its pins net by net.
+	// Private to the cache (4 B per pin): Compact is shared by every stage
+	// and no other consumer needs it.
+	slotStart []int32
+	slots     []int32
 }
 
 // NewWirelenCache builds the cache from current pin positions in O(pins).
@@ -44,7 +57,10 @@ func NewWirelenCache(d *Design) *WirelenCache {
 // Rebuild recomputes every net's bounding box from current positions and
 // refreshes the compact connectivity snapshot.
 func (c *WirelenCache) Rebuild() {
-	c.cm = c.d.Compact()
+	if cm := c.d.Compact(); cm != c.cm {
+		c.cm = cm
+		c.indexSlots()
+	}
 	n := len(c.d.Nets)
 	if len(c.hp) != n {
 		c.minX = make([]float64, n)
@@ -71,6 +87,32 @@ func (c *WirelenCache) Rebuild() {
 	}
 	for i := 0; i < n; i++ {
 		c.recompute(i)
+	}
+}
+
+// indexSlots builds the instance -> pin-slot CSR by count-then-fill over the
+// compact pin array; filling in slot order leaves each instance's slots
+// ascending.
+func (c *WirelenCache) indexSlots() {
+	cm := c.cm
+	nInst := len(cm.InstStart) - 1
+	c.slotStart = make([]int32, nInst+1)
+	for _, id := range cm.PinInst {
+		if id >= 0 {
+			c.slotStart[id+1]++
+		}
+	}
+	for i := 0; i < nInst; i++ {
+		c.slotStart[i+1] += c.slotStart[i]
+	}
+	c.slots = make([]int32, c.slotStart[nInst])
+	next := make([]int32, nInst)
+	copy(next, c.slotStart)
+	for k, id := range cm.PinInst {
+		if id >= 0 {
+			c.slots[next[id]] = int32(k)
+			next[id]++
+		}
 	}
 }
 
@@ -117,11 +159,20 @@ func (c *WirelenCache) Total() float64 {
 	return sum
 }
 
+// PinXY returns the position of compact pin slot k under the cache's current
+// positions, bit-identical to Design.PinPos on the same pin.
+func (c *WirelenCache) PinXY(k int32) (x, y float64) {
+	return c.cm.pinXY(k, c.instX, c.instY, c.portX, c.portY)
+}
+
+// InstXY returns the cache's mirror of instance id's origin.
+func (c *WirelenCache) InstXY(id int) (x, y float64) { return c.instX[id], c.instY[id] }
+
 // MoveCell sets the instance origin to (x, y) and updates the bboxes of its
-// incident nets. A net whose old bbox edge was defined by a moved pin that
-// moves inward loses that edge to an unknown runner-up, forcing an exact
-// recompute of the net; all other nets update by pure expansion in
-// O(pins-of-cell). Steady-state calls allocate nothing.
+// incident nets in O(pins of the cell). A net whose old bbox edge was defined
+// by a moved pin that moves inward loses that edge to an unknown runner-up,
+// forcing an exact O(pins of the net) recompute of that net; all other nets
+// update by pure expansion. Steady-state calls allocate nothing.
 func (c *WirelenCache) MoveCell(id int, x, y float64) {
 	inst := c.d.Insts[id]
 	oldX, oldY := inst.X, inst.Y
@@ -131,25 +182,30 @@ func (c *WirelenCache) MoveCell(id int, x, y float64) {
 		return
 	}
 	cm := c.cm
+	s, end := c.slotStart[id], c.slotStart[id+1]
 	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
-		c.moveOnNet(int(cm.InstNets[j]), int32(id), oldX, oldY)
+		n := cm.InstNets[j]
+		// The cell's slots on net n: the run below the net's end.
+		e := s
+		for hi := cm.NetStart[n+1]; e < end && c.slots[e] < hi; e++ {
+		}
+		c.moveOnNet(int(n), c.slots[s:e], x, y, oldX, oldY)
+		s = e
 	}
 }
 
-func (c *WirelenCache) moveOnNet(netID int, id int32, oldX, oldY float64) {
+// moveOnNet updates net netID's bbox for a cell moved from (oldX, oldY) to
+// (x, y); pins are the cell's pin slots on the net.
+func (c *WirelenCache) moveOnNet(netID int, pins []int32, x, y, oldX, oldY float64) {
 	cm := c.cm
-	lo, hi := cm.NetStart[netID], cm.NetStart[netID+1]
-	if hi-lo < 2 {
+	if cm.NetStart[netID+1]-cm.NetStart[netID] < 2 {
 		return
 	}
 	// Pass 1: does any moved pin own a bbox edge and move off it inward?
 	// Then the new edge may be any other pin — recompute exactly.
-	for k := lo; k < hi; k++ {
-		if cm.PinInst[k] != id {
-			continue
-		}
+	for _, k := range pins {
 		ox, oy := oldX+cm.PinDX[k], oldY+cm.PinDY[k]
-		nx, ny := c.instX[id]+cm.PinDX[k], c.instY[id]+cm.PinDY[k]
+		nx, ny := x+cm.PinDX[k], y+cm.PinDY[k]
 		if (ox == c.minX[netID] && nx > ox) || (ox == c.maxX[netID] && nx < ox) ||
 			(oy == c.minY[netID] && ny > oy) || (oy == c.maxY[netID] && ny < oy) {
 			c.recompute(netID)
@@ -157,11 +213,8 @@ func (c *WirelenCache) moveOnNet(netID int, id int32, oldX, oldY float64) {
 		}
 	}
 	// Pass 2: every moved pin stayed put or moved outward; expand the bbox.
-	for k := lo; k < hi; k++ {
-		if cm.PinInst[k] != id {
-			continue
-		}
-		nx, ny := c.instX[id]+cm.PinDX[k], c.instY[id]+cm.PinDY[k]
+	for _, k := range pins {
+		nx, ny := x+cm.PinDX[k], y+cm.PinDY[k]
 		if nx < c.minX[netID] {
 			c.minX[netID] = nx
 		}

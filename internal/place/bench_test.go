@@ -60,3 +60,21 @@ func BenchmarkDetailed(b *testing.B) {
 		Detailed(d, DetailedOptions{Seed: 1})
 	}
 }
+
+// BenchmarkDetailedScale100k is BenchmarkDetailed at the size and shape of
+// the repo benchmark's scale workloads: 100k cells, 20% of them on one clock
+// net, where per-visit cost that grows with net fan-out dominates everything.
+func BenchmarkDetailedScale100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-cell placement set-up")
+	}
+	d0 := designs.Generate(designs.ScaleSpec(100000, 1)).Design
+	Global(d0, Options{Seed: 1, Legalize: true})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := d0.Clone()
+		b.StartTimer()
+		Detailed(d, DetailedOptions{Seed: 1})
+	}
+}

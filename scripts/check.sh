@@ -51,7 +51,8 @@ PPACLUST_WORKERS=4 go test -race \
 # without -race (its instrumentation perturbs testing.AllocsPerRun counts).
 echo "==> steady-state allocation assertions"
 go test -run 'AllocFree' ./internal/netlist/ ./internal/hypergraph/ \
-    ./internal/route/ ./internal/cts/ ./internal/sta/ ./internal/gnn/
+    ./internal/route/ ./internal/cts/ ./internal/sta/ ./internal/gnn/ \
+    ./internal/place/
 
 if [[ "${1:-}" != "quick" ]]; then
     # Scale smoke: one 10k-cell generate+place row through the sweep harness,
