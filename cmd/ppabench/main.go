@@ -56,8 +56,6 @@ func main() {
 	scale := flag.String("scale", "",
 		"run the scale sweep over a size list like \"10k,100k,1m\" instead of the paper suite")
 	scaleOut := flag.String("scale-out", "BENCH_scale.json", "scale sweep output path")
-	scaleCompare := flag.Bool("scale-compare", false,
-		"also place each -scale row with Jacobi-PCG forced, recording the reference wall-clock")
 	scaleFlow := flag.String("scale-flow", "",
 		"run the per-stage flow sweep (gen/cluster/place/sta/route/cts) over a size list")
 	scaleFlowOut := flag.String("scale-flow-out", "BENCH_scale_flow.json", "flow sweep output path")
@@ -91,7 +89,7 @@ func main() {
 	case *scaleFlow != "":
 		runScaleFlow(check(parseScaleSizes(*scaleFlow)), *seed, *workers, *workersSweep, *scaleFlowOut)
 	case *scale != "":
-		runScale(check(parseScaleSizes(*scale)), *seed, *workers, *memstats, *scaleCompare, *scaleOut)
+		runScale(check(parseScaleSizes(*scale)), *seed, *workers, *memstats, *scaleOut)
 	case *jsonOut != "":
 		runJSON(s, *jsonOut)
 	case *table != "":

@@ -33,13 +33,6 @@ type scaleRow struct {
 	HPWL             float64 `json:"hpwl"`
 	Overflow         float64 `json:"overflow"`
 	PeakRSSMB        float64 `json:"peak_rss_mb"` // VmHWM after the run, 0 if unknown
-
-	// Jacobi-PCG reference run of the same system (recorded when the sweep
-	// is invoked with -scale-compare): the aggregation preconditioner must
-	// beat this wall-clock, not just its iteration count.
-	PlaceJacobiMS float64 `json:"place_jacobi_ms,omitempty"`
-	JacobiCGIters int     `json:"jacobi_cg_iters,omitempty"`
-	JacobiHPWL    float64 `json:"jacobi_hpwl,omitempty"`
 }
 
 // scaleRun is the BENCH_scale.json document.
@@ -128,10 +121,8 @@ func countPins(d *netlist.Design) int {
 }
 
 // runScale generates each requested size and times global placement on it,
-// writing the machine-readable sweep to outPath. With compare set, each row
-// is also placed with the preconditioner forced to Jacobi-PCG so the
-// aggregation path's wall-clock advantage is recorded next to its own time.
-func runScale(sizes []int, seed int64, workers int, memstats, compare bool, outPath string) {
+// writing the machine-readable sweep to outPath.
+func runScale(sizes []int, seed int64, workers int, memstats bool, outPath string) {
 	f, err := os.Create(outPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppabench: %v\n", err)
@@ -168,20 +159,9 @@ func runScale(sizes []int, seed int64, workers int, memstats, compare bool, outP
 			Overflow:         res.Overflow,
 			PeakRSSMB:        peakRSSMB(),
 		}
-		if compare {
-			t2 := time.Now()
-			jres := place.Global(d, place.Options{Seed: 7, Workers: workers, Precond: -1})
-			row.PlaceJacobiMS = float64(time.Since(t2).Microseconds()) / 1000
-			row.JacobiCGIters = jres.CGIterations
-			row.JacobiHPWL = jres.HPWL
-		}
 		run.Rows = append(run.Rows, row)
 		fmt.Printf("scale %8d cells: gen %8.1f ms, place %9.1f ms (%7.0f cells/s), hpwl %.4g, rss %.0f MB\n",
 			cells, genMS, placeMS, row.PlaceCellsPerSec, row.HPWL, row.PeakRSSMB)
-		if compare {
-			fmt.Printf("  jacobi-pcg reference: place %9.1f ms, cg_iters %d, hpwl %.4g\n",
-				row.PlaceJacobiMS, row.JacobiCGIters, row.JacobiHPWL)
-		}
 		if memstats {
 			printMemStats(spec.Name)
 		}

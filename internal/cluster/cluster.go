@@ -49,11 +49,6 @@ type Options struct {
 	EdgeSwitchCost []float64
 	// MaxLevels bounds the number of coarsening levels. Default 20.
 	MaxLevels int
-	// KeepLevelAssigns records the fine-vertex assignment after every
-	// coarsening level in Result.LevelAssigns/LevelCounts, so callers can
-	// reuse the whole hierarchy (e.g. as a multigrid coarse-space ladder)
-	// instead of only the final clustering.
-	KeepLevelAssigns bool
 	// Workers bounds the goroutines used by the rating scans: 0 = auto
 	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = fully sequential. Matching
 	// itself always commits sequentially, so the cluster assignment is
@@ -107,13 +102,6 @@ type Result struct {
 	// Singletons counts clusters of size one. Per the paper (footnote 2)
 	// they are deliberately NOT merged together.
 	Singletons int
-	// LevelAssigns (with Options.KeepLevelAssigns) holds the fine-vertex
-	// assignment after each coarsening level, finest first. Labels at level
-	// j are coarse-hypergraph vertex ids, dense in [0, LevelCounts[j]), and
-	// nest strictly: equal labels at one level stay equal at every deeper
-	// level.
-	LevelAssigns [][]int
-	LevelCounts  []int
 }
 
 // MultilevelFC coarsens h level by level using first-choice matching under
@@ -135,12 +123,6 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 	maxW := opt.MaxClusterFactor * h.TotalVertexWeight() / float64(opt.TargetClusters)
 
 	levels := 0
-	var levelAssigns [][]int
-	var levelCounts []int
-	if opt.KeepLevelAssigns {
-		levelAssigns = make([][]int, 0, opt.MaxLevels)
-		levelCounts = make([]int, 0, opt.MaxLevels)
-	}
 	for cur.NumVertices() > opt.TargetClusters && levels < opt.MaxLevels {
 		// Far from the target, run unrestricted FC passes; near it, spend
 		// the remaining merge budget on the highest-rated pairs so the
@@ -166,12 +148,6 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 		// Thread fine-level assignment through the new level.
 		for i := range assign {
 			assign[i] = con.VertexMap[assign[i]]
-		}
-		if opt.KeepLevelAssigns {
-			snap := make([]int, len(assign))
-			copy(snap, assign)
-			levelAssigns = append(levelAssigns, snap)
-			levelCounts = append(levelCounts, con.Coarse.NumVertices())
 		}
 		// Propagate groups and edge costs to the coarse level.
 		if groups != nil {
@@ -203,8 +179,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 	}
 
 	dense, k := densify(assign)
-	res := Result{Assign: dense, NumClusters: k, Levels: levels,
-		LevelAssigns: levelAssigns, LevelCounts: levelCounts}
+	res := Result{Assign: dense, NumClusters: k, Levels: levels}
 	count := make([]int, k)
 	for _, c := range dense {
 		count[c]++

@@ -350,59 +350,3 @@ func TestPropertyGroupsNeverViolated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestKeepLevelAssignsNesting checks the per-level snapshots: counts must
-// strictly decrease, every level's labels must stay within its count, the
-// final level must match the densified Assign, and the levels must nest —
-// two vertices sharing a cluster at level k share one at every later level.
-func TestKeepLevelAssignsNesting(t *testing.T) {
-	h := blocks(16, 16)
-	res := MultilevelFC(h, Options{TargetClusters: 4, Seed: 1, KeepLevelAssigns: true})
-	if len(res.LevelAssigns) == 0 || len(res.LevelAssigns) != len(res.LevelCounts) {
-		t.Fatalf("levels=%d counts=%d", len(res.LevelAssigns), len(res.LevelCounts))
-	}
-	n := h.NumVertices()
-	prev := n + 1
-	for li, assign := range res.LevelAssigns {
-		cnt := res.LevelCounts[li]
-		if cnt >= prev {
-			t.Fatalf("level %d count %d did not shrink from %d", li, cnt, prev)
-		}
-		prev = cnt
-		if len(assign) != n {
-			t.Fatalf("level %d assign length %d != %d", li, len(assign), n)
-		}
-		for v, c := range assign {
-			if c < 0 || c >= cnt {
-				t.Fatalf("level %d vertex %d label %d out of [0,%d)", li, v, c, cnt)
-			}
-		}
-		if li == 0 {
-			continue
-		}
-		// Nesting: the previous level's cluster determines this level's.
-		parent := make(map[int]int)
-		for v := 0; v < n; v++ {
-			fine := res.LevelAssigns[li-1][v]
-			if p, ok := parent[fine]; ok {
-				if p != assign[v] {
-					t.Fatalf("level %d breaks nesting at vertex %d", li, v)
-				}
-			} else {
-				parent[fine] = assign[v]
-			}
-		}
-	}
-	// The last snapshot is the final clustering up to label renumbering.
-	last := res.LevelAssigns[len(res.LevelAssigns)-1]
-	seen := make(map[int]int)
-	for v := 0; v < n; v++ {
-		if p, ok := seen[last[v]]; ok {
-			if p != res.Assign[v] {
-				t.Fatalf("final level disagrees with Assign at vertex %d", v)
-			}
-		} else {
-			seen[last[v]] = res.Assign[v]
-		}
-	}
-}

@@ -344,7 +344,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		return assign, community.NumCommunities(assign), nil, nil
 	case MethodMFC:
 		res := cluster.MultilevelFC(view.H, cluster.Options{
-			Alpha: 1, TargetClusters: targetFor(opt, len(d.Insts)), Seed: opt.Seed,
+			Alpha: 1, TargetClusters: opt.TargetClusters, Seed: opt.Seed,
 			Workers: opt.Workers,
 		})
 		return res.Assign, res.NumClusters, nil, nil
@@ -384,7 +384,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		sCost := cluster.SwitchCosts(edgeAct, opt.Mu)
 		res := cluster.MultilevelFC(view.H, cluster.Options{
 			Alpha: opt.Alpha, Beta: nonNegative(opt.Beta), Gamma: nonNegative(opt.Gamma),
-			TargetClusters: targetFor(opt, len(d.Insts)), Seed: opt.Seed,
+			TargetClusters: opt.TargetClusters, Seed: opt.Seed,
 			Groups:         groups,
 			EdgeTimingCost: tCost,
 			EdgeSwitchCost: sCost,
@@ -519,12 +519,6 @@ func nonNegative(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// targetFor resolves the FC cluster-count target: the user's explicit value,
-// else the cluster package's size-scaled default.
-func targetFor(opt Options, n int) int {
-	return opt.TargetClusters
 }
 
 func mathSqrt(v float64) float64 {

@@ -29,15 +29,14 @@ const (
 	coarseInitCellsPer    = 128
 )
 
-// useCoarseInit decides whether this run warm-starts from the cluster
-// hierarchy. Regions are excluded: the coarse model has no per-cell region
+// useCoarseInit is the placer's whole solver policy: every axis solve is
+// Jacobi-PCG, and from-scratch, region-free runs with at least
+// coarseInitMinCells movable cells warm-start from the cluster hierarchy
+// first. Regions are excluded: the coarse model has no per-cell region
 // notion, and region runs are incremental-style refinements anyway.
 func (p *placer) useCoarseInit() bool {
-	if p.opt.CoarseInit < 0 {
-		return false
-	}
-	if p.opt.CoarseInit > 0 {
-		return true
+	if p.opt.coarseInit != 0 {
+		return p.opt.coarseInit > 0
 	}
 	return !p.opt.Incremental && p.opt.Regions == nil &&
 		len(p.movable) >= coarseInitMinCells
@@ -69,10 +68,6 @@ func (p *placer) coarseInit() {
 	if len(d.Insts) <= 2*k {
 		return
 	}
-	// The warm start clusters on its own, with its own target: the
-	// preconditioner's shared hierarchy (precond.go) coarsens ~20x per
-	// level, so its stored levels land far from the k this model needs and
-	// the granularity mismatch measurably hurts the interpolated start.
 	hv := d.ToHypergraph()
 	cres := cluster.MultilevelFC(hv.H, cluster.Options{
 		TargetClusters: k,
@@ -169,6 +164,10 @@ func (p *placer) coarseInit() {
 		}
 	}
 
+	// coarseInit: -1 ends the recursion here. The cluster count is a target,
+	// not a bound — MultilevelFC stops on no progress and never merges
+	// singletons — so a sparsely connected design can hand back a coarse
+	// design that is itself above coarseInitMinCells.
 	cres2 := Global(cd, Options{
 		Iterations:    p.opt.Iterations,
 		CGIterations:  p.opt.CGIterations,
@@ -177,8 +176,8 @@ func (p *placer) coarseInit() {
 		OverflowStop:  keepResolved(p.opt.OverflowStop),
 		Seed:          p.opt.Seed,
 		Workers:       p.opt.Workers,
-		CoarseInit:    -1,
 		noStall:       true,
+		coarseInit:    -1,
 	})
 	p.cgIters += cres2.CGIterations
 

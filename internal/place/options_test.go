@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ppaclust/internal/designs"
+	"ppaclust/internal/netlist"
 )
 
 // TestOptionsWithDefaults pins the resolution of every tunable option under
@@ -103,5 +104,29 @@ func TestDisabledSpreadingIsExpressible(t *testing.T) {
 	}
 	if off.Overflow <= on.Overflow {
 		t.Fatalf("disabled spreading overflow %v not above spread overflow %v", off.Overflow, on.Overflow)
+	}
+}
+
+// TestUseCoarseInitPolicy pins the solver policy without running a
+// placement: the warm start engages for from-scratch, region-free runs with
+// at least coarseInitMinCells movable cells and nowhere else.
+func TestUseCoarseInitPolicy(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		movable int
+		opt     Options
+		want    bool
+	}{
+		{"below threshold", 199999, Options{}, false},
+		{"at threshold", 200000, Options{}, true},
+		{"incremental", 200000, Options{Incremental: true}, false},
+		{"regions", 200000, Options{Regions: map[int]netlist.Rect{}}, false},
+		{"forced on", 10, Options{coarseInit: 1}, true},
+		{"forced off", 200000, Options{coarseInit: -1}, false},
+	} {
+		p := &placer{movable: make([]int, c.movable), opt: c.opt}
+		if got := p.useCoarseInit(); got != c.want {
+			t.Errorf("%s: useCoarseInit() = %v, want %v", c.name, got, c.want)
+		}
 	}
 }

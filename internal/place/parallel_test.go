@@ -2,48 +2,67 @@ package place
 
 import (
 	"math"
+	"strconv"
 	"testing"
+	"time"
 
 	"ppaclust/internal/designs"
 	"ppaclust/internal/netlist"
 )
 
 // TestGlobalWorkersEquivalent asserts the determinism contract for the
-// placer: Workers=N produces bit-identical positions, HPWL and overflow to
-// Workers=1, in both from-scratch and incremental mode.
+// placer: Workers=2 and 4 produce bit-identical positions, HPWL, overflow and
+// iteration counts to Workers=1, in both from-scratch and incremental mode,
+// on a ~320-cell and a 6.5k-cell (ariane) design.
 func TestGlobalWorkersEquivalent(t *testing.T) {
+	ariane, ok := designs.Named("ariane")
+	if !ok {
+		t.Fatal("ariane spec missing")
+	}
 	run := func(t *testing.T, d *netlist.Design, opt Options) {
 		ds := d.Clone()
-		dp := d.Clone()
-		os := opt
-		os.Workers = 1
-		op := opt
-		op.Workers = 4
-		rs := Global(ds, os)
-		rp := Global(dp, op)
-		if math.Float64bits(rs.HPWL) != math.Float64bits(rp.HPWL) ||
-			rs.Iterations != rp.Iterations ||
-			math.Float64bits(rs.Overflow) != math.Float64bits(rp.Overflow) {
-			t.Fatalf("results differ: seq %+v par %+v", rs, rp)
-		}
-		for i := range ds.Insts {
-			a, b := ds.Insts[i], dp.Insts[i]
-			if math.Float64bits(a.X) != math.Float64bits(b.X) ||
-				math.Float64bits(a.Y) != math.Float64bits(b.Y) {
-				t.Fatalf("instance %s placed at (%v,%v) seq vs (%v,%v) par",
-					a.Name, a.X, a.Y, b.X, b.Y)
+		opt.Workers = 1
+		rs := Global(ds, opt)
+		for _, w := range []int{2, 4} {
+			dp := d.Clone()
+			opt.Workers = w
+			rp := Global(dp, opt)
+			if math.Float64bits(rs.HPWL) != math.Float64bits(rp.HPWL) ||
+				rs.Iterations != rp.Iterations ||
+				rs.CGIterations != rp.CGIterations ||
+				math.Float64bits(rs.Overflow) != math.Float64bits(rp.Overflow) {
+				t.Fatalf("W=%d results differ: seq %+v par %+v", w, rs, rp)
+			}
+			for i := range ds.Insts {
+				a, b := ds.Insts[i], dp.Insts[i]
+				if math.Float64bits(a.X) != math.Float64bits(b.X) ||
+					math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+					t.Fatalf("W=%d: instance %s placed at (%v,%v) seq vs (%v,%v) par",
+						w, a.Name, a.X, a.Y, b.X, b.Y)
+				}
 			}
 		}
 	}
-	t.Run("scratch", func(t *testing.T) {
-		d := designs.Generate(designs.TinySpec(31)).Design
-		run(t, d, Options{Seed: 3, Legalize: true})
-	})
-	t.Run("incremental", func(t *testing.T) {
-		d := designs.Generate(designs.TinySpec(32)).Design
-		Global(d, Options{Seed: 4}) // seed positions
-		run(t, d, Options{Seed: 5, Incremental: true})
-	})
+	for _, tc := range []struct {
+		name        string
+		spec        designs.Spec
+		incremental bool
+	}{
+		{"scratch", designs.TinySpec(31), false},
+		{"incremental", designs.TinySpec(32), true},
+		{"scratch-ariane", ariane, false},
+		{"incremental-ariane", ariane, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := designs.Generate(tc.spec).Design
+			if tc.incremental {
+				Global(d, Options{Seed: 4}) // seed positions
+				run(t, d, Options{Seed: 5, Incremental: true})
+			} else {
+				run(t, d, Options{Seed: 3, Legalize: true})
+			}
+		})
+	}
 }
 
 // TestGlobalCoarseInitWorkersEquivalent forces the multigrid warm start on a
@@ -54,8 +73,8 @@ func TestGlobalCoarseInitWorkersEquivalent(t *testing.T) {
 	d := designs.Generate(designs.TinySpec(33)).Design
 	ds := d.Clone()
 	dp := d.Clone()
-	rs := Global(ds, Options{Seed: 6, Workers: 1, CoarseInit: 1})
-	rp := Global(dp, Options{Seed: 6, Workers: 4, CoarseInit: 1})
+	rs := Global(ds, Options{Seed: 6, Workers: 1, coarseInit: 1})
+	rp := Global(dp, Options{Seed: 6, Workers: 4, coarseInit: 1})
 	if math.Float64bits(rs.HPWL) != math.Float64bits(rp.HPWL) ||
 		rs.Iterations != rp.Iterations ||
 		rs.CGIterations != rp.CGIterations ||
@@ -73,9 +92,48 @@ func TestGlobalCoarseInitWorkersEquivalent(t *testing.T) {
 	// The warm start must actually have engaged: a coarse-solved start
 	// differs from the center-seeded flat solve.
 	dflat := d.Clone()
-	rf := Global(dflat, Options{Seed: 6, Workers: 1, CoarseInit: -1})
+	rf := Global(dflat, Options{Seed: 6, Workers: 1, coarseInit: -1})
 	if math.Float64bits(rf.HPWL) == math.Float64bits(rs.HPWL) &&
 		rf.CGIterations == rs.CGIterations {
-		t.Fatal("CoarseInit:1 produced the flat-solve result; warm start did not engage")
+		t.Fatal("coarseInit:1 produced the flat-solve result; warm start did not engage")
+	}
+}
+
+// TestCoarseInitRecursionTerminates covers the case where the warm start's
+// clustering cannot coarsen: MultilevelFC never merges unconnected cells, so
+// a design just above coarseInitMinCells with ten nets hands coarseInit a
+// coarse design of the same size. The coarse solve must not warm-start in
+// turn, or the recursion never ends.
+func TestCoarseInitRecursionTerminates(t *testing.T) {
+	const n = coarseInitMinCells + 10000
+	lib := netlist.NewLibrary("sparse_lib")
+	m := &netlist.Master{Name: "c", Class: netlist.ClassCore, Width: 1, Height: 1}
+	if err := lib.AddMaster(m); err != nil {
+		t.Fatal(err)
+	}
+	d := netlist.NewDesignSized("sparse", lib, n, 10)
+	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 700, Y1: 700}
+	for i := 0; i < n; i++ {
+		if _, err := d.AddInstance("i"+strconv.Itoa(i), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for e := 0; e < 10; e++ {
+		net, err := d.AddNet("n" + strconv.Itoa(e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Connect(net, netlist.PinRef{Inst: 2 * e, Pin: "p"})
+		d.Connect(net, netlist.PinRef{Inst: 2*e + 1, Pin: "p"})
+	}
+	done := make(chan Result, 1)
+	go func() { done <- Global(d, Options{Seed: 1, Iterations: 1}) }()
+	select {
+	case r := <-done:
+		if r.Iterations != 1 {
+			t.Fatalf("ran %d rounds, want 1", r.Iterations)
+		}
+	case <-time.After(time.Minute):
+		t.Fatal("Global did not return: the coarse solve re-entered the warm start")
 	}
 }

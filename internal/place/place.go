@@ -29,7 +29,7 @@ import (
 
 // Options configures a placement run.
 type Options struct {
-	// Iterations is the number of solve+spread rounds. Default 24 (8 when
+	// Iterations is the number of solve+spread rounds. Default 24 (12 when
 	// Incremental).
 	Iterations int
 	// CGIterations bounds the conjugate-gradient iterations per solve.
@@ -37,7 +37,7 @@ type Options struct {
 	// drops by cgRelTol relative to the start of the solve.
 	CGIterations int
 	// TargetDensity is the per-bin density ceiling. Default max(0.75,
-	// utilization*1.1) clamped to 1.
+	// utilization*1.15) clamped to 1.
 	TargetDensity float64
 	// Incremental starts from the instances' current positions and anchors
 	// to them instead of starting at the core center.
@@ -71,19 +71,6 @@ type Options struct {
 	// exact sequential path. All parallel paths reduce in fixed order, so the
 	// placement is bit-identical for every worker count.
 	Workers int
-	// Precond selects the CG preconditioner: 0 = auto (multilevel
-	// aggregation over the MultilevelFC cluster hierarchy in the large
-	// no-warm-start band, Jacobi otherwise — the multigrid warm start and
-	// the aggregation ladder are alternative cures for the same smooth
-	// modes and do not stack profitably), 1 = force the aggregation
-	// preconditioner, -1 = force plain Jacobi. See precond.go.
-	Precond int
-	// CoarseInit controls the cluster-hierarchy (multigrid-style) warm
-	// start for from-scratch placement: 0 = auto (on for large designs),
-	// 1 = force on, -1 = force off. The warm start coarse-places the
-	// MultilevelFC cluster hierarchy, interpolates positions down to the
-	// cells, and then refines — deterministic for every worker count.
-	CoarseInit int
 	// TimingDriven enables STA feedback at the overflow checkpoints: the
 	// incremental analyzer runs on the current coordinates, nets are ranked
 	// by worst slack, and the most critical TimingNetsPercent get their B2B
@@ -133,6 +120,11 @@ type Options struct {
 	// improving the positions the fine problem interpolates from, and the
 	// coarse solve is too cheap for early exit to matter.
 	noStall bool
+	// coarseInit overrides useCoarseInit's size policy: 0 = auto, 1 = force
+	// the warm start on (tests, to exercise it on small designs), -1 = force
+	// it off (the warm-start recursion's coarse solve, so the recursion
+	// terminates at depth 1 whatever the clustering returned).
+	coarseInit int
 }
 
 // Option resolution convention: for every tunable scalar, zero selects the
@@ -278,14 +270,10 @@ type placer struct {
 
 	// solver and spreading scratch, allocated once per run
 	cgX, cgAx, cgR, cgD []float64
-	cgZ                 []float64 // preconditioned residual (aggregation path)
-	pre                 *aggPre   // multilevel preconditioner, nil = Jacobi
-	aggPending          bool      // ladder build deferred to the first agg solve
 	byX, byY, partBuf   []int32      // bisection orderings + partition scratch
 	sorter              sortx.Sorter // shared radix-sort scratch
 	sideLo              []bool       // bisection membership marks
 	cgIters             int
-	iter                int // current outer round (for the precond dispatch)
 
 	netActs [][]springAction // per-net spring actions (parallel assembly)
 	binIdx  []int32          // per-cell bin index (parallel density pass)
@@ -329,7 +317,6 @@ func Global(d *netlist.Design, opt Options) Result {
 		return Result{HPWL: d.HPWL()}
 	}
 	p.initPositions()
-	p.setupAggregates()
 	if p.useCoarseInit() {
 		p.coarseInit()
 	}
@@ -339,7 +326,6 @@ func Global(d *netlist.Design, opt Options) Result {
 	best := math.Inf(1)
 	stall := 0
 	for ; iter < opt.Iterations; iter++ {
-		p.iter = iter
 		if opt.RegionIterations > 0 && iter == opt.RegionIterations {
 			p.opt.Regions = nil // constraints removed after the guided phase
 		}
@@ -720,14 +706,6 @@ func (p *placer) addSpring(vi, vj int, ci, cj float64, w float64) {
 // warm-started solves (coarse-init refinement, incremental mode) exit after
 // a handful of iterations.
 func (p *placer) cg(xAxis bool) []float64 {
-	if p.iter >= aggFirstRound {
-		if p.aggPending {
-			p.ensureAggLadder()
-		}
-		if p.pre != nil {
-			return p.cgAgg(xAxis)
-		}
-	}
 	n := len(p.movable)
 	x := p.cgX
 	if xAxis {

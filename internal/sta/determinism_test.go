@@ -33,7 +33,7 @@ func TestAnalyzerWorkersEquivalent(t *testing.T) {
 			seq.Run()
 			pp.Run()
 
-			ss, ps := seq.NetSlack(), pp.NetSlack()
+			ss, ps := seq.NetSlackInto(nil), pp.NetSlackInto(nil)
 			if len(ss) != len(ps) {
 				t.Fatal("net slack length mismatch")
 			}

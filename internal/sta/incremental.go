@@ -304,7 +304,7 @@ func (a *Analyzer) enqueue(v int32) {
 }
 
 // updateIncremental refreshes the dirty nets' geometry and repropagates
-// arrivals/requireds through the affected cones only. Precondition: the
+// arrivals/requireds through the affected cones only. The caller ensures the
 // level schedule exists, timing is propagated, and the dirty set is partial.
 func (a *Analyzer) updateIncremental() {
 	a.ensureLevels()

@@ -49,7 +49,7 @@ func perturb(d *netlist.Design, an *sta.Analyzer, frac float64, seed int64) []in
 // analyzers match bit-for-bit.
 func requireIdentical(t *testing.T, ctx string, a, b *sta.Analyzer) {
 	t.Helper()
-	as, bs := a.NetSlack(), b.NetSlack()
+	as, bs := a.NetSlackInto(nil), b.NetSlackInto(nil)
 	if len(as) != len(bs) {
 		t.Fatalf("%s: net slack length mismatch", ctx)
 	}

@@ -931,16 +931,12 @@ func (a *Analyzer) Timing() Summary {
 // NetLoad returns the total load capacitance (pins + wire) of a net.
 func (a *Analyzer) NetLoad(netID int) float64 { return a.netLoad[netID] }
 
-// NetSlack returns for each net the worst slack over the pins of the net
-// (+Inf for unconstrained nets). This is the per-net timing criticality the
-// clustering consumes. Callers on a hot path should use NetSlackInto with a
-// reused buffer instead.
-func (a *Analyzer) NetSlack() []float64 { return a.NetSlackInto(nil) }
-
-// NetSlackInto fills dst (grown if needed) with the per-net worst slack and
-// returns it. The placer's timing-driven checkpoints call this repeatedly at
-// full-design scale, so the buffer is caller-owned and the fill allocates
-// nothing once dst has capacity for len(Nets).
+// NetSlackInto fills dst (grown if needed; nil allocates) with, for each net,
+// the worst slack over the pins of the net (+Inf for unconstrained nets) and
+// returns it. This is the per-net timing criticality the clustering consumes.
+// The placer's timing-driven checkpoints call this repeatedly at full-design
+// scale, so the buffer is caller-owned and the fill allocates nothing once
+// dst has capacity for len(Nets).
 func (a *Analyzer) NetSlackInto(dst []float64) []float64 {
 	a.Run()
 	n := len(a.d.Nets)

@@ -241,7 +241,7 @@ func TestTopPathsLimit(t *testing.T) {
 func TestNetSlack(t *testing.T) {
 	d := regPair(t)
 	a := New(d, consFor(50e-12, "clk"))
-	ns := a.NetSlack()
+	ns := a.NetSlackInto(nil)
 	q0 := d.Net("q0").ID
 	d1 := d.Net("d1").ID
 	if math.IsInf(ns[q0], 1) || math.IsInf(ns[d1], 1) {

@@ -14,6 +14,12 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# benchmark/ is its own module (replace ppaclust => ../), so nothing above
+# compiles it: removing an exported name it uses would otherwise break the
+# repo benchmark silently.
+echo "==> benchmark module: go vet + go test"
+(cd benchmark && go vet ./... && go test ./...)
+
 # Project-contract lint: determinism (maporder, ndsource), no-panic
 # (nopanic), bounds-checked parsing (rawindex), no dropped parser errors
 # (errdrop), no stdout writes from libraries (printlib), no unpreallocated
