@@ -78,7 +78,7 @@ func TestArrivalsUsableBySTA(t *testing.T) {
 	a := sta.New(d, b.Cons)
 	ideal := a.Timing()
 	res := Synthesize(d, d.Net("clk"), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
-	a.SetClockArrivals(res.Arrivals)
+	a.SetClockArrivalList(res.ArrivalList)
 	prop := a.Timing()
 	if prop.Endpoints != ideal.Endpoints {
 		t.Fatal("endpoint count changed")

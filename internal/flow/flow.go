@@ -136,7 +136,8 @@ type Options struct {
 	RoutabilityDriven bool
 	// Workers bounds the goroutines used by the STA, clustering, placement,
 	// routing and CTS kernels: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS),
-	// 1 = sequential. Results are bit-identical for every worker count.
+	// 1 = one worker, the same kernels run inline. Results are bit-identical
+	// for every worker count.
 	Workers int
 }
 

@@ -27,12 +27,47 @@ import (
 	"ppaclust/internal/sta"
 )
 
+// The feedback schedule and strengths, each with the OpenROAD
+// global_placement flag it mirrors.
+const (
+	// timingNetsPercent is the share of rankable nets reweighted per timing
+	// checkpoint (-timing_driven_nets_percentage).
+	timingNetsPercent = 10.0
+	// timingNetReweight is the weight multiplier applied to the single most
+	// critical net; the boost ramps linearly down to 1 across the selected
+	// set (-timing_driven_net_weight_max). Typed, so that the boost (this
+	// minus 1) is the float64 difference every recorded result was produced
+	// with, not the exactly evaluated constant 0.9.
+	timingNetReweight float64 = 1.9
+	// netWeightMax caps a net's accumulated weight at this multiple of its
+	// original weight, so repeated checkpoints cannot run away.
+	netWeightMax = 5.0
+	// inflationRatioCoef scales a congested cell's area inflation: ratio =
+	// 1 + inflationRatioCoef*(congestion-threshold)
+	// (-routability_inflation_ratio_coef).
+	inflationRatioCoef = 2.5
+	// maxInflationRatio caps a cell's accumulated area inflation relative to
+	// its physical area (-routability_max_inflation_ratio) — a deliberately
+	// tight cap: with the hotspot-selective threshold, modest inflation
+	// flattens congestion peaks while keeping the HPWL cost of the extra
+	// spreading small.
+	maxInflationRatio = 1.25
+	// maxInflationIters bounds how many checkpoints run the router and
+	// inflate (-routability_max_inflation_iter).
+	maxInflationIters = 3
+)
+
+// checkpointOverflows are the descending bin-overflow thresholds at which the
+// timing/routability feedback fires, one checkpoint per threshold, at most
+// one per round (-timing_driven_net_reweight_overflow). Read-only.
+var checkpointOverflows = [...]float64{0.5, 0.3, 0.2}
+
 // drivenEnabled reports whether any feedback checkpoint could still fire.
 func (p *placer) drivenEnabled() bool {
 	if p.opt.TimingDriven {
 		return true
 	}
-	return p.opt.RoutabilityDriven && p.inflations < p.opt.MaxInflationIters
+	return p.opt.RoutabilityDriven && p.inflations < maxInflationIters
 }
 
 // checkpoint fires the next overflow checkpoint if this round's overflow
@@ -40,10 +75,10 @@ func (p *placer) drivenEnabled() bool {
 // most one checkpoint fires per round; if overflow skips below several
 // thresholds at once, the remaining ones fire on the following rounds.
 func (p *placer) checkpoint(overflow float64) bool {
-	if !p.drivenEnabled() || p.ckptNext >= len(p.opt.CheckpointOverflows) {
+	if !p.drivenEnabled() || p.ckptNext >= len(checkpointOverflows) {
 		return false
 	}
-	if overflow > p.opt.CheckpointOverflows[p.ckptNext] {
+	if overflow > checkpointOverflows[p.ckptNext] {
 		return false
 	}
 	p.ckptNext++
@@ -54,21 +89,18 @@ func (p *placer) checkpoint(overflow float64) bool {
 	if p.opt.TimingDriven {
 		ran = p.reweightCriticalNets() || ran
 	}
-	if p.opt.RoutabilityDriven && p.inflations < p.opt.MaxInflationIters {
+	if p.opt.RoutabilityDriven && p.inflations < maxInflationIters {
 		ran = p.inflateCongested() || ran
 	}
 	return ran
 }
 
 // reweightCriticalNets runs STA on the committed coordinates and boosts the
-// B2B weights of the top TimingNetsPercent most critical active nets. The
-// boost ramps linearly from TimingNetReweight at the worst net down to 1 at
-// the selection edge, and the accumulated weight is capped at NetWeightMax
-// times the net's original weight so repeated checkpoints cannot run away.
+// B2B weights of the top timingNetsPercent most critical active nets. The
+// boost ramps linearly from timingNetReweight at the worst net down to 1 at
+// the selection edge, and the accumulated weight is capped at netWeightMax
+// times the net's original weight.
 func (p *placer) reweightCriticalNets() bool {
-	if p.opt.TimingNetsPercent <= 0 || p.opt.TimingNetReweight <= 1 {
-		return false
-	}
 	if p.an == nil {
 		p.an = sta.New(p.d, p.opt.TimingCons)
 		p.an.Workers = p.workers
@@ -101,15 +133,15 @@ func (p *placer) reweightCriticalNets() bool {
 		}
 		return cand[a] < cand[b] // slack ties resolve by net ID
 	})
-	k := int(math.Ceil(float64(len(cand)) * p.opt.TimingNetsPercent / 100))
+	k := int(math.Ceil(float64(len(cand)) * timingNetsPercent / 100))
 	if k > len(cand) {
 		k = len(cand)
 	}
-	boost := p.opt.TimingNetReweight - 1
+	boost := timingNetReweight - 1
 	for i := 0; i < k; i++ {
 		ni := cand[i]
 		w := p.netW[ni] * (1 + boost*float64(k-i)/float64(k))
-		if maxW := p.netW0[ni] * p.opt.NetWeightMax; w > maxW {
+		if maxW := p.netW0[ni] * netWeightMax; w > maxW {
 			w = maxW
 		}
 		p.netW[ni] = w
@@ -123,9 +155,6 @@ func (p *placer) reweightCriticalNets() bool {
 // over capacity. Only p.area changes — the physical w/h stay untouched, so
 // clamping, write-back and legalization keep using real cell dimensions.
 func (p *placer) inflateCongested() bool {
-	if p.opt.InflationRatioCoef <= 0 {
-		return false
-	}
 	rres := route.GlobalRoute(p.d, route.Options{Workers: p.workers})
 	cong := rres.Grid.CellCongestion()
 	nx, _ := rres.Grid.Dims()
@@ -145,12 +174,12 @@ func (p *placer) inflateCongested() bool {
 		if c <= thresh {
 			continue
 		}
-		ratio := 1 + p.opt.InflationRatioCoef*(c-thresh)
-		if ratio > p.opt.MaxInflationRatio {
-			ratio = p.opt.MaxInflationRatio
+		ratio := 1 + inflationRatioCoef*(c-thresh)
+		if ratio > maxInflationRatio {
+			ratio = maxInflationRatio
 		}
 		a := p.area[vi] * ratio
-		if maxA := p.w[vi] * p.h[vi] * p.opt.MaxInflationRatio; a > maxA {
+		if maxA := p.w[vi] * p.h[vi] * maxInflationRatio; a > maxA {
 			a = maxA
 		}
 		if a != p.area[vi] {

@@ -29,7 +29,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 		get  func(Options) float64
 		want float64
 	}
-	inf := math.Inf(1)
 	cases := []tc{
 		{"Iterations default", Options{}, func(o Options) float64 { return float64(o.Iterations) }, 24},
 		{"Iterations default incremental", Options{Incremental: true}, func(o Options) float64 { return float64(o.Iterations) }, 12},
@@ -50,43 +49,12 @@ func TestOptionsWithDefaults(t *testing.T) {
 		{"OverflowStop default", Options{}, func(o Options) float64 { return o.OverflowStop }, 0.12},
 		{"OverflowStop disabled never fires", Options{OverflowStop: -1}, func(o Options) float64 { return o.OverflowStop }, 0},
 		{"OverflowStop passthrough", Options{OverflowStop: 0.2}, func(o Options) float64 { return o.OverflowStop }, 0.2},
-		{"TimingNetsPercent default", Options{}, func(o Options) float64 { return o.TimingNetsPercent }, 10},
-		{"TimingNetsPercent disabled", Options{TimingNetsPercent: -1}, func(o Options) float64 { return o.TimingNetsPercent }, 0},
-		{"TimingNetsPercent passthrough", Options{TimingNetsPercent: 25}, func(o Options) float64 { return o.TimingNetsPercent }, 25},
-		{"TimingNetReweight default", Options{}, func(o Options) float64 { return o.TimingNetReweight }, 1.9},
-		{"TimingNetReweight disabled is unit", Options{TimingNetReweight: -1}, func(o Options) float64 { return o.TimingNetReweight }, 1},
-		{"TimingNetReweight passthrough", Options{TimingNetReweight: 2.5}, func(o Options) float64 { return o.TimingNetReweight }, 2.5},
-		{"NetWeightMax default", Options{}, func(o Options) float64 { return o.NetWeightMax }, 5},
-		{"NetWeightMax disabled is uncapped", Options{NetWeightMax: -1}, func(o Options) float64 { return o.NetWeightMax }, inf},
-		{"NetWeightMax passthrough", Options{NetWeightMax: 3}, func(o Options) float64 { return o.NetWeightMax }, 3},
-		{"InflationRatioCoef default", Options{}, func(o Options) float64 { return o.InflationRatioCoef }, 2.5},
-		{"InflationRatioCoef disabled", Options{InflationRatioCoef: -1}, func(o Options) float64 { return o.InflationRatioCoef }, 0},
-		{"InflationRatioCoef passthrough", Options{InflationRatioCoef: 1.5}, func(o Options) float64 { return o.InflationRatioCoef }, 1.5},
-		{"MaxInflationRatio default", Options{}, func(o Options) float64 { return o.MaxInflationRatio }, 1.25},
-		{"MaxInflationRatio disabled is uncapped", Options{MaxInflationRatio: -1}, func(o Options) float64 { return o.MaxInflationRatio }, inf},
-		{"MaxInflationRatio passthrough", Options{MaxInflationRatio: 2}, func(o Options) float64 { return o.MaxInflationRatio }, 2},
-		{"MaxInflationIters default", Options{}, func(o Options) float64 { return float64(o.MaxInflationIters) }, 3},
-		{"MaxInflationIters disabled", Options{MaxInflationIters: -1}, func(o Options) float64 { return float64(o.MaxInflationIters) }, 0},
-		{"MaxInflationIters passthrough", Options{MaxInflationIters: 2}, func(o Options) float64 { return float64(o.MaxInflationIters) }, 2},
 	}
 	for _, c := range cases {
 		got := c.get(c.in.withDefaults(d))
 		if math.Float64bits(got) != math.Float64bits(c.want) {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
-	}
-
-	// CheckpointOverflows: nil selects the defaults, an empty non-nil slice
-	// stays empty (all checkpoints disabled), explicit thresholds pass through.
-	if got := (Options{}).withDefaults(d).CheckpointOverflows; len(got) != 3 ||
-		got[0] != 0.5 || got[1] != 0.3 || got[2] != 0.2 {
-		t.Errorf("nil CheckpointOverflows resolved to %v, want [0.5 0.3 0.2]", got)
-	}
-	if got := (Options{CheckpointOverflows: []float64{}}).withDefaults(d).CheckpointOverflows; len(got) != 0 {
-		t.Errorf("empty CheckpointOverflows resolved to %v, want empty", got)
-	}
-	if got := (Options{CheckpointOverflows: []float64{0.4}}).withDefaults(d).CheckpointOverflows; len(got) != 1 || got[0] != 0.4 {
-		t.Errorf("explicit CheckpointOverflows resolved to %v, want [0.4]", got)
 	}
 }
 

@@ -73,8 +73,8 @@ type Options struct {
 	Workers int
 	// TimingDriven enables STA feedback at the overflow checkpoints: the
 	// incremental analyzer runs on the current coordinates, nets are ranked
-	// by worst slack, and the most critical TimingNetsPercent get their B2B
-	// weights multiplied (capped at NetWeightMax times the original weight).
+	// by worst slack, and the most critical timingNetsPercent get their B2B
+	// weights multiplied (capped at netWeightMax times the original weight).
 	// Off by default. See driven.go.
 	TimingDriven bool
 	// TimingCons are the constraints the checkpoint STA runs under. Only
@@ -85,35 +85,6 @@ type Options struct {
 	// in congested GCells have their spreading areas inflated so the next
 	// rounds push them apart. Off by default. See driven.go.
 	RoutabilityDriven bool
-	// CheckpointOverflows are the descending bin-overflow thresholds at
-	// which the timing/routability feedback fires, one checkpoint per
-	// threshold, at most one per round (mirrors OpenROAD's
-	// -timing_driven_net_reweight_overflow). nil = default {0.5, 0.3, 0.2};
-	// an empty non-nil slice disables all checkpoints.
-	CheckpointOverflows []float64
-	// TimingNetsPercent is the share of rankable nets reweighted per timing
-	// checkpoint. Default 10; negative = reweight nothing.
-	TimingNetsPercent float64
-	// TimingNetReweight is the weight multiplier applied to the single most
-	// critical net; the boost ramps linearly down to 1 across the selected
-	// set. Default 1.9; negative = 1 (no boost).
-	TimingNetReweight float64
-	// NetWeightMax caps a net's accumulated weight at this multiple of its
-	// original weight. Default 5; negative = uncapped.
-	NetWeightMax float64
-	// InflationRatioCoef scales a congested cell's area inflation:
-	// ratio = 1 + InflationRatioCoef*(congestion-1). Default 2.5;
-	// negative = no inflation.
-	InflationRatioCoef float64
-	// MaxInflationRatio caps a cell's accumulated area inflation relative to
-	// its physical area. Default 1.25 — a deliberately tight cap: with the
-	// hotspot-selective threshold, modest inflation flattens congestion peaks
-	// while keeping the HPWL cost of the extra spreading small. Negative =
-	// uncapped.
-	MaxInflationRatio float64
-	// MaxInflationIters bounds how many checkpoints run the router and
-	// inflate. Default 3; negative = 0 (no inflation rounds).
-	MaxInflationIters int
 	// noStall disables the overflow-stagnation stop. Only the coarse
 	// warm-start recursion sets it: the coarse model's huge cluster-cells
 	// floor its quantized overflow immediately, yet the later rounds keep
@@ -130,9 +101,9 @@ type Options struct {
 // Option resolution convention: for every tunable scalar, zero selects the
 // default and a negative value means "explicitly disabled" — resolved to the
 // value that makes the knob a no-op (0 for additive weights and thresholds,
-// 1 for the density ceiling and multipliers, +Inf for caps). Positive values
-// pass through unchanged. Iterations and CGIterations have no meaningful
-// disabled state, so for them any value <= 0 selects the default.
+// 1 for the density ceiling). Positive values pass through unchanged.
+// Iterations and CGIterations have no meaningful disabled state, so for them
+// any value <= 0 selects the default.
 func resolveOpt(v, def, disabled float64) float64 {
 	switch {
 	case v == 0:
@@ -142,10 +113,6 @@ func resolveOpt(v, def, disabled float64) float64 {
 	}
 	return v
 }
-
-// defaultCheckpoints are the overflow thresholds used when
-// Options.CheckpointOverflows is nil. Read-only.
-var defaultCheckpoints = []float64{0.5, 0.3, 0.2}
 
 func (o Options) withDefaults(d *netlist.Design) Options {
 	if o.Iterations <= 0 {
@@ -173,19 +140,6 @@ func (o Options) withDefaults(d *netlist.Design) Options {
 	o.AnchorWeight = resolveOpt(o.AnchorWeight, 0.03, 0)
 	o.SpreadWeight = resolveOpt(o.SpreadWeight, 0.18, 0)
 	o.OverflowStop = resolveOpt(o.OverflowStop, 0.12, 0) // overflow is never < 0
-	if o.CheckpointOverflows == nil {
-		o.CheckpointOverflows = defaultCheckpoints
-	}
-	o.TimingNetsPercent = resolveOpt(o.TimingNetsPercent, 10, 0)
-	o.TimingNetReweight = resolveOpt(o.TimingNetReweight, 1.9, 1)
-	o.NetWeightMax = resolveOpt(o.NetWeightMax, 5, math.Inf(1))
-	o.InflationRatioCoef = resolveOpt(o.InflationRatioCoef, 2.5, 0)
-	o.MaxInflationRatio = resolveOpt(o.MaxInflationRatio, 1.25, math.Inf(1))
-	if o.MaxInflationIters == 0 {
-		o.MaxInflationIters = 3
-	} else if o.MaxInflationIters < 0 {
-		o.MaxInflationIters = 0
-	}
 	return o
 }
 
@@ -279,10 +233,10 @@ type placer struct {
 	binIdx  []int32          // per-cell bin index (parallel density pass)
 
 	// timing/routability feedback state (driven.go)
-	ckptNext   int           // next CheckpointOverflows index to fire
+	ckptNext   int           // next checkpointOverflows index to fire
 	an         *sta.Analyzer // built lazily at the first timing checkpoint
 	slackBuf   []float64     // NetSlackInto scratch
-	netW0      []float64     // pre-reweight net weights (NetWeightMax base)
+	netW0      []float64     // pre-reweight net weights (netWeightMax base)
 	critBuf    []int32       // candidate net scratch for criticality ranking
 	reweights  int
 	inflations int

@@ -22,9 +22,9 @@ func TestHoldViolationWithSkew(t *testing.T) {
 	d := regPair(t)
 	a := New(d, consFor(1e-9, "clk"))
 	// Capture clock arrives 100ps late: data (50ps) beats clk+hold (105ps).
-	a.SetClockArrivals(map[PinID]float64{
-		{Inst: d.Instance("ff0").ID, Pin: "CK"}: 0,
-		{Inst: d.Instance("ff1").ID, Pin: "CK"}: 100e-12,
+	a.SetClockArrivalList([]ClockArrival{
+		{Inst: d.Instance("ff0").ID, Pin: "CK", T: 0},
+		{Inst: d.Instance("ff1").ID, Pin: "CK", T: 100e-12},
 	})
 	sum := a.HoldTiming()
 	if sum.Failing == 0 {

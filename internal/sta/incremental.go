@@ -6,16 +6,13 @@
 // fanout cone and requireds through the dirty fanin cone, instead of
 // re-running the full passes.
 //
-// The repropagation reuses the per-node pull primitives of the parallel
-// kernels (pullArrival/pullRequired in parallel.go): each recomputed node is
-// reset to its seed state and then relaxed from its candidates in the exact
-// sequential order, so a recomputed node lands on the same bits as a full
-// pass would. Nodes outside the cone keep their values; by induction over
-// the level schedule those are bit-identical too, because every input they
-// would re-read is unchanged bitwise. A full-graph dirty set, a graph the
-// level scheduler rejects (combinational cycles, unsafe launch arcs), or an
-// analyzer whose timing was never propagated all reduce to the existing full
-// propagation in Run.
+// The repropagation uses the kernels of the full propagation (propagate.go):
+// each recomputed node is reset to its seed state and pulls its candidates in
+// schedule order, so it lands on the same bits as a full pass would. Nodes
+// outside the cone keep their values; by induction over the levels those are
+// bit-identical too, because every input they would re-read is unchanged
+// bitwise. A full-graph dirty set, or an analyzer whose timing was never
+// propagated, reduces to the full propagation in Run.
 //
 // Worklist invariants (see also DESIGN.md §9):
 //   - Forward seeds of a dirty net: the driver node (its in-arcs read the
@@ -29,9 +26,9 @@
 //     cell arcs into that driver (their arc delay reads the driver's net
 //     load). A node whose (rat, hasRAT) changed enqueues its non-launch
 //     in-edge sources.
-//   - Levels strictly increase along every edge (parallel.go), so processing
-//     forward buckets in ascending and backward buckets in descending level
-//     order never revisits a bucket.
+//   - Levels strictly increase along every edge, so processing forward
+//     buckets in ascending and backward buckets in descending level order
+//     never revisits a bucket.
 package sta
 
 import (
@@ -43,13 +40,6 @@ import (
 // incState holds the dirty-set bookkeeping and the reusable worklist
 // buffers of the incremental engine.
 type incState struct {
-	built     bool
-	neOff     []int32 // net -> offset into neEdge (net-arc edge CSR)
-	neEdge    []int32 // net-arc edge ids grouped by net
-	netDriver []int32 // net -> driver node, -1 when undriven
-
-	levelOf []int32 // node -> level of the parallel schedule
-
 	netDirty  []bool
 	dirtyNets []int32
 	dirtyAll  bool
@@ -61,61 +51,10 @@ type incState struct {
 	lastNodes int // nodes repropagated by the last Update, -1 after a full one
 }
 
-// ensureIncIndex builds (once) the net -> {driver node, net-arc edges} CSR
-// index the dirty-set machinery needs.
-func (a *Analyzer) ensureIncIndex() {
-	if a.inc.built {
-		return
-	}
-	a.inc.built = true
-	a.inc.lastNodes = -1
-	d := a.d
-	c := d.Compact()
-	nNets := len(d.Nets)
-	a.inc.neOff = make([]int32, nNets+1)
-	for ei := range a.eFrom {
-		if a.eArc[ei] != nil {
-			continue
-		}
-		if netID := a.net[a.eFrom[ei]]; netID >= 0 {
-			a.inc.neOff[netID+1]++
-		}
-	}
-	for i := 1; i <= nNets; i++ {
-		a.inc.neOff[i] += a.inc.neOff[i-1]
-	}
-	a.inc.neEdge = make([]int32, a.inc.neOff[nNets])
-	fill := append([]int32(nil), a.inc.neOff[:nNets]...)
-	for ei := range a.eFrom {
-		if a.eArc[ei] != nil {
-			continue
-		}
-		if netID := a.net[a.eFrom[ei]]; netID >= 0 {
-			a.inc.neEdge[fill[netID]] = int32(ei)
-			fill[netID]++
-		}
-	}
-	a.inc.netDriver = make([]int32, nNets)
-	for ni := 0; ni < nNets; ni++ {
-		if kd := c.NetDrv[ni]; kd >= 0 {
-			a.inc.netDriver[ni] = a.nodeOfSlot(c, kd)
-		} else {
-			a.inc.netDriver[ni] = -1
-		}
-	}
-	a.inc.netDirty = make([]bool, nNets)
-}
-
-// netArcEdges returns the net-arc edge ids of one net.
-func (a *Analyzer) netArcEdges(netID int) []int32 {
-	return a.inc.neEdge[a.inc.neOff[netID]:a.inc.neOff[netID+1]]
-}
-
 // InvalidateNets marks nets whose pin positions (or connectivity-independent
 // parasitics) changed; the next Update refreshes their geometry and
 // repropagates the affected cones.
 func (a *Analyzer) InvalidateNets(nets ...int) {
-	a.ensureIncIndex()
 	for _, n := range nets {
 		if n < 0 || n >= len(a.inc.netDirty) || a.inc.netDirty[n] {
 			continue
@@ -128,7 +67,6 @@ func (a *Analyzer) InvalidateNets(nets ...int) {
 // InvalidateInst marks every net connected to the instance dirty; call it
 // after moving a cell.
 func (a *Analyzer) InvalidateInst(id int) {
-	a.ensureIncIndex()
 	c := a.d.Compact()
 	for _, n := range c.InstNets[c.InstStart[id]:c.InstStart[id+1]] {
 		if a.inc.netDirty[n] {
@@ -141,7 +79,6 @@ func (a *Analyzer) InvalidateInst(id int) {
 
 // InvalidatePin marks the net of one pin dirty.
 func (a *Analyzer) InvalidatePin(id PinID) {
-	a.ensureIncIndex()
 	if n, ok := a.nodeOfPin(id); ok {
 		if netID := a.net[n]; netID >= 0 {
 			a.InvalidateNets(int(netID))
@@ -152,7 +89,6 @@ func (a *Analyzer) InvalidatePin(id PinID) {
 // InvalidateAll marks the whole graph dirty; the next Update reduces to the
 // full refresh + propagation.
 func (a *Analyzer) InvalidateAll() {
-	a.ensureIncIndex()
 	a.inc.dirtyAll = true
 }
 
@@ -165,26 +101,17 @@ func (a *Analyzer) SetZeroWire(zw bool) {
 }
 
 // LastUpdateNodes reports how many nodes the last Update repropagated
-// incrementally, or -1 when it fell back to (or was) a full refresh.
+// incrementally, or -1 when it was a full refresh (or there was none yet).
 // Diagnostic, used by tests to prove the dirty-cone path engaged.
-func (a *Analyzer) LastUpdateNodes() int {
-	if !a.inc.built {
-		return -1
-	}
-	return a.inc.lastNodes
-}
+func (a *Analyzer) LastUpdateNodes() int { return a.inc.lastNodes }
 
 // Update applies pending invalidations: it refreshes wire loads/lengths of
 // the dirty nets from current pin positions and repropagates the dirty
 // cones. Calling Update with no recorded invalidations keeps the legacy
-// semantics of refreshing everything. A full-graph dirty set (or a graph
-// the level scheduler rejects) reduces to the existing full propagation.
+// semantics of refreshing everything. A full-graph dirty set, or timing
+// that was never propagated, reduces to the full propagation in Run.
 func (a *Analyzer) Update() {
-	a.ensureIncIndex()
-	if !a.inc.dirtyAll && len(a.inc.dirtyNets) == 0 {
-		a.inc.dirtyAll = true
-	}
-	if a.inc.dirtyAll || !a.timeDone || !a.ensureSched() {
+	if a.inc.dirtyAll || len(a.inc.dirtyNets) == 0 || !a.timeDone {
 		a.refreshAllNets()
 		a.clearDirty()
 		a.inc.lastNodes = -1
@@ -213,84 +140,40 @@ func (a *Analyzer) refreshAllNets() {
 	}
 }
 
-// refreshNet recomputes one net's load, HPWL and per-sink wire lengths from
-// the gathered pin positions. The pin-cap accumulation mirrors build exactly
-// (same pin order, same skip rules), so a refreshed analyzer is bit-identical
-// to a freshly built one. Callers must gatherPositions first.
+// refreshNet recomputes one net's load and per-sink wire lengths from the
+// gathered pin positions: pin caps in pin order, plus the wire cap of the
+// net's HPWL unless parasitics are off. Callers must gatherPositions first.
 func (a *Analyzer) refreshNet(c *netlist.Compact, ni int) {
-	d := a.d
 	kd := c.NetDrv[ni]
 	if kd < 0 {
 		return
 	}
-	drvID, drvMP := c.PinInst[kd], c.PinMP[kd]
 	var load float64
 	for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-		if c.PinInst[k] == drvID && (drvID < 0 || c.PinMP[k] == drvMP) {
-			continue
-		}
-		id := c.PinInst[k]
-		if id < 0 {
-			if id == netlist.CompactNoPort {
-				continue
-			}
-			if d.Ports[-1-id].Dir != netlist.DirOutput {
-				continue
-			}
-			load += a.cons.PortCap
-		} else {
-			mpIdx := c.PinMP[k]
-			if mpIdx < 0 {
-				continue
-			}
-			mp := &d.Insts[id].Master.Pins[mpIdx]
-			if mp.Dir == netlist.DirOutput {
-				continue
-			}
-			load += mp.Cap
+		if sink, ok := a.sinkOfSlot(c, kd, k); ok {
+			load += a.nodeCap[sink]
 		}
 	}
+	lo, hi := a.netArcOff[ni], a.netArcOff[ni+1]
 	if a.cons.ZeroWire {
 		a.netLoad[ni] = load
-		a.netLen[ni] = 0
-		for _, ei := range a.netArcEdges(ni) {
+		for ei := lo; ei < hi; ei++ {
 			a.eWire[ei] = 0
 		}
 		return
 	}
-	hp := a.netHPWLGathered(c, ni)
-	a.netLoad[ni] = load + WireCapPerMicron*hp
-	a.netLen[ni] = hp
+	a.netLoad[ni] = load + WireCapPerMicron*a.netHPWLGathered(c, ni)
 	dx, dy := a.posOfSlot(c, kd)
-	for _, ei := range a.netArcEdges(ni) {
+	for ei := lo; ei < hi; ei++ {
 		to := a.eTo[ei]
 		var sx, sy float64
 		if id := a.nodeInst[to]; id >= 0 {
 			sx, sy = a.gInstX[id]+a.nodeDX[to], a.gInstY[id]+a.nodeDY[to]
 		} else {
-			p := d.Ports[-1-id]
+			p := a.d.Ports[-1-id]
 			sx, sy = p.X, p.Y
 		}
 		a.eWire[ei] = math.Abs(sx-dx) + math.Abs(sy-dy)
-	}
-}
-
-// ensureLevels derives the node -> level map from the parallel schedule.
-func (a *Analyzer) ensureLevels() {
-	if a.inc.levelOf != nil {
-		return
-	}
-	a.inc.levelOf = make([]int32, a.numNodes())
-	for li := 0; li+1 < len(a.sched.levelOff); li++ {
-		for _, v := range a.sched.levelNodes[a.sched.levelOff[li]:a.sched.levelOff[li+1]] {
-			a.inc.levelOf[v] = int32(li)
-		}
-	}
-	if a.inc.buckets == nil {
-		a.inc.buckets = make([][]int32, len(a.sched.levelOff)-1)
-	}
-	if a.inc.pend == nil {
-		a.inc.pend = make([]bool, a.numNodes())
 	}
 }
 
@@ -299,15 +182,18 @@ func (a *Analyzer) enqueue(v int32) {
 		return
 	}
 	a.inc.pend[v] = true
-	l := a.inc.levelOf[v]
+	l := a.sched.level[v]
 	a.inc.buckets[l] = append(a.inc.buckets[l], v)
 }
 
 // updateIncremental refreshes the dirty nets' geometry and repropagates
-// arrivals/requireds through the affected cones only. The caller ensures the
-// level schedule exists, timing is propagated, and the dirty set is partial.
+// arrivals/requireds through the affected cones only. The caller ensures
+// timing is propagated and the dirty set is partial.
 func (a *Analyzer) updateIncremental() {
-	a.ensureLevels()
+	if a.inc.pend == nil {
+		a.inc.pend = make([]bool, a.numNodes())
+		a.inc.buckets = make([][]int32, len(a.sched.levelOff)-1)
+	}
 	a.gatherPositions()
 	c := a.d.Compact()
 	bwdSeed := a.inc.bwdSeed[:0]
@@ -316,7 +202,7 @@ func (a *Analyzer) updateIncremental() {
 	for _, netID32 := range a.inc.dirtyNets {
 		netID := int(netID32)
 		a.refreshNet(c, netID)
-		if drvNode := a.inc.netDriver[netID]; drvNode >= 0 {
+		if drvNode := a.netDriver[netID]; drvNode >= 0 {
 			a.enqueue(drvNode)
 			bwdSeed = append(bwdSeed, drvNode)
 			for _, ei := range a.inEdge[a.inOff[drvNode]:a.inOff[drvNode+1]] {
@@ -325,8 +211,8 @@ func (a *Analyzer) updateIncremental() {
 				}
 			}
 		}
-		for _, ei := range a.netArcEdges(netID) {
-			a.enqueue(a.eTo[ei])
+		for _, sink := range a.eTo[a.netArcOff[netID]:a.netArcOff[netID+1]] {
+			a.enqueue(sink)
 		}
 	}
 
@@ -340,18 +226,7 @@ func (a *Analyzer) updateIncremental() {
 			recomputed++
 			oldAT, oldSlew := math.Float64bits(a.at[v]), math.Float64bits(a.slew[v])
 			oldHas := a.hasAT[v]
-			a.at[v] = math.Inf(-1)
-			a.hasAT[v] = false
-			a.worstIn[v] = -1
-			a.slew[v] = a.cons.InputSlew
-			if a.kind[v] == nodePortIn {
-				if a.isClk[v] {
-					a.at[v] = 0
-				} else {
-					a.at[v] = a.cons.InputDelay
-				}
-				a.hasAT[v] = true
-			}
+			a.seedArrival(v)
 			a.pullArrival(v)
 			slewChanged := math.Float64bits(a.slew[v]) != oldSlew
 			if slewChanged {
@@ -376,11 +251,7 @@ func (a *Analyzer) updateIncremental() {
 			a.inc.pend[u] = false
 			recomputed++
 			oldRAT, oldHas := math.Float64bits(a.rat[u]), a.hasRAT[u]
-			a.rat[u] = math.Inf(1)
-			a.hasRAT[u] = false
-			if a.endp[u] {
-				a.seedRequired(u, a.cons.ClockPeriod)
-			}
+			a.seedRequired(u)
 			a.pullRequired(u)
 			if math.Float64bits(a.rat[u]) != oldRAT || a.hasRAT[u] != oldHas {
 				for _, ei := range a.inEdge[a.inOff[u]:a.inOff[u+1]] {

@@ -465,6 +465,13 @@ func compareToRef(t *testing.T, tag string, a *Analyzer, r *refAnalyzer) {
 // tangledDesign builds an irregular placed netlist exercising the corners the
 // regular fixtures miss: multi-fanout nets, shared clock tree through a
 // buffer, output ports, multi-input gates, and a seeded random placement.
+//
+// The clock buffer makes every launch arc read a CK slew that the oracle's
+// push along topo has not written yet (Q is a source there, CK is not). The
+// oracle and the analyzer still agree bit for bit because lib()'s tables are
+// all netlist.Const: no delay depends on slew, so the stale read is invisible
+// here. TestLaunchReadsFinalClockSlew uses slew-sensitive tables and checks
+// the analyzer against the formula instead.
 func tangledDesign(t *testing.T, cells int) *netlist.Design {
 	t.Helper()
 	l := lib()
@@ -525,7 +532,7 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 
 // TestCompactMatchesReferenceFull pins the CSR/SoA analyzer to the map-based
 // reference on full propagation: every arrival, required, and slew must match
-// bit for bit, sequential and parallel, with and without wire parasitics.
+// bit for bit, on one worker and on four, with and without wire parasitics.
 func TestCompactMatchesReferenceFull(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -554,8 +561,7 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 }
 
 // TestCompactMatchesReferenceClockArrivals checks the dense clockAt array
-// against the reference's map under CTS-style useful skew, for both the map
-// and the slice installer.
+// against the reference's map under CTS-style useful skew.
 func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 	d := benchPipeline(6, 4)
 	cons := DefaultConstraints(0.4e-9)
@@ -574,11 +580,6 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 	r := newRef(d, cons)
 	r.setClockArrivals(arr)
 	r.run()
-
-	am := New(d, cons)
-	am.SetClockArrivals(arr)
-	am.Run()
-	compareToRef(t, "map", am, r)
 
 	al := New(d, cons)
 	al.SetClockArrivalList(list)

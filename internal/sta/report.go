@@ -7,9 +7,13 @@ import (
 
 // WriteReport renders the worst maxPaths timing paths in the familiar
 // report_checks style: per-point incremental and cumulative arrival times,
-// the required time, and the slack verdict.
+// the required time, and the slack verdict. A design with timing loops gets
+// a leading line saying how many edges were disabled to open them.
 func (a *Analyzer) WriteReport(w io.Writer, maxPaths int) error {
 	a.Run()
+	if n := a.LoopEdges(); n > 0 {
+		fmt.Fprintf(w, "Timing loops: %d edge(s) disabled to open them\n\n", n)
+	}
 	paths := a.TopPaths(maxPaths)
 	if len(paths) == 0 {
 		_, err := fmt.Fprintln(w, "No constrained paths.")

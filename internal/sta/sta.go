@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/par"
 )
 
 // Constraints is the subset of SDC the flow consumes.
@@ -84,10 +83,10 @@ type Analyzer struct {
 	d    *netlist.Design
 	cons Constraints
 
-	// Workers bounds the goroutines used by arrival/required propagation:
-	// 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 = the exact sequential
-	// code path. Parallel propagation is bit-identical to sequential (see
-	// parallel.go for the determinism argument).
+	// Workers bounds the goroutines a level of arrival/required propagation
+	// is spread over: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 = one
+	// worker, inline. Every count runs the same kernels and lands on the
+	// same bits (propagate.go has the argument).
 	Workers int
 
 	// Node SoA. Node i's identity is (nodeInst[i], nodeMP[i]): an instance
@@ -98,23 +97,22 @@ type Analyzer struct {
 	kind     []nodeKind
 	net      []int32 // net the pin connects to, -1 if none
 	isClk    []bool
-	endp     []bool // timing endpoint (reg D or output port)
-	startp   []bool // timing startpoint (reg CK->Q origin or input port)
+	endp     []bool    // timing endpoint (reg D or output port)
+	startp   []bool    // timing startpoint (reg CK->Q origin or input port)
 	nodeCap  []float64 // sink load contribution: input-pin cap or PortCap
 	nodeDX   []float64 // pin offset from instance origin (0 for ports)
 	nodeDY   []float64
 
-	at, rat, slew  []float64
-	hasAT, hasRAT  []bool
-	worstIn        []int32 // in-edge achieving the worst (max) arrival, -1
+	at, rat, slew []float64
+	hasAT, hasRAT []bool
+	worstIn       []int32 // in-edge achieving the worst (max) arrival, -1
 
 	// Edge SoA. eArc == nil marks a net arc; cell arcs carry the library arc.
 	eFrom, eTo []int32
 	eWire      []float64 // net arcs: driver-to-sink manhattan distance
 	eArc       []*netlist.TimingArc
 
-	// Adjacency CSR, edge ids in insertion order (matching the sequential
-	// relax order of the original push propagation).
+	// Adjacency CSR, edge ids ascending per node.
 	inOff, inEdge   []int32
 	outOff, outEdge []int32
 
@@ -129,11 +127,13 @@ type Analyzer struct {
 	setupArc []*netlist.TimingArc
 	setupClk []int32
 
-	topo    []int32
-	cyclic  bool      // topo order was incomplete (combinational loop)
-	sched   parSched  // cached level schedule for parallel propagation
-	netLoad []float64 // total load capacitance per net
-	netLen  []float64 // HPWL per net (for wire delay)
+	topo      []int32  // data order: every non-launch edge goes forward
+	loopEdges int      // edges removed at build to open timing loops
+	sched     schedule // level schedule and per-node pull orders
+
+	netLoad   []float64 // total load capacitance per net
+	netArcOff []int32   // net -> its net arcs are edge ids [netArcOff[n], netArcOff[n+1])
+	netDriver []int32   // net -> driver node, -1 when undriven
 
 	clockAt []float64 // per-node clock arrival (from CTS); nil = ideal clock
 	derate  Derate    // OCV scale factors
@@ -212,11 +212,11 @@ func (a *Analyzer) addNode(inst, mpIdx int32, k nodeKind) int32 {
 	return idx
 }
 
-func (a *Analyzer) addEdge(from, to int32, arc *netlist.TimingArc, wireLen float64) {
+func (a *Analyzer) addEdge(from, to int32, arc *netlist.TimingArc) {
 	a.eFrom = append(a.eFrom, from)
 	a.eTo = append(a.eTo, to)
 	a.eArc = append(a.eArc, arc)
-	a.eWire = append(a.eWire, wireLen)
+	a.eWire = append(a.eWire, 0)
 }
 
 // build constructs nodes for every connected pin and port, then net arcs and
@@ -294,65 +294,32 @@ func (a *Analyzer) build() {
 	}
 
 	a.netLoad = make([]float64, len(d.Nets))
-	a.netLen = make([]float64, len(d.Nets))
+	a.netDriver = make([]int32, len(d.Nets))
+	a.netArcOff = make([]int32, len(d.Nets)+1)
+	a.inc.netDirty = make([]bool, len(d.Nets))
+	a.inc.lastNodes = -1
 
-	// Net arcs: driver -> each sink, over the compact pin CSR.
-	a.gatherPositions()
+	// Net arcs: driver -> each sink, in net order ahead of every cell arc,
+	// so a net's arcs are one run of edge ids. Topology only: refreshAllNets
+	// below fills in loads and wire lengths.
 	for ni := range d.Nets {
+		a.netArcOff[ni] = int32(len(a.eFrom))
+		a.netDriver[ni] = -1
 		kd := c.NetDrv[ni]
 		if kd < 0 {
 			continue
 		}
 		drvNode := a.nodeOfSlot(c, kd)
-		dx, dy := a.posOfSlot(c, kd)
-		drvID, drvMP := c.PinInst[kd], c.PinMP[kd]
-		var load float64
+		a.netDriver[ni] = drvNode
 		for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-			// Skip every pin equal (by value) to the driver reference.
-			if c.PinInst[k] == drvID && (drvID < 0 || c.PinMP[k] == drvMP) {
-				continue
+			if sink, ok := a.sinkOfSlot(c, kd, k); ok {
+				a.addEdge(drvNode, sink, nil)
+				a.net[sink] = int32(ni)
 			}
-			id := c.PinInst[k]
-			var sinkNode int32
-			if id < 0 {
-				if id == netlist.CompactNoPort {
-					continue
-				}
-				pidx := -1 - id
-				if d.Ports[pidx].Dir != netlist.DirOutput {
-					continue
-				}
-				sinkNode = pidx
-				load += a.cons.PortCap
-			} else {
-				mpIdx := c.PinMP[k]
-				if mpIdx < 0 {
-					continue
-				}
-				mp := &d.Insts[id].Master.Pins[mpIdx]
-				if mp.Dir == netlist.DirOutput {
-					continue
-				}
-				sinkNode = a.pinNode[a.instPinStart[id]+mpIdx]
-				load += mp.Cap
-			}
-			wl := 0.0
-			if !a.cons.ZeroWire {
-				sx, sy := a.posOfSlot(c, k)
-				wl = math.Abs(sx-dx) + math.Abs(sy-dy)
-			}
-			a.addEdge(drvNode, sinkNode, nil, wl)
-			a.net[sinkNode] = int32(ni)
 		}
 		a.net[drvNode] = int32(ni)
-		if a.cons.ZeroWire {
-			a.netLoad[ni] = load
-		} else {
-			hp := a.netHPWLGathered(c, ni)
-			a.netLoad[ni] = load + WireCapPerMicron*hp
-			a.netLen[ni] = hp
-		}
 	}
+	a.netArcOff[len(d.Nets)] = int32(len(a.eFrom))
 
 	// Cell arcs: combinational and clk->Q edges within each instance.
 	for _, inst := range d.Insts {
@@ -379,16 +346,44 @@ func (a *Analyzer) build() {
 				if fromNode < 0 {
 					continue
 				}
-				a.addEdge(fromNode, toNode, arc, 0)
+				a.addEdge(fromNode, toNode, arc)
 			}
 		}
 	}
+	if len(a.eFrom) > math.MaxInt32 {
+		panic(fmt.Sprintf("sta: timing graph has %d edges, beyond the %d the int32 edge ids can index", len(a.eFrom), math.MaxInt32)) //ppalint:ignore nopanic capacity assertion behind flow's CompactChecked boundary; New has no error return
+	}
 
 	a.buildAdjacency()
+	level, acyclic := a.levelize()
+	if !acyclic {
+		a.cutLoops()
+		a.buildAdjacency()
+		level, _ = a.levelize()
+	}
 	a.buildSetupIndex()
 	a.initValueArrays()
 	a.markSpecialNodes(clockPorts)
 	a.topoSort()
+	a.buildSchedule(level)
+	a.refreshAllNets()
+}
+
+// sinkOfSlot resolves pin slot k of the net driven from slot kd to the node
+// the driver's net arc ends at. ok is false for the driver itself (every pin
+// equal to it by value), pins with no master pin, outputs, and ports that are
+// not outputs. Both the graph build and the load refresh walk a net through
+// here, so they agree on what its sinks are.
+func (a *Analyzer) sinkOfSlot(c *netlist.Compact, kd, k int32) (int32, bool) {
+	id, drvID := c.PinInst[k], c.PinInst[kd]
+	if id == drvID && (drvID < 0 || c.PinMP[k] == c.PinMP[kd]) {
+		return 0, false
+	}
+	if id == netlist.CompactNoPort || id >= 0 && c.PinMP[k] < 0 {
+		return 0, false
+	}
+	n := a.nodeOfSlot(c, k)
+	return n, a.kind[n] == nodeInput || a.kind[n] == nodePortOut
 }
 
 // nodeOfSlot resolves a compact pin slot to its node.
@@ -493,7 +488,7 @@ func (a *Analyzer) buildSetupIndex() {
 	a.setupArc = a.setupArc[:0]
 	a.setupClk = a.setupClk[:0]
 	for v := 0; v < n; v++ {
-		a.setupOff[v] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs are a subset of the cell arcs already indexed by the int32 edge arrays
+		a.setupOff[v] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs (about one per register data pin) are fewer than the edges, which build asserts fit int32
 		if a.kind[v] != nodeInput {
 			continue
 		}
@@ -513,7 +508,7 @@ func (a *Analyzer) buildSetupIndex() {
 			a.setupClk = append(a.setupClk, clkNode)
 		}
 	}
-	a.setupOff[n] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs are a subset of the cell arcs already indexed by the int32 edge arrays
+	a.setupOff[n] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs (about one per register data pin) are fewer than the edges, which build asserts fit int32
 }
 
 func (a *Analyzer) initValueArrays() {
@@ -589,90 +584,53 @@ func (a *Analyzer) markSpecialNodes(clockPorts map[string]bool) {
 	}
 }
 
-// topoSort orders nodes so every data edge goes forward. Clock-to-Q cell arcs
-// still participate (launch ordering), but edges into clock pins from the
-// clock network do not create cycles because registers' data edges do not
-// feed back into their own clock pins in well-formed designs; genuinely
-// cyclic combinational paths are broken by dropping the closing edge.
+// topoSort orders nodes so every data edge goes forward: Kahn's algorithm in
+// node-id and edge-id order over the edges that are not clk->Q launch arcs. A
+// launch starts a new timing frame, so a Q output is a source here instead of
+// ranking after its clock pin. The order is complete because build has
+// already opened every loop (cutLoops). Hold and activity propagation walk
+// it, and it fixes the order setup candidates are applied in (buildSchedule).
 func (a *Analyzer) topoSort() {
 	n := a.numNodes()
 	indeg := make([]int32, n)
-	enabled := make([]bool, len(a.eFrom))
-	for ei := range a.eFrom {
-		// Clk->Q arcs start a new timing frame: treat the Q output as a
-		// source rather than ordering it after the clock pin.
-		if a.isLaunchEdge(int32(ei)) {
-			continue
-		}
-		enabled[ei] = true
-		indeg[a.eTo[ei]]++
-	}
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
+	for ei, t := range a.eTo {
+		if !a.isLaunchEdge(int32(ei)) {
+			indeg[t]++
 		}
 	}
 	order := make([]int32, 0, n)
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
-		order = append(order, v)
+	for i := 0; i < n; i++ {
+		if indeg[i] == 0 {
+			order = append(order, int32(i))
+		}
+	}
+	for qi := 0; qi < len(order); qi++ {
+		v := order[qi]
 		for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
-			if !enabled[ei] {
+			if a.isLaunchEdge(ei) {
 				continue
 			}
 			t := a.eTo[ei]
 			indeg[t]--
 			if indeg[t] == 0 {
-				queue = append(queue, t)
-			}
-		}
-	}
-	if len(order) < n {
-		// Combinational loop: append remaining nodes in ID order; the loop
-		// edges act as cut points (their arrivals simply lag one pass).
-		a.cyclic = true
-		seen := make([]bool, n)
-		for _, v := range order {
-			seen[v] = true
-		}
-		for i := 0; i < n; i++ {
-			if !seen[i] {
-				order = append(order, int32(i))
+				order = append(order, t)
 			}
 		}
 	}
 	a.topo = order
 }
 
-// SetClockArrivals installs per-pin clock arrival times (from CTS). Keys are
-// clock pins of sequential cells. Passing nil restores the ideal clock.
-func (a *Analyzer) SetClockArrivals(arrivals map[PinID]float64) {
-	if arrivals == nil {
-		a.clockAt = nil
-		a.timeDone = false
-		return
-	}
-	a.clockAt = make([]float64, a.numNodes())
-	for id, t := range arrivals {
-		if n, ok := a.nodeOfPin(id); ok {
-			a.clockAt[n] = t
-		}
-	}
-	a.timeDone = false
-}
-
-// ClockArrival is one CTS-computed clock arrival, the allocation-light
-// alternative to the map form of SetClockArrivals.
+// ClockArrival is one CTS-computed clock arrival: the insertion delay T at
+// clock pin Pin of instance Inst.
 type ClockArrival struct {
 	Inst int
 	Pin  string
 	T    float64
 }
 
-// SetClockArrivalList installs clock arrivals from a slice, avoiding the
-// map[PinID] allocation and string hashing of SetClockArrivals on large
-// designs. Passing an empty list restores the ideal clock.
+// SetClockArrivalList installs per-pin clock arrival times (from CTS) on the
+// clock pins of sequential cells. Passing an empty list restores the ideal
+// clock.
 func (a *Analyzer) SetClockArrivalList(list []ClockArrival) {
 	if len(list) == 0 {
 		a.clockAt = nil
@@ -707,173 +665,6 @@ func (a *Analyzer) clockAtInst(inst int32, clkPin string) float64 {
 		return a.clockAt[n]
 	}
 	return 0
-}
-
-// nodePos returns the physical position of a node from current design
-// coordinates (instance origin + precomputed offset, or port position).
-func (a *Analyzer) nodePos(v int32) (float64, float64) {
-	id := a.nodeInst[v]
-	if id < 0 {
-		p := a.d.Ports[-1-id]
-		return p.X, p.Y
-	}
-	inst := a.d.Insts[id]
-	return inst.X + a.nodeDX[v], inst.Y + a.nodeDY[v]
-}
-
-// Run performs arrival/required propagation if stale. With Workers != 1 the
-// levelized parallel kernels run instead of the sequential passes; their
-// output is bit-identical (parallel.go).
-func (a *Analyzer) Run() {
-	if a.timeDone {
-		return
-	}
-	if w := par.Workers(a.Workers); w > 1 && a.ensureSched() {
-		a.propagateArrivalsPar(w)
-		a.propagateRequiredPar(w)
-	} else {
-		a.propagateArrivals()
-		a.propagateRequired()
-	}
-	a.timeDone = true
-}
-
-func (a *Analyzer) propagateArrivals() {
-	for i := 0; i < a.numNodes(); i++ {
-		a.at[i] = math.Inf(-1)
-		a.hasAT[i] = false
-		a.worstIn[i] = -1
-		a.slew[i] = a.cons.InputSlew
-	}
-	// Seed startpoints.
-	for i := 0; i < a.numNodes(); i++ {
-		if a.kind[i] == nodePortIn {
-			if a.isClk[i] {
-				a.at[i] = 0
-			} else {
-				a.at[i] = a.cons.InputDelay
-			}
-			a.hasAT[i] = true
-		}
-	}
-	for _, v := range a.topo {
-		// Launch clk->Q arcs: arrival = clock arrival + arc delay.
-		for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
-			arc := a.eArc[ei]
-			if arc == nil || arc.Kind != netlist.ArcClkToQ {
-				continue
-			}
-			load := a.loadOf(v)
-			clkAt := a.clockAtNode(a.eFrom[ei])
-			slewIn := a.slew[a.eFrom[ei]]
-			at := clkAt + a.derate.late()*arc.Delay.Lookup(slewIn, load)
-			if at > a.at[v] {
-				a.at[v] = at
-				a.hasAT[v] = true
-				a.worstIn[v] = ei
-				a.slew[v] = arc.Slew.Lookup(slewIn, load)
-			}
-		}
-		if !a.hasAT[v] {
-			continue
-		}
-		for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
-			arc := a.eArc[ei]
-			if arc != nil && arc.Kind == netlist.ArcClkToQ {
-				continue // handled at the target via clock arrival
-			}
-			to := a.eTo[ei]
-			var at, slew float64
-			if arc != nil {
-				load := a.loadOf(to)
-				at = a.at[v] + a.derate.late()*arc.Delay.Lookup(a.slew[v], load)
-				slew = arc.Slew.Lookup(a.slew[v], load)
-			} else {
-				// Net arc: Elmore-style wire delay to this sink.
-				sinkCap := a.nodeCap[to]
-				wd := a.derate.late() * WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
-				at = a.at[v] + wd
-				slew = a.slew[v] + 0.2*wd
-			}
-			if at > a.at[to] {
-				a.at[to] = at
-				a.hasAT[to] = true
-				a.worstIn[to] = ei
-				a.slew[to] = slew
-			}
-		}
-	}
-}
-
-func (a *Analyzer) loadOf(outNode int32) float64 {
-	netID := a.net[outNode]
-	if netID < 0 {
-		return 0
-	}
-	return a.netLoad[netID]
-}
-
-func (a *Analyzer) propagateRequired() {
-	T := a.cons.ClockPeriod
-	for i := 0; i < a.numNodes(); i++ {
-		a.rat[i] = math.Inf(1)
-		a.hasRAT[i] = false
-	}
-	// Seed endpoints.
-	for i := 0; i < a.numNodes(); i++ {
-		if a.endp[i] {
-			a.seedRequired(int32(i), T)
-		}
-	}
-	// Backward pass over reverse topological order.
-	for i := len(a.topo) - 1; i >= 0; i-- {
-		v := a.topo[i]
-		if !a.hasRAT[v] {
-			continue
-		}
-		for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
-			arc := a.eArc[ei]
-			if arc != nil && arc.Kind == netlist.ArcClkToQ {
-				continue
-			}
-			from := a.eFrom[ei]
-			var rat float64
-			if arc != nil {
-				load := a.loadOf(v)
-				rat = a.rat[v] - a.derate.late()*arc.Delay.Lookup(a.slew[from], load)
-			} else {
-				sinkCap := a.nodeCap[v]
-				wd := a.derate.late() * WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
-				rat = a.rat[v] - wd
-			}
-			if rat < a.rat[from] {
-				a.rat[from] = rat
-				a.hasRAT[from] = true
-			}
-		}
-	}
-}
-
-// seedRequired applies the endpoint required-time seed of node v: output
-// ports get T minus the output delay; register data pins get the worst setup
-// check over their preresolved setup arcs.
-func (a *Analyzer) seedRequired(v int32, T float64) {
-	switch a.kind[v] {
-	case nodePortOut:
-		a.rat[v] = T - a.cons.OutputDelay
-		a.hasRAT[v] = true
-	case nodeInput:
-		for s := a.setupOff[v]; s < a.setupOff[v+1]; s++ {
-			arc := a.setupArc[s]
-			setup := arc.Delay.Lookup(a.slew[v], 0)
-			captureClk := a.clockAtNode(a.setupClk[s])
-			rat := T + captureClk - setup
-			if rat < a.rat[v] {
-				a.rat[v] = rat
-				a.hasRAT[v] = true
-			}
-		}
-	}
 }
 
 // SlackAt returns the slack at a pin, or +Inf if the pin is not constrained.

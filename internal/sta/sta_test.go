@@ -173,16 +173,16 @@ func TestClockArrivalsShiftSlack(t *testing.T) {
 	base := a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
 	// Useful skew: delay capture clock by 10ps -> slack improves by 10ps.
 	skew := 10e-12
-	a.SetClockArrivals(map[PinID]float64{
-		{Inst: d.Instance("ff0").ID, Pin: "CK"}: 0,
-		{Inst: d.Instance("ff1").ID, Pin: "CK"}: skew,
+	a.SetClockArrivalList([]ClockArrival{
+		{Inst: d.Instance("ff0").ID, Pin: "CK", T: 0},
+		{Inst: d.Instance("ff1").ID, Pin: "CK", T: skew},
 	})
 	got := a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
 	if math.Abs(got-(base+skew)) > 1e-15 {
 		t.Fatalf("slack with skew=%v want %v", got, base+skew)
 	}
 	// Restore ideal clock.
-	a.SetClockArrivals(nil)
+	a.SetClockArrivalList(nil)
 	if math.Abs(a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})-base) > 1e-15 {
 		t.Fatal("resetting clock arrivals should restore base slack")
 	}
@@ -317,25 +317,6 @@ func TestUnconstrainedPinSlackInf(t *testing.T) {
 	a := New(d, consFor(1e-9))
 	if !math.IsInf(a.SlackAt(PinID{Inst: 99, Pin: "Z"}), 1) {
 		t.Fatal("unknown pin should report +Inf slack")
-	}
-}
-
-func TestCombinationalLoopDoesNotHang(t *testing.T) {
-	l := lib()
-	d := netlist.NewDesign("loop", l)
-	g0, _ := d.AddInstance("g0", l.Master("INV"))
-	g1, _ := d.AddInstance("g1", l.Master("INV"))
-	n0, _ := d.AddNet("n0")
-	d.Connect(n0, netlist.PinRef{Inst: g0.ID, Pin: "Y"})
-	d.Connect(n0, netlist.PinRef{Inst: g1.ID, Pin: "A"})
-	n1, _ := d.AddNet("n1")
-	d.Connect(n1, netlist.PinRef{Inst: g1.ID, Pin: "Y"})
-	d.Connect(n1, netlist.PinRef{Inst: g0.ID, Pin: "A"})
-	a := New(d, consFor(1e-9))
-	a.Run() // must terminate
-	sum := a.Timing()
-	if sum.Endpoints != 0 {
-		t.Fatalf("loop-only design has no endpoints, got %+v", sum)
 	}
 }
 

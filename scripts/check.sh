@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: vet, build, race-enabled tests, and an explicit
-# parallel-vs-sequential equivalence pass with a multi-worker budget forced
-# through the PPACLUST_WORKERS environment knob.
+# worker-count equivalence pass with a multi-worker budget forced through the
+# PPACLUST_WORKERS environment knob.
 #
 # Usage: scripts/check.sh [quick]
 #   quick  skip the full -race test sweep; run vet+build+equivalence only.
@@ -41,13 +41,14 @@ if [[ "${1:-}" != "quick" ]]; then
     go test -race -timeout 45m ./...
 fi
 
-# Determinism contract: every parallel kernel must be bit-identical to the
-# sequential path. Run the equivalence tests once more with the worker budget
-# forced to 4 via the environment, so the parallel code paths engage even on
-# a single-CPU machine (par.Workers honors PPACLUST_WORKERS over GOMAXPROCS).
+# Determinism contract: every kernel must land on the same bits at any worker
+# count. Run the equivalence tests once more with the worker budget forced to
+# 4 via the environment, so the kernels really run on several goroutines even
+# on a single-CPU machine (par.Workers honors PPACLUST_WORKERS over
+# GOMAXPROCS).
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|ParallelPropagation|ParallelSchedule|Deterministic|Incremental|WirelenCache|ContractMatchesReference|NeighborsMatchesNaive' \
+    -run 'WorkersEquivalent|MatchesReference|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|WirelenCache|NeighborsMatchesNaive' \
     ./internal/sta/ ./internal/cluster/ ./internal/place/ ./internal/flow/ \
     ./internal/par/ ./internal/netlist/ ./internal/hypergraph/ \
     ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/
@@ -95,6 +96,11 @@ if [[ "${1:-}" != "quick" ]]; then
     for pkg in def lef liberty sdc verilog; do
         go test -run '^$' -fuzz '^FuzzRead' -fuzztime 10s "./internal/$pkg/"
     done
+fi
+
+if [[ "${1:-}" == "quick" ]]; then
+    echo "==> code size (scripts/size.sh)"
+    scripts/size.sh
 fi
 
 echo "OK"
