@@ -10,13 +10,3 @@ func BenchmarkMultilevelFC(b *testing.B) {
 		MultilevelFC(h, Options{TargetClusters: 100, Seed: int64(i)})
 	}
 }
-
-// BenchmarkBestChoice measures BC clustering on the same graph (the related
-// work's scaling concern is visible against BenchmarkMultilevelFC).
-func BenchmarkBestChoice(b *testing.B) {
-	h := blocks(40, 40)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BestChoice(h, Options{TargetClusters: 40})
-	}
-}

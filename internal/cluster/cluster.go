@@ -49,10 +49,11 @@ type Options struct {
 	EdgeSwitchCost []float64
 	// MaxLevels bounds the number of coarsening levels. Default 20.
 	MaxLevels int
-	// Workers bounds the goroutines used by the rating scans: 0 = auto
-	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = fully sequential. Matching
-	// itself always commits sequentially, so the cluster assignment is
-	// bit-identical for every worker count.
+	// Workers bounds the goroutines of the priority-score scan and of the
+	// contraction between levels: 0 = auto (PPACLUST_WORKERS, else
+	// GOMAXPROCS), 1 = fully sequential. Matching itself is one sequential
+	// loop, so the cluster assignment is bit-identical for every worker
+	// count.
 	Workers int
 }
 
@@ -226,16 +227,6 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 			grp[v] = -1
 		}
 	}
-	var find func(int) int
-	find = func(v int) int {
-		for parent[v] != v {
-			parent[v] = parent[parent[v]]
-			v = parent[v]
-		}
-		return v
-	}
-
-	workers := par.Workers(opt.Workers)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -247,7 +238,7 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 		// score is accumulated per vertex in incident-edge order, so the
 		// parallel fan-out is bit-identical to the sequential loop.
 		score := make([]float64, n)
-		par.ForEach(workers, n, func(v int) {
+		par.ForEach(par.Workers(opt.Workers), n, func(v int) {
 			for _, e := range h.Incident(v) {
 				verts := h.Edge(e)
 				if len(verts) < 2 || len(verts) > opt.MaxEdgeSize {
@@ -271,17 +262,45 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 		})
 	}
 
-	if workers > 1 {
-		fcMatchPar(h, parent, weight, grp, tCost, sCost, &opt, maxW, budget, order, find, workers)
-	} else {
-		fcMatchSeq(h, parent, weight, grp, tCost, sCost, &opt, maxW, budget, order, find)
+	// Matching: each still-unmatched vertex, in visit order, merges into its
+	// best-rated admissible neighbour cluster.
+	sc := ratingScratch{idx: make(map[int]int)}
+	for _, v := range order {
+		if parent[v] != v {
+			continue // already absorbed this pass
+		}
+		bestU := pick(sc.rate(h, parent, v, tCost, sCost, &opt), v, grp, weight, maxW)
+		if bestU < 0 {
+			continue
+		}
+		// Union: attach v under bestU.
+		parent[v] = bestU
+		weight[bestU] += weight[v]
+		if grp[bestU] < 0 {
+			grp[bestU] = grp[v]
+		}
+		if budget > 0 {
+			budget--
+			if budget == 0 {
+				break // don't coarsen past the target
+			}
+		}
 	}
 
 	merge := make([]int, n)
 	for v := 0; v < n; v++ {
-		merge[v] = find(v)
+		merge[v] = find(parent, v)
 	}
 	return merge
+}
+
+// find returns the root of v in the union-find forest, halving the path.
+func find(parent []int, v int) int {
+	for parent[v] != v {
+		parent[v] = parent[parent[v]]
+		v = parent[v]
+	}
+	return v
 }
 
 // ratedCand is one merge candidate of the vertex being visited.
@@ -296,16 +315,11 @@ type ratingScratch struct {
 	cands []ratedCand
 }
 
-func newRatingScratch() ratingScratch { return ratingScratch{idx: make(map[int]int)} }
-
-// rate accumulates the merge candidates of v (whose current root is rv) in
-// first-touch order over v's incident edges. That order — not Go's randomized
-// map iteration — is what pick consumes, so a rating scan is deterministic.
-// find resolves the current root of a vertex; passing a non-compressing find
-// makes the scan read-only, which is what lets speculative scans run in
-// parallel without mutating the union-find.
-func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, v, rv int, tCost, sCost []float64,
-	opt *Options, find func(int) int) []ratedCand {
+// rate accumulates the merge candidates of the root vertex v in first-touch
+// order over v's incident edges. That order — not Go's randomized map
+// iteration — is what pick consumes, so a rating scan is deterministic.
+func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, parent []int, v int,
+	tCost, sCost []float64, opt *Options) []ratedCand {
 
 	sc.cands = sc.cands[:0]
 	clear(sc.idx)
@@ -323,8 +337,8 @@ func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, v, rv int, tCost, sCost 
 		}
 		r := num / float64(len(verts)-1)
 		for _, u := range verts {
-			ru := find(u)
-			if ru == rv {
+			ru := find(parent, u)
+			if ru == v {
 				continue
 			}
 			pos, ok := sc.idx[ru]
@@ -358,138 +372,6 @@ func pick(cands []ratedCand, rv int, grp []int, weight []float64, maxW float64) 
 		}
 	}
 	return bestU
-}
-
-// fcMatchSeq is the exact sequential matching loop.
-func fcMatchSeq(h *hypergraph.Hypergraph, parent []int, weight []float64, grp []int,
-	tCost, sCost []float64, opt *Options, maxW float64, budget int,
-	order []int, find func(int) int) {
-
-	sc := newRatingScratch()
-	for _, v := range order {
-		rv := find(v)
-		if rv != v {
-			continue // already absorbed this pass
-		}
-		bestU := pick(sc.rate(h, v, rv, tCost, sCost, opt, find), rv, grp, weight, maxW)
-		if bestU < 0 {
-			continue
-		}
-		// Union: attach rv under bestU.
-		parent[rv] = bestU
-		weight[bestU] += weight[rv]
-		if grp[bestU] < 0 {
-			grp[bestU] = grp[rv]
-		}
-		if budget > 0 {
-			budget--
-			if budget == 0 {
-				break // don't coarsen past the target
-			}
-		}
-	}
-}
-
-// fcMatchPar runs the same matching loop with speculative batched ratings:
-// a batch of upcoming root vertices is rated in parallel against the frozen
-// union-find (read-only, non-compressing find), then commits replay strictly
-// in visit order. A speculative rating is reused only if no vertex involved
-// in it was touched by an earlier commit in the batch (the dirty set tracks
-// both endpoints of every merge); otherwise the rating is recomputed on the
-// spot — which is exactly what the sequential loop would have seen. The
-// result is bit-identical to fcMatchSeq for any worker count.
-func fcMatchPar(h *hypergraph.Hypergraph, parent []int, weight []float64, grp []int,
-	tCost, sCost []float64, opt *Options, maxW float64, budget int,
-	order []int, find func(int) int, workers int) {
-
-	findRO := func(v int) int {
-		for parent[v] != v {
-			v = parent[v]
-		}
-		return v
-	}
-
-	n := len(order)
-	batch := workers * 8
-	if batch > n {
-		batch = n
-	}
-	scratch := make([]ratingScratch, workers)
-	for w := range scratch {
-		scratch[w] = newRatingScratch()
-	}
-	specBuf := make([][]ratedCand, batch)
-	specOK := make([]bool, batch)
-	commitSc := newRatingScratch()
-	dirty := make(map[int]bool)
-
-	for pos := 0; pos < n; pos += batch {
-		end := pos + batch
-		if end > n {
-			end = n
-		}
-		m := end - pos
-		par.Blocks(workers, m, func(w, lo, hi int) {
-			sc := &scratch[w]
-			for k := lo; k < hi; k++ {
-				v := order[pos+k]
-				if findRO(v) != v {
-					specOK[k] = false
-					continue // absorbed in an earlier batch
-				}
-				specBuf[k] = append(specBuf[k][:0], sc.rate(h, v, v, tCost, sCost, opt, findRO)...)
-				specOK[k] = true
-			}
-		})
-		clear(dirty)
-		for k := 0; k < m; k++ {
-			v := order[pos+k]
-			rv := find(v)
-			if rv != v {
-				continue // already absorbed this pass
-			}
-			cands := specBuf[k]
-			if !specOK[k] || staleSpec(v, cands, dirty) {
-				cands = commitSc.rate(h, v, rv, tCost, sCost, opt, find)
-			}
-			bestU := pick(cands, rv, grp, weight, maxW)
-			if bestU < 0 {
-				continue
-			}
-			parent[rv] = bestU
-			weight[bestU] += weight[rv]
-			if grp[bestU] < 0 {
-				grp[bestU] = grp[rv]
-			}
-			dirty[rv] = true
-			dirty[bestU] = true
-			if budget > 0 {
-				budget--
-				if budget == 0 {
-					return // don't coarsen past the target
-				}
-			}
-		}
-	}
-}
-
-// staleSpec reports whether a speculative rating for v may disagree with what
-// the sequential loop would compute now: v itself merged (its weight grew) or
-// any rated candidate root was an endpoint of a merge this batch (it may no
-// longer be a root, or its weight/group changed).
-func staleSpec(v int, cands []ratedCand, dirty map[int]bool) bool {
-	if len(dirty) == 0 {
-		return false
-	}
-	if dirty[v] {
-		return true
-	}
-	for _, c := range cands {
-		if dirty[c.root] {
-			return true
-		}
-	}
-	return false
 }
 
 func densify(assign []int) ([]int, int) {

@@ -33,13 +33,19 @@ func randHypergraph(n, edges int, seed int64) *hypergraph.Hypergraph {
 }
 
 // TestMultilevelFCWorkersEquivalent asserts the determinism contract: the
-// cluster assignment with Workers=N is identical (not just statistically
-// similar) to Workers=1, across plain, grouped, and PPA-weighted runs.
+// cluster assignment with Workers=2 and 4 is identical (not just
+// statistically similar) to Workers=1, across plain, grouped, and
+// PPA-weighted runs. Workers bounds the priority-score scan and the
+// contraction; the budget row is the one that reaches the score scan.
 func TestMultilevelFCWorkersEquivalent(t *testing.T) {
 	type fixture struct {
 		name string
 		h    *hypergraph.Hypergraph
 		opt  Options
+		// budgeted rows start within a factor two of the target, so their
+		// first pass is the budgeted priority pass and lands on it exactly
+		// (the unrestricted pass of the other rows overshoots).
+		budgeted bool
 	}
 	hr := randHypergraph(600, 1400, 42)
 	tCost := make([]float64, hr.NumEdges())
@@ -57,30 +63,38 @@ func TestMultilevelFCWorkersEquivalent(t *testing.T) {
 		}
 	}
 	fixtures := []fixture{
-		{"blocks", blocks(20, 30), Options{TargetClusters: 20, Seed: 5}},
+		{"blocks", blocks(20, 30), Options{TargetClusters: 20, Seed: 5}, false},
 		{"random-ppa", hr, Options{TargetClusters: 40, Seed: 9,
 			Alpha: 1, Beta: 0.8, Gamma: 0.5,
-			EdgeTimingCost: tCost, EdgeSwitchCost: sCost}},
-		{"random-groups", hr, Options{TargetClusters: 30, Seed: 3, Groups: groups}},
+			EdgeTimingCost: tCost, EdgeSwitchCost: sCost}, false},
+		{"random-groups", hr, Options{TargetClusters: 30, Seed: 3, Groups: groups}, false},
+		{"random-ppa-budget", hr, Options{TargetClusters: 320, Seed: 9,
+			Alpha: 1, Beta: 0.8, Gamma: 0.5,
+			EdgeTimingCost: tCost, EdgeSwitchCost: sCost}, true},
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			seq := fx.opt
 			seq.Workers = 1
-			pp := fx.opt
-			pp.Workers = 4
 			rs := MultilevelFC(fx.h, seq)
-			rp := MultilevelFC(fx.h, pp)
-			if rs.NumClusters != rp.NumClusters || rs.Levels != rp.Levels ||
-				rs.Singletons != rp.Singletons {
-				t.Fatalf("summary differs: seq %+v par %+v",
-					Result{NumClusters: rs.NumClusters, Levels: rs.Levels, Singletons: rs.Singletons},
-					Result{NumClusters: rp.NumClusters, Levels: rp.Levels, Singletons: rp.Singletons})
+			if fx.budgeted && rs.NumClusters != fx.opt.TargetClusters {
+				t.Fatalf("fixture no longer reaches the budgeted priority pass: %d clusters for target %d",
+					rs.NumClusters, fx.opt.TargetClusters)
 			}
-			for v := range rs.Assign {
-				if rs.Assign[v] != rp.Assign[v] {
-					t.Fatalf("vertex %d assigned %d (seq) vs %d (par)",
-						v, rs.Assign[v], rp.Assign[v])
+			for _, workers := range []int{2, 4} {
+				pp := fx.opt
+				pp.Workers = workers
+				rp := MultilevelFC(fx.h, pp)
+				if rs.NumClusters != rp.NumClusters || rs.Levels != rp.Levels ||
+					rs.Singletons != rp.Singletons {
+					t.Fatalf("summary differs: W=1 %d/%d/%d, W=%d %d/%d/%d", rs.NumClusters, rs.Levels,
+						rs.Singletons, workers, rp.NumClusters, rp.Levels, rp.Singletons)
+				}
+				for v := range rs.Assign {
+					if rs.Assign[v] != rp.Assign[v] {
+						t.Fatalf("vertex %d assigned %d (W=1) vs %d (W=%d)",
+							v, rs.Assign[v], rp.Assign[v], workers)
+					}
 				}
 			}
 		})

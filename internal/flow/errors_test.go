@@ -11,6 +11,7 @@ import (
 	"ppaclust/internal/designs"
 	"ppaclust/internal/lef"
 	"ppaclust/internal/liberty"
+	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
 	"ppaclust/internal/sdc"
 	"ppaclust/internal/verilog"
@@ -148,5 +149,31 @@ func TestBuildClusteredDesignErrors(t *testing.T) {
 	neg[0] = -1
 	if _, _, err := BuildClusteredDesign(d, neg, 2, nil); err == nil {
 		t.Fatal("negative cluster id accepted")
+	}
+}
+
+// TestMissingClockBufferIsAnError runs both flow entry points on a design
+// whose (otherwise complete) library has no CLKBUF_X2: the clock net cannot
+// be synthesized, and that must come back as an error, not as a nil master
+// dereferenced inside cts.
+func TestMissingClockBufferIsAnError(t *testing.T) {
+	b := designs.Generate(designs.TinySpec(213))
+	lib := netlist.NewLibrary(b.Design.Lib.Name)
+	for _, name := range b.Design.Lib.MasterNames() {
+		if name == "CLKBUF_X2" {
+			continue
+		}
+		if err := lib.AddMaster(b.Design.Lib.Master(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Design.Lib = lib
+	for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
+		"Run": Run, "RunDefault": RunDefault,
+	} {
+		res, err := run(b, Options{Seed: 1, Shapes: ShapeUniform})
+		if err == nil || !strings.Contains(err.Error(), "CLKBUF_X2") {
+			t.Fatalf("%s: missing clock buffer not reported: res=%v err=%v", name, res != nil, err)
+		}
 	}
 }

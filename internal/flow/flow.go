@@ -283,7 +283,9 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 		return nil, err
 	}
 	// ---- Evaluation (lines 27-30) ----
-	evaluate(d, b.Cons, opt, res, an)
+	if err := evaluate(d, b.Cons, opt, res, an); err != nil {
+		return nil, err
+	}
 	res.Placed = d
 	return res, nil
 }
@@ -322,7 +324,9 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	if err := maybeRepair(d, opt); err != nil {
 		return nil, err
 	}
-	evaluate(d, b.Cons, opt, res, nil)
+	if err := evaluate(d, b.Cons, opt, res, nil); err != nil {
+		return nil, err
+	}
 	res.Placed = d
 	return res, nil
 }
@@ -531,14 +535,14 @@ func mathSqrt(v float64) float64 {
 
 // evaluate fills HPWL and (unless SkipRoute) post-route PPA into res. When
 // the clustering stage already built an analyzer (PPA-aware method), it is
-// reused: the graph topology is unchanged, so switching it from zero-wire to
-// placed parasitics and refreshing via Invalidate/Update yields bit-identical
-// results to a fresh sta.New. Buffer repair inserts instances and nets — a
-// topology change — so the analyzer is rebuilt in that case.
-func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result, an *sta.Analyzer) {
+// reused: the graph topology is unchanged, so SetZeroWire to placed
+// parasitics plus Update yields bit-identical results to a fresh sta.New.
+// Buffer repair inserts instances and nets — a topology change — so the
+// analyzer is rebuilt in that case.
+func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result, an *sta.Analyzer) error {
 	res.HPWL = d.HPWLWorkers(par.Workers(opt.Workers))
 	if opt.SkipRoute {
-		return
+		return nil
 	}
 	t0 := time.Now()
 	rres := route.GlobalRoute(d, route.Options{Workers: opt.Workers})
@@ -559,7 +563,11 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 		if !n.Clock {
 			continue
 		}
-		copt := cts.Options{BufMaster: d.Lib.Master("CLKBUF_X2"), SkipArrivalMap: true, Workers: opt.Workers}
+		buf := d.Lib.Master("CLKBUF_X2")
+		if buf == nil {
+			return fmt.Errorf("flow: clock tree synthesis on net %s needs CLKBUF_X2 in the library", n.Name)
+		}
+		copt := cts.Options{BufMaster: buf, SkipArrivalMap: true, Workers: opt.Workers}
 		cres := cts.Synthesize(d, n, copt)
 		if len(cres.ArrivalList) > 0 {
 			an.SetClockArrivalList(cres.ArrivalList)
@@ -581,4 +589,5 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 	res.DRVSlew = drv.MaxSlewViolations
 	res.PowerRep = power.Analyze(an, power.DefaultVdd)
 	res.Power = res.PowerRep.Total() + clockPower
+	return nil
 }

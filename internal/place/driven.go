@@ -4,11 +4,11 @@
 // timing or congestion. This file closes that loop the way OpenROAD's
 // global_placement does: at configurable bin-overflow checkpoints (default
 // 0.5/0.3/0.2, à la -timing_driven_net_reweight_overflow), the placer
-// commits its coordinates and (a) runs the incremental STA, ranks nets by
-// worst slack and multiplicatively reweights the most critical ones so the
-// next B2B assemblies pull them shorter, and (b) runs the GCell global
-// router on a coarse grid and inflates the spreading areas of cells sitting
-// in congested GCells so the next spreading rounds push them apart.
+// commits its coordinates and (a) runs STA, ranks nets by worst slack and
+// multiplicatively reweights the most critical ones so the next B2B
+// assemblies pull them shorter, and (b) runs the GCell global router on a
+// coarse grid and inflates the spreading areas of cells sitting in congested
+// GCells so the next spreading rounds push them apart.
 //
 // Determinism: a checkpoint fires when the round's overflow first drops
 // below the next threshold — a pure function of the overflow sequence, which
@@ -106,12 +106,7 @@ func (p *placer) reweightCriticalNets() bool {
 		p.an.Workers = p.workers
 		p.netW0 = append([]float64(nil), p.netW...)
 	} else {
-		// Later checkpoints reuse the analyzer: every movable cell moved, so
-		// mark their nets dirty and let the incremental engine repropagate
-		// (a mostly-dirty graph reduces to a full refresh internally).
-		for _, id := range p.movable {
-			p.an.InvalidateInst(id)
-		}
+		// Later checkpoints reuse the analyzer: same topology, moved cells.
 		p.an.Update()
 	}
 	p.slackBuf = p.an.NetSlackInto(p.slackBuf)

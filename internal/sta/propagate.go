@@ -7,9 +7,8 @@
 // out-edges. When a level runs, every value a node reads — its sources'
 // at/slew going forward, its sinks' rat going backward, and the clock-pin
 // slew a launch arc samples — is final, and nodes within a level write only
-// their own fields. So a level can be spread over any number of workers,
-// Workers = 1 is the same kernels on one worker, and the dirty-cone Update
-// (incremental.go) recomputes single nodes with them.
+// their own fields. So a level can be spread over any number of workers, and
+// Workers = 1 is the same kernels on one worker.
 //
 // Bit-exactness: a node's candidates are applied with strict comparisons in
 // one fixed order, the one a relaxation pushed along topo would produce (and

@@ -133,17 +133,15 @@ type Analyzer struct {
 
 	netLoad   []float64 // total load capacitance per net
 	netArcOff []int32   // net -> its net arcs are edge ids [netArcOff[n], netArcOff[n+1])
-	netDriver []int32   // net -> driver node, -1 when undriven
 
 	clockAt []float64 // per-node clock arrival (from CTS); nil = ideal clock
 	derate  Derate    // OCV scale factors
-	inc     incState  // dirty-net set for incremental updates
 
 	activity []float64 // per-node switching activity (toggles/cycle)
 	actDone  bool
 	timeDone bool
 
-	// Position gather scratch for full geometry refresh.
+	// Position gather scratch for the geometry refresh.
 	gInstX, gInstY []float64
 }
 
@@ -294,23 +292,18 @@ func (a *Analyzer) build() {
 	}
 
 	a.netLoad = make([]float64, len(d.Nets))
-	a.netDriver = make([]int32, len(d.Nets))
 	a.netArcOff = make([]int32, len(d.Nets)+1)
-	a.inc.netDirty = make([]bool, len(d.Nets))
-	a.inc.lastNodes = -1
 
 	// Net arcs: driver -> each sink, in net order ahead of every cell arc,
 	// so a net's arcs are one run of edge ids. Topology only: refreshAllNets
 	// below fills in loads and wire lengths.
 	for ni := range d.Nets {
 		a.netArcOff[ni] = int32(len(a.eFrom))
-		a.netDriver[ni] = -1
 		kd := c.NetDrv[ni]
 		if kd < 0 {
 			continue
 		}
 		drvNode := a.nodeOfSlot(c, kd)
-		a.netDriver[ni] = drvNode
 		for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
 			if sink, ok := a.sinkOfSlot(c, kd, k); ok {
 				a.addEdge(drvNode, sink, nil)

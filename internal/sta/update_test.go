@@ -1,4 +1,4 @@
-// Incremental-vs-full equivalence on generated designs, in the style of
+// Update-vs-fresh-analyzer equivalence on generated designs, in the style of
 // determinism_test.go (package sta_test: internal/designs imports sta).
 package sta_test
 
@@ -26,23 +26,16 @@ func scatter(d *netlist.Design, seed int64) {
 	}
 }
 
-// perturb moves ~frac of the movable cells and invalidates them on an; it
-// returns the moved instance IDs.
-func perturb(d *netlist.Design, an *sta.Analyzer, frac float64, seed int64) []int {
+// perturb moves ~frac of the movable cells.
+func perturb(d *netlist.Design, frac float64, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	var moved []int
 	for _, inst := range d.Insts {
 		if inst.Fixed || rng.Float64() >= frac {
 			continue
 		}
 		inst.X = d.Core.X0 + rng.Float64()*(d.Core.W()-inst.Master.Width)
 		inst.Y = d.Core.Y0 + rng.Float64()*(d.Core.H()-inst.Master.Height)
-		if an != nil {
-			an.InvalidateInst(inst.ID)
-		}
-		moved = append(moved, inst.ID)
 	}
-	return moved
 }
 
 // requireIdentical asserts slacks, the timing summary and activities of two
@@ -72,11 +65,13 @@ func requireIdentical(t *testing.T, ctx string, a, b *sta.Analyzer) {
 	}
 }
 
-// TestIncrementalSTAEquivalent moves a share of the cells, updates via the
-// dirty-cone path, and requires bit-identical results to a fresh full
-// analysis — at Workers=1 and Workers=8 on both sides. The two hand-built
-// rows are the shapes that used to take the full-refresh arm of Update: a
-// clock behind a buffer and a combinational loop.
+// TestIncrementalSTAEquivalent moves a share of the cells, calls Update, and
+// requires bit-identical results to a fresh analysis — at Workers=1 and
+// Workers=8 on both sides, three rounds on one reused analyzer. The two
+// hand-built rows are the shapes the level schedule treats specially: a
+// clock behind a buffer and a combinational loop. (The name dates from when
+// Update had a dirty-cone arm; it is kept because the test floor lists these
+// rows by name.)
 func TestIncrementalSTAEquivalent(t *testing.T) {
 	generated := func(name string) func() (*netlist.Design, sta.Constraints) {
 		return func() (*netlist.Design, sta.Constraints) {
@@ -110,15 +105,12 @@ func TestIncrementalSTAEquivalent(t *testing.T) {
 				an.Run()
 
 				for round := 0; round < 3; round++ {
-					perturb(d, an, row.frac, int64(100+round))
+					perturb(d, row.frac, int64(100+round))
 					an.Update()
-					if an.LastUpdateNodes() <= 0 {
-						t.Fatal("dirty-cone path did not engage")
-					}
 					for _, rw := range []int{1, 8} {
 						ref := sta.New(d, cons)
 						ref.Workers = rw
-						requireIdentical(t, "incremental vs full", an, ref)
+						requireIdentical(t, "update vs fresh", an, ref)
 					}
 				}
 			})
@@ -126,10 +118,10 @@ func TestIncrementalSTAEquivalent(t *testing.T) {
 	}
 }
 
-// TestIncrementalModeSwitchEquivalent drives the zero-wire -> placed
-// parasitics transition the flow uses (SetZeroWire + Update must reduce to
-// exactly the full propagation) and the reverse.
-func TestIncrementalModeSwitchEquivalent(t *testing.T) {
+// TestUpdateModeSwitchEquivalent drives the zero-wire -> placed parasitics
+// transition the flow uses (SetZeroWire + Update must land on the bits of an
+// analyzer built fresh in the new mode) and the reverse.
+func TestUpdateModeSwitchEquivalent(t *testing.T) {
 	spec, _ := designs.Named("aes")
 	spec.TargetInsts = 800
 	b := designs.Generate(spec)
@@ -145,18 +137,12 @@ func TestIncrementalModeSwitchEquivalent(t *testing.T) {
 
 	an.SetZeroWire(false)
 	an.Update()
-	if an.LastUpdateNodes() != -1 {
-		t.Fatal("full invalidation should reduce to the full propagation")
-	}
 	ref := sta.New(b.Design, b.Cons)
 	requireIdentical(t, "placed after switch", an, ref)
 
 	// Moving cells after the switch keeps the reused analyzer exact.
-	perturb(b.Design, an, 0.05, 9)
+	perturb(b.Design, 0.05, 9)
 	an.Update()
-	if an.LastUpdateNodes() < 0 {
-		t.Fatal("dirty-cone path did not engage after mode switch")
-	}
 	ref2 := sta.New(b.Design, b.Cons)
 	requireIdentical(t, "perturbed after switch", an, ref2)
 
@@ -167,10 +153,10 @@ func TestIncrementalModeSwitchEquivalent(t *testing.T) {
 	requireIdentical(t, "back to zero-wire", an, refZero2)
 }
 
-// TestIncrementalLegacyUpdateEquivalent checks that Update with no recorded
-// invalidations still refreshes everything (legacy callers move cells and
-// call Update directly).
-func TestIncrementalLegacyUpdateEquivalent(t *testing.T) {
+// TestUpdateAfterMoveEquivalent checks the caller's whole protocol: move
+// cells, call Update, and every query matches an analyzer built fresh on the
+// moved design.
+func TestUpdateAfterMoveEquivalent(t *testing.T) {
 	spec, _ := designs.Named("jpeg")
 	spec.TargetInsts = 800
 	b := designs.Generate(spec)
@@ -178,8 +164,8 @@ func TestIncrementalLegacyUpdateEquivalent(t *testing.T) {
 
 	an := sta.New(b.Design, b.Cons)
 	an.Run()
-	perturb(b.Design, nil, 0.3, 11)
-	an.Update() // no Invalidate calls recorded
+	perturb(b.Design, 0.3, 11)
+	an.Update()
 	ref := sta.New(b.Design, b.Cons)
-	requireIdentical(t, "legacy update", an, ref)
+	requireIdentical(t, "update after move", an, ref)
 }

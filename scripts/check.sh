@@ -48,7 +48,7 @@ fi
 # GOMAXPROCS).
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|MatchesReference|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|WirelenCache|NeighborsMatchesNaive' \
+    -run 'WorkersEquivalent|MatchesReference|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|TestUpdate|WirelenCache|NeighborsMatchesNaive' \
     ./internal/sta/ ./internal/cluster/ ./internal/place/ ./internal/flow/ \
     ./internal/par/ ./internal/netlist/ ./internal/hypergraph/ \
     ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/
