@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"ppaclust/internal/designs"
@@ -20,6 +22,37 @@ type tdRun struct {
 	Seed     int64               `json:"seed"`
 	Fast     bool                `json:"fast,omitempty"`
 	Rows     []experiments.TDRow `json:"rows"`
+}
+
+// sweepWorkerCounts are the worker counts a -workers-sweep run covers.
+var sweepWorkerCounts = []int{1, 2, 4, 8}
+
+// parseScaleSizes parses a size list like "10k,100k,1m" (suffixes k and m,
+// case-insensitive, or raw integers).
+func parseScaleSizes(s string) ([]int, error) {
+	var out []int
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.ToLower(strings.TrimSpace(tok))
+		if tok == "" {
+			continue
+		}
+		mult := 1
+		switch {
+		case strings.HasSuffix(tok, "m"):
+			mult, tok = 1000000, strings.TrimSuffix(tok, "m")
+		case strings.HasSuffix(tok, "k"):
+			mult, tok = 1000, strings.TrimSuffix(tok, "k")
+		}
+		v, err := strconv.Atoi(tok)
+		if err != nil || v <= 0 {
+			return nil, fmt.Errorf("bad size %q", tok)
+		}
+		out = append(out, v*mult)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("empty size list")
+	}
+	return out, nil
 }
 
 // runTimingDriven drives the -timing-driven A/B mode: spec "tables" runs the

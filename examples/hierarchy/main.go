@@ -46,12 +46,6 @@ func main() {
 		fmt.Printf("%s %3d   %.4f\n", mark, sc.Level, sc.RAvg)
 	}
 	fmt.Printf("\nselected level %d: %d clusters, R_avg %.4f\n", res.Level, res.Clusters, res.RAvg)
-	sizes := hier.GroupSizes(res.Assign)
-	show := sizes
-	if len(show) > 8 {
-		show = show[:8]
-	}
-	fmt.Printf("largest cluster sizes: %v\n", show)
 	fmt.Println("\nthese clusters become the grouping constraints of the PPA-aware")
 	fmt.Println("multilevel FC clustering (Algorithm 1 line 7).")
 }

@@ -68,13 +68,6 @@ func Named(name string) (Spec, bool) {
 	return Spec{}, false
 }
 
-// AllSpecs returns the six benchmark specs in paper order.
-func AllSpecs() []Spec {
-	out := make([]Spec, len(specs))
-	copy(out, specs)
-	return out
-}
-
 // TinySpec returns a fast, small spec for unit/integration tests.
 func TinySpec(seed int64) Spec {
 	return Spec{
@@ -627,8 +620,8 @@ func pointOnPerimeter(r netlist.Rect, t float64) (float64, float64) {
 // ScaleSpec returns a synthetic benchmark spec sized for scale testing: the
 // hierarchy deepens with the cell count so leaves stay a few hundred cells,
 // and the macro/IO budget grows in proportion. The same (cells, seed) pair
-// always yields the identical design. This is the spec the ppabench -scale
-// sweep and the scale smoke test run on.
+// always yields the identical design. This is the spec the benchmark's scale
+// workloads and ppabench -timing-driven <sizes> run on.
 func ScaleSpec(cells int, seed int64) Spec {
 	branch, depth := 6, 2
 	switch {

@@ -55,9 +55,6 @@ func TestNamedSpecs(t *testing.T) {
 	if _, ok := Named("nonexistent"); ok {
 		t.Fatal("unknown spec should report !ok")
 	}
-	if len(AllSpecs()) != 6 {
-		t.Fatal("want 6 specs")
-	}
 }
 
 func TestGenerateTiny(t *testing.T) {
@@ -192,7 +189,7 @@ func TestGenerateWithMacros(t *testing.T) {
 			if !inst.Fixed || !inst.Placed {
 				t.Fatal("macros must be preplaced and fixed")
 			}
-			if !b.Design.Core.Contains(inst.X, inst.Y) {
+			if c := b.Design.Core; inst.X < c.X0 || inst.X > c.X1 || inst.Y < c.Y0 || inst.Y > c.Y1 {
 				t.Fatal("macro outside core")
 			}
 		}

@@ -20,7 +20,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
@@ -691,14 +690,4 @@ func FprintTable(w io.Writer, header []string, rows [][]string) {
 	for _, r := range rows {
 		line(r)
 	}
-}
-
-// SortPPARows orders rows by design then flow for stable output.
-func SortPPARows(rows []PPARow) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].Design != rows[j].Design {
-			return rows[i].Design < rows[j].Design
-		}
-		return rows[i].Flow < rows[j].Flow
-	})
 }

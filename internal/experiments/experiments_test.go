@@ -192,14 +192,6 @@ func TestFprintTable(t *testing.T) {
 	}
 }
 
-func TestSortPPARows(t *testing.T) {
-	rows := []PPARow{{Design: "b", Flow: "x"}, {Design: "a", Flow: "z"}, {Design: "a", Flow: "y"}}
-	SortPPARows(rows)
-	if rows[0].Design != "a" || rows[0].Flow != "y" || rows[2].Design != "b" {
-		t.Fatalf("sorted: %+v", rows)
-	}
-}
-
 func TestBenchCaching(t *testing.T) {
 	s := fastSuite(t)
 	b1, err := s.Bench("aes")

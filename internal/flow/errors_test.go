@@ -177,3 +177,32 @@ func TestMissingClockBufferIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestUnplaceableCoreIsAnError runs both flow entry points on a design whose
+// core has no area and on one whose cells need twice the core: neither has a
+// legal placement, so each must come back as an error, not as metrics of
+// cells piled outside the core.
+func TestUnplaceableCoreIsAnError(t *testing.T) {
+	noCore := designs.Generate(designs.TinySpec(3))
+	noCore.Design.Core = netlist.Rect{}
+	overfull := designs.Generate(designs.TinySpec(3))
+	c := &overfull.Design.Core
+	c.Y1 = c.Y0 + c.H()*overfull.Design.Utilization()/1.98
+	for _, tc := range []struct {
+		name string
+		b    *designs.Benchmark
+		want string
+	}{
+		{"zero-area core", noCore, "no area"},
+		{"utilization 1.98", overfull, "utilization 1.98"},
+	} {
+		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
+			"Run": Run, "RunDefault": RunDefault,
+		} {
+			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s, %s: not reported: res=%v err=%v", tc.name, name, res != nil, err)
+			}
+		}
+	}
+}

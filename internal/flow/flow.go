@@ -105,21 +105,18 @@ func (s ShapeMode) String() string {
 
 // Options configures one flow run.
 type Options struct {
-	Tool           Tool
-	Method         Method
-	Shapes         ShapeMode
-	Model          *gnn.Model // required for ShapeVPRML
-	NumPaths       int        // |P|, default 100000
-	Alpha          float64    // Eq. 3 connectivity weight, default 1
-	Beta           float64    // Eq. 3 timing weight, default 1; negative = disabled (0)
-	Gamma          float64    // Eq. 3 switching weight, default 1; negative = disabled (0)
-	Mu             float64    // Eq. 2 exponent, default 2
-	NoHierarchy    bool       // drop the hierarchy grouping constraints (ablation)
-	TargetClusters int        // 0 = auto (~N/400, see cluster.Options)
-	VPRMinInsts    int        // shape-selection gate; default 50 (paper: 200)
-	IOWeightScale  float64    // OpenROAD IO net weight scale, default 4
-	Seed           int64
-	SkipRoute      bool // post-place evaluation only (hyperparameter study)
+	Tool        Tool
+	Method      Method
+	Shapes      ShapeMode
+	Model       *gnn.Model // required for ShapeVPRML
+	Alpha       float64    // Eq. 3 connectivity weight, default 1
+	Beta        float64    // Eq. 3 timing weight, default 1; negative = disabled (0)
+	Gamma       float64    // Eq. 3 switching weight, default 1; negative = disabled (0)
+	Mu          float64    // Eq. 2 exponent, default 2
+	NoHierarchy bool       // drop the hierarchy grouping constraints (ablation)
+	VPRMinInsts int        // shape-selection gate; default 50 (paper: 200)
+	Seed        int64
+	SkipRoute   bool // post-place evaluation only (hyperparameter study)
 	// RepairBuffers runs post-placement buffer insertion on long and
 	// high-fanout nets before evaluation (the opt_design analogue). Applied
 	// identically by Run and RunDefault so comparisons stay fair.
@@ -141,10 +138,16 @@ type Options struct {
 	Workers int
 }
 
+const (
+	// numPaths is |P|, the number of worst timing paths that feed the
+	// clustering timing costs.
+	numPaths = 100000
+	// ioWeightScale is the OpenROAD-style weight scale on IO nets of the
+	// clustered netlist.
+	ioWeightScale = 4
+)
+
 func (o Options) withDefaults() Options {
-	if o.NumPaths <= 0 {
-		o.NumPaths = 100000
-	}
 	if o.Alpha == 0 {
 		o.Alpha = 1
 	}
@@ -159,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.VPRMinInsts <= 0 {
 		o.VPRMinInsts = 50
-	}
-	if o.IOWeightScale <= 0 {
-		o.IOWeightScale = 4
 	}
 	return o
 }
@@ -202,16 +202,31 @@ type Result struct {
 	PlaceTime time.Duration
 }
 
+// checkDesign validates a design at the boundary of both flows: the int32
+// compact-CSR capacity, so an oversized design fails with an error instead
+// of tripping the must-style Compact panic deep inside a stage, and a core
+// with room for the cells, so no flow reports numbers for a placement that
+// cannot be legal.
+func checkDesign(d *netlist.Design) error {
+	if _, err := d.CompactChecked(); err != nil {
+		return err
+	}
+	if !(d.Core.W() > 0 && d.Core.H() > 0) {
+		return fmt.Errorf("flow: design %s: core %g x %g um has no area", d.Name, d.Core.W(), d.Core.H())
+	}
+	if u := d.Utilization(); u > 1 {
+		return fmt.Errorf("flow: design %s: utilization %.2f, the cells do not fit the core", d.Name, u)
+	}
+	return nil
+}
+
 // Run executes the clustered flow on a copy of the benchmark design and
 // returns the metrics. The benchmark's design is not mutated.
 func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	d := b.Design.Clone()
 	res := &Result{}
-	// Validate the int32 compact-CSR capacity here at the boundary, so an
-	// oversized design fails with an error instead of tripping the
-	// must-style Compact panic deep inside a stage.
-	if _, err := d.CompactChecked(); err != nil {
+	if err := checkDesign(d); err != nil {
 		return nil, err
 	}
 
@@ -240,7 +255,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 		return nil, err
 	}
 	if opt.Tool == ToolOpenROAD {
-		scaleIONets(cd, opt.IOWeightScale)
+		scaleIONets(cd, ioWeightScale)
 	}
 	place.Global(cd, place.Options{Seed: opt.Seed, Workers: opt.Workers})
 	// Cluster cells are macro-sized; remove overlaps so cluster footprints
@@ -264,7 +279,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	// on the flat design — the clustered seed placement's synthetic masters
 	// have no timing arcs to analyze.
 	popt := place.Options{Seed: opt.Seed, Incremental: true, Legalize: true, AnchorWeight: 0.1,
-		Workers: opt.Workers,
+		Workers:      opt.Workers,
 		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
 		TimingCons: b.Cons}
 	if opt.Tool == ToolInnovus {
@@ -311,7 +326,7 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	d := b.Design.Clone()
 	res := &Result{}
-	if _, err := d.CompactChecked(); err != nil {
+	if err := checkDesign(d); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
@@ -349,8 +364,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		return assign, community.NumCommunities(assign), nil, nil
 	case MethodMFC:
 		res := cluster.MultilevelFC(view.H, cluster.Options{
-			Alpha: 1, TargetClusters: opt.TargetClusters, Seed: opt.Seed,
-			Workers: opt.Workers,
+			Alpha: 1, Seed: opt.Seed, Workers: opt.Workers,
 		})
 		return res.Assign, res.NumClusters, nil, nil
 	case MethodPPAAware:
@@ -369,7 +383,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		zc.ZeroWire = true
 		an := sta.New(d, zc)
 		an.Workers = opt.Workers
-		paths := an.TopPaths(opt.NumPaths)
+		paths := an.TopPaths(numPaths)
 		pathNets := make([][]int, len(paths))
 		slacks := make([]float64, len(paths))
 		for i, p := range paths {
@@ -389,7 +403,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		sCost := cluster.SwitchCosts(edgeAct, opt.Mu)
 		res := cluster.MultilevelFC(view.H, cluster.Options{
 			Alpha: opt.Alpha, Beta: nonNegative(opt.Beta), Gamma: nonNegative(opt.Gamma),
-			TargetClusters: opt.TargetClusters, Seed: opt.Seed,
+			Seed:           opt.Seed,
 			Groups:         groups,
 			EdgeTimingCost: tCost,
 			EdgeSwitchCost: sCost,

@@ -50,10 +50,3 @@ func (a *Adam) Step() {
 		p.ZeroGrad()
 	}
 }
-
-// ZeroGrads clears every parameter gradient without stepping.
-func (a *Adam) ZeroGrads() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
-}

@@ -14,17 +14,6 @@ func benchGraph(b *testing.B) *GraphInput {
 	return BuildGraphInput(bench.Design, features.Options{Seed: 1})
 }
 
-// BenchmarkPredict measures one forward pass of the 4-branch model.
-func BenchmarkPredict(b *testing.B) {
-	g := benchGraph(b)
-	m := NewModel(1)
-	shape := vpr.Shape{AspectRatio: 1.0, Utilization: 0.85}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Predict(g, shape)
-	}
-}
-
 // BenchmarkPredictBestShape measures the flow's unit of inference work: all
 // 20 candidates on one graph, sequentially and at the automatic worker budget.
 func BenchmarkPredictBestShape(b *testing.B) {

@@ -7,8 +7,8 @@ import (
 	"ppaclust/internal/vpr"
 )
 
-// Inference kernel. Every prediction — Predict, Evaluate, CostModelFor,
-// PredictBestShape* — runs through inference.cost; the taped forward in
+// Inference kernel. Every prediction — Evaluate, PredictBestShape* — runs
+// through inference.cost; the taped forward in
 // model.go exists for Fit alone. The kernel computes the same function as the
 // taped forward with a different order of floating-point operations, so the
 // two agree to rounding (tests hold them to 1e-9 relative), not bit for bit;
@@ -323,12 +323,6 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		out += relu(y) * m.head2.W.Data[j]
 	}
 	return out*m.labelStd + m.labelMean
-}
-
-// Predict returns the predicted Total Cost for a cluster graph and shape.
-func (m *Model) Predict(g *GraphInput, shape vpr.Shape) float64 {
-	inf := m.prepare(g)
-	return inf.cost(newScratch(inf.n), shape)
 }
 
 // shapeCosts evaluates every candidate on one graph, spreading them over the

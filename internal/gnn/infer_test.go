@@ -21,6 +21,11 @@ func tapedPredict(m *Model, g *GraphInput, shape vpr.Shape) float64 {
 	return out.Data[0]*m.labelStd + m.labelMean
 }
 
+// predictOne is the inference kernel's cost of one shape.
+func predictOne(m *Model, g *GraphInput, shape vpr.Shape) float64 {
+	return m.shapeCosts(g, []vpr.Shape{shape}, 1)[0]
+}
+
 // oddGraph builds a cluster the generated designs never produce: a chain of
 // inverters, one net fanning out to more members than the operator accepts
 // (maxEdgePins), an instance wired twice to one net, and isolated cells.
@@ -121,9 +126,6 @@ func TestInferenceMatchesTapedForward(t *testing.T) {
 			if d := math.Abs(costs[i] - want[i]); !(d <= 1e-9*math.Abs(want[i])) {
 				t.Errorf("%s %+v: kernel %v, taped %v", name, s, costs[i], want[i])
 			}
-			if p := m.Predict(g, s); p != costs[i] {
-				t.Errorf("%s %+v: Predict %v differs from PredictBestShape's cost %v", name, s, p, costs[i])
-			}
 		}
 		if got, ref := argminShape(cands, costs), argminShape(cands, want); got != ref {
 			t.Errorf("%s: arg-min %+v, taped forward picks %+v", name, got, ref)
@@ -221,8 +223,8 @@ func TestPredictBestShapeDegenerateGraphs(t *testing.T) {
 	if got := m.PredictBestShape(empty); got != vpr.UniformShape {
 		t.Fatalf("empty graph: %+v, want the uniform shape", got)
 	}
-	if p := m.Predict(empty, vpr.UniformShape); p != tapedPredict(m, empty, vpr.UniformShape) {
-		t.Fatalf("empty graph: Predict %v, taped forward %v", p, tapedPredict(m, empty, vpr.UniformShape))
+	if p := predictOne(m, empty, vpr.UniformShape); p != tapedPredict(m, empty, vpr.UniformShape) {
+		t.Fatalf("empty graph: kernel %v, taped forward %v", p, tapedPredict(m, empty, vpr.UniformShape))
 	}
 	one := oddGraph(t, 1, 0, 0)
 	cands := vpr.ShapeCandidates()

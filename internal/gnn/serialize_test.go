@@ -22,8 +22,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Predictions must match bit-for-bit.
 	for _, s := range samples[:5] {
-		want := m.Predict(s.Graph, s.Shape)
-		got := loaded.Predict(s.Graph, s.Shape)
+		want := predictOne(m, s.Graph, s.Shape)
+		got := predictOne(loaded, s.Graph, s.Shape)
 		if want != got {
 			t.Fatalf("prediction drift after load: %v != %v", got, want)
 		}

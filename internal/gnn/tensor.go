@@ -36,20 +36,12 @@ func NewParam(r, c int, rng *rand.Rand) *Tensor {
 	return t
 }
 
-// At returns element (i,j).
-func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.C+j] }
-
-// Set assigns element (i,j).
-func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.C+j] = v }
-
 // ZeroGrad clears the gradient buffer.
 func (t *Tensor) ZeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
 	}
 }
-
-func (t *Tensor) String() string { return fmt.Sprintf("Tensor(%dx%d)", t.R, t.C) }
 
 // Ctx records the operation tape for one forward pass. Backward() replays
 // it in reverse. A Ctx is single-use.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"ppaclust/internal/netlist"
 	"ppaclust/internal/vpr"
 )
 
@@ -165,22 +164,4 @@ func (m *Model) Evaluate(samples []Sample) Metrics {
 		met.R2 = 1 - se/tss
 	}
 	return met
-}
-
-// CostModelFor wraps the trained model as a vpr.CostModel bound to one
-// prepared cluster graph, making it a drop-in replacement for the exact
-// V-P&R runner in vpr.BestShape. The shape-independent part of the
-// prediction is computed here, once; train the model before calling it.
-func (m *Model) CostModelFor(g *GraphInput) vpr.CostModel {
-	return modelCost{inf: m.prepare(g)}
-}
-
-type modelCost struct {
-	inf *inference
-}
-
-// TotalCost implements vpr.CostModel; the sub-design argument is unused
-// because the graph input was prepared up front.
-func (mc modelCost) TotalCost(_ *netlist.Design, shape vpr.Shape) float64 {
-	return mc.inf.cost(newScratch(mc.inf.n), shape)
 }

@@ -7,7 +7,6 @@ package hier
 
 import (
 	"math"
-	"sort"
 	"strings"
 
 	"ppaclust/internal/hypergraph"
@@ -20,20 +19,10 @@ type Dendrogram struct {
 	level    []int
 	children [][]int
 	insts    [][]int // instances attached to this node (leaves only after levelize)
-	name     []string
 	root     int
 	levelMax int
 	nInsts   int
 }
-
-// LevelMax returns the (post-levelization) common leaf level.
-func (dg *Dendrogram) LevelMax() int { return dg.levelMax }
-
-// NumNodes returns the number of dendrogram nodes.
-func (dg *Dendrogram) NumNodes() int { return len(dg.parent) }
-
-// NodeName returns the scope name of node i (for debugging/reports).
-func (dg *Dendrogram) NodeName(i int) string { return dg.name[i] }
 
 // Build constructs the dendrogram from the design's instance hierarchy
 // (instance names are '/'-separated paths). ok is false when the design is
@@ -47,7 +36,6 @@ func Build(d *netlist.Design) (*Dendrogram, bool) {
 		dg.level = append(dg.level, 0)
 		dg.children = append(dg.children, nil)
 		dg.insts = append(dg.insts, nil)
-		dg.name = append(dg.name, path)
 		if parent >= 0 {
 			dg.children[parent] = append(dg.children[parent], id)
 		}
@@ -112,7 +100,6 @@ func (dg *Dendrogram) splitMixedNodes() {
 		dg.level = append(dg.level, 0)
 		dg.children = append(dg.children, nil)
 		dg.insts = append(dg.insts, dg.insts[i])
-		dg.name = append(dg.name, dg.name[i]+"/<insts>")
 		dg.children[i] = append(dg.children[i], id)
 		dg.insts[i] = nil
 	}
@@ -151,7 +138,6 @@ func (dg *Dendrogram) levelize() {
 			dg.level = append(dg.level, k+1)
 			dg.children = append(dg.children, nil)
 			dg.insts = append(dg.insts, dg.insts[cur])
-			dg.name = append(dg.name, dg.name[cur])
 			dg.children[cur] = append(dg.children[cur], id)
 			dg.insts[cur] = nil
 			cur = id
@@ -240,18 +226,4 @@ func countDistinct(assign []int) int {
 		seen[c] = true
 	}
 	return len(seen)
-}
-
-// GroupSizes returns the sizes of clusters in an assignment, descending.
-func GroupSizes(assign []int) []int {
-	count := map[int]int{}
-	for _, c := range assign {
-		count[c]++
-	}
-	out := make([]int, 0, len(count))
-	for _, n := range count {
-		out = append(out, n)
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }

@@ -98,17 +98,17 @@ func TestBuildLevelsAndLevelize(t *testing.T) {
 	}
 	// Scopes: a (with insts + child sub -> mixed, splits), b, a/sub.
 	// Leaf levels: b's insts at level 1 originally -> replicated to levelMax.
-	if dg.LevelMax() < 2 {
-		t.Fatalf("levelMax=%d want >=2", dg.LevelMax())
+	if dg.levelMax < 2 {
+		t.Fatalf("levelMax=%d want >=2", dg.levelMax)
 	}
 	// After levelization, every instance-bearing node is a leaf at levelMax.
-	for v := 0; v < dg.NumNodes(); v++ {
+	for v := 0; v < len(dg.parent); v++ {
 		if len(dg.insts[v]) > 0 {
 			if len(dg.children[v]) != 0 {
 				t.Fatalf("node %d holds instances but has children", v)
 			}
-			if dg.level[v] != dg.LevelMax() {
-				t.Fatalf("leaf node %d at level %d != levelMax %d", v, dg.level[v], dg.LevelMax())
+			if dg.level[v] != dg.levelMax {
+				t.Fatalf("leaf node %d at level %d != levelMax %d", v, dg.level[v], dg.levelMax)
 			}
 		}
 	}
@@ -117,7 +117,7 @@ func TestBuildLevelsAndLevelize(t *testing.T) {
 func TestClusteringAtLevelCoversAllInstances(t *testing.T) {
 	d := hierDesign(t, 3)
 	dg, _ := Build(d)
-	for k := 0; k <= dg.LevelMax(); k++ {
+	for k := 0; k <= dg.levelMax; k++ {
 		assign := dg.ClusteringAtLevel(k)
 		if len(assign) != len(d.Insts) {
 			t.Fatalf("level %d: %d assignments for %d insts", k, len(assign), len(d.Insts))
@@ -181,13 +181,6 @@ func TestClusterSelectsInformativeLevel(t *testing.T) {
 	}
 	if h.WeightedAvgRent(res.Assign) >= h.WeightedAvgRent(rr) {
 		t.Fatal("hierarchy clustering should beat round-robin on Rent")
-	}
-}
-
-func TestGroupSizes(t *testing.T) {
-	sizes := GroupSizes([]int{5, 5, 5, 2, 2, 9})
-	if len(sizes) != 3 || sizes[0] != 3 || sizes[1] != 2 || sizes[2] != 1 {
-		t.Fatalf("sizes=%v", sizes)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestPropertyLevelsAreRefinements(t *testing.T) {
 			return false
 		}
 		prev := dg.ClusteringAtLevel(0)
-		for k := 1; k <= dg.LevelMax(); k++ {
+		for k := 1; k <= dg.levelMax; k++ {
 			cur := dg.ClusteringAtLevel(k)
 			// Same cluster at level k implies same cluster at level k-1.
 			rep := map[int]int{}

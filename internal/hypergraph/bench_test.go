@@ -30,14 +30,3 @@ func BenchmarkCliqueExpand(b *testing.B) {
 		h.CliqueExpand()
 	}
 }
-
-// BenchmarkNeighbors measures repeated neighbor queries (the clustering
-// gain-update hot path shape).
-func BenchmarkNeighbors(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	h := randomHypergraph(rng, 20000, 40000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Neighbors(i % h.NumVertices())
-	}
-}

@@ -88,6 +88,3 @@ func (g *Graph) WeightedDegree(v int) float64 {
 	}
 	return d
 }
-
-// Degree returns the number of distinct neighbors of v (self excluded).
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }

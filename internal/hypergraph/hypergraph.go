@@ -40,12 +40,6 @@ type Hypergraph struct {
 	// mutating while readers are active was never supported.
 	inc   atomic.Pointer[incidenceCSR]
 	incMu sync.Mutex
-
-	// Epoch-stamped scratch for Neighbors: nbStamp[u] == nbEpoch marks u as
-	// seen in the current call, so repeated queries allocate nothing.
-	nbStamp []int32
-	nbEpoch int32
-	nbOut   []int
 }
 
 type incidenceCSR struct {
@@ -145,16 +139,10 @@ func (h *Hypergraph) Edge(e int) []int {
 // Incident returns the IDs of edges incident to vertex v, in ascending
 // order. The returned slice is a view into the incidence CSR and must not be
 // mutated. The CSR is built on first use after a mutation; concurrent
-// Incident/Degree/Edge reads are safe with each other.
+// Incident/Edge reads are safe with each other.
 func (h *Hypergraph) Incident(v int) []int {
 	inc := h.incidence()
 	return inc.edges[inc.start[v]:inc.start[v+1]]
-}
-
-// Degree returns the number of edges incident to vertex v.
-func (h *Hypergraph) Degree(v int) int {
-	inc := h.incidence()
-	return int(inc.start[v+1] - inc.start[v])
 }
 
 // incidence returns the vertex→edge CSR, building it once per topology.
@@ -198,40 +186,6 @@ func (h *Hypergraph) TotalVertexWeight() float64 {
 		s += w
 	}
 	return s
-}
-
-// Neighbors returns the distinct vertices sharing at least one edge with v,
-// excluding v itself. The result is sorted. The returned slice is a scratch
-// buffer owned by the hypergraph: it is valid only until the next Neighbors
-// call, and concurrent calls must not share one Hypergraph.
-func (h *Hypergraph) Neighbors(v int) []int {
-	inc := h.incidence()
-	if len(h.nbStamp) < len(h.vertexWeight) {
-		h.nbStamp = make([]int32, len(h.vertexWeight))
-		h.nbEpoch = 0
-	}
-	if h.nbEpoch == math.MaxInt32 {
-		for i := range h.nbStamp {
-			h.nbStamp[i] = 0
-		}
-		h.nbEpoch = 0
-	}
-	h.nbEpoch++
-	stamp := h.nbEpoch
-	h.nbStamp[v] = stamp
-	out := h.nbOut[:0]
-	for _, e := range inc.edges[inc.start[v]:inc.start[v+1]] {
-		for k := h.edgeStart[e]; k < h.edgeStart[e+1]; k++ {
-			u := h.edgePins[k]
-			if h.nbStamp[u] != stamp {
-				h.nbStamp[u] = stamp
-				out = append(out, u)
-			}
-		}
-	}
-	sort.Ints(out)
-	h.nbOut = out
-	return out
 }
 
 // Contraction is the result of contracting a hypergraph under a cluster map.

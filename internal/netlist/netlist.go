@@ -227,11 +227,6 @@ func (r Rect) H() float64 { return r.Y1 - r.Y0 }
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.W() * r.H() }
 
-// Contains reports whether (x,y) lies inside the rectangle.
-func (r Rect) Contains(x, y float64) bool {
-	return x >= r.X0 && x <= r.X1 && y >= r.Y0 && y <= r.Y1
-}
-
 // PinRef identifies one connection of a net: either pin Pin of instance
 // Inst, or (when Inst < 0) the top-level port named Pin.
 type PinRef struct {

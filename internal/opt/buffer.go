@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/sta"
 )
 
 // BufferOptions configures buffer insertion.
@@ -206,16 +205,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// RepairTiming runs insertion then reports the WNS delta via fresh analyses
-// (a convenience wrapper used by the flow and tests).
-func RepairTiming(d *netlist.Design, cons sta.Constraints, opt BufferOptions) (BufferReport, float64, float64, error) {
-	before := sta.New(d, cons).Timing().WNS
-	rep, err := InsertBuffers(d, opt)
-	if err != nil {
-		return rep, 0, 0, err
-	}
-	after := sta.New(d, cons).Timing().WNS
-	return rep, before, after, nil
 }

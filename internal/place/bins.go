@@ -6,8 +6,8 @@ import (
 	"ppaclust/internal/netlist"
 )
 
-// binGrid is the density grid used for overflow measurement and FastPlace
-// style cell shifting.
+// binGrid is the density grid used for overflow measurement and as the
+// capacity model of the bisection spreader.
 type binGrid struct {
 	core     netlist.Rect
 	nx, ny   int
@@ -111,59 +111,6 @@ func (g *binGrid) overflow() float64 {
 		return 0
 	}
 	return over / total
-}
-
-// shift returns the cell-shifted position of (x, y): 1-D shifting along x
-// within the cell's bin row, then along y within its bin column (FastPlace).
-func (g *binGrid) shift(x, y float64) (float64, float64) {
-	i, j := g.index(x, y)
-	nx := g.shift1d(x, i, func(k int) float64 { return g.util(k, j) },
-		g.core.X0, g.bw, g.nx)
-	ny := g.shift1d(y, j, func(k int) float64 { return g.util(i, k) },
-		g.core.Y0, g.bh, g.ny)
-	return nx, ny
-}
-
-func (g *binGrid) util(i, j int) float64 {
-	c := g.capacity[j*g.nx+i]
-	if c <= 0 {
-		return 4 // fully blocked bins repel strongly
-	}
-	u := g.area[j*g.nx+i] / c
-	if u > 4 {
-		u = 4
-	}
-	return u
-}
-
-// shift1d implements FastPlace's bin-boundary shifting for one axis: the
-// boundary between bin k and k+1 moves toward the less-utilized side, and a
-// cell's position maps linearly from old bin extents to new ones.
-func (g *binGrid) shift1d(pos float64, k int, util func(int) float64,
-	origin, binSize float64, nBins int) float64 {
-
-	const delta = 0.3
-	b0 := origin + float64(k)*binSize // old left boundary
-	b1 := b0 + binSize                // old right boundary
-	// New boundaries, each computed against the neighbor across it.
-	nb0, nb1 := b0, b1
-	if k > 0 {
-		uL, uC := util(k-1), util(k)
-		// An overfull bin expands into its lighter neighbor: the shared
-		// boundary moves toward the lighter side. Both adjacent bins compute
-		// the same new boundary (the expression is antisymmetric).
-		nb0 = b0 - 0.5*binSize*(uC-uL)/(uC+uL+delta)
-	}
-	if k < nBins-1 {
-		uC, uR := util(k), util(k+1)
-		nb1 = b1 + 0.5*binSize*(uC-uR)/(uC+uR+delta)
-	}
-	if nb1-nb0 < 0.05*binSize {
-		mid := (nb0 + nb1) / 2
-		nb0, nb1 = mid-0.025*binSize, mid+0.025*binSize
-	}
-	t := (pos - b0) / binSize
-	return nb0 + t*(nb1-nb0)
 }
 
 // capacityOf approximates the free capacity inside a rectangle by summing

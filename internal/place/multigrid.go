@@ -42,16 +42,6 @@ func (p *placer) useCoarseInit() bool {
 		len(p.movable) >= coarseInitMinCells
 }
 
-// keepResolved forwards an already-resolved option value into a child solve:
-// a resolved 0 means "explicitly disabled", which the child's withDefaults
-// expresses as a negative value (0 would flip back to the default).
-func keepResolved(v float64) float64 {
-	if v == 0 {
-		return -1
-	}
-	return v
-}
-
 // coarseInit overwrites the initial positions (and first-round spreading
 // anchors) with the interpolated coarse placement. On any degenerate input
 // (clustering collapses, contraction fails) it leaves the center-seeded
@@ -169,15 +159,11 @@ func (p *placer) coarseInit() {
 	// singletons — so a sparsely connected design can hand back a coarse
 	// design that is itself above coarseInitMinCells.
 	cres2 := Global(cd, Options{
-		Iterations:    p.opt.Iterations,
-		CGIterations:  p.opt.CGIterations,
-		TargetDensity: p.opt.TargetDensity,
-		SpreadWeight:  keepResolved(p.opt.SpreadWeight),
-		OverflowStop:  keepResolved(p.opt.OverflowStop),
-		Seed:          p.opt.Seed,
-		Workers:       p.opt.Workers,
-		noStall:       true,
-		coarseInit:    -1,
+		Iterations: p.opt.Iterations,
+		Seed:       p.opt.Seed,
+		Workers:    p.opt.Workers,
+		noStall:    true,
+		coarseInit: -1,
 	})
 	p.cgIters += cres2.CGIterations
 

@@ -102,24 +102,3 @@ func ringOffsets(r int) [][2]int {
 	}
 	return out
 }
-
-// OverlapArea returns the total pairwise overlap area between movable cells
-// (diagnostic used by tests and the flow's assertions).
-func OverlapArea(d *netlist.Design) float64 {
-	cells := make([]*netlist.Instance, 0, len(d.Insts))
-	for _, inst := range d.Insts {
-		if inst.Placed || inst.Fixed {
-			cells = append(cells, inst)
-		}
-	}
-	var total float64
-	for i := 0; i < len(cells); i++ {
-		for j := i + 1; j < len(cells); j++ {
-			a, b := cells[i], cells[j]
-			ox := overlap1d(a.X, a.X+a.Master.Width, b.X, b.X+b.Master.Width)
-			oy := overlap1d(a.Y, a.Y+a.Master.Height, b.Y, b.Y+b.Master.Height)
-			total += ox * oy
-		}
-	}
-	return total
-}

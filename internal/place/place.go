@@ -1,8 +1,8 @@
 // Package place is the reproduction's global placer, standing in for
 // RePlAce/OpenROAD gpl and the Innovus placer. It is a quadratic placer:
 // a bound-to-bound (B2B) net model is solved per axis with Jacobi-
-// preconditioned conjugate gradient, interleaved with FastPlace-style
-// cell-shifting spreading anchored through pseudo-nets. From-scratch runs on
+// preconditioned conjugate gradient, interleaved with capacity-bisection
+// spreading anchored through pseudo-nets. From-scratch runs on
 // large designs warm-start from a cluster-hierarchy coarse placement
 // (multigrid style; see multigrid.go). It supports the two modes the
 // paper's flow requires: from-scratch placement of (clustered) netlists, and
@@ -32,20 +32,11 @@ type Options struct {
 	// Iterations is the number of solve+spread rounds. Default 24 (12 when
 	// Incremental).
 	Iterations int
-	// CGIterations bounds the conjugate-gradient iterations per solve.
-	// Default 50. Solves also exit early once the preconditioned residual
-	// drops by cgRelTol relative to the start of the solve.
-	CGIterations int
-	// TargetDensity is the per-bin density ceiling. Default max(0.75,
-	// utilization*1.15) clamped to 1.
-	TargetDensity float64
 	// Incremental starts from the instances' current positions and anchors
 	// to them instead of starting at the core center.
 	Incremental bool
 	// AnchorWeight scales the seed anchors in incremental mode. Default 0.03.
 	AnchorWeight float64
-	// SpreadWeight scales the spreading pseudo-net weights. Default 0.18.
-	SpreadWeight float64
 	// Regions constrains instances (by ID) to rectangles; cells are clamped
 	// into their region after every round.
 	Regions map[int]netlist.Rect
@@ -63,9 +54,6 @@ type Options struct {
 	Seed int64
 	// Legalize snaps cells to rows and sites after global placement.
 	Legalize bool
-	// OverflowStop ends iterations early once bin overflow drops below this
-	// fraction. Default 0.12.
-	OverflowStop float64
 	// Workers bounds the goroutines used by net assembly, the CG matvec and
 	// density evaluation: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 =
 	// exact sequential path. All parallel paths reduce in fixed order, so the
@@ -98,23 +86,7 @@ type Options struct {
 	coarseInit int
 }
 
-// Option resolution convention: for every tunable scalar, zero selects the
-// default and a negative value means "explicitly disabled" — resolved to the
-// value that makes the knob a no-op (0 for additive weights and thresholds,
-// 1 for the density ceiling). Positive values pass through unchanged.
-// Iterations and CGIterations have no meaningful disabled state, so for them
-// any value <= 0 selects the default.
-func resolveOpt(v, def, disabled float64) float64 {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return disabled
-	}
-	return v
-}
-
-func (o Options) withDefaults(d *netlist.Design) Options {
+func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		if o.Incremental {
 			o.Iterations = 12
@@ -122,26 +94,34 @@ func (o Options) withDefaults(d *netlist.Design) Options {
 			o.Iterations = 24
 		}
 	}
-	if o.CGIterations <= 0 {
-		o.CGIterations = 50
+	if o.AnchorWeight <= 0 {
+		o.AnchorWeight = 0.03
 	}
-	if o.TargetDensity == 0 {
-		u := d.Utilization() * 1.15
-		if u < 0.75 {
-			u = 0.75
-		}
-		if u > 1 {
-			u = 1
-		}
-		o.TargetDensity = u
-	} else if o.TargetDensity < 0 {
-		o.TargetDensity = 1 // disabled headroom: bins fill to 100%
-	}
-	o.AnchorWeight = resolveOpt(o.AnchorWeight, 0.03, 0)
-	o.SpreadWeight = resolveOpt(o.SpreadWeight, 0.18, 0)
-	o.OverflowStop = resolveOpt(o.OverflowStop, 0.12, 0) // overflow is never < 0
 	return o
 }
+
+// targetDensityOf is the per-bin density ceiling spreading works to:
+// max(0.75, utilization*1.15), clamped to 1.
+func targetDensityOf(d *netlist.Design) float64 {
+	u := d.Utilization() * 1.15
+	if u < 0.75 {
+		u = 0.75
+	}
+	if u > 1 {
+		u = 1
+	}
+	return u
+}
+
+const (
+	// cgMaxIters bounds the conjugate-gradient iterations per solve.
+	cgMaxIters = 50
+	// spreadWeight scales the spreading pseudo-net weights.
+	spreadWeight = 0.18
+	// overflowStop ends the rounds early once bin overflow drops below
+	// this fraction.
+	overflowStop = 0.12
+)
 
 // cgRelTol is the relative preconditioned-residual reduction at which a CG
 // solve stops early: rz <= cgRelTol^2 * rz0 corresponds to a cgRelTol drop
@@ -152,8 +132,8 @@ const cgRelTol = 1e-5
 
 // Overflow stagnation cut. The density grid quantizes overflow: with n x n
 // bins over nCells cells (n ~ sqrt(nCells/4), clamped to [4,128]), a small
-// design's overflow floor can sit well above OverflowStop — at 10k cells the
-// 52x52 grid floors near 0.196 and the OverflowStop=0.12 exit never fires,
+// design's overflow floor can sit well above overflowStop — at 10k cells the
+// 52x52 grid floors near 0.196 and the overflowStop exit never fires,
 // so the loop used to burn all 24 rounds grinding an already-converged
 // placement. Instead, once past the mandatory two rounds, stop after the
 // overflow has failed to beat its best value by more than
@@ -264,7 +244,7 @@ type sparseEntry struct {
 // Global runs global placement on the design and writes final positions
 // into the instances.
 func Global(d *netlist.Design, opt Options) Result {
-	opt = opt.withDefaults(d)
+	opt = opt.withDefaults()
 	p := &placer{d: d, opt: opt, core: d.Core, workers: par.Workers(opt.Workers)}
 	p.collect()
 	if len(p.movable) == 0 {
@@ -283,7 +263,7 @@ func Global(d *netlist.Design, opt Options) Result {
 		if opt.RegionIterations > 0 && iter == opt.RegionIterations {
 			p.opt.Regions = nil // constraints removed after the guided phase
 		}
-		spreadW := opt.SpreadWeight * math.Sqrt(float64(iter))
+		spreadW := spreadWeight * math.Sqrt(float64(iter))
 		p.solveAxis(true, spreadW)
 		p.solveAxis(false, spreadW)
 		p.clampAll()
@@ -297,12 +277,12 @@ func Global(d *netlist.Design, opt Options) Result {
 			stall = 0
 			continue
 		}
-		if overflow < opt.OverflowStop && iter >= 2 {
+		if overflow < overflowStop && iter >= 2 {
 			iter++
 			break
 		}
 		// Overflow has a floor set by the bin quantization (see DESIGN.md):
-		// a small design on a coarse grid can sit above OverflowStop forever.
+		// a small design on a coarse grid can sit above overflowStop forever.
 		// Stop once overflow fails to improve on its best by >1% for three
 		// consecutive rounds — pure function of the overflow sequence, so the
 		// cut is bit-identical across worker counts.
@@ -405,7 +385,7 @@ func (p *placer) collect() {
 	p.byY = make([]int32, n)
 	p.partBuf = make([]int32, n)
 	p.sideLo = make([]bool, n)
-	p.bins = newBinGrid(p.core, n, p.opt.TargetDensity)
+	p.bins = newBinGrid(p.core, n, targetDensityOf(d))
 	// Fixed macro area reduces bin capacity.
 	for _, inst := range d.Insts {
 		if inst.Fixed && inst.Master.Class == netlist.ClassMacro {
@@ -654,7 +634,7 @@ func (p *placer) addSpring(vi, vj int, ci, cj float64, w float64) {
 // cg solves (D - O) x = rhs with Jacobi-preconditioned conjugate gradient,
 // warm-started from the current positions. Work vectors live on the placer
 // and are reused across solves; the returned slice is p.cgX, valid until the
-// next call. Solves stop at CGIterations, at an absolute residual floor, or
+// next call. Solves stop at cgMaxIters, at an absolute residual floor, or
 // once the preconditioned residual norm drops below cgRelTol times the
 // right-hand side's — the textbook relative criterion, which lets
 // warm-started solves (coarse-init refinement, incremental mode) exit after
@@ -686,7 +666,7 @@ func (p *placer) cg(xAxis bool) []float64 {
 		floor = 1e-20
 	}
 	it := 0
-	for ; it < p.opt.CGIterations && rz > floor; it++ {
+	for ; it < cgMaxIters && rz > floor; it++ {
 		dad := p.mulADot(d, ax)
 		if dad <= 0 {
 			break

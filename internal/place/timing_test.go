@@ -119,7 +119,7 @@ func TestOverflowMeasuredAfterLegalize(t *testing.T) {
 	res := Global(d, Options{Seed: 2, Legalize: true})
 	// Recompute the bin overflow from the design's final coordinates with an
 	// independent placer instance and compare bit-for-bit.
-	p := &placer{d: d, opt: Options{Seed: 2, Legalize: true}.withDefaults(d), core: d.Core, workers: 1}
+	p := &placer{d: d, opt: Options{Seed: 2, Legalize: true}.withDefaults(), core: d.Core, workers: 1}
 	p.collect()
 	want := p.finalOverflow()
 	if math.Float64bits(res.Overflow) != math.Float64bits(want) {

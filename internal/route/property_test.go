@@ -58,7 +58,7 @@ func TestPropertyMSTConnects(t *testing.T) {
 				cells = append(cells, c)
 			}
 		}
-		segs := decompose(cells, 64)
+		segs := mstSegs(cells)
 		if len(segs) != n-1 {
 			return false
 		}

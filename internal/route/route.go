@@ -118,9 +118,6 @@ func (g *Grid) Cell(x, y float64) (int, int) {
 	return i, j
 }
 
-// NumCells returns the total number of GCells.
-func (g *Grid) NumCells() int { return g.nx * g.ny }
-
 func (g *Grid) hIdx(i, j int) int { return j*(g.nx-1) + i }
 func (g *Grid) vIdx(i, j int) int { return j*g.nx + i }
 
@@ -322,16 +319,11 @@ func (c *routeCtx) route(i0, j0, i1, j1 int) segRoute {
 	return best
 }
 
-// route and cost against the live grid (no overlay): the rip-up passes and
-// the tests use this serial view.
+// route against the live grid (no overlay): the rip-up passes and the tests
+// use this serial view.
 func (g *Grid) route(i0, j0, i1, j1 int) segRoute {
 	c := routeCtx{g: g}
 	return c.route(i0, j0, i1, j1)
-}
-
-func (g *Grid) cost(s segRoute) float64 {
-	c := routeCtx{g: g}
-	return c.cost(s)
 }
 
 func clampInt(v, lo, hi int) int {

@@ -22,8 +22,8 @@ func TestGridBasics(t *testing.T) {
 	if i != 0 || j != g.ny-1 {
 		t.Fatalf("clamped cell=(%d,%d)", i, j)
 	}
-	if g.NumCells() != 121 {
-		t.Fatalf("cells=%d", g.NumCells())
+	if g.nx*g.ny != 121 {
+		t.Fatalf("cells=%d", g.nx*g.ny)
 	}
 }
 
@@ -72,16 +72,16 @@ func TestRouteAvoidsCongestion(t *testing.T) {
 	}
 	s := g.route(0, 0, 9, 0)
 	// The best route should detour off row 0.
-	cost := g.cost(s)
+	c := routeCtx{g: g}
 	direct := segRoute{i0: 0, j0: 0, i1: 9, j1: 0, im: 9, hFirst: true}
-	if cost >= g.cost(direct) {
-		t.Fatalf("router did not avoid congestion: cost %v vs direct %v", cost, g.cost(direct))
+	if c.cost(s) >= c.cost(direct) {
+		t.Fatalf("router did not avoid congestion: cost %v vs direct %v", c.cost(s), c.cost(direct))
 	}
 }
 
 func TestDecomposeMST(t *testing.T) {
 	cells := [][2]int{{0, 0}, {0, 5}, {5, 0}}
-	segs := decompose(cells, 64)
+	segs := mstSegs(cells)
 	if len(segs) != 2 {
 		t.Fatalf("segments=%d want 2", len(segs))
 	}
@@ -100,7 +100,7 @@ func TestDecomposeHugeNetChains(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		cells = append(cells, [2]int{i % 20, i / 20})
 	}
-	segs := decompose(cells, 64)
+	segs := mstSegs(cells)
 	if len(segs) != len(cells)-1 {
 		t.Fatalf("chain segments=%d want %d", len(segs), len(cells)-1)
 	}
@@ -129,8 +129,8 @@ func TestCellCongestionShape(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
 	g := NewGrid(core, 10, 4, 4)
 	c := g.CellCongestion()
-	if len(c) != g.NumCells() {
-		t.Fatalf("len=%d want %d", len(c), g.NumCells())
+	if len(c) != g.nx*g.ny {
+		t.Fatalf("len=%d want %d", len(c), g.nx*g.ny)
 	}
 	g.hUse[g.hIdx(2, 3)] = 2
 	c = g.CellCongestion()

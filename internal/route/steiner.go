@@ -99,12 +99,6 @@ func (sc *decScratch) decompose(cells [][2]int, maxPins int, out [][4]int) [][4]
 	return out
 }
 
-// decompose is the scratch-free wrapper used by tests and SteinerLength.
-func decompose(cells [][2]int, maxPins int) [][4]int {
-	var sc decScratch
-	return sc.decompose(cells, maxPins, nil)
-}
-
 // steiner appends 2-pin segments connecting all cells, possibly through
 // added Steiner points, for nets with 3..maxSteinerPins terminals. Smaller
 // or larger nets take the pure MST / chain path above.
@@ -159,21 +153,4 @@ func (sc *decScratch) steiner(cells [][2]int, maxPins int, out [][4]int) [][4]in
 	// final point set yields the tree; degree-1 Steiner points can only
 	// appear if they did not improve length, which the gain test excludes.
 	return sc.decompose(pts, maxPins, out)
-}
-
-// steinerDecompose is the scratch-free wrapper.
-func steinerDecompose(cells [][2]int, maxPins int) [][4]int {
-	var sc decScratch
-	return sc.steiner(cells, maxPins, nil)
-}
-
-// SteinerLength returns the total length of the Steiner decomposition of
-// the given cells (in grid units) — exposed for wirelength estimation.
-func SteinerLength(cells [][2]int) int {
-	segs := steinerDecompose(cells, 1<<30)
-	total := 0
-	for _, s := range segs {
-		total += abs(s[2]-s[0]) + abs(s[3]-s[1])
-	}
-	return total
 }

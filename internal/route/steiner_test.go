@@ -6,14 +6,31 @@ import (
 	"testing/quick"
 )
 
+// mstSegs and steinerSegs run the two decompositions on fresh scratch.
+func mstSegs(cells [][2]int) [][4]int {
+	var sc decScratch
+	return sc.decompose(cells, 64, nil)
+}
+
+func steinerSegs(cells [][2]int, maxPins int) [][4]int {
+	var sc decScratch
+	return sc.steiner(cells, maxPins, nil)
+}
+
+// treeLength is the total Manhattan length of a decomposition.
+func treeLength(segs [][4]int) int {
+	total := 0
+	for _, s := range segs {
+		total += abs(s[2]-s[0]) + abs(s[3]-s[1])
+	}
+	return total
+}
+
 func TestSteinerBeatsMSTOnLCase(t *testing.T) {
 	// Classic 3-terminal case: MST = 6, Steiner (via (1,0)) = 5.
 	cells := [][2]int{{0, 0}, {2, 0}, {1, 3}}
-	mst := 0
-	for _, s := range decompose(cells, 64) {
-		mst += abs(s[2]-s[0]) + abs(s[3]-s[1])
-	}
-	st := SteinerLength(cells)
+	mst := treeLength(mstSegs(cells))
+	st := treeLength(steinerSegs(cells, 1<<30))
 	if st >= mst {
 		t.Fatalf("steiner %d should beat mst %d", st, mst)
 	}
@@ -23,7 +40,7 @@ func TestSteinerBeatsMSTOnLCase(t *testing.T) {
 }
 
 func TestSteinerTwoPinsIsDirect(t *testing.T) {
-	if got := SteinerLength([][2]int{{0, 0}, {3, 4}}); got != 7 {
+	if got := treeLength(steinerSegs([][2]int{{0, 0}, {3, 4}}, 1<<30)); got != 7 {
 		t.Fatalf("2-pin steiner=%d want 7", got)
 	}
 }
@@ -41,11 +58,8 @@ func TestPropertySteinerNeverWorseThanMST(t *testing.T) {
 				cells = append(cells, c)
 			}
 		}
-		mst := 0
-		for _, s := range decompose(cells, 64) {
-			mst += abs(s[2]-s[0]) + abs(s[3]-s[1])
-		}
-		st := SteinerLength(cells)
+		mst := treeLength(mstSegs(cells))
+		st := treeLength(steinerSegs(cells, 1<<30))
 		// Steiner must not exceed MST, and must stay above the HPWL bound.
 		minX, maxX := cells[0][0], cells[0][0]
 		minY, maxY := cells[0][1], cells[0][1]
@@ -84,7 +98,7 @@ func TestPropertySteinerStillConnects(t *testing.T) {
 				cells = append(cells, c)
 			}
 		}
-		segs := steinerDecompose(cells, 64)
+		segs := steinerSegs(cells, 64)
 		// Union-find over all endpoint coordinates; every terminal must end
 		// in one component.
 		id := map[[2]int]int{}

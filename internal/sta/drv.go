@@ -1,7 +1,5 @@
 package sta
 
-import "ppaclust/internal/netlist"
-
 // Design-rule (DRV) checks: max-capacitance and max-transition violations,
 // the electrical sanity checks signoff flows report next to WNS/TNS.
 
@@ -62,28 +60,4 @@ func (a *Analyzer) DRV() DRVReport {
 		}
 	}
 	return rep
-}
-
-// FanoutHistogram buckets nets by fanout (sinks per net) — a quick netlist
-// quality diagnostic used by the cluster tooling.
-func FanoutHistogram(d *netlist.Design, buckets []int) []int {
-	out := make([]int, len(buckets)+1)
-	for _, n := range d.Nets {
-		fan := len(n.Pins) - 1
-		if fan < 0 {
-			fan = 0
-		}
-		placed := false
-		for bi, lim := range buckets {
-			if fan <= lim {
-				out[bi]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			out[len(buckets)]++
-		}
-	}
-	return out
 }

@@ -47,19 +47,3 @@ func TestDRVMaxCapViolation(t *testing.T) {
 		t.Fatalf("ratio=%v", rep.WorstCapRatio)
 	}
 }
-
-func TestFanoutHistogram(t *testing.T) {
-	d := combChain(t, 4)
-	hist := FanoutHistogram(d, []int{1, 4, 10})
-	total := 0
-	for _, c := range hist {
-		total += c
-	}
-	if total != len(d.Nets) {
-		t.Fatalf("histogram total %d != nets %d", total, len(d.Nets))
-	}
-	// All chain nets have fanout 1.
-	if hist[0] != len(d.Nets) {
-		t.Fatalf("hist=%v", hist)
-	}
-}

@@ -50,7 +50,7 @@ func (a *Analyzer) HoldTiming() HoldSummary {
 			arc := a.eArc[ei]
 			load := a.loadOf(v)
 			clkAt := a.clockAtNode(a.eFrom[ei])
-			at := clkAt + a.derate.early()*arc.Delay.Lookup(a.cons.InputSlew, load)
+			at := clkAt + arc.Delay.Lookup(a.cons.InputSlew, load)
 			if at < minAT[v] {
 				minAT[v] = at
 				hasMin[v] = true
@@ -67,10 +67,10 @@ func (a *Analyzer) HoldTiming() HoldSummary {
 			to := a.eTo[ei]
 			var at float64
 			if arc != nil {
-				at = minAT[v] + a.derate.early()*arc.Delay.Lookup(a.cons.InputSlew, a.loadOf(to))
+				at = minAT[v] + arc.Delay.Lookup(a.cons.InputSlew, a.loadOf(to))
 			} else {
 				sinkCap := a.nodeCap[to]
-				at = minAT[v] + a.derate.early()*WireResPerMicron*a.eWire[ei]*(WireCapPerMicron*a.eWire[ei]/2+sinkCap)
+				at = minAT[v] + WireResPerMicron*a.eWire[ei]*(WireCapPerMicron*a.eWire[ei]/2+sinkCap)
 			}
 			if at < minAT[to] {
 				minAT[to] = at

@@ -260,7 +260,7 @@ func (a *Analyzer) pullArrival(v int32) {
 			load := a.loadOf(v)
 			clkAt := a.clockAtNode(a.eFrom[ei])
 			slewIn := a.slew[a.eFrom[ei]]
-			at := clkAt + a.derate.late()*arc.Delay.Lookup(slewIn, load)
+			at := clkAt + arc.Delay.Lookup(slewIn, load)
 			if at > a.at[v] {
 				a.at[v] = at
 				a.hasAT[v] = true
@@ -276,12 +276,12 @@ func (a *Analyzer) pullArrival(v int32) {
 		var at, slew float64
 		if arc != nil {
 			load := a.loadOf(v)
-			at = a.at[from] + a.derate.late()*arc.Delay.Lookup(a.slew[from], load)
+			at = a.at[from] + arc.Delay.Lookup(a.slew[from], load)
 			slew = arc.Slew.Lookup(a.slew[from], load)
 		} else {
 			// Net arc: Elmore-style wire delay to this sink.
 			sinkCap := a.nodeCap[v]
-			wd := a.derate.late() * WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
+			wd := WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
 			at = a.at[from] + wd
 			slew = a.slew[from] + 0.2*wd
 		}
@@ -341,10 +341,10 @@ func (a *Analyzer) pullRequired(u int32) {
 		var rat float64
 		if arc != nil {
 			load := a.loadOf(to)
-			rat = a.rat[to] - a.derate.late()*arc.Delay.Lookup(a.slew[u], load)
+			rat = a.rat[to] - arc.Delay.Lookup(a.slew[u], load)
 		} else {
 			sinkCap := a.nodeCap[to]
-			wd := a.derate.late() * WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
+			wd := WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
 			rat = a.rat[to] - wd
 		}
 		if rat < a.rat[u] {

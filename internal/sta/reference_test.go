@@ -27,7 +27,6 @@ type refAnalyzer struct {
 	netLoad []float64
 
 	clockArrival map[int]float64
-	derate       Derate
 }
 
 type refEdge struct {
@@ -38,16 +37,16 @@ type refEdge struct {
 }
 
 type refNode struct {
-	id      PinID
-	kind    nodeKind
-	net     int
-	at      float64
-	rat     float64
-	slew    float64
-	hasAT   bool
-	hasRAT  bool
-	isClk   bool
-	endp    bool
+	id     PinID
+	kind   nodeKind
+	net    int
+	at     float64
+	rat    float64
+	slew   float64
+	hasAT  bool
+	hasRAT bool
+	isClk  bool
+	endp   bool
 }
 
 func newRef(d *netlist.Design, cons Constraints) *refAnalyzer {
@@ -340,7 +339,7 @@ func (r *refAnalyzer) run() {
 			load := r.loadOf(v)
 			clkAt := r.clockAtInst(nd.id.Inst, e.arc.From)
 			slewIn := r.nodes[e.from].slew
-			at := clkAt + r.derate.late()*e.arc.Delay.Lookup(slewIn, load)
+			at := clkAt + e.arc.Delay.Lookup(slewIn, load)
 			if at > nd.at {
 				nd.at = at
 				nd.hasAT = true
@@ -359,11 +358,11 @@ func (r *refAnalyzer) run() {
 			var at, slew float64
 			if e.isCell {
 				load := r.loadOf(e.to)
-				at = nd.at + r.derate.late()*e.arc.Delay.Lookup(nd.slew, load)
+				at = nd.at + e.arc.Delay.Lookup(nd.slew, load)
 				slew = e.arc.Slew.Lookup(nd.slew, load)
 			} else {
 				sinkCap := r.sinkCap(e.to)
-				wd := r.derate.late() * WireResPerMicron * e.wireLen * (WireCapPerMicron*e.wireLen/2 + sinkCap)
+				wd := WireResPerMicron * e.wireLen * (WireCapPerMicron*e.wireLen/2 + sinkCap)
 				at = nd.at + wd
 				slew = nd.slew + 0.2*wd
 			}
@@ -422,10 +421,10 @@ func (r *refAnalyzer) run() {
 			var rat float64
 			if e.isCell {
 				load := r.loadOf(v)
-				rat = nd.rat - r.derate.late()*e.arc.Delay.Lookup(from.slew, load)
+				rat = nd.rat - e.arc.Delay.Lookup(from.slew, load)
 			} else {
 				sinkCap := r.sinkCap(v)
-				wd := r.derate.late() * WireResPerMicron * e.wireLen * (WireCapPerMicron*e.wireLen/2 + sinkCap)
+				wd := WireResPerMicron * e.wireLen * (WireCapPerMicron*e.wireLen/2 + sinkCap)
 				rat = nd.rat - wd
 			}
 			if rat < from.rat {

@@ -135,7 +135,6 @@ type Analyzer struct {
 	netArcOff []int32   // net -> its net arcs are edge ids [netArcOff[n], netArcOff[n+1])
 
 	clockAt []float64 // per-node clock arrival (from CTS); nil = ideal clock
-	derate  Derate    // OCV scale factors
 
 	activity []float64 // per-node switching activity (toggles/cycle)
 	actDone  bool
@@ -658,19 +657,6 @@ func (a *Analyzer) clockAtInst(inst int32, clkPin string) float64 {
 		return a.clockAt[n]
 	}
 	return 0
-}
-
-// SlackAt returns the slack at a pin, or +Inf if the pin is not constrained.
-func (a *Analyzer) SlackAt(id PinID) float64 {
-	a.Run()
-	n, ok := a.nodeOfPin(id)
-	if !ok {
-		return math.Inf(1)
-	}
-	if !a.hasAT[n] || !a.hasRAT[n] {
-		return math.Inf(1)
-	}
-	return a.rat[n] - a.at[n]
 }
 
 // ArrivalAt returns the arrival time at a pin; ok is false when unreached.

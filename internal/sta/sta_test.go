@@ -121,6 +121,18 @@ func consFor(period float64, clocks ...string) Constraints {
 	return c
 }
 
+// endpointSlack returns the slack of the worst path ending at the pin.
+func endpointSlack(t *testing.T, a *Analyzer, id PinID) float64 {
+	t.Helper()
+	for _, p := range a.TopPaths(1 << 20) {
+		if p.Endpoint == id {
+			return p.Slack
+		}
+	}
+	t.Fatalf("no path ends at %v", id)
+	return 0
+}
+
 func TestCombChainArrival(t *testing.T) {
 	d := combChain(t, 3)
 	cons := consFor(1e-9)
@@ -133,7 +145,7 @@ func TestCombChainArrival(t *testing.T) {
 	if math.Abs(at-want) > 1e-15 {
 		t.Fatalf("AT(out)=%v want %v", at, want)
 	}
-	slack := a.SlackAt(PinID{Inst: -1, Pin: "out"})
+	slack := endpointSlack(t, a, PinID{Inst: -1, Pin: "out"})
 	wantSlack := (1e-9 - cons.OutputDelay) - want
 	if math.Abs(slack-wantSlack) > 1e-15 {
 		t.Fatalf("slack=%v want %v", slack, wantSlack)
@@ -159,7 +171,7 @@ func TestRegToRegSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, consFor(period, "clk"))
-	slack := a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	slack := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
 	want := period - setupTime - (clk2q + invDelay)
 	if math.Abs(slack-want) > 1e-15 {
 		t.Fatalf("slack=%v want %v", slack, want)
@@ -170,20 +182,20 @@ func TestClockArrivalsShiftSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, consFor(period, "clk"))
-	base := a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	base := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
 	// Useful skew: delay capture clock by 10ps -> slack improves by 10ps.
 	skew := 10e-12
 	a.SetClockArrivalList([]ClockArrival{
 		{Inst: d.Instance("ff0").ID, Pin: "CK", T: 0},
 		{Inst: d.Instance("ff1").ID, Pin: "CK", T: skew},
 	})
-	got := a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	got := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
 	if math.Abs(got-(base+skew)) > 1e-15 {
 		t.Fatalf("slack with skew=%v want %v", got, base+skew)
 	}
 	// Restore ideal clock.
 	a.SetClockArrivalList(nil)
-	if math.Abs(a.SlackAt(PinID{Inst: d.Instance("ff1").ID, Pin: "D"})-base) > 1e-15 {
+	if math.Abs(endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})-base) > 1e-15 {
 		t.Fatal("resetting clock arrivals should restore base slack")
 	}
 }
@@ -309,14 +321,6 @@ func TestActivityFactorFamilies(t *testing.T) {
 		if got := activityFactor(name); got != want {
 			t.Errorf("activityFactor(%s)=%v want %v", name, got, want)
 		}
-	}
-}
-
-func TestUnconstrainedPinSlackInf(t *testing.T) {
-	d := combChain(t, 1)
-	a := New(d, consFor(1e-9))
-	if !math.IsInf(a.SlackAt(PinID{Inst: 99, Pin: "Z"}), 1) {
-		t.Fatal("unknown pin should report +Inf slack")
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package viz renders placements and congestion maps as standalone SVG
-// files — the quick visual sanity check every placement tool ships with.
+// Package viz renders placements as standalone SVG files — the quick visual
+// sanity check every placement tool ships with.
 package viz
 
 import (
@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/route"
 )
 
 // Options controls rendering.
@@ -90,45 +89,4 @@ func WritePlacement(w io.Writer, d *netlist.Design, opt Options) error {
 	}
 	_, err := fmt.Fprintln(w, `</svg>`)
 	return err
-}
-
-// WriteCongestion renders a routing congestion heatmap over the core.
-func WriteCongestion(w io.Writer, d *netlist.Design, grid *route.Grid, opt Options) error {
-	opt = opt.withDefaults()
-	nx, ny := grid.Dims()
-	if nx == 0 || ny == 0 {
-		return fmt.Errorf("viz: empty routing grid")
-	}
-	cong := grid.CellCongestion()
-	s := opt.WidthPX / d.Core.W()
-	hPX := d.Core.H() * s
-	cellW := opt.WidthPX / float64(nx)
-	cellH := hPX / float64(ny)
-	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		opt.WidthPX, hPX, opt.WidthPX, hPX)
-	for j := 0; j < ny; j++ {
-		for i := 0; i < nx; i++ {
-			c := cong[j*nx+i]
-			r, g, b := heat(c)
-			fmt.Fprintf(w, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="rgb(%d,%d,%d)"/>`+"\n",
-				float64(i)*cellW, hPX-float64(j+1)*cellH, cellW+0.5, cellH+0.5, r, g, b)
-		}
-	}
-	_, err := fmt.Fprintln(w, `</svg>`)
-	return err
-}
-
-// heat maps congestion in [0, 1.5+] to a dark-blue -> red ramp.
-func heat(c float64) (int, int, int) {
-	if c < 0 {
-		c = 0
-	}
-	if c > 1.5 {
-		c = 1.5
-	}
-	t := c / 1.5
-	r := int(20 + 235*t)
-	g := int(24 + 60*(1-t))
-	b := int(48 + 160*(1-t)*(1-t))
-	return r, g, b
 }

@@ -7,7 +7,6 @@ import (
 	"ppaclust/internal/designs"
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/place"
-	"ppaclust/internal/route"
 )
 
 func TestWritePlacement(t *testing.T) {
@@ -36,27 +35,4 @@ func TestWritePlacementNoDie(t *testing.T) {
 	if err := WritePlacement(&sb, d, Options{}); err == nil {
 		t.Fatal("expected error without a die")
 	}
-}
-
-func TestWriteCongestion(t *testing.T) {
-	b := designs.Generate(designs.TinySpec(902))
-	place.Global(b.Design, place.Options{Seed: 2, Legalize: true})
-	res := route.GlobalRoute(b.Design, route.Options{})
-	var sb strings.Builder
-	if err := WriteCongestion(&sb, b.Design, res.Grid, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "rgb(") {
-		t.Fatal("no heatmap cells")
-	}
-}
-
-func TestHeatRamp(t *testing.T) {
-	r0, _, b0 := heat(0)
-	r1, _, b1 := heat(1.5)
-	if r1 <= r0 || b1 >= b0 {
-		t.Fatalf("heat ramp broken: cold(%d,%d) hot(%d,%d)", r0, b0, r1, b1)
-	}
-	heat(-1) // clamps, no panic
-	heat(99)
 }

@@ -9,8 +9,8 @@
 //	Total Cost = Cost_HPWL + delta * Cost_Cong
 //
 // The shape with minimum Total Cost models the cluster during seeded
-// placement. The ML model of package gnn can substitute for the P&R runs via
-// the CostModel interface (the "ML-accelerated" variant).
+// placement. Package gnn predicts the same Total Cost without the P&R runs
+// (the "ML-accelerated" variant).
 package vpr
 
 import (
@@ -60,65 +60,39 @@ type Eval struct {
 
 // Options configures the V-P&R runs.
 type Options struct {
-	// TopPercent is X in Eq. 5. Default 10.
-	TopPercent float64
-	// Delta is the congestion normalization factor. Default 0.01.
-	Delta float64
-	// PlaceIterations bounds the virtual placement effort. Default 10.
-	PlaceIterations int
-	// RouteCapacity is the per-edge track capacity of the virtual router.
-	// Default 6 — deliberately tight so Cost_Congestion discriminates
-	// between utilizations (the whole point of Eq. 5).
-	RouteCapacity int
 	// Seed drives placement determinism.
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.TopPercent <= 0 {
-		o.TopPercent = 10
-	}
-	if o.Delta <= 0 {
-		o.Delta = 0.01
-	}
-	if o.PlaceIterations <= 0 {
-		o.PlaceIterations = 10
-	}
-	if o.RouteCapacity <= 0 {
-		o.RouteCapacity = 6
-	}
-	return o
-}
+const (
+	// topPercent is X in Eq. 5.
+	topPercent = 10
+	// delta is the congestion normalization factor.
+	delta = 0.01
+	// placeIterations bounds the virtual placement effort.
+	placeIterations = 10
+	// routeCapacity is the per-edge track capacity of the virtual router:
+	// deliberately tight so Cost_Congestion discriminates between
+	// utilizations (the whole point of Eq. 5).
+	routeCapacity = 6
+)
 
-// CostModel predicts the Total Cost of placing a cluster sub-netlist at a
-// candidate shape. The V-P&R runner is the exact implementation; the GNN
-// model is the accelerated one.
-type CostModel interface {
-	TotalCost(sub *netlist.Design, shape Shape) float64
-}
-
-// Runner is the exact (P&R-based) cost model.
+// Runner is the exact (P&R-based) cost evaluator.
 type Runner struct {
 	Opt Options
 }
 
-// TotalCost implements CostModel by running virtual place-and-route.
-func (r Runner) TotalCost(sub *netlist.Design, shape Shape) float64 {
-	return r.Evaluate(sub, shape).TotalCost
-}
-
 // Evaluate runs one virtual P&R at the given shape and returns all costs.
 func (r Runner) Evaluate(sub *netlist.Design, shape Shape) Eval {
-	opt := r.Opt.withDefaults()
 	d := sub.Clone()
 	Floorplan(d, shape)
 	place.Global(d, place.Options{
-		Iterations: opt.PlaceIterations,
-		Seed:       opt.Seed,
+		Iterations: placeIterations,
+		Seed:       r.Opt.Seed,
 	})
 	rres := route.GlobalRoute(d, route.Options{
-		CapacityH: opt.RouteCapacity,
-		CapacityV: opt.RouteCapacity,
+		CapacityH: routeCapacity,
+		CapacityV: routeCapacity,
 	})
 	ev := Eval{Shape: shape, CoreW: d.Core.W(), CoreH: d.Core.H()}
 	// HPWL_avg over nets with at least 2 pins.
@@ -135,8 +109,8 @@ func (r Runner) Evaluate(sub *netlist.Design, shape Shape) Eval {
 		ev.HPWL = total
 		ev.CostHPWL = (total / float64(nets)) / (d.Core.W() + d.Core.H())
 	}
-	ev.CostCong = rres.Grid.TopPercentAvg(opt.TopPercent)
-	ev.TotalCost = ev.CostHPWL + opt.Delta*ev.CostCong
+	ev.CostCong = rres.Grid.TopPercentAvg(topPercent)
+	ev.TotalCost = ev.CostHPWL + delta*ev.CostCong
 	return ev
 }
 
@@ -266,26 +240,18 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 	return sub, nil
 }
 
-// BestShape runs the full V-P&R sweep over all 20 candidates with the given
-// cost model and returns the winner plus all evaluations (evaluations are
-// nil when the model is not the exact Runner).
-func BestShape(sub *netlist.Design, model CostModel) (Shape, []Eval) {
+// BestShape runs the full V-P&R sweep over all 20 candidates and returns the
+// winner plus all evaluations.
+func BestShape(sub *netlist.Design, runner Runner) (Shape, []Eval) {
 	cands := ShapeCandidates()
 	best := cands[0]
 	bestCost := math.Inf(1)
-	var evals []Eval
-	runner, isRunner := model.(Runner)
+	evals := make([]Eval, 0, len(cands))
 	for _, s := range cands {
-		var cost float64
-		if isRunner {
-			ev := runner.Evaluate(sub, s)
-			evals = append(evals, ev)
-			cost = ev.TotalCost
-		} else {
-			cost = model.TotalCost(sub, s)
-		}
-		if cost < bestCost {
-			bestCost = cost
+		ev := runner.Evaluate(sub, s)
+		evals = append(evals, ev)
+		if ev.TotalCost < bestCost {
+			bestCost = ev.TotalCost
 			best = s
 		}
 	}

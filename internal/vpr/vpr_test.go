@@ -157,28 +157,6 @@ func TestBestShapeExactRunner(t *testing.T) {
 	}
 }
 
-type fixedModel struct{ want Shape }
-
-func (m fixedModel) TotalCost(sub *netlist.Design, s Shape) float64 {
-	if s == m.want {
-		return 0
-	}
-	return 1
-}
-
-func TestBestShapeCustomModel(t *testing.T) {
-	d, members := clusteredTiny(t, 55)
-	sub, _ := InduceSubNetlist(d, members)
-	want := Shape{AspectRatio: 1.25, Utilization: 0.85}
-	got, evals := BestShape(sub, fixedModel{want: want})
-	if got != want {
-		t.Fatalf("got %+v want %+v", got, want)
-	}
-	if evals != nil {
-		t.Fatal("custom models should not produce runner evals")
-	}
-}
-
 func TestUniformShapeConstant(t *testing.T) {
 	if UniformShape.AspectRatio != 1.0 || UniformShape.Utilization != 0.90 {
 		t.Fatalf("uniform shape %+v", UniformShape)
