@@ -64,18 +64,15 @@ func main() {
 	// first one.
 	var samples []gnn.Sample
 	graphs := make([]*gnn.GraphInput, len(big))
-	runner := vpr.Runner{Opt: vpr.Options{Seed: 1}}
 	for i, m := range big {
 		s, err := vpr.InduceSubNetlist(b.Design, m)
 		if err != nil {
 			log.Fatal(err)
 		}
 		graphs[i] = gnn.BuildGraphInput(s, features.Options{Seed: 1})
-		for _, shape := range vpr.ShapeCandidates() {
-			samples = append(samples, gnn.Sample{
-				Graph: graphs[i], Shape: shape,
-				Label: runner.Evaluate(s, shape).TotalCost,
-			})
+		_, sweep := vpr.BestShape(s, vpr.Runner{Opt: vpr.Options{Seed: 1}})
+		for _, ev := range sweep {
+			samples = append(samples, gnn.Sample{Graph: graphs[i], Shape: ev.Shape, Label: ev.TotalCost})
 		}
 	}
 	model := gnn.NewModel(1)

@@ -589,13 +589,12 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 				}
 				g := gnn.BuildGraphInput(sub, features.Options{Seed: s.Seed})
 				graphs = append(graphs, g)
-				runner := vpr.Runner{Opt: vpr.Options{Seed: s.Seed}}
 				t0 := time.Now()
-				for _, shape := range vpr.ShapeCandidates() {
-					label := runner.Evaluate(sub, shape).TotalCost
-					samples = append(samples, gnn.Sample{Graph: g, Shape: shape, Label: label})
-				}
+				_, evals := vpr.BestShape(sub, vpr.Runner{Opt: vpr.Options{Seed: s.Seed, Workers: s.Workers}})
 				exactTime += time.Since(t0)
+				for _, ev := range evals {
+					samples = append(samples, gnn.Sample{Graph: g, Shape: ev.Shape, Label: ev.TotalCost})
+				}
 			}
 		}
 	}

@@ -443,7 +443,7 @@ func selectShapes(d *netlist.Design, assign []int, nClusters int, opt Options) (
 			if err != nil {
 				return nil, nil, err
 			}
-			best, _ := vpr.BestShape(sub, vpr.Runner{Opt: vpr.Options{Seed: opt.Seed}})
+			best, _ := vpr.BestShape(sub, vpr.Runner{Opt: vpr.Options{Seed: opt.Seed, Workers: opt.Workers}})
 			shapes[c] = best
 		case ShapeVPRML:
 			if opt.Model == nil {

@@ -13,7 +13,8 @@
 // The hot paths run on the netlist's Compact CSR view: system assembly walks
 // flat pin arrays (variable index or precomputed constant coordinate per
 // pin) instead of *Net/*Instance pointers and port-name map lookups, and all
-// solver scratch is allocated once per run, so per-iteration work is
+// solver scratch — the one-worker assembly's pin and spring buffers included
+// — lives on the placer, allocated once per run, so per-iteration work is
 // allocation-free in steady state.
 package place
 
@@ -195,6 +196,7 @@ type placer struct {
 	off      [][]sparseEntry
 	offStart []int32
 	offEnt   []csrEnt
+	nnzCap   int       // offEnt capacity bound: 2 entries x at most 2(P-1) springs per active P-pin net
 	invDiag  []float64 // 1/diag (0 where diag <= 0), the Jacobi preconditioner
 	bins     *binGrid
 	anchX    []float64 // spreading targets
@@ -210,6 +212,8 @@ type placer struct {
 	cgIters             int
 
 	netActs [][]springAction // per-net spring actions (parallel assembly)
+	pins    []pinc           // one-worker assembly scratch (appendNetSprings)
+	acts    []springAction   // one-worker assembly scratch (appendNetSprings)
 	binIdx  []int32          // per-cell bin index (parallel density pass)
 
 	// timing/routability feedback state (driven.go)
@@ -436,6 +440,7 @@ func (p *placer) snapshotConnectivity() {
 		p.netW[ni] = net.Weight
 		if pc := cm.NumNetPins(ni); pc >= 2 && pc <= maxNetPins {
 			p.activeNets = append(p.activeNets, int32(ni))
+			p.nnzCap += 4 * (pc - 1)
 		}
 	}
 }
@@ -486,11 +491,9 @@ func (p *placer) solveAxis(xAxis bool, spreadW float64) {
 			}
 		}
 	} else {
-		var pins []pinc
-		var acts []springAction
 		for _, ni := range p.activeNets {
-			pins, acts = p.appendNetSprings(int(ni), xAxis, pins, acts[:0])
-			for _, a := range acts {
+			p.pins, p.acts = p.appendNetSprings(int(ni), xAxis, p.pins, p.acts[:0])
+			for _, a := range p.acts {
 				p.addSpring(a.vi, a.vj, a.ci, a.cj, a.w)
 			}
 		}
@@ -533,7 +536,7 @@ func (p *placer) flattenSystem() {
 		nnz += len(p.off[i])
 	}
 	if cap(p.offEnt) < nnz {
-		p.offEnt = make([]csrEnt, nnz)
+		p.offEnt = make([]csrEnt, nnz, p.nnzCap)
 	}
 	p.offEnt = p.offEnt[:nnz]
 	k := 0

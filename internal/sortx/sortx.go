@@ -4,16 +4,23 @@
 // records keeps the payloads in place; stability over an ascending-index fill
 // gives every sort the strict (key, index) total order the deterministic
 // divide-and-conquer passes depend on. Purely sequential and comparator-free:
-// O(n) per 16-bit digit pass, identical output on every run.
+// O(n + buckets) per digit pass, identical output on every run.
 package sortx
 
 import "math"
 
-// Digit width: 16-bit digits, four LSD passes over uint64 keys.
-const (
-	digitBits = 16
-	buckets   = 1 << digitBits
-)
+// digitBitsFor picks the LSD digit width from the key count: every pass
+// clears and prefix-sums the whole histogram, so the bucket count must not
+// outgrow the data. Below 1<<16 keys (a V-P&R sub-netlist, a paper-sized
+// design) 8-bit digits keep the histogram at 1 KB; from there up four passes
+// over 16-bit digits beat eight over 8-bit ones. A stable LSD sort has one
+// possible output, so the width never changes the permutation.
+func digitBitsFor(n int) uint {
+	if n < 1<<16 {
+		return 8
+	}
+	return 16
+}
 
 // Bits maps a float64 to a uint64 whose unsigned order matches the float
 // order: negatives have all bits flipped, positives get the sign bit set.
@@ -46,9 +53,6 @@ func (s *Sorter) grow(n int) {
 		s.keyTmp = make([]uint64, n)
 		s.val = make([]int32, n)
 	}
-	if s.hist == nil {
-		s.hist = make([]int32, buckets)
-	}
 }
 
 // IndexByFloat64 fills ord with 0..len(ord)-1 and stable-sorts it ascending
@@ -72,36 +76,41 @@ func (s *Sorter) IndexByKeys(ord []int32, keys []uint64) {
 }
 
 // run executes the LSD passes over s.key, leaving the sorted index
-// permutation in ord. Passes whose 16-bit digit is constant across all keys
-// are skipped after counting — common for geometry confined to one core
-// region, where high exponent bits barely vary.
+// permutation in ord. Passes whose digit is constant across all keys are
+// skipped after counting — common for geometry confined to one core region,
+// where high exponent bits barely vary. The histogram is sized for the digit
+// width in use, so a sorter that only ever sees small inputs stays small.
 func (s *Sorter) run(ord []int32, n int) {
 	if n == 0 {
 		return
+	}
+	digitBits := digitBitsFor(n)
+	buckets := 1 << digitBits
+	if len(s.hist) < buckets {
+		s.hist = make([]int32, buckets)
 	}
 	srcK, dstK := s.key[:n], s.keyTmp[:n]
 	srcV, dstV := ord, s.val[:n]
 	for i := 0; i < n; i++ {
 		srcV[i] = int32(i)
 	}
-	hist := s.hist
-	for pass := 0; pass < 64/digitBits; pass++ {
-		shift := uint(pass * digitBits)
+	hist := s.hist[:buckets]
+	mask := uint64(buckets - 1)
+	for shift := uint(0); shift < 64; shift += digitBits {
 		clear(hist)
 		for i := 0; i < n; i++ {
-			hist[(srcK[i]>>shift)&(buckets-1)]++
+			hist[(srcK[i]>>shift)&mask]++
 		}
-		if hist[(srcK[0]>>shift)&(buckets-1)] == int32(n) {
+		if hist[(srcK[0]>>shift)&mask] == int32(n) {
 			continue
 		}
 		sum := int32(0)
-		for d := 0; d < buckets; d++ {
-			c := hist[d]
+		for d, c := range hist {
 			hist[d] = sum
 			sum += c
 		}
 		for i := 0; i < n; i++ {
-			d := (srcK[i] >> shift) & (buckets - 1)
+			d := (srcK[i] >> shift) & mask
 			j := hist[d]
 			hist[d] = j + 1
 			dstK[j] = srcK[i]

@@ -11,6 +11,13 @@
 // The shape with minimum Total Cost models the cluster during seeded
 // placement. Package gnn predicts the same Total Cost without the P&R runs
 // (the "ML-accelerated" variant).
+//
+// The unit of parallel work is one evaluation: BestShape spreads the 20
+// candidates over Options.Workers goroutines, and the place and route runs
+// inside an evaluation are always sequential — a sub-netlist is cluster-sized
+// by construction, too small for fan-out inside a solve to pay for itself.
+// Evaluations land in per-candidate slots and the winner is picked in
+// candidate order, so the result is bit-identical at any worker count.
 package vpr
 
 import (
@@ -19,6 +26,7 @@ import (
 	"slices"
 
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 	"ppaclust/internal/place"
 	"ppaclust/internal/route"
 )
@@ -62,6 +70,10 @@ type Eval struct {
 type Options struct {
 	// Seed drives placement determinism.
 	Seed int64
+	// Workers bounds the goroutines BestShape evaluates candidates on: 0 =
+	// auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 = the plain inline loop.
+	// The outcome is bit-identical for every worker count.
+	Workers int
 }
 
 const (
@@ -82,17 +94,27 @@ type Runner struct {
 	Opt Options
 }
 
-// Evaluate runs one virtual P&R at the given shape and returns all costs.
+// Evaluate runs one virtual P&R at the given shape and returns all costs. It
+// works on a clone and leaves sub alone.
 func (r Runner) Evaluate(sub *netlist.Design, shape Shape) Eval {
-	d := sub.Clone()
+	return r.evaluateInPlace(sub.Clone(), shape)
+}
+
+// evaluateInPlace is Evaluate on a design the caller owns. Whatever an
+// earlier evaluation left in d does not matter: Floorplan rewrites the core,
+// the die and every port, and a from-scratch Global ignores prior instance
+// positions, so one clone serves any sequence of shapes.
+func (r Runner) evaluateInPlace(d *netlist.Design, shape Shape) Eval {
 	Floorplan(d, shape)
 	place.Global(d, place.Options{
 		Iterations: placeIterations,
 		Seed:       r.Opt.Seed,
+		Workers:    1,
 	})
 	rres := route.GlobalRoute(d, route.Options{
 		CapacityH: routeCapacity,
 		CapacityV: routeCapacity,
+		Workers:   1,
 	})
 	ev := Eval{Shape: shape, CoreW: d.Core.W(), CoreH: d.Core.H()}
 	// HPWL_avg over nets with at least 2 pins.
@@ -171,6 +193,9 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 	newID := make(map[int]int, len(members))
 	var incident []int
 	for _, id := range members {
+		if id < 0 || id >= len(d.Insts) {
+			return nil, fmt.Errorf("vpr: member instance ID %d outside design %s (%d instances)", id, d.Name, len(d.Insts))
+		}
 		inst := d.Insts[id]
 		ni, err := sub.AddInstance(inst.Name, inst.Master)
 		if err != nil {
@@ -241,18 +266,23 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 }
 
 // BestShape runs the full V-P&R sweep over all 20 candidates and returns the
-// winner plus all evaluations.
+// winner (the first minimum in candidate order) plus all evaluations. Each
+// worker evaluates a contiguous block of candidates on one clone of sub.
 func BestShape(sub *netlist.Design, runner Runner) (Shape, []Eval) {
 	cands := ShapeCandidates()
+	evals := make([]Eval, len(cands))
+	par.Blocks(par.Workers(runner.Opt.Workers), len(cands), func(w, lo, hi int) {
+		d := sub.Clone()
+		for i := lo; i < hi; i++ {
+			evals[i] = runner.evaluateInPlace(d, cands[i])
+		}
+	})
 	best := cands[0]
 	bestCost := math.Inf(1)
-	evals := make([]Eval, 0, len(cands))
-	for _, s := range cands {
-		ev := runner.Evaluate(sub, s)
-		evals = append(evals, ev)
+	for _, ev := range evals {
 		if ev.TotalCost < bestCost {
 			bestCost = ev.TotalCost
-			best = s
+			best = ev.Shape
 		}
 	}
 	return best, evals

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"ppaclust/internal/cluster"
 	"ppaclust/internal/designs"
+	"ppaclust/internal/hier"
 	"ppaclust/internal/netlist"
 )
 
@@ -38,23 +40,36 @@ func TestShapeCandidates(t *testing.T) {
 // largest cluster.
 func clusteredTiny(t *testing.T, seed int64) (*netlist.Design, []int) {
 	t.Helper()
-	b := designs.Generate(designs.TinySpec(seed))
-	view := b.Design.ToHypergraph()
-	res := cluster.MultilevelFC(view.H, cluster.Options{Seed: seed, TargetClusters: 6})
-	sizes := cluster.Sizes(res.Assign, res.NumClusters)
-	bestC, bestN := 0, 0
-	for c, n := range sizes {
-		if n > bestN {
-			bestC, bestN = c, n
-		}
+	d := designs.Generate(designs.TinySpec(seed)).Design
+	res := cluster.MultilevelFC(d.ToHypergraph().H, cluster.Options{Seed: seed, TargetClusters: 6})
+	return d, largestGroup(res.Assign)
+}
+
+// scaleModule generates a 10k-cell scale design and returns the members of
+// the largest cluster of its hierarchy-based clustering: one ~1.6k-cell
+// top-level module, the size the flow hands to V-P&R on that design.
+func scaleModule(t testing.TB) (*netlist.Design, []int) {
+	t.Helper()
+	d := designs.Generate(designs.ScaleSpec(10000, 4243)).Design
+	res, ok := hier.Cluster(d, d.ToHypergraph().H)
+	if !ok {
+		t.Fatal("scale design has no hierarchy")
 	}
+	return d, largestGroup(res.Assign)
+}
+
+// largestGroup returns the members of the most populous group of assign (the
+// lowest-numbered one on a tie).
+func largestGroup(assign []int) []int {
+	sizes := cluster.Sizes(assign, slices.Max(assign)+1)
+	best := slices.Index(sizes, slices.Max(sizes))
 	var members []int
-	for v, c := range res.Assign {
-		if c == bestC {
+	for v, c := range assign {
+		if c == best {
 			members = append(members, v)
 		}
 	}
-	return b.Design, members
+	return members
 }
 
 func TestInduceSubNetlist(t *testing.T) {
@@ -171,6 +186,21 @@ func TestInduceEmptyMembers(t *testing.T) {
 	}
 	if len(sub.Insts) != 0 || len(sub.Nets) != 0 {
 		t.Fatal("empty member set should give empty sub-design")
+	}
+}
+
+// TestInduceMemberOutOfRange: a member ID outside the design is a structured
+// error naming the ID, not an index panic.
+func TestInduceMemberOutOfRange(t *testing.T) {
+	d := designs.Generate(designs.TinySpec(3)).Design
+	for _, id := range []int{-1, len(d.Insts)} {
+		sub, err := InduceSubNetlist(d, []int{0, id})
+		if err == nil || sub != nil {
+			t.Fatalf("member %d: got design %v, err %v; want an error", id, sub != nil, err)
+		}
+		if !strings.Contains(err.Error(), fmt.Sprint(id)) {
+			t.Fatalf("member %d: error %q does not name the ID", id, err)
+		}
 	}
 }
 
@@ -292,5 +322,99 @@ func TestInduceSubNetlistMatchesFullScan(t *testing.T) {
 		}
 		all := rng.Perm(len(d.Insts))
 		check(d, all)
+	}
+}
+
+// evalBits flattens every field of an Eval to its bit pattern.
+func evalBits(e Eval) [8]uint64 {
+	f := [8]float64{e.Shape.AspectRatio, e.Shape.Utilization, e.CostHPWL, e.CostCong,
+		e.TotalCost, e.HPWL, e.CoreW, e.CoreH}
+	var out [8]uint64
+	for i, v := range f {
+		out[i] = math.Float64bits(v)
+	}
+	return out
+}
+
+// TestBestShapeWorkersEquivalent: the parallel sweep over reused clones gives,
+// bit for bit, what evaluating every candidate on a fresh clone in candidate
+// order gives — all 20 evaluations and the first-minimum winner — at any
+// worker count, and a reused clone carries nothing from one shape to the next
+// whatever order the shapes come in.
+func TestBestShapeWorkersEquivalent(t *testing.T) {
+	t.Run("scale10k", func(t *testing.T) {
+		d, members := scaleModule(t)
+		if len(members) < 1000 {
+			t.Fatalf("cluster has %d cells, want >= 1000", len(members))
+		}
+		checkSweepEquivalent(t, d, members)
+	})
+	t.Run("tiny", func(t *testing.T) {
+		d, members := clusteredTiny(t, 57)
+		checkSweepEquivalent(t, d, members)
+	})
+}
+
+func checkSweepEquivalent(t *testing.T, d *netlist.Design, members []int) {
+	t.Helper()
+	sub, err := InduceSubNetlist(d, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := Runner{Opt: Options{Seed: 3}}
+	cands := ShapeCandidates()
+	want := make([]Eval, len(cands))
+	wantBest, bestCost := cands[0], math.Inf(1)
+	for i, s := range cands {
+		want[i] = runner.Evaluate(sub, s)
+		if want[i].TotalCost < bestCost {
+			wantBest, bestCost = s, want[i].TotalCost
+		}
+	}
+	check := func(label string, got []Eval) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d evals, want %d", label, len(got), len(want))
+		}
+		for i := range want {
+			if evalBits(got[i]) != evalBits(want[i]) {
+				t.Errorf("%s: eval %d = %+v, want %+v", label, i, got[i], want[i])
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 8} {
+		r := runner
+		r.Opt.Workers = w
+		best, evals := BestShape(sub, r)
+		check(fmt.Sprintf("Workers=%d", w), evals)
+		if best != wantBest {
+			t.Errorf("Workers=%d: winner %+v, want %+v", w, best, wantBest)
+		}
+	}
+	reused := sub.Clone()
+	rev := make([]Eval, len(cands))
+	for i := len(cands) - 1; i >= 0; i-- {
+		rev[i] = runner.evaluateInPlace(reused, cands[i])
+	}
+	check("one clone, reverse order", rev)
+	for _, inst := range sub.Insts {
+		if inst.Placed {
+			t.Fatal("the sweep mutated the input design")
+		}
+	}
+}
+
+// BenchmarkBestShape times one 20-shape sweep on a ~1.5k-cell cluster, the
+// unit of work of the vpr10k benchmark workload.
+func BenchmarkBestShape(b *testing.B) {
+	d, members := scaleModule(b)
+	sub, err := InduceSubNetlist(d, members)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		BestShape(sub, Runner{Opt: Options{Seed: 1}})
 	}
 }

@@ -48,10 +48,11 @@ fi
 # GOMAXPROCS).
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|MatchesReference|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|TestUpdate|WirelenCache' \
+    -run 'WorkersEquivalent|MatchesReference|MatchesComparator|IndexByKeys|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|TestUpdate|WirelenCache' \
     ./internal/sta/ ./internal/cluster/ ./internal/place/ ./internal/flow/ \
     ./internal/par/ ./internal/netlist/ ./internal/hypergraph/ \
-    ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/
+    ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/ \
+    ./internal/vpr/ ./internal/sortx/
 
 # Allocation contract: the placer/clustering inner-loop primitives and the
 # GNN's per-shape inference must be allocation-free in steady state. Run
