@@ -179,15 +179,28 @@ func TestMissingClockBufferIsAnError(t *testing.T) {
 }
 
 // TestUnplaceableCoreIsAnError runs both flow entry points on a design whose
-// core has no area and on one whose cells need twice the core: neither has a
-// legal placement, so each must come back as an error, not as metrics of
-// cells piled outside the core.
+// core has no area, on one whose cells need twice the core, and on four whose
+// core has the area but not the rows — no row height or site width to snap
+// to, or a core (widened 400x, so utilization stays below 1) lower than one
+// row or narrower than one site: none has a legal placement, so each must
+// come back as an error naming the design, not as metrics of cells piled
+// outside the core or off the rows.
 func TestUnplaceableCoreIsAnError(t *testing.T) {
 	noCore := designs.Generate(designs.TinySpec(3))
 	noCore.Design.Core = netlist.Rect{}
 	overfull := designs.Generate(designs.TinySpec(3))
 	c := &overfull.Design.Core
 	c.Y1 = c.Y0 + c.H()*overfull.Design.Utilization()/1.98
+	noRowHeight := designs.Generate(designs.TinySpec(3))
+	noRowHeight.Design.RowHeight = 0
+	noSiteWidth := designs.Generate(designs.TinySpec(3))
+	noSiteWidth.Design.SiteWidth = 0
+	halfRow := designs.Generate(designs.TinySpec(3))
+	c = &halfRow.Design.Core
+	c.X1, c.Y1 = c.X0+400*c.W(), c.Y0+0.5*halfRow.Design.RowHeight
+	halfSite := designs.Generate(designs.TinySpec(3))
+	c = &halfSite.Design.Core
+	c.X1, c.Y1 = c.X0+0.5*halfSite.Design.SiteWidth, c.Y0+400*c.H()
 	for _, tc := range []struct {
 		name string
 		b    *designs.Benchmark
@@ -195,12 +208,17 @@ func TestUnplaceableCoreIsAnError(t *testing.T) {
 	}{
 		{"zero-area core", noCore, "no area"},
 		{"utilization 1.98", overfull, "utilization 1.98"},
+		{"zero row height", noRowHeight, "holds no row (height 0 um)"},
+		{"zero site width", noSiteWidth, "sites (width 0 um)"},
+		{"core half a row high", halfRow, "holds no row"},
+		{"core half a site wide", halfSite, "holds no row"},
 	} {
 		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
 			"Run": Run, "RunDefault": RunDefault,
 		} {
 			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), "design "+tc.b.Design.Name) {
 				t.Errorf("%s, %s: not reported: res=%v err=%v", tc.name, name, res != nil, err)
 			}
 		}

@@ -205,14 +205,17 @@ type Result struct {
 // checkDesign validates a design at the boundary of both flows: the int32
 // compact-CSR capacity, so an oversized design fails with an error instead
 // of tripping the must-style Compact panic deep inside a stage, and a core
-// with room for the cells, so no flow reports numbers for a placement that
-// cannot be legal.
+// with room for the cells on at least one row of sites, so no flow reports
+// numbers for a placement that cannot be legal.
 func checkDesign(d *netlist.Design) error {
 	if _, err := d.CompactChecked(); err != nil {
 		return err
 	}
 	if !(d.Core.W() > 0 && d.Core.H() > 0) {
 		return fmt.Errorf("flow: design %s: core %g x %g um has no area", d.Name, d.Core.W(), d.Core.H())
+	}
+	if !(d.RowHeight > 0 && d.SiteWidth > 0 && d.Core.H() >= d.RowHeight && d.Core.W() >= d.SiteWidth) {
+		return fmt.Errorf("flow: design %s: core %g x %g um holds no row (height %g um) of sites (width %g um)", d.Name, d.Core.W(), d.Core.H(), d.RowHeight, d.SiteWidth)
 	}
 	if u := d.Utilization(); u > 1 {
 		return fmt.Errorf("flow: design %s: utilization %.2f, the cells do not fit the core", d.Name, u)

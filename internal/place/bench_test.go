@@ -1,9 +1,12 @@
 package place
 
 import (
+	"strconv"
 	"testing"
 
 	"ppaclust/internal/designs"
+	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 )
 
 func benchDesign(b *testing.B, name string) *designs.Benchmark {
@@ -34,6 +37,44 @@ func BenchmarkIncrementalPlace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := d0.Clone()
 		Global(d, Options{Seed: 1, Incremental: true})
+	}
+}
+
+// roundPlacer sets a placer up on d the way Global does and runs it the
+// given number of rounds, so the cells have spread a little, the anchors are
+// set and every buffer a round touches has reached its steady-state size.
+func roundPlacer(d *netlist.Design, opt Options, rounds int) *placer {
+	p := &placer{d: d, opt: opt.withDefaults(), core: d.Core, workers: par.Workers(opt.Workers)}
+	p.collect()
+	p.newAxes()
+	p.initPositions()
+	for iter := 0; iter < rounds; iter++ {
+		p.solveRound(spreadWeight * float64(iter))
+		p.clampAll()
+		p.computeSpreadTargets()
+	}
+	return p
+}
+
+// BenchmarkSolveRound measures one placement round's two axis solves —
+// assembly plus CG, both axes — at the sizes of the vpr10k and scale100k
+// workloads, sequentially and with the axes side by side.
+func BenchmarkSolveRound(b *testing.B) {
+	for _, n := range []int{10000, 100000} {
+		if n > 10000 && testing.Short() {
+			continue
+		}
+		d := designs.Generate(designs.ScaleSpec(n, 1)).Design
+		for _, w := range []int{1, 2} {
+			b.Run(strconv.Itoa(n/1000)+"k/W"+strconv.Itoa(w), func(b *testing.B) {
+				p := roundPlacer(d, Options{Seed: 1, Workers: w}, 2)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.solveRound(spreadWeight)
+				}
+			})
+		}
 	}
 }
 

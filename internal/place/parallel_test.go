@@ -11,9 +11,12 @@ import (
 )
 
 // TestGlobalWorkersEquivalent asserts the determinism contract for the
-// placer: Workers=2 and 4 produce bit-identical positions, HPWL, overflow and
-// iteration counts to Workers=1, in both from-scratch and incremental mode,
-// on a ~320-cell and a 6.5k-cell (ariane) design.
+// placer: every worker count produces bit-identical positions, HPWL, overflow
+// and iteration counts to Workers=1 — 2 (the axes side by side over
+// sequential kernels), 3 (an inline axis beside a two-worker one), 4 and 8
+// (row-parallel matvec and per-net assembly inside each axis) — from scratch,
+// incrementally and under the flow's Innovus recipe (soft regions dropped
+// after two rounds), on a ~320-cell and a 6.5k-cell (ariane) design.
 func TestGlobalWorkersEquivalent(t *testing.T) {
 	ariane, ok := designs.Named("ariane")
 	if !ok {
@@ -23,7 +26,7 @@ func TestGlobalWorkersEquivalent(t *testing.T) {
 		ds := d.Clone()
 		opt.Workers = 1
 		rs := Global(ds, opt)
-		for _, w := range []int{2, 4} {
+		for _, w := range []int{2, 3, 4, 8} {
 			dp := d.Clone()
 			opt.Workers = w
 			rp := Global(dp, opt)
@@ -47,20 +50,28 @@ func TestGlobalWorkersEquivalent(t *testing.T) {
 		name        string
 		spec        designs.Spec
 		incremental bool
+		regions     bool
 	}{
-		{"scratch", designs.TinySpec(31), false},
-		{"incremental", designs.TinySpec(32), true},
-		{"scratch-ariane", ariane, false},
-		{"incremental-ariane", ariane, true},
+		{"scratch", designs.TinySpec(31), false, false},
+		{"incremental", designs.TinySpec(32), true, false},
+		{"innovus", designs.TinySpec(34), true, true},
+		{"scratch-ariane", ariane, false, false},
+		{"incremental-ariane", ariane, true, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := designs.Generate(tc.spec).Design
-			if tc.incremental {
-				Global(d, Options{Seed: 4}) // seed positions
-				run(t, d, Options{Seed: 5, Incremental: true})
-			} else {
+			if !tc.incremental {
 				run(t, d, Options{Seed: 3, Legalize: true})
+				return
 			}
+			Global(d, Options{Seed: 4}) // seed positions
+			opt := Options{Seed: 5, Incremental: true}
+			if tc.regions {
+				opt.Regions, _ = quadrantRegions(d)
+				opt.SoftRegions = true
+				opt.RegionIterations = 2
+			}
+			run(t, d, opt)
 		})
 	}
 }

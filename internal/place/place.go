@@ -12,10 +12,11 @@
 //
 // The hot paths run on the netlist's Compact CSR view: system assembly walks
 // flat pin arrays (variable index or precomputed constant coordinate per
-// pin) instead of *Net/*Instance pointers and port-name map lookups, and all
-// solver scratch — the one-worker assembly's pin and spring buffers included
-// — lives on the placer, allocated once per run, so per-iteration work is
-// allocation-free in steady state.
+// pin) instead of *Net/*Instance pointers and port-name map lookups. A
+// round's two axis systems share no state, so the unit of parallel work is
+// one axis solve (solveRound): each axis owns an axisSystem — matrix, CG
+// vectors, assembly scratch — allocated once per run, so a round allocates
+// nothing in steady state.
 package place
 
 import (
@@ -55,10 +56,13 @@ type Options struct {
 	Seed int64
 	// Legalize snaps cells to rows and sites after global placement.
 	Legalize bool
-	// Workers bounds the goroutines used by net assembly, the CG matvec and
-	// density evaluation: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 =
-	// exact sequential path. All parallel paths reduce in fixed order, so the
-	// placement is bit-identical for every worker count.
+	// Workers bounds the goroutines a run uses: 0 = auto (PPACLUST_WORKERS,
+	// else GOMAXPROCS), 1 = everything inline. From two workers up the x and
+	// y solves of a round run side by side and split the budget (W/2 and
+	// W - W/2) between the net assembly and CG matvec inside each; density
+	// evaluation and the spreading bisection use the whole budget between
+	// solves. All parallel paths reduce in fixed order, so the placement is
+	// bit-identical for every worker count.
 	Workers int
 	// TimingDriven enables STA feedback at the overflow checkpoints: the
 	// incremental analyzer runs on the current coordinates, nets are ranked
@@ -184,37 +188,24 @@ type placer struct {
 	netW       []float64 // per net: weight
 	activeNets []int32   // nets with 2..maxNetPins pins, ascending
 
-	// per-axis linear system accumulators. addSpring assembles into the
-	// per-row off lists; flattenSystem mirrors them into the offStart/offEnt
-	// CSR the CG matvec runs on: one interleaved 8-byte {col, weight} record
-	// per entry, half the stream of separate int32/float64 arrays. Weights
-	// are stored float32 — a ~1e-7 relative rounding, orders of magnitude
-	// below the solve tolerance — and both records of a symmetric pair round
-	// identically, so the operator stays symmetric.
-	diag     []float64
-	rhs      []float64
-	off      [][]sparseEntry
-	offStart []int32
-	offEnt   []csrEnt
-	nnzCap   int       // offEnt capacity bound: 2 entries x at most 2(P-1) springs per active P-pin net
-	invDiag  []float64 // 1/diag (0 where diag <= 0), the Jacobi preconditioner
+	// Static assembly layout (snapshotConnectivity): actStart[ai] is where
+	// active net ai's spring actions start in an axisSystem's acts, maxPins
+	// the largest active net's pin count.
+	actStart []int
+	maxPins  int
+	axes     [2]*axisSystem // x, y; one shared system at one worker
 	bins     *binGrid
 	anchX    []float64 // spreading targets
 	anchY    []float64
 	seedX    []float64 // incremental seed positions
 	seedY    []float64
 
-	// solver and spreading scratch, allocated once per run
-	cgX, cgAx, cgR, cgD []float64
-	byX, byY, partBuf   []int32      // bisection orderings + partition scratch
-	sorter              sortx.Sorter // shared radix-sort scratch
-	sideLo              []bool       // bisection membership marks
-	cgIters             int
-
-	netActs [][]springAction // per-net spring actions (parallel assembly)
-	pins    []pinc           // one-worker assembly scratch (appendNetSprings)
-	acts    []springAction   // one-worker assembly scratch (appendNetSprings)
-	binIdx  []int32          // per-cell bin index (parallel density pass)
+	// spreading scratch, allocated once per run
+	byX, byY, partBuf []int32      // bisection orderings + partition scratch
+	sorter            sortx.Sorter // shared radix-sort scratch
+	sideLo            []bool       // bisection membership marks
+	cgIters           int          // all axis solves so far, plus the coarse warm start's
+	binIdx            []int32      // per-cell bin index (parallel density pass)
 
 	// timing/routability feedback state (driven.go)
 	ckptNext   int           // next checkpointOverflows index to fire
@@ -231,18 +222,13 @@ type placer struct {
 // rows).
 const maxNetPins = 2000
 
-// springAction is one deferred addSpring call; per-net action lists are
-// computed in parallel and then applied sequentially in net order, which
-// reproduces the sequential assembly bit for bit.
+// springAction is one two-point quadratic term w*(a-b)^2 of the B2B model.
+// Each endpoint is a variable (index >= 0) or a constant coordinate (-1); c
+// is the constant endpoint's coordinate when exactly one is constant. A term
+// between two constants, or a variable and itself, contributes nothing.
 type springAction struct {
-	vi, vj int
-	ci, cj float64
-	w      float64
-}
-
-type sparseEntry struct {
-	col int
-	w   float64
+	vi, vj int32
+	c, w   float64
 }
 
 // Global runs global placement on the design and writes final positions
@@ -254,6 +240,7 @@ func Global(d *netlist.Design, opt Options) Result {
 	if len(p.movable) == 0 {
 		return Result{HPWL: d.HPWL()}
 	}
+	p.newAxes()
 	p.initPositions()
 	if p.useCoarseInit() {
 		p.coarseInit()
@@ -268,8 +255,7 @@ func Global(d *netlist.Design, opt Options) Result {
 			p.opt.Regions = nil // constraints removed after the guided phase
 		}
 		spreadW := spreadWeight * math.Sqrt(float64(iter))
-		p.solveAxis(true, spreadW)
-		p.solveAxis(false, spreadW)
+		p.solveRound(spreadW)
 		p.clampAll()
 		overflow = p.computeSpreadTargets()
 		if p.checkpoint(overflow) {
@@ -376,15 +362,6 @@ func (p *placer) collect() {
 		p.h[vi] = m.Height
 		p.area[vi] = m.Width * m.Height
 	}
-	p.diag = make([]float64, n)
-	p.rhs = make([]float64, n)
-	p.off = make([][]sparseEntry, n)
-	p.offStart = make([]int32, n+1)
-	p.invDiag = make([]float64, n)
-	p.cgX = make([]float64, n)
-	p.cgAx = make([]float64, n)
-	p.cgR = make([]float64, n)
-	p.cgD = make([]float64, n)
 	p.byX = make([]int32, n)
 	p.byY = make([]int32, n)
 	p.partBuf = make([]int32, n)
@@ -436,11 +413,16 @@ func (p *placer) snapshotConnectivity() {
 	}
 	p.netW = make([]float64, len(d.Nets))
 	p.activeNets = make([]int32, 0, len(d.Nets))
+	p.actStart = make([]int, 1, len(d.Nets)+1)
 	for ni, net := range d.Nets {
 		p.netW[ni] = net.Weight
 		if pc := cm.NumNetPins(ni); pc >= 2 && pc <= maxNetPins {
 			p.activeNets = append(p.activeNets, int32(ni))
-			p.nnzCap += 4 * (pc - 1)
+			// A P-pin net emits 2P-3 springs — every pin to both boundary
+			// pins, the boundary pair once — or 2(P-1) when all its pins
+			// coincide and min and max are the same pin.
+			p.actStart = append(p.actStart, p.actStart[len(p.actStart)-1]+2*(pc-1))
+			p.maxPins = max(p.maxPins, pc)
 		}
 	}
 }
@@ -464,94 +446,155 @@ func (p *placer) initPositions() {
 	}
 }
 
-// solveAxis builds the B2B system for one axis and solves it with CG. With
-// workers > 1, per-net spring actions are computed in parallel against the
-// frozen positions and then applied sequentially in net order — the same
-// accumulation order as the sequential assembly, hence bit-identical.
-func (p *placer) solveAxis(xAxis bool, spreadW float64) {
-	n := len(p.movable)
-	for i := 0; i < n; i++ {
-		p.diag[i] = 0
-		p.rhs[i] = 0
-		p.off[i] = p.off[i][:0]
+// axisSystem is one axis's linear system (D - O) v = rhs and everything a
+// solve of it touches, so two axes can be assembled and solved concurrently.
+// The matrix is a CSR built straight from the spring actions: offStart[i] ..
+// offStart[i+1] bounds row i's off-diagonal entries, column in offCol and
+// weight in offW — 12 bytes an entry where an interleaved {int32, float64}
+// record pads to 16, which is what lets two systems fit where one did.
+type axisSystem struct {
+	workers int // budget of the kernels inside one solve of this axis
+
+	diag, rhs []float64
+	invDiag   []float64 // 1/diag (0 where diag <= 0), the Jacobi preconditioner
+	offStart  []int32
+	offCur    []int32 // per-row fill cursor of the current assembly
+	offCol    []int32
+	offW      []float64
+
+	// acts holds the active nets' spring actions in net order, each net in its
+	// static slot (placer.actStart); pins is maxPins of scratch per worker.
+	acts []springAction
+	pins []pinc
+
+	cgX, cgAx, cgR, cgD []float64
+}
+
+// newAxes allocates the run's axis systems and splits the worker budget
+// between them. At one worker both axes take turns on a single system, so
+// the run costs what one system costs.
+func (p *placer) newAxes() {
+	n, nActs := len(p.movable), p.actStart[len(p.activeNets)]
+	for a, workers := range [2]int{p.workers - p.workers/2, p.workers / 2} {
+		if workers == 0 {
+			p.axes[a] = p.axes[0]
+			continue
+		}
+		p.axes[a] = &axisSystem{
+			workers:  workers,
+			diag:     make([]float64, n),
+			rhs:      make([]float64, n),
+			invDiag:  make([]float64, n),
+			offStart: make([]int32, n+1),
+			offCur:   make([]int32, n),
+			offCol:   make([]int32, 2*nActs), // two entries per spring at most
+			offW:     make([]float64, 2*nActs),
+			acts:     make([]springAction, nActs),
+			pins:     make([]pinc, workers*p.maxPins),
+			cgX:      make([]float64, n),
+			cgAx:     make([]float64, n),
+			cgR:      make([]float64, n),
+			cgD:      make([]float64, n),
+		}
 	}
-	if p.workers > 1 {
-		if p.netActs == nil {
-			p.netActs = make([][]springAction, len(p.activeNets))
-		}
-		par.Blocks(p.workers, len(p.activeNets), func(w, lo, hi int) {
-			var pins []pinc
-			for ai := lo; ai < hi; ai++ {
-				pins, p.netActs[ai] = p.appendNetSprings(int(p.activeNets[ai]), xAxis, pins, p.netActs[ai][:0])
-			}
-		})
-		for ai := range p.activeNets {
-			for _, a := range p.netActs[ai] {
-				p.addSpring(a.vi, a.vj, a.ci, a.cj, a.w)
-			}
-		}
+}
+
+// solveRound solves the round's x and y systems. Each reads and writes only
+// its own axis's positions, anchors and system, so from two workers up they
+// run side by side on their shares of the budget. At W=2 every kernel inside
+// a solve is then sequential: one fork per round, where a row-parallel matvec
+// paid one per CG iteration and idled the second core between matvecs.
+func (p *placer) solveRound(spreadW float64) {
+	if p.workers <= 1 {
+		p.cgIters += p.axes[0].solve(p, true, spreadW)
+		p.cgIters += p.axes[1].solve(p, false, spreadW)
+		return
+	}
+	var its [2]int
+	par.Blocks(2, 2, func(axis, _, _ int) {
+		its[axis] = p.axes[axis].solve(p, axis == 0, spreadW)
+	})
+	p.cgIters += its[0] + its[1]
+}
+
+// solve assembles the axis's B2B system against the current positions,
+// solves it with CG, stores the solution as the axis's new positions and
+// returns the CG iterations spent.
+func (s *axisSystem) solve(p *placer, xAxis bool, spreadW float64) int {
+	pos, fix, anch, seed := p.x, p.pinCX, p.anchX, p.seedX
+	if !xAxis {
+		pos, fix, anch, seed = p.y, p.pinCY, p.anchY, p.seedY
+	}
+	s.assemble(p, pos, fix, anch, seed, spreadW)
+	return s.cg(pos)
+}
+
+// assemble builds diag, rhs and the CSR. The nets' spring actions go (in
+// parallel when the axis has workers to spare) into their static slots of
+// acts; walking acts front to back visits them in net order, so one pass
+// counts the row degrees and a second accumulates diag and rhs and drops each
+// entry at its row's cursor — the additions, and the within-row entry order,
+// of a sequential net-by-net assembly, whatever the worker count.
+func (s *axisSystem) assemble(p *placer, pos, fix, anch, seed []float64, spreadW float64) {
+	if s.workers <= 1 {
+		s.netSprings(p, pos, fix, 0, 0, len(p.activeNets))
 	} else {
-		for _, ni := range p.activeNets {
-			p.pins, p.acts = p.appendNetSprings(int(ni), xAxis, p.pins, p.acts[:0])
-			for _, a := range p.acts {
-				p.addSpring(a.vi, a.vj, a.ci, a.cj, a.w)
+		par.Blocks(s.workers, len(p.activeNets), func(w, lo, hi int) {
+			s.netSprings(p, pos, fix, w, lo, hi)
+		})
+	}
+	n := len(s.diag)
+	start := s.offStart
+	clear(start)
+	for i := range s.acts {
+		if a := &s.acts[i]; a.vi >= 0 && a.vj >= 0 && a.vi != a.vj {
+			start[a.vi+1]++
+			start[a.vj+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	cur := s.offCur
+	copy(cur, start)
+	diag, rhs, col, wt := s.diag, s.rhs, s.offCol, s.offW
+	clear(diag)
+	clear(rhs)
+	for i := range s.acts {
+		a := &s.acts[i]
+		switch vi, vj := a.vi, a.vj; {
+		case vi >= 0 && vj >= 0:
+			if vi == vj {
+				continue
 			}
+			diag[vi] += a.w
+			diag[vj] += a.w
+			col[cur[vi]], wt[cur[vi]] = vj, a.w
+			cur[vi]++
+			col[cur[vj]], wt[cur[vj]] = vi, a.w
+			cur[vj]++
+		case vi >= 0:
+			diag[vi] += a.w
+			rhs[vi] += a.w * a.c
+		case vj >= 0:
+			diag[vj] += a.w
+			rhs[vj] += a.w * a.c
 		}
 	}
 	// Spreading anchors (toward the bisection upper-bound placement) and,
 	// in incremental mode, seed anchors (toward the initial positions).
 	for vi := 0; vi < n; vi++ {
-		var spreadT, seedT float64
-		if xAxis {
-			spreadT, seedT = p.anchX[vi], p.seedX[vi]
-		} else {
-			spreadT, seedT = p.anchY[vi], p.seedY[vi]
-		}
 		if spreadW > 0 {
-			p.diag[vi] += spreadW
-			p.rhs[vi] += spreadW * spreadT
+			diag[vi] += spreadW
+			rhs[vi] += spreadW * anch[vi]
 		}
 		if p.opt.Incremental {
-			p.diag[vi] += p.opt.AnchorWeight
-			p.rhs[vi] += p.opt.AnchorWeight * seedT
+			diag[vi] += p.opt.AnchorWeight
+			rhs[vi] += p.opt.AnchorWeight * seed[vi]
 		}
-	}
-	p.flattenSystem()
-	sol := p.cg(xAxis)
-	if xAxis {
-		copy(p.x, sol)
-	} else {
-		copy(p.y, sol)
-	}
-}
-
-// flattenSystem mirrors the per-row off lists into the flat CSR arrays and
-// precomputes the Jacobi reciprocals. Row order and within-row entry order
-// are preserved, so the flat matvec accumulates in exactly the order the
-// per-row walk did.
-func (p *placer) flattenSystem() {
-	n := len(p.movable)
-	nnz := 0
-	for i := 0; i < n; i++ {
-		nnz += len(p.off[i])
-	}
-	if cap(p.offEnt) < nnz {
-		p.offEnt = make([]csrEnt, nnz, p.nnzCap)
-	}
-	p.offEnt = p.offEnt[:nnz]
-	k := 0
-	for i := 0; i < n; i++ {
-		p.offStart[i] = int32(k)
-		for _, e := range p.off[i] {
-			p.offEnt[k] = csrEnt{int32(e.col), e.w}
-			k++
-		}
-	}
-	p.offStart[n] = int32(k)
-	for i := 0; i < n; i++ {
-		p.invDiag[i] = 0
-		if p.diag[i] > 0 {
-			p.invDiag[i] = 1 / p.diag[i]
+		s.invDiag[vi] = 0
+		if diag[vi] > 0 {
+			s.invDiag[vi] = 1 / diag[vi]
 		}
 	}
 }
@@ -559,103 +602,80 @@ func (p *placer) flattenSystem() {
 // pinc is one net pin projected onto the active axis.
 type pinc struct {
 	c  float64
-	vi int
+	vi int32
 }
 
-// appendNetSprings computes the B2B spring actions of one net against the
-// current (frozen) positions, reading the flat pin snapshot. It only reads
-// placer state, so calls for different nets may run concurrently. pins is a
-// reusable scratch buffer.
-func (p *placer) appendNetSprings(ni int, xAxis bool, pins []pinc,
-	out []springAction) ([]pinc, []springAction) {
-
-	lo, hi := p.cm.NetStart[ni], p.cm.NetStart[ni+1]
-	pos, fix := p.x, p.pinCX
-	if !xAxis {
-		pos, fix = p.y, p.pinCY
-	}
-	pins = pins[:0]
-	minI, maxI := 0, 0
-	for k := lo; k < hi; k++ {
-		vi := int(p.pinVar[k])
-		c := fix[k]
-		if vi >= 0 {
-			c = pos[vi]
-		}
-		pins = append(pins, pinc{c, vi})
-		if c < pins[minI].c {
-			minI = len(pins) - 1
-		}
-		if c > pins[maxI].c {
-			maxI = len(pins) - 1
-		}
-	}
-	P := len(pins)
-	if P < 2 {
-		return pins, out
-	}
-	wNet := p.netW[ni]
-	// B2B: connect every pin to both boundary pins.
-	for _, bi := range [2]int{minI, maxI} {
-		b := pins[bi]
-		for i, q := range pins {
-			if i == bi || (bi == maxI && i == minI) {
-				continue
+// netSprings computes the B2B spring actions of active nets [lo, hi) against
+// the (frozen) axis positions pos, reading the flat pin snapshot, each net
+// into its slot of 2(P-1) actions; w selects the assembly worker's pin
+// scratch. It only reads placer state, so disjoint ranges may run
+// concurrently.
+func (s *axisSystem) netSprings(p *placer, pos, fix []float64, w, lo, hi int) {
+	scratch := s.pins[w*p.maxPins : (w+1)*p.maxPins]
+	for ai := lo; ai < hi; ai++ {
+		ni := p.activeNets[ai]
+		first := int(p.cm.NetStart[ni])
+		pins := scratch[:int(p.cm.NetStart[ni+1])-first]
+		minI, maxI := 0, 0
+		for i := range pins {
+			vi := p.pinVar[first+i]
+			c := fix[first+i]
+			if vi >= 0 {
+				c = pos[vi]
 			}
-			dist := math.Abs(q.c - b.c)
-			if dist < 1e-3 {
-				dist = 1e-3
+			pins[i] = pinc{c, vi}
+			if c < pins[minI].c {
+				minI = i
 			}
-			w := wNet * 2 / (float64(P-1) * dist)
-			out = append(out, springAction{q.vi, b.vi, q.c, b.c, w})
+			if c > pins[maxI].c {
+				maxI = i
+			}
+		}
+		// B2B: connect every pin to both boundary pins.
+		out := s.acts[p.actStart[ai]:p.actStart[ai+1]]
+		k := 0
+		for _, bi := range [2]int{minI, maxI} {
+			b := pins[bi]
+			for i, q := range pins {
+				if i == bi || (bi == maxI && i == minI) {
+					continue
+				}
+				dist := math.Abs(q.c - b.c)
+				if dist < 1e-3 {
+					dist = 1e-3
+				}
+				c := b.c
+				if q.vi < 0 {
+					c = q.c
+				}
+				out[k] = springAction{q.vi, b.vi, c, p.netW[ni] * 2 / (float64(len(pins)-1) * dist)}
+				k++
+			}
+		}
+		// 2P-3 springs unless every pin coincides: a spare slot is a no-op.
+		for ; k < len(out); k++ {
+			out[k] = springAction{vi: -1, vj: -1}
 		}
 	}
-	return pins, out
 }
 
-// addSpring adds a two-point quadratic term w*(a-b)^2 where each endpoint is
-// a variable (vi >= 0) or a constant coordinate.
-func (p *placer) addSpring(vi, vj int, ci, cj float64, w float64) {
-	switch {
-	case vi >= 0 && vj >= 0:
-		if vi == vj {
-			return
-		}
-		p.diag[vi] += w
-		p.diag[vj] += w
-		p.off[vi] = append(p.off[vi], sparseEntry{vj, w})
-		p.off[vj] = append(p.off[vj], sparseEntry{vi, w})
-	case vi >= 0:
-		p.diag[vi] += w
-		p.rhs[vi] += w * cj
-	case vj >= 0:
-		p.diag[vj] += w
-		p.rhs[vj] += w * ci
-	}
-}
-
-// cg solves (D - O) x = rhs with Jacobi-preconditioned conjugate gradient,
-// warm-started from the current positions. Work vectors live on the placer
-// and are reused across solves; the returned slice is p.cgX, valid until the
-// next call. Solves stop at cgMaxIters, at an absolute residual floor, or
-// once the preconditioned residual norm drops below cgRelTol times the
-// right-hand side's — the textbook relative criterion, which lets
+// cg solves (D - O) v = rhs with Jacobi-preconditioned conjugate gradient,
+// warm-started from pos, writes the solution back into pos and returns the
+// iterations spent. Solves stop at cgMaxIters, at an absolute residual
+// floor, or once the preconditioned residual norm drops below cgRelTol times
+// the right-hand side's — the textbook relative criterion, which lets
 // warm-started solves (coarse-init refinement, incremental mode) exit after
 // a handful of iterations.
-func (p *placer) cg(xAxis bool) []float64 {
-	n := len(p.movable)
-	x := p.cgX
-	if xAxis {
-		copy(x, p.x)
-	} else {
-		copy(x, p.y)
-	}
-	ax := p.cgAx
-	r := p.cgR
-	d := p.cgD
-	rhs := p.rhs
-	iv := p.invDiag
-	p.mulA(x, ax)
+func (s *axisSystem) cg(pos []float64) int {
+	n := len(pos)
+	x := s.cgX
+	copy(x, pos)
+	ax := s.cgAx
+	r := s.cgR
+	d := s.cgD
+	rhs := s.rhs
+	iv := s.invDiag
+	s.mulADot(x, ax) // only ax = A x is wanted here
 	var rz, bz float64
 	for i := 0; i < n; i++ {
 		ri := rhs[i] - ax[i]
@@ -670,7 +690,7 @@ func (p *placer) cg(xAxis bool) []float64 {
 	}
 	it := 0
 	for ; it < cgMaxIters && rz > floor; it++ {
-		dad := p.mulADot(d, ax)
+		dad := s.mulADot(d, ax)
 		if dad <= 0 {
 			break
 		}
@@ -688,67 +708,41 @@ func (p *placer) cg(xAxis bool) []float64 {
 			d[i] = r[i]*iv[i] + beta*d[i]
 		}
 	}
-	p.cgIters += it
-	return x
+	copy(pos, x)
+	return it
 }
 
-// mulA computes out = (D - O) v on the flat CSR. Rows are independent slots
-// and every row keeps its sequential term order, so any worker count is
-// bit-identical to the plain loop.
-func (p *placer) mulA(v, out []float64) {
-	if p.workers <= 1 {
-		p.mulARange(v, out, 0, len(p.movable))
-		return
-	}
-	par.Blocks(p.workers, len(p.movable), func(w, lo, hi int) {
-		p.mulARange(v, out, lo, hi)
-	})
-}
-
-// csrEnt is one off-diagonal matrix entry: the column paired with its weight
-// in a single 8-byte record, so the matvec streams one array instead of two.
-type csrEnt struct {
-	col int32
-	w   float64
-}
-
-func (p *placer) mulARange(v, out []float64, lo, hi int) {
-	diag := p.diag
-	offStart := p.offStart
-	offEnt := p.offEnt
+// mulARange computes rows [lo, hi) of out = (D - O) v, each row's terms in
+// entry order, and returns their share of v·out.
+func (s *axisSystem) mulARange(v, out []float64, lo, hi int) float64 {
+	diag, offStart := s.diag, s.offStart
+	var dot float64
 	for i := lo; i < hi; i++ {
-		out[i] = rowDot(diag[i]*v[i], offEnt[offStart[i]:offStart[i+1]], v)
-	}
-}
-
-// rowDot computes s - sum(ent.w * v[ent.col]) in entry order — the one
-// association every caller shares, fused or parallel, any worker count.
-func rowDot(s float64, row []csrEnt, v []float64) float64 {
-	for _, e := range row {
-		s -= e.w * v[e.col]
-	}
-	return s
-}
-
-// mulADot is mulA fused with the d·Ad dot product. The dot accumulates in
-// ascending row order on both the sequential (fused) and parallel (separate
-// reduction pass) paths, so the result is bit-identical either way.
-func (p *placer) mulADot(d, ax []float64) float64 {
-	n := len(p.movable)
-	var dad float64
-	if p.workers <= 1 {
-		diag := p.diag
-		offStart := p.offStart
-		offEnt := p.offEnt
-		for i := 0; i < n; i++ {
-			s := rowDot(diag[i]*d[i], offEnt[offStart[i]:offStart[i+1]], d)
-			ax[i] = s
-			dad += d[i] * s
+		t := diag[i] * v[i]
+		col := s.offCol[offStart[i]:offStart[i+1]]
+		wt := s.offW[offStart[i]:offStart[i+1]]
+		for k, c := range col {
+			t -= wt[k] * v[c]
 		}
-		return dad
+		out[i] = t
+		dot += v[i] * t
 	}
-	p.mulA(d, ax)
-	for i := 0; i < n; i++ {
+	return dot
+}
+
+// mulADot computes ax = (D - O) d and returns d·ax. Rows are independent
+// slots that keep their sequential term order, and the dot accumulates in
+// ascending row order on both the sequential (fused) and the row-parallel
+// (separate reduction pass) path, so the result is bit-identical either way.
+func (s *axisSystem) mulADot(d, ax []float64) float64 {
+	if s.workers <= 1 {
+		return s.mulARange(d, ax, 0, len(d))
+	}
+	par.Blocks(s.workers, len(d), func(_, lo, hi int) {
+		s.mulARange(d, ax, lo, hi)
+	})
+	var dad float64
+	for i := range d {
 		dad += d[i] * ax[i]
 	}
 	return dad
@@ -934,17 +928,15 @@ func (p *placer) bisect(r netlist.Rect, act, oth, buf []int32, xAxis bool, worke
 		p.sideLo[vi] = false
 	}
 	if workers > 1 && cut > 0 && cut < n && n > 128 {
-		done := make(chan any, 1)
-		go func() {
-			defer func() { done <- recover() }()
-			p.bisect(lo, oth[:cut], act[:cut], buf[:cut], !xAxis, workers/2)
-		}()
-		p.bisect(hi, oth[cut:], act[cut:], buf[cut:], !xAxis, workers-workers/2)
-		if pv := <-done; pv != nil {
-			// Re-raise the forked child's panic on the parent goroutine —
-			// the same propagation contract internal/par implements.
-			panic(pv) //ppalint:ignore nopanic re-raises a captured child-goroutine panic, mirroring internal/par's propagation contract
-		}
+		// Each block takes the cells, scratch range and rectangle its own
+		// index selects; the budget splits as it does between the axes.
+		rects := [2]netlist.Rect{lo, hi}
+		ends := [3]int{0, cut, n}
+		budget := [2]int{workers / 2, workers - workers/2}
+		par.Blocks(2, 2, func(h, _, _ int) {
+			a, b := ends[h], ends[h+1]
+			p.bisect(rects[h], oth[a:b], act[a:b], buf[a:b], !xAxis, budget[h])
+		})
 		return
 	}
 	p.bisect(lo, oth[:cut], act[:cut], buf[:cut], !xAxis, 1)

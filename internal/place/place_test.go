@@ -143,8 +143,10 @@ func TestIncrementalImprovesSeededHPWL(t *testing.T) {
 	}
 }
 
-func TestRegionConstraintsRespected(t *testing.T) {
-	d := tinyPlaced(t, 26)
+// quadrantRegions gives the first quarter of d's movable instances the core's
+// lower-left 40% as their region, the way flow.buildRegions hands every
+// member of a cluster the cluster's rectangle.
+func quadrantRegions(d *netlist.Design) (map[int]netlist.Rect, netlist.Rect) {
 	region := netlist.Rect{
 		X0: d.Core.X0, Y0: d.Core.Y0,
 		X1: d.Core.X0 + d.Core.W()*0.4, Y1: d.Core.Y0 + d.Core.H()*0.4,
@@ -155,6 +157,12 @@ func TestRegionConstraintsRespected(t *testing.T) {
 			regions[i] = region
 		}
 	}
+	return regions, region
+}
+
+func TestRegionConstraintsRespected(t *testing.T) {
+	d := tinyPlaced(t, 26)
+	regions, region := quadrantRegions(d)
 	Global(d, Options{Seed: 6, Regions: regions})
 	for id := range regions {
 		inst := d.Insts[id]
