@@ -12,7 +12,7 @@
 //	ppabench -table ablation # extension: per-term PPA-awareness ablation
 //	ppabench -workers 4      # goroutine budget (0 = GOMAXPROCS)
 //	ppabench -timing-driven tables   # timing/routability-driven A/B on the Table-3/4 protocols
-//	ppabench -timing-driven 10k -workers-sweep   # flat A/B smoke with the W=1/2/4/8 identity gate
+//	ppabench -timing-driven 10k      # the same A/B on a flat 10k-cell scale design
 //	ppabench -cpuprofile cpu.out -memprofile mem.out   # pprof profiles
 package main
 
@@ -42,11 +42,9 @@ func main() {
 	fast := flag.Bool("fast", false, "shrink designs and ML dataset for a quick run")
 	seed := flag.Int64("seed", 1, "suite seed")
 	workers := flag.Int("workers", 0,
-		"goroutine budget for all kernels and fan-out (0 = PPACLUST_WORKERS or GOMAXPROCS, 1 = sequential)")
+		"goroutine budget of the stages that fan out (0 = PPACLUST_WORKERS or GOMAXPROCS, 1 = sequential)")
 	table := flag.String("table", "", "print one table (1-6, gnn, runtime, ablation) to stdout")
 	figure := flag.String("figure", "", "print one figure (5) to stdout")
-	workersSweep := flag.Bool("workers-sweep", false,
-		"with -timing-driven: re-run the A/B at workers=1,2,4,8 and check the rows bit-identical")
 	timingDriven := flag.String("timing-driven", "",
 		"run the timing/routability-driven placement A/B: \"tables\" for the Table-3/4 protocols, or a size list like \"10k\" for flat scale designs")
 	tdOut := flag.String("td-out", "BENCH_timing_driven.json", "timing-driven A/B output path")
@@ -70,7 +68,7 @@ func main() {
 	s := experiments.NewSuite(*fast, *seed, *workers)
 	switch {
 	case *timingDriven != "":
-		runTimingDriven(*timingDriven, *fast, *seed, *workers, *workersSweep, *tdOut)
+		runTimingDriven(*timingDriven, *fast, *seed, *workers, *tdOut)
 	case *table != "":
 		printTable(s, *table)
 	case *figure == "5":

@@ -24,9 +24,6 @@ type tdRun struct {
 	Rows     []experiments.TDRow `json:"rows"`
 }
 
-// sweepWorkerCounts are the worker counts a -workers-sweep run covers.
-var sweepWorkerCounts = []int{1, 2, 4, 8}
-
 // parseScaleSizes parses a size list like "10k,100k,1m" (suffixes k and m,
 // case-insensitive, or raw integers).
 func parseScaleSizes(s string) ([]int, error) {
@@ -57,53 +54,23 @@ func parseScaleSizes(s string) ([]int, error) {
 
 // runTimingDriven drives the -timing-driven A/B mode: spec "tables" runs the
 // Table-3/4 protocols through the experiments suite; a size list like "10k"
-// runs the flat default flow A/B on generated scale designs (the cheap smoke
-// path CI uses). With sweep set, the whole comparison repeats at
-// W=1/2/4/8 and any quality-field difference is a fatal error — the
-// bit-identity contract applied to the feedback checkpoints.
-func runTimingDriven(spec string, fast bool, seed int64, workers int, sweep bool, outPath string) {
+// runs the flat default flow A/B on generated scale designs.
+func runTimingDriven(spec string, fast bool, seed int64, workers int, outPath string) {
 	f, err := os.Create(outPath)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ppabench: %v\n", err)
 		os.Exit(1)
 	}
-	counts := []int{workers}
-	if sweep {
-		counts = sweepWorkerCounts
+	t0 := time.Now()
+	rows := timingDrivenRows(spec, fast, seed, workers)
+	ms := float64(time.Since(t0).Microseconds()) / 1000
+	for _, r := range rows {
+		fmt.Printf("timing-driven %-10s %-8s %7d insts: hpwl %.4g -> %.4g (x%.4f), tns %+.3f -> %+.3f ns (gain %+.3f), maxcong %.3f -> %.3f\n",
+			r.Design, r.Tool, r.Insts, r.BaseHPWL, r.TDHPWL, r.HPWLRatio,
+			r.BaseTNSns, r.TDTNSns, r.TNSGainNs, r.BaseMaxCongestion, r.TDMaxCongestion)
 	}
-	var ref []experiments.TDRow
-	for wi, w := range counts {
-		t0 := time.Now()
-		rows := timingDrivenRows(spec, fast, seed, w)
-		ms := float64(time.Since(t0).Microseconds()) / 1000
-		if wi == 0 {
-			ref = rows
-			for _, r := range rows {
-				fmt.Printf("timing-driven %-10s %-8s %7d insts: hpwl %.4g -> %.4g (x%.4f), tns %+.3f -> %+.3f ns (gain %+.3f), maxcong %.3f -> %.3f\n",
-					r.Design, r.Tool, r.Insts, r.BaseHPWL, r.TDHPWL, r.HPWLRatio,
-					r.BaseTNSns, r.TDTNSns, r.TNSGainNs, r.BaseMaxCongestion, r.TDMaxCongestion)
-			}
-			fmt.Printf("timing-driven A/B done in %.1f ms (workers=%d)\n", ms, w)
-			continue
-		}
-		fmt.Printf("timing-driven A/B re-run at workers=%d: %.1f ms\n", w, ms)
-		if len(rows) != len(ref) {
-			fmt.Fprintf(os.Stderr, "ppabench: workers=%d produced %d rows, workers=%d produced %d\n",
-				counts[0], len(ref), w, len(rows))
-			os.Exit(1)
-		}
-		for i := range rows {
-			if rows[i] != ref[i] {
-				fmt.Fprintf(os.Stderr, "ppabench: quality mismatch at workers=%d, row %s/%s:\n  w=%d: %+v\n  w=%d: %+v\n",
-					w, rows[i].Design, rows[i].Tool, counts[0], ref[i], w, rows[i])
-				os.Exit(1)
-			}
-		}
-	}
-	if sweep {
-		fmt.Printf("timing-driven quality fields bit-identical across workers=%v\n", sweepWorkerCounts)
-	}
-	doc := tdRun{Protocol: spec, Seed: seed, Fast: fast, Rows: ref}
+	fmt.Printf("timing-driven A/B done in %.1f ms (workers=%d)\n", ms, workers)
+	doc := tdRun{Protocol: spec, Seed: seed, Fast: fast, Rows: rows}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {

@@ -40,6 +40,47 @@ func fatalParse(err error) {
 	os.Exit(1)
 }
 
+// choice is one accepted value of an enumerated flag.
+type choice[T any] struct {
+	name string
+	val  T
+}
+
+var (
+	toolChoices   = []choice[flow.Tool]{{"openroad", flow.ToolOpenROAD}, {"innovus", flow.ToolInnovus}}
+	methodChoices = []choice[flow.Method]{{"ppa", flow.MethodPPAAware}, {"mfc", flow.MethodMFC},
+		{"leiden", flow.MethodLeiden}, {"louvain", flow.MethodLouvain}}
+	shapeChoices = []choice[flow.ShapeMode]{{"uniform", flow.ShapeUniform}, {"random", flow.ShapeRandom},
+		{"vpr", flow.ShapeVPR}}
+)
+
+// parseChoice maps an enumerated flag's value to its constant, ignoring
+// case. An unknown value is an error that lists the valid ones.
+func parseChoice[T any](flagName, val string, choices []choice[T]) (T, error) {
+	names := make([]string, len(choices))
+	for i, c := range choices {
+		if strings.EqualFold(val, c.name) {
+			return c.val, nil
+		}
+		names[i] = c.name
+	}
+	var zero T
+	return zero, fmt.Errorf("unknown -%s %q (valid: %s)", flagName, val, strings.Join(names, "|"))
+}
+
+// parseFlowChoices fills opt's tool, clustering method and shape mode from
+// the three enumerated flags.
+func parseFlowChoices(opt *flow.Options, tool, method, shapes string) (err error) {
+	if opt.Tool, err = parseChoice("tool", tool, toolChoices); err != nil {
+		return err
+	}
+	if opt.Method, err = parseChoice("method", method, methodChoices); err != nil {
+		return err
+	}
+	opt.Shapes, err = parseChoice("shapes", shapes, shapeChoices)
+	return err
+}
+
 func main() {
 	design := flag.String("design", "aes", "benchmark: aes|jpeg|ariane|bp|mb|mpg")
 	tool := flag.String("tool", "openroad", "seeded placement recipe: openroad|innovus")
@@ -61,6 +102,13 @@ func main() {
 	sdcFile := flag.String("sdc", "", "load benchmark from files: SDC constraints")
 	lenient := flag.Bool("lenient", false, "tolerate recoverable parse errors in loaded files (warn and continue)")
 	flag.Parse()
+
+	opt := flow.Options{Seed: *seed, SkipRoute: *skipRoute, RepairBuffers: *repair,
+		TimingDriven: *timingDriven, RoutabilityDriven: *routabilityDriven}
+	if err := parseFlowChoices(&opt, *tool, *method, *shapes); err != nil {
+		fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
+		os.Exit(2)
+	}
 
 	var b *designs.Benchmark
 	if *vlogFile != "" || *libFile != "" || *sdcFile != "" || *defFile != "" || *lefFile != "" {
@@ -91,33 +139,6 @@ func main() {
 	st := b.Design.Stats()
 	fmt.Printf("  %d instances, %d nets, %d ports, TCP %.2f ns\n",
 		st.Insts, st.Nets, st.Ports, b.Cons.ClockPeriod*1e9)
-
-	opt := flow.Options{Seed: *seed, SkipRoute: *skipRoute, RepairBuffers: *repair,
-		TimingDriven: *timingDriven, RoutabilityDriven: *routabilityDriven}
-	switch strings.ToLower(*tool) {
-	case "innovus":
-		opt.Tool = flow.ToolInnovus
-	default:
-		opt.Tool = flow.ToolOpenROAD
-	}
-	switch strings.ToLower(*method) {
-	case "mfc":
-		opt.Method = flow.MethodMFC
-	case "leiden":
-		opt.Method = flow.MethodLeiden
-	case "louvain":
-		opt.Method = flow.MethodLouvain
-	default:
-		opt.Method = flow.MethodPPAAware
-	}
-	switch strings.ToLower(*shapes) {
-	case "random":
-		opt.Shapes = flow.ShapeRandom
-	case "vpr":
-		opt.Shapes = flow.ShapeVPR
-	default:
-		opt.Shapes = flow.ShapeUniform
-	}
 
 	var res *flow.Result
 	var err error

@@ -14,7 +14,6 @@ import (
 	"sort"
 
 	"ppaclust/internal/hypergraph"
-	"ppaclust/internal/par"
 )
 
 // Options configures multilevel FC clustering.
@@ -49,11 +48,7 @@ type Options struct {
 	EdgeSwitchCost []float64
 	// MaxLevels bounds the number of coarsening levels. Default 20.
 	MaxLevels int
-	// Workers bounds the goroutines of the priority-score scan and of the
-	// contraction between levels: 0 = auto (PPACLUST_WORKERS, else
-	// GOMAXPROCS), 1 = fully sequential. Matching itself is one sequential
-	// loop, so the cluster assignment is bit-identical for every worker
-	// count.
+	// Workers is ignored; kept for frozen benchmark/replay.go.
 	Workers int
 }
 
@@ -133,7 +128,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 			budget = 0 // far from target: unrestricted pass
 		}
 		merge := fcPass(cur, groups, tCost, sCost, opt, maxW, budget, rng)
-		con, err := cur.ContractWorkers(merge, opt.Workers)
+		con, err := cur.Contract(merge)
 		if err != nil {
 			break
 		}
@@ -234,11 +229,9 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 	rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 	if budget > 0 {
 		// Priority pass: visit vertices in descending order of their best
-		// candidate rating so the limited budget buys the best merges. Each
-		// score is accumulated per vertex in incident-edge order, so the
-		// parallel fan-out is bit-identical to the sequential loop.
+		// candidate rating so the limited budget buys the best merges.
 		score := make([]float64, n)
-		par.ForEach(par.Workers(opt.Workers), n, func(v int) {
+		for v := range score {
 			for _, e := range h.Incident(v) {
 				verts := h.Edge(e)
 				if len(verts) < 2 || len(verts) > opt.MaxEdgeSize {
@@ -253,7 +246,7 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 				}
 				score[v] += num / float64(len(verts)-1)
 			}
-		})
+		}
 		sort.Slice(order, func(a, b int) bool {
 			if score[order[a]] != score[order[b]] {
 				return score[order[a]] > score[order[b]]

@@ -18,7 +18,6 @@ import (
 	"math"
 
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/par"
 	"ppaclust/internal/sortx"
 	"ppaclust/internal/sta"
 )
@@ -36,9 +35,7 @@ type Options struct {
 	// pin-name hashing — the mode the scale flow uses with
 	// sta.SetClockArrivalList.
 	SkipArrivalMap bool
-	// Workers caps the worker goroutines used for sink gathering, the
-	// bisection recursion, and tree annotation (0 = PPACLUST_WORKERS or
-	// GOMAXPROCS). Results are bit-identical at every worker count.
+	// Workers is ignored; kept for frozen benchmark/replay.go.
 	Workers int
 }
 
@@ -95,31 +92,16 @@ type node struct {
 	wireLen  float64 // wire from this node to children/sinks
 }
 
-// annotateForkDepth is the tree depth at which annotation forks into
-// independent subtree tasks. It is a fixed constant — never derived from
-// the worker count — so the floating-point accumulation order of the
-// wirelength total (top nodes in DFS order, then subtree partials in DFS
-// task order) is identical at every worker count, including one.
+// annotateForkDepth is the tree depth at which annotation switches from
+// adding each node's wire straight into the wirelength total to summing a
+// subtree into a partial that is added afterwards. It fixes the floating-
+// point accumulation order of Result.WirelengthUM (top nodes in DFS order,
+// then subtree partials in DFS order), which TestSynthesizeGolden pins.
 const annotateForkDepth = 3
 
 // Synthesize builds the clock tree for the given clock net.
-//
-// Parallel structure (all bit-identical across worker counts):
-//
-//   - Sink gathering shards the clock net's pin range across workers into
-//     per-worker arenas concatenated in ascending block order, recovering
-//     the exact serial pin order.
-//   - The bisection recursion forks its two children onto separate
-//     goroutines near the top of the tree. Children operate on disjoint
-//     slices of the presorted orders and disjoint sink indices of the
-//     shared partition marks, and every per-node value is a pure function
-//     of that node's sink set, so the tree is identical no matter how the
-//     recursion is scheduled.
-//   - Annotation splits the tree at a fixed depth (annotateForkDepth) into
-//     subtree tasks whose partial results merge in DFS order.
 func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	opt = opt.withDefaults()
-	workers := par.Workers(opt.Workers)
 	c := d.Compact()
 	ni := clockNet.ID
 
@@ -128,62 +110,37 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	haveRoot := false
 	s0, s1 := c.NetStart[ni], c.NetStart[ni+1]
 	nPins := int(s1 - s0)
-
-	// Per-worker gather arenas, concatenated in block order below.
-	type gatherPart struct {
-		x, y, cap    []float64
-		inst, mp     []int32
-		rootX, rootY float64
-		haveRoot     bool
-	}
-	parts := make([]gatherPart, workers)
-	par.Blocks(workers, nPins, func(w, lo, hi int) {
-		gp := &parts[w]
-		for k := s0 + int32(lo); k < s0+int32(hi); k++ {
-			id := c.PinInst[k]
-			if id < 0 {
-				if id == netlist.CompactNoPort {
-					continue
-				}
-				p := d.Ports[-1-id]
-				if p.Dir == netlist.DirInput {
-					gp.rootX, gp.rootY = p.X, p.Y
-					gp.haveRoot = true
-				}
-				continue
-			}
-			mpIdx := c.PinMP[k]
-			if mpIdx < 0 {
-				continue
-			}
-			mp := &d.Insts[id].Master.Pins[mpIdx]
-			if mp.Dir != netlist.DirInput {
-				continue
-			}
-			gp.x = append(gp.x, d.Insts[id].X+c.PinDX[k])
-			gp.y = append(gp.y, d.Insts[id].Y+c.PinDY[k])
-			gp.cap = append(gp.cap, mp.Cap)
-			gp.inst = append(gp.inst, id)
-			gp.mp = append(gp.mp, mpIdx)
-		}
-	})
 	b.x = make([]float64, 0, nPins)
 	b.y = make([]float64, 0, nPins)
 	b.cap = make([]float64, 0, nPins)
 	b.inst = make([]int32, 0, nPins)
 	b.mp = make([]int32, 0, nPins)
-	for w := range parts {
-		gp := &parts[w]
-		b.x = append(b.x, gp.x...)
-		b.y = append(b.y, gp.y...)
-		b.cap = append(b.cap, gp.cap...)
-		b.inst = append(b.inst, gp.inst...)
-		b.mp = append(b.mp, gp.mp...)
-		if gp.haveRoot {
-			// Matches the serial walk: the last input port in pin order wins.
-			rootX, rootY = gp.rootX, gp.rootY
-			haveRoot = true
+	for k := s0; k < s1; k++ {
+		id := c.PinInst[k]
+		if id < 0 {
+			if id == netlist.CompactNoPort {
+				continue
+			}
+			// The last input port in pin order is the clock source.
+			if p := d.Ports[-1-id]; p.Dir == netlist.DirInput {
+				rootX, rootY = p.X, p.Y
+				haveRoot = true
+			}
+			continue
 		}
+		mpIdx := c.PinMP[k]
+		if mpIdx < 0 {
+			continue
+		}
+		mp := &d.Insts[id].Master.Pins[mpIdx]
+		if mp.Dir != netlist.DirInput {
+			continue
+		}
+		b.x = append(b.x, d.Insts[id].X+c.PinDX[k])
+		b.y = append(b.y, d.Insts[id].Y+c.PinDY[k])
+		b.cap = append(b.cap, mp.Cap)
+		b.inst = append(b.inst, id)
+		b.mp = append(b.mp, mpIdx)
 	}
 	res := &Result{}
 	if !opt.SkipArrivalMap {
@@ -207,21 +164,13 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	b.sideLo = make([]bool, n)
 	buf := make([]int32, n)
 
-	// Fork the top of the recursion wide enough to keep every worker busy.
-	// The fork depth may depend on the worker count: the built tree is a
-	// pure per-node function of the sink set, identical however the
-	// recursion is scheduled.
-	fork := 0
-	for 1<<fork < workers {
-		fork++
-	}
-	tree := b.build(byX, byY, buf, opt.MaxFanout, fork)
+	tree := b.build(byX, byY, buf, opt.MaxFanout)
 	res.Levels = depth(tree)
 
 	// Root wire from the clock source to the tree root.
 	rootWire := math.Abs(tree.x-rootX) + math.Abs(tree.y-rootY)
 	res.WirelengthUM += rootWire
-	b.annotate(d, tree, opt, res, wireDelay(rootWire, bufInCap(opt)), workers)
+	b.annotate(d, tree, opt, res, wireDelay(rootWire, bufInCap(opt)))
 	return res
 }
 
@@ -248,12 +197,8 @@ func centroid(b *builder, idx []int32) (float64, float64) {
 // bx and by hold the same sink set sorted by x and by y (ties by index); at
 // each level the chosen axis order is cut at its midpoint and the other
 // order is split by a stable partition on membership, so both children
-// inherit both orderings without sorting or extra allocation. For the top
-// fork levels the two children run concurrently: they touch disjoint halves
-// of the order slices and of the partition-mark array (marks are cleared
-// before recursing), and every node value is a pure function of its sink
-// set, so the result is identical at any fork depth.
-func (b *builder) build(bx, by, buf []int32, maxFanout, fork int) *node {
+// inherit both orderings without sorting or extra allocation.
+func (b *builder) build(bx, by, buf []int32, maxFanout int) *node {
 	n := len(bx)
 	cx, cy := centroid(b, bx)
 	nd := &node{x: cx, y: cy}
@@ -292,18 +237,8 @@ func (b *builder) build(bx, by, buf []int32, maxFanout, fork int) *node {
 	if !actIsX {
 		loBx, loBy, hiBx, hiBy = othLo, actLo, othHi, actHi
 	}
-	var cLo, cHi *node
-	if fork > 0 {
-		done := make(chan *node, 1)
-		go func() {
-			done <- b.build(loBx, loBy, bufLo, maxFanout, fork-1)
-		}()
-		cHi = b.build(hiBx, hiBy, bufHi, maxFanout, fork-1)
-		cLo = <-done
-	} else {
-		cLo = b.build(loBx, loBy, bufLo, maxFanout, 0)
-		cHi = b.build(hiBx, hiBy, bufHi, maxFanout, 0)
-	}
+	cLo := b.build(loBx, loBy, bufLo, maxFanout)
+	cHi := b.build(hiBx, hiBy, bufHi, maxFanout)
 	nd.children = []*node{cLo, cHi}
 	return nd
 }
@@ -337,29 +272,20 @@ func wireDelay(length, loadCap float64) float64 {
 	return sta.WireResPerMicron * length * (sta.WireCapPerMicron*length/2 + loadCap)
 }
 
-// annPartial is one annotation task's result, merged in DFS task order.
-type annPartial struct {
-	buffers  int
-	wl       float64
-	arrivals []sta.ClockArrival
-	maxIns   float64
-	minIns   float64
-}
-
-// annotate walks the tree computing insertion delays. The walk is split at
-// annotateForkDepth into independent subtree tasks (the subtrees partition
-// the sinks, and each task's delays depend only on its entry arrival), whose
-// partials merge in DFS order — the same order at every worker count.
-func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Result, at0 float64, workers int) {
-	type annTask struct {
+// annotate walks the tree computing insertion delays. The top
+// annotateForkDepth levels add their wires to the wirelength total as they
+// are met; each subtree below is summed on its own and added afterwards, in
+// DFS order.
+func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Result, at0 float64) {
+	type subtree struct {
 		n  *node
 		at float64
 	}
-	var tasks []annTask
+	var subs []subtree
 	var descend func(n *node, at float64, depth int)
 	descend = func(n *node, at float64, depth int) {
 		if depth == annotateForkDepth || len(n.children) == 0 {
-			tasks = append(tasks, annTask{n, at})
+			subs = append(subs, subtree{n, at})
 			return
 		}
 		res.Buffers++
@@ -380,27 +306,12 @@ func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Resu
 	}
 	descend(root, at0, 0)
 
-	parts := make([]annPartial, len(tasks))
-	par.ForEach(workers, len(tasks), func(i int) {
-		p := &parts[i]
-		p.minIns = math.Inf(1)
-		b.annotateSub(d, tasks[i].n, opt, p, tasks[i].at)
-	})
+	res.ArrivalList = make([]sta.ClockArrival, 0, len(b.x))
 	res.MinInsertion = math.Inf(1)
-	for i := range parts {
-		p := &parts[i]
-		res.Buffers += p.buffers
-		res.WirelengthUM += p.wl
-		res.ArrivalList = append(res.ArrivalList, p.arrivals...)
-		if p.maxIns > res.MaxInsertion {
-			res.MaxInsertion = p.maxIns
-		}
-		if p.minIns < res.MinInsertion {
-			res.MinInsertion = p.minIns
-		}
-	}
-	if math.IsInf(res.MinInsertion, 1) {
-		res.MinInsertion = 0
+	for _, s := range subs {
+		var wl float64
+		b.annotateSub(d, s.n, opt, res, &wl, s.at)
+		res.WirelengthUM += wl
 	}
 	if res.Arrivals != nil {
 		for _, a := range res.ArrivalList {
@@ -409,10 +320,10 @@ func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Resu
 	}
 }
 
-// annotateSub is the sequential subtree walk: per-node loads and wires, and
-// per-sink insertion delays appended in leaf order.
-func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, p *annPartial, at float64) {
-	p.buffers++
+// annotateSub walks one subtree: per-node loads and wires, the wires summed
+// into wlSum, and per-sink insertion delays appended to res in leaf order.
+func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, res *Result, wlSum *float64, at float64) {
+	res.Buffers++
 	// Load seen by this node's buffer: wires + child buffer inputs or sinks.
 	var load, wl float64
 	if len(n.children) > 0 {
@@ -430,14 +341,14 @@ func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, p *annPar
 	}
 	n.loadCap = load
 	n.wireLen = wl
-	p.wl += wl
+	*wlSum += wl
 
 	bufDelay := bufferDelay(opt, load)
 	out := at + bufDelay
 	if len(n.children) > 0 {
 		for _, c := range n.children {
 			l := math.Abs(c.x-n.x) + math.Abs(c.y-n.y)
-			b.annotateSub(d, c, opt, p, out+wireDelay(l, bufInCap(opt)))
+			b.annotateSub(d, c, opt, res, wlSum, out+wireDelay(l, bufInCap(opt)))
 		}
 		return
 	}
@@ -446,12 +357,12 @@ func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, p *annPar
 		ins := out + wireDelay(l, b.cap[si])
 		inst := b.inst[si]
 		pin := d.Insts[inst].Master.Pins[b.mp[si]].Name
-		p.arrivals = append(p.arrivals, sta.ClockArrival{Inst: int(inst), Pin: pin, T: ins})
-		if ins > p.maxIns {
-			p.maxIns = ins
+		res.ArrivalList = append(res.ArrivalList, sta.ClockArrival{Inst: int(inst), Pin: pin, T: ins})
+		if ins > res.MaxInsertion {
+			res.MaxInsertion = ins
 		}
-		if ins < p.minIns {
-			p.minIns = ins
+		if ins < res.MinInsertion {
+			res.MinInsertion = ins
 		}
 	}
 }

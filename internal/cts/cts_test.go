@@ -164,3 +164,64 @@ func itoaCTS(v int) string {
 	}
 	return string(rune('0'+v/10)) + string(rune('0'+v%10))
 }
+
+// TestAnnotateHotLoopAllocFree gates the annotation walk: once the result
+// has warmed arrival capacity, re-annotating must not allocate (the walk is
+// the CTS O(sinks) hot path).
+func TestAnnotateHotLoopAllocFree(t *testing.T) {
+	d, clk, opt := placedBench(t, 48)
+	res := Synthesize(d, clk, opt)
+	if res.Buffers == 0 {
+		t.Fatal("no tree")
+	}
+
+	// Rebuild the sink arrays and tree directly to get a subtree handle.
+	opt = opt.withDefaults()
+	var b builder
+	c := d.Compact()
+	ni := clk.ID
+	for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
+		id := c.PinInst[k]
+		if id < 0 {
+			continue
+		}
+		mpIdx := c.PinMP[k]
+		if mpIdx < 0 {
+			continue
+		}
+		mp := &d.Insts[id].Master.Pins[mpIdx]
+		if mp.Dir != netlist.DirInput {
+			continue
+		}
+		b.x = append(b.x, d.Insts[id].X+c.PinDX[k])
+		b.y = append(b.y, d.Insts[id].Y+c.PinDY[k])
+		b.cap = append(b.cap, mp.Cap)
+		b.inst = append(b.inst, id)
+		b.mp = append(b.mp, mpIdx)
+	}
+	n := len(b.x)
+	if n == 0 {
+		t.Fatal("no sinks")
+	}
+	byX := make([]int32, n)
+	byY := make([]int32, n)
+	for i := range byX {
+		byX[i] = int32(i)
+		byY[i] = int32(i)
+	}
+	b.sideLo = make([]bool, n)
+	tree := b.build(byX, byY, make([]int32, n), opt.MaxFanout)
+
+	walk := &Result{ArrivalList: make([]sta.ClockArrival, 0, n)}
+	var wl float64
+	avg := testing.AllocsPerRun(20, func() {
+		walk.ArrivalList = walk.ArrivalList[:0]
+		b.annotateSub(d, tree, opt, walk, &wl, 1e-12)
+	})
+	if len(walk.ArrivalList) != n {
+		t.Fatalf("walk reached %d of %d sinks", len(walk.ArrivalList), n)
+	}
+	if avg != 0 {
+		t.Fatalf("annotate allocates %.1f times per walk, want 0", avg)
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"ppaclust/internal/hier"
 	"ppaclust/internal/netlist"
 	netopt "ppaclust/internal/opt"
-	"ppaclust/internal/par"
 	"ppaclust/internal/place"
 	"ppaclust/internal/power"
 	"ppaclust/internal/route"
@@ -131,10 +130,11 @@ type Options struct {
 	// (place.Options.RoutabilityDriven). Applied identically by Run and
 	// RunDefault.
 	RoutabilityDriven bool
-	// Workers bounds the goroutines used by the STA, clustering, placement,
-	// routing and CTS kernels: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS),
-	// 1 = one worker, the same kernels run inline. Results are bit-identical
-	// for every worker count.
+	// Workers bounds the goroutines of the stages that fan out — the V-P&R
+	// and GNN shape sweeps, the placer's axis pair and the router: 0 = auto
+	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = everything inline. Clustering,
+	// STA and CTS are sequential. Results are bit-identical for every worker
+	// count.
 	Workers int
 }
 
@@ -367,7 +367,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		return assign, community.NumCommunities(assign), nil, nil
 	case MethodMFC:
 		res := cluster.MultilevelFC(view.H, cluster.Options{
-			Alpha: 1, Seed: opt.Seed, Workers: opt.Workers,
+			Alpha: 1, Seed: opt.Seed,
 		})
 		return res.Assign, res.NumClusters, nil, nil
 	case MethodPPAAware:
@@ -385,7 +385,6 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		zc := cons
 		zc.ZeroWire = true
 		an := sta.New(d, zc)
-		an.Workers = opt.Workers
 		paths := an.TopPaths(numPaths)
 		pathNets := make([][]int, len(paths))
 		slacks := make([]float64, len(paths))
@@ -410,7 +409,6 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 			Groups:         groups,
 			EdgeTimingCost: tCost,
 			EdgeSwitchCost: sCost,
-			Workers:        opt.Workers,
 		})
 		return res.Assign, res.NumClusters, an, nil
 	}
@@ -557,7 +555,7 @@ func mathSqrt(v float64) float64 {
 // Buffer repair inserts instances and nets — a topology change — so the
 // analyzer is rebuilt in that case.
 func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result, an *sta.Analyzer) error {
-	res.HPWL = d.HPWLWorkers(par.Workers(opt.Workers))
+	res.HPWL = d.HPWL()
 	if opt.SkipRoute {
 		return nil
 	}
@@ -570,7 +568,6 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 	// CTS on the clock net (if any), then propagated-clock STA.
 	if an == nil || opt.RepairBuffers {
 		an = sta.New(d, cons)
-		an.Workers = opt.Workers
 	} else {
 		an.SetZeroWire(cons.ZeroWire)
 		an.Update()
@@ -584,7 +581,7 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 		if buf == nil {
 			return fmt.Errorf("flow: clock tree synthesis on net %s needs CLKBUF_X2 in the library", n.Name)
 		}
-		copt := cts.Options{BufMaster: buf, SkipArrivalMap: true, Workers: opt.Workers}
+		copt := cts.Options{BufMaster: buf, SkipArrivalMap: true}
 		cres := cts.Synthesize(d, n, copt)
 		if len(cres.ArrivalList) > 0 {
 			an.SetClockArrivalList(cres.ArrivalList)

@@ -20,8 +20,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"ppaclust/internal/par"
 )
 
 // Hypergraph is a weighted hypergraph over dense vertex IDs.
@@ -36,8 +34,7 @@ type Hypergraph struct {
 
 	// Vertex → edge CSR, built lazily by incidence() and retired by any
 	// mutation. The atomic pointer makes concurrent reads safe against each
-	// other (parallel cluster rating hits Incident from many goroutines);
-	// mutating while readers are active was never supported.
+	// other; mutating while readers are active was never supported.
 	inc   atomic.Pointer[incidenceCSR]
 	incMu sync.Mutex
 }
@@ -204,20 +201,9 @@ type Contraction struct {
 // summed per cluster. Parallel coarse edges are merged with weights summed;
 // edges fully inside one cluster are dropped.
 func (h *Hypergraph) Contract(clusterOf []int) (*Contraction, error) {
-	return h.ContractWorkers(clusterOf, 1)
-}
-
-// ContractWorkers is Contract with an explicit worker count (0 = auto). The
-// per-edge work — mapping pins through the cluster map, sorting, deduping,
-// hashing — is sharded over workers into per-edge slots of a flat array; the
-// first-seen merge then replays those slots serially in edge order, so the
-// result is byte-identical to Contract at every worker count (gated by
-// TestContractWorkersEquivalent).
-func (h *Hypergraph) ContractWorkers(clusterOf []int, workers int) (*Contraction, error) {
 	if len(clusterOf) != h.NumVertices() {
 		return nil, fmt.Errorf("hypergraph: cluster map has %d entries for %d vertices", len(clusterOf), h.NumVertices())
 	}
-	workers = par.Workers(workers)
 	n := len(clusterOf)
 
 	// Densify labels in first-seen order so results are deterministic.
@@ -269,46 +255,27 @@ func (h *Hypergraph) ContractWorkers(clusterOf []int, workers int) (*Contraction
 		coarse.vertexWeight[cv] += h.vertexWeight[v]
 	}
 
-	// Parallel per-edge phase: map every edge's pins through vmap, sort,
-	// dedup, and hash, writing into the edge's own slot of a flat array that
-	// mirrors the pin CSR offsets. Each edge is owned by exactly one worker.
+	// Per edge: map the pins through vmap, sort and dedup them, then merge
+	// by integer hash (no per-edge string key). Hash buckets hold candidate
+	// coarse-edge ids and every hit is confirmed by exact vertex comparison,
+	// so hash collisions cannot merge distinct edges, and coarse edges are
+	// numbered in the order fine edges first reach them.
 	m := h.NumEdges()
-	outPins := make([]int, h.NumPins())
-	mLen := make([]int32, m)
-	keys := make([]uint64, m)
-	par.ForEach(workers, m, func(e int) {
-		base := h.edgeStart[e]
-		pins := h.edgePins[base:h.edgeStart[e+1]]
-		out := outPins[base : base+int32(len(pins))] //ppalint:ignore i32trunc pins is a sub-slice between two int32 CSR offsets, its length fits int32
-		for i, v := range pins {
-			out[i] = vmap[v]
-		}
-		slices.Sort(out)
-		k := 0
-		for i, v := range out {
-			if i == 0 || v != out[k-1] {
-				out[k] = v
-				k++
-			}
-		}
-		mLen[e] = int32(k)
-		keys[e] = hashInts(out[:k])
-	})
-
-	// Serial merge in edge order via the precomputed integer hashes (no
-	// per-edge string key). Hash buckets hold candidate coarse-edge ids and
-	// every hit is confirmed by exact vertex comparison, so hash collisions
-	// cannot merge distinct edges, and the first-seen coarse edge order —
-	// hence the result — is deterministic.
 	byKey := make(map[uint64][]int)
 	emap := make([]int, m)
+	var mapped []int // scratch, reused across edges
 	for e := 0; e < m; e++ {
-		mapped := outPins[h.edgeStart[e] : h.edgeStart[e]+mLen[e]]
+		mapped = mapped[:0]
+		for _, v := range h.edgePins[h.edgeStart[e]:h.edgeStart[e+1]] {
+			mapped = append(mapped, vmap[v])
+		}
+		slices.Sort(mapped)
+		mapped = slices.Compact(mapped)
 		if len(mapped) < 2 {
 			emap[e] = -1
 			continue
 		}
-		key := keys[e]
+		key := hashInts(mapped)
 		merged := false
 		for _, id := range byKey[key] {
 			if equalInts(coarse.Edge(id), mapped) {

@@ -3,8 +3,6 @@ package netlist
 import (
 	"fmt"
 	"math"
-
-	"ppaclust/internal/par"
 )
 
 // Compact is the flat struct-of-arrays/CSR view of a design's connectivity,
@@ -55,7 +53,7 @@ type Compact struct {
 	InstNets  []int32
 
 	// Position gather scratch for HPWL (origins per instance, absolute per
-	// port). Owned by the compact view: HPWL/HPWLWorkers overwrite it on
+	// port). Owned by the compact view: HPWL overwrites it on
 	// entry, so concurrent HPWL calls must not share one Compact.
 	instX, instY []float64
 	portX, portY []float64
@@ -289,26 +287,6 @@ func (c *Compact) HPWL() float64 {
 	var sum float64
 	for n := 0; n < len(c.NetStart)-1; n++ {
 		sum += c.netHPWL(n, c.instX, c.instY, c.portX, c.portY)
-	}
-	return sum
-}
-
-// HPWLWorkers returns the same total as HPWL, evaluating per-net lengths on
-// up to workers goroutines. Per-net values land in slots and are summed
-// sequentially in net order, so the result is bit-identical for any worker
-// count.
-func (c *Compact) HPWLWorkers(workers int) float64 {
-	nNets := len(c.NetStart) - 1
-	if workers <= 1 || nNets < 64 {
-		return c.HPWL()
-	}
-	c.gatherPositions()
-	per := par.Map(workers, nNets, func(n int) float64 {
-		return c.netHPWL(n, c.instX, c.instY, c.portX, c.portY)
-	})
-	var sum float64
-	for _, v := range per {
-		sum += v
 	}
 	return sum
 }

@@ -6,19 +6,21 @@ import (
 	"testing"
 )
 
-// TestCompactHPWLWorkersEquivalent pins the CSR view's equivalence contract:
+// TestCompactHPWLMatchesPointerAPI pins the CSR view's equivalence contract:
 // per-net and total HPWL from the compact kernels are bit-identical to the
-// pointer API, at any worker count, and stay so after positions move.
-func TestCompactHPWLWorkersEquivalent(t *testing.T) {
+// pointer API (NetHPWL, summed in net order), and stay so after positions
+// move.
+func TestCompactHPWLMatchesPointerAPI(t *testing.T) {
 	d := wirelenTestDesign(t, 200, 300, 11)
 	c := d.Compact()
 
 	checkAll := func(stage string) {
 		t.Helper()
-		want := d.HPWL()
-		for _, got := range []float64{
-			c.HPWL(), c.HPWLWorkers(1), c.HPWLWorkers(4), d.HPWLWorkers(4),
-		} {
+		var want float64
+		for _, n := range d.Nets {
+			want += d.NetHPWL(n)
+		}
+		for _, got := range []float64{c.HPWL(), d.HPWL()} {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: total HPWL %v != pointer-API %v", stage, got, want)
 			}

@@ -473,12 +473,9 @@ func (d *Design) HPWL() float64 {
 	return d.Compact().HPWL()
 }
 
-// HPWLWorkers returns the same total as HPWL, evaluating per-net lengths on
-// up to workers goroutines. The per-net values land in slots and are summed
-// sequentially in net order — the same association as HPWL — so the result
-// is bit-identical for any worker count.
+// HPWLWorkers is HPWL; workers is ignored; kept for frozen benchmark/replay.go.
 func (d *Design) HPWLWorkers(workers int) float64 {
-	return d.Compact().HPWLWorkers(workers)
+	return d.HPWL()
 }
 
 // TotalCellArea returns the summed footprint area of all instances.

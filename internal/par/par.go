@@ -1,14 +1,14 @@
 // Package par is the repo's shared concurrency layer: a bounded fork-join
 // worker pool sized from GOMAXPROCS (or the PPACLUST_WORKERS environment
-// knob) with index- and block-parallel helpers.
+// knob) with index- and block-parallel helpers. A stage forks at most once,
+// at the grain of a whole unit of its work — an axis solve, a shape
+// evaluation, a batch of nets, a generated leaf, a design of a table;
+// DESIGN.md "Parallel execution" lists the forks and their measured numbers.
 //
 // Determinism contract: every helper assigns each index to exactly one
 // worker and callers write only per-index slots (or per-worker private
-// accumulators that they merge afterwards in a fixed order). Combined with
-// the "parallel map into slots, sequential ordered reduce" idiom used by the
-// sta, cluster and place kernels, parallel results are bit-identical to the
-// sequential (Workers=1) code path: the same floating-point operations run
-// in the same association order, only spread over goroutines.
+// accumulators that they merge afterwards in a fixed order), so a forked
+// result is bit-identical to the Workers=1 one.
 //
 // A panic inside any worker is captured and re-raised on the calling
 // goroutine once all workers have stopped, so failures surface exactly as
@@ -24,8 +24,8 @@ import (
 )
 
 // EnvWorkers is the environment variable consulted when a caller leaves its
-// worker count at 0 ("auto"). Set PPACLUST_WORKERS=1 to force every kernel
-// onto the exact sequential code path.
+// worker count at 0 ("auto"). Set PPACLUST_WORKERS=1 to run every fork
+// inline.
 const EnvWorkers = "PPACLUST_WORKERS"
 
 // Workers resolves a requested worker count: a positive request wins;

@@ -164,9 +164,9 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 }
 
 // TestAssembleMatchesReference checks the flat assembly against the
-// net-by-net reference on both axes, at one worker and with the per-net
-// fan-out inside an axis: same offStart, the same (column, weight bits)
-// sequence in every row, the same diag and rhs bits.
+// net-by-net reference on both axes, on the one system the axes share at one
+// worker and on the two they own from two up: same offStart, the same
+// (column, weight bits) sequence in every row, the same diag and rhs bits.
 func TestAssembleMatchesReference(t *testing.T) {
 	check := func(t *testing.T, p *placer, spreadW float64) {
 		t.Helper()

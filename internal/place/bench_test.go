@@ -78,6 +78,25 @@ func BenchmarkSolveRound(b *testing.B) {
 	}
 }
 
+// BenchmarkSpreadTargets measures one round's density measurement and
+// spreading bisection at the size of the scale100k workload, sequentially and
+// with the two halves of the first cut side by side — the one fork in bisect.
+func BenchmarkSpreadTargets(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-cell design")
+	}
+	d := designs.Generate(designs.ScaleSpec(100000, 1)).Design
+	for _, w := range []int{1, 2} {
+		b.Run("100k/W"+strconv.Itoa(w), func(b *testing.B) {
+			p := roundPlacer(d, Options{Seed: 1, Workers: w}, 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p.computeSpreadTargets()
+			}
+		})
+	}
+}
+
 // BenchmarkLegalize measures Tetris legalization.
 func BenchmarkLegalize(b *testing.B) {
 	bench := benchDesign(b, "ariane")

@@ -13,10 +13,10 @@
 // Determinism: a checkpoint fires when the round's overflow first drops
 // below the next threshold — a pure function of the overflow sequence, which
 // is itself bit-identical across worker counts. Inside a checkpoint, the STA
-// slacks and router congestion are bit-identical at any worker count (their
-// packages' contracts), the criticality ranking breaks slack ties by net ID,
-// and the weight/area updates walk nets and cells in index order. So the
-// whole feedback path preserves the placer's bit-identity contract.
+// is sequential and the router's congestion is bit-identical at any worker
+// count (its package's contract), the criticality ranking breaks slack ties
+// by net ID, and the weight/area updates walk nets and cells in index order.
+// So the whole feedback path preserves the placer's bit-identity contract.
 package place
 
 import (
@@ -103,7 +103,6 @@ func (p *placer) checkpoint(overflow float64) bool {
 func (p *placer) reweightCriticalNets() bool {
 	if p.an == nil {
 		p.an = sta.New(p.d, p.opt.TimingCons)
-		p.an.Workers = p.workers
 		p.netW0 = append([]float64(nil), p.netW...)
 	} else {
 		// Later checkpoints reuse the analyzer: same topology, moved cells.

@@ -12,9 +12,9 @@ import (
 // core center and letting CG untangle them, coarse-place the MultilevelFC
 // cluster hierarchy (a few thousand variables), interpolate cluster
 // positions down to the member cells, and let the fine solves refine from an
-// already-spread state. Every stage — clustering, the coarse quadratic
-// solve, the spiral interpolation — is bit-identical across worker counts,
-// so the warm start preserves the placer's determinism contract.
+// already-spread state. Clustering and the spiral interpolation are
+// sequential and the coarse quadratic solve is a Global run, so the warm
+// start preserves the placer's determinism contract.
 
 // coarseInitMinCells is the movable-cell count at which the auto mode turns
 // the warm start on. Below it the flat solve converges in a handful of
@@ -62,9 +62,8 @@ func (p *placer) coarseInit() {
 	cres := cluster.MultilevelFC(hv.H, cluster.Options{
 		TargetClusters: k,
 		Seed:           p.opt.Seed,
-		Workers:        p.opt.Workers,
 	})
-	con, err := hv.H.ContractWorkers(cres.Assign, p.opt.Workers)
+	con, err := hv.H.Contract(cres.Assign)
 	if err != nil || con.Coarse.NumVertices() < 2 {
 		return
 	}

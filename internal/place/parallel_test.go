@@ -12,9 +12,9 @@ import (
 
 // TestGlobalWorkersEquivalent asserts the determinism contract for the
 // placer: every worker count produces bit-identical positions, HPWL, overflow
-// and iteration counts to Workers=1 — 2 (the axes side by side over
-// sequential kernels), 3 (an inline axis beside a two-worker one), 4 and 8
-// (row-parallel matvec and per-net assembly inside each axis) — from scratch,
+// and iteration counts to Workers=1 — 2 (the axes, and the halves of the
+// bisection's first cut, side by side over sequential kernels) and 3, 4, 8
+// (the same two forks: nothing below them takes a budget) — from scratch,
 // incrementally and under the flow's Innovus recipe (soft regions dropped
 // after two rounds), on a ~320-cell and a 6.5k-cell (ariane) design.
 func TestGlobalWorkersEquivalent(t *testing.T) {

@@ -58,11 +58,11 @@ type Options struct {
 	Legalize bool
 	// Workers bounds the goroutines a run uses: 0 = auto (PPACLUST_WORKERS,
 	// else GOMAXPROCS), 1 = everything inline. From two workers up the x and
-	// y solves of a round run side by side and split the budget (W/2 and
-	// W - W/2) between the net assembly and CG matvec inside each; density
-	// evaluation and the spreading bisection use the whole budget between
-	// solves. All parallel paths reduce in fixed order, so the placement is
-	// bit-identical for every worker count.
+	// y solves of a round run side by side, and so do the two halves of the
+	// spreading bisection's first cut; the placer forks nowhere else, so the
+	// third worker and up only reach the router of a RoutabilityDriven
+	// checkpoint. The halves of either pair share no state, so the placement
+	// is bit-identical for every worker count.
 	Workers int
 	// TimingDriven enables STA feedback at the overflow checkpoints: the
 	// incremental analyzer runs on the current coordinates, nets are ranked
@@ -205,7 +205,6 @@ type placer struct {
 	sorter            sortx.Sorter // shared radix-sort scratch
 	sideLo            []bool       // bisection membership marks
 	cgIters           int          // all axis solves so far, plus the coarse warm start's
-	binIdx            []int32      // per-cell bin index (parallel density pass)
 
 	// timing/routability feedback state (driven.go)
 	ckptNext   int           // next checkpointOverflows index to fire
@@ -292,7 +291,7 @@ func Global(d *netlist.Design, opt Options) Result {
 		Legalize(d)
 	}
 	return Result{
-		HPWL:            d.HPWLWorkers(p.workers),
+		HPWL:            d.HPWL(),
 		Iterations:      iter,
 		Overflow:        p.finalOverflow(),
 		CGIterations:    p.cgIters,
@@ -304,31 +303,13 @@ func Global(d *netlist.Design, opt Options) Result {
 // finalOverflow re-measures bin overflow from the committed instance
 // positions and physical master areas. The loop-iterate overflow describes
 // pre-legalization coordinates and inflation-scaled areas; Result.Overflow
-// must describe the placement the caller actually gets. The bin lookups fan
-// out into per-cell slots and the deposits accumulate sequentially in
-// movable order, so the measurement is bit-identical at any worker count.
+// must describe the placement the caller actually gets.
 func (p *placer) finalOverflow() float64 {
 	g := p.bins
 	g.clear()
-	d := p.d
-	if p.workers > 1 {
-		if p.binIdx == nil {
-			p.binIdx = make([]int32, len(p.movable))
-		}
-		par.ForEach(p.workers, len(p.movable), func(k int) {
-			inst := d.Insts[p.movable[k]]
-			i, j := g.index(inst.CenterX(), inst.CenterY())
-			p.binIdx[k] = int32(j*g.nx + i)
-		})
-		for k, id := range p.movable {
-			m := d.Insts[id].Master
-			g.area[p.binIdx[k]] += m.Width * m.Height
-		}
-	} else {
-		for _, id := range p.movable {
-			inst := d.Insts[id]
-			g.deposit(inst.CenterX(), inst.CenterY(), inst.Master.Width*inst.Master.Height)
-		}
+	for _, id := range p.movable {
+		inst := p.d.Insts[id]
+		g.deposit(inst.CenterX(), inst.CenterY(), inst.Master.Width*inst.Master.Height)
 	}
 	return g.overflow()
 }
@@ -453,8 +434,6 @@ func (p *placer) initPositions() {
 // weight in offW — 12 bytes an entry where an interleaved {int32, float64}
 // record pads to 16, which is what lets two systems fit where one did.
 type axisSystem struct {
-	workers int // budget of the kernels inside one solve of this axis
-
 	diag, rhs []float64
 	invDiag   []float64 // 1/diag (0 where diag <= 0), the Jacobi preconditioner
 	offStart  []int32
@@ -463,47 +442,45 @@ type axisSystem struct {
 	offW      []float64
 
 	// acts holds the active nets' spring actions in net order, each net in its
-	// static slot (placer.actStart); pins is maxPins of scratch per worker.
+	// static slot (placer.actStart); pins is maxPins of scratch.
 	acts []springAction
 	pins []pinc
 
 	cgX, cgAx, cgR, cgD []float64
 }
 
-// newAxes allocates the run's axis systems and splits the worker budget
-// between them. At one worker both axes take turns on a single system, so
-// the run costs what one system costs.
+// newAxes allocates the run's axis systems. At one worker both axes take
+// turns on a single system, so the run costs what one system costs.
 func (p *placer) newAxes() {
+	p.axes[0] = p.newAxisSystem()
+	p.axes[1] = p.axes[0]
+	if p.workers > 1 {
+		p.axes[1] = p.newAxisSystem()
+	}
+}
+
+func (p *placer) newAxisSystem() *axisSystem {
 	n, nActs := len(p.movable), p.actStart[len(p.activeNets)]
-	for a, workers := range [2]int{p.workers - p.workers/2, p.workers / 2} {
-		if workers == 0 {
-			p.axes[a] = p.axes[0]
-			continue
-		}
-		p.axes[a] = &axisSystem{
-			workers:  workers,
-			diag:     make([]float64, n),
-			rhs:      make([]float64, n),
-			invDiag:  make([]float64, n),
-			offStart: make([]int32, n+1),
-			offCur:   make([]int32, n),
-			offCol:   make([]int32, 2*nActs), // two entries per spring at most
-			offW:     make([]float64, 2*nActs),
-			acts:     make([]springAction, nActs),
-			pins:     make([]pinc, workers*p.maxPins),
-			cgX:      make([]float64, n),
-			cgAx:     make([]float64, n),
-			cgR:      make([]float64, n),
-			cgD:      make([]float64, n),
-		}
+	return &axisSystem{
+		diag:     make([]float64, n),
+		rhs:      make([]float64, n),
+		invDiag:  make([]float64, n),
+		offStart: make([]int32, n+1),
+		offCur:   make([]int32, n),
+		offCol:   make([]int32, 2*nActs), // two entries per spring at most
+		offW:     make([]float64, 2*nActs),
+		acts:     make([]springAction, nActs),
+		pins:     make([]pinc, p.maxPins),
+		cgX:      make([]float64, n),
+		cgAx:     make([]float64, n),
+		cgR:      make([]float64, n),
+		cgD:      make([]float64, n),
 	}
 }
 
 // solveRound solves the round's x and y systems. Each reads and writes only
 // its own axis's positions, anchors and system, so from two workers up they
-// run side by side on their shares of the budget. At W=2 every kernel inside
-// a solve is then sequential: one fork per round, where a row-parallel matvec
-// paid one per CG iteration and idled the second core between matvecs.
+// run side by side over sequential kernels: one fork per round.
 func (p *placer) solveRound(spreadW float64) {
 	if p.workers <= 1 {
 		p.cgIters += p.axes[0].solve(p, true, spreadW)
@@ -529,20 +506,13 @@ func (s *axisSystem) solve(p *placer, xAxis bool, spreadW float64) int {
 	return s.cg(pos)
 }
 
-// assemble builds diag, rhs and the CSR. The nets' spring actions go (in
-// parallel when the axis has workers to spare) into their static slots of
-// acts; walking acts front to back visits them in net order, so one pass
-// counts the row degrees and a second accumulates diag and rhs and drops each
-// entry at its row's cursor — the additions, and the within-row entry order,
-// of a sequential net-by-net assembly, whatever the worker count.
+// assemble builds diag, rhs and the CSR. The nets' spring actions go into
+// their static slots of acts; walking acts front to back visits them in net
+// order, so one pass counts the row degrees and a second accumulates diag and
+// rhs and drops each entry at its row's cursor — the additions, and the
+// within-row entry order, of a net-by-net assembly.
 func (s *axisSystem) assemble(p *placer, pos, fix, anch, seed []float64, spreadW float64) {
-	if s.workers <= 1 {
-		s.netSprings(p, pos, fix, 0, 0, len(p.activeNets))
-	} else {
-		par.Blocks(s.workers, len(p.activeNets), func(w, lo, hi int) {
-			s.netSprings(p, pos, fix, w, lo, hi)
-		})
-	}
+	s.netSprings(p, pos, fix)
 	n := len(s.diag)
 	start := s.offStart
 	clear(start)
@@ -605,17 +575,14 @@ type pinc struct {
 	vi int32
 }
 
-// netSprings computes the B2B spring actions of active nets [lo, hi) against
-// the (frozen) axis positions pos, reading the flat pin snapshot, each net
-// into its slot of 2(P-1) actions; w selects the assembly worker's pin
-// scratch. It only reads placer state, so disjoint ranges may run
+// netSprings computes the B2B spring actions of the active nets against the
+// axis positions pos, reading the flat pin snapshot, each net into its slot
+// of 2(P-1) actions. It only reads placer state, so the two axes may run it
 // concurrently.
-func (s *axisSystem) netSprings(p *placer, pos, fix []float64, w, lo, hi int) {
-	scratch := s.pins[w*p.maxPins : (w+1)*p.maxPins]
-	for ai := lo; ai < hi; ai++ {
-		ni := p.activeNets[ai]
+func (s *axisSystem) netSprings(p *placer, pos, fix []float64) {
+	for ai, ni := range p.activeNets {
 		first := int(p.cm.NetStart[ni])
-		pins := scratch[:int(p.cm.NetStart[ni+1])-first]
+		pins := s.pins[:int(p.cm.NetStart[ni+1])-first]
 		minI, maxI := 0, 0
 		for i := range pins {
 			vi := p.pinVar[first+i]
@@ -712,40 +679,22 @@ func (s *axisSystem) cg(pos []float64) int {
 	return it
 }
 
-// mulARange computes rows [lo, hi) of out = (D - O) v, each row's terms in
-// entry order, and returns their share of v·out.
-func (s *axisSystem) mulARange(v, out []float64, lo, hi int) float64 {
+// mulADot computes ax = (D - O) d, each row's terms in entry order, and
+// returns d·ax accumulated in ascending row order.
+func (s *axisSystem) mulADot(d, ax []float64) float64 {
 	diag, offStart := s.diag, s.offStart
 	var dot float64
-	for i := lo; i < hi; i++ {
-		t := diag[i] * v[i]
+	for i := range d {
+		t := diag[i] * d[i]
 		col := s.offCol[offStart[i]:offStart[i+1]]
 		wt := s.offW[offStart[i]:offStart[i+1]]
 		for k, c := range col {
-			t -= wt[k] * v[c]
+			t -= wt[k] * d[c]
 		}
-		out[i] = t
-		dot += v[i] * t
+		ax[i] = t
+		dot += d[i] * t
 	}
 	return dot
-}
-
-// mulADot computes ax = (D - O) d and returns d·ax. Rows are independent
-// slots that keep their sequential term order, and the dot accumulates in
-// ascending row order on both the sequential (fused) and the row-parallel
-// (separate reduction pass) path, so the result is bit-identical either way.
-func (s *axisSystem) mulADot(d, ax []float64) float64 {
-	if s.workers <= 1 {
-		return s.mulARange(d, ax, 0, len(d))
-	}
-	par.Blocks(s.workers, len(d), func(_, lo, hi int) {
-		s.mulARange(d, ax, lo, hi)
-	})
-	var dad float64
-	for i := range d {
-		dad += d[i] * ax[i]
-	}
-	return dad
 }
 
 // clampAll keeps cells inside the core and, for hard regions, inside their
@@ -783,23 +732,8 @@ func clamp(v, lo, hi float64) float64 {
 func (p *placer) computeSpreadTargets() float64 {
 	g := p.bins
 	g.clear()
-	if p.workers > 1 {
-		// Bin lookups fan out into per-cell slots; the deposits themselves
-		// accumulate sequentially in cell order, as in the sequential pass.
-		if p.binIdx == nil {
-			p.binIdx = make([]int32, len(p.movable))
-		}
-		par.ForEach(p.workers, len(p.movable), func(vi int) {
-			i, j := g.index(p.x[vi], p.y[vi])
-			p.binIdx[vi] = int32(j*g.nx + i)
-		})
-		for vi := range p.movable {
-			g.area[p.binIdx[vi]] += p.area[vi]
-		}
-	} else {
-		for vi := range p.movable {
-			g.deposit(p.x[vi], p.y[vi], p.area[vi])
-		}
+	for vi := range p.movable {
+		g.deposit(p.x[vi], p.y[vi], p.area[vi])
 	}
 	of := g.overflow()
 
@@ -820,7 +754,7 @@ func (p *placer) computeSpreadTargets() float64 {
 		// the same (coord, index) total order a comparator sort would produce.
 		p.sortByCoord(p.byX, p.x)
 		p.sortByCoord(p.byY, p.y)
-		p.bisect(p.core, p.byX, p.byY, p.partBuf, true, p.workers)
+		p.bisect(p.core, p.byX, p.byY, p.partBuf, true, p.workers > 1)
 	}
 	// Keep region cells anchored inside their region.
 	if p.opt.Regions != nil {
@@ -855,9 +789,10 @@ func (p *placer) sortByCoord(ord []int32, coord []float64) {
 // per-level algorithm would compute, so the anchors are identical to it.
 //
 // The two halves touch disjoint cell subslices, scratch ranges and anchor
-// slots, so with workers > 1 the top of the recursion forks; the anchors
-// written are identical either way.
-func (p *placer) bisect(r netlist.Rect, act, oth, buf []int32, xAxis bool, workers int) {
+// slots, so with fork set the halves of this cut (and only this one: the
+// top of the recursion) run side by side; the anchors written are identical
+// either way.
+func (p *placer) bisect(r netlist.Rect, act, oth, buf []int32, xAxis, fork bool) {
 	n := len(act)
 	if n == 0 {
 		return
@@ -927,20 +862,19 @@ func (p *placer) bisect(r netlist.Rect, act, oth, buf []int32, xAxis bool, worke
 	for _, vi := range act[:cut] {
 		p.sideLo[vi] = false
 	}
-	if workers > 1 && cut > 0 && cut < n && n > 128 {
+	if fork && cut > 0 && cut < n && n > 128 {
 		// Each block takes the cells, scratch range and rectangle its own
-		// index selects; the budget splits as it does between the axes.
+		// index selects.
 		rects := [2]netlist.Rect{lo, hi}
 		ends := [3]int{0, cut, n}
-		budget := [2]int{workers / 2, workers - workers/2}
 		par.Blocks(2, 2, func(h, _, _ int) {
 			a, b := ends[h], ends[h+1]
-			p.bisect(rects[h], oth[a:b], act[a:b], buf[a:b], !xAxis, budget[h])
+			p.bisect(rects[h], oth[a:b], act[a:b], buf[a:b], !xAxis, false)
 		})
 		return
 	}
-	p.bisect(lo, oth[:cut], act[:cut], buf[:cut], !xAxis, 1)
-	p.bisect(hi, oth[cut:], act[cut:], buf[cut:], !xAxis, 1)
+	p.bisect(lo, oth[:cut], act[:cut], buf[:cut], !xAxis, false)
+	p.bisect(hi, oth[cut:], act[cut:], buf[cut:], !xAxis, false)
 }
 
 func (p *placer) writeBack() {

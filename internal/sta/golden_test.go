@@ -13,9 +13,8 @@ import (
 
 // engineGolden holds SHA-256 digests of everything the analyzer reports,
 // recorded at the last commit that still had the sequential push-relaxation
-// passes, with Workers = 1 (so by that engine). The levelized kernels that
-// replaced it must land on the same bits at every worker count; W=1 vs W=N
-// alone no longer says that, since both sides are now the same kernel.
+// passes (so by that engine). The levelized kernels that replaced it must
+// land on the same bits.
 var engineGolden = map[string]string{
 	"aes/zero-wire":      "865a50b51cf87bdc97d1a10f4342b2092b598e45e601f4ff758dbe87f26894bd",
 	"aes/placed":         "ae0111b35875f1802c9d505f411102aa7c621c0d2c5d39fae338c28abd6a7ef1",
@@ -79,12 +78,8 @@ func TestEngineGolden(t *testing.T) {
 			}
 			cons := b.Cons
 			cons.ZeroWire = zeroWire
-			for _, workers := range []int{1, 2, 8} {
-				a := sta.New(b.Design, cons)
-				a.Workers = workers
-				if got := engineDigest(a); got != engineGolden[key] {
-					t.Errorf("%s workers=%d: digest %s, recorded %s", key, workers, got, engineGolden[key])
-				}
+			if got := engineDigest(sta.New(b.Design, cons)); got != engineGolden[key] {
+				t.Errorf("%s: digest %s, recorded %s", key, got, engineGolden[key])
 			}
 		}
 	}

@@ -7,15 +7,13 @@
 // out-edges. When a level runs, every value a node reads — its sources'
 // at/slew going forward, its sinks' rat going backward, and the clock-pin
 // slew a launch arc samples — is final, and nodes within a level write only
-// their own fields. So a level can be spread over any number of workers, and
-// Workers = 1 is the same kernels on one worker.
+// their own fields.
 //
 // Bit-exactness: a node's candidates are applied with strict comparisons in
 // one fixed order, the one a relaxation pushed along topo would produce (and
 // the one the test oracle, refAnalyzer, does produce): forward, by (topo rank
 // of the source, edge id) with launch arcs last; backward, by (descending
-// topo rank of the sink, edge id). The order is fixed per graph, so the
-// result does not depend on worker count or scheduling.
+// topo rank of the sink, edge id).
 //
 // Levels need an acyclic edge set. Netlists with combinational loops (or a
 // register clocked through its own output) do not have one, so build opens
@@ -28,14 +26,11 @@ import (
 	"math"
 
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/par"
 )
 
 // schedule is the level schedule and the per-node candidate orders.
 type schedule struct {
-	level      []int32 // node -> level; strictly increasing along every edge
-	levelOff   []int   // level -> offset into levelNodes
-	levelNodes []int32 // nodes grouped by level, ascending id within one
+	levelNodes []int32 // nodes by ascending level, ascending id within one
 
 	// pullIn permutes each node's inEdge run (same inOff offsets) into the
 	// order arrival candidates are applied in, launch arcs last.
@@ -145,22 +140,20 @@ func (a *Analyzer) LoopEdges() int { return a.loopEdges }
 func (a *Analyzer) buildSchedule(level []int32) {
 	n := a.numNodes()
 	sc := &a.sched
-	sc.level = level
 	maxLevel := int32(0)
 	for _, l := range level {
 		if l > maxLevel {
 			maxLevel = l
 		}
 	}
-	sc.levelOff = make([]int, maxLevel+2)
+	lfill := make([]int, maxLevel+2) // level -> next free slot of levelNodes
 	for _, l := range level {
-		sc.levelOff[l+1]++
+		lfill[l+1]++
 	}
-	for i := 1; i < len(sc.levelOff); i++ {
-		sc.levelOff[i] += sc.levelOff[i-1]
+	for i := 1; i < len(lfill); i++ {
+		lfill[i] += lfill[i-1]
 	}
 	sc.levelNodes = make([]int32, n)
-	lfill := append([]int(nil), sc.levelOff...)
 	for v := 0; v < n; v++ {
 		sc.levelNodes[lfill[level[v]]] = int32(v)
 		lfill[level[v]]++
@@ -219,17 +212,18 @@ func (a *Analyzer) Run() {
 	if a.timeDone {
 		return
 	}
-	workers := par.Workers(a.Workers)
 	sc := &a.sched
-	par.ForEach(workers, a.numNodes(), func(i int) { a.seedArrival(int32(i)) })
-	for li := 0; li+1 < len(sc.levelOff); li++ {
-		lo, hi := sc.levelOff[li], sc.levelOff[li+1]
-		par.ForEach(workers, hi-lo, func(k int) { a.pullArrival(sc.levelNodes[lo+k]) })
+	for v := int32(0); v < int32(a.numNodes()); v++ {
+		a.seedArrival(v)
 	}
-	par.ForEach(workers, a.numNodes(), func(i int) { a.seedRequired(int32(i)) })
-	for li := len(sc.levelOff) - 2; li >= 0; li-- {
-		lo, hi := sc.levelOff[li], sc.levelOff[li+1]
-		par.ForEach(workers, hi-lo, func(k int) { a.pullRequired(sc.levelNodes[lo+k]) })
+	for _, v := range sc.levelNodes {
+		a.pullArrival(v)
+	}
+	for v := int32(0); v < int32(a.numNodes()); v++ {
+		a.seedRequired(v)
+	}
+	for i := len(sc.levelNodes) - 1; i >= 0; i-- {
+		a.pullRequired(sc.levelNodes[i])
 	}
 	a.timeDone = true
 }

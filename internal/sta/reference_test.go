@@ -543,18 +543,14 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, zeroWire := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				cons := DefaultConstraints(0.4e-9)
-				cons.ClockPorts = []string{"clk"}
-				cons.ZeroWire = zeroWire
-				r := newRef(fx.d, cons)
-				r.run()
-				a := New(fx.d, cons)
-				a.Workers = workers
-				a.Run()
-				tag := fmt.Sprintf("%s/zeroWire=%v/workers=%d", fx.name, zeroWire, workers)
-				compareToRef(t, tag, a, r)
-			}
+			cons := DefaultConstraints(0.4e-9)
+			cons.ClockPorts = []string{"clk"}
+			cons.ZeroWire = zeroWire
+			r := newRef(fx.d, cons)
+			r.run()
+			a := New(fx.d, cons)
+			a.Run()
+			compareToRef(t, fmt.Sprintf("%s/zeroWire=%v", fx.name, zeroWire), a, r)
 		}
 	}
 }
@@ -589,23 +585,20 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 // TestUpdateMatchesReference moves cells, calls Update, and checks the result
 // is bit-identical to a reference built fresh from the moved design.
 func TestUpdateMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		d := benchPipeline(8, 6)
-		cons := DefaultConstraints(0.4e-9)
-		cons.ClockPorts = []string{"clk"}
-		a := New(d, cons)
-		a.Workers = workers
-		a.Run()
+	d := benchPipeline(8, 6)
+	cons := DefaultConstraints(0.4e-9)
+	cons.ClockPorts = []string{"clk"}
+	a := New(d, cons)
+	a.Run()
 
-		for _, id := range []int{3, 11, 25} {
-			d.Insts[id].X += 2.5
-			d.Insts[id].Y += 1.25
-		}
-		a.Update()
-		a.Run()
-
-		r := newRef(d, cons)
-		r.run()
-		compareToRef(t, fmt.Sprintf("update/workers=%d", workers), a, r)
+	for _, id := range []int{3, 11, 25} {
+		d.Insts[id].X += 2.5
+		d.Insts[id].Y += 1.25
 	}
+	a.Update()
+	a.Run()
+
+	r := newRef(d, cons)
+	r.run()
+	compareToRef(t, "update", a, r)
 }

@@ -77,7 +77,7 @@ func ring() (*netlist.Design, sta.Constraints) {
 }
 
 // TestLaunchReadsFinalClockSlew: the launch arc must sample the slew the
-// clock buffer actually delivers at CK, at every worker count. (A push along
+// clock buffer actually delivers at CK. (A push along
 // topo visits Q, a source there, before CK is written and so launches with
 // Constraints.InputSlew: 82.60 ps here instead of 83.39 ps, optimistic.)
 func TestLaunchReadsFinalClockSlew(t *testing.T) {
@@ -87,16 +87,13 @@ func TestLaunchReadsFinalClockSlew(t *testing.T) {
 	bufArc := &lib.Master("CLKBUF_X2").Pin("Z").Arcs[0]
 	launch := &lib.Master("DFF_X1").Pin("Q").Arcs[0]
 	q := sta.PinID{Inst: d.Instance("ff0").ID, Pin: "Q"}
-	for _, workers := range []int{1, 2, 8} {
-		a := sta.New(d, cons)
-		a.Workers = workers
-		slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(d.Net("ctree").ID))
-		want := launch.Delay.Lookup(slewCK, a.NetLoad(d.Net("q").ID)) // ideal clock: arrival 0
-		got, ok := a.ArrivalAt(q)
-		if !ok || math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("workers=%d: arrival(Q) = %.2f ps, want %.2f ps (clk->Q at the buffered slew %.2f ps)",
-				workers, got*1e12, want*1e12, slewCK*1e12)
-		}
+	a := sta.New(d, cons)
+	slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(d.Net("ctree").ID))
+	want := launch.Delay.Lookup(slewCK, a.NetLoad(d.Net("q").ID)) // ideal clock: arrival 0
+	got, ok := a.ArrivalAt(q)
+	if !ok || math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("arrival(Q) = %.2f ps, want %.2f ps (clk->Q at the buffered slew %.2f ps)",
+			got*1e12, want*1e12, slewCK*1e12)
 	}
 }
 
@@ -106,24 +103,23 @@ func TestCombinationalLoopDoesNotHang(t *testing.T) {
 	d, cons := ring()
 	scatter(d, 5)
 	var first string
-	for _, workers := range []int{1, 4, 8, 1} {
+	for build := 0; build < 2; build++ {
 		a := sta.New(d, cons)
-		a.Workers = workers
 		if a.LoopEdges() != 1 {
 			t.Fatalf("LoopEdges() = %d, want 1", a.LoopEdges())
 		}
 		sum := a.Timing() // must terminate
 		if sum.Endpoints != 1 || math.IsInf(sum.WNS, 0) || math.IsNaN(sum.WNS) {
-			t.Fatalf("workers=%d: summary %+v, want one endpoint with a finite WNS", workers, sum)
+			t.Fatalf("build %d: summary %+v, want one endpoint with a finite WNS", build, sum)
 		}
 		if at, ok := a.ArrivalAt(sta.PinID{Inst: -1, Pin: "out"}); !ok || at <= cons.InputDelay {
-			t.Fatalf("workers=%d: out arrival %v (reached %v), want beyond the input delay", workers, at, ok)
+			t.Fatalf("build %d: out arrival %v (reached %v), want beyond the input delay", build, at, ok)
 		}
 		dg := engineDigest(a)
 		if first == "" {
 			first = dg
 		} else if dg != first {
-			t.Fatalf("workers=%d: digest %s differs from the first build's %s", workers, dg, first)
+			t.Fatalf("build %d: digest %s differs from the first build's %s", build, dg, first)
 		}
 	}
 }

@@ -83,10 +83,7 @@ type Analyzer struct {
 	d    *netlist.Design
 	cons Constraints
 
-	// Workers bounds the goroutines a level of arrival/required propagation
-	// is spread over: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 = one
-	// worker, inline. Every count runs the same kernels and lands on the
-	// same bits (propagate.go has the argument).
+	// Workers is ignored; kept for frozen benchmark/replay.go.
 	Workers int
 
 	// Node SoA. Node i's identity is (nodeInst[i], nodeMP[i]): an instance

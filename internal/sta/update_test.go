@@ -130,7 +130,6 @@ func TestUpdateModeSwitchEquivalent(t *testing.T) {
 	zc := b.Cons
 	zc.ZeroWire = true
 	an := sta.New(b.Design, zc)
-	an.Workers = 8
 	an.Run()
 	refZero := sta.New(b.Design, zc)
 	requireIdentical(t, "zero-wire", an, refZero)

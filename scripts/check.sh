@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo-wide check gate: vet, build, race-enabled tests, and an explicit
-# worker-count equivalence pass with a multi-worker budget forced through the
-# PPACLUST_WORKERS environment knob.
+# worker-count equivalence pass over the stages that fan out, with a
+# multi-worker budget forced through the PPACLUST_WORKERS environment knob.
 #
 # Usage: scripts/check.sh [quick]
 #   quick  skip the full -race test sweep; run vet+build+equivalence only.
@@ -41,18 +41,17 @@ if [[ "${1:-}" != "quick" ]]; then
     go test -race -timeout 45m ./...
 fi
 
-# Determinism contract: every kernel must land on the same bits at any worker
-# count. Run the equivalence tests once more with the worker budget forced to
-# 4 via the environment, so the kernels really run on several goroutines even
-# on a single-CPU machine (par.Workers honors PPACLUST_WORKERS over
-# GOMAXPROCS).
+# Determinism contract: every stage that fans out (DESIGN.md "Parallel
+# execution") must land on the same bits at any worker count. Run its
+# equivalence tests once more with the worker budget forced to 4 via the
+# environment, so the forks really run on several goroutines even on a
+# single-CPU machine (par.Workers honors PPACLUST_WORKERS over GOMAXPROCS).
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|MatchesReference|MatchesComparator|IndexByKeys|EngineGolden|LaunchReads|CombinationalLoop|Deterministic|Incremental|TestUpdate|WirelenCache' \
-    ./internal/sta/ ./internal/cluster/ ./internal/place/ ./internal/flow/ \
-    ./internal/par/ ./internal/netlist/ ./internal/hypergraph/ \
-    ./internal/route/ ./internal/cts/ ./internal/designs/ ./internal/gnn/ \
-    ./internal/vpr/ ./internal/sortx/
+    -run 'WorkersEquivalent|MatchesReference|MatchesComparator|IndexByKeys|Deterministic|WirelenCache' \
+    ./internal/place/ ./internal/flow/ ./internal/par/ ./internal/netlist/ \
+    ./internal/route/ ./internal/designs/ ./internal/gnn/ ./internal/vpr/ \
+    ./internal/sortx/
 
 # Allocation contract: the placer/clustering inner-loop primitives and the
 # GNN's per-shape inference must be allocation-free in steady state. Run
@@ -60,17 +59,6 @@ PPACLUST_WORKERS=4 go test -race \
 echo "==> steady-state allocation assertions"
 go test -run 'AllocFree' ./internal/netlist/ ./internal/route/ \
     ./internal/cts/ ./internal/sta/ ./internal/gnn/ ./internal/place/
-
-if [[ "${1:-}" != "quick" ]]; then
-    # Timing-driven smoke: one 10k baseline-vs-driven A/B row with the
-    # built-in workers sweep, which re-runs the protocol at W=1/2/4/8 and
-    # fails unless every quality field is bit-identical. Keeps the feedback
-    # checkpoints, the A/B schema, and the determinism contract exercised.
-    echo "==> timing-driven smoke row (10k cells)"
-    go run ./cmd/ppabench -timing-driven 10k -workers-sweep \
-        -td-out /tmp/ppaclust_td_smoke.json
-    rm -f /tmp/ppaclust_td_smoke.json
-fi
 
 if [[ "${1:-}" != "quick" ]]; then
     # Crash-resistance contract: each format reader has one Go-native fuzz
