@@ -14,7 +14,6 @@ import (
 	"ppaclust/internal/community"
 	"ppaclust/internal/designs"
 	"ppaclust/internal/hier"
-	"ppaclust/internal/partition"
 	"ppaclust/internal/sta"
 )
 
@@ -86,11 +85,6 @@ func main() {
 	t0 = time.Now()
 	mfc := cluster.MultilevelFC(h, cluster.Options{Alpha: 1, TargetClusters: *target, Seed: *seed})
 	report("mfc", mfc.Assign, mfc.NumClusters, time.Since(t0))
-
-	// Min-cut recursive bisection (FM), as a partitioning-style baseline.
-	t0 = time.Now()
-	mc := partition.KWay(h, ppa.NumClusters, partition.Options{Seed: *seed})
-	report("mincut-fm", mc, ppa.NumClusters, time.Since(t0))
 
 	// Louvain / Leiden.
 	t0 = time.Now()

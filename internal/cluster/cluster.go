@@ -26,9 +26,6 @@ type Options struct {
 	// MaxClusterFactor caps cluster weight at factor * totalWeight/target.
 	// Default 4.
 	MaxClusterFactor float64
-	// MaxEdgeSize skips hyperedges larger than this during rating (huge nets
-	// carry no locality information). Default 300.
-	MaxEdgeSize int
 	// Seed drives the vertex visit order.
 	Seed int64
 	// Groups holds per-vertex grouping constraints (-1 = unconstrained).
@@ -46,11 +43,17 @@ type Options struct {
 	// EdgeSwitchCost is s_e per hyperedge (0 when absent; note Eq. 2 yields
 	// values >= 1 for driven nets).
 	EdgeSwitchCost []float64
-	// MaxLevels bounds the number of coarsening levels. Default 20.
-	MaxLevels int
 	// Workers is ignored; kept for frozen benchmark/replay.go.
 	Workers int
 }
+
+const (
+	// maxEdgeSize: hyperedges larger than this are skipped during rating
+	// (huge nets carry no locality information).
+	maxEdgeSize = 300
+	// maxLevels bounds the number of coarsening levels.
+	maxLevels = 20
+)
 
 func (o Options) withDefaults(h *hypergraph.Hypergraph) Options {
 	if o.Alpha == 0 && o.Beta == 0 && o.Gamma == 0 {
@@ -61,12 +64,6 @@ func (o Options) withDefaults(h *hypergraph.Hypergraph) Options {
 	}
 	if o.MaxClusterFactor <= 0 {
 		o.MaxClusterFactor = 4
-	}
-	if o.MaxEdgeSize <= 0 {
-		o.MaxEdgeSize = 300
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 20
 	}
 	return o
 }
@@ -119,7 +116,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 	maxW := opt.MaxClusterFactor * h.TotalVertexWeight() / float64(opt.TargetClusters)
 
 	levels := 0
-	for cur.NumVertices() > opt.TargetClusters && levels < opt.MaxLevels {
+	for cur.NumVertices() > opt.TargetClusters && levels < maxLevels {
 		// Far from the target, run unrestricted FC passes; near it, spend
 		// the remaining merge budget on the highest-rated pairs so the
 		// result lands at the target instead of overshooting.
@@ -234,7 +231,7 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 		for v := range score {
 			for _, e := range h.Incident(v) {
 				verts := h.Edge(e)
-				if len(verts) < 2 || len(verts) > opt.MaxEdgeSize {
+				if len(verts) < 2 || len(verts) > maxEdgeSize {
 					continue
 				}
 				num := opt.Alpha * h.EdgeWeight(e)
@@ -318,7 +315,7 @@ func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, parent []int, v int,
 	clear(sc.idx)
 	for _, e := range h.Incident(v) {
 		verts := h.Edge(e)
-		if len(verts) < 2 || len(verts) > opt.MaxEdgeSize {
+		if len(verts) < 2 || len(verts) > maxEdgeSize {
 			continue
 		}
 		num := opt.Alpha * h.EdgeWeight(e)

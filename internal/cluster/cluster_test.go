@@ -12,7 +12,7 @@ import (
 // blocks builds b dense blocks of size s, with one weak edge between
 // consecutive blocks. Vertex weights 1, intra-edge weight 1, inter 0.1.
 func blocks(b, s int) *hypergraph.Hypergraph {
-	h := hypergraph.New(b * s)
+	h := hypergraph.NewWithCap(b*s, 0, 0)
 	for v := 0; v < b*s; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -84,7 +84,7 @@ func TestGroupsRelaxAfterStall(t *testing.T) {
 	// Two groups, strong connectivity across them: with relaxed groups the
 	// clustering should eventually merge across the boundary; with strict
 	// groups it must not.
-	h := hypergraph.New(4)
+	h := hypergraph.NewWithCap(4, 0, 0)
 	for v := 0; v < 4; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -103,7 +103,7 @@ func TestGroupsRelaxAfterStall(t *testing.T) {
 }
 
 func TestUngroupedVerticesCanJoinAnyGroup(t *testing.T) {
-	h := hypergraph.New(3)
+	h := hypergraph.NewWithCap(3, 0, 0)
 	for v := 0; v < 3; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -131,7 +131,7 @@ func TestSizeCapRespected(t *testing.T) {
 
 func TestTimingCostsBiasMerging(t *testing.T) {
 	// Two identical pairs; a critical path runs through edge 0 only.
-	h := hypergraph.New(4)
+	h := hypergraph.NewWithCap(4, 0, 0)
 	for v := 0; v < 4; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -199,7 +199,7 @@ func TestSwitchCostsEq2(t *testing.T) {
 
 func TestSwitchCostsBiasMerging(t *testing.T) {
 	// Chain 0-1-2-3; edge (1,2) has huge activity -> should merge 1,2.
-	h := hypergraph.New(4)
+	h := hypergraph.NewWithCap(4, 0, 0)
 	for v := 0; v < 4; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -247,7 +247,7 @@ func TestDefaultTargetBounds(t *testing.T) {
 
 func TestSingletonCounting(t *testing.T) {
 	// Isolated vertices stay singletons (paper footnote 2: never merged).
-	h := hypergraph.New(5)
+	h := hypergraph.NewWithCap(5, 0, 0)
 	for v := 0; v < 5; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -273,7 +273,7 @@ func TestPropertyClusteringWellFormed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 10 + rng.Intn(60)
-		h := hypergraph.New(nv)
+		h := hypergraph.NewWithCap(nv, 0, 0)
 		for v := 0; v < nv; v++ {
 			h.SetVertexWeight(v, 1+rng.Float64())
 		}
@@ -319,7 +319,7 @@ func TestPropertyGroupsNeverViolated(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nv := 10 + rng.Intn(40)
-		h := hypergraph.New(nv)
+		h := hypergraph.NewWithCap(nv, 0, 0)
 		for v := 0; v < nv; v++ {
 			h.SetVertexWeight(v, 1)
 		}

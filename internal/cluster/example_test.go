@@ -10,7 +10,7 @@ import (
 // Two disconnected triangles coarsen into exactly two clusters: FC merges
 // along hyperedges, so components never mix.
 func ExampleMultilevelFC() {
-	h := hypergraph.New(6)
+	h := hypergraph.NewWithCap(6, 0, 0)
 	for v := 0; v < 6; v++ {
 		h.SetVertexWeight(v, 1)
 	}

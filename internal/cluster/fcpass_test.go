@@ -12,7 +12,7 @@ import (
 // priority pass.
 func randHypergraph(n, edges int, seed int64) *hypergraph.Hypergraph {
 	rng := rand.New(rand.NewSource(seed))
-	h := hypergraph.New(n)
+	h := hypergraph.NewWithCap(n, 0, 0)
 	for v := 0; v < n; v++ {
 		h.SetVertexWeight(v, 1+rng.Float64()*3)
 	}

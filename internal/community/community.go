@@ -15,19 +15,16 @@ import (
 type Options struct {
 	Resolution float64 // modularity resolution γ (default 1)
 	Seed       int64   // RNG seed for vertex visit order
-	MaxLevels  int     // max aggregation levels (default 10)
-	MaxPasses  int     // max local-moving passes per level (default 10)
 }
+
+const (
+	maxLevels = 10 // aggregation levels
+	maxPasses = 10 // local-moving passes per level
+)
 
 func (o Options) withDefaults() Options {
 	if o.Resolution <= 0 {
 		o.Resolution = 1
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 10
-	}
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 10
 	}
 	return o
 }
@@ -175,10 +172,10 @@ func Louvain(g *hypergraph.Graph, opt Options) []int {
 		final[i] = i
 	}
 	cur := g
-	for level := 0; level < opt.MaxLevels; level++ {
+	for level := 0; level < maxLevels; level++ {
 		s := newState(cur, opt.Resolution)
 		totalMoves := 0
-		for pass := 0; pass < opt.MaxPasses; pass++ {
+		for pass := 0; pass < maxPasses; pass++ {
 			moves := s.localMove(shuffled(cur.NumVertices(), rng))
 			totalMoves += moves
 			if moves == 0 {
@@ -214,10 +211,10 @@ func Leiden(g *hypergraph.Graph, opt Options) []int {
 	}
 	cur := g
 	// comm carries the community assignment of cur's vertices between levels.
-	for level := 0; level < opt.MaxLevels; level++ {
+	for level := 0; level < maxLevels; level++ {
 		s := newState(cur, opt.Resolution)
 		totalMoves := 0
-		for pass := 0; pass < opt.MaxPasses; pass++ {
+		for pass := 0; pass < maxPasses; pass++ {
 			moves := s.localMove(shuffled(cur.NumVertices(), rng))
 			totalMoves += moves
 			if moves == 0 {

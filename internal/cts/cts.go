@@ -28,8 +28,6 @@ type Options struct {
 	MaxFanout int
 	// BufMaster is the clock buffer cell. Required.
 	BufMaster *netlist.Master
-	// InputSlew is the slew assumed at each buffer input. Default 20ps.
-	InputSlew float64
 	// SkipArrivalMap leaves Result.Arrivals nil and reports insertion delays
 	// only through Result.ArrivalList, skipping the per-sink map insert and
 	// pin-name hashing — the mode the scale flow uses with
@@ -39,12 +37,12 @@ type Options struct {
 	Workers int
 }
 
+// inputSlew is the slew assumed at each buffer input.
+const inputSlew = 20e-12
+
 func (o Options) withDefaults() Options {
 	if o.MaxFanout <= 0 {
 		o.MaxFanout = 16
-	}
-	if o.InputSlew <= 0 {
-		o.InputSlew = 20e-12
 	}
 	return o
 }
@@ -376,7 +374,7 @@ func bufferDelay(opt Options, load float64) float64 {
 		for ai := range mp.Arcs {
 			arc := &mp.Arcs[ai]
 			if arc.Kind == netlist.ArcComb {
-				return arc.Delay.Lookup(opt.InputSlew, load)
+				return arc.Delay.Lookup(inputSlew, load)
 			}
 		}
 	}

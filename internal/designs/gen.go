@@ -3,7 +3,6 @@ package designs
 import (
 	"math"
 	"math/rand"
-	"sync"
 
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/par"
@@ -107,34 +106,18 @@ type generator struct {
 	broadcast  []driver // global control signals (register outputs)
 }
 
-// Generate builds the benchmark for a spec. The same spec always yields the
-// identical design (deterministic RNG; no map iteration in generation).
-// genCache memoizes one master benchmark per Spec. The Spec value is the
-// complete generation input (including Seed), so equal specs always produce
-// equal benchmarks; Generate hands out clones of the cached master, which
-// makes repeated and concurrent generation cheap while keeping every caller
-// free to mutate its copy.
-var genCache sync.Map // Spec -> *genEntry
-
-type genEntry struct {
-	once sync.Once
-	b    *Benchmark
-}
-
+// Generate builds the benchmark for a spec with the automatic worker count.
+// The same spec always yields the identical design (deterministic RNG; no
+// map iteration in generation); every call generates afresh, so a caller
+// that needs one design twice keeps it.
 func Generate(spec Spec) *Benchmark {
-	e, _ := genCache.LoadOrStore(spec, &genEntry{})
-	entry := e.(*genEntry)
-	entry.once.Do(func() { entry.b = generate(spec, 0) })
-	cons := entry.b.Cons
-	cons.ClockPorts = append([]string(nil), cons.ClockPorts...)
-	return &Benchmark{Design: entry.b.Design.Clone(), Cons: cons, Spec: entry.b.Spec}
+	return generate(spec, 0)
 }
 
-// GenerateWorkers builds the benchmark with an explicit worker count and
-// without the cache. The result is bit-identical at every worker count
-// (leaf records come from per-leaf RNG streams, and materialization is a
-// fixed serial order — gated by TestGenerateWorkersEquivalent). Benchmarks
-// that time generation use this so repeat runs do not measure a cache hit.
+// GenerateWorkers builds the benchmark with an explicit worker count. The
+// result is bit-identical at every worker count (leaf records come from
+// per-leaf RNG streams, and materialization is a fixed serial order — gated
+// by TestGenerateWorkersEquivalent).
 func GenerateWorkers(spec Spec, workers int) *Benchmark {
 	return generate(spec, workers)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"ppaclust/internal/designs"
 	"ppaclust/internal/flow"
-	"ppaclust/internal/par"
 )
 
 // AblationRow is one arm of the PPA-awareness term ablation: which rating
@@ -37,47 +36,34 @@ func (s *Suite) AblationClusterTerms() ([]AblationRow, error) {
 		{"no-switching", func(o *flow.Options) { o.Gamma = -1 }},
 		{"connectivity", func(o *flow.Options) { o.NoHierarchy = true; o.Beta = -1; o.Gamma = -1 }},
 	}
-	fw := s.runWorkers(len(names))
-	groups, err := mapE(par.Workers(s.Workers), len(names), func(i int) ([]AblationRow, error) {
-		name := names[i]
+	seeds := []int64{s.Seed, s.Seed + 1}
+	var rows []AblationRow
+	for _, name := range names {
 		b, err := s.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Workers: fw})
+		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Workers: s.Workers})
 		if err != nil {
 			return nil, err
 		}
-		var rows []AblationRow
 		for _, arm := range arms {
-			seeds := []int64{s.Seed, s.Seed + 1}
-			var rwl, wns, tns, pwr float64
+			row := AblationRow{Design: designs.PaperNames[name], Arm: arm.name}
 			for _, seed := range seeds {
 				o := flow.Options{Seed: seed, Method: flow.MethodPPAAware, Shapes: flow.ShapeUniform,
-					Workers: fw}
+					Workers: s.Workers}
 				arm.opt(&o)
 				r, err := flow.Run(b, o)
 				if err != nil {
 					return nil, err
 				}
-				rwl += r.RoutedWL / def.RoutedWL / float64(len(seeds))
-				wns += r.WNS * 1e12 / float64(len(seeds))
-				tns += r.TNS * 1e9 / float64(len(seeds))
-				pwr += r.Power / float64(len(seeds))
+				row.RWL += r.RoutedWL / def.RoutedWL / float64(len(seeds))
+				row.WNSps += r.WNS * 1e12 / float64(len(seeds))
+				row.TNSns += r.TNS * 1e9 / float64(len(seeds))
+				row.PowerW += r.Power / float64(len(seeds))
 			}
-			rows = append(rows, AblationRow{
-				Design: designs.PaperNames[name], Arm: arm.name,
-				RWL: rwl, WNSps: wns, TNSns: tns, PowerW: pwr,
-			})
+			rows = append(rows, row)
 		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []AblationRow
-	for _, g := range groups {
-		rows = append(rows, g...)
 	}
 	return rows, nil
 }

@@ -12,15 +12,17 @@
 //
 // Error contract: every table/figure method returns the first flow or
 // benchmark-generation error instead of panicking; callers (cmd/ppabench,
-// tests) decide how to die. Parallel fan-outs collect per-slot errors and
-// surface the lowest-index one, so the reported error is deterministic for
-// any worker count.
+// tests) decide how to die.
+//
+// Nothing here forks: every table is a loop over designs that hands the
+// suite's whole worker budget to one flow at a time (internal/flow is the
+// only layer above the kernels that schedules work), so a Suite is not safe
+// for concurrent use and the measured CPU columns are taken one design at a
+// time at the full budget.
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"sync"
 	"time"
 
 	"ppaclust/internal/cluster"
@@ -28,7 +30,6 @@ import (
 	"ppaclust/internal/features"
 	"ppaclust/internal/flow"
 	"ppaclust/internal/gnn"
-	"ppaclust/internal/par"
 	"ppaclust/internal/vpr"
 )
 
@@ -40,93 +41,44 @@ type Suite struct {
 	Fast bool
 	// Seed drives all randomized stages.
 	Seed int64
-	// Workers bounds the suite's total goroutine budget: 0 = auto
-	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = fully sequential. Tables fan
-	// out across designs; every flow underneath is bit-identical for any
-	// worker count, so table contents never depend on Workers.
+	// Workers is the goroutine budget handed to every flow: 0 = auto
+	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = fully sequential. Flows are
+	// bit-identical for any worker count, so table contents never depend on
+	// Workers.
 	Workers int
 
-	benchMu    sync.Mutex
-	benchCache map[string]*benchEntry
-	modelOnce  sync.Once
+	benchCache map[string]*designs.Benchmark
 	model      *gnn.Model
-	modelStats GNNReport
-	modelErr   error
+	training   trainingSet
+	table2     []Table2Row
 }
 
-type benchEntry struct {
-	once sync.Once
-	b    *designs.Benchmark
-	err  error
-}
-
-// NewSuite returns an experiment suite using up to workers goroutines
-// (0 = auto).
+// NewSuite returns an experiment suite whose flows use up to workers
+// goroutines (0 = auto).
 func NewSuite(fast bool, seed int64, workers int) *Suite {
 	return &Suite{Fast: fast, Seed: seed, Workers: workers,
-		benchCache: map[string]*benchEntry{}}
+		benchCache: map[string]*designs.Benchmark{}}
 }
 
-// Bench returns the cached benchmark for a named spec, or an error for an
-// unknown name. It is safe for concurrent use; each design is generated
-// exactly once per suite.
+// Bench returns the suite's benchmark for a named spec, generating it on
+// first use, or an error for an unknown name.
 func (s *Suite) Bench(name string) (*designs.Benchmark, error) {
-	s.benchMu.Lock()
-	e, ok := s.benchCache[name]
+	if b := s.benchCache[name]; b != nil {
+		return b, nil
+	}
+	spec, ok := designs.Named(name)
 	if !ok {
-		e = &benchEntry{}
-		s.benchCache[name] = e
+		return nil, fmt.Errorf("experiments: unknown design %q", name)
 	}
-	s.benchMu.Unlock()
-	e.once.Do(func() {
-		spec, ok := designs.Named(name)
-		if !ok {
-			e.err = fmt.Errorf("experiments: unknown design %q", name)
-			return
+	if s.Fast {
+		spec.TargetInsts /= 4
+		if spec.TargetInsts < 400 {
+			spec.TargetInsts = 400
 		}
-		if s.Fast {
-			spec.TargetInsts /= 4
-			if spec.TargetInsts < 400 {
-				spec.TargetInsts = 400
-			}
-		}
-		e.b = designs.Generate(spec)
-	})
-	return e.b, e.err
-}
-
-// mapE fans fn out over [0, n) like par.Map and joins per-slot errors: the
-// lowest-index error wins, so the surfaced failure is deterministic for any
-// worker count.
-func mapE[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	type slot struct {
-		v   T
-		err error
 	}
-	out := par.Map(workers, n, func(i int) slot {
-		v, err := fn(i)
-		return slot{v, err}
-	})
-	vals := make([]T, n)
-	for i, o := range out {
-		if o.err != nil {
-			return nil, o.err
-		}
-		vals[i] = o.v
-	}
-	return vals, nil
-}
-
-// runWorkers splits the worker budget between a table's design-level fan-out
-// and the flow kernels underneath: with several designs in flight, the
-// fan-out owns the parallelism and each flow runs sequentially; a single
-// design hands the whole budget to the flow.
-func (s *Suite) runWorkers(items int) int {
-	w := par.Workers(s.Workers)
-	if items > 1 && w > 1 {
-		return 1
-	}
-	return w
+	b := designs.Generate(spec)
+	s.benchCache[name] = b
+	return b, nil
 }
 
 func (s *Suite) smallDesigns() []string { return []string{"aes", "jpeg", "ariane"} }
@@ -148,80 +100,105 @@ type Table1Row struct {
 	TCPns  float64
 }
 
-// Table1 generates the benchmark statistics, generating designs in parallel.
+// Table1 generates the benchmark statistics.
 func (s *Suite) Table1() ([]Table1Row, error) {
-	names := s.allDesigns()
-	return mapE(par.Workers(s.Workers), len(names), func(i int) (Table1Row, error) {
-		b, err := s.Bench(names[i])
+	var rows []Table1Row
+	for _, name := range s.allDesigns() {
+		b, err := s.Bench(name)
 		if err != nil {
-			return Table1Row{}, err
+			return nil, err
 		}
-		return Table1Row{
-			Design: designs.PaperNames[names[i]],
+		rows = append(rows, Table1Row{
+			Design: designs.PaperNames[name],
 			Insts:  len(b.Design.Insts),
 			Nets:   len(b.Design.Nets),
 			TCPns:  b.Spec.ClockPeriod * 1e9,
-		}, nil
-	})
+		})
+	}
+	return rows, nil
 }
 
 // ---- Table 2 ----
 
 // Table2Row is one design's post-place comparison, normalized to the
-// default flow (HPWL and CPU of blob placement [9] and of our flow).
+// default flow (HPWL and CPU of blob placement [9] and of our flow), plus
+// the per-stage wall-clock of the same "ours" run — the runtime breakdown
+// the paper defers to its repository ("We separately give the runtime
+// breakdown of our approach in [22]").
 type Table2Row struct {
 	Design   string
 	BlobHPWL float64
 	BlobCPU  float64
 	OursHPWL float64
-	OursCPU  float64
+	OursCPU  float64 // Total / DefaultPlace
+
+	Cluster      time.Duration
+	Shape        time.Duration
+	SeedPlace    time.Duration
+	IncrPlace    time.Duration
+	Total        time.Duration // cluster + seed + incremental
+	DefaultPlace time.Duration // flat-flow placement
 }
 
 // Table2 compares post-place HPWL and placement CPU. Blob placement [9] is
 // Louvain clustering + seeded placement with IO-weighted nets; ours is
-// PPA-aware clustering + ML-accelerated V-P&R + seeded placement.
+// PPA-aware clustering + ML-accelerated V-P&R + seeded placement. The three
+// flows of a design run one after another, each with the suite's whole
+// worker budget, so nothing else competes for the cores while a flow is
+// timed. The rows are measured once per suite: the Table-2 ratios and the
+// runtime breakdown of one report come from the same pass.
 func (s *Suite) Table2() ([]Table2Row, error) {
+	if s.table2 != nil {
+		return s.table2, nil
+	}
 	model, err := s.Model()
 	if err != nil {
 		return nil, err
 	}
-	names := s.allDesigns()
-	fw := s.runWorkers(len(names))
-	return mapE(par.Workers(s.Workers), len(names), func(i int) (Table2Row, error) {
-		b, err := s.Bench(names[i])
+	var rows []Table2Row
+	for _, name := range s.allDesigns() {
+		b, err := s.Bench(name)
 		if err != nil {
-			return Table2Row{}, err
+			return nil, err
 		}
-		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, SkipRoute: true, Workers: fw})
+		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, SkipRoute: true, Workers: s.Workers})
 		if err != nil {
-			return Table2Row{}, err
+			return nil, err
 		}
 		blob, err := flow.Run(b, flow.Options{
 			Seed: s.Seed, Method: flow.MethodLouvain, Shapes: flow.ShapeUniform,
-			SkipRoute: true, Workers: fw,
+			SkipRoute: true, Workers: s.Workers,
 		})
 		if err != nil {
-			return Table2Row{}, err
+			return nil, err
 		}
 		ours, err := flow.Run(b, flow.Options{
 			Seed: s.Seed, Method: flow.MethodPPAAware, Shapes: flow.ShapeVPRML,
-			Model: model, SkipRoute: true, Workers: fw,
+			Model: model, SkipRoute: true, Workers: s.Workers,
 		})
 		if err != nil {
-			return Table2Row{}, err
+			return nil, err
 		}
 		// CPU follows the paper's Table 2 definition: "cumulative runtimes
 		// of clustering and seeded placement", normalized by the default
 		// flow's placement runtime. Shape selection is reported separately
 		// (its cost is the one-time-amortized ML path of Section 3.2).
-		return Table2Row{
-			Design:   designs.PaperNames[names[i]],
-			BlobHPWL: blob.HPWL / def.HPWL,
-			BlobCPU:  cpuRatio(blob.PlaceTime, def.PlaceTime),
-			OursHPWL: ours.HPWL / def.HPWL,
-			OursCPU:  cpuRatio(ours.PlaceTime, def.PlaceTime),
-		}, nil
-	})
+		rows = append(rows, Table2Row{
+			Design:       designs.PaperNames[name],
+			BlobHPWL:     blob.HPWL / def.HPWL,
+			BlobCPU:      cpuRatio(blob.PlaceTime, def.PlaceTime),
+			OursHPWL:     ours.HPWL / def.HPWL,
+			OursCPU:      cpuRatio(ours.PlaceTime, def.PlaceTime),
+			Cluster:      ours.ClusterTime,
+			Shape:        ours.ShapeTime,
+			SeedPlace:    ours.SeedPlaceTime,
+			IncrPlace:    ours.IncrPlaceTime,
+			Total:        ours.PlaceTime,
+			DefaultPlace: def.PlaceTime,
+		})
+	}
+	s.table2 = rows
+	return rows, nil
 }
 
 func cpuRatio(a, b time.Duration) float64 {
@@ -241,6 +218,11 @@ type PPARow struct {
 	WNSps  float64
 	TNSns  float64
 	PowerW float64
+}
+
+func ppaRow(name, label string, r *flow.Result, refRWL float64) PPARow {
+	return PPARow{Design: designs.PaperNames[name], Flow: label, RWL: r.RoutedWL / refRWL,
+		WNSps: r.WNS * 1e12, TNSns: r.TNS * 1e9, PowerW: r.Power}
 }
 
 // Table3 is the OpenROAD post-route comparison (default vs ours) on the
@@ -263,38 +245,25 @@ func (s *Suite) postRouteCompare(names []string, tool flow.Tool) ([]PPARow, erro
 	if err != nil {
 		return nil, err
 	}
-	fw := s.runWorkers(len(names))
-	groups, err := mapE(par.Workers(s.Workers), len(names), func(i int) ([2]PPARow, error) {
-		name := names[i]
+	var rows []PPARow
+	for _, name := range names {
 		b, err := s.Bench(name)
 		if err != nil {
-			return [2]PPARow{}, err
+			return nil, err
 		}
-		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Tool: tool, Workers: fw})
+		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Tool: tool, Workers: s.Workers})
 		if err != nil {
-			return [2]PPARow{}, err
+			return nil, err
 		}
 		ours, err := flow.Run(b, flow.Options{
 			Seed: s.Seed, Tool: tool,
 			Method: flow.MethodPPAAware, Shapes: flow.ShapeVPRML, Model: model,
-			Workers: fw,
+			Workers: s.Workers,
 		})
 		if err != nil {
-			return [2]PPARow{}, err
+			return nil, err
 		}
-		return [2]PPARow{
-			{Design: designs.PaperNames[name], Flow: "Default", RWL: 1.0,
-				WNSps: def.WNS * 1e12, TNSns: def.TNS * 1e9, PowerW: def.Power},
-			{Design: designs.PaperNames[name], Flow: "Ours", RWL: ours.RoutedWL / def.RoutedWL,
-				WNSps: ours.WNS * 1e12, TNSns: ours.TNS * 1e9, PowerW: ours.Power},
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []PPARow
-	for _, g := range groups {
-		rows = append(rows, g[0], g[1])
+		rows = append(rows, ppaRow(name, "Default", def, def.RoutedWL), ppaRow(name, "Ours", ours, def.RoutedWL))
 	}
 	return rows, nil
 }
@@ -312,18 +281,16 @@ func (s *Suite) Table5() ([]PPARow, error) {
 	if s.Fast {
 		names = names[:2]
 	}
-	fw := s.runWorkers(len(names))
-	groups, err := mapE(par.Workers(s.Workers), len(names), func(i int) ([]PPARow, error) {
-		name := names[i]
+	var rows []PPARow
+	for _, name := range names {
 		b, err := s.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Workers: fw})
+		def, err := flow.RunDefault(b, flow.Options{Seed: s.Seed, Workers: s.Workers})
 		if err != nil {
 			return nil, err
 		}
-		var rows []PPARow
 		for _, m := range []struct {
 			label  string
 			method flow.Method
@@ -334,25 +301,13 @@ func (s *Suite) Table5() ([]PPARow, error) {
 		} {
 			r, err := flow.Run(b, flow.Options{
 				Seed: s.Seed, Method: m.method,
-				Shapes: flow.ShapeVPRML, Model: model, Workers: fw,
+				Shapes: flow.ShapeVPRML, Model: model, Workers: s.Workers,
 			})
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, PPARow{
-				Design: designs.PaperNames[name], Flow: m.label,
-				RWL:   r.RoutedWL / def.RoutedWL,
-				WNSps: r.WNS * 1e12, TNSns: r.TNS * 1e9, PowerW: r.Power,
-			})
+			rows = append(rows, ppaRow(name, m.label, r, def.RoutedWL))
 		}
-		return rows, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []PPARow
-	for _, g := range groups {
-		rows = append(rows, g...)
 	}
 	return rows, nil
 }
@@ -381,59 +336,35 @@ func (s *Suite) Table6() ([]PPARow, error) {
 	// Average each arm over a few seeds: at reproduction scale the
 	// shape-selection effect is second-order, so single runs are noisy.
 	seeds := []int64{s.Seed, s.Seed + 1}
-	// Fan out over (design, arm, seed) triples — the finest independent unit.
-	type job struct {
-		name string
-		arm  int
-		seed int64
-	}
-	var jobs []job
+	var rows []PPARow
 	for _, name := range names {
-		for a := range arms {
-			for _, seed := range seeds {
-				jobs = append(jobs, job{name, a, seed})
-			}
-		}
-	}
-	fw := s.runWorkers(len(jobs))
-	runs, err := mapE(par.Workers(s.Workers), len(jobs), func(i int) (*flow.Result, error) {
-		j := jobs[i]
-		b, err := s.Bench(j.name)
+		b, err := s.Bench(name)
 		if err != nil {
 			return nil, err
 		}
-		return flow.Run(b, flow.Options{
-			Seed: j.seed, Tool: flow.ToolInnovus,
-			Method: flow.MethodPPAAware, Shapes: arms[j.arm].mode, Model: model,
-			Workers: fw,
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []PPARow
-	for _, name := range names {
-		type acc struct{ rwl, wns, tns, pwr float64 }
-		results := make([]acc, len(arms))
-		for ji, j := range jobs {
-			if j.name != name {
-				continue
+		results := make([]PPARow, len(arms))
+		for a, arm := range arms {
+			for _, seed := range seeds {
+				r, err := flow.Run(b, flow.Options{
+					Seed: seed, Tool: flow.ToolInnovus,
+					Method: flow.MethodPPAAware, Shapes: arm.mode, Model: model,
+					Workers: s.Workers,
+				})
+				if err != nil {
+					return nil, err
+				}
+				results[a].RWL += r.RoutedWL / float64(len(seeds))
+				results[a].WNSps += r.WNS * 1e12 / float64(len(seeds))
+				results[a].TNSns += r.TNS * 1e9 / float64(len(seeds))
+				results[a].PowerW += r.Power / float64(len(seeds))
 			}
-			r := runs[ji]
-			results[j.arm].rwl += r.RoutedWL / float64(len(seeds))
-			results[j.arm].wns += r.WNS * 1e12 / float64(len(seeds))
-			results[j.arm].tns += r.TNS * 1e9 / float64(len(seeds))
-			results[j.arm].pwr += r.Power / float64(len(seeds))
 		}
-		uniform := results[1]
-		for i, a := range arms {
-			rows = append(rows, PPARow{
-				Design: designs.PaperNames[name], Flow: a.label,
-				RWL:   results[i].rwl / uniform.rwl,
-				WNSps: results[i].wns, TNSns: results[i].tns,
-				PowerW: results[i].pwr,
-			})
+		uniformRWL := results[1].RWL
+		for a, arm := range arms {
+			results[a].Design, results[a].Flow = designs.PaperNames[name], arm.label
+			results[a].RWL /= uniformRWL
 		}
+		rows = append(rows, results...)
 	}
 	return rows, nil
 }
@@ -448,6 +379,9 @@ type Figure5Point struct {
 	Score      float64
 }
 
+// figure5Params are the swept hyperparameters, in row order.
+var figure5Params = []string{"alpha", "beta", "gamma", "mu"}
+
 // Figure5 sweeps multipliers 1..6 on each of alpha, beta, gamma, mu,
 // normalizing post-place HPWL to the default-multiplier run per design.
 func (s *Suite) Figure5() ([]Figure5Point, error) {
@@ -457,65 +391,52 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 		names = names[:1]
 		mults = []float64{1, 2, 3}
 	}
-	// Sweep points are independent; fan out over (param, multiplier) pairs.
-	type sweep struct {
-		param string
-		mult  float64
-	}
-	var pairs []sweep
-	for _, param := range []string{"alpha", "beta", "gamma", "mu"} {
-		for _, m := range mults {
-			pairs = append(pairs, sweep{param, m})
-		}
-	}
-	fw := s.runWorkers(len(pairs))
-	baseVals, err := mapE(par.Workers(s.Workers), len(names), func(i int) (float64, error) {
-		b, err := s.Bench(names[i])
+	defaults := flow.Options{Seed: s.Seed, Shapes: flow.ShapeUniform, SkipRoute: true, Workers: s.Workers}
+	hpwl := func(name string, opt flow.Options) (float64, error) {
+		b, err := s.Bench(name)
 		if err != nil {
 			return 0, err
 		}
-		r, err := flow.Run(b, flow.Options{Seed: s.Seed, Shapes: flow.ShapeUniform,
-			SkipRoute: true, Workers: fw})
+		r, err := flow.Run(b, opt)
 		if err != nil {
 			return 0, err
 		}
 		return r.HPWL, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	base := map[string]float64{}
+	base := make([]float64, len(names))
 	for i, name := range names {
-		base[name] = baseVals[i]
-	}
-	return mapE(par.Workers(s.Workers), len(pairs), func(i int) (Figure5Point, error) {
-		pr := pairs[i]
-		var sum float64
-		for _, name := range names {
-			b, err := s.Bench(name)
-			if err != nil {
-				return Figure5Point{}, err
-			}
-			opt := flow.Options{Seed: s.Seed, Shapes: flow.ShapeUniform, SkipRoute: true,
-				Workers: fw}
-			switch pr.param {
-			case "alpha":
-				opt.Alpha = pr.mult
-			case "beta":
-				opt.Beta = pr.mult
-			case "gamma":
-				opt.Gamma = pr.mult
-			case "mu":
-				opt.Mu = 2 * pr.mult
-			}
-			r, err := flow.Run(b, opt)
-			if err != nil {
-				return Figure5Point{}, err
-			}
-			sum += r.HPWL / base[name]
+		v, err := hpwl(name, defaults)
+		if err != nil {
+			return nil, err
 		}
-		return Figure5Point{Param: pr.param, Multiplier: pr.mult, Score: sum / float64(len(names))}, nil
-	})
+		base[i] = v
+	}
+	var pts []Figure5Point
+	for _, param := range figure5Params {
+		for _, mult := range mults {
+			opt := defaults
+			switch param {
+			case "alpha":
+				opt.Alpha = mult
+			case "beta":
+				opt.Beta = mult
+			case "gamma":
+				opt.Gamma = mult
+			case "mu":
+				opt.Mu = 2 * mult
+			}
+			var sum float64
+			for i, name := range names {
+				v, err := hpwl(name, opt)
+				if err != nil {
+					return nil, err
+				}
+				sum += v / base[i]
+			}
+			pts = append(pts, Figure5Point{Param: param, Multiplier: mult, Score: sum / float64(len(names))})
+		}
+	}
+	return pts, nil
 }
 
 // ---- Section 4.4: GNN model quality ----
@@ -531,35 +452,80 @@ type GNNReport struct {
 	SpeedupX         float64 // exact V-P&R sweep time / PredictBestShape time, over the dataset's clusters
 }
 
-// Model returns the trained Total Cost predictor, training it on first use.
-// It is safe for concurrent use; training happens exactly once per suite.
-func (s *Suite) Model() (*gnn.Model, error) {
-	s.modelOnce.Do(func() {
-		s.model, s.modelStats, s.modelErr = s.trainModel()
-	})
-	return s.model, s.modelErr
+// trainingSet is what training leaves behind for GNNMetrics: the labelled
+// samples, the cluster graphs they were drawn from, and the two timers.
+type trainingSet struct {
+	samples   []gnn.Sample
+	graphs    []*gnn.GraphInput
+	exactTime time.Duration // the exact 20-shape V-P&R sweeps that labelled the samples
+	fitTime   time.Duration
 }
 
-// GNNMetrics returns the Section 4.4 quality report (training on demand).
+// split is the deterministic 70/15/15 split by sample index stride.
+func (ts *trainingSet) split() (train, val, test []gnn.Sample) {
+	for i, smp := range ts.samples {
+		switch i % 20 {
+		case 17, 18:
+			val = append(val, smp)
+		case 19, 16:
+			test = append(test, smp)
+		default:
+			train = append(train, smp)
+		}
+	}
+	return train, val, test
+}
+
+// Model returns the trained Total Cost predictor, training it on first use.
+// It only trains; the Section 4.4 report is GNNMetrics' job.
+func (s *Suite) Model() (*gnn.Model, error) {
+	if s.model == nil {
+		if err := s.trainModel(); err != nil {
+			return nil, err
+		}
+	}
+	return s.model, nil
+}
+
+// GNNMetrics computes the Section 4.4 quality report from the training set
+// (training on demand).
 func (s *Suite) GNNMetrics() (GNNReport, error) {
-	if _, err := s.Model(); err != nil {
+	model, err := s.Model()
+	if err != nil {
 		return GNNReport{}, err
 	}
-	return s.modelStats, nil
+	ts := &s.training
+	train, val, test := ts.split()
+	rep := GNNReport{
+		Train:     model.Evaluate(train),
+		Val:       model.Evaluate(val),
+		Test:      model.Evaluate(test),
+		Samples:   len(ts.samples),
+		TrainTime: ts.fitTime,
+	}
+	rep.LabelMin, rep.LabelMax, rep.LabelMean = labelStats(ts.samples)
+	// Inference speedup on the path the flow runs: the exact 20-shape sweep
+	// recorded while labelling against PredictBestShape on the same clusters.
+	t0 := time.Now()
+	for _, g := range ts.graphs {
+		model.PredictBestShapeWorkers(g, s.Workers)
+	}
+	if predictTime := time.Since(t0); predictTime > 0 {
+		rep.SpeedupX = float64(ts.exactTime) / float64(predictTime)
+	}
+	return rep, nil
 }
 
 // trainModel builds the V-P&R dataset by perturbing clustering seeds on the
 // small designs (the paper perturbs seed/coarsening hyperparameters), labels
 // every (cluster, shape) pair with exact V-P&R, and fits the GNN.
-func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
+func (s *Suite) trainModel() error {
 	nSeeds := 4
 	minClusterInsts := 25
 	if s.Fast {
 		nSeeds = 1
 	}
-	var samples []gnn.Sample
-	var graphs []*gnn.GraphInput
-	var exactTime time.Duration
+	var ts trainingSet
 	names := s.smallDesigns()
 	if s.Fast {
 		names = names[:1]
@@ -567,7 +533,7 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 	for _, name := range names {
 		b, err := s.Bench(name)
 		if err != nil {
-			return nil, GNNReport{}, err
+			return err
 		}
 		view := b.Design.ToHypergraph()
 		for k := 0; k < nSeeds; k++ {
@@ -588,28 +554,17 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 					continue
 				}
 				g := gnn.BuildGraphInput(sub, features.Options{Seed: s.Seed})
-				graphs = append(graphs, g)
+				ts.graphs = append(ts.graphs, g)
 				t0 := time.Now()
 				_, evals := vpr.BestShape(sub, vpr.Runner{Opt: vpr.Options{Seed: s.Seed, Workers: s.Workers}})
-				exactTime += time.Since(t0)
+				ts.exactTime += time.Since(t0)
 				for _, ev := range evals {
-					samples = append(samples, gnn.Sample{Graph: g, Shape: ev.Shape, Label: ev.TotalCost})
+					ts.samples = append(ts.samples, gnn.Sample{Graph: g, Shape: ev.Shape, Label: ev.TotalCost})
 				}
 			}
 		}
 	}
-	// Deterministic split 70/15/15 by sample index stride.
-	var train, val, test []gnn.Sample
-	for i, smp := range samples {
-		switch i % 20 {
-		case 17, 18:
-			val = append(val, smp)
-		case 19, 16:
-			test = append(test, smp)
-		default:
-			train = append(train, smp)
-		}
-	}
+	train, _, _ := ts.split()
 	model := gnn.NewModel(s.Seed)
 	epochs := 10
 	if s.Fast {
@@ -617,26 +572,9 @@ func (s *Suite) trainModel() (*gnn.Model, GNNReport, error) {
 	}
 	t0 := time.Now()
 	model.Fit(train, gnn.TrainOptions{Epochs: epochs, LR: 1.5e-3, Seed: s.Seed})
-	trainTime := time.Since(t0)
-
-	rep := GNNReport{
-		Train:     model.Evaluate(train),
-		Val:       model.Evaluate(val),
-		Test:      model.Evaluate(test),
-		Samples:   len(samples),
-		TrainTime: trainTime,
-	}
-	rep.LabelMin, rep.LabelMax, rep.LabelMean = labelStats(samples)
-	// Inference speedup on the path the flow runs: the exact 20-shape sweep
-	// recorded above against PredictBestShape on the same clusters.
-	t0 = time.Now()
-	for _, g := range graphs {
-		model.PredictBestShapeWorkers(g, s.Workers)
-	}
-	if predictTime := time.Since(t0); predictTime > 0 {
-		rep.SpeedupX = float64(exactTime) / float64(predictTime)
-	}
-	return model, rep, nil
+	ts.fitTime = time.Since(t0)
+	s.model, s.training = model, ts
+	return nil
 }
 
 func labelStats(samples []gnn.Sample) (min, max, mean float64) {
@@ -655,38 +593,4 @@ func labelStats(samples []gnn.Sample) (min, max, mean float64) {
 		sum += s.Label
 	}
 	return min, max, sum / float64(len(samples))
-}
-
-// ---- rendering ----
-
-// FprintTable renders rows of any table type as an aligned text table.
-func FprintTable(w io.Writer, header []string, rows [][]string) {
-	widths := make([]int, len(header))
-	for i, h := range header {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	line := func(cells []string) {
-		for i, c := range cells {
-			fmt.Fprintf(w, "%-*s  ", widths[i], c)
-		}
-		fmt.Fprintln(w)
-	}
-	line(header)
-	sep := make([]string, len(header))
-	for i := range sep {
-		for j := 0; j < widths[i]; j++ {
-			sep[i] += "-"
-		}
-	}
-	line(sep)
-	for _, r := range rows {
-		line(r)
-	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -9,9 +8,17 @@ import (
 // machinery is exercised in seconds; the shape assertions mirror the paper's
 // qualitative claims.
 
+// The shape tests share one suite, so the model is trained and each design
+// generated once for the package (tests here do not run in parallel, and a
+// Suite is not safe for concurrent use).
+var sharedSuite *Suite
+
 func fastSuite(t *testing.T) *Suite {
 	t.Helper()
-	return NewSuite(true, 7, 4)
+	if sharedSuite == nil {
+		sharedSuite = NewSuite(true, 7, 4)
+	}
+	return sharedSuite
 }
 
 func TestTable1Shape(t *testing.T) {
@@ -183,15 +190,6 @@ func TestFigure5Shape(t *testing.T) {
 	}
 }
 
-func TestFprintTable(t *testing.T) {
-	var sb strings.Builder
-	FprintTable(&sb, []string{"a", "bb"}, [][]string{{"1", "2"}, {"333", "4"}})
-	out := sb.String()
-	if !strings.Contains(out, "333") || !strings.Contains(out, "--") {
-		t.Fatalf("table output: %q", out)
-	}
-}
-
 func TestBenchCaching(t *testing.T) {
 	s := fastSuite(t)
 	b1, err := s.Bench("aes")
@@ -236,9 +234,11 @@ func TestAblationClusterTerms(t *testing.T) {
 	}
 }
 
+// TestRuntimeBreakdown: the per-stage columns are part of the Table-2 pass,
+// so the breakdown and the CPU ratio of a row are one measurement.
 func TestRuntimeBreakdown(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.RuntimeBreakdown()
+	rows, err := s.Table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,16 +249,18 @@ func TestRuntimeBreakdown(t *testing.T) {
 		if r.Total <= 0 || r.DefaultPlace <= 0 {
 			t.Fatalf("bad durations: %+v", r)
 		}
-		if r.Total < r.Cluster {
-			t.Fatalf("total must include clustering: %+v", r)
+		if r.Total < r.Cluster+r.SeedPlace+r.IncrPlace {
+			t.Fatalf("total must include clustering and both placements: %+v", r)
+		}
+		if got := float64(r.Total) / float64(r.DefaultPlace); r.OursCPU != got {
+			t.Fatalf("CPU ratio %v is not Total/DefaultPlace = %v: %+v", r.OursCPU, got, r)
 		}
 	}
-}
-
-func TestFprintTableEmptyRows(t *testing.T) {
-	var sb strings.Builder
-	FprintTable(&sb, []string{"only", "header"}, nil)
-	if !strings.Contains(sb.String(), "only") {
-		t.Fatal("header missing")
+	again, err := s.Table2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &again[0] != &rows[0] {
+		t.Fatal("a second Table2 call re-timed the flows: the report's two sections would disagree")
 	}
 }

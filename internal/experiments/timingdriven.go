@@ -9,7 +9,6 @@ package experiments
 import (
 	"ppaclust/internal/designs"
 	"ppaclust/internal/flow"
-	"ppaclust/internal/par"
 )
 
 // TDRow is one design/tool arm of the timing-driven A/B comparison. Every
@@ -77,28 +76,28 @@ func (s *Suite) TimingDrivenAB() ([]TDRow, error) {
 	for _, n := range s.allDesigns() {
 		jobs = append(jobs, job{n, flow.ToolInnovus})
 	}
-	fw := s.runWorkers(len(jobs))
-	return mapE(par.Workers(s.Workers), len(jobs), func(i int) (TDRow, error) {
-		j := jobs[i]
+	var rows []TDRow
+	for _, j := range jobs {
 		b, err := s.Bench(j.name)
 		if err != nil {
-			return TDRow{}, err
+			return nil, err
 		}
 		opt := flow.Options{
 			Seed: s.Seed, Tool: j.tool,
 			Method: flow.MethodPPAAware, Shapes: flow.ShapeUniform,
-			Workers: fw,
+			Workers: s.Workers,
 		}
 		base, err := flow.Run(b, opt)
 		if err != nil {
-			return TDRow{}, err
+			return nil, err
 		}
 		opt.TimingDriven = true
 		opt.RoutabilityDriven = true
 		td, err := flow.Run(b, opt)
 		if err != nil {
-			return TDRow{}, err
+			return nil, err
 		}
-		return MakeTDRow(designs.PaperNames[j.name], j.tool.String(), len(b.Design.Insts), base, td), nil
-	})
+		rows = append(rows, MakeTDRow(designs.PaperNames[j.name], j.tool.String(), len(b.Design.Insts), base, td))
+	}
+	return rows, nil
 }

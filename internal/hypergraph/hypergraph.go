@@ -44,11 +44,6 @@ type incidenceCSR struct {
 	edges []int // ascending edge IDs per vertex, matching AddEdge order
 }
 
-// New returns an empty hypergraph with n zero-weight vertices.
-func New(n int) *Hypergraph {
-	return NewWithCap(n, 0, 0)
-}
-
 // NewWithCap returns an empty hypergraph with n zero-weight vertices and
 // storage pre-sized for the given edge and pin counts, so bulk construction
 // (netlist conversion, contraction) does not grow-and-copy the flat arrays.

@@ -12,7 +12,7 @@ import (
 
 func buildSample() *Hypergraph {
 	// Six vertices, two natural clusters {0,1,2} and {3,4,5}, one cut edge.
-	h := New(6)
+	h := NewWithCap(6, 0, 0)
 	for v := 0; v < 6; v++ {
 		h.SetVertexWeight(v, 1)
 	}
@@ -40,7 +40,7 @@ func TestBasicCounts(t *testing.T) {
 }
 
 func TestAddEdgeDedupes(t *testing.T) {
-	h := New(3)
+	h := NewWithCap(3, 0, 0)
 	e := h.AddEdge([]int{2, 0, 2, 1, 0}, 1.5)
 	if got := h.Edge(e); !reflect.DeepEqual(got, []int{0, 1, 2}) {
 		t.Fatalf("edge=%v", got)
@@ -56,7 +56,7 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2).AddEdge([]int{0, 5}, 1)
+	NewWithCap(2, 0, 0).AddEdge([]int{0, 5}, 1)
 }
 
 func TestCutSize(t *testing.T) {
@@ -107,7 +107,7 @@ func TestContract(t *testing.T) {
 }
 
 func TestContractMergesParallelEdges(t *testing.T) {
-	h := New(4)
+	h := NewWithCap(4, 0, 0)
 	h.AddEdge([]int{0, 2}, 1)
 	h.AddEdge([]int{1, 3}, 2)
 	h.AddEdge([]int{0, 3}, 4)
@@ -170,7 +170,7 @@ func TestWeightedAvgRentPrefersGoodClustering(t *testing.T) {
 func TestWeightedAvgRentDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 300
-	h := New(n)
+	h := NewWithCap(n, 0, 0)
 	for v := 0; v < n; v++ {
 		h.SetVertexWeight(v, 1+rng.Float64())
 	}
@@ -198,7 +198,7 @@ func TestWeightedAvgRentDeterministic(t *testing.T) {
 }
 
 func TestCliqueExpand(t *testing.T) {
-	h := New(3)
+	h := NewWithCap(3, 0, 0)
 	h.AddEdge([]int{0, 1, 2}, 2) // clique weight 2/(3-1) = 1 per pair
 	h.AddEdge([]int{0, 1}, 3)    // extra 3 on pair (0,1)
 	g := h.CliqueExpand()
@@ -238,7 +238,7 @@ func TestGraphSelfLoopAndMerge(t *testing.T) {
 
 // randomHypergraph builds a reproducible random hypergraph for property tests.
 func randomHypergraph(rng *rand.Rand, nv, ne int) *Hypergraph {
-	h := New(nv)
+	h := NewWithCap(nv, 0, 0)
 	for v := 0; v < nv; v++ {
 		h.SetVertexWeight(v, 1+rng.Float64())
 	}
@@ -384,7 +384,7 @@ func contractReference(h *Hypergraph, clusterOf []int) *Contraction {
 		}
 		vmap[v] = id
 	}
-	coarse := New(len(dense))
+	coarse := NewWithCap(len(dense), 0, 0)
 	for v, cv := range vmap {
 		coarse.vertexWeight[cv] += h.vertexWeight[v]
 	}

@@ -7,7 +7,7 @@
 //     literal's source range (closure locals and parameters are inside).
 //
 //  2. An *index-derived* object set per closure: the closure's parameters
-//     (the par.ForEach/Map element index, the par.Blocks worker id and
+//     (the par.ForEach element index, the par.Blocks worker id and
 //     block bounds) seed a fixpoint that adds every local assigned from an
 //     expression mentioning a derived object — loop counters `for k := lo;
 //     k < hi`, per-worker views `sc := scratch[w]`, range variables over

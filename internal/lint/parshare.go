@@ -11,11 +11,11 @@ import (
 
 var parShareCheck = &Check{
 	Name: "parshare",
-	Doc: "write through a captured variable inside a par.ForEach/Blocks/Map closure " +
+	Doc: "write through a captured variable inside a par.ForEach/Blocks closure " +
 		"that is not partitioned by the closure's index (shared append, shared-map " +
 		"write, shared-scalar accumulation); use per-index slots or per-worker " +
 		"partials merged in fixed order",
-	Contract: "Every function literal passed to par.ForEach, par.Blocks, or par.Map runs " +
+	Contract: "Every function literal passed to par.ForEach or par.Blocks runs " +
 		"concurrently on the worker pool, and the repo's determinism contract requires " +
 		"bit-identical results at any worker count. The closure may therefore write only " +
 		"memory that its own index partitions: an element of a captured slice indexed by " +
@@ -31,7 +31,7 @@ var parShareCheck = &Check{
 		"Known false negatives (see DESIGN.md §16): aliases taken through non-derived " +
 		"locals, calls through captured function values, helpers of helpers, channels.",
 	Approved: []string{
-		"out[i] = f(i) — per-index slot write, the par.Map/ForEach idiom",
+		"out[i] = f(i) — per-index slot write, the par.ForEach idiom",
 		"parts[w] += v inside par.Blocks — per-worker partial, merged in block order afterwards",
 		"gp := &parts[w]; gp.xs = append(gp.xs, v) — per-worker gather arena via a derived local",
 		"for k := lo; k < hi; k++ { dst[k] = v } — block-partitioned loop counter",
@@ -40,9 +40,9 @@ var parShareCheck = &Check{
 	Run: runParShare,
 }
 
-// parEntry names the three pool entry points and, per entry, which closure
-// parameters partition writes (all of them, for all three).
-var parEntry = map[string]bool{"ForEach": true, "Blocks": true, "Map": true}
+// parEntry names the two pool entry points; every parameter of their closure
+// partitions writes.
+var parEntry = map[string]bool{"ForEach": true, "Blocks": true}
 
 func runParShare(p *Package, report func(pos token.Pos, format string, args ...any)) {
 	if !internalPkg(p.Path) {

@@ -40,7 +40,7 @@ func AppendVals(m map[string]int) []int {
 func Dispatch(m map[int][]float64) {
 	for _, vs := range m { // want `maporder: .*dispatches work to internal/par`
 		vs := vs
-		_ = par.Map(1, len(vs), func(i int) float64 { return vs[i] })
+		par.ForEach(1, len(vs), func(i int) { _ = vs[i] })
 	}
 }
 

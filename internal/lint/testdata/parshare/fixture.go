@@ -142,14 +142,6 @@ func HelperPartitioned(vals []float64, workers int) []float64 {
 	return out
 }
 
-// Squares returns per-index results through par.Map's own slot array: the
-// closure writes nothing captured.
-func Squares(vals []float64, workers int) []float64 {
-	return par.Map(workers, len(vals), func(i int) float64 {
-		return vals[i] * vals[i]
-	})
-}
-
 // SuppressedAppend demonstrates a written-reason suppression of a shared
 // append: silent.
 func SuppressedAppend(n, workers int) []int {

@@ -2,8 +2,9 @@
 // worker pool sized from GOMAXPROCS (or the PPACLUST_WORKERS environment
 // knob) with index- and block-parallel helpers. A stage forks at most once,
 // at the grain of a whole unit of its work — an axis solve, a shape
-// evaluation, a batch of nets, a generated leaf, a design of a table;
-// DESIGN.md "Parallel execution" lists the forks and their measured numbers.
+// evaluation, a batch of nets, a generated leaf; nothing above internal/flow
+// forks. DESIGN.md "Parallel execution" lists the forks and their measured
+// numbers.
 //
 // Determinism contract: every helper assigns each index to exactly one
 // worker and callers write only per-index slots (or per-worker private
@@ -141,13 +142,4 @@ func Blocks(workers, n int, fn func(w, lo, hi int)) {
 	}
 	wg.Wait()
 	box.rethrow()
-}
-
-// Map computes out[i] = fn(i) for i in [0, n) in parallel. Each slot is
-// written by exactly one worker, so the result is deterministic; reduce it
-// sequentially in index order when bit-exact totals matter.
-func Map[T any](workers, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
-	return out
 }

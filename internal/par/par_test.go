@@ -68,16 +68,6 @@ func TestBlocksPartitionContiguous(t *testing.T) {
 	}
 }
 
-func TestMapDeterministic(t *testing.T) {
-	a := Map(4, 500, func(i int) int { return i * i })
-	b := Map(1, 500, func(i int) int { return i * i })
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("slot %d differs: %d vs %d", i, a[i], b[i])
-		}
-	}
-}
-
 func TestPanicPropagation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		func() {

@@ -14,17 +14,11 @@ type DetailedOptions struct {
 	Passes int
 	// Seed drives the visit order.
 	Seed int64
-	// MaxNetPins skips cells on huge nets when computing optimal regions.
-	// Default 64.
-	MaxNetPins int
 }
 
 func (o DetailedOptions) withDefaults() DetailedOptions {
 	if o.Passes <= 0 {
 		o.Passes = 2
-	}
-	if o.MaxNetPins <= 0 {
-		o.MaxNetPins = 64
 	}
 	return o
 }
@@ -64,6 +58,10 @@ func Detailed(d *netlist.Design, opt DetailedOptions) DetailedResult {
 // on.
 const detailGridN = 24
 
+// detailMaxNetPins: nets with more pins are skipped when computing a cell's
+// optimal region.
+const detailMaxNetPins = 64
+
 // detailer is the state of one Detailed call. Everything the swap loop
 // touches is a flat array sized at set-up, so a pass allocates nothing.
 type detailer struct {
@@ -74,8 +72,7 @@ type detailer struct {
 	// instead of recomputing every incident net. Cached values are
 	// bit-identical to NetHPWL/HPWL, so accept/revert decisions — and the
 	// final placement — match the from-scratch evaluation exactly.
-	wl      *netlist.WirelenCache
-	maxPins int
+	wl *netlist.WirelenCache
 
 	// Movable core cells in instance order, their width class (cells swap
 	// only within a class, which preserves legality) and visit order.
@@ -107,13 +104,12 @@ type detailer struct {
 func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 	cm := d.Compact()
 	dp := &detailer{
-		d:       d,
-		cm:      cm,
-		wl:      netlist.NewWirelenCache(d),
-		maxPins: opt.MaxNetPins,
-		bw:      d.Core.W() / detailGridN,
-		bh:      d.Core.H() / detailGridN,
-		stamp:   make([]int64, len(d.Nets)),
+		d:     d,
+		cm:    cm,
+		wl:    netlist.NewWirelenCache(d),
+		bw:    d.Core.W() / detailGridN,
+		bh:    d.Core.H() / detailGridN,
+		stamp: make([]int64, len(d.Nets)),
 	}
 	dp.cells = make([]int32, 0, len(d.Insts))
 	dp.class = make([]int32, 0, len(d.Insts))
@@ -134,7 +130,7 @@ func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 		// optimalSpot gathers at most every pin of the cell's small nets.
 		n := 0
 		for j := cm.InstStart[inst.ID]; j < cm.InstStart[inst.ID+1]; j++ {
-			if np := cm.NumNetPins(int(cm.InstNets[j])); np <= dp.maxPins {
+			if np := cm.NumNetPins(int(cm.InstNets[j])); np <= detailMaxNetPins {
 				n += np
 			}
 		}
@@ -257,14 +253,14 @@ func (dp *detailer) netCost(id1, id2 int) float64 {
 
 // optimalSpot returns the median position of the other pins on the cell's
 // nets — the classic optimal-region center for single-cell moves. Nets with
-// more than maxPins pins are skipped.
+// more than detailMaxNetPins pins are skipped.
 func (dp *detailer) optimalSpot(id int32) (float64, float64, bool) {
 	cm := dp.cm
 	xs, ys := dp.xs[:0], dp.ys[:0]
 	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
 		n := cm.InstNets[j]
 		lo, hi := cm.NetStart[n], cm.NetStart[n+1]
-		if int(hi-lo) > dp.maxPins {
+		if int(hi-lo) > detailMaxNetPins {
 			continue
 		}
 		for k := lo; k < hi; k++ {

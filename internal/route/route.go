@@ -17,30 +17,28 @@ import (
 
 // Options configures global routing.
 type Options struct {
-	// GCellSize is the GCell edge length in microns (0 = auto: ~40x40 grid).
-	GCellSize float64
 	// CapacityH and CapacityV are routing track capacities per GCell edge.
 	// Defaults 10 and 10.
 	CapacityH, CapacityV int
 	// Passes is the number of rip-up-and-reroute passes. Default 2.
 	Passes int
-	// MaxNetPins skips decomposition quality for huge nets (chain routing).
-	// Default 64.
-	MaxNetPins int
 	// Workers caps the worker goroutines used for net decomposition and
 	// batched initial routing (0 = PPACLUST_WORKERS or GOMAXPROCS). Results
 	// are bit-identical at every worker count.
 	Workers int
 }
 
-func (o Options) withDefaults(d *netlist.Design) Options {
-	if o.GCellSize <= 0 {
-		side := math.Max(d.Core.W(), d.Core.H())
-		o.GCellSize = side / 40
-		if o.GCellSize < 1 {
-			o.GCellSize = 1
-		}
-	}
+// maxNetPins: nets with more pins are chain-routed instead of decomposed
+// for quality.
+const maxNetPins = 64
+
+// gcellSize is the GCell edge length in microns: a ~40x40 grid over the
+// core, at least 1 um.
+func gcellSize(d *netlist.Design) float64 {
+	return math.Max(math.Max(d.Core.W(), d.Core.H())/40, 1)
+}
+
+func (o Options) withDefaults() Options {
 	if o.CapacityH <= 0 {
 		o.CapacityH = 10
 	}
@@ -49,9 +47,6 @@ func (o Options) withDefaults(d *netlist.Design) Options {
 	}
 	if o.Passes <= 0 {
 		o.Passes = 2
-	}
-	if o.MaxNetPins <= 0 {
-		o.MaxNetPins = 64
 	}
 	return o
 }
@@ -475,8 +470,8 @@ func (sc *routeScratch) applyPart(s segRoute) {
 // worker and then in worker order — exact arithmetic, so parallel totals
 // match serial ones bit for bit.
 func GlobalRoute(d *netlist.Design, opt Options) *Result {
-	opt = opt.withDefaults(d)
-	g := NewGrid(d.Core, opt.GCellSize, opt.CapacityH, opt.CapacityV)
+	opt = opt.withDefaults()
+	g := NewGrid(d.Core, gcellSize(d), opt.CapacityH, opt.CapacityV)
 	c := d.Compact()
 	workers := par.Workers(opt.Workers)
 
@@ -526,8 +521,8 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 				continue
 			}
 			pre := len(arena)
-			arena = sc.dec.steiner(cells, opt.MaxNetPins, arena)
-			segStart[ni+1] = int32(len(arena) - pre) //ppalint:ignore i32trunc per-net segment count, bounded by the MaxNetPins-capped Steiner decomposition
+			arena = sc.dec.steiner(cells, maxNetPins, arena)
+			segStart[ni+1] = int32(len(arena) - pre) //ppalint:ignore i32trunc per-net segment count, bounded by the maxNetPins-capped Steiner decomposition
 		}
 		arenas[w] = arena
 	})

@@ -11,35 +11,28 @@ import (
 
 // Options controls rendering.
 type Options struct {
-	// WidthPX is the output image width in pixels (height follows the die
-	// aspect ratio). Default 800.
-	WidthPX float64
 	// DrawNets draws flylines for nets with at most this many pins
 	// (0 disables flylines).
 	DrawNets int
 }
 
-func (o Options) withDefaults() Options {
-	if o.WidthPX <= 0 {
-		o.WidthPX = 800
-	}
-	return o
-}
+// widthPX is the output image width in pixels (height follows the die
+// aspect ratio).
+const widthPX = 800.0
 
 // WritePlacement renders the design's die, core, macros, cells and ports.
 func WritePlacement(w io.Writer, d *netlist.Design, opt Options) error {
-	opt = opt.withDefaults()
 	if d.Die.W() <= 0 || d.Die.H() <= 0 {
 		return fmt.Errorf("viz: design has no die area")
 	}
-	s := opt.WidthPX / d.Die.W()
+	s := widthPX / d.Die.W()
 	hPX := d.Die.H() * s
 	// SVG y grows downward; chip y grows upward.
 	x := func(v float64) float64 { return (v - d.Die.X0) * s }
 	y := func(v float64) float64 { return hPX - (v-d.Die.Y0)*s }
 
 	fmt.Fprintf(w, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f">`+"\n",
-		opt.WidthPX, hPX, opt.WidthPX, hPX)
+		widthPX, hPX, widthPX, hPX)
 	fmt.Fprintf(w, `<rect width="100%%" height="100%%" fill="#10131a"/>`+"\n")
 	// Core outline.
 	fmt.Fprintf(w, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="none" stroke="#3a4356" stroke-width="1"/>`+"\n",

@@ -2,7 +2,7 @@
 # Functions no entry point reaches: builds the library-using binaries and
 # benchmark/ with coverage of every ppaclust package, runs their fast entry
 # points under one GOCOVERDIR, and prints the functions left at 0.0 % outside
-# cmd/, examples/, benchmark/ and internal/lint. Each is a deletion candidate
+# cmd/, benchmark/ and internal/lint. Each is a deletion candidate
 # or safety/format code kept for a stated reason (ROADMAP item 9(c)).
 #
 # Usage: scripts/reach.sh            (~2 min; CI keeps the output as reach.txt)
@@ -21,7 +21,7 @@ done
     ./ppabench -fast -o exp.md
     ./ppabench -fast -table ablation
     ./ppabench -fast -table runtime
-    ./ppabench -fast -figure 5
+    ./ppabench -fast -table figure5
     ./ppabench -timing-driven 10k -td-out td.json
     ./ppabench -fast -timing-driven tables -td-out td.json
     ./ppagen -design aes -o files
@@ -37,4 +37,4 @@ done
     ./benchmark --workload scale250k --seed 1 --seconds 1 --trace 0 -workdir work
 ) >"$t/run.log" 2>&1 || { tail -20 "$t/run.log" >&2; exit 1; }
 go tool covdata func -i="$GOCOVERDIR" | awk '$NF == "0.0%"' |
-    grep -vE '^ppaclust/(cmd|examples|benchmark|internal/lint)/' || true
+    grep -vE '^ppaclust/(cmd|benchmark|internal/lint)/' || true
