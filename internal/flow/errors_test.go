@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -212,6 +213,43 @@ func TestUnplaceableCoreIsAnError(t *testing.T) {
 		{"zero site width", noSiteWidth, "sites (width 0 um)"},
 		{"core half a row high", halfRow, "holds no row"},
 		{"core half a site wide", halfSite, "holds no row"},
+	} {
+		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
+			"Run": Run, "RunDefault": RunDefault,
+		} {
+			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), "design "+tc.b.Design.Name) {
+				t.Errorf("%s, %s: not reported: res=%v err=%v", tc.name, name, res != nil, err)
+			}
+		}
+	}
+}
+
+// TestNonFiniteInputIsAnError runs both flow entry points on designs with a
+// port at NaN, a fixed cell at +Inf, and a NaN and a negative net weight. The
+// first two used to come back as NaN and infinite metrics with a nil error,
+// the last two as a finite but ruined placement; each must be an error naming
+// the design and the object.
+func TestNonFiniteInputIsAnError(t *testing.T) {
+	nanPort := designs.Generate(designs.TinySpec(3))
+	nanPort.Design.Ports[0].X = math.NaN()
+	infCell := designs.Generate(designs.TinySpec(3))
+	infCell.Design.Insts[0].Fixed = true
+	infCell.Design.Insts[0].X = math.Inf(1)
+	nanWeight := designs.Generate(designs.TinySpec(3))
+	nanWeight.Design.Nets[0].Weight = math.NaN()
+	negWeight := designs.Generate(designs.TinySpec(3))
+	negWeight.Design.Nets[0].Weight = -1
+	for _, tc := range []struct {
+		name string
+		b    *designs.Benchmark
+		want string
+	}{
+		{"port at NaN", nanPort, "port " + nanPort.Design.Ports[0].Name + " is at (NaN,"},
+		{"fixed cell at +Inf", infCell, "fixed instance " + infCell.Design.Insts[0].Name + " is at (+Inf,"},
+		{"NaN net weight", nanWeight, "net " + nanWeight.Design.Nets[0].Name + " has weight NaN"},
+		{"negative net weight", negWeight, "net " + negWeight.Design.Nets[0].Name + " has weight -1"},
 	} {
 		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
 			"Run": Run, "RunDefault": RunDefault,

@@ -206,7 +206,10 @@ type Result struct {
 // compact-CSR capacity, so an oversized design fails with an error instead
 // of tripping the must-style Compact panic deep inside a stage, and a core
 // with room for the cells on at least one row of sites, so no flow reports
-// numbers for a placement that cannot be legal.
+// numbers for a placement that cannot be legal, and finite coordinates on
+// everything the placer holds still plus finite non-negative net weights: one
+// NaN or infinity among the placer's constants reaches every metric, and a
+// NaN weight ruins the placement while every metric stays finite.
 func checkDesign(d *netlist.Design) error {
 	if _, err := d.CompactChecked(); err != nil {
 		return err
@@ -219,6 +222,22 @@ func checkDesign(d *netlist.Design) error {
 	}
 	if u := d.Utilization(); u > 1 {
 		return fmt.Errorf("flow: design %s: utilization %.2f, the cells do not fit the core", d.Name, u)
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, port := range d.Ports {
+		if !(finite(port.X) && finite(port.Y)) {
+			return fmt.Errorf("flow: design %s: port %s is at (%g, %g)", d.Name, port.Name, port.X, port.Y)
+		}
+	}
+	for _, inst := range d.Insts {
+		if inst.Fixed && !(finite(inst.X) && finite(inst.Y)) {
+			return fmt.Errorf("flow: design %s: fixed instance %s is at (%g, %g)", d.Name, inst.Name, inst.X, inst.Y)
+		}
+	}
+	for _, net := range d.Nets {
+		if !(finite(net.Weight) && net.Weight >= 0) {
+			return fmt.Errorf("flow: design %s: net %s has weight %g", d.Name, net.Name, net.Weight)
+		}
 	}
 	return nil
 }

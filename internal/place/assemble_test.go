@@ -43,17 +43,15 @@ func (r *refSystem) addSpring(vi, vj int, ci, cj, w float64) {
 	}
 }
 
-// referenceAssemble is the net-by-net assembly the flat CSR build replaced,
-// kept here as the order of additions it has to reproduce: per net in
-// ascending order, every pin to the net's min pin then to its max pin, each
-// spring appended to its two rows' lists as it is met; anchors last.
+// referenceAssemble is the net-by-net assembly into per-row entry lists that
+// the spring list replaced, kept here as the order of additions it has to
+// reproduce: per net in ascending order, every pin to the net's min pin then
+// to its max pin, each spring appended to its two rows' lists as it is met;
+// anchors last.
 func referenceAssemble(p *placer, xAxis bool, spreadW float64) refSystem {
 	n := len(p.movable)
 	r := refSystem{diag: make([]float64, n), rhs: make([]float64, n), off: make([][]refEntry, n)}
-	pos, fix, anch, seed := p.x, p.pinCX, p.anchX, p.seedX
-	if !xAxis {
-		pos, fix, anch, seed = p.y, p.pinCY, p.anchY, p.seedY
-	}
+	pos, fix, anch, seed := axisArgs(p, xAxis)
 	type pin struct {
 		c  float64
 		vi int
@@ -106,12 +104,12 @@ func referenceAssemble(p *placer, xAxis bool, spreadW float64) refSystem {
 	return r
 }
 
-// cornerCaseDesign is a hand-built design holding the shapes the slot layout
+// cornerCaseDesign is a hand-built design holding the shapes the assembly
 // has to get right: n0's three cells sit on one point (min and max are the
-// same pin, the net fills its whole 2(P-1) slot); n1 has two pins on one
-// cell; n2 touches only a fixed cell and ports, one of them undeclared; n3 is
-// an ordinary mixed net; n4 is one pin above maxNetPins and stays out of the
-// model; n5 has a single pin.
+// same pin, the net emits all 2(P-1) springs of its bound); n1 has two pins
+// on one cell; n2 touches only a fixed cell and ports, one of them undeclared;
+// n3 is an ordinary mixed net; n4 is one pin above maxNetPins and stays out of
+// the model; n5 has a single pin.
 func cornerCaseDesign(t *testing.T) *netlist.Design {
 	t.Helper()
 	lib := netlist.NewLibrary("corner_lib")
@@ -163,44 +161,49 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 	return d
 }
 
-// TestAssembleMatchesReference checks the flat assembly against the
+// axisArgs returns the position, constant-pin, anchor and seed vectors of one
+// axis, as solve picks them.
+func axisArgs(p *placer, xAxis bool) (pos, fix, anch, seed []float64) {
+	if xAxis {
+		return p.x, p.pinCX, p.anchX, p.seedX
+	}
+	return p.y, p.pinCY, p.anchY, p.seedY
+}
+
+// TestAssembleMatchesReference checks the spring-list assembly against the
 // net-by-net reference on both axes, on the one system the axes share at one
-// worker and on the two they own from two up: same offStart, the same
-// (column, weight bits) sequence in every row, the same diag and rhs bits.
+// worker and on the two they own from two up: replaying the list into per-row
+// lists gives the reference's (column, weight bits) sequence in every row, and
+// diag and rhs have the same bits.
 func TestAssembleMatchesReference(t *testing.T) {
 	check := func(t *testing.T, p *placer, spreadW float64) {
 		t.Helper()
 		for axis, xAxis := range []bool{true, false} {
 			ref := referenceAssemble(p, xAxis, spreadW)
 			s := p.axes[axis]
-			pos, fix, anch, seed := p.x, p.pinCX, p.anchX, p.seedX
-			if !xAxis {
-				pos, fix, anch, seed = p.y, p.pinCY, p.anchY, p.seedY
-			}
+			pos, fix, anch, seed := axisArgs(p, xAxis)
 			s.assemble(p, pos, fix, anch, seed, spreadW)
-			if s.offStart[0] != 0 {
-				t.Fatalf("axis %d: offStart[0] = %d", axis, s.offStart[0])
+			if len(s.springs) == 0 || cap(s.springs) != p.springCap {
+				t.Fatalf("axis %d: %d springs in a list of capacity %d, run bound %d", axis, len(s.springs), cap(s.springs), p.springCap)
 			}
-			nnz := 0
+			rows := make([][]refEntry, len(ref.diag))
+			for _, sp := range s.springs {
+				rows[sp.vi] = append(rows[sp.vi], refEntry{int(sp.vj), sp.w})
+				rows[sp.vj] = append(rows[sp.vj], refEntry{int(sp.vi), sp.w})
+			}
 			for i := range ref.diag {
-				row := s.offCol[s.offStart[i]:s.offStart[i+1]]
-				rowW := s.offW[s.offStart[i]:s.offStart[i+1]]
-				if len(row) != len(ref.off[i]) {
-					t.Fatalf("axis %d row %d: %d entries, reference %d", axis, i, len(row), len(ref.off[i]))
+				if len(rows[i]) != len(ref.off[i]) {
+					t.Fatalf("axis %d row %d: %d entries, reference %d", axis, i, len(rows[i]), len(ref.off[i]))
 				}
-				for k, col := range row {
-					if want := ref.off[i][k]; int(col) != want.col || math.Float64bits(rowW[k]) != math.Float64bits(want.w) {
-						t.Fatalf("axis %d row %d entry %d: (%d, %v), reference (%d, %v)", axis, i, k, col, rowW[k], want.col, want.w)
+				for k, got := range rows[i] {
+					if want := ref.off[i][k]; got.col != want.col || math.Float64bits(got.w) != math.Float64bits(want.w) {
+						t.Fatalf("axis %d row %d entry %d: (%d, %v), reference (%d, %v)", axis, i, k, got.col, got.w, want.col, want.w)
 					}
 				}
 				if math.Float64bits(s.diag[i]) != math.Float64bits(ref.diag[i]) ||
 					math.Float64bits(s.rhs[i]) != math.Float64bits(ref.rhs[i]) {
 					t.Fatalf("axis %d row %d: diag %v rhs %v, reference %v %v", axis, i, s.diag[i], s.rhs[i], ref.diag[i], ref.rhs[i])
 				}
-				nnz += len(row)
-			}
-			if nnz == 0 || nnz > len(s.offCol) {
-				t.Fatalf("axis %d: %d entries in a CSR of capacity %d", axis, nnz, len(s.offCol))
 			}
 		}
 	}
@@ -215,16 +218,73 @@ func TestAssembleMatchesReference(t *testing.T) {
 				t.Fatalf("%d active nets, want %d", got, want)
 			}
 			check(t, p, 0)
-			// n0's cells coincide, so the slot bound is tight: all 2(P-1) = 4
-			// actions are real springs, none the spare no-op.
-			for k, a := range p.axes[0].acts[p.actStart[0]:p.actStart[1]] {
-				if a.vi < 0 || a.vj < 0 || a.vi == a.vj {
-					t.Fatalf("coincident net: action %d is not a spring: %+v", k, a)
+			// n0's cells coincide, so the capacity bound is tight for it: the
+			// list opens with all 2(P-1) = 4 of its springs, among cells 0..2.
+			for k, sp := range p.axes[0].springs[:4] {
+				if sp.vi > 2 || sp.vj > 2 {
+					t.Fatalf("coincident net: spring %d is not among its cells: %+v", k, sp)
 				}
 			}
 			check(t, p, spreadWeight)
 		})
 	}
+}
+
+// TestMulADotMatchesReference checks the scatter product against the
+// reference's row-by-row one — diag[i]*d[i] minus the row's entries in list
+// order, the dot product in ascending row order — bit for bit, on a vector
+// with negative, zero and denormal-small entries.
+func TestMulADotMatchesReference(t *testing.T) {
+	check := func(t *testing.T, p *placer) {
+		t.Helper()
+		n := len(p.movable)
+		d, ax := make([]float64, n), make([]float64, n)
+		for i := range d {
+			switch i % 4 {
+			case 0:
+				d[i] = -1.5 - float64(i)/7
+			case 1:
+				d[i] = 0
+			case 2:
+				d[i] = 3e-310 * float64(i)
+			default:
+				d[i] = 0.25 + float64(i%97)
+			}
+		}
+		for axis, xAxis := range []bool{true, false} {
+			ref := referenceAssemble(p, xAxis, spreadWeight)
+			s := p.axes[axis]
+			pos, fix, anch, seed := axisArgs(p, xAxis)
+			s.assemble(p, pos, fix, anch, seed, spreadWeight)
+			for i := range ax {
+				ax[i] = math.NaN() // the product must overwrite, not accumulate
+			}
+			dot := s.mulADot(d, ax)
+			var want float64
+			for i := range d {
+				row := ref.diag[i] * d[i]
+				for _, e := range ref.off[i] {
+					row -= e.w * d[e.col]
+				}
+				if math.Float64bits(ax[i]) != math.Float64bits(row) {
+					t.Fatalf("axis %d row %d: ax = %v, reference %v", axis, i, ax[i], row)
+				}
+				want += d[i] * row
+			}
+			if math.Float64bits(dot) != math.Float64bits(want) {
+				t.Fatalf("axis %d: dot = %v, reference %v", axis, dot, want)
+			}
+		}
+	}
+	t.Run("tiny", func(t *testing.T) {
+		check(t, roundPlacer(designs.Generate(designs.TinySpec(41)).Design, Options{Seed: 1}, 2))
+	})
+	t.Run("corner-cases", func(t *testing.T) {
+		check(t, roundPlacer(cornerCaseDesign(t), Options{Incremental: true, AnchorWeight: 0.1}, 0))
+	})
+	t.Run("6.5k", func(t *testing.T) {
+		check(t, roundPlacer(designs.Generate(designs.ScaleSpec(6500, 3)).Design, Options{Seed: 1}, 2))
+	})
 }
 
 // TestSolveRoundAllocFree asserts the steady-state contract of a round: both

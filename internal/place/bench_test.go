@@ -78,6 +78,36 @@ func BenchmarkSolveRound(b *testing.B) {
 	}
 }
 
+// BenchmarkMulADot measures the CG matvec alone, the kernel a solve calls up
+// to cgMaxIters+1 times, on the x system of a spread placement at the sizes of
+// a V-P&R sub-netlist and of the vpr10k and scale100k workloads. ns/spring is
+// the time per variable-to-variable spring of the round.
+func BenchmarkMulADot(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cells int
+	}{{"1.5k", 1500}, {"10k", 10000}, {"100k", 100000}} {
+		if bc.cells > 10000 && testing.Short() {
+			continue
+		}
+		b.Run(bc.name, func(b *testing.B) {
+			d := designs.Generate(designs.ScaleSpec(bc.cells, 1)).Design
+			p := roundPlacer(d, Options{Seed: 1, Workers: 1}, 2)
+			s := p.axes[0]
+			pos, fix, anch, seed := axisArgs(p, true)
+			s.assemble(p, pos, fix, anch, seed, spreadWeight)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchDot = s.mulADot(s.rhs, s.cgAx)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(s.springs)), "ns/spring")
+		})
+	}
+}
+
+// benchDot keeps BenchmarkMulADot's product live.
+var benchDot float64
+
 // BenchmarkSpreadTargets measures one round's density measurement and
 // spreading bisection at the size of the scale100k workload, sequentially and
 // with the two halves of the first cut side by side — the one fork in bisect.

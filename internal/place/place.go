@@ -14,7 +14,7 @@
 // flat pin arrays (variable index or precomputed constant coordinate per
 // pin) instead of *Net/*Instance pointers and port-name map lookups. A
 // round's two axis systems share no state, so the unit of parallel work is
-// one axis solve (solveRound): each axis owns an axisSystem — matrix, CG
+// one axis solve (solveRound): each axis owns an axisSystem — spring list, CG
 // vectors, assembly scratch — allocated once per run, so a round allocates
 // nothing in steady state.
 package place
@@ -132,7 +132,7 @@ const (
 // solve stops early: rz <= cgRelTol^2 * rz0 corresponds to a cgRelTol drop
 // of the preconditioned residual norm. The placer interleaves solves with
 // spreading, so squeezing the last digits out of an intermediate solve buys
-// nothing — this cuts iterations sharply once warm starts get good.
+// nothing. In practice cgMaxIters ends every solve first (see cg).
 const cgRelTol = 1e-5
 
 // Overflow stagnation cut. The density grid quantizes overflow: with n x n
@@ -188,17 +188,16 @@ type placer struct {
 	netW       []float64 // per net: weight
 	activeNets []int32   // nets with 2..maxNetPins pins, ascending
 
-	// Static assembly layout (snapshotConnectivity): actStart[ai] is where
-	// active net ai's spring actions start in an axisSystem's acts, maxPins
-	// the largest active net's pin count.
-	actStart []int
-	maxPins  int
-	axes     [2]*axisSystem // x, y; one shared system at one worker
-	bins     *binGrid
-	anchX    []float64 // spreading targets
-	anchY    []float64
-	seedX    []float64 // incremental seed positions
-	seedY    []float64
+	// Static assembly bounds (snapshotConnectivity): springCap is the most
+	// springs a round can emit, maxPins the largest active net's pin count.
+	springCap int
+	maxPins   int
+	axes      [2]*axisSystem // x, y; one shared system at one worker
+	bins      *binGrid
+	anchX     []float64 // spreading targets
+	anchY     []float64
+	seedX     []float64 // incremental seed positions
+	seedY     []float64
 
 	// spreading scratch, allocated once per run
 	byX, byY, partBuf []int32      // bisection orderings + partition scratch
@@ -221,13 +220,13 @@ type placer struct {
 // rows).
 const maxNetPins = 2000
 
-// springAction is one two-point quadratic term w*(a-b)^2 of the B2B model.
-// Each endpoint is a variable (index >= 0) or a constant coordinate (-1); c
-// is the constant endpoint's coordinate when exactly one is constant. A term
-// between two constants, or a variable and itself, contributes nothing.
-type springAction struct {
+// spring is one two-point quadratic term w*(a-b)^2 of the B2B model between
+// two distinct variables: the off-diagonal part of the round's matrix. A term
+// with a constant endpoint only reaches diag and rhs; one between two
+// constants, or a variable and itself, contributes nothing.
+type spring struct {
 	vi, vj int32
-	c, w   float64
+	w      float64
 }
 
 // Global runs global placement on the design and writes final positions
@@ -394,7 +393,6 @@ func (p *placer) snapshotConnectivity() {
 	}
 	p.netW = make([]float64, len(d.Nets))
 	p.activeNets = make([]int32, 0, len(d.Nets))
-	p.actStart = make([]int, 1, len(d.Nets)+1)
 	for ni, net := range d.Nets {
 		p.netW[ni] = net.Weight
 		if pc := cm.NumNetPins(ni); pc >= 2 && pc <= maxNetPins {
@@ -402,7 +400,7 @@ func (p *placer) snapshotConnectivity() {
 			// A P-pin net emits 2P-3 springs — every pin to both boundary
 			// pins, the boundary pair once — or 2(P-1) when all its pins
 			// coincide and min and max are the same pin.
-			p.actStart = append(p.actStart, p.actStart[len(p.actStart)-1]+2*(pc-1))
+			p.springCap += 2 * (pc - 1)
 			p.maxPins = max(p.maxPins, pc)
 		}
 	}
@@ -429,22 +427,14 @@ func (p *placer) initPositions() {
 
 // axisSystem is one axis's linear system (D - O) v = rhs and everything a
 // solve of it touches, so two axes can be assembled and solved concurrently.
-// The matrix is a CSR built straight from the spring actions: offStart[i] ..
-// offStart[i+1] bounds row i's off-diagonal entries, column in offCol and
-// weight in offW — 12 bytes an entry where an interleaved {int32, float64}
-// record pads to 16, which is what lets two systems fit where one did.
+// O is never stored as a matrix: springs lists the round's variable-to-
+// variable terms in the order netSprings met them, one 16-byte record each,
+// and mulADot scatters every one into its two rows.
 type axisSystem struct {
 	diag, rhs []float64
 	invDiag   []float64 // 1/diag (0 where diag <= 0), the Jacobi preconditioner
-	offStart  []int32
-	offCur    []int32 // per-row fill cursor of the current assembly
-	offCol    []int32
-	offW      []float64
-
-	// acts holds the active nets' spring actions in net order, each net in its
-	// static slot (placer.actStart); pins is maxPins of scratch.
-	acts []springAction
-	pins []pinc
+	springs   []spring  // capacity placer.springCap, so a round never grows it
+	pins      []pinc    // maxPins of netSprings scratch
 
 	cgX, cgAx, cgR, cgD []float64
 }
@@ -460,21 +450,17 @@ func (p *placer) newAxes() {
 }
 
 func (p *placer) newAxisSystem() *axisSystem {
-	n, nActs := len(p.movable), p.actStart[len(p.activeNets)]
+	n := len(p.movable)
 	return &axisSystem{
-		diag:     make([]float64, n),
-		rhs:      make([]float64, n),
-		invDiag:  make([]float64, n),
-		offStart: make([]int32, n+1),
-		offCur:   make([]int32, n),
-		offCol:   make([]int32, 2*nActs), // two entries per spring at most
-		offW:     make([]float64, 2*nActs),
-		acts:     make([]springAction, nActs),
-		pins:     make([]pinc, p.maxPins),
-		cgX:      make([]float64, n),
-		cgAx:     make([]float64, n),
-		cgR:      make([]float64, n),
-		cgD:      make([]float64, n),
+		diag:    make([]float64, n),
+		rhs:     make([]float64, n),
+		invDiag: make([]float64, n),
+		springs: make([]spring, 0, p.springCap),
+		pins:    make([]pinc, p.maxPins),
+		cgX:     make([]float64, n),
+		cgAx:    make([]float64, n),
+		cgR:     make([]float64, n),
+		cgD:     make([]float64, n),
 	}
 }
 
@@ -506,54 +492,16 @@ func (s *axisSystem) solve(p *placer, xAxis bool, spreadW float64) int {
 	return s.cg(pos)
 }
 
-// assemble builds diag, rhs and the CSR. The nets' spring actions go into
-// their static slots of acts; walking acts front to back visits them in net
-// order, so one pass counts the row degrees and a second accumulates diag and
-// rhs and drops each entry at its row's cursor — the additions, and the
-// within-row entry order, of a net-by-net assembly.
+// assemble builds diag, rhs, the spring list and the preconditioner: the
+// nets' springs first, in net order, then the anchors.
 func (s *axisSystem) assemble(p *placer, pos, fix, anch, seed []float64, spreadW float64) {
-	s.netSprings(p, pos, fix)
-	n := len(s.diag)
-	start := s.offStart
-	clear(start)
-	for i := range s.acts {
-		if a := &s.acts[i]; a.vi >= 0 && a.vj >= 0 && a.vi != a.vj {
-			start[a.vi+1]++
-			start[a.vj+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		start[i+1] += start[i]
-	}
-	cur := s.offCur
-	copy(cur, start)
-	diag, rhs, col, wt := s.diag, s.rhs, s.offCol, s.offW
+	diag, rhs := s.diag, s.rhs
 	clear(diag)
 	clear(rhs)
-	for i := range s.acts {
-		a := &s.acts[i]
-		switch vi, vj := a.vi, a.vj; {
-		case vi >= 0 && vj >= 0:
-			if vi == vj {
-				continue
-			}
-			diag[vi] += a.w
-			diag[vj] += a.w
-			col[cur[vi]], wt[cur[vi]] = vj, a.w
-			cur[vi]++
-			col[cur[vj]], wt[cur[vj]] = vi, a.w
-			cur[vj]++
-		case vi >= 0:
-			diag[vi] += a.w
-			rhs[vi] += a.w * a.c
-		case vj >= 0:
-			diag[vj] += a.w
-			rhs[vj] += a.w * a.c
-		}
-	}
+	s.netSprings(p, pos, fix)
 	// Spreading anchors (toward the bisection upper-bound placement) and,
 	// in incremental mode, seed anchors (toward the initial positions).
-	for vi := 0; vi < n; vi++ {
+	for vi := range diag {
 		if spreadW > 0 {
 			diag[vi] += spreadW
 			rhs[vi] += spreadW * anch[vi]
@@ -575,12 +523,14 @@ type pinc struct {
 	vi int32
 }
 
-// netSprings computes the B2B spring actions of the active nets against the
-// axis positions pos, reading the flat pin snapshot, each net into its slot
-// of 2(P-1) actions. It only reads placer state, so the two axes may run it
-// concurrently.
+// netSprings adds the B2B springs of the active nets, taken against the axis
+// positions pos and the flat pin snapshot, to diag and rhs, and lists those
+// between two variables in s.springs. A P-pin net emits at most 2(P-1), so the
+// list stays inside the capacity it was allocated with. It only reads placer
+// state, so the two axes may run it concurrently.
 func (s *axisSystem) netSprings(p *placer, pos, fix []float64) {
-	for ai, ni := range p.activeNets {
+	diag, rhs, springs := s.diag, s.rhs, s.springs[:0]
+	for _, ni := range p.activeNets {
 		first := int(p.cm.NetStart[ni])
 		pins := s.pins[:int(p.cm.NetStart[ni+1])-first]
 		minI, maxI := 0, 0
@@ -599,8 +549,6 @@ func (s *axisSystem) netSprings(p *placer, pos, fix []float64) {
 			}
 		}
 		// B2B: connect every pin to both boundary pins.
-		out := s.acts[p.actStart[ai]:p.actStart[ai+1]]
-		k := 0
 		for _, bi := range [2]int{minI, maxI} {
 			b := pins[bi]
 			for i, q := range pins {
@@ -611,28 +559,35 @@ func (s *axisSystem) netSprings(p *placer, pos, fix []float64) {
 				if dist < 1e-3 {
 					dist = 1e-3
 				}
-				c := b.c
-				if q.vi < 0 {
-					c = q.c
+				w := p.netW[ni] * 2 / (float64(len(pins)-1) * dist)
+				switch vi, vj := q.vi, b.vi; {
+				case vi >= 0 && vj >= 0:
+					if vi != vj {
+						diag[vi] += w
+						diag[vj] += w
+						springs = append(springs, spring{vi, vj, w})
+					}
+				case vi >= 0:
+					diag[vi] += w
+					rhs[vi] += w * b.c
+				case vj >= 0:
+					diag[vj] += w
+					rhs[vj] += w * q.c
 				}
-				out[k] = springAction{q.vi, b.vi, c, p.netW[ni] * 2 / (float64(len(pins)-1) * dist)}
-				k++
 			}
 		}
-		// 2P-3 springs unless every pin coincides: a spare slot is a no-op.
-		for ; k < len(out); k++ {
-			out[k] = springAction{vi: -1, vj: -1}
-		}
 	}
+	s.springs = springs
 }
 
 // cg solves (D - O) v = rhs with Jacobi-preconditioned conjugate gradient,
 // warm-started from pos, writes the solution back into pos and returns the
 // iterations spent. Solves stop at cgMaxIters, at an absolute residual
 // floor, or once the preconditioned residual norm drops below cgRelTol times
-// the right-hand side's — the textbook relative criterion, which lets
-// warm-started solves (coarse-init refinement, incremental mode) exit after
-// a handful of iterations.
+// the right-hand side's, the textbook relative criterion. In practice it is
+// the cap that ends them, warm-started or not: from a 318-cell TinySpec to
+// scale250k every solve of every round spends all cgMaxIters iterations
+// (DESIGN.md §12 "Solver" on why the truncation is load-bearing).
 func (s *axisSystem) cg(pos []float64) int {
 	n := len(pos)
 	x := s.cgX
@@ -679,20 +634,21 @@ func (s *axisSystem) cg(pos []float64) int {
 	return it
 }
 
-// mulADot computes ax = (D - O) d, each row's terms in entry order, and
-// returns d·ax accumulated in ascending row order.
+// mulADot computes ax = (D - O) d and returns d·ax accumulated in ascending
+// row order. Every spring subtracts its term from both its rows; a row's
+// terms therefore leave diag[i]*d[i] in the order its springs were met, the
+// order a row-by-row product over per-row entry lists would take them in.
 func (s *axisSystem) mulADot(d, ax []float64) float64 {
-	diag, offStart := s.diag, s.offStart
+	for i, di := range d {
+		ax[i] = s.diag[i] * di
+	}
+	for _, sp := range s.springs {
+		ax[sp.vi] -= sp.w * d[sp.vj]
+		ax[sp.vj] -= sp.w * d[sp.vi]
+	}
 	var dot float64
-	for i := range d {
-		t := diag[i] * d[i]
-		col := s.offCol[offStart[i]:offStart[i+1]]
-		wt := s.offW[offStart[i]:offStart[i+1]]
-		for k, c := range col {
-			t -= wt[k] * d[c]
-		}
-		ax[i] = t
-		dot += d[i] * t
+	for i, di := range d {
+		dot += di * ax[i]
 	}
 	return dot
 }

@@ -3,20 +3,22 @@
 # acceptance protocol of every PR (ROADMAP 1(b); choosing-metrics section 8).
 # Unpacks <parent-ref> with `git archive` into a temporary directory, builds
 # benchmark/ there and in the working tree, and runs `benchmark/run.sh
-# --workload <w> --seed 1 --seconds <BENCHMARK.json run_seconds> --trace 0`
+# --workload <w> --seed <seed> --seconds <BENCHMARK.json run_seconds> --trace 0`
 # n times per side, the parent first in odd pairs and the change first in
 # even ones. Per end-to-end metric it prints both medians, their ratio, the
 # distance between the parent's quartiles, and in how many pairs the change
 # read better (lower) or tied; for the quality metrics, which must not move,
 # in how many pairs the two sides were bit-equal. Exit 1 if any operation
-# failed.
+# failed. A claim is accepted at seed 1 and confirmed at a seed not used while
+# the change was written (choosing-metrics section 6.3).
 #
-# Usage: scripts/pairs.sh <parent-ref> <workload> [n=10]
+# Usage: scripts/pairs.sh <parent-ref> <workload> [n=10] [seed=1]
 #   e.g. scripts/pairs.sh HEAD~1 scale100k      (~10 min on 2 vCPU)
+#        scripts/pairs.sh HEAD~1 scale100k 10 5 (the confirmation)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 [ $# -ge 2 ] || { sed -n '2,/^set -euo/p' "$0" | grep '^#' >&2; exit 2; }
-ref=$1 workload=$2 n=${3:-10}
+ref=$1 workload=$2 n=${3:-10} seed=${4:-1}
 seconds=$(grep -oE '"run_seconds": *[0-9]+' BENCHMARK.json | grep -oE '[0-9]+$')
 t=$(mktemp -d)
 trap 'rm -rf "$t"' EXIT
@@ -25,7 +27,7 @@ git archive "$ref" | tar -x -C "$t/parent"
 
 # run <side> <dir> <pair>: one JSON line -> "$t/<side>.<pair>" as "name value" rows.
 run() {
-    (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed 1 --seconds "$seconds" --trace 0) \
+    (cd "$2" && bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
         2>"$t/log" | tail -1 >"$t/$1.$3.json" || { cat "$t/log" >&2; exit 1; }
     grep -oE '"(attempted|failed)":[0-9]+' "$t/$1.$3.json" | tr -d '"' | tr ':' ' ' >"$t/$1.$3"
     grep -oE '"[a-z_]+":\{"value":[^,]+' "$t/$1.$3.json" | sed -E 's/"([a-z_]+)":\{"value":/\1 /' >>"$t/$1.$3"
@@ -44,7 +46,7 @@ done
 
 for side in parent change; do
     for i in $(seq 1 "$n"); do sed "s/^/$side $i /" "$t/$side.$i"; done
-done | awk -v n="$n" -v workload="$workload" -v ref="$ref" '
+done | awk -v n="$n" -v workload="$workload" -v ref="$ref" -v seed="$seed" '
 function quantile(a, cnt, q,    pos, lo) {  # linear interpolation on a sorted array
     pos = 1 + (cnt - 1) * q; lo = int(pos)
     return lo >= cnt ? a[cnt] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
@@ -55,7 +57,7 @@ function sorted(side, m, out,    i, j, v) {
 }
 { val[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; names[++k] = $3 } }
 END {
-    printf "%s: %d pairs, parent %s vs working tree, --seed 1 --trace 0\n", workload, n, ref
+    printf "%s: %d pairs, parent %s vs working tree, --seed %s --trace 0\n", workload, n, ref, seed
     printf "%-20s %12s %12s %7s %12s %s\n", "metric", "parent med", "change med", "ratio", "parent IQR", "change better / tied / bit-equal"
     for (j = 1; j <= k; j++) {
         m = names[j]
