@@ -1,32 +1,28 @@
-// Command ppalint mechanically enforces the repo's project contracts —
-// deterministic map iteration in the parallel kernels (maporder), no panics
-// in library packages (nopanic), bounds-checked token access in the format
-// readers (rawindex), no discarded parser/flow errors (errdrop), no
-// stdout writes from libraries (printlib), no unpreallocated append
-// loops in the hot-path packages (prealloc), no unpartitioned writes through
-// captures in par closures (parshare), no unguarded int32/uint32 narrowing
-// of counts on the CSR build paths (i32trunc), and no stray nondeterminism
-// sources (ndsource).
+// Command ppalint mechanically enforces the repo's project contracts that no
+// test can stand in for — no panics in library packages (nopanic),
+// bounds-checked token access in the format readers (rawindex), no discarded
+// parser/flow errors (errdrop), no stdout writes from libraries (printlib),
+// no unguarded int32/uint32 narrowing of counts on the CSR build paths
+// (i32trunc), and no stray nondeterminism sources (ndsource). DESIGN.md
+// "Project-contract lint" is the catalog.
 //
 // Usage:
 //
-//	ppalint [-json] [-checks maporder,nopanic,...] [packages]
-//	ppalint -suppressions [-json] [-checks ...] [packages]
-//	ppalint -describe <check>
+//	ppalint [-checks nopanic,errdrop,...] [packages]
+//	ppalint -suppressions [-checks ...] [packages]
 //
 // Packages are directory patterns like ./... or ./internal/sta (default
-// ./...). Exit status: 0 clean, 1 findings, 2 load/usage failure. Findings
-// are suppressed per line with `//ppalint:ignore <check> <reason>`.
+// ./...). Exit status: 0 clean, 1 findings, 2 load/usage failure (including
+// a -checks list that names no check). Findings are suppressed per line with
+// `//ppalint:ignore <check> <reason>`.
 //
 // -suppressions audits every suppression directive instead of printing
 // findings: each is listed with its reason, stale directives (no finding of
 // the named check left to silence) are marked STALE, and any stale or
-// malformed directive fails the run. -describe prints one check's contract
-// and approved idioms.
+// malformed directive fails the run.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -37,66 +33,18 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
 	checkSpec := flag.String("checks", "", "comma-separated checks to run (default: all of "+
 		strings.Join(lint.CheckNames(), ",")+")")
 	audit := flag.Bool("suppressions", false, "audit //ppalint:ignore directives; fail on stale or malformed ones")
-	describe := flag.String("describe", "", "print a check's contract and approved idioms, then exit")
 	flag.Parse()
 
-	if *describe != "" {
-		if err := runDescribe(*describe); err != nil {
-			fmt.Fprintln(os.Stderr, "ppalint:", err)
-			os.Exit(2)
-		}
-		return
-	}
-	if err := run(*jsonOut, *audit, *checkSpec, flag.Args()); err != nil {
+	if err := run(*audit, *checkSpec, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "ppalint:", err)
 		os.Exit(2)
 	}
 }
 
-// runDescribe prints one check's documentation from the shared catalog — the
-// same table the README section is generated from.
-func runDescribe(name string) error {
-	c, err := lint.Describe(name)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s — %s\n\n", c.Name, c.Doc)
-	fmt.Printf("Contract:\n  %s\n", wrap(c.Contract, 76, "  "))
-	if len(c.Approved) > 0 {
-		fmt.Println("\nApproved idioms:")
-		for _, a := range c.Approved {
-			fmt.Printf("  - %s\n", a)
-		}
-	}
-	return nil
-}
-
-// wrap reflows s to roughly width columns, continuing lines with indent.
-func wrap(s string, width int, indent string) string {
-	words := strings.Fields(s)
-	var b strings.Builder
-	col := 0
-	for i, w := range words {
-		if i > 0 {
-			if col+1+len(w) > width {
-				b.WriteString("\n" + indent)
-				col = 0
-			} else {
-				b.WriteByte(' ')
-				col++
-			}
-		}
-		b.WriteString(w)
-		col += len(w)
-	}
-	return b.String()
-}
-
-func run(jsonOut, audit bool, checkSpec string, patterns []string) error {
+func run(audit bool, checkSpec string, patterns []string) error {
 	checks, err := lint.Select(checkSpec)
 	if err != nil {
 		return err
@@ -133,31 +81,17 @@ func run(jsonOut, audit bool, checkSpec string, patterns []string) error {
 
 	if audit {
 		diags, sups := lint.Audit(pkgs, checks)
-		return reportAudit(jsonOut, relify, diags, sups)
+		reportAudit(relify, diags, sups)
+		return nil
 	}
 
 	diags := lint.Run(pkgs, checks)
-	for i := range diags {
-		diags[i].File = relify(diags[i].File)
-	}
-	if jsonOut {
-		if diags == nil {
-			diags = []lint.Diagnostic{} // a clean run is [], not null
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(diags); err != nil {
-			return err
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		d.File = relify(d.File)
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		if !jsonOut {
-			fmt.Printf("ppalint: %d finding(s)\n", len(diags))
-		}
+		fmt.Printf("ppalint: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
 	return nil
@@ -166,55 +100,26 @@ func run(jsonOut, audit bool, checkSpec string, patterns []string) error {
 // reportAudit prints the suppression inventory. Stale directives and
 // malformed ones (surfaced by the run as "suppress" diagnostics) fail the
 // audit; ordinary findings are the plain mode's business and do not.
-func reportAudit(jsonOut bool, relify func(string) string, diags []lint.Diagnostic, sups []lint.Suppression) error {
-	var malformed []lint.Diagnostic
+func reportAudit(relify func(string) string, diags []lint.Diagnostic, sups []lint.Suppression) {
+	stale := 0
+	for _, s := range sups {
+		mark := ""
+		if s.Stale {
+			mark = " [STALE]"
+			stale++
+		}
+		fmt.Printf("%s:%d: %s — %s%s\n", relify(s.File), s.Line, s.Check, s.Reason, mark)
+	}
+	malformed := 0
 	for _, d := range diags {
 		if d.Check == "suppress" {
 			d.File = relify(d.File)
-			malformed = append(malformed, d)
-		}
-	}
-	for i := range sups {
-		sups[i].File = relify(sups[i].File)
-	}
-	stale := 0
-	for _, s := range sups {
-		if s.Stale {
-			stale++
-		}
-	}
-	if jsonOut {
-		if sups == nil {
-			sups = []lint.Suppression{}
-		}
-		out := struct {
-			Suppressions []lint.Suppression `json:"suppressions"`
-			Malformed    []lint.Diagnostic  `json:"malformed"`
-			Stale        int                `json:"stale"`
-		}{sups, malformed, stale}
-		if out.Malformed == nil {
-			out.Malformed = []lint.Diagnostic{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return err
-		}
-	} else {
-		for _, s := range sups {
-			mark := ""
-			if s.Stale {
-				mark = " [STALE]"
-			}
-			fmt.Printf("%s:%d: %s — %s%s\n", s.File, s.Line, s.Check, s.Reason, mark)
-		}
-		for _, d := range malformed {
 			fmt.Println(d)
+			malformed++
 		}
-		fmt.Printf("ppalint: %d suppression(s), %d stale, %d malformed\n", len(sups), stale, len(malformed))
 	}
-	if stale > 0 || len(malformed) > 0 {
+	fmt.Printf("ppalint: %d suppression(s), %d stale, %d malformed\n", len(sups), stale, malformed)
+	if stale > 0 || malformed > 0 {
 		os.Exit(1)
 	}
-	return nil
 }

@@ -230,7 +230,9 @@ func TestUnplaceableCoreIsAnError(t *testing.T) {
 // port at NaN, a fixed cell at +Inf, and a NaN and a negative net weight. The
 // first two used to come back as NaN and infinite metrics with a nil error,
 // the last two as a finite but ruined placement; each must be an error naming
-// the design and the object.
+// the design and the object. So must a clock period that is NaN, infinite,
+// zero or negative, which used to give NaN power or a leakage-only power with
+// zero WNS/TNS and a nil error.
 func TestNonFiniteInputIsAnError(t *testing.T) {
 	nanPort := designs.Generate(designs.TinySpec(3))
 	nanPort.Design.Ports[0].X = math.NaN()
@@ -241,6 +243,11 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 	nanWeight.Design.Nets[0].Weight = math.NaN()
 	negWeight := designs.Generate(designs.TinySpec(3))
 	negWeight.Design.Nets[0].Weight = -1
+	clock := func(period float64) *designs.Benchmark {
+		b := designs.Generate(designs.TinySpec(3))
+		b.Cons.ClockPeriod = period
+		return b
+	}
 	for _, tc := range []struct {
 		name string
 		b    *designs.Benchmark
@@ -250,6 +257,10 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 		{"fixed cell at +Inf", infCell, "fixed instance " + infCell.Design.Insts[0].Name + " is at (+Inf,"},
 		{"NaN net weight", nanWeight, "net " + nanWeight.Design.Nets[0].Name + " has weight NaN"},
 		{"negative net weight", negWeight, "net " + negWeight.Design.Nets[0].Name + " has weight -1"},
+		{"NaN clock period", clock(math.NaN()), "clock period NaN ns"},
+		{"+Inf clock period", clock(math.Inf(1)), "clock period +Inf ns"},
+		{"zero clock period", clock(0), "clock period 0 ns"},
+		{"negative clock period", clock(-1e-9), "clock period -1 ns"},
 	} {
 		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
 			"Run": Run, "RunDefault": RunDefault,

@@ -209,8 +209,10 @@ type Result struct {
 // numbers for a placement that cannot be legal, and finite coordinates on
 // everything the placer holds still plus finite non-negative net weights: one
 // NaN or infinity among the placer's constants reaches every metric, and a
-// NaN weight ruins the placement while every metric stays finite.
-func checkDesign(d *netlist.Design) error {
+// NaN weight ruins the placement while every metric stays finite. The clock
+// period must be finite and positive too: a NaN one yields NaN power with
+// zero WNS/TNS, a zero one a leakage-only power, and neither fails a stage.
+func checkDesign(d *netlist.Design, cons sta.Constraints) error {
 	if _, err := d.CompactChecked(); err != nil {
 		return err
 	}
@@ -239,6 +241,9 @@ func checkDesign(d *netlist.Design) error {
 			return fmt.Errorf("flow: design %s: net %s has weight %g", d.Name, net.Name, net.Weight)
 		}
 	}
+	if !(finite(cons.ClockPeriod) && cons.ClockPeriod > 0) {
+		return fmt.Errorf("flow: design %s: clock period %g ns is not finite and positive", d.Name, cons.ClockPeriod*1e9)
+	}
 	return nil
 }
 
@@ -248,7 +253,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	d := b.Design.Clone()
 	res := &Result{}
-	if err := checkDesign(d); err != nil {
+	if err := checkDesign(d, b.Cons); err != nil {
 		return nil, err
 	}
 
@@ -348,7 +353,7 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	d := b.Design.Clone()
 	res := &Result{}
-	if err := checkDesign(d); err != nil {
+	if err := checkDesign(d, b.Cons); err != nil {
 		return nil, err
 	}
 	t0 := time.Now()

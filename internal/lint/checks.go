@@ -1,8 +1,8 @@
-// The original six project-contract checks (the dataflow trio lives in
-// parshare.go, i32trunc.go, ndsource.go). Each is a pure function over one
-// type-checked package; path-sensitive checks decide applicability from the
-// package's import path, so testdata fixtures loaded under a faked path get
-// identical treatment to the real tree.
+// The syntactic project-contract checks (i32trunc and ndsource have their
+// own files). Each is a pure function over one type-checked package;
+// path-sensitive checks decide applicability from the package's import path,
+// so testdata fixtures loaded under a faked path get identical treatment to
+// the real tree.
 package lint
 
 import (
@@ -43,160 +43,6 @@ func calleeBuiltin(p *Package, call *ast.CallExpr) string {
 	return ""
 }
 
-// funcFromPkg reports whether fn is a function or method belonging to the
-// package import path pkgPath.
-func funcFromPkg(fn *types.Func, pkgPath string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
-}
-
-// isFloat reports whether t's underlying type is a floating-point basic.
-func isFloat(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
-}
-
-// ---- maporder ----
-
-// mapOrderCritical names the determinism-critical packages: every float
-// accumulation, append, or parallel dispatch in them must happen in a fixed
-// order, so iterating a map directly is forbidden when the body does any of
-// those.
-var mapOrderCritical = map[string]bool{
-	"sta": true, "cluster": true, "place": true,
-	"hypergraph": true, "netlist": true, "flow": true, "designs": true,
-	"route": true, "cts": true,
-}
-
-var mapOrderCheck = &Check{
-	Name: "maporder",
-	Doc: "for-range over a map whose body accumulates floats, appends, or dispatches to internal/par " +
-		"in a determinism-critical package (sta, cluster, place, hypergraph, netlist, flow, designs, " +
-		"route, cts); collect keys, sort, then iterate the sorted slice",
-	Contract: "Map iteration order is randomized per run, so in a determinism-critical " +
-		"package (sta, cluster, place, hypergraph, netlist, flow, designs, route, cts) a " +
-		"for-range over a map may not feed an order-sensitive sink: float accumulation " +
-		"(addition does not commute bit-exactly), appends that fix an output order, or " +
-		"dispatch into internal/par. Collect the keys, sort them, then iterate the " +
-		"sorted slice. Order-insensitive bodies — integer counting, set membership, " +
-		"max/min over exact values — are not flagged.",
-	Approved: []string{
-		"keys := make([]K, 0, len(m)); for k := range m { keys = append(keys, k) }; sort; for _, k := range keys { ... }",
-		"for _, v := range m { count++ } — integer accumulation commutes exactly",
-	},
-	Run: runMapOrder,
-}
-
-func runMapOrder(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	if !internalPkg(p.Path) || !mapOrderCritical[pkgBase(p.Path)] {
-		return
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
-			}
-			t := p.Info.TypeOf(rs.X)
-			if t == nil {
-				return true
-			}
-			if _, isMap := t.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if why := mapOrderViolation(p, rs); why != "" {
-				report(rs.For, "map iteration order is random: body %s; collect keys, sort, then range the slice", why)
-			}
-			return true
-		})
-	}
-}
-
-// rangeKeyObj returns the object bound to the range key variable, if any.
-func rangeKeyObj(p *Package, rs *ast.RangeStmt) types.Object {
-	id, ok := rs.Key.(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if o := p.Info.Defs[id]; o != nil {
-		return o
-	}
-	return p.Info.Uses[id]
-}
-
-// mapOrderViolation classifies a map-range body: "" means benign, otherwise
-// a human-readable reason. The sorted-keys idiom — a body that only appends
-// the range key into a slice (sorted afterwards) — is recognized as benign;
-// writes into other maps, deletes, counters and comparisons are
-// order-independent and never flagged.
-func mapOrderViolation(p *Package, rs *ast.RangeStmt) string {
-	key := rangeKeyObj(p, rs)
-	why := ""
-	ast.Inspect(rs.Body, func(n ast.Node) bool {
-		if why != "" {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			switch n.Tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
-				for _, lhs := range n.Lhs {
-					if t := p.Info.TypeOf(lhs); t != nil && isFloat(t) {
-						why = "accumulates a float"
-						return false
-					}
-				}
-			case token.ASSIGN:
-				// x = x <op> ... — the spelled-out accumulation.
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					lid, ok := lhs.(*ast.Ident)
-					if !ok {
-						continue
-					}
-					lobj := p.Info.Uses[lid]
-					t := p.Info.TypeOf(lhs)
-					if lobj == nil || t == nil || !isFloat(t) {
-						continue
-					}
-					if be, ok := ast.Unparen(n.Rhs[i]).(*ast.BinaryExpr); ok && exprUsesObj(p, be, lobj) {
-						switch be.Op {
-						case token.ADD, token.SUB, token.MUL, token.QUO:
-							why = "accumulates a float"
-							return false
-						}
-					}
-				}
-			}
-		case *ast.CallExpr:
-			switch {
-			case calleeBuiltin(p, n) == "append":
-				// append(keys, k) with k the range key is the sorted-keys
-				// collection idiom; anything else bakes map order into a
-				// slice.
-				if n.Ellipsis != token.NoPos || len(n.Args) != 2 {
-					why = "appends to a slice"
-					return false
-				}
-				id, ok := ast.Unparen(n.Args[1]).(*ast.Ident)
-				if !ok || key == nil || p.Info.Uses[id] != key {
-					why = "appends a non-key value to a slice"
-					return false
-				}
-			default:
-				if fn := calleeFunc(p, n); fn != nil && fn.Pkg() != nil &&
-					strings.HasSuffix(fn.Pkg().Path(), "/internal/par") {
-					why = "dispatches work to internal/par"
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return why
-}
-
 // exprUsesObj reports whether obj appears as an identifier inside e.
 func exprUsesObj(p *Package, e ast.Expr, obj types.Object) bool {
 	found := false
@@ -216,16 +62,6 @@ var noPanicCheck = &Check{
 	Doc: "panic, log.Fatal*, or os.Exit in a library package under internal/ " +
 		"(internal/par's documented worker-panic propagation path is exempt); " +
 		"return an error and let cmd/ decide how to die",
-	Contract: "Library packages under internal/ must not unilaterally kill the process: " +
-		"panic, log.Fatal*, and os.Exit are findings. Return an error and let cmd/ " +
-		"decide how to die. internal/par's documented worker-panic propagation path is " +
-		"exempt; invariant assertions whose failure is by construction a programming " +
-		"bug (not bad input) carry a reasoned suppression, as does re-raising a " +
-		"captured child-goroutine panic.",
-	Approved: []string{
-		"return fmt.Errorf(...) from the library, os.Exit in cmd/",
-		"panic(err) //ppalint:ignore nopanic invariant assertion: ... — table/construction bugs, never input",
-	},
 	Run: runNoPanic,
 }
 
@@ -273,17 +109,6 @@ var rawIndexCheck = &Check{
 		"into a freshly made slice and reads through other struct fields " +
 		"(domain data such as port lists, with their own invariants) are not " +
 		"token access and stay exempt.",
-	Contract: "The format readers (def, lef, liberty, sdc, verilog) parse whitespace-split " +
-		"token lines, and a raw f[i] read past the token count panics on malformed " +
-		"input. Token access goes through scan.Line — Require to establish the arity, " +
-		"then Tok/Str/Float/Int, which return errors instead of panicking. Flagged " +
-		"bases are bare []string variables and .Fields selectors (raw line tokens); " +
-		"freshly made slices and other struct fields hold domain data with their own " +
-		"invariants and are exempt.",
-	Approved: []string{
-		"if err := ln.Require(3); err != nil { return err }; v, err := ln.Float(2)",
-		"ports := make([]string, 0, n); ports[i] — domain data, not raw tokens",
-	},
 	Run: runRawIndex,
 }
 
@@ -355,15 +180,6 @@ var errDropCheck = &Check{
 	Name: "errdrop",
 	Doc: "error result of a scan/parser/flow API call discarded (call used as a " +
 		"bare statement, or its error assigned to _)",
-	Contract: "Errors from the scan/parser/flow APIs carry file:line provenance for " +
-		"malformed input; discarding one (calling as a bare statement, or assigning " +
-		"the error result to _) turns a diagnosable input bug into silent garbage. " +
-		"Check the error or propagate it. An intentionally unused probe call carries " +
-		"a reasoned suppression.",
-	Approved: []string{
-		"v, err := ln.Float(2); if err != nil { return err }",
-		"ln.Str(0) //ppalint:ignore errdrop probe call, the result is intentionally unused",
-	},
 	Run: runErrDrop,
 }
 
@@ -426,193 +242,12 @@ func runErrDrop(p *Package, report func(pos token.Pos, format string, args ...an
 	}
 }
 
-// ---- prealloc ----
-
-// preallocPkgs are the hot-path packages whose loops run over nets and
-// cells: an append into a never-preallocated slice there reallocates
-// O(log n) times and copies O(n) memory for no reason.
-var preallocPkgs = map[string]bool{
-	"netlist": true, "hypergraph": true, "cluster": true,
-	"place": true, "designs": true, "route": true, "cts": true,
-}
-
-var preallocCheck = &Check{
-	Name: "prealloc",
-	Doc: "append inside a loop into a slice declared nil or empty (var s []T " +
-		"or s := []T{}) in a hot-path package (netlist, hypergraph, cluster, " +
-		"place, designs, route, cts); pre-size with make(..., 0, n). A slice later " +
-		"reassigned from make, a slicing expression (s = buf[:0] reuse), or " +
-		"any other non-append source is treated as sized and not flagged.",
-	Contract: "In the hot-path packages (netlist, hypergraph, cluster, place, designs, " +
-		"route, cts) an append loop into a slice declared nil or empty (var s []T, " +
-		"s := []T{}) regrows and recopies O(log n) times at million-element scale. " +
-		"Pre-size with make(T, 0, n) when a bound is known. Slices reassigned from " +
-		"make, from a slicing expression (s = buf[:0] reuse), or from any other " +
-		"non-append source are treated as sized; genuinely unknowable survivor counts " +
-		"carry a reasoned suppression.",
-	Approved: []string{
-		"out := make([]int32, 0, nPins); for ... { out = append(out, v) }",
-		"s = buf[:0] — arena reuse counts as sized",
-	},
-	Run: runPrealloc,
-}
-
-// isSliceObj reports whether obj is a variable of slice type.
-func isSliceObj(obj types.Object) bool {
-	if obj == nil {
-		return false
-	}
-	_, ok := obj.Type().Underlying().(*types.Slice)
-	return ok
-}
-
-// emptySliceLit reports whether e is an empty slice literal ([]T{}).
-func emptySliceLit(p *Package, e ast.Expr) bool {
-	cl, ok := ast.Unparen(e).(*ast.CompositeLit)
-	if !ok || len(cl.Elts) != 0 {
-		return false
-	}
-	t := p.Info.TypeOf(cl)
-	if t == nil {
-		return false
-	}
-	_, isSlice := t.Underlying().(*types.Slice)
-	return isSlice
-}
-
-// appendToSelf reports whether e is append(obj, ...) growing obj itself.
-func appendToSelf(p *Package, e ast.Expr, obj types.Object) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || calleeBuiltin(p, call) != "append" || len(call.Args) < 1 {
-		return false
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	return ok && p.Info.Uses[id] == obj
-}
-
-// runPrealloc flags x = append(x, ...) inside a loop when x was declared
-// with no backing array (var x []T or x := []T{}) outside that loop and is
-// never re-pointed at sized storage. The declaration classification is
-// deliberately conservative: any assignment from a non-append source —
-// make, a slicing expression, a call result — makes the variable "sized or
-// unknowable" and exempt, so reuse patterns (s = buf[:0]) stay silent.
-func runPrealloc(p *Package, report func(pos token.Pos, format string, args ...any)) {
-	if !internalPkg(p.Path) || !preallocPkgs[pkgBase(p.Path)] {
-		return
-	}
-	for _, f := range p.Files {
-		// Pass 1: slice variables whose declaration provides no capacity.
-		bare := map[types.Object]bool{}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					obj := p.Info.Defs[name]
-					if !isSliceObj(obj) {
-						continue
-					}
-					if len(n.Values) == 0 || (i < len(n.Values) && emptySliceLit(p, n.Values[i])) {
-						bare[obj] = true
-					}
-				}
-			case *ast.AssignStmt:
-				if n.Tok != token.DEFINE {
-					return true
-				}
-				for i, lhs := range n.Lhs {
-					id, ok := lhs.(*ast.Ident)
-					if !ok || i >= len(n.Rhs) {
-						continue
-					}
-					obj := p.Info.Defs[id]
-					if isSliceObj(obj) && emptySliceLit(p, n.Rhs[i]) {
-						bare[obj] = true
-					}
-				}
-			}
-			return true
-		})
-		// Pass 2: demote variables that are ever re-pointed at anything other
-		// than their own append result.
-		ast.Inspect(f, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok {
-					continue
-				}
-				obj := p.Info.Uses[id]
-				if obj == nil || !bare[obj] {
-					continue
-				}
-				if len(as.Lhs) != len(as.Rhs) || !appendToSelf(p, as.Rhs[i], obj) {
-					delete(bare, obj)
-				}
-			}
-			return true
-		})
-		// Pass 3: flag self-appends inside a loop whose variable was declared
-		// outside it (so the growth accumulates across iterations).
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			stack = append(stack, n)
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || as.Tok != token.ASSIGN || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := p.Info.Uses[id]
-			if obj == nil || !bare[obj] || !appendToSelf(p, as.Rhs[0], obj) {
-				return true
-			}
-			for i := len(stack) - 2; i >= 0; i-- {
-				var body ast.Node
-				switch l := stack[i].(type) {
-				case *ast.ForStmt:
-					body = l
-				case *ast.RangeStmt:
-					body = l
-				case *ast.FuncLit, *ast.FuncDecl:
-					return true // function boundary: not in a loop
-				}
-				if body == nil {
-					continue
-				}
-				if obj.Pos() < body.Pos() || obj.Pos() > body.End() {
-					report(as.Pos(), "append into %s grows an unpreallocated slice inside a loop; pre-size with make(..., 0, n)", obj.Name())
-				}
-				return true // only the innermost loop decides
-			}
-			return true
-		})
-	}
-}
-
 // ---- printlib ----
 
 var printLibCheck = &Check{
 	Name: "printlib",
 	Doc: "fmt.Print/Printf/Println or builtin print/println writing to stdout " +
 		"from a package under internal/; output belongs to cmd/ (or an io.Writer parameter)",
-	Contract: "Library packages under internal/ must not write to stdout: fmt.Print, " +
-		"fmt.Printf, fmt.Println, and the builtin print/println are findings. Output " +
-		"belongs to cmd/, or goes through an io.Writer parameter the caller controls. " +
-		"fmt.Fprintf to an explicit writer is fine anywhere; a helper whose documented " +
-		"contract is progress output carries a reasoned suppression.",
-	Approved: []string{
-		"fmt.Fprintf(w, ...) with w an io.Writer parameter",
-		"fmt.Println in cmd/ — the CLI owns stdout",
-	},
 	Run: runPrintLib,
 }
 

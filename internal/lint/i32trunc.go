@@ -23,24 +23,6 @@ var i32TruncCheck = &Check{
 		"preceding math.MaxInt32 bound check in the same function, in a CSR/SoA builder " +
 		"package (netlist, hypergraph, sta, route, cts, place); guard with an explicit " +
 		"> math.MaxInt32 error return",
-	Contract: "The compact-CSR structures of netlist, hypergraph, sta, route, cts, and place " +
-		"store offsets and ids as int32. A conversion int32(x) where x comes from len() " +
-		"or from a counter accumulated in the same function truncates silently once the " +
-		"design crosses 2^31 pins/edges/nodes: connectivity wraps around instead of " +
-		"failing, and every quality number downstream is quietly wrong. Such conversions " +
-		"must be preceded (anywhere earlier in the same function declaration, including " +
-		"closures it contains) by a bound check comparing against math.MaxInt32 or " +
-		"math.MaxUint32 — preferably one that returns an error. Conversions of constants " +
-		"and of values already 32 bits or narrower are exempt. The guard is recognized " +
-		"function-granularly: one explicit check per builder covers its conversions, " +
-		"which also means a guard on the wrong quantity is a documented false-negative " +
-		"class (DESIGN.md §16); sub-slice lengths bounded by int32 CSR offsets are the " +
-		"usual reasoned suppression.",
-	Approved: []string{
-		"if nPins > math.MaxInt32 { return nil, fmt.Errorf(...) } before the build loop",
-		"int32(k) of a plain k++ packing counter: out of model, bounded by the guarded container size",
-		"int32(len(sub)) where sub sits between two int32 CSR offsets — suppress with that reason",
-	},
 	Run: runI32Trunc,
 }
 

@@ -1,12 +1,10 @@
 // Package lint is ppalint's analyzer framework: a stdlib-only package
 // loader/type-checker driver (loader.go), a diagnostic model with file:line
-// provenance, per-line suppressions with a staleness audit, and the nine
-// project-contract checks (maporder, nopanic, rawindex, errdrop, printlib,
-// prealloc, parshare, i32trunc, ndsource) that mechanically enforce the
-// repo's determinism, no-panic, bounds-checked-parsing, hot-loop
-// preallocation, partitioned-parallel-write, and guarded-int32-narrowing
-// invariants. The dataflow trio (parshare, i32trunc, ndsource) builds on a
-// lightweight capture/derived-value layer in dataflow.go.
+// provenance, per-line suppressions with a staleness audit, and the
+// project-contract checks that no test can stand in for (nopanic, rawindex,
+// errdrop, printlib, i32trunc, ndsource). DESIGN.md
+// "Project-contract lint" holds the catalog and the mutation pass that
+// decided which checks stay.
 //
 // The framework deliberately uses nothing outside the standard library
 // (go/parser, go/ast, go/types, go/importer) so the pure-Go constraint of
@@ -31,45 +29,30 @@ import (
 
 // Diagnostic is one finding, anchored to a position in a source file.
 type Diagnostic struct {
-	Check string `json:"check"`
-	File  string `json:"file"`
-	Line  int    `json:"line"`
-	Col   int    `json:"col"`
-	Msg   string `json:"msg"`
+	Check string
+	File  string
+	Line  int
+	Col   int
+	Msg   string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Check, d.Msg)
 }
 
-// Check is one named analysis over a type-checked package. Doc is the
-// one-line summary; Contract and Approved are the long-form description and
-// approved-idiom list behind `ppalint -describe` — the single source the
-// README section is kept in sync with.
+// Check is one named analysis over a type-checked package; Doc is its
+// one-line summary.
 type Check struct {
-	Name     string
-	Doc      string
-	Contract string
-	Approved []string
-	Run      func(p *Package, report func(pos token.Pos, format string, args ...any))
+	Name string
+	Doc  string
+	Run  func(p *Package, report func(pos token.Pos, format string, args ...any))
 }
 
 // Checks returns the full project check catalog in a fixed order.
 func Checks() []*Check {
 	return []*Check{
-		mapOrderCheck, noPanicCheck, rawIndexCheck, errDropCheck, printLibCheck, preallocCheck,
-		parShareCheck, i32TruncCheck, ndSourceCheck,
+		noPanicCheck, rawIndexCheck, errDropCheck, printLibCheck, i32TruncCheck, ndSourceCheck,
 	}
-}
-
-// Describe resolves one check by name for `ppalint -describe`.
-func Describe(name string) (*Check, error) {
-	for _, c := range Checks() {
-		if c.Name == name {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("unknown check %q (have %s)", name, strings.Join(CheckNames(), ", "))
 }
 
 // CheckNames returns the catalog's names, in catalog order.
@@ -82,7 +65,8 @@ func CheckNames() []string {
 }
 
 // Select resolves a comma-separated check-name list against the catalog. An
-// empty spec selects everything.
+// empty spec selects everything; a non-empty one must name at least one
+// check.
 func Select(spec string) ([]*Check, error) {
 	all := Checks()
 	if strings.TrimSpace(spec) == "" {
@@ -103,6 +87,9 @@ func Select(spec string) ([]*Check, error) {
 			return nil, fmt.Errorf("unknown check %q (have %s)", name, strings.Join(CheckNames(), ", "))
 		}
 		out = append(out, c)
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("check list %q names no check (have %s)", spec, strings.Join(CheckNames(), ", "))
 	}
 	return out, nil
 }
@@ -146,11 +133,11 @@ func parseIgnores(fset *token.FileSet, f *ast.File) []ignoreDirective {
 // or the line below during the run — the directive outlived the code it
 // excused and must be deleted.
 type Suppression struct {
-	File   string `json:"file"`
-	Line   int    `json:"line"`
-	Check  string `json:"check"`
-	Reason string `json:"reason"`
-	Stale  bool   `json:"stale"`
+	File   string
+	Line   int
+	Check  string
+	Reason string
+	Stale  bool
 }
 
 // Run applies checks to pkgs and returns the surviving diagnostics sorted by

@@ -27,8 +27,6 @@ type Package struct {
 	Files []*ast.File // non-test files only, in file-name order
 	Types *types.Package
 	Info  *types.Info
-
-	decls map[*types.Func]*ast.FuncDecl // lazy; see funcDecls
 }
 
 // Loader loads module packages from source. It is not safe for concurrent

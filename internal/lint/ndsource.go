@@ -21,22 +21,6 @@ var ndSourceCheck = &Check{
 	Doc: "nondeterminism source in a library package: time.Now outside flow/experiments, " +
 		"package-global math/rand functions (use rand.New(rand.NewSource(seed))), or a " +
 		"map range whose body feeds JSON/writer output",
-	Contract: "The reproduction protocol depends on bit-identical reruns, so nondeterminism " +
-		"may only enter where it is part of the contract. time.Now is allowed in " +
-		"internal/flow and internal/experiments (stage/suite runtime measurement, kept " +
-		"out of quality fields) and nowhere else under internal/. Package-global " +
-		"math/rand functions (rand.Intn, rand.Float64, rand.Shuffle, ...) draw from the " +
-		"process-wide, auto-seeded source and are findings everywhere; construct a local " +
-		"seeded generator with rand.New(rand.NewSource(seed)) instead. A for-range over " +
-		"a map whose body calls into encoding/json or writes through fmt.Fprint* bakes " +
-		"random iteration order into serialized output: collect keys, sort, then range " +
-		"the sorted slice (numeric in-memory accumulation from map ranges is maporder's " +
-		"half of this contract).",
-	Approved: []string{
-		"rng := rand.New(rand.NewSource(opt.Seed)); rng.Intn(n) — locally seeded generator",
-		"time.Now in internal/flow and internal/experiments runtime stamps",
-		"keys := make(...); for k := range m { keys = append(keys, k) }; sort; then encode in sorted order",
-	},
 	Run: runNDSource,
 }
 

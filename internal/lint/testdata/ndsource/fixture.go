@@ -65,8 +65,8 @@ func SortedDump(w io.Writer, scores map[string]float64) error {
 	return nil
 }
 
-// Accumulate sums numerically out of a map range — order-independent, and
-// maporder's half of the contract, not ndsource's: silent here.
+// Accumulate sums integers out of a map range — order-independent and not
+// serialized output: silent.
 func Accumulate(scores map[string]int) int {
 	total := 0
 	for _, s := range scores {

@@ -20,8 +20,8 @@ func Clean(v int) int {
 	return v + 1 //ppalint:ignore nopanic fixture: stale directive, the panic it excused is gone
 }
 
-// Unselected: maporder is not part of the audit's check selection, so this
+// Unselected: printlib is not part of the audit's check selection, so this
 // directive is reported but never judged stale.
 func Other(v int) int {
-	return v * 2 //ppalint:ignore maporder fixture: directive for an unselected check
+	return v * 2 //ppalint:ignore printlib fixture: directive for an unselected check
 }

@@ -20,14 +20,14 @@ go build ./...
 echo "==> benchmark module: go vet + go test"
 (cd benchmark && go vet ./... && go test ./...)
 
-# Project-contract lint: determinism (maporder, ndsource), no-panic
-# (nopanic), bounds-checked parsing (rawindex), no dropped parser errors
-# (errdrop), no stdout writes from libraries (printlib), no unpreallocated
-# append loops in hot-path packages (prealloc), partitioned parallel writes
-# (parshare), guarded int32 narrowing on CSR build paths (i32trunc). Runs in
-# both modes, ahead of the test sweep, so a contract violation fails fast
-# with file:line provenance. The suppression audit then fails on any
-# directive that no longer silences a finding.
+# Project-contract lint, the contracts no test can stand in for (DESIGN.md
+# "Project-contract lint"): no panics in libraries (nopanic), bounds-checked
+# parsing (rawindex), no dropped parser errors (errdrop), no stdout writes
+# from libraries (printlib), guarded int32 narrowing on CSR build paths
+# (i32trunc), no stray nondeterminism sources (ndsource). Runs in both modes,
+# ahead of the test sweep, so a contract violation fails fast with file:line
+# provenance. The suppression audit then fails on any directive that no
+# longer silences a finding.
 echo "==> ppalint ./..."
 go run ./cmd/ppalint ./...
 
