@@ -7,6 +7,7 @@ package community
 
 import (
 	"math/rand"
+	"sort"
 
 	"ppaclust/internal/hypergraph"
 )
@@ -48,14 +49,16 @@ func Modularity(g *hypergraph.Graph, assign []int, resolution float64) float64 {
 			}
 		}
 	}
-	var q float64
-	for c, in := range intra {
-		q += in/(2*m) - resolution*(tot[c]/(2*m))*(tot[c]/(2*m))
+	// Sum in ascending community ID: a map-order sum changes in the last
+	// bits from call to call. intra and tot have the same keys.
+	ids := make([]int, 0, len(tot))
+	for c := range tot {
+		ids = append(ids, c)
 	}
-	for c, t := range tot {
-		if _, ok := intra[c]; !ok {
-			q -= resolution * (t / (2 * m)) * (t / (2 * m))
-		}
+	sort.Ints(ids)
+	var q float64
+	for _, c := range ids {
+		q += intra[c]/(2*m) - resolution*(tot[c]/(2*m))*(tot[c]/(2*m))
 	}
 	return q
 }

@@ -85,6 +85,51 @@ func TestModularityEmptyGraph(t *testing.T) {
 	}
 }
 
+// TestModularitySumsInCommunityOrder: the per-community terms are added in
+// ascending community ID, so every call returns the same bits. The graph has
+// self-loops, weights over six decades and 150 sparse community IDs, where a
+// sum in map order differs from call to call.
+func TestModularitySumsInCommunityOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const n, k, stride = 600, 150, 7
+	g := hypergraph.NewGraph(n)
+	for e := 0; e < 3*n; e++ {
+		g.AddEdge(rng.Intn(n), rng.Intn(n), rng.Float64()*math.Pow(10, float64(rng.Intn(6))))
+	}
+	g.Finish()
+	assign := make([]int, n)
+	for v := range assign {
+		assign[v] = stride * rng.Intn(k)
+	}
+
+	m := g.TotalWeight()
+	intra := make([]float64, stride*k)
+	tot := make([]float64, stride*k)
+	used := make([]bool, stride*k)
+	for v := 0; v < n; v++ {
+		c := assign[v]
+		used[c] = true
+		tot[c] += g.WeightedDegree(v)
+		intra[c] += 2 * g.SelfLoop(v)
+		for _, h := range g.Adj(v) {
+			if assign[h.To] == c {
+				intra[c] += h.Weight
+			}
+		}
+	}
+	var want float64
+	for c := range used {
+		if used[c] {
+			want += intra[c]/(2*m) - (tot[c]/(2*m))*(tot[c]/(2*m))
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := Modularity(g, assign, 1); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: Q = %v (%#x), ID-order sum %v (%#x)", i, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
 func TestLouvainImprovesModularity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := hypergraph.NewGraph(60)

@@ -571,7 +571,7 @@ func (s *Suite) trainModel() error {
 		epochs = 3
 	}
 	t0 := time.Now()
-	model.Fit(train, gnn.TrainOptions{Epochs: epochs, LR: 1.5e-3, Seed: s.Seed})
+	model.Fit(train, gnn.TrainOptions{Epochs: epochs, LR: 1.5e-3, Seed: s.Seed, Workers: s.Workers})
 	ts.fitTime = time.Since(t0)
 	s.model, s.training = model, ts
 	return nil

@@ -5,6 +5,7 @@ import (
 
 	"ppaclust/internal/designs"
 	"ppaclust/internal/features"
+	"ppaclust/internal/par"
 	"ppaclust/internal/vpr"
 )
 
@@ -34,18 +35,28 @@ func BenchmarkPredictBestShape(b *testing.B) {
 
 var benchShape vpr.Shape
 
-// BenchmarkTrainStep measures one forward+backward+Adam step.
+// BenchmarkTrainStep measures one forward+backward+Adam step, with the four
+// branches one after the other and at the automatic worker budget.
 func BenchmarkTrainStep(b *testing.B) {
 	g := benchGraph(b)
-	m := NewModel(2)
-	adam := NewAdam(m.Params(), 1e-3)
 	shape := vpr.Shape{AspectRatio: 1.25, Utilization: 0.8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c := NewCtx(true)
-		out := m.forward(c, g, shape)
-		c.MSE(out, 1.0)
-		c.Backward()
-		adam.Step()
+	for _, bc := range []struct {
+		name    string
+		workers int
+	}{{"W=1", 1}, {"auto", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			m := NewModel(2)
+			adam := NewAdam(m.Params(), 1e-3)
+			workers := par.Workers(bc.workers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := NewCtx(true)
+				out := m.forward(c, g, shape, workers)
+				c.MSE(out, 1.0)
+				c.Backward()
+				adam.Step()
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,6 +217,26 @@ func TestFitReducesLoss(t *testing.T) {
 	}
 	if !(losses[len(losses)-1] < losses[0]) {
 		t.Fatalf("training did not reduce loss: %v", losses)
+	}
+}
+
+// TestFitWorkersEquivalent: the branch fork trains the same model, to the
+// byte of its saved file, at any worker count.
+func TestFitWorkersEquivalent(t *testing.T) {
+	samples := toySamples(t, 20, 75)
+	var ref []byte
+	for _, w := range []int{1, 2, 8} {
+		m := NewModel(9)
+		m.Fit(samples, TrainOptions{Epochs: 2, Seed: 4, Workers: w})
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), ref) {
+			t.Fatalf("Workers=%d: saved model differs from Workers=1", w)
+		}
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // tapedPredict is the reference for the inference kernel: the training
 // forward, evaluated without updating running statistics.
 func tapedPredict(m *Model, g *GraphInput, shape vpr.Shape) float64 {
-	out := m.forward(NewCtx(false), g, shape)
+	out := m.forward(NewCtx(false), g, shape, 1)
 	return out.Data[0]*m.labelStd + m.labelMean
 }
 
@@ -259,7 +259,7 @@ func TestFitLossAveragesUsedSamples(t *testing.T) {
 	ref := NewModel(5)
 	ref.fitNormalization(train)
 	c := NewCtx(true)
-	want := c.MSE(ref.forward(c, real.Graph, real.Shape), (real.Label-ref.labelMean)/ref.labelStd)
+	want := c.MSE(ref.forward(c, real.Graph, real.Shape, 1), (real.Label-ref.labelMean)/ref.labelStd)
 
 	got := NewModel(5).Fit(train, TrainOptions{Epochs: 1, Seed: 1})
 	if len(got) != 1 || got[0] != want {

@@ -6,6 +6,7 @@ import (
 
 	"ppaclust/internal/features"
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 	"ppaclust/internal/vpr"
 )
 
@@ -75,19 +76,28 @@ func (m *Model) Params() []*Tensor {
 }
 
 // forward computes the standardized-cost prediction tensor for one graph.
-func (m *Model) forward(c *Ctx, g *GraphInput, shape vpr.Shape) *Tensor {
+// The four branches run side by side on up to workers goroutines, each on
+// its own tape of c's, and read the same input; apart from it they share
+// nothing — parameters, batch-norm running statistics and activations are
+// all per branch — so the result is bit-identical at any worker count.
+func (m *Model) forward(c *Ctx, g *GraphInput, shape vpr.Shape, workers int) *Tensor {
 	x := m.inputTensor(g, shape)
-	var acc *Tensor
-	for b := range m.branches {
-		h := x
-		for _, blk := range m.branches[b] {
-			h = blk.Forward(c, g.S, h)
+	tapes := c.fork(Branches, workers)
+	var outs [Branches]*Tensor
+	par.Blocks(workers, Branches, func(_, lo, hi int) {
+		for b := lo; b < hi; b++ {
+			// Every branch's first SpMM backward writes the input's
+			// gradient, which nothing reads: each gets a buffer of its own.
+			h := &Tensor{R: x.R, C: x.C, Data: x.Data, Grad: make([]float64, len(x.Data))}
+			for _, blk := range m.branches[b] {
+				h = blk.Forward(tapes[b], g.S, h)
+			}
+			outs[b] = h
 		}
-		if acc == nil {
-			acc = h
-		} else {
-			acc = c.Add(acc, h)
-		}
+	})
+	acc := outs[0]
+	for _, h := range outs[1:] {
+		acc = c.Add(acc, h)
 	}
 	emb := c.MeanRows(acc)
 	h := m.head1.Forward(c, emb)
@@ -96,10 +106,11 @@ func (m *Model) forward(c *Ctx, g *GraphInput, shape vpr.Shape) *Tensor {
 	return m.head2.Forward(c, h)
 }
 
-// inputTensor builds the standardized node-feature matrix.
+// inputTensor builds the standardized node-feature matrix. It carries no
+// gradient buffer: forward gives each branch its own.
 func (m *Model) inputTensor(g *GraphInput, shape vpr.Shape) *Tensor {
 	n := g.NumNodes()
-	x := NewTensor(n, InputDim)
+	x := &Tensor{R: n, C: InputDim, Data: make([]float64, n*InputDim)}
 	row := make([]float64, InputDim)
 	for i := 0; i < n; i++ {
 		g.F.NodeVec(i, shape.AspectRatio, shape.Utilization, row)

@@ -95,7 +95,40 @@ func LoadModel(r io.Reader) (*Model, error) {
 		return nil, err
 	}
 	m.labelMean, m.labelStd = tail[0], tail[1]
+	if err := m.checkUsable(); err != nil {
+		return nil, err
+	}
 	return m, nil
+}
+
+// checkUsable rejects a model that can only predict NaN: a non-finite
+// weight, running statistic or standardization value, or a standard
+// deviation that is not positive. Every cost would come out NaN, and
+// PredictBestShape would quietly pick vpr.UniformShape for every cluster.
+func (m *Model) checkUsable() error {
+	type vec struct {
+		name     string
+		vs       []float64
+		positive bool
+	}
+	var vecs []vec
+	for i, t := range m.Params() {
+		vecs = append(vecs, vec{fmt.Sprintf("parameter %d", i), t.Data, false})
+	}
+	for i, bn := range m.batchNorms() {
+		vecs = append(vecs, vec{fmt.Sprintf("batch-norm %d RunMean", i), bn.RunMean, false},
+			vec{fmt.Sprintf("batch-norm %d RunVar", i), bn.RunVar, false})
+	}
+	vecs = append(vecs, vec{"featMean", m.featMean, false}, vec{"featStd", m.featStd, true},
+		vec{"labelMean", []float64{m.labelMean}, false}, vec{"labelStd", []float64{m.labelStd}, true})
+	for _, v := range vecs {
+		for i, x := range v.vs {
+			if math.IsNaN(x) || math.IsInf(x, 0) || v.positive && x <= 0 {
+				return fmt.Errorf("gnn: model %s[%d] = %v", v.name, i, x)
+			}
+		}
+	}
+	return nil
 }
 
 // batchNorms enumerates every batch-norm layer in deterministic order.

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -35,17 +36,39 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	_ = vpr.Shape{}
 }
 
+// TestLoadRejectsGarbage: a file that is not a model, a truncated one, and
+// one whose values can only predict NaN all fail to load, the last with an
+// error naming the vector.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := LoadModel(strings.NewReader("not a model file at all")); err == nil {
-		t.Fatal("expected magic error")
+	saved := func(edit func(m *Model)) []byte {
+		m := NewModel(1)
+		edit(m)
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	var buf bytes.Buffer
-	m := NewModel(1)
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
+	good := saved(func(*Model) {})
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want string // in the error
+	}{
+		{"bad magic", []byte("not a model file at all"), "magic"},
+		{"truncated", good[:len(good)/2], ""},
+		// Params() lists the 4 branches x 3 blocks x 4 tensors first.
+		{"NaN weight", saved(func(m *Model) { m.head1.W.Data[5] = math.NaN() }), "parameter 48[5]"},
+		{"Inf RunVar", saved(func(m *Model) { m.branches[1][2].BN.RunVar[0] = math.Inf(1) }), "batch-norm 5 RunVar[0]"},
+		{"zero featStd", saved(func(m *Model) { m.featStd[7] = 0 }), "featStd[7]"},
+		{"negative labelStd", saved(func(m *Model) { m.labelStd = -1 }), "labelStd"},
+	} {
+		_, err := LoadModel(bytes.NewReader(tc.file))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadModel error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
-	// Truncated stream fails cleanly.
-	if _, err := LoadModel(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
-		t.Fatal("expected truncation error")
+	if _, err := LoadModel(bytes.NewReader(good)); err != nil {
+		t.Fatalf("untouched model: %v", err)
 	}
 }

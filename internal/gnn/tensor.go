@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"ppaclust/internal/par"
 )
 
 // Tensor is a dense row-major matrix participating in autograd.
@@ -48,6 +50,11 @@ func (t *Tensor) ZeroGrad() {
 type Ctx struct {
 	tape  []func()
 	train bool
+
+	// forks are child tapes recorded before anything on tape; Backward
+	// replays them side by side on up to workers goroutines.
+	forks   []*Ctx
+	workers int
 }
 
 // NewCtx returns a fresh tape. train enables batch-norm batch statistics.
@@ -57,12 +64,31 @@ func (c *Ctx) push(back func()) {
 	c.tape = append(c.tape, back)
 }
 
-// Backward runs the tape in reverse. The caller must have seeded the output
-// gradient (e.g. via a loss op).
+// fork gives c n child tapes whose backward passes run concurrently on up to
+// workers goroutines. Call it before recording anything on c: Backward
+// replays c's own tape first, so c may only record ops that consume the
+// children's outputs, and the children must share no tensor they write
+// gradients into.
+func (c *Ctx) fork(n, workers int) []*Ctx {
+	c.forks = make([]*Ctx, n)
+	for i := range c.forks {
+		c.forks[i] = NewCtx(c.train)
+	}
+	c.workers = workers
+	return c.forks
+}
+
+// Backward runs the tape in reverse, then the forked tapes. The caller must
+// have seeded the output gradient (e.g. via a loss op).
 func (c *Ctx) Backward() {
 	for i := len(c.tape) - 1; i >= 0; i-- {
 		c.tape[i]()
 	}
+	par.Blocks(c.workers, len(c.forks), func(_, lo, hi int) {
+		for _, f := range c.forks[lo:hi] {
+			f.Backward()
+		}
+	})
 }
 
 // badShape reports a tensor-shape violation. Layer shapes are fixed by the
@@ -100,29 +126,75 @@ func matmul(a, b, out []float64, m, k, n int, ta, tb bool) {
 
 // matmulAcc accumulates out += op(A)@op(B). For ta=false, A is m x k; for
 // ta=true, A is k x m. For tb=false, B is k x n; tb=true, B is n x k.
+//
+// Every output element adds its terms a·b one at a time in ascending p and
+// skips a term whose a is zero, whatever the loop order. That sequence is
+// what fixes the trained weights to the bit (TestFitBitIdentical), so the
+// loops below may only reorder work across elements, never within one.
 func matmulAcc(a, b, out []float64, m, k, n int, ta, tb bool) {
-	for i := 0; i < m; i++ {
-		for p := 0; p < k; p++ {
-			var av float64
-			if ta {
-				av = a[p*m+i]
-			} else {
-				av = a[i*k+p]
+	if tb {
+		// B is a weight (at most 64 x 64 here): one transpose turns the
+		// strided reads into the row reads of the plain case.
+		bt := make([]float64, k*n)
+		for j := 0; j < n; j++ {
+			for p, v := range b[j*k : (j+1)*k] {
+				bt[p*n+j] = v
 			}
+		}
+		b = bt
+	}
+	if !ta {
+		matmulRows(a, b, out, m, k, n)
+		return
+	}
+	// A is an n-node activation read by column: with p outermost both A
+	// and B are walked row by row, and out (m x n, a weight's shape) stays
+	// in cache.
+	for p := 0; p < k; p++ {
+		bRow := b[p*n : (p+1)*n]
+		for i, av := range a[p*m : (p+1)*m] {
 			if av == 0 {
 				continue
 			}
 			outRow := out[i*n : (i+1)*n]
-			if tb {
-				for j := 0; j < n; j++ {
-					outRow[j] += av * b[j*k+p]
+			for j, bv := range bRow {
+				outRow[j] += av * bv
+			}
+		}
+	}
+}
+
+// matmulRows is matmulAcc for row-major A (m x k) and B (k x n). Each row of
+// out is built four columns at a time, the four sums held in registers over
+// all of p.
+func matmulRows(a, b, out []float64, m, k, n int) {
+	for i := 0; i < m; i++ {
+		aRow := a[i*k : (i+1)*k]
+		outRow := out[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			o0, o1, o2, o3 := outRow[j], outRow[j+1], outRow[j+2], outRow[j+3]
+			q := j // start of B's row p, column j
+			for _, av := range aRow {
+				if av != 0 {
+					bq := b[q : q+4 : q+4]
+					o0 += av * bq[0]
+					o1 += av * bq[1]
+					o2 += av * bq[2]
+					o3 += av * bq[3]
 				}
-			} else {
-				bRow := b[p*n : (p+1)*n]
-				for j := 0; j < n; j++ {
-					outRow[j] += av * bRow[j]
+				q += n
+			}
+			outRow[j], outRow[j+1], outRow[j+2], outRow[j+3] = o0, o1, o2, o3
+		}
+		for ; j < n; j++ {
+			o := outRow[j]
+			for p, av := range aRow {
+				if av != 0 {
+					o += av * b[p*n+j]
 				}
 			}
+			outRow[j] = o
 		}
 	}
 }

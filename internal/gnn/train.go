@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"ppaclust/internal/par"
 	"ppaclust/internal/vpr"
 )
 
@@ -20,6 +21,11 @@ type TrainOptions struct {
 	Epochs int     // default 8
 	LR     float64 // default 1e-3
 	Seed   int64
+	// Workers bounds the goroutines each sample's four convolution
+	// branches run on: 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 =
+	// one after the other. The trained model is bit-identical for every
+	// worker count.
+	Workers int
 }
 
 func (o TrainOptions) withDefaults() TrainOptions {
@@ -41,6 +47,7 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 		return nil
 	}
 	m.fitNormalization(train)
+	workers := par.Workers(opt.Workers)
 	adam := NewAdam(m.Params(), opt.LR)
 	rng := rand.New(rand.NewSource(opt.Seed + 7))
 	losses := make([]float64, 0, opt.Epochs)
@@ -59,7 +66,7 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 			}
 			used++
 			c := NewCtx(true)
-			out := m.forward(c, s.Graph, s.Shape)
+			out := m.forward(c, s.Graph, s.Shape, workers)
 			label := (s.Label - m.labelMean) / m.labelStd
 			sum += c.MSE(out, label)
 			c.Backward()

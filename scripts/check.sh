@@ -46,11 +46,13 @@ fi
 # equivalence tests once more with the worker budget forced to 4 via the
 # environment, so the forks really run on several goroutines even on a
 # single-CPU machine (par.Workers honors PPACLUST_WORKERS over GOMAXPROCS).
+# gnn.TestFitBitIdentical trains at the automatic budget, so its pinned
+# golden also checks the training fork here, under the race detector.
 # internal/experiments needs no entry: nothing above internal/flow forks, so
 # its tables are loops over flows that are already covered here.
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|MatchesReference|MatchesComparator|IndexByKeys|Deterministic|WirelenCache' \
+    -run 'WorkersEquivalent|BitIdentical|MatchesReference|MatchesComparator|IndexByKeys|Deterministic|WirelenCache' \
     ./internal/place/ ./internal/flow/ ./internal/netlist/ \
     ./internal/route/ ./internal/designs/ ./internal/gnn/ ./internal/vpr/ \
     ./internal/sortx/
