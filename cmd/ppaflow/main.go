@@ -184,29 +184,32 @@ func main() {
 		}
 	}
 	if *writeSVG != "" {
-		f, err := os.Create(*writeSVG)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
-			os.Exit(1)
-		}
-		if err := viz.WritePlacement(f, res.Placed, viz.Options{}); err != nil {
-			fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
+		write(*writeSVG, func(f *os.File) error { return viz.WritePlacement(f, res.Placed, viz.Options{}) })
 		fmt.Printf("wrote placement SVG to %s\n", *writeSVG)
 	}
 	if *writeDEF != "" {
-		f, err := os.Create(*writeDEF)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
-			os.Exit(1)
-		}
-		if err := def.Write(f, res.Placed); err != nil {
-			fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
-			os.Exit(1)
-		}
-		f.Close()
+		write(*writeDEF, func(f *os.File) error { return def.Write(f, res.Placed) })
 		fmt.Printf("wrote placement to %s\n", *writeDEF)
 	}
+}
+
+// write creates path and fills it with fn. A failed create, write or close
+// exits 1 with the message, so a truncated file is never reported written.
+func write(path string, fn func(f *os.File) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal(err)
+	}
+	if err := fn(f); err != nil {
+		f.Close()
+		fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		fatal(err)
+	}
+}
+
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "ppaflow: %v\n", err)
+	os.Exit(1)
 }

@@ -4,10 +4,11 @@
 package def
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
-	"strings"
+	"strconv"
 
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
@@ -28,10 +29,16 @@ const (
 	maxUnits    = 1e6
 )
 
-// Write emits the design's floorplan and netlist as DEF.
+// lineFlush bounds the reused line buffer: a net line longer than this goes
+// to the output pin by pin, so a high-fanout net does not grow the buffer.
+const lineFlush = 4 << 10
+
+// Write emits the design's floorplan and netlist as DEF. Output goes through
+// one buffer, and the first failed write is the error returned.
 func Write(w io.Writer, d *netlist.Design) error {
-	fmt.Fprintf(w, "VERSION 5.8 ;\nDESIGN %s ;\nUNITS DISTANCE MICRONS %d ;\n", d.Name, int(dbu))
-	fmt.Fprintf(w, "DIEAREA ( %d %d ) ( %d %d ) ;\n",
+	bw := bufio.NewWriterSize(w, 64<<10)
+	fmt.Fprintf(bw, "VERSION 5.8 ;\nDESIGN %s ;\nUNITS DISTANCE MICRONS %d ;\n", d.Name, int(dbu))
+	fmt.Fprintf(bw, "DIEAREA ( %d %d ) ( %d %d ) ;\n",
 		du(d.Die.X0), du(d.Die.Y0), du(d.Die.X1), du(d.Die.Y1))
 	// A single summary ROW carries the core box and site geometry. The site
 	// counts round to the nearest integer so that a parsed core box (X1 =
@@ -39,25 +46,29 @@ func Write(w io.Writer, d *netlist.Design) error {
 	if d.Core.Area() > 0 && d.RowHeight > 0 && d.SiteWidth > 0 {
 		nSites := int(d.Core.W()/d.SiteWidth + 0.5)
 		nRows := int(d.Core.H()/d.RowHeight + 0.5)
-		fmt.Fprintf(w, "ROW CORE_AREA coresite %d %d N DO %d BY %d STEP %d %d ;\n",
+		fmt.Fprintf(bw, "ROW CORE_AREA coresite %d %d N DO %d BY %d STEP %d %d ;\n",
 			du(d.Core.X0), du(d.Core.Y0), nSites, nRows, du(d.SiteWidth), du(d.RowHeight))
 	}
-	fmt.Fprintf(w, "COMPONENTS %d ;\n", len(d.Insts))
+	fmt.Fprintf(bw, "COMPONENTS %d ;\n", len(d.Insts))
+	line := make([]byte, 0, 2*lineFlush)
 	for _, inst := range d.Insts {
-		state := "UNPLACED"
-		loc := ""
-		if inst.Fixed {
-			state = "FIXED"
-		} else if inst.Placed {
-			state = "PLACED"
+		line = appendEscaped(append(line[:0], "- "...), inst.Name)
+		line = append(append(line, ' '), inst.Master.Name...)
+		switch {
+		case inst.Fixed:
+			line = append(line, " + FIXED"...)
+		case inst.Placed:
+			line = append(line, " + PLACED"...)
+		default:
+			line = append(line, " + UNPLACED"...)
 		}
 		if inst.Placed || inst.Fixed {
-			loc = fmt.Sprintf(" ( %d %d ) N", du(inst.X), du(inst.Y))
+			line = appendPoint(line, inst.X, inst.Y)
 		}
-		fmt.Fprintf(w, "- %s %s + %s%s ;\n", escape(inst.Name), inst.Master.Name, state, loc)
+		bw.Write(append(line, " ;\n"...))
 	}
-	fmt.Fprintln(w, "END COMPONENTS")
-	fmt.Fprintf(w, "PINS %d ;\n", len(d.Ports))
+	fmt.Fprintln(bw, "END COMPONENTS")
+	fmt.Fprintf(bw, "PINS %d ;\n", len(d.Ports))
 	for _, p := range d.Ports {
 		dir := "INPUT"
 		switch p.Dir {
@@ -66,34 +77,42 @@ func Write(w io.Writer, d *netlist.Design) error {
 		case netlist.DirInout:
 			dir = "INOUT"
 		}
-		loc := ""
+		line = appendEscaped(append(line[:0], "- "...), p.Name)
+		line = appendEscaped(append(line, " + NET "...), p.Name)
+		line = append(append(line, " + DIRECTION "...), dir...)
 		if p.Placed {
-			loc = fmt.Sprintf(" + PLACED ( %d %d ) N", du(p.X), du(p.Y))
+			line = appendPoint(append(line, " + PLACED"...), p.X, p.Y)
 		}
-		fmt.Fprintf(w, "- %s + NET %s + DIRECTION %s%s ;\n", escape(p.Name), escape(p.Name), dir, loc)
+		bw.Write(append(line, " ;\n"...))
 	}
-	fmt.Fprintln(w, "END PINS")
-	fmt.Fprintf(w, "NETS %d ;\n", len(d.Nets))
+	fmt.Fprintln(bw, "END PINS")
+	fmt.Fprintf(bw, "NETS %d ;\n", len(d.Nets))
 	for _, n := range d.Nets {
-		fmt.Fprintf(w, "- %s", escape(n.Name))
+		line = appendEscaped(append(line[:0], "- "...), n.Name)
 		for _, pr := range n.Pins {
 			if pr.IsPort() {
-				fmt.Fprintf(w, " ( PIN %s )", escape(pr.Pin))
+				line = appendEscaped(append(line, " ( PIN "...), pr.Pin)
 			} else {
-				fmt.Fprintf(w, " ( %s %s )", escape(d.Insts[pr.Inst].Name), pr.Pin)
+				line = appendEscaped(append(line, " ( "...), d.Insts[pr.Inst].Name)
+				line = append(append(line, ' '), pr.Pin...)
+			}
+			line = append(line, " )"...)
+			if len(line) > lineFlush {
+				bw.Write(line)
+				line = line[:0]
 			}
 		}
 		if n.Weight != 1 {
-			fmt.Fprintf(w, " + WEIGHT %d", int(n.Weight))
+			line = strconv.AppendInt(append(line, " + WEIGHT "...), int64(n.Weight), 10)
 		}
 		if n.Clock {
-			fmt.Fprintf(w, " + USE CLOCK")
+			line = append(line, " + USE CLOCK"...)
 		}
-		fmt.Fprintln(w, " ;")
+		bw.Write(append(line, " ;\n"...))
 	}
-	fmt.Fprintln(w, "END NETS")
-	_, err := fmt.Fprintln(w, "END DESIGN")
-	return err
+	fmt.Fprintln(bw, "END NETS")
+	fmt.Fprintln(bw, "END DESIGN")
+	return bw.Flush()
 }
 
 // du converts microns to database units, rounding half away from zero so
@@ -101,8 +120,26 @@ func Write(w io.Writer, d *netlist.Design) error {
 // per write/read cycle).
 func du(v float64) int { return int(math.Round(v * dbu)) }
 
-// escape replaces characters DEF treats as separators inside names.
-func escape(s string) string { return strings.ReplaceAll(s, " ", "_") }
+// appendPoint appends " ( x y ) N", the location and orientation of a placed
+// component or pin, in database units.
+func appendPoint(b []byte, x, y float64) []byte {
+	b = strconv.AppendInt(append(b, " ( "...), int64(du(x)), 10)
+	b = strconv.AppendInt(append(b, ' '), int64(du(y)), 10)
+	return append(b, " ) N"...)
+}
+
+// appendEscaped appends s with the spaces DEF treats as separators inside
+// names replaced by '_'.
+func appendEscaped(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == ' ' {
+			b = append(b, '_')
+		} else {
+			b = append(b, c)
+		}
+	}
+	return b
+}
 
 // Options configures a parse.
 type Options struct {

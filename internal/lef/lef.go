@@ -5,6 +5,7 @@
 package lef
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -18,20 +19,20 @@ import (
 // writer round trip.
 const maxDimUM = 1e8
 
-// Write emits the physical view of every master in the library.
-func Write(w io.Writer, lib *netlist.Library) error {
+// Write emits the physical view of every master in the library. Output goes
+// through one buffer, and the first failed write is the error returned.
+func Write(out io.Writer, lib *netlist.Library) error {
+	w := bufio.NewWriterSize(out, 64<<10)
 	fmt.Fprintf(w, "VERSION 5.8 ;\nBUSBITCHARS \"[]\" ;\nDIVIDERCHAR \"/\" ;\n\n")
 	for _, name := range lib.MasterNames() {
-		if err := WriteMacro(w, lib.Master(name)); err != nil {
-			return err
-		}
+		writeMacro(w, lib.Master(name))
 	}
-	_, err := fmt.Fprintln(w, "END LIBRARY")
-	return err
+	fmt.Fprintln(w, "END LIBRARY")
+	return w.Flush()
 }
 
-// WriteMacro emits one MACRO block.
-func WriteMacro(w io.Writer, m *netlist.Master) error {
+// writeMacro emits one MACRO block.
+func writeMacro(w io.Writer, m *netlist.Master) {
 	class := "CORE"
 	switch m.Class {
 	case netlist.ClassMacro:
@@ -58,8 +59,7 @@ func WriteMacro(w io.Writer, m *netlist.Master) error {
 		}
 		fmt.Fprintf(w, "  END %s\n", p.Name)
 	}
-	_, err := fmt.Fprintf(w, "END %s\n\n", m.Name)
-	return err
+	fmt.Fprintf(w, "END %s\n\n", m.Name)
 }
 
 // Options configures a parse.

@@ -38,8 +38,10 @@ const (
 	maxDepth    = 64 // group nesting
 )
 
-// Write emits the library.
-func Write(w io.Writer, lib *netlist.Library) error {
+// Write emits the library. Output goes through one buffer, and the first
+// failed write is the error returned.
+func Write(out io.Writer, lib *netlist.Library) error {
+	w := bufio.NewWriterSize(out, 64<<10)
 	fmt.Fprintf(w, "library (%s) {\n", lib.Name)
 	fmt.Fprintf(w, "  time_unit : \"1ns\";\n  capacitive_load_unit (1,pf);\n")
 	for _, name := range lib.MasterNames() {
@@ -55,8 +57,8 @@ func Write(w io.Writer, lib *netlist.Library) error {
 		}
 		fmt.Fprintf(w, "  }\n")
 	}
-	_, err := fmt.Fprintln(w, "}")
-	return err
+	fmt.Fprintln(w, "}")
+	return w.Flush()
 }
 
 func writePin(w io.Writer, p *netlist.MasterPin) {

@@ -127,8 +127,8 @@ func buildCompact(d *Design, gen uint64) (*Compact, error) {
 	c.NetDrv = make([]int32, len(d.Nets))
 	for ni, n := range d.Nets {
 		c.NetStart[ni] = int32(len(c.PinInst))
-		drvSlot := int32(-1)      // first output instance pin
-		portDrvSlot := int32(-1)  // first input-port pin (fallback)
+		drvSlot := int32(-1)     // first output instance pin
+		portDrvSlot := int32(-1) // first input-port pin (fallback)
 		for _, p := range n.Pins {
 			var id int32
 			var mpIdx int32 = -1

@@ -5,6 +5,7 @@
 package sdc
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -22,8 +23,10 @@ const (
 	maxValue    = 1e9
 )
 
-// Write emits constraints in SDC syntax.
-func Write(w io.Writer, cons sta.Constraints) error {
+// Write emits constraints in SDC syntax. Output goes through one buffer, and
+// the first failed write is the error returned.
+func Write(out io.Writer, cons sta.Constraints) error {
+	w := bufio.NewWriter(out)
 	for _, clk := range cons.ClockPorts {
 		fmt.Fprintf(w, "create_clock -name %s -period %.4f [get_ports %s]\n",
 			clk, cons.ClockPeriod*1e9, clk)
@@ -34,8 +37,8 @@ func Write(w io.Writer, cons sta.Constraints) error {
 		fmt.Fprintf(w, "set_output_delay %.4f -clock %s [all_outputs]\n", cons.OutputDelay*1e9, clk)
 	}
 	fmt.Fprintf(w, "set_input_transition %.4f [all_inputs]\n", cons.InputSlew*1e9)
-	_, err := fmt.Fprintf(w, "set_load %.6f [all_outputs]\n", cons.PortCap*1e12)
-	return err
+	fmt.Fprintf(w, "set_load %.6f [all_outputs]\n", cons.PortCap*1e12)
+	return w.Flush()
 }
 
 // Options configures a parse.

@@ -7,24 +7,31 @@ package verilog
 
 import (
 	"bufio"
-	"fmt"
+	"bytes"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
 )
 
-// Write emits the design as structural Verilog.
+// conn is one instance connection: a master pin and the name of its net.
+type conn struct{ pin, net string }
+
+// Write emits the design as structural Verilog. Output goes through one
+// buffer, and the first failed write is the error returned.
 func Write(w io.Writer, d *netlist.Design) error {
-	var names []string
-	for _, p := range d.Ports {
-		names = append(names, ident(p.Name))
+	bw := bufio.NewWriterSize(w, 64<<10)
+	line := make([]byte, 0, 4<<10) // reused for every line
+	line = append(appendIdent(append(line, "module "...), d.Name), " ("...)
+	for i, p := range d.Ports {
+		if i > 0 {
+			line = append(line, ", "...)
+		}
+		line = appendIdent(line, p.Name)
 	}
-	if _, err := fmt.Fprintf(w, "module %s (%s);\n", ident(d.Name), strings.Join(names, ", ")); err != nil {
-		return err
-	}
+	bw.Write(append(line, ");\n"...))
 	for _, p := range d.Ports {
 		dir := "input"
 		switch p.Dir {
@@ -33,89 +40,118 @@ func Write(w io.Writer, d *netlist.Design) error {
 		case netlist.DirInout:
 			dir = "inout"
 		}
-		fmt.Fprintf(w, "  %s %s;\n", dir, ident(p.Name))
+		line = append(append(append(line[:0], "  "...), dir...), ' ')
+		bw.Write(append(appendIdent(line, p.Name), ";\n"...))
 	}
 	// Wires: nets that are not port nets need declarations. A net named the
 	// same as a port is the port itself.
-	portSet := map[string]bool{}
-	for _, p := range d.Ports {
-		portSet[p.Name] = true
-	}
 	for _, n := range d.Nets {
-		if !portSet[n.Name] {
-			fmt.Fprintf(w, "  wire %s;\n", ident(n.Name))
+		if d.Port(n.Name) == nil {
+			bw.Write(append(appendIdent(append(line[:0], "  wire "...), n.Name), ";\n"...))
 		}
 	}
-	// Port pins riding on differently-named nets become assigns, emitted in
-	// sorted order: net creation order differs between a parsed design and
-	// its re-parsed emission, so iteration order alone is not canonical.
-	var assigns []string
+	// Instance pins group per instance (start[i]..start[i+1] is instance i's
+	// run of conns) and port pins on differently named nets become assign
+	// lines, back to back in one buffer. One pass over the pins sizes both,
+	// a second fills them in net/pin order.
+	start := make([]int, len(d.Insts)+1)
+	textLen, nAssigns := 0, 0
 	for _, n := range d.Nets {
 		for _, pr := range n.Pins {
-			if !pr.IsPort() || pr.Pin == n.Name {
-				continue
-			}
-			port := d.Port(pr.Pin)
-			if port == nil {
-				continue
-			}
-			if port.Dir == netlist.DirOutput {
-				assigns = append(assigns, fmt.Sprintf("  assign %s = %s;\n", ident(port.Name), ident(n.Name)))
-			} else {
-				assigns = append(assigns, fmt.Sprintf("  assign %s = %s;\n", ident(n.Name), ident(port.Name)))
+			if !pr.IsPort() {
+				start[pr.Inst+1]++
+			} else if a, ok := appendAssign(line[:0], d, n, pr); ok {
+				line = a
+				textLen += len(a)
+				nAssigns++
 			}
 		}
 	}
-	sort.Strings(assigns)
+	for i := 1; i < len(start); i++ {
+		start[i] += start[i-1]
+	}
+	conns := make([]conn, start[len(d.Insts)])
+	next := append([]int(nil), start[:len(d.Insts)]...)
+	text := make([]byte, 0, textLen)
+	assigns := make([][]byte, 0, nAssigns)
+	for _, n := range d.Nets {
+		for _, pr := range n.Pins {
+			if !pr.IsPort() {
+				conns[next[pr.Inst]] = conn{pr.Pin, n.Name}
+				next[pr.Inst]++
+			} else if a, ok := appendAssign(text, d, n, pr); ok {
+				assigns = append(assigns, a[len(text):])
+				text = a
+			}
+		}
+	}
+	// Assigns go out sorted: net creation order differs between a parsed
+	// design and its re-parsed emission, so iteration order alone is not
+	// canonical.
+	slices.SortFunc(assigns, bytes.Compare)
 	for _, a := range assigns {
-		io.WriteString(w, a)
+		bw.Write(a)
 	}
-	// Instance connections: gather per instance.
-	conns := make(map[int][][2]string) // inst -> [pin, net]
-	for _, n := range d.Nets {
-		for _, pr := range n.Pins {
-			if pr.IsPort() {
-				continue
-			}
-			conns[pr.Inst] = append(conns[pr.Inst], [2]string{pr.Pin, n.Name})
-		}
-	}
-	for _, inst := range d.Insts {
-		cs := conns[inst.ID]
+	for i, inst := range d.Insts {
+		cs := conns[start[i]:start[i+1]]
 		// Order by (pin, net): duplicate pin connections must emit
-		// deterministically, and sort.Slice is not stable.
-		sort.Slice(cs, func(i, j int) bool {
-			if cs[i][0] != cs[j][0] {
-				return cs[i][0] < cs[j][0]
+		// deterministically. Equal pairs are equal strings, so any sort
+		// gives the same text.
+		slices.SortFunc(cs, func(a, b conn) int {
+			if c := strings.Compare(a.pin, b.pin); c != 0 {
+				return c
 			}
-			return cs[i][1] < cs[j][1]
+			return strings.Compare(a.net, b.net)
 		})
-		parts := make([]string, 0, len(cs))
-		for _, c := range cs {
-			parts = append(parts, fmt.Sprintf(".%s(%s)", c[0], ident(c[1])))
+		line = append(append(line[:0], "  "...), inst.Master.Name...)
+		line = append(appendIdent(append(line, ' '), inst.Name), " ("...)
+		for j, c := range cs {
+			if j > 0 {
+				line = append(line, ", "...)
+			}
+			line = append(append(append(line, '.'), c.pin...), '(')
+			line = append(appendIdent(line, c.net), ')')
 		}
-		fmt.Fprintf(w, "  %s %s (%s);\n", inst.Master.Name, ident(inst.Name), strings.Join(parts, ", "))
+		bw.Write(append(line, ");\n"...))
 	}
-	_, err := fmt.Fprintln(w, "endmodule")
-	return err
+	bw.WriteString("endmodule\n")
+	return bw.Flush()
 }
 
-// ident escapes identifiers that are not plain Verilog names.
-func ident(s string) string {
-	plain := true
-	for i, r := range s {
-		ok := r == '_' || r == '$' ||
-			(r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
-			(i > 0 && r >= '0' && r <= '9')
-		if !ok {
-			plain = false
-			break
-		}
+// appendAssign appends the assign line of port pin pr when it rides on net n
+// under another name ("assign out = net" for an output port, "assign net =
+// in" otherwise); ok is false, and b unchanged, for any other pin.
+func appendAssign(b []byte, d *netlist.Design, n *netlist.Net, pr netlist.PinRef) (_ []byte, ok bool) {
+	if pr.Pin == n.Name {
+		return b, false
 	}
-	if plain && s != "" {
-		return s
+	port := d.Port(pr.Pin)
+	if port == nil {
+		return b, false
 	}
-	return "\\" + s + " " // escaped identifier, trailing space required
+	lhs, rhs := n.Name, port.Name
+	if port.Dir == netlist.DirOutput {
+		lhs, rhs = rhs, lhs
+	}
+	b = appendIdent(append(b, "  assign "...), lhs)
+	b = appendIdent(append(b, " = "...), rhs)
+	return append(b, ";\n"...), true
+}
+
+// appendIdent appends s as a Verilog identifier: as is when it is a plain
+// name, else escaped (\s followed by the required trailing space).
+func appendIdent(b []byte, s string) []byte {
+	plain := s != ""
+	for i := 0; i < len(s) && plain; i++ {
+		c := s[i]
+		plain = c == '_' || c == '$' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(i > 0 && c >= '0' && c <= '9')
+	}
+	if plain {
+		return append(b, s...)
+	}
+	return append(append(append(b, '\\'), s...), ' ')
 }
 
 // Options configures a parse.

@@ -120,6 +120,7 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestEscapedIdentifiers(t *testing.T) {
+	ident := func(s string) string { return string(appendIdent(nil, s)) }
 	if ident("plain_name") != "plain_name" {
 		t.Fatal("plain identifier escaped")
 	}

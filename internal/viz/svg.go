@@ -3,6 +3,7 @@
 package viz
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 
@@ -21,10 +22,13 @@ type Options struct {
 const widthPX = 800.0
 
 // WritePlacement renders the design's die, core, macros, cells and ports.
-func WritePlacement(w io.Writer, d *netlist.Design, opt Options) error {
+// Output goes through one buffer, and the first failed write is the error
+// returned.
+func WritePlacement(out io.Writer, d *netlist.Design, opt Options) error {
 	if d.Die.W() <= 0 || d.Die.H() <= 0 {
 		return fmt.Errorf("viz: design has no die area")
 	}
+	w := bufio.NewWriterSize(out, 64<<10)
 	s := widthPX / d.Die.W()
 	hPX := d.Die.H() * s
 	// SVG y grows downward; chip y grows upward.
@@ -80,6 +84,6 @@ func WritePlacement(w io.Writer, d *netlist.Design, opt Options) error {
 		}
 		fmt.Fprintf(w, `<circle cx="%.2f" cy="%.2f" r="2.5" fill="#e8c547"/>`+"\n", x(p.X), y(p.Y))
 	}
-	_, err := fmt.Fprintln(w, `</svg>`)
-	return err
+	fmt.Fprintln(w, `</svg>`)
+	return w.Flush()
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-wide check gate: vet, build, race-enabled tests, and an explicit
+# Repo-wide check gate: gofmt, vet, build, race-enabled tests, and an explicit
 # worker-count equivalence pass over the stages that fan out, with a
 # multi-worker budget forced through the PPACLUST_WORKERS environment knob.
 #
@@ -7,6 +7,14 @@
 #   quick  skip the full -race test sweep; run vet+build+equivalence only.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [[ -n "$unformatted" ]]; then
+    echo "gofmt: unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...
@@ -58,11 +66,14 @@ PPACLUST_WORKERS=4 go test -race \
     ./internal/sortx/
 
 # Allocation contract: the placer/clustering inner-loop primitives and the
-# GNN's per-shape inference must be allocation-free in steady state. Run
-# without -race (its instrumentation perturbs testing.AllocsPerRun counts).
+# GNN's per-shape inference must be allocation-free in steady state, and the
+# DEF and Verilog writers must allocate a constant number of times whatever
+# the design size. Run without -race (its instrumentation perturbs
+# testing.AllocsPerRun counts).
 echo "==> steady-state allocation assertions"
-go test -run 'AllocFree' ./internal/netlist/ ./internal/route/ \
-    ./internal/cts/ ./internal/sta/ ./internal/gnn/ ./internal/place/
+go test -run 'AllocFree|AllocsBounded' ./internal/netlist/ ./internal/route/ \
+    ./internal/cts/ ./internal/sta/ ./internal/gnn/ ./internal/place/ \
+    ./internal/def/ ./internal/verilog/
 
 if [[ "${1:-}" != "quick" ]]; then
     # Crash-resistance contract: each format reader has one Go-native fuzz
