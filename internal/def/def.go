@@ -29,6 +29,11 @@ const (
 	maxUnits    = 1e6
 )
 
+// maxLine bounds the longest line the reader accepts. A net line carries
+// every pin of the net, and the clock net of a 1M-cell design written by
+// Write runs to ~5 MB; the bound only keeps hostile input finite.
+const maxLine = 256 << 20
+
 // lineFlush bounds the reused line buffer: a net line longer than this goes
 // to the output pin by pin, so a high-fanout net does not grow the buffer.
 const lineFlush = 4 << 10
@@ -171,7 +176,7 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
-	sc := scan.NewScanner(r, file, 4*1024*1024)
+	sc := scan.NewScanner(r, file, maxLine)
 	for sc.Scan() {
 		if err := p.line(sc.Line()); err != nil {
 			return nil, p.warns.List(), err
@@ -468,6 +473,10 @@ func (p *defParser) net(ln *scan.Line) error {
 		case "(":
 			if i+2 >= ln.Len() {
 				return ln.Errf(ln.Tok(i), "truncated net connection")
+			}
+			if n.Pins == nil {
+				// Size the pins once: a connection "( a b )" is four tokens.
+				n.Pins = make([]netlist.PinRef, 0, (ln.Len()-i)/4+1)
 			}
 			a, b := ln.Tok(i+1), ln.Tok(i+2)
 			if a == "PIN" {

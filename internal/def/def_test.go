@@ -108,3 +108,53 @@ END DESIGN`
 		t.Fatalf("u1 at (%v,%v)", u1.X, u1.Y)
 	}
 }
+
+// TestParseLongNetLine reads a net line of ~4.5 MB, one component connected
+// 500k times: the written clock net of a 1M-cell design is that long, and
+// a reader that cannot take it cannot read back what the writer wrote.
+func TestParseLongNetLine(t *testing.T) {
+	const conns = 500000
+	var sb strings.Builder
+	sb.WriteString("VERSION 5.8 ;\nDESIGN long ;\nCOMPONENTS 1 ;\n- u1 INV_X1 ;\nEND COMPONENTS\nNETS 1 ;\n- n1")
+	for i := 0; i < conns; i++ {
+		sb.WriteString(" ( u1 A )")
+	}
+	sb.WriteString(" ;\nEND NETS\nEND DESIGN\n")
+	if sb.Len() <= 4<<20 {
+		t.Fatalf("file of %d bytes holds no line past 4 MiB", sb.Len())
+	}
+	d, err := Parse(strings.NewReader(sb.String()), designs.Lib())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Net("n1"); n == nil || len(n.Pins) != conns {
+		t.Fatalf("net n1 = %+v, want %d pins", n, conns)
+	}
+}
+
+// TestParseAllocsBounded holds the reader to at most two allocations per
+// pin on a 20k-cell design: the per-line field slice is reused and each
+// net's pins are sized once.
+func TestParseAllocsBounded(t *testing.T) {
+	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	pins := 0
+	for _, n := range d.Nets {
+		pins += len(n.Pins)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	allocs := testing.AllocsPerRun(2, func() {
+		r.Reset(buf.Bytes())
+		if _, err := Parse(r, d.Lib); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPin := allocs / float64(pins); perPin > 2 {
+		t.Fatalf("%.0f allocations for %d pins: %.2f per pin, want <= 2", allocs, pins, perPin)
+	} else {
+		t.Logf("%.2f allocations per pin", perPin)
+	}
+}

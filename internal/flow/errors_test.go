@@ -4,48 +4,19 @@ import (
 	"errors"
 	"math"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"ppaclust/internal/def"
 	"ppaclust/internal/designs"
-	"ppaclust/internal/lef"
-	"ppaclust/internal/liberty"
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
-	"ppaclust/internal/sdc"
-	"ppaclust/internal/verilog"
 	"ppaclust/internal/vpr"
 )
 
-// writeBenchFiles emits the five standard files for a generated benchmark
-// and returns the Files set plus the directory for corrupting them.
-func writeBenchFiles(t *testing.T, seed int64) (Files, string) {
+// writeBenchFiles emits the five standard files for a generated benchmark.
+func writeBenchFiles(t *testing.T, seed int64) Files {
 	t.Helper()
-	b := designs.Generate(designs.TinySpec(seed))
-	dir := t.TempDir()
-	write := func(name string, fn func(f *os.File) error) string {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	return Files{
-		Verilog: write("t.v", func(f *os.File) error { return verilog.Write(f, b.Design) }),
-		DEF:     write("t.def", func(f *os.File) error { return def.Write(f, b.Design) }),
-		SDC:     write("t.sdc", func(f *os.File) error { return sdc.Write(f, b.Cons) }),
-		Liberty: write("t.lib", func(f *os.File) error { return liberty.Write(f, b.Design.Lib) }),
-		LEF:     write("t.lef", func(f *os.File) error { return lef.Write(f, b.Design.Lib) }),
-	}, dir
+	return writeFileSet(t, t.TempDir(), designs.Generate(designs.TinySpec(seed)))
 }
 
 // TestLoadBenchmarkCorruptInputs feeds a truncated DEF and a flagless SDC
@@ -55,7 +26,7 @@ func writeBenchFiles(t *testing.T, seed int64) (Files, string) {
 // in the format readers.
 func TestLoadBenchmarkCorruptInputs(t *testing.T) {
 	t.Run("truncated def", func(t *testing.T) {
-		files, _ := writeBenchFiles(t, 211)
+		files := writeBenchFiles(t, 211)
 		data, err := os.ReadFile(files.DEF)
 		if err != nil {
 			t.Fatal(err)
@@ -87,7 +58,7 @@ func TestLoadBenchmarkCorruptInputs(t *testing.T) {
 		}
 	})
 	t.Run("flagless sdc", func(t *testing.T) {
-		files, _ := writeBenchFiles(t, 211)
+		files := writeBenchFiles(t, 211)
 		if err := os.WriteFile(files.SDC,
 			[]byte("create_clock -name clk -period\nset_input_delay 0.1 -clock clk [all_inputs]\n"), 0o644); err != nil {
 			t.Fatal(err)
@@ -108,7 +79,7 @@ func TestLoadBenchmarkCorruptInputs(t *testing.T) {
 		}
 	})
 	t.Run("lenient load collects warnings", func(t *testing.T) {
-		files, _ := writeBenchFiles(t, 211)
+		files := writeBenchFiles(t, 211)
 		data, err := os.ReadFile(files.DEF)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"ppaclust/internal/def"
@@ -9,8 +10,10 @@ import (
 	"ppaclust/internal/lef"
 	"ppaclust/internal/liberty"
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 	"ppaclust/internal/scan"
 	"ppaclust/internal/sdc"
+	"ppaclust/internal/sta"
 	"ppaclust/internal/verilog"
 )
 
@@ -37,59 +40,62 @@ func LoadBenchmark(f Files) (*designs.Benchmark, error) {
 // LoadBenchmarkWith loads the file set, optionally in lenient mode: parsers
 // skip recoverable malformed fields and report them in the returned warning
 // list instead of failing. Structural errors remain fatal either way.
+//
+// Liberty and LEF load first; after that the library is only read, so the
+// Verilog and DEF reads run side by side (one after the other at one
+// worker). Errors and warnings come back as if the files were read in turn:
+// a Verilog error wins and carries no DEF warnings, and Verilog warnings are
+// listed before DEF ones.
 func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.ParseError, error) {
 	var warns []*scan.ParseError
-	lbf, err := os.Open(f.Liberty)
-	if err != nil {
-		return nil, nil, fmt.Errorf("flow: liberty: %w", err)
-	}
-	lib, w, err := liberty.ParseWith(lbf, liberty.Options{File: f.Liberty, Lenient: lenient})
-	lbf.Close()
+	lib, w, err := parseFile(f.Liberty, func(r io.Reader) (*netlist.Library, []*scan.ParseError, error) {
+		return liberty.ParseWith(r, liberty.Options{File: f.Liberty, Lenient: lenient})
+	})
 	warns = append(warns, w...)
 	if err != nil {
 		return nil, warns, fmt.Errorf("flow: liberty: %w", err)
 	}
 	if f.LEF != "" {
-		lf, err := os.Open(f.LEF)
-		if err != nil {
-			return nil, warns, fmt.Errorf("flow: lef: %w", err)
-		}
-		_, w, err := lef.ParseWith(lf, lib, lef.Options{File: f.LEF, Lenient: lenient})
-		lf.Close()
+		_, w, err := parseFile(f.LEF, func(r io.Reader) ([]string, []*scan.ParseError, error) {
+			return lef.ParseWith(r, lib, lef.Options{File: f.LEF, Lenient: lenient})
+		})
 		warns = append(warns, w...)
 		if err != nil {
 			return nil, warns, fmt.Errorf("flow: lef: %w", err)
 		}
 	}
-	vf, err := os.Open(f.Verilog)
-	if err != nil {
-		return nil, warns, fmt.Errorf("flow: verilog: %w", err)
-	}
-	d, w, err := verilog.ParseWith(vf, lib, verilog.Options{File: f.Verilog, Lenient: lenient})
-	vf.Close()
-	warns = append(warns, w...)
-	if err != nil {
-		return nil, warns, fmt.Errorf("flow: verilog: %w", err)
-	}
-	if f.DEF != "" {
-		df, err := os.Open(f.DEF)
-		if err != nil {
-			return nil, warns, fmt.Errorf("flow: def: %w", err)
+	var (
+		d, fp          *netlist.Design
+		vWarns, dWarns []*scan.ParseError
+		vErr, dErr     error
+	)
+	par.Blocks(par.Workers(0), 2, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i == 0 {
+				d, vWarns, vErr = parseFile(f.Verilog, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
+					return verilog.ParseWith(r, lib, verilog.Options{File: f.Verilog, Lenient: lenient})
+				})
+			} else if f.DEF != "" {
+				fp, dWarns, dErr = parseFile(f.DEF, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
+					return def.ParseWith(r, lib, def.Options{File: f.DEF, Lenient: lenient})
+				})
+			}
 		}
-		fp, w, err := def.ParseWith(df, lib, def.Options{File: f.DEF, Lenient: lenient})
-		df.Close()
-		warns = append(warns, w...)
-		if err != nil {
-			return nil, warns, fmt.Errorf("flow: def: %w", err)
-		}
+	})
+	warns = append(warns, vWarns...)
+	if vErr != nil {
+		return nil, warns, fmt.Errorf("flow: verilog: %w", vErr)
+	}
+	warns = append(warns, dWarns...)
+	if dErr != nil {
+		return nil, warns, fmt.Errorf("flow: def: %w", dErr)
+	}
+	if fp != nil {
 		mergeFloorplan(d, fp)
 	}
-	sf, err := os.Open(f.SDC)
-	if err != nil {
-		return nil, warns, fmt.Errorf("flow: sdc: %w", err)
-	}
-	cons, w, err := sdc.ParseWith(sf, sdc.Options{File: f.SDC, Lenient: lenient})
-	sf.Close()
+	cons, w, err := parseFile(f.SDC, func(r io.Reader) (sta.Constraints, []*scan.ParseError, error) {
+		return sdc.ParseWith(r, sdc.Options{File: f.SDC, Lenient: lenient})
+	})
 	warns = append(warns, w...)
 	if err != nil {
 		return nil, warns, fmt.Errorf("flow: sdc: %w", err)
@@ -108,6 +114,18 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 		return nil, warns, fmt.Errorf("flow: loaded design invalid: %w", err)
 	}
 	return &designs.Benchmark{Design: d, Cons: cons}, warns, nil
+}
+
+// parseFile opens path, hands it to parse and closes it again. An open
+// failure comes back as is, with no warnings.
+func parseFile[T any](path string, parse func(io.Reader) (T, []*scan.ParseError, error)) (T, []*scan.ParseError, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		var zero T
+		return zero, nil, err
+	}
+	defer f.Close()
+	return parse(f)
 }
 
 // mergeFloorplan copies geometry from a DEF-parsed design into the

@@ -2,9 +2,9 @@
 // worker pool sized from GOMAXPROCS (or the PPACLUST_WORKERS environment
 // knob) with index- and block-parallel helpers. A stage forks at most once,
 // at the grain of a whole unit of its work — an axis solve, a shape
-// evaluation, a GNN branch, a batch of nets, a generated leaf; nothing above
-// internal/flow forks. DESIGN.md "Parallel execution" lists the forks and
-// their measured numbers.
+// evaluation, a GNN branch, a batch of nets, a generated leaf, a file read;
+// nothing above internal/flow forks. DESIGN.md "Parallel execution" lists
+// the forks and their measured numbers.
 //
 // Determinism contract: every helper assigns each index to exactly one
 // worker and callers write only per-index slots (or per-worker private

@@ -15,6 +15,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // MaxAbs is the universal magnitude cap on parsed floats. Values beyond it
@@ -169,21 +170,23 @@ func ParseFloat(s string) (float64, bool) {
 
 // Scanner wraps bufio.Scanner with file/line provenance, producing Lines.
 type Scanner struct {
-	sc   *bufio.Scanner
-	file string
-	num  int
-	line Line
+	sc     *bufio.Scanner
+	file   string
+	num    int
+	line   Line
+	fields []string // reused by every Line
 }
 
 // NewScanner builds a Scanner over r. file names the source in errors (pass
-// the format tag, e.g. "def", when no path is known). bufSize bounds the
-// longest accepted line; 0 selects a 1 MiB default.
-func NewScanner(r io.Reader, file string, bufSize int) *Scanner {
-	if bufSize <= 0 {
-		bufSize = 1024 * 1024
+// the format tag, e.g. "def", when no path is known). maxLine bounds the
+// longest accepted line; 0 selects a 1 MiB default. The line buffer starts
+// at 64 KiB and grows to maxLine only when a line needs it.
+func NewScanner(r io.Reader, file string, maxLine int) *Scanner {
+	if maxLine <= 0 {
+		maxLine = 1024 * 1024
 	}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, bufSize), bufSize)
+	sc.Buffer(make([]byte, min(maxLine, 64<<10)), maxLine)
 	return &Scanner{sc: sc, file: file}
 }
 
@@ -191,17 +194,47 @@ func NewScanner(r io.Reader, file string, bufSize int) *Scanner {
 func (s *Scanner) Scan() bool {
 	for s.sc.Scan() {
 		s.num++
-		f := strings.Fields(s.sc.Text())
-		if len(f) == 0 {
+		s.fields = appendFields(s.fields[:0], s.sc.Text())
+		if len(s.fields) == 0 {
 			continue
 		}
-		s.line = Line{File: s.file, Num: s.num, Fields: f}
+		s.line = Line{File: s.file, Num: s.num, Fields: s.fields}
 		return true
 	}
 	return false
 }
 
-// Line returns the current line. Valid after a true Scan.
+// asciiSpace marks the bytes strings.Fields splits ASCII text at.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// appendFields appends the fields of s to dst, exactly as strings.Fields
+// splits them. ASCII text splits here without allocating; a line holding a
+// byte >= 0x80 goes to strings.Fields, which also splits at Unicode spaces.
+func appendFields(dst []string, s string) []string {
+	n, start := len(dst), -1
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch {
+		case c >= utf8.RuneSelf:
+			return append(dst[:n], strings.Fields(s)...)
+		case asciiSpace[c]:
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// Line returns the current line. Valid after a true Scan, and only until the
+// next Scan: its Fields slice is reused (the field strings themselves stay
+// valid).
 func (s *Scanner) Line() *Line { return &s.line }
 
 // Err returns the underlying reader error, wrapped with provenance.

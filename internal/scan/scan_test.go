@@ -2,6 +2,7 @@ package scan
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,5 +98,23 @@ func TestWarnings(t *testing.T) {
 	nilW.Add(Errorf("f", 3, "", "c")) // must not panic
 	if nilW.Len() != 0 || nilW.List() != nil {
 		t.Fatal("nil Warnings misbehaved")
+	}
+}
+
+// TestScanFieldsMatchesStringsFields compares the scanner's split with
+// strings.Fields on ASCII control spaces, Unicode spaces (NBSP, NEL, an em
+// space), invalid UTF-8 and lines with no field at all, appending to a
+// non-empty slice as Scan's reuse does.
+func TestScanFieldsMatchesStringsFields(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "\t\v\f\r ", "a", " a ", "a b", "ROW  r\tsite\v0\f0\rN",
+		"- n1 ( u1 A ) ( PIN x ) ;", "trailing\t", "\x00 \x01", "\x7f\x7f x",
+		"a\u00a0b", "a\u0085b", "a\u2003b\u3000c", "\u00a0 lead", "\u00e9 f",
+		"bad \xff utf8", "\xc2", "\xc2\x85", "x\xe2\x80", "\xffa \xa0b",
+	} {
+		got := appendFields([]string{"stale"}, s)[1:]
+		if want := strings.Fields(s); !slices.Equal(got, want) {
+			t.Errorf("%q: split %q, strings.Fields %q", s, got, want)
+		}
 	}
 }

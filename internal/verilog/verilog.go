@@ -292,13 +292,17 @@ func (lx *lexer) scanToken() token {
 				lx.buf = append(lx.buf, c)
 			}
 			return token{string(lx.buf), ln}
-		case c == '(' || c == ')' || c == ',' || c == '.' || c == ';' || c == '=':
-			return token{string(c), lx.line}
+		case punct[c] != "":
+			return token{punct[c], lx.line}
 		default:
 			return lx.word(c)
 		}
 	}
 }
+
+// punct holds the one-byte punctuation tokens as constant strings, so
+// handing one out allocates nothing.
+var punct = [256]string{'(': "(", ')': ")", ',': ",", '.': ".", ';': ";", '=': "="}
 
 // word accumulates an ordinary token starting with c, up to the next
 // whitespace or punctuation byte (which stays unread for the next call).

@@ -141,3 +141,30 @@ func TestEscapedIdentifiers(t *testing.T) {
 	}
 	_ = netlist.PinRef{}
 }
+
+// TestParseAllocsBounded holds the reader to at most five allocations per
+// pin on a 20k-cell design: punctuation tokens are constant strings, so a
+// connection ".A(n1)," costs its two names, not seven tokens.
+func TestParseAllocsBounded(t *testing.T) {
+	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
+	var buf bytes.Buffer
+	if err := Write(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	pins := 0
+	for _, n := range d.Nets {
+		pins += len(n.Pins)
+	}
+	r := bytes.NewReader(buf.Bytes())
+	allocs := testing.AllocsPerRun(2, func() {
+		r.Reset(buf.Bytes())
+		if _, err := Parse(r, d.Lib); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perPin := allocs / float64(pins); perPin > 5 {
+		t.Fatalf("%.0f allocations for %d pins: %.2f per pin, want <= 5", allocs, pins, perPin)
+	} else {
+		t.Logf("%.2f allocations per pin", perPin)
+	}
+}

@@ -68,8 +68,8 @@ PPACLUST_WORKERS=4 go test -race \
 # Allocation contract: the placer/clustering inner-loop primitives and the
 # GNN's per-shape inference must be allocation-free in steady state, and the
 # DEF and Verilog writers must allocate a constant number of times whatever
-# the design size. Run without -race (its instrumentation perturbs
-# testing.AllocsPerRun counts).
+# the design size, and their readers a bounded number per pin. Run without
+# -race (its instrumentation perturbs testing.AllocsPerRun counts).
 echo "==> steady-state allocation assertions"
 go test -run 'AllocFree|AllocsBounded' ./internal/netlist/ ./internal/route/ \
     ./internal/cts/ ./internal/sta/ ./internal/gnn/ ./internal/place/ \
