@@ -23,9 +23,6 @@ type Options struct {
 	Alpha, Beta, Gamma float64
 	// TargetClusters stops coarsening once the vertex count reaches it.
 	TargetClusters int
-	// MaxClusterFactor caps cluster weight at factor * totalWeight/target.
-	// Default 4.
-	MaxClusterFactor float64
 	// Seed drives the vertex visit order.
 	Seed int64
 	// Groups holds per-vertex grouping constraints (-1 = unconstrained).
@@ -33,11 +30,8 @@ type Options struct {
 	// merged; an unconstrained vertex adopts the group of whatever it
 	// merges with. Once within-group coarsening exhausts while the vertex
 	// count is still above target, the constraints relax and whole groups
-	// may merge (the "guides, not walls" reading of [5]) — unless
-	// StrictGroups is set.
+	// may merge (the "guides, not walls" reading of [5]).
 	Groups []int
-	// StrictGroups keeps grouping constraints hard for the entire run.
-	StrictGroups bool
 	// EdgeTimingCost is t_e per hyperedge (0 when absent).
 	EdgeTimingCost []float64
 	// EdgeSwitchCost is s_e per hyperedge (0 when absent; note Eq. 2 yields
@@ -53,6 +47,9 @@ const (
 	maxEdgeSize = 300
 	// maxLevels bounds the number of coarsening levels.
 	maxLevels = 20
+	// maxClusterFactor caps cluster weight at maxClusterFactor *
+	// totalWeight/target.
+	maxClusterFactor = 4
 )
 
 func (o Options) withDefaults(h *hypergraph.Hypergraph) Options {
@@ -61,9 +58,6 @@ func (o Options) withDefaults(h *hypergraph.Hypergraph) Options {
 	}
 	if o.TargetClusters <= 0 {
 		o.TargetClusters = defaultTarget(h.NumVertices())
-	}
-	if o.MaxClusterFactor <= 0 {
-		o.MaxClusterFactor = 4
 	}
 	return o
 }
@@ -113,7 +107,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 	groups := opt.Groups
 	tCost := opt.EdgeTimingCost
 	sCost := opt.EdgeSwitchCost
-	maxW := opt.MaxClusterFactor * h.TotalVertexWeight() / float64(opt.TargetClusters)
+	maxW := maxClusterFactor * h.TotalVertexWeight() / float64(opt.TargetClusters)
 
 	levels := 0
 	for cur.NumVertices() > opt.TargetClusters && levels < maxLevels {
@@ -130,7 +124,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 			break
 		}
 		if con.Coarse.NumVertices() >= cur.NumVertices() {
-			if groups != nil && !opt.StrictGroups {
+			if groups != nil {
 				// No merge was possible under the guides: relax them so
 				// whole hierarchy groups can merge toward the target.
 				groups = nil
@@ -161,7 +155,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 		cur = con.Coarse
 		levels++
 		if stalled {
-			if groups != nil && !opt.StrictGroups {
+			if groups != nil {
 				// Within-group coarsening is exhausted: relax the guides so
 				// whole hierarchy groups can merge toward the target.
 				groups = nil

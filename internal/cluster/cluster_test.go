@@ -66,11 +66,13 @@ func TestAssignIsDense(t *testing.T) {
 func TestGroupingConstraintsRespected(t *testing.T) {
 	h := blocks(2, 10)
 	// Force an artificial split across the natural blocks: even/odd groups.
+	// Within-group merging alone reaches the target of four (two per block),
+	// so the guides never relax.
 	groups := make([]int, h.NumVertices())
 	for v := range groups {
 		groups[v] = v % 2
 	}
-	res := MultilevelFC(h, Options{TargetClusters: 2, Seed: 3, Groups: groups, StrictGroups: true})
+	res := MultilevelFC(h, Options{TargetClusters: 4, Seed: 3, Groups: groups})
 	for v := 0; v < h.NumVertices(); v++ {
 		for u := v + 1; u < h.NumVertices(); u++ {
 			if res.Assign[v] == res.Assign[u] && groups[v] != groups[u] {
@@ -81,9 +83,9 @@ func TestGroupingConstraintsRespected(t *testing.T) {
 }
 
 func TestGroupsRelaxAfterStall(t *testing.T) {
-	// Two groups, strong connectivity across them: with relaxed groups the
-	// clustering should eventually merge across the boundary; with strict
-	// groups it must not.
+	// Two groups, strong connectivity across them: once within-group
+	// coarsening stalls above the target, the guides relax and the
+	// clustering merges across the boundary.
 	h := hypergraph.NewWithCap(4, 0, 0)
 	for v := 0; v < 4; v++ {
 		h.SetVertexWeight(v, 1)
@@ -95,10 +97,6 @@ func TestGroupsRelaxAfterStall(t *testing.T) {
 	relaxed := MultilevelFC(h, Options{TargetClusters: 1, Seed: 1, Groups: groups})
 	if relaxed.NumClusters != 1 {
 		t.Fatalf("relaxed run should reach 1 cluster, got %d", relaxed.NumClusters)
-	}
-	strict := MultilevelFC(h, Options{TargetClusters: 1, Seed: 1, Groups: groups, StrictGroups: true})
-	if strict.NumClusters < 2 {
-		t.Fatalf("strict run must keep groups apart, got %d clusters", strict.NumClusters)
 	}
 }
 
@@ -117,10 +115,9 @@ func TestUngroupedVerticesCanJoinAnyGroup(t *testing.T) {
 }
 
 func TestSizeCapRespected(t *testing.T) {
-	h := blocks(1, 30) // one dense block
-	opt := Options{TargetClusters: 3, MaxClusterFactor: 1.0, Seed: 4}
-	res := MultilevelFC(h, opt)
-	maxW := 1.0 * h.TotalVertexWeight() / 3.0
+	h := blocks(1, 30) // one dense block: without the cap it merges into one
+	res := MultilevelFC(h, Options{TargetClusters: 12, Seed: 4})
+	maxW := maxClusterFactor * h.TotalVertexWeight() / 12
 	sizes := Sizes(res.Assign, res.NumClusters)
 	for _, s := range sizes {
 		if float64(s) > maxW+1e-9 {
@@ -307,42 +304,6 @@ func TestPropertyClusteringWellFormed(t *testing.T) {
 			if w > cap+1e-9 && w > 2*(1+1) {
 				_ = w
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropertyGroupsNeverViolated(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		nv := 10 + rng.Intn(40)
-		h := hypergraph.NewWithCap(nv, 0, 0)
-		for v := 0; v < nv; v++ {
-			h.SetVertexWeight(v, 1)
-		}
-		for e := 0; e < nv*2; e++ {
-			u, v := rng.Intn(nv), rng.Intn(nv)
-			if u != v {
-				h.AddEdge([]int{u, v}, 1)
-			}
-		}
-		groups := make([]int, nv)
-		for v := range groups {
-			groups[v] = rng.Intn(4) - 1 // -1..2
-		}
-		res := MultilevelFC(h, Options{Seed: seed, TargetClusters: 3, Groups: groups, StrictGroups: true})
-		byCluster := map[int]int{} // cluster -> group seen (>=0)
-		for v, c := range res.Assign {
-			if groups[v] < 0 {
-				continue
-			}
-			if g, ok := byCluster[c]; ok && g != groups[v] {
-				return false
-			}
-			byCluster[c] = groups[v]
 		}
 		return true
 	}

@@ -604,7 +604,7 @@ func pointOnPerimeter(r netlist.Rect, t float64) (float64, float64) {
 // hierarchy deepens with the cell count so leaves stay a few hundred cells,
 // and the macro/IO budget grows in proportion. The same (cells, seed) pair
 // always yields the identical design. This is the spec the benchmark's scale
-// workloads and ppabench -timing-driven <sizes> run on.
+// workloads and `ppa bench -timing-driven <sizes>` run on.
 func ScaleSpec(cells int, seed int64) Spec {
 	branch, depth := 6, 2
 	switch {

@@ -11,7 +11,7 @@
 // relative *shape*: who wins, in which metric, by roughly what factor.
 //
 // Error contract: every table/figure method returns the first flow or
-// benchmark-generation error instead of panicking; callers (cmd/ppabench,
+// benchmark-generation error instead of panicking; callers (cmd/ppa,
 // tests) decide how to die.
 //
 // Nothing here forks: every table is a loop over designs that hands the
@@ -37,7 +37,7 @@ import (
 // model).
 type Suite struct {
 	// Fast restricts designs to small ones and shrinks the ML dataset; used
-	// by tests. The full ppabench run leaves it false.
+	// by tests. The full `ppa bench` run leaves it false.
 	Fast bool
 	// Seed drives all randomized stages.
 	Seed int64

@@ -11,7 +11,7 @@ import (
 var measured = regexp.MustCompile(`speedup: [0-9.]+x|Training time: [0-9.a-zµ]+\.`)
 
 // TestWriteReportFast: the full report holds every section, and each
-// deterministic section printed on its own (what `ppabench -table <name>`
+// deterministic section printed on its own (what `ppa bench -table <name>`
 // writes) is a verbatim run of bytes of the full report — there is one
 // renderer, not a second one that can drift.
 func TestWriteReportFast(t *testing.T) {

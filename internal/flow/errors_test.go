@@ -150,7 +150,17 @@ func TestMissingClockBufferIsAnError(t *testing.T) {
 	}
 }
 
-// TestUnplaceableCoreIsAnError runs both flow entry points on a design whose
+// validatingEntryPoints are the entry points that validate the design before
+// any stage runs; Cluster is adapted to the flows' signature.
+var validatingEntryPoints = map[string]func(*designs.Benchmark, Options) (*Result, error){
+	"Run": Run, "RunDefault": RunDefault,
+	"Cluster": func(b *designs.Benchmark, opt Options) (*Result, error) {
+		_, err := Cluster(b, opt)
+		return nil, err
+	},
+}
+
+// TestUnplaceableCoreIsAnError runs the flow entry points on a design whose
 // core has no area, on one whose cells need twice the core, and on four whose
 // core has the area but not the rows — no row height or site width to snap
 // to, or a core (widened 400x, so utilization stays below 1) lower than one
@@ -185,9 +195,7 @@ func TestUnplaceableCoreIsAnError(t *testing.T) {
 		{"core half a row high", halfRow, "holds no row"},
 		{"core half a site wide", halfSite, "holds no row"},
 	} {
-		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
-			"Run": Run, "RunDefault": RunDefault,
-		} {
+		for name, run := range validatingEntryPoints {
 			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
 			if err == nil || !strings.Contains(err.Error(), tc.want) ||
 				!strings.Contains(err.Error(), "design "+tc.b.Design.Name) {
@@ -197,7 +205,7 @@ func TestUnplaceableCoreIsAnError(t *testing.T) {
 	}
 }
 
-// TestNonFiniteInputIsAnError runs both flow entry points on designs with a
+// TestNonFiniteInputIsAnError runs the flow entry points on designs with a
 // port at NaN, a fixed cell at +Inf, and a NaN and a negative net weight. The
 // first two used to come back as NaN and infinite metrics with a nil error,
 // the last two as a finite but ruined placement; each must be an error naming
@@ -233,9 +241,7 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 		{"zero clock period", clock(0), "clock period 0 ns"},
 		{"negative clock period", clock(-1e-9), "clock period -1 ns"},
 	} {
-		for name, run := range map[string]func(*designs.Benchmark, Options) (*Result, error){
-			"Run": Run, "RunDefault": RunDefault,
-		} {
+		for name, run := range validatingEntryPoints {
 			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
 			if err == nil || !strings.Contains(err.Error(), tc.want) ||
 				!strings.Contains(err.Error(), "design "+tc.b.Design.Name) {

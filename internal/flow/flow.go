@@ -259,11 +259,12 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 
 	// ---- Clustering (Algorithm 1 lines 2-10) ----
 	t0 := time.Now()
-	assign, nClusters, an, err := clusterNetlist(d, b.Cons, opt)
+	cres, an, err := clusterNetlist(d, b.Cons, opt)
 	if err != nil {
 		return nil, err
 	}
-	res.Clusters = nClusters
+	assign, nClusters := cres.Assign, cres.NumClusters
+	res.Clusters, res.Singletons = nClusters, cres.Singletons
 	res.ClusterTime = time.Since(t0)
 
 	// ---- Cluster shapes (lines 12-13) ----
@@ -373,11 +374,25 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// clusterNetlist runs the selected clustering method and returns a dense
-// instance->cluster assignment. The PPA-aware method also returns the
-// zero-wire analyzer it timed the netlist with, so evaluate can reuse the
-// timing graph (switched to placed parasitics) instead of rebuilding it.
-func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int, int, *sta.Analyzer, error) {
+// Cluster runs the clustering stage of Run (Algorithm 1 lines 2-10) alone,
+// on a copy of the benchmark design validated as Run validates it, and
+// returns the dense instance->cluster assignment Run goes on to shape and
+// place, with its cluster and singleton counts. Leiden and Louvain leave
+// Levels at 0.
+func Cluster(b *designs.Benchmark, opt Options) (cluster.Result, error) {
+	d := b.Design.Clone()
+	if err := checkDesign(d, b.Cons); err != nil {
+		return cluster.Result{}, err
+	}
+	res, _, err := clusterNetlist(d, b.Cons, opt.withDefaults())
+	return res, err
+}
+
+// clusterNetlist is Cluster's core: it runs the selected clustering method
+// on d. The PPA-aware method also returns the zero-wire analyzer it timed
+// the netlist with, so evaluate can reuse the timing graph (switched to
+// placed parasitics) instead of rebuilding it.
+func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) (cluster.Result, *sta.Analyzer, error) {
 	view := d.ToHypergraph()
 	switch opt.Method {
 	case MethodLeiden, MethodLouvain:
@@ -388,12 +403,15 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 		} else {
 			assign = community.Louvain(g, community.Options{Seed: opt.Seed})
 		}
-		return assign, community.NumCommunities(assign), nil, nil
+		res := cluster.Result{Assign: assign, NumClusters: community.NumCommunities(assign)}
+		for _, n := range cluster.Sizes(assign, res.NumClusters) {
+			if n == 1 {
+				res.Singletons++
+			}
+		}
+		return res, nil, nil
 	case MethodMFC:
-		res := cluster.MultilevelFC(view.H, cluster.Options{
-			Alpha: 1, Seed: opt.Seed,
-		})
-		return res.Assign, res.NumClusters, nil, nil
+		return cluster.MultilevelFC(view.H, cluster.Options{Alpha: 1, Seed: opt.Seed}), nil, nil
 	case MethodPPAAware:
 		// Hierarchy-based grouping constraints (Algorithm 2).
 		var groups []int
@@ -434,9 +452,9 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) ([]int
 			EdgeTimingCost: tCost,
 			EdgeSwitchCost: sCost,
 		})
-		return res.Assign, res.NumClusters, an, nil
+		return res, an, nil
 	}
-	return nil, 0, nil, fmt.Errorf("flow: unknown clustering method %d", opt.Method)
+	return cluster.Result{}, nil, fmt.Errorf("flow: unknown clustering method %d", opt.Method)
 }
 
 // selectShapes assigns a shape to every cluster. Clusters above the VPR gate

@@ -1,8 +1,10 @@
 package flow
 
 import (
+	"slices"
 	"testing"
 
+	"ppaclust/internal/cluster"
 	"ppaclust/internal/designs"
 	"ppaclust/internal/vpr"
 )
@@ -102,6 +104,67 @@ func TestRunAllMethods(t *testing.T) {
 		}
 		if res.Clusters < 2 || res.HPWL <= 0 {
 			t.Fatalf("%v: %+v", m, res)
+		}
+	}
+}
+
+// TestRunFillsSingletons: Run reports the size-1 clusters of the clustering
+// it places (it used to leave Singletons at 0), on a design that has some.
+func TestRunFillsSingletons(t *testing.T) {
+	spec, _ := designs.Named("aes")
+	b := designs.Generate(spec)
+	opt := Options{Seed: 1, Shapes: ShapeUniform, SkipRoute: true}
+	cres, err := Cluster(b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, n := range cluster.Sizes(cres.Assign, cres.NumClusters) {
+		if n == 1 {
+			want++
+		}
+	}
+	if want == 0 {
+		t.Fatal("aes at seed 1 clusters without a singleton; the test needs one")
+	}
+	res, err := Run(b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Singletons != want {
+		t.Fatalf("Run: %d singletons, its clustering has %d", res.Singletons, want)
+	}
+}
+
+// TestClusterIsRunsClustering: for every method, Cluster returns the
+// clustering Run places — the same cluster and singleton counts — and its
+// assignment does not depend on the worker count.
+func TestClusterIsRunsClustering(t *testing.T) {
+	for _, design := range []string{"aes", "jpeg"} {
+		spec, _ := designs.Named(design)
+		b := designs.Generate(spec)
+		for _, m := range []Method{MethodPPAAware, MethodMFC, MethodLeiden, MethodLouvain} {
+			opt := Options{Seed: 1, Method: m, Shapes: ShapeUniform, SkipRoute: true, Workers: 1}
+			seq, err := Cluster(b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Workers = 4
+			par, err := Cluster(b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(seq.Assign, par.Assign) {
+				t.Errorf("%s %v: assignment differs between W=1 and W=4", design, m)
+			}
+			res, err := Run(b, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.NumClusters != res.Clusters || seq.Singletons != res.Singletons {
+				t.Errorf("%s %v: Cluster %d clusters, %d singletons; Run %d, %d", design, m,
+					seq.NumClusters, seq.Singletons, res.Clusters, res.Singletons)
+			}
 		}
 	}
 }

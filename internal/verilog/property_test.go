@@ -49,7 +49,7 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 }
 
 // TestWriteIsDeterministic confirms byte-identical output for the same
-// design (required for reproducible ppagen artifacts).
+// design (required for reproducible `ppa gen` artifacts).
 func TestWriteIsDeterministic(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(77))
 	var b1, b2 bytes.Buffer

@@ -56,11 +56,13 @@ fi
 # single-CPU machine (par.Workers honors PPACLUST_WORKERS over GOMAXPROCS).
 # gnn.TestFitBitIdentical trains at the automatic budget, so its pinned
 # golden also checks the training fork here, under the race detector.
+# flow.TestClusterIsRunsClustering holds the clustering stage the commands
+# print to the one flow.Run places, at W=1 and W=4.
 # internal/experiments needs no entry: nothing above internal/flow forks, so
 # its tables are loops over flows that are already covered here.
 echo "==> equivalence tests with PPACLUST_WORKERS=4"
 PPACLUST_WORKERS=4 go test -race \
-    -run 'WorkersEquivalent|BitIdentical|MatchesReference|MatchesComparator|IndexByKeys|Deterministic|WirelenCache' \
+    -run 'WorkersEquivalent|BitIdentical|MatchesReference|MatchesComparator|IndexByKeys|Deterministic|WirelenCache|ClusterIsRunsClustering' \
     ./internal/place/ ./internal/flow/ ./internal/netlist/ \
     ./internal/route/ ./internal/designs/ ./internal/gnn/ ./internal/vpr/ \
     ./internal/sortx/
