@@ -159,7 +159,9 @@ func flowCmd(args []string) error {
 	}
 	if *report > 0 {
 		fmt.Println()
-		if err := sta.New(res.Placed, b.Cons).WriteReport(os.Stdout, *report); err != nil {
+		an := sta.New(res.Placed, b.Cons)
+		an.SetClockArrivalList(res.ClockArrivals)
+		if err := an.WriteReport(os.Stdout, *report); err != nil {
 			return err
 		}
 	}

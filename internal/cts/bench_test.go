@@ -11,7 +11,8 @@ import (
 func BenchmarkSynthesize(b *testing.B) {
 	spec, _ := designs.Named("ariane")
 	bench := designs.Generate(spec)
-	place.Global(bench.Design, place.Options{Seed: 1, Legalize: true})
+	place.Global(bench.Design, place.Options{Seed: 1})
+	place.Legalize(bench.Design)
 	clk := bench.Design.Net("clk")
 	opt := Options{BufMaster: bench.Design.Lib.Master("CLKBUF_X2")}
 	b.ResetTimer()

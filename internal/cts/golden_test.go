@@ -34,7 +34,8 @@ func TestSynthesizeGolden(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			d := designs.Generate(tc.spec).Design
-			place.Global(d, place.Options{Seed: 1, Legalize: true, Workers: 1})
+			place.Global(d, place.Options{Seed: 1, Workers: 1})
+			place.Legalize(d)
 			res := Synthesize(d, d.Net("clk"), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
 			h := fnv.New64a()
 			var word [8]byte

@@ -158,21 +158,15 @@ type Options struct {
 	Lenient bool
 }
 
-// Parse reads DEF into a new design bound to lib, strictly: every malformed
-// field is a *scan.ParseError.
-func Parse(r io.Reader, lib *netlist.Library) (*netlist.Design, error) {
-	d, _, err := ParseWith(r, lib, Options{})
-	return d, err
-}
-
-// ParseWith reads DEF under the given options. In lenient mode the returned
-// warnings list the fields that were skipped.
+// ParseWith reads DEF into a new design bound to lib. Strict parsing (the
+// zero Options) makes every malformed field a *scan.ParseError; in lenient
+// mode the returned warnings list the fields that were skipped.
 func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
 		file = "def"
 	}
-	p := &defParser{lib: lib, units: dbu, strict: !o.Lenient}
+	p := &defParser{lib: lib, units: dbu}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
@@ -196,25 +190,7 @@ type defParser struct {
 	d       *netlist.Design
 	section string
 	units   float64
-	strict  bool
-	warns   *scan.Warnings
-}
-
-// tolerate routes a recoverable field error: strict mode returns it, lenient
-// mode records it as a warning and continues.
-func (p *defParser) tolerate(err error) error {
-	if err == nil || p.strict {
-		return err
-	}
-	p.warns.Add(asParseError(err))
-	return nil
-}
-
-func asParseError(err error) *scan.ParseError {
-	if pe, ok := err.(*scan.ParseError); ok {
-		return pe
-	}
-	return &scan.ParseError{Msg: err.Error()}
+	warns   *scan.Warnings // nil in strict mode
 }
 
 func (p *defParser) line(ln *scan.Line) error {
@@ -250,7 +226,7 @@ func (p *defParser) line(ln *scan.Line) error {
 			err = ln.Errf(ln.Tok(0), "DIEAREA needs 4 coordinates, got %d", len(nums))
 		}
 		if err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 		p.d.Die = netlist.Rect{X0: nums[0], Y0: nums[1], X1: nums[2], Y1: nums[3]}
 		p.d.Core = p.d.Die
@@ -258,7 +234,7 @@ func (p *defParser) line(ln *scan.Line) error {
 		if p.d == nil {
 			return ln.Errf(ln.Tok(0), "ROW before DESIGN")
 		}
-		if err := p.tolerate(p.row(ln)); err != nil {
+		if err := p.warns.Tolerate(p.row(ln)); err != nil {
 			return err
 		}
 	case ln.Tok(0) == "COMPONENTS":
@@ -410,7 +386,7 @@ func (p *defParser) component(ln *scan.Line) error {
 		return ln.Errf(ln.Tok(1), "%v", err)
 	}
 	x, y, fixed, found, err := p.placedAt(ln, 3)
-	if err := p.tolerate(err); err != nil {
+	if err := p.warns.Tolerate(err); err != nil {
 		return err
 	}
 	if found {
@@ -432,7 +408,7 @@ func (p *defParser) pin(ln *scan.Line) error {
 			continue
 		}
 		if i+1 >= ln.Len() {
-			if err := p.tolerate(ln.Errf(ln.Tok(i), "DIRECTION without a value")); err != nil {
+			if err := p.warns.Tolerate(ln.Errf(ln.Tok(i), "DIRECTION without a value")); err != nil {
 				return err
 			}
 			continue
@@ -449,7 +425,7 @@ func (p *defParser) pin(ln *scan.Line) error {
 		return ln.Errf(ln.Tok(1), "%v", err)
 	}
 	x, y, _, found, err := p.placedAt(ln, 2)
-	if err := p.tolerate(err); err != nil {
+	if err := p.warns.Tolerate(err); err != nil {
 		return err
 	}
 	if found {
@@ -500,7 +476,7 @@ func (p *defParser) net(ln *scan.Line) error {
 			switch ln.Tok(i + 1) {
 			case "WEIGHT":
 				w, werr := p.weight(ln, i+2)
-				if err := p.tolerate(werr); err != nil {
+				if err := p.warns.Tolerate(werr); err != nil {
 					return err
 				}
 				if werr == nil {

@@ -12,12 +12,13 @@ import (
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(111))
-	place.Global(b.Design, place.Options{Seed: 1, Legalize: true})
+	place.Global(b.Design, place.Options{Seed: 1})
+	place.Legalize(b.Design)
 	var buf bytes.Buffer
 	if err := Write(&buf, b.Design); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()), b.Design.Lib)
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), b.Design.Lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestWeightsRoundTrip(t *testing.T) {
 	if err := Write(&buf, b.Design); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()), b.Design.Lib)
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), b.Design.Lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestParseErrors(t *testing.T) {
 		"DIEAREA ( 0 0 ) ( 1 1 ) ;",
 	}
 	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src), lib); err == nil {
+		if _, _, err := ParseWith(strings.NewReader(src), lib, Options{}); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
@@ -96,7 +97,7 @@ COMPONENTS 1 ;
 - u1 INV_X1 + PLACED ( 2000 4000 ) N ;
 END COMPONENTS
 END DESIGN`
-	d, err := Parse(strings.NewReader(src), lib)
+	d, _, err := ParseWith(strings.NewReader(src), lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestParseLongNetLine(t *testing.T) {
 	if sb.Len() <= 4<<20 {
 		t.Fatalf("file of %d bytes holds no line past 4 MiB", sb.Len())
 	}
-	d, err := Parse(strings.NewReader(sb.String()), designs.Lib())
+	d, _, err := ParseWith(strings.NewReader(sb.String()), designs.Lib(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestParseAllocsBounded(t *testing.T) {
 	r := bytes.NewReader(buf.Bytes())
 	allocs := testing.AllocsPerRun(2, func() {
 		r.Reset(buf.Bytes())
-		if _, err := Parse(r, d.Lib); err != nil {
+		if _, _, err := ParseWith(r, d.Lib, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

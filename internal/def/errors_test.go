@@ -39,7 +39,7 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in), designs.Lib())
+			_, _, err := ParseWith(strings.NewReader(tc.in), designs.Lib(), Options{})
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.in)
 			}

@@ -41,7 +41,7 @@ func FuzzReadDEF(f *testing.F) {
 		if err := Write(&w1, d); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)
 		}
-		d2, err := Parse(bytes.NewReader(w1.Bytes()), designs.Lib())
+		d2, _, err := ParseWith(bytes.NewReader(w1.Bytes()), designs.Lib(), Options{})
 		if err != nil {
 			t.Fatalf("re-parse of own output failed: %v\noutput:\n%s", err, w1.String())
 		}

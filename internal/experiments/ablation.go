@@ -5,12 +5,12 @@ import (
 	"ppaclust/internal/flow"
 )
 
-// AblationRow is one arm of the PPA-awareness term ablation: which rating
+// ablationRow is one arm of the PPA-awareness term ablation: which rating
 // terms were enabled and the resulting post-route PPA, normalized where
 // noted. This extends the paper's Table 5 (which only compares whole
 // methods) with a per-term breakdown — one of the "design choices" studies
 // DESIGN.md commits to.
-type AblationRow struct {
+type ablationRow struct {
 	Design string
 	Arm    string // full | no-hierarchy | no-timing | no-switching | connectivity
 	RWL    float64
@@ -19,9 +19,9 @@ type AblationRow struct {
 	PowerW float64
 }
 
-// AblationClusterTerms runs the five-arm ablation on the small designs in
+// ablationClusterTerms runs the five-arm ablation on the small designs in
 // OpenROAD mode with uniform shapes (isolating the clustering terms).
-func (s *Suite) AblationClusterTerms() ([]AblationRow, error) {
+func (s *Suite) ablationClusterTerms() ([]ablationRow, error) {
 	names := s.smallDesigns()
 	if s.Fast {
 		names = names[:1]
@@ -37,9 +37,9 @@ func (s *Suite) AblationClusterTerms() ([]AblationRow, error) {
 		{"connectivity", func(o *flow.Options) { o.NoHierarchy = true; o.Beta = -1; o.Gamma = -1 }},
 	}
 	seeds := []int64{s.Seed, s.Seed + 1}
-	var rows []AblationRow
+	var rows []ablationRow
 	for _, name := range names {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +48,7 @@ func (s *Suite) AblationClusterTerms() ([]AblationRow, error) {
 			return nil, err
 		}
 		for _, arm := range arms {
-			row := AblationRow{Design: designs.PaperNames[name], Arm: arm.name}
+			row := ablationRow{Design: designs.PaperNames[name], Arm: arm.name}
 			for _, seed := range seeds {
 				o := flow.Options{Seed: seed, Method: flow.MethodPPAAware, Shapes: flow.ShapeUniform,
 					Workers: s.Workers}

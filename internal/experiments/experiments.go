@@ -50,7 +50,7 @@ type Suite struct {
 	benchCache map[string]*designs.Benchmark
 	model      *gnn.Model
 	training   trainingSet
-	table2     []Table2Row
+	table2Rows []table2Row
 }
 
 // NewSuite returns an experiment suite whose flows use up to workers
@@ -60,9 +60,9 @@ func NewSuite(fast bool, seed int64, workers int) *Suite {
 		benchCache: map[string]*designs.Benchmark{}}
 }
 
-// Bench returns the suite's benchmark for a named spec, generating it on
+// bench returns the suite's benchmark for a named spec, generating it on
 // first use, or an error for an unknown name.
-func (s *Suite) Bench(name string) (*designs.Benchmark, error) {
+func (s *Suite) bench(name string) (*designs.Benchmark, error) {
 	if b := s.benchCache[name]; b != nil {
 		return b, nil
 	}
@@ -92,23 +92,23 @@ func (s *Suite) allDesigns() []string {
 
 // ---- Table 1 ----
 
-// Table1Row mirrors the paper's benchmark statistics table.
-type Table1Row struct {
+// table1Row mirrors the paper's benchmark statistics table.
+type table1Row struct {
 	Design string
 	Insts  int
 	Nets   int
 	TCPns  float64
 }
 
-// Table1 generates the benchmark statistics.
-func (s *Suite) Table1() ([]Table1Row, error) {
-	var rows []Table1Row
+// table1 generates the benchmark statistics.
+func (s *Suite) table1() ([]table1Row, error) {
+	var rows []table1Row
 	for _, name := range s.allDesigns() {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, Table1Row{
+		rows = append(rows, table1Row{
 			Design: designs.PaperNames[name],
 			Insts:  len(b.Design.Insts),
 			Nets:   len(b.Design.Nets),
@@ -120,12 +120,12 @@ func (s *Suite) Table1() ([]Table1Row, error) {
 
 // ---- Table 2 ----
 
-// Table2Row is one design's post-place comparison, normalized to the
+// table2Row is one design's post-place comparison, normalized to the
 // default flow (HPWL and CPU of blob placement [9] and of our flow), plus
 // the per-stage wall-clock of the same "ours" run — the runtime breakdown
 // the paper defers to its repository ("We separately give the runtime
 // breakdown of our approach in [22]").
-type Table2Row struct {
+type table2Row struct {
 	Design   string
 	BlobHPWL float64
 	BlobCPU  float64
@@ -140,24 +140,24 @@ type Table2Row struct {
 	DefaultPlace time.Duration // flat-flow placement
 }
 
-// Table2 compares post-place HPWL and placement CPU. Blob placement [9] is
+// table2 compares post-place HPWL and placement CPU. Blob placement [9] is
 // Louvain clustering + seeded placement with IO-weighted nets; ours is
 // PPA-aware clustering + ML-accelerated V-P&R + seeded placement. The three
 // flows of a design run one after another, each with the suite's whole
 // worker budget, so nothing else competes for the cores while a flow is
 // timed. The rows are measured once per suite: the Table-2 ratios and the
 // runtime breakdown of one report come from the same pass.
-func (s *Suite) Table2() ([]Table2Row, error) {
-	if s.table2 != nil {
-		return s.table2, nil
+func (s *Suite) table2() ([]table2Row, error) {
+	if s.table2Rows != nil {
+		return s.table2Rows, nil
 	}
 	model, err := s.Model()
 	if err != nil {
 		return nil, err
 	}
-	var rows []Table2Row
+	var rows []table2Row
 	for _, name := range s.allDesigns() {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 		// of clustering and seeded placement", normalized by the default
 		// flow's placement runtime. Shape selection is reported separately
 		// (its cost is the one-time-amortized ML path of Section 3.2).
-		rows = append(rows, Table2Row{
+		rows = append(rows, table2Row{
 			Design:       designs.PaperNames[name],
 			BlobHPWL:     blob.HPWL / def.HPWL,
 			BlobCPU:      cpuRatio(blob.PlaceTime, def.PlaceTime),
@@ -197,7 +197,7 @@ func (s *Suite) Table2() ([]Table2Row, error) {
 			DefaultPlace: def.PlaceTime,
 		})
 	}
-	s.table2 = rows
+	s.table2Rows = rows
 	return rows, nil
 }
 
@@ -210,8 +210,8 @@ func cpuRatio(a, b time.Duration) float64 {
 
 // ---- Tables 3 and 4 ----
 
-// PPARow is one post-route PPA comparison row.
-type PPARow struct {
+// ppaRow is one post-route PPA comparison row.
+type ppaRow struct {
 	Design string
 	Flow   string
 	RWL    float64 // normalized to the design's default flow
@@ -220,14 +220,14 @@ type PPARow struct {
 	PowerW float64
 }
 
-func ppaRow(name, label string, r *flow.Result, refRWL float64) PPARow {
-	return PPARow{Design: designs.PaperNames[name], Flow: label, RWL: r.RoutedWL / refRWL,
+func makePPARow(name, label string, r *flow.Result, refRWL float64) ppaRow {
+	return ppaRow{Design: designs.PaperNames[name], Flow: label, RWL: r.RoutedWL / refRWL,
 		WNSps: r.WNS * 1e12, TNSns: r.TNS * 1e9, PowerW: r.Power}
 }
 
-// Table3 is the OpenROAD post-route comparison (default vs ours) on the
+// table3 is the OpenROAD post-route comparison (default vs ours) on the
 // four routable designs.
-func (s *Suite) Table3() ([]PPARow, error) {
+func (s *Suite) table3() ([]ppaRow, error) {
 	names := []string{"aes", "jpeg", "ariane", "bp"}
 	if s.Fast {
 		names = []string{"aes", "jpeg"}
@@ -235,19 +235,19 @@ func (s *Suite) Table3() ([]PPARow, error) {
 	return s.postRouteCompare(names, flow.ToolOpenROAD)
 }
 
-// Table4 is the Innovus-mode post-route comparison on all six designs.
-func (s *Suite) Table4() ([]PPARow, error) {
+// table4 is the Innovus-mode post-route comparison on all six designs.
+func (s *Suite) table4() ([]ppaRow, error) {
 	return s.postRouteCompare(s.allDesigns(), flow.ToolInnovus)
 }
 
-func (s *Suite) postRouteCompare(names []string, tool flow.Tool) ([]PPARow, error) {
+func (s *Suite) postRouteCompare(names []string, tool flow.Tool) ([]ppaRow, error) {
 	model, err := s.Model()
 	if err != nil {
 		return nil, err
 	}
-	var rows []PPARow
+	var rows []ppaRow
 	for _, name := range names {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
@@ -263,16 +263,16 @@ func (s *Suite) postRouteCompare(names []string, tool flow.Tool) ([]PPARow, erro
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, ppaRow(name, "Default", def, def.RoutedWL), ppaRow(name, "Ours", ours, def.RoutedWL))
+		rows = append(rows, makePPARow(name, "Default", def, def.RoutedWL), makePPARow(name, "Ours", ours, def.RoutedWL))
 	}
 	return rows, nil
 }
 
 // ---- Table 5 ----
 
-// Table5 compares clustering methods (Leiden, MFC, ours) inside the same
+// table5 compares clustering methods (Leiden, MFC, ours) inside the same
 // overall flow on the three small designs, OpenROAD mode.
-func (s *Suite) Table5() ([]PPARow, error) {
+func (s *Suite) table5() ([]ppaRow, error) {
 	model, err := s.Model()
 	if err != nil {
 		return nil, err
@@ -281,9 +281,9 @@ func (s *Suite) Table5() ([]PPARow, error) {
 	if s.Fast {
 		names = names[:2]
 	}
-	var rows []PPARow
+	var rows []ppaRow
 	for _, name := range names {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
@@ -306,7 +306,7 @@ func (s *Suite) Table5() ([]PPARow, error) {
 			if err != nil {
 				return nil, err
 			}
-			rows = append(rows, ppaRow(name, m.label, r, def.RoutedWL))
+			rows = append(rows, makePPARow(name, m.label, r, def.RoutedWL))
 		}
 	}
 	return rows, nil
@@ -314,9 +314,9 @@ func (s *Suite) Table5() ([]PPARow, error) {
 
 // ---- Table 6 ----
 
-// Table6 compares shape-assignment strategies (Random, Uniform, V-P&R_ML)
+// table6 compares shape-assignment strategies (Random, Uniform, V-P&R_ML)
 // in Innovus mode; rWL is normalized to the Uniform arm per the paper.
-func (s *Suite) Table6() ([]PPARow, error) {
+func (s *Suite) table6() ([]ppaRow, error) {
 	model, err := s.Model()
 	if err != nil {
 		return nil, err
@@ -336,13 +336,13 @@ func (s *Suite) Table6() ([]PPARow, error) {
 	// Average each arm over a few seeds: at reproduction scale the
 	// shape-selection effect is second-order, so single runs are noisy.
 	seeds := []int64{s.Seed, s.Seed + 1}
-	var rows []PPARow
+	var rows []ppaRow
 	for _, name := range names {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return nil, err
 		}
-		results := make([]PPARow, len(arms))
+		results := make([]ppaRow, len(arms))
 		for a, arm := range arms {
 			for _, seed := range seeds {
 				r, err := flow.Run(b, flow.Options{
@@ -371,9 +371,9 @@ func (s *Suite) Table6() ([]PPARow, error) {
 
 // ---- Figure 5 ----
 
-// Figure5Point is one sweep point: a hyperparameter multiplier and the mean
+// figure5Point is one sweep point: a hyperparameter multiplier and the mean
 // normalized post-place HPWL over the sweep designs (1.0 = default).
-type Figure5Point struct {
+type figure5Point struct {
 	Param      string
 	Multiplier float64
 	Score      float64
@@ -382,9 +382,9 @@ type Figure5Point struct {
 // figure5Params are the swept hyperparameters, in row order.
 var figure5Params = []string{"alpha", "beta", "gamma", "mu"}
 
-// Figure5 sweeps multipliers 1..6 on each of alpha, beta, gamma, mu,
+// figure5 sweeps multipliers 1..6 on each of alpha, beta, gamma, mu,
 // normalizing post-place HPWL to the default-multiplier run per design.
-func (s *Suite) Figure5() ([]Figure5Point, error) {
+func (s *Suite) figure5() ([]figure5Point, error) {
 	names := s.smallDesigns()
 	mults := []float64{1, 2, 3, 4, 5, 6}
 	if s.Fast {
@@ -393,7 +393,7 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 	}
 	defaults := flow.Options{Seed: s.Seed, Shapes: flow.ShapeUniform, SkipRoute: true, Workers: s.Workers}
 	hpwl := func(name string, opt flow.Options) (float64, error) {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return 0, err
 		}
@@ -411,7 +411,7 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 		}
 		base[i] = v
 	}
-	var pts []Figure5Point
+	var pts []figure5Point
 	for _, param := range figure5Params {
 		for _, mult := range mults {
 			opt := defaults
@@ -433,7 +433,7 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 				}
 				sum += v / base[i]
 			}
-			pts = append(pts, Figure5Point{Param: param, Multiplier: mult, Score: sum / float64(len(names))})
+			pts = append(pts, figure5Point{Param: param, Multiplier: mult, Score: sum / float64(len(names))})
 		}
 	}
 	return pts, nil
@@ -441,8 +441,8 @@ func (s *Suite) Figure5() ([]Figure5Point, error) {
 
 // ---- Section 4.4: GNN model quality ----
 
-// GNNReport carries the model-quality metrics of Section 4.4.
-type GNNReport struct {
+// gnnReport carries the model-quality metrics of Section 4.4.
+type gnnReport struct {
 	Train, Val, Test gnn.Metrics
 	LabelMin         float64
 	LabelMax         float64
@@ -452,7 +452,7 @@ type GNNReport struct {
 	SpeedupX         float64 // exact V-P&R sweep time / PredictBestShape time, over the dataset's clusters
 }
 
-// trainingSet is what training leaves behind for GNNMetrics: the labelled
+// trainingSet is what training leaves behind for gnnMetrics: the labelled
 // samples, the cluster graphs they were drawn from, and the two timers.
 type trainingSet struct {
 	samples   []gnn.Sample
@@ -477,7 +477,7 @@ func (ts *trainingSet) split() (train, val, test []gnn.Sample) {
 }
 
 // Model returns the trained Total Cost predictor, training it on first use.
-// It only trains; the Section 4.4 report is GNNMetrics' job.
+// It only trains; the Section 4.4 report is gnnMetrics' job.
 func (s *Suite) Model() (*gnn.Model, error) {
 	if s.model == nil {
 		if err := s.trainModel(); err != nil {
@@ -487,16 +487,16 @@ func (s *Suite) Model() (*gnn.Model, error) {
 	return s.model, nil
 }
 
-// GNNMetrics computes the Section 4.4 quality report from the training set
+// gnnMetrics computes the Section 4.4 quality report from the training set
 // (training on demand).
-func (s *Suite) GNNMetrics() (GNNReport, error) {
+func (s *Suite) gnnMetrics() (gnnReport, error) {
 	model, err := s.Model()
 	if err != nil {
-		return GNNReport{}, err
+		return gnnReport{}, err
 	}
 	ts := &s.training
 	train, val, test := ts.split()
-	rep := GNNReport{
+	rep := gnnReport{
 		Train:     model.Evaluate(train),
 		Val:       model.Evaluate(val),
 		Test:      model.Evaluate(test),
@@ -531,7 +531,7 @@ func (s *Suite) trainModel() error {
 		names = names[:1]
 	}
 	for _, name := range names {
-		b, err := s.Bench(name)
+		b, err := s.bench(name)
 		if err != nil {
 			return err
 		}

@@ -23,7 +23,7 @@ func fastSuite(t *testing.T) *Suite {
 
 func TestTable1Shape(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.Table1()
+	rows, err := s.table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTable1Shape(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.Table2()
+	rows, err := s.table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,15 +62,15 @@ func TestTable2Shape(t *testing.T) {
 
 func TestTable3And4Shape(t *testing.T) {
 	s := fastSuite(t)
-	t3, err := s.Table3()
+	t3, err := s.table3()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t4, err := s.Table4()
+	t4, err := s.table4()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rows := range [][]PPARow{t3, t4} {
+	for _, rows := range [][]ppaRow{t3, t4} {
 		if len(rows)%2 != 0 || len(rows) == 0 {
 			t.Fatalf("row count %d", len(rows))
 		}
@@ -97,7 +97,7 @@ func TestTable3And4Shape(t *testing.T) {
 
 func TestTable5Shape(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.Table5()
+	rows, err := s.table5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTable5Shape(t *testing.T) {
 
 func TestTable6Shape(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.Table6()
+	rows, err := s.table6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTable6Shape(t *testing.T) {
 
 func TestGNNMetrics(t *testing.T) {
 	s := fastSuite(t)
-	rep, err := s.GNNMetrics()
+	rep, err := s.gnnMetrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestGNNMetrics(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	s := fastSuite(t)
-	pts, err := s.Figure5()
+	pts, err := s.figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,25 +192,25 @@ func TestFigure5Shape(t *testing.T) {
 
 func TestBenchCaching(t *testing.T) {
 	s := fastSuite(t)
-	b1, err := s.Bench("aes")
+	b1, err := s.bench("aes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := s.Bench("aes")
+	b2, err := s.bench("aes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b1 != b2 {
 		t.Fatal("bench not cached")
 	}
-	if _, err := s.Bench("no-such-design"); err == nil {
+	if _, err := s.bench("no-such-design"); err == nil {
 		t.Fatal("unknown design must return an error")
 	}
 }
 
 func TestAblationClusterTerms(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.AblationClusterTerms()
+	rows, err := s.ablationClusterTerms()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAblationClusterTerms(t *testing.T) {
 // so the breakdown and the CPU ratio of a row are one measurement.
 func TestRuntimeBreakdown(t *testing.T) {
 	s := fastSuite(t)
-	rows, err := s.Table2()
+	rows, err := s.table2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestRuntimeBreakdown(t *testing.T) {
 			t.Fatalf("CPU ratio %v is not Total/DefaultPlace = %v: %+v", r.OursCPU, got, r)
 		}
 	}
-	again, err := s.Table2()
+	again, err := s.table2()
 	if err != nil {
 		t.Fatal(err)
 	}

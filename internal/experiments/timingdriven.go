@@ -78,7 +78,7 @@ func (s *Suite) TimingDrivenAB() ([]TDRow, error) {
 	}
 	var rows []TDRow
 	for _, j := range jobs {
-		b, err := s.Bench(j.name)
+		b, err := s.bench(j.name)
 		if err != nil {
 			return nil, err
 		}

@@ -21,8 +21,8 @@ import (
 // scalars + 8 one-hot cell type).
 const Dim = 35
 
-// NumCellTypes is the size of the cell-type one-hot encoding.
-const NumCellTypes = 8
+// numCellTypes is the size of the cell-type one-hot encoding.
+const numCellTypes = 8
 
 // Options controls feature extraction.
 type Options struct {
@@ -73,8 +73,8 @@ type Features struct {
 	CellType       []int
 }
 
-// CellTypeIndex maps a master to its one-hot slot.
-func CellTypeIndex(m *netlist.Master) int {
+// cellTypeIndex maps a master to its one-hot slot.
+func cellTypeIndex(m *netlist.Master) int {
 	name := m.Name
 	switch {
 	case hasPrefix(name, "INV"):
@@ -159,7 +159,7 @@ func Extract(sub *netlist.Design, opt Options) *Features {
 	cm := sub.Compact()
 	for i, inst := range sub.Insts {
 		f.CellArea[i] = inst.Master.Area()
-		f.CellType[i] = CellTypeIndex(inst.Master)
+		f.CellType[i] = cellTypeIndex(inst.Master)
 		f.CellDegree[i] = float64(cm.InstStart[inst.ID+1] - cm.InstStart[inst.ID])
 		degSum += f.CellDegree[i]
 		edges += len(adj[i])
@@ -487,7 +487,7 @@ func (f *Features) NodeVec(i int, aspectRatio, utilization float64, out []float6
 	out[24] = f.DegreeCentral[i]
 	out[25] = f.ClusteringCoef[i]
 	out[26] = f.Eccentricity[i]
-	for t := 0; t < NumCellTypes; t++ {
+	for t := 0; t < numCellTypes; t++ {
 		out[27+t] = 0
 	}
 	out[27+f.CellType[i]] = 1

@@ -114,8 +114,8 @@ func TestCellTypeIndex(t *testing.T) {
 		"MUX2_X1": 6, "AOI21_X1": 6, "DFF_X1": 7, "RAM32X32": 7,
 	}
 	for name, want := range cases {
-		if got := CellTypeIndex(lib.Master(name)); got != want {
-			t.Errorf("CellTypeIndex(%s)=%d want %d", name, got, want)
+		if got := cellTypeIndex(lib.Master(name)); got != want {
+			t.Errorf("cellTypeIndex(%s)=%d want %d", name, got, want)
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestNodeVec(t *testing.T) {
 		t.Fatalf("one-hot: %v", vec[27:])
 	}
 	sum := 0.0
-	for t2 := 0; t2 < NumCellTypes; t2++ {
+	for t2 := 0; t2 < numCellTypes; t2++ {
 		sum += vec[27+t2]
 	}
 	if sum != 1 {

@@ -191,6 +191,11 @@ type Result struct {
 	// Placed is the final placed-and-evaluated design (a clone of the
 	// input benchmark's design), for DEF export or inspection.
 	Placed *netlist.Design
+	// ClockArrivals are the CTS clock arrivals the evaluation timed Placed
+	// with (nil under SkipRoute or without a clock net): an analyzer built
+	// on Placed reports the same paths once they are set on it with
+	// sta.SetClockArrivalList.
+	ClockArrivals []sta.ClockArrival
 
 	ClusterTime   time.Duration
 	ShapeTime     time.Duration
@@ -306,7 +311,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	// Incremental flat placement. The timing/routability feedback runs here,
 	// on the flat design — the clustered seed placement's synthetic masters
 	// have no timing arcs to analyze.
-	popt := place.Options{Seed: opt.Seed, Incremental: true, Legalize: true, AnchorWeight: 0.1,
+	popt := place.Options{Seed: opt.Seed, Incremental: true, AnchorWeight: 0.1,
 		Workers:      opt.Workers,
 		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
 		TimingCons: b.Cons}
@@ -318,6 +323,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 		popt.RegionIterations = 2
 	}
 	place.Global(d, popt)
+	place.Legalize(d)
 	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
 	res.IncrPlaceTime = time.Since(t0)
 	res.PlaceTime = res.ClusterTime + res.SeedPlaceTime + res.IncrPlaceTime
@@ -358,9 +364,10 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 		return nil, err
 	}
 	t0 := time.Now()
-	place.Global(d, place.Options{Seed: opt.Seed, Legalize: true, Workers: opt.Workers,
+	place.Global(d, place.Options{Seed: opt.Seed, Workers: opt.Workers,
 		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
 		TimingCons: b.Cons})
+	place.Legalize(d)
 	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
 	res.IncrPlaceTime = time.Since(t0)
 	res.PlaceTime = res.IncrPlaceTime
@@ -627,6 +634,7 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 		cres := cts.Synthesize(d, n, copt)
 		if len(cres.ArrivalList) > 0 {
 			an.SetClockArrivalList(cres.ArrivalList)
+			res.ClockArrivals = cres.ArrivalList
 			cres.EstimatePower(copt, cons.ClockPeriod, power.DefaultVdd)
 			clockPower += cres.Power
 			res.ClockWL += cres.WirelengthUM

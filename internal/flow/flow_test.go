@@ -6,6 +6,7 @@ import (
 
 	"ppaclust/internal/cluster"
 	"ppaclust/internal/designs"
+	"ppaclust/internal/sta"
 	"ppaclust/internal/vpr"
 )
 
@@ -292,5 +293,38 @@ func TestRunWithBufferRepair(t *testing.T) {
 	// Clustered flow with repair also runs.
 	if _, err := Run(b, Options{Seed: 9, Shapes: ShapeUniform, RepairBuffers: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClockArrivalsRetimePlaced: an analyzer built on Result.Placed with
+// Result.ClockArrivals set reports the WNS/TNS the flow printed, bit for bit,
+// for both flows and with buffer repair (which rebuilds the evaluation
+// analyzer). `ppa flow -report` builds its report this way; without the CTS
+// arrivals it timed an ideal clock and disagreed with the metrics above it.
+func TestClockArrivalsRetimePlaced(t *testing.T) {
+	b := tinyBench(92)
+	for _, tc := range []struct {
+		name string
+		run  func(*designs.Benchmark, Options) (*Result, error)
+		opt  Options
+	}{
+		{"clustered", Run, Options{Seed: 3, Shapes: ShapeUniform}},
+		{"default", RunDefault, Options{Seed: 3}},
+		{"clustered-repair", Run, Options{Seed: 3, Shapes: ShapeUniform, RepairBuffers: true}},
+	} {
+		res, err := tc.run(b, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.ClockArrivals) == 0 {
+			t.Fatalf("%s: no clock arrivals recorded", tc.name)
+		}
+		an := sta.New(res.Placed, b.Cons)
+		an.SetClockArrivalList(res.ClockArrivals)
+		sum := an.Timing()
+		if sum.WNS != res.WNS || sum.TNS != res.TNS {
+			t.Fatalf("%s: re-timed WNS/TNS %g/%g, flow reported %g/%g",
+				tc.name, sum.WNS, sum.TNS, res.WNS, res.TNS)
+		}
 	}
 }

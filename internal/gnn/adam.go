@@ -2,21 +2,21 @@ package gnn
 
 import "math"
 
-// Adam is the Adam optimizer over a parameter list.
-type Adam struct {
+// adam is the Adam optimizer over a parameter list.
+type adam struct {
 	LR      float64
 	Beta1   float64
 	Beta2   float64
 	Eps     float64
-	params  []*Tensor
+	params  []*tensor
 	m, v    [][]float64
 	t       int
 	ClipAbs float64 // per-element gradient clip (0 = off)
 }
 
-// NewAdam builds an optimizer for the given parameters.
-func NewAdam(params []*Tensor, lr float64) *Adam {
-	a := &Adam{
+// newAdam builds an optimizer for the given parameters.
+func newAdam(params []*tensor, lr float64) *adam {
+	a := &adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
 		params:  params,
 		ClipAbs: 5,
@@ -28,8 +28,8 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	return a
 }
 
-// Step applies one Adam update and clears the gradients.
-func (a *Adam) Step() {
+// step applies one Adam update and clears the gradients.
+func (a *adam) step() {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -47,6 +47,6 @@ func (a *Adam) Step() {
 			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
 			p.Data[i] -= a.LR * (m[i] / bc1) / (math.Sqrt(v[i]/bc2) + a.Eps)
 		}
-		p.ZeroGrad()
+		p.zeroGrad()
 	}
 }

@@ -46,16 +46,16 @@ func BenchmarkTrainStep(b *testing.B) {
 	}{{"W=1", 1}, {"auto", 0}} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := NewModel(2)
-			adam := NewAdam(m.Params(), 1e-3)
+			optim := newAdam(m.params(), 1e-3)
 			workers := par.Workers(bc.workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := NewCtx(true)
+				c := newCtx(true)
 				out := m.forward(c, g, shape, workers)
-				c.MSE(out, 1.0)
-				c.Backward()
-				adam.Step()
+				c.mse(out, 1.0)
+				c.backward()
+				optim.step()
 			}
 		})
 	}

@@ -13,12 +13,12 @@ import (
 )
 
 func TestMatMulForward(t *testing.T) {
-	a := NewTensor(2, 3)
+	a := newTensor(2, 3)
 	copy(a.Data, []float64{1, 2, 3, 4, 5, 6})
-	b := NewTensor(3, 2)
+	b := newTensor(3, 2)
 	copy(b.Data, []float64{7, 8, 9, 10, 11, 12})
-	c := NewCtx(false)
-	out := c.MatMul(a, b)
+	c := newCtx(false)
+	out := c.matMul(a, b)
 	want := []float64{58, 64, 139, 154}
 	for i, v := range want {
 		if math.Abs(out.Data[i]-v) > 1e-12 {
@@ -29,7 +29,7 @@ func TestMatMulForward(t *testing.T) {
 
 // numericalGrad checks the analytic gradient of a scalar loss w.r.t. one
 // parameter element via central differences.
-func numericalGrad(t *testing.T, param *Tensor, idx int, loss func() float64, analytic float64) {
+func numericalGrad(t *testing.T, param *tensor, idx int, loss func() float64, analytic float64) {
 	t.Helper()
 	const h = 1e-6
 	orig := param.Data[idx]
@@ -46,28 +46,28 @@ func numericalGrad(t *testing.T, param *Tensor, idx int, loss func() float64, an
 
 func TestGradientsMatMulBias(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	x := NewTensor(3, 4)
+	x := newTensor(3, 4)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	lin := NewLinear(4, 2, rng)
-	w2 := NewParam(2, 1, rng)
+	lin := newLinear(4, 2, rng)
+	w2 := newParam(2, 1, rng)
 	loss := func() float64 {
-		c := NewCtx(false)
-		h := lin.Forward(c, x)
-		h = c.ReLU(h)
-		out := c.MeanRows(h)
-		out = c.MatMul(out, w2)
-		return c.MSE(out, 0.7)
+		c := newCtx(false)
+		h := lin.forward(c, x)
+		h = c.relu(h)
+		out := c.meanRows(h)
+		out = c.matMul(out, w2)
+		return c.mse(out, 0.7)
 	}
 	// Analytic.
-	c := NewCtx(false)
-	h := lin.Forward(c, x)
-	h = c.ReLU(h)
-	out := c.MeanRows(h)
-	out = c.MatMul(out, w2)
-	_ = c.MSE(out, 0.7)
-	c.Backward()
+	c := newCtx(false)
+	h := lin.forward(c, x)
+	h = c.relu(h)
+	out := c.meanRows(h)
+	out = c.matMul(out, w2)
+	_ = c.mse(out, 0.7)
+	c.backward()
 	numericalGrad(t, lin.W, 3, loss, lin.W.Grad[3])
 	numericalGrad(t, lin.B, 1, loss, lin.B.Grad[1])
 	numericalGrad(t, w2, 0, loss, w2.Grad[0])
@@ -75,30 +75,30 @@ func TestGradientsMatMulBias(t *testing.T) {
 
 func TestGradientsBatchNormTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	x := NewTensor(5, 3)
+	x := newTensor(5, 3)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64() * 2
 	}
 	// Fresh BN per loss call so running stats don't drift between probes.
-	mk := func() *BatchNorm { return NewBatchNorm(3) }
+	mk := func() *batchNorm { return newBatchNorm(3) }
 	bn := mk()
 	g0 := bn.Gamma
-	w := NewParam(3, 1, rng)
-	forward := func(b *BatchNorm) (*Ctx, *Tensor) {
-		c := NewCtx(true)
-		h := b.Forward(c, x)
-		o := c.MeanRows(h)
-		return c, c.MatMul(o, w)
+	w := newParam(3, 1, rng)
+	forward := func(b *batchNorm) (*ctx, *tensor) {
+		c := newCtx(true)
+		h := b.forward(c, x)
+		o := c.meanRows(h)
+		return c, c.matMul(o, w)
 	}
 	c, out := forward(bn)
-	_ = c.MSE(out, 0.3)
-	c.Backward()
+	_ = c.mse(out, 0.3)
+	c.backward()
 	analytic := g0.Grad[1]
 	loss := func() float64 {
 		b := mk()
 		b.Gamma.Data[1] = g0.Data[1]
 		c2, o := forward(b)
-		return c2.MSE(o, 0.3)
+		return c2.mse(o, 0.3)
 	}
 	const h = 1e-6
 	orig := g0.Data[1]
@@ -115,48 +115,48 @@ func TestGradientsBatchNormTrain(t *testing.T) {
 
 func TestGradientSpMM(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	s := NewSparse([]int{2, 1, 1})
-	s.Add(0, 1, 0.5)
-	s.Add(1, 0, 0.5)
-	s.Add(2, 2, 1.0)
-	s.Add(0, 0, 0.3)
-	x := NewParam(3, 2, rng)
+	s := newSparse([]int{2, 1, 1})
+	s.add(0, 1, 0.5)
+	s.add(1, 0, 0.5)
+	s.add(2, 2, 1.0)
+	s.add(0, 0, 0.3)
+	x := newParam(3, 2, rng)
 	loss := func() float64 {
-		c := NewCtx(false)
-		h := c.SpMM(s, x)
-		o := c.MeanRows(h)
-		o2 := NewTensor(1, 1)
+		c := newCtx(false)
+		h := c.spmm(s, x)
+		o := c.meanRows(h)
+		o2 := newTensor(1, 1)
 		o2.Data[0] = o.Data[0] + o.Data[1]
 		// use MatMul with ones to stay on tape
-		ones := NewTensor(2, 1)
+		ones := newTensor(2, 1)
 		ones.Data[0], ones.Data[1] = 1, 1
-		p := c.MatMul(o, ones)
-		return c.MSE(p, 0.1)
+		p := c.matMul(o, ones)
+		return c.mse(p, 0.1)
 	}
-	c := NewCtx(false)
-	h := c.SpMM(s, x)
-	o := c.MeanRows(h)
-	ones := NewTensor(2, 1)
+	c := newCtx(false)
+	h := c.spmm(s, x)
+	o := c.meanRows(h)
+	ones := newTensor(2, 1)
 	ones.Data[0], ones.Data[1] = 1, 1
-	p := c.MatMul(o, ones)
-	_ = c.MSE(p, 0.1)
-	c.Backward()
+	p := c.matMul(o, ones)
+	_ = c.mse(p, 0.1)
+	c.backward()
 	numericalGrad(t, x, 2, loss, x.Grad[2])
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize (w - 3)^2 via the tape machinery.
 	rng := rand.New(rand.NewSource(4))
-	w := NewParam(1, 1, rng)
-	one := NewTensor(1, 1)
+	w := newParam(1, 1, rng)
+	one := newTensor(1, 1)
 	one.Data[0] = 1
-	adam := NewAdam([]*Tensor{w}, 0.1)
+	optim := newAdam([]*tensor{w}, 0.1)
 	for i := 0; i < 200; i++ {
-		c := NewCtx(false)
-		out := c.MatMul(one, w)
-		c.MSE(out, 3.0)
-		c.Backward()
-		adam.Step()
+		c := newCtx(false)
+		out := c.matMul(one, w)
+		c.mse(out, 3.0)
+		c.backward()
+		optim.step()
 	}
 	if math.Abs(w.Data[0]-3) > 1e-2 {
 		t.Fatalf("w=%v want 3", w.Data[0])
@@ -197,7 +197,7 @@ func toySamples(t *testing.T, n int, seed int64) []Sample {
 		for _, s := range vpr.ShapeCandidates() {
 			// Synthetic smooth label: depends on shape and graph size.
 			label := 0.5 + 0.8*math.Abs(s.AspectRatio-1.0) + 0.5*(s.Utilization-0.75) +
-				0.1*math.Log(float64(g.NumNodes()))
+				0.1*math.Log(float64(g.numNodes()))
 			out = append(out, Sample{Graph: g, Shape: s, Label: label})
 			if len(out) >= n {
 				break
@@ -284,13 +284,13 @@ func TestEvaluateEmpty(t *testing.T) {
 func TestBuildGraphInputSelfLoops(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(74))
 	g := BuildGraphInput(b.Design, features.Options{})
-	if g.NumNodes() != len(b.Design.Insts) {
+	if g.numNodes() != len(b.Design.Insts) {
 		t.Fatal("node count mismatch")
 	}
 	// Every node must have at least the 0.5 self entry.
-	for i := 0; i < g.S.N; i++ {
+	for i := 0; i < g.s.N; i++ {
 		found := false
-		for _, col := range g.S.col[g.S.start[i]:g.S.end[i]] {
+		for _, col := range g.s.col[g.s.start[i]:g.s.end[i]] {
 			if col == i {
 				found = true
 			}

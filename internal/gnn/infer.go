@@ -37,7 +37,7 @@ const shapeCols = 2
 // merged matrix's row sums. Entries keep the order of their first appearance
 // within the row and duplicates are summed in stored order, so the result is a
 // pure function of s.
-func coalesce(s *Sparse) (*Sparse, []float64) {
+func coalesce(s *sparse) (*sparse, []float64) {
 	n := s.N
 	// slot[j] is where column j sits in the row being scanned; it is current
 	// when it is not below the row's first slot, which no earlier row's slots
@@ -58,7 +58,7 @@ func coalesce(s *Sparse) (*Sparse, []float64) {
 		}
 		rowCap[i] = distinct - first
 	}
-	m := NewSparse(rowCap)
+	m := newSparse(rowCap)
 	for j := range slot {
 		slot[j] = -1
 	}
@@ -68,7 +68,7 @@ func coalesce(s *Sparse) (*Sparse, []float64) {
 			j := s.col[k]
 			if slot[j] < m.start[i] {
 				slot[j] = m.end[i]
-				m.Add(i, j, s.val[k])
+				m.add(i, j, s.val[k])
 			} else {
 				m.val[slot[j]] += s.val[k]
 			}
@@ -125,7 +125,7 @@ func gemm(a, w, out []float64, m, k, n int) {
 }
 
 // mul computes out = S@x for x and out with d columns, tape-free.
-func (s *Sparse) mul(x, out []float64, d int) {
+func (s *sparse) mul(x, out []float64, d int) {
 	for i := 0; i < s.N; i++ {
 		o := out[i*d : (i+1)*d]
 		for j := range o {
@@ -151,19 +151,19 @@ type inference struct {
 	m *Model
 	g *GraphInput
 	n int
-	// a[b] = (S·X[:,2:])·W1_b[2:,:], n x HiddenDim, without bias.
-	a [Branches][]float64
+	// a[b] = (S·X[:,2:])·W1_b[2:,:], n x hiddenDim, without bias.
+	a [numBranches][]float64
 }
 
 // prepare builds the per-(model, graph) state.
 func (m *Model) prepare(g *GraphInput) *inference {
-	n := g.NumNodes()
+	n := g.numNodes()
 	inf := &inference{m: m, g: g, n: n}
-	const rest = InputDim - shapeCols
+	const rest = inputDim - shapeCols
 	x := make([]float64, n*rest)
-	var row [InputDim]float64
+	var row [inputDim]float64
 	for i := 0; i < n; i++ {
-		g.F.NodeVec(i, 0, 0, row[:])
+		g.f.NodeVec(i, 0, 0, row[:])
 		xr := x[i*rest : (i+1)*rest]
 		for j := range xr {
 			xr[j] = (row[shapeCols+j] - m.featMean[shapeCols+j]) / m.featStd[shapeCols+j]
@@ -171,31 +171,31 @@ func (m *Model) prepare(g *GraphInput) *inference {
 	}
 	sx := make([]float64, n*rest)
 	g.merged.mul(x, sx, rest)
-	buf := make([]float64, Branches*n*HiddenDim)
+	buf := make([]float64, numBranches*n*hiddenDim)
 	for b := range inf.a {
-		inf.a[b] = buf[b*n*HiddenDim : (b+1)*n*HiddenDim]
+		inf.a[b] = buf[b*n*hiddenDim : (b+1)*n*hiddenDim]
 		w1 := m.branches[b][0].Lin.W.Data
-		gemm(sx, w1[shapeCols*HiddenDim:], inf.a[b], n, rest, HiddenDim)
+		gemm(sx, w1[shapeCols*hiddenDim:], inf.a[b], n, rest, hiddenDim)
 	}
 	return inf
 }
 
 // scratch is one worker's activation storage for inference.cost.
 type scratch struct {
-	h, p, z []float64 // n x HiddenDim each
+	h, p, z []float64 // n x hiddenDim each
 
-	mean, scale [HiddenDim]float64
-	v           [HiddenDim]float64
-	emb         [EmbedDim]float64
-	head        [HeadDim]float64
+	mean, scale [hiddenDim]float64
+	v           [hiddenDim]float64
+	emb         [embedDim]float64
+	head        [headDim]float64
 }
 
 func newScratch(n int) *scratch {
-	buf := make([]float64, 3*n*HiddenDim)
+	buf := make([]float64, 3*n*hiddenDim)
 	return &scratch{
-		h: buf[:n*HiddenDim],
-		p: buf[n*HiddenDim : 2*n*HiddenDim],
-		z: buf[2*n*HiddenDim:],
+		h: buf[:n*hiddenDim],
+		p: buf[n*hiddenDim : 2*n*hiddenDim],
+		z: buf[2*n*hiddenDim:],
 	}
 }
 
@@ -203,8 +203,8 @@ func newScratch(n int) *scratch {
 // BN(z + bias) equals (z - mean)*scale + Beta for the bias-free n x d
 // pre-activation z. With more than one row the statistics are the graph's own
 // and the bias cancels; otherwise they are the running estimates, as in
-// BatchNorm.Forward.
-func (sc *scratch) normalizer(blk *ConvBlock, z []float64, n, d int) {
+// batchNorm.forward.
+func (sc *scratch) normalizer(blk *convBlock, z []float64, n, d int) {
 	mean, scale := sc.mean[:d], sc.scale[:d]
 	bn := blk.BN
 	if n <= 1 {
@@ -255,49 +255,49 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		w1 := blk[0].Lin.W.Data
 		v := sc.v[:]
 		for j := range v {
-			v[j] = u*w1[j] + ar*w1[HiddenDim+j]
+			v[j] = u*w1[j] + ar*w1[hiddenDim+j]
 		}
 		h, a := sc.h, inf.a[b]
 		for i := 0; i < n; i++ {
-			hr := h[i*HiddenDim : (i+1)*HiddenDim]
-			arow, ri := a[i*HiddenDim:(i+1)*HiddenDim], r[i]
+			hr := h[i*hiddenDim : (i+1)*hiddenDim]
+			arow, ri := a[i*hiddenDim:(i+1)*hiddenDim], r[i]
 			for j := range hr {
 				hr[j] = arow[j] + ri*v[j]
 			}
 		}
-		sc.normalizer(blk[0], h, n, HiddenDim)
+		sc.normalizer(blk[0], h, n, hiddenDim)
 		beta := blk[0].BN.Beta.Data
 		for i := 0; i < n; i++ {
-			hr := h[i*HiddenDim : (i+1)*HiddenDim]
+			hr := h[i*hiddenDim : (i+1)*hiddenDim]
 			for j, x := range hr {
 				hr[j] = relu((x-sc.mean[j])*sc.scale[j] + beta[j])
 			}
 		}
 
 		// Layer 2: z = (S·h)·W2, normalize + ReLU + skip in place.
-		inf.g.merged.mul(h, sc.p, HiddenDim)
+		inf.g.merged.mul(h, sc.p, hiddenDim)
 		z := sc.z
-		gemm(sc.p, blk[1].Lin.W.Data, z, n, HiddenDim, HiddenDim)
-		sc.normalizer(blk[1], z, n, HiddenDim)
+		gemm(sc.p, blk[1].Lin.W.Data, z, n, hiddenDim, hiddenDim)
+		sc.normalizer(blk[1], z, n, hiddenDim)
 		beta = blk[1].BN.Beta.Data
 		for i := 0; i < n; i++ {
-			zr := z[i*HiddenDim : (i+1)*HiddenDim]
-			hr := h[i*HiddenDim : (i+1)*HiddenDim]
+			zr := z[i*hiddenDim : (i+1)*hiddenDim]
+			hr := h[i*hiddenDim : (i+1)*hiddenDim]
 			for j, x := range zr {
 				zr[j] = relu((x-sc.mean[j])*sc.scale[j]+beta[j]) + hr[j]
 			}
 		}
 
-		// Layer 3: z = S·(h2·W3) — W3 first, so S runs on EmbedDim columns —
+		// Layer 3: z = S·(h2·W3) — W3 first, so S runs on embedDim columns —
 		// then normalize + ReLU reduced directly to column sums.
-		q := sc.p[:n*EmbedDim]
-		gemm(z, blk[2].Lin.W.Data, q, n, HiddenDim, EmbedDim)
-		z3 := sc.h[:n*EmbedDim]
-		inf.g.merged.mul(q, z3, EmbedDim)
-		sc.normalizer(blk[2], z3, n, EmbedDim)
+		q := sc.p[:n*embedDim]
+		gemm(z, blk[2].Lin.W.Data, q, n, hiddenDim, embedDim)
+		z3 := sc.h[:n*embedDim]
+		inf.g.merged.mul(q, z3, embedDim)
+		sc.normalizer(blk[2], z3, n, embedDim)
 		beta = blk[2].BN.Beta.Data
 		for i := 0; i < n; i++ {
-			zr := z3[i*EmbedDim : (i+1)*EmbedDim]
+			zr := z3[i*embedDim : (i+1)*embedDim]
 			for j, x := range zr {
 				emb[j] += relu((x-sc.mean[j])*sc.scale[j] + beta[j])
 			}
@@ -310,11 +310,11 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		}
 	}
 
-	// Head: Linear → BN on running statistics (one row) → ReLU → Linear.
+	// Head: linear → BN on running statistics (one row) → ReLU → linear.
 	hd := sc.head[:]
 	copy(hd, m.head1.B.Data)
 	for p, e := range emb {
-		axpy(hd, m.head1.W.Data[p*HeadDim:], e)
+		axpy(hd, m.head1.W.Data[p*headDim:], e)
 	}
 	bn := m.headBN
 	out := m.head2.B.Data[0]
@@ -355,7 +355,7 @@ func (m *Model) PredictBestShape(g *GraphInput) vpr.Shape {
 // on which no candidate has a comparable cost; a one-node graph is evaluated
 // like any other (its normalization falls back to running statistics).
 func (m *Model) PredictBestShapeWorkers(g *GraphInput, workers int) vpr.Shape {
-	if g.NumNodes() == 0 {
+	if g.numNodes() == 0 {
 		return vpr.UniformShape
 	}
 	cands := vpr.ShapeCandidates()

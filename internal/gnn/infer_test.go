@@ -17,7 +17,7 @@ import (
 // tapedPredict is the reference for the inference kernel: the training
 // forward, evaluated without updating running statistics.
 func tapedPredict(m *Model, g *GraphInput, shape vpr.Shape) float64 {
-	out := m.forward(NewCtx(false), g, shape, 1)
+	out := m.forward(newCtx(false), g, shape, 1)
 	return out.Data[0]*m.labelStd + m.labelMean
 }
 
@@ -135,15 +135,15 @@ func TestInferenceMatchesTapedForward(t *testing.T) {
 
 func TestCoalescedOperatorMatchesSparse(t *testing.T) {
 	g := oddGraph(t, 10, 20, 3)
-	n := g.NumNodes()
+	n := g.numNodes()
 	dense := make([]float64, n*n)
 	for i := 0; i < n; i++ {
-		for k := g.S.start[i]; k < g.S.end[i]; k++ {
-			dense[i*n+g.S.col[k]] += g.S.val[k]
+		for k := g.s.start[i]; k < g.s.end[i]; k++ {
+			dense[i*n+g.s.col[k]] += g.s.val[k]
 		}
 	}
-	if g.S.end[n-1] != len(g.S.col) {
-		t.Fatalf("operator rows not filled: %d of %d slots", g.S.end[n-1], len(g.S.col))
+	if g.s.end[n-1] != len(g.s.col) {
+		t.Fatalf("operator rows not filled: %d of %d slots", g.s.end[n-1], len(g.s.col))
 	}
 	op := g.merged
 	for i := 0; i < n; i++ {
@@ -258,8 +258,8 @@ func TestFitLossAveragesUsedSamples(t *testing.T) {
 
 	ref := NewModel(5)
 	ref.fitNormalization(train)
-	c := NewCtx(true)
-	want := c.MSE(ref.forward(c, real.Graph, real.Shape, 1), (real.Label-ref.labelMean)/ref.labelStd)
+	c := newCtx(true)
+	want := c.mse(ref.forward(c, real.Graph, real.Shape, 1), (real.Label-ref.labelMean)/ref.labelStd)
 
 	got := NewModel(5).Fit(train, TrainOptions{Epochs: 1, Seed: 1})
 	if len(got) != 1 || got[0] != want {

@@ -5,42 +5,42 @@ import (
 	"math/rand"
 )
 
-// Linear is a fully connected layer y = xW + b.
-type Linear struct {
-	W *Tensor
-	B *Tensor
+// linear is a fully connected layer y = xW + b.
+type linear struct {
+	W *tensor
+	B *tensor
 }
 
-// NewLinear builds a Glorot-initialized linear layer.
-func NewLinear(in, out int, rng *rand.Rand) *Linear {
-	l := &Linear{W: NewParam(in, out, rng), B: NewTensor(1, out)}
+// newLinear builds a Glorot-initialized linear layer.
+func newLinear(in, out int, rng *rand.Rand) *linear {
+	l := &linear{W: newParam(in, out, rng), B: newTensor(1, out)}
 	l.B.param = true
 	return l
 }
 
-// Forward applies the layer.
-func (l *Linear) Forward(c *Ctx, x *Tensor) *Tensor {
-	return c.AddBias(c.MatMul(x, l.W), l.B)
+// forward applies the layer.
+func (l *linear) forward(c *ctx, x *tensor) *tensor {
+	return c.addBias(c.matMul(x, l.W), l.B)
 }
 
-// Params returns the learnable tensors.
-func (l *Linear) Params() []*Tensor { return []*Tensor{l.W, l.B} }
+// params returns the learnable tensors.
+func (l *linear) params() []*tensor { return []*tensor{l.W, l.B} }
 
-// BatchNorm normalizes each feature column over the rows of the batch
+// batchNorm normalizes each feature column over the rows of the batch
 // (the nodes of the graph), with learnable scale/shift and running
 // statistics for inference.
-type BatchNorm struct {
-	Gamma, Beta     *Tensor
+type batchNorm struct {
+	Gamma, Beta     *tensor
 	RunMean, RunVar []float64
 	Momentum, Eps   float64
 	initialized     bool
 }
 
-// NewBatchNorm builds a batch-norm layer over dim features.
-func NewBatchNorm(dim int) *BatchNorm {
-	bn := &BatchNorm{
-		Gamma:    NewTensor(1, dim),
-		Beta:     NewTensor(1, dim),
+// newBatchNorm builds a batch-norm layer over dim features.
+func newBatchNorm(dim int) *batchNorm {
+	bn := &batchNorm{
+		Gamma:    newTensor(1, dim),
+		Beta:     newTensor(1, dim),
 		RunMean:  make([]float64, dim),
 		RunVar:   make([]float64, dim),
 		Momentum: 0.1,
@@ -55,16 +55,16 @@ func NewBatchNorm(dim int) *BatchNorm {
 	return bn
 }
 
-// Params returns the learnable tensors.
-func (bn *BatchNorm) Params() []*Tensor { return []*Tensor{bn.Gamma, bn.Beta} }
+// params returns the learnable tensors.
+func (bn *batchNorm) params() []*tensor { return []*tensor{bn.Gamma, bn.Beta} }
 
-// Forward normalizes x over the rows of the current graph whenever more
+// forward normalizes x over the rows of the current graph whenever more
 // than one row is present — in both training and inference. Because each
 // "batch" is a single cluster graph, using the graph's own statistics at
 // inference keeps train/eval behavior identical (the GraphNorm convention);
 // running estimates are still tracked and used for 1-row inputs (the
 // prediction head), where batch statistics are undefined.
-func (bn *BatchNorm) Forward(c *Ctx, x *Tensor) *Tensor {
+func (bn *batchNorm) forward(c *ctx, x *tensor) *tensor {
 	n, d := x.R, x.C
 	mean := make([]float64, d)
 	variance := make([]float64, d)
@@ -101,7 +101,7 @@ func (bn *BatchNorm) Forward(c *Ctx, x *Tensor) *Tensor {
 		invStd[j] = 1 / math.Sqrt(variance[j]+bn.Eps)
 	}
 	xhat := make([]float64, n*d)
-	out := NewTensor(n, d)
+	out := newTensor(n, d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
 			h := (x.Data[i*d+j] - mean[j]) * invStd[j]
@@ -144,37 +144,37 @@ func (bn *BatchNorm) Forward(c *Ctx, x *Tensor) *Tensor {
 	return out
 }
 
-// ConvBlock is one hypergraph-convolution block: propagate, transform,
+// convBlock is one hypergraph-convolution block: propagate, transform,
 // normalize, activate, with a skip connection when dimensions match.
-type ConvBlock struct {
-	Lin  *Linear
-	BN   *BatchNorm
+type convBlock struct {
+	Lin  *linear
+	BN   *batchNorm
 	Skip bool
 }
 
-// NewConvBlock builds a block; skip connections activate when in == out
+// newConvBlock builds a block; skip connections activate when in == out
 // (as in the paper).
-func NewConvBlock(in, out int, rng *rand.Rand) *ConvBlock {
-	return &ConvBlock{
-		Lin:  NewLinear(in, out, rng),
-		BN:   NewBatchNorm(out),
+func newConvBlock(in, out int, rng *rand.Rand) *convBlock {
+	return &convBlock{
+		Lin:  newLinear(in, out, rng),
+		BN:   newBatchNorm(out),
 		Skip: in == out,
 	}
 }
 
-// Forward applies the block to node features x under propagation operator s.
-func (b *ConvBlock) Forward(c *Ctx, s *Sparse, x *Tensor) *Tensor {
-	h := c.SpMM(s, x)
-	h = b.Lin.Forward(c, h)
-	h = b.BN.Forward(c, h)
-	h = c.ReLU(h)
+// forward applies the block to node features x under propagation operator s.
+func (b *convBlock) forward(c *ctx, s *sparse, x *tensor) *tensor {
+	h := c.spmm(s, x)
+	h = b.Lin.forward(c, h)
+	h = b.BN.forward(c, h)
+	h = c.relu(h)
 	if b.Skip {
-		h = c.Add(h, x)
+		h = c.add(h, x)
 	}
 	return h
 }
 
-// Params returns the learnable tensors.
-func (b *ConvBlock) Params() []*Tensor {
-	return append(b.Lin.Params(), b.BN.Params()...)
+// params returns the learnable tensors.
+func (b *convBlock) params() []*tensor {
+	return append(b.Lin.params(), b.BN.params()...)
 }

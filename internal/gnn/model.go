@@ -12,20 +12,20 @@ import (
 
 // Architecture constants from the paper (Figure 4).
 const (
-	InputDim  = features.Dim // 35
-	HiddenDim = 64
-	EmbedDim  = 32
-	HeadDim   = 64
-	Branches  = 4
+	inputDim    = features.Dim // 35
+	hiddenDim   = 64
+	embedDim    = 32
+	headDim     = 64
+	numBranches = 4
 )
 
 // Model is the Total Cost predictor: four convolution branches whose outputs
 // are accumulated, global mean pooling, then a two-layer head.
 type Model struct {
-	branches [Branches][3]*ConvBlock
-	head1    *Linear
-	headBN   *BatchNorm
-	head2    *Linear
+	branches [numBranches][3]*convBlock
+	head1    *linear
+	headBN   *batchNorm
+	head2    *linear
 
 	// Input feature standardization (fit on the training set).
 	featMean []float64
@@ -38,17 +38,17 @@ type Model struct {
 func NewModel(seed int64) *Model {
 	rng := rand.New(rand.NewSource(seed))
 	m := &Model{
-		head1:    NewLinear(EmbedDim, HeadDim, rng),
-		headBN:   NewBatchNorm(HeadDim),
-		head2:    NewLinear(HeadDim, 1, rng),
-		featMean: make([]float64, InputDim),
-		featStd:  onesVec(InputDim),
+		head1:    newLinear(embedDim, headDim, rng),
+		headBN:   newBatchNorm(headDim),
+		head2:    newLinear(headDim, 1, rng),
+		featMean: make([]float64, inputDim),
+		featStd:  onesVec(inputDim),
 		labelStd: 1,
 	}
-	for b := 0; b < Branches; b++ {
-		m.branches[b][0] = NewConvBlock(InputDim, HiddenDim, rng)
-		m.branches[b][1] = NewConvBlock(HiddenDim, HiddenDim, rng)
-		m.branches[b][2] = NewConvBlock(HiddenDim, EmbedDim, rng)
+	for b := 0; b < numBranches; b++ {
+		m.branches[b][0] = newConvBlock(inputDim, hiddenDim, rng)
+		m.branches[b][1] = newConvBlock(hiddenDim, hiddenDim, rng)
+		m.branches[b][2] = newConvBlock(hiddenDim, embedDim, rng)
 	}
 	return m
 }
@@ -61,17 +61,17 @@ func onesVec(n int) []float64 {
 	return v
 }
 
-// Params returns every learnable tensor.
-func (m *Model) Params() []*Tensor {
-	var out []*Tensor
+// params returns every learnable tensor.
+func (m *Model) params() []*tensor {
+	var out []*tensor
 	for b := range m.branches {
 		for _, blk := range m.branches[b] {
-			out = append(out, blk.Params()...)
+			out = append(out, blk.params()...)
 		}
 	}
-	out = append(out, m.head1.Params()...)
-	out = append(out, m.headBN.Params()...)
-	out = append(out, m.head2.Params()...)
+	out = append(out, m.head1.params()...)
+	out = append(out, m.headBN.params()...)
+	out = append(out, m.head2.params()...)
 	return out
 }
 
@@ -80,60 +80,60 @@ func (m *Model) Params() []*Tensor {
 // its own tape of c's, and read the same input; apart from it they share
 // nothing — parameters, batch-norm running statistics and activations are
 // all per branch — so the result is bit-identical at any worker count.
-func (m *Model) forward(c *Ctx, g *GraphInput, shape vpr.Shape, workers int) *Tensor {
+func (m *Model) forward(c *ctx, g *GraphInput, shape vpr.Shape, workers int) *tensor {
 	x := m.inputTensor(g, shape)
-	tapes := c.fork(Branches, workers)
-	var outs [Branches]*Tensor
-	par.Blocks(workers, Branches, func(_, lo, hi int) {
+	tapes := c.fork(numBranches, workers)
+	var outs [numBranches]*tensor
+	par.Blocks(workers, numBranches, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
 			// Every branch's first SpMM backward writes the input's
 			// gradient, which nothing reads: each gets a buffer of its own.
-			h := &Tensor{R: x.R, C: x.C, Data: x.Data, Grad: make([]float64, len(x.Data))}
+			h := &tensor{R: x.R, C: x.C, Data: x.Data, Grad: make([]float64, len(x.Data))}
 			for _, blk := range m.branches[b] {
-				h = blk.Forward(tapes[b], g.S, h)
+				h = blk.forward(tapes[b], g.s, h)
 			}
 			outs[b] = h
 		}
 	})
 	acc := outs[0]
 	for _, h := range outs[1:] {
-		acc = c.Add(acc, h)
+		acc = c.add(acc, h)
 	}
-	emb := c.MeanRows(acc)
-	h := m.head1.Forward(c, emb)
-	h = m.headBN.Forward(c, h)
-	h = c.ReLU(h)
-	return m.head2.Forward(c, h)
+	emb := c.meanRows(acc)
+	h := m.head1.forward(c, emb)
+	h = m.headBN.forward(c, h)
+	h = c.relu(h)
+	return m.head2.forward(c, h)
 }
 
 // inputTensor builds the standardized node-feature matrix. It carries no
 // gradient buffer: forward gives each branch its own.
-func (m *Model) inputTensor(g *GraphInput, shape vpr.Shape) *Tensor {
-	n := g.NumNodes()
-	x := &Tensor{R: n, C: InputDim, Data: make([]float64, n*InputDim)}
-	row := make([]float64, InputDim)
+func (m *Model) inputTensor(g *GraphInput, shape vpr.Shape) *tensor {
+	n := g.numNodes()
+	x := &tensor{R: n, C: inputDim, Data: make([]float64, n*inputDim)}
+	row := make([]float64, inputDim)
 	for i := 0; i < n; i++ {
-		g.F.NodeVec(i, shape.AspectRatio, shape.Utilization, row)
-		for j := 0; j < InputDim; j++ {
-			x.Data[i*InputDim+j] = (row[j] - m.featMean[j]) / m.featStd[j]
+		g.f.NodeVec(i, shape.AspectRatio, shape.Utilization, row)
+		for j := 0; j < inputDim; j++ {
+			x.Data[i*inputDim+j] = (row[j] - m.featMean[j]) / m.featStd[j]
 		}
 	}
 	return x
 }
 
 // GraphInput is one cluster graph prepared for the model. Build it with
-// BuildGraphInput: S feeds the taped training forward, the unexported fields
-// feed inference.
+// BuildGraphInput: s feeds the taped training forward, merged and rowSum feed
+// inference, f feeds both.
 type GraphInput struct {
-	S *Sparse
-	F *features.Features
+	s *sparse
+	f *features.Features
 
-	merged *Sparse   // S with duplicate entries summed
+	merged *sparse   // S with duplicate entries summed
 	rowSum []float64 // merged·1
 }
 
-// NumNodes returns the node count.
-func (g *GraphInput) NumNodes() int { return g.F.NumCells }
+// numNodes returns the node count.
+func (g *GraphInput) numNodes() int { return g.f.NumCells }
 
 // maxEdgePins bounds the hyperedges that enter the operator: a net with more
 // distinct member cells is a global signal, and its clique would dominate
@@ -149,7 +149,7 @@ const maxEdgePins = 64
 //
 // Row u of S lists the self entry first, then, for every hyperedge containing
 // u in net order, one entry per member in pin order. That order is part of
-// the training contract: SpMM sums entries as stored, so changing it would
+// the training contract: spmm sums entries as stored, so changing it would
 // change trained weights in the last bits.
 func BuildGraphInput(sub *netlist.Design, fopt features.Options) *GraphInput {
 	f := features.Extract(sub, fopt)
@@ -187,19 +187,19 @@ func BuildGraphInput(sub *netlist.Design, fopt features.Options) *GraphInput {
 			invSqrt[i] = 1 / math.Sqrt(deg[i])
 		}
 	}
-	s := NewSparse(rowCap)
+	s := newSparse(rowCap)
 	for i := 0; i < n; i++ {
-		s.Add(i, i, 0.5)
+		s.add(i, i, 0.5)
 	}
 	for e := 0; e+1 < len(edgeStart); e++ {
 		members := edgeMem[edgeStart[e]:edgeStart[e+1]]
 		de := float64(len(members))
 		for _, u := range members {
 			for _, v := range members {
-				s.Add(u, v, 0.5*invSqrt[u]*invSqrt[v]/de)
+				s.add(u, v, 0.5*invSqrt[u]*invSqrt[v]/de)
 			}
 		}
 	}
 	merged, rowSum := coalesce(s)
-	return &GraphInput{S: s, F: f, merged: merged, rowSum: rowSum}
+	return &GraphInput{s: s, f: f, merged: merged, rowSum: rowSum}
 }

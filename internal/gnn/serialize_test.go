@@ -1,74 +1,70 @@
 package gnn
 
 import (
-	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
-	"strings"
-	"testing"
-
-	"ppaclust/internal/vpr"
 )
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	samples := toySamples(t, 40, 91)
-	m := NewModel(3)
-	m.Fit(samples, TrainOptions{Epochs: 3, Seed: 1})
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
+// Model serialization, kept for the tests that pin trained weights: Save
+// writes a magic header, the architecture constants, then every parameter
+// tensor, batch-norm running statistic and normalization vector in a fixed
+// order, so two models are bit-identical exactly when their Save bytes are.
+
+const modelMagic = "PPACLUST-GNN-1\n"
+
+// Save writes the model to w.
+func (m *Model) Save(w io.Writer) error {
+	if _, err := io.WriteString(w, modelMagic); err != nil {
+		return err
 	}
-	loaded, err := LoadModel(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Predictions must match bit-for-bit.
-	for _, s := range samples[:5] {
-		want := predictOne(m, s.Graph, s.Shape)
-		got := predictOne(loaded, s.Graph, s.Shape)
-		if want != got {
-			t.Fatalf("prediction drift after load: %v != %v", got, want)
+	dims := []int64{inputDim, hiddenDim, embedDim, headDim, numBranches}
+	for _, v := range dims {
+		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
+			return err
 		}
 	}
-	// Best-shape selection agrees too.
-	if m.PredictBestShape(samples[0].Graph) != loaded.PredictBestShape(samples[0].Graph) {
-		t.Fatal("best-shape drift after load")
+	for _, t := range m.params() {
+		if err := writeFloats(w, t.Data); err != nil {
+			return err
+		}
 	}
-	_ = vpr.Shape{}
+	for _, bn := range m.batchNorms() {
+		if err := writeFloats(w, bn.RunMean); err != nil {
+			return err
+		}
+		if err := writeFloats(w, bn.RunVar); err != nil {
+			return err
+		}
+	}
+	if err := writeFloats(w, m.featMean); err != nil {
+		return err
+	}
+	if err := writeFloats(w, m.featStd); err != nil {
+		return err
+	}
+	return writeFloats(w, []float64{m.labelMean, m.labelStd})
 }
 
-// TestLoadRejectsGarbage: a file that is not a model, a truncated one, and
-// one whose values can only predict NaN all fail to load, the last with an
-// error naming the vector.
-func TestLoadRejectsGarbage(t *testing.T) {
-	saved := func(edit func(m *Model)) []byte {
-		m := NewModel(1)
-		edit(m)
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	good := saved(func(*Model) {})
-	for _, tc := range []struct {
-		name string
-		file []byte
-		want string // in the error
-	}{
-		{"bad magic", []byte("not a model file at all"), "magic"},
-		{"truncated", good[:len(good)/2], ""},
-		// Params() lists the 4 branches x 3 blocks x 4 tensors first.
-		{"NaN weight", saved(func(m *Model) { m.head1.W.Data[5] = math.NaN() }), "parameter 48[5]"},
-		{"Inf RunVar", saved(func(m *Model) { m.branches[1][2].BN.RunVar[0] = math.Inf(1) }), "batch-norm 5 RunVar[0]"},
-		{"zero featStd", saved(func(m *Model) { m.featStd[7] = 0 }), "featStd[7]"},
-		{"negative labelStd", saved(func(m *Model) { m.labelStd = -1 }), "labelStd"},
-	} {
-		_, err := LoadModel(bytes.NewReader(tc.file))
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: LoadModel error %v, want one containing %q", tc.name, err, tc.want)
+// batchNorms enumerates every batch-norm layer in deterministic order.
+func (m *Model) batchNorms() []*batchNorm {
+	var out []*batchNorm
+	for b := range m.branches {
+		for _, blk := range m.branches[b] {
+			out = append(out, blk.BN)
 		}
 	}
-	if _, err := LoadModel(bytes.NewReader(good)); err != nil {
-		t.Fatalf("untouched model: %v", err)
+	return append(out, m.headBN)
+}
+
+func writeFloats(w io.Writer, vs []float64) error {
+	if err := binary.Write(w, binary.LittleEndian, int64(len(vs))); err != nil {
+		return err
 	}
+	buf := make([]byte, 8*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+	}
+	_, err := w.Write(buf)
+	return err
 }

@@ -14,22 +14,22 @@ import (
 	"ppaclust/internal/par"
 )
 
-// Tensor is a dense row-major matrix participating in autograd.
-type Tensor struct {
+// tensor is a dense row-major matrix participating in autograd.
+type tensor struct {
 	R, C  int
 	Data  []float64
 	Grad  []float64
 	param bool
 }
 
-// NewTensor allocates a zero tensor.
-func NewTensor(r, c int) *Tensor {
-	return &Tensor{R: r, C: c, Data: make([]float64, r*c), Grad: make([]float64, r*c)}
+// newTensor allocates a zero tensor.
+func newTensor(r, c int) *tensor {
+	return &tensor{R: r, C: c, Data: make([]float64, r*c), Grad: make([]float64, r*c)}
 }
 
-// NewParam allocates a parameter tensor with Glorot-uniform init.
-func NewParam(r, c int, rng *rand.Rand) *Tensor {
-	t := NewTensor(r, c)
+// newParam allocates a parameter tensor with Glorot-uniform init.
+func newParam(r, c int, rng *rand.Rand) *tensor {
+	t := newTensor(r, c)
 	t.param = true
 	limit := math.Sqrt(6 / float64(r+c))
 	for i := range t.Data {
@@ -38,55 +38,55 @@ func NewParam(r, c int, rng *rand.Rand) *Tensor {
 	return t
 }
 
-// ZeroGrad clears the gradient buffer.
-func (t *Tensor) ZeroGrad() {
+// zeroGrad clears the gradient buffer.
+func (t *tensor) zeroGrad() {
 	for i := range t.Grad {
 		t.Grad[i] = 0
 	}
 }
 
-// Ctx records the operation tape for one forward pass. Backward() replays
-// it in reverse. A Ctx is single-use.
-type Ctx struct {
+// ctx records the operation tape for one forward pass. backward replays
+// it in reverse. A ctx is single-use.
+type ctx struct {
 	tape  []func()
 	train bool
 
-	// forks are child tapes recorded before anything on tape; Backward
+	// forks are child tapes recorded before anything on tape; backward
 	// replays them side by side on up to workers goroutines.
-	forks   []*Ctx
+	forks   []*ctx
 	workers int
 }
 
-// NewCtx returns a fresh tape. train enables batch-norm batch statistics.
-func NewCtx(train bool) *Ctx { return &Ctx{train: train} }
+// newCtx returns a fresh tape. train enables batch-norm batch statistics.
+func newCtx(train bool) *ctx { return &ctx{train: train} }
 
-func (c *Ctx) push(back func()) {
+func (c *ctx) push(back func()) {
 	c.tape = append(c.tape, back)
 }
 
 // fork gives c n child tapes whose backward passes run concurrently on up to
-// workers goroutines. Call it before recording anything on c: Backward
+// workers goroutines. Call it before recording anything on c: backward
 // replays c's own tape first, so c may only record ops that consume the
 // children's outputs, and the children must share no tensor they write
 // gradients into.
-func (c *Ctx) fork(n, workers int) []*Ctx {
-	c.forks = make([]*Ctx, n)
+func (c *ctx) fork(n, workers int) []*ctx {
+	c.forks = make([]*ctx, n)
 	for i := range c.forks {
-		c.forks[i] = NewCtx(c.train)
+		c.forks[i] = newCtx(c.train)
 	}
 	c.workers = workers
 	return c.forks
 }
 
-// Backward runs the tape in reverse, then the forked tapes. The caller must
+// backward runs the tape in reverse, then the forked tapes. The caller must
 // have seeded the output gradient (e.g. via a loss op).
-func (c *Ctx) Backward() {
+func (c *ctx) backward() {
 	for i := len(c.tape) - 1; i >= 0; i-- {
 		c.tape[i]()
 	}
 	par.Blocks(c.workers, len(c.forks), func(_, lo, hi int) {
 		for _, f := range c.forks[lo:hi] {
-			f.Backward()
+			f.backward()
 		}
 	})
 }
@@ -100,12 +100,12 @@ func badShape(msg string) {
 	panic(msg) //ppalint:ignore nopanic invariant assertion: layer shapes are fixed by the architecture, a mismatch is a wiring bug
 }
 
-// MatMul returns a@b, recording the backward closure.
-func (c *Ctx) MatMul(a, b *Tensor) *Tensor {
+// matMul returns a@b, recording the backward closure.
+func (c *ctx) matMul(a, b *tensor) *tensor {
 	if a.C != b.R {
 		badShape(fmt.Sprintf("gnn: matmul shape mismatch %v x %v", a, b))
 	}
-	out := NewTensor(a.R, b.C)
+	out := newTensor(a.R, b.C)
 	matmul(a.Data, b.Data, out.Data, a.R, a.C, b.C, false, false)
 	c.push(func() {
 		// dA += dOut @ B^T ; dB += A^T @ dOut
@@ -199,12 +199,12 @@ func matmulRows(a, b, out []float64, m, k, n int) {
 	}
 }
 
-// AddBias adds a row-vector bias to every row.
-func (c *Ctx) AddBias(x, b *Tensor) *Tensor {
+// addBias adds a row-vector bias to every row.
+func (c *ctx) addBias(x, b *tensor) *tensor {
 	if b.R != 1 || b.C != x.C {
 		badShape("gnn: bias shape mismatch")
 	}
-	out := NewTensor(x.R, x.C)
+	out := newTensor(x.R, x.C)
 	for i := 0; i < x.R; i++ {
 		for j := 0; j < x.C; j++ {
 			out.Data[i*x.C+j] = x.Data[i*x.C+j] + b.Data[j]
@@ -222,13 +222,13 @@ func (c *Ctx) AddBias(x, b *Tensor) *Tensor {
 	return out
 }
 
-// Add returns x+y for equal shapes (used for skip connections and branch
+// add returns x+y for equal shapes (used for skip connections and branch
 // accumulation).
-func (c *Ctx) Add(x, y *Tensor) *Tensor {
+func (c *ctx) add(x, y *tensor) *tensor {
 	if x.R != y.R || x.C != y.C {
 		badShape("gnn: add shape mismatch")
 	}
-	out := NewTensor(x.R, x.C)
+	out := newTensor(x.R, x.C)
 	for i := range out.Data {
 		out.Data[i] = x.Data[i] + y.Data[i]
 	}
@@ -241,9 +241,9 @@ func (c *Ctx) Add(x, y *Tensor) *Tensor {
 	return out
 }
 
-// ReLU applies max(0, x) elementwise.
-func (c *Ctx) ReLU(x *Tensor) *Tensor {
-	out := NewTensor(x.R, x.C)
+// relu applies max(0, x) elementwise.
+func (c *ctx) relu(x *tensor) *tensor {
+	out := newTensor(x.R, x.C)
 	for i, v := range x.Data {
 		if v > 0 {
 			out.Data[i] = v
@@ -259,9 +259,9 @@ func (c *Ctx) ReLU(x *Tensor) *Tensor {
 	return out
 }
 
-// MeanRows performs global mean pooling over rows: [n x d] -> [1 x d].
-func (c *Ctx) MeanRows(x *Tensor) *Tensor {
-	out := NewTensor(1, x.C)
+// meanRows performs global mean pooling over rows: [n x d] -> [1 x d].
+func (c *ctx) meanRows(x *tensor) *tensor {
+	out := newTensor(1, x.C)
 	inv := 1 / float64(x.R)
 	for i := 0; i < x.R; i++ {
 		for j := 0; j < x.C; j++ {
@@ -278,13 +278,13 @@ func (c *Ctx) MeanRows(x *Tensor) *Tensor {
 	return out
 }
 
-// Sparse is a fixed (non-learnable) n x n sparse matrix in flat CSR storage
+// sparse is a fixed (non-learnable) n x n sparse matrix in flat CSR storage
 // with a fill cursor per row: row i owns slots start[i]..start[i+1] and holds
 // entries in start[i]..end[i], in the order they were added. Entries are not
-// coalesced — the same (i, j) may appear more than once — and SpMM adds them
+// coalesced — the same (i, j) may appear more than once — and spmm adds them
 // up in exactly that order, which is what keeps training arithmetic stable
 // across storage changes.
-type Sparse struct {
+type sparse struct {
 	N     int
 	start []int // len N+1
 	end   []int // len N
@@ -292,11 +292,11 @@ type Sparse struct {
 	val   []float64
 }
 
-// NewSparse allocates an empty n x n sparse matrix, n = len(rowCap), whose
+// newSparse allocates an empty n x n sparse matrix, n = len(rowCap), whose
 // row i has room for rowCap[i] entries.
-func NewSparse(rowCap []int) *Sparse {
+func newSparse(rowCap []int) *sparse {
 	n := len(rowCap)
-	s := &Sparse{N: n, start: make([]int, n+1), end: make([]int, n)}
+	s := &sparse{N: n, start: make([]int, n+1), end: make([]int, n)}
 	for i, c := range rowCap {
 		s.start[i+1] = s.start[i] + c
 	}
@@ -306,8 +306,8 @@ func NewSparse(rowCap []int) *Sparse {
 	return s
 }
 
-// Add appends the entry S[i][j] += v to row i.
-func (s *Sparse) Add(i, j int, v float64) {
+// add appends the entry S[i][j] += v to row i.
+func (s *sparse) add(i, j int, v float64) {
 	k := s.end[i]
 	if k == s.start[i+1] {
 		badShape(fmt.Sprintf("gnn: sparse row %d is full", i))
@@ -316,13 +316,13 @@ func (s *Sparse) Add(i, j int, v float64) {
 	s.end[i] = k + 1
 }
 
-// SpMM returns S @ x ([n x n] @ [n x d]). S carries no gradient; the
+// spmm returns S @ x ([n x n] @ [n x d]). S carries no gradient; the
 // backward pass multiplies by S^T.
-func (c *Ctx) SpMM(s *Sparse, x *Tensor) *Tensor {
+func (c *ctx) spmm(s *sparse, x *tensor) *tensor {
 	if s.N != x.R {
 		badShape("gnn: spmm shape mismatch")
 	}
-	out := NewTensor(x.R, x.C)
+	out := newTensor(x.R, x.C)
 	d := x.C
 	for i := 0; i < s.N; i++ {
 		for k := s.start[i]; k < s.end[i]; k++ {
@@ -349,9 +349,9 @@ func (c *Ctx) SpMM(s *Sparse, x *Tensor) *Tensor {
 	return out
 }
 
-// MSE seeds the backward pass with the mean-squared-error gradient of a
+// mse seeds the backward pass with the mean-squared-error gradient of a
 // [1x1] prediction against a scalar label, returning the loss value.
-func (c *Ctx) MSE(pred *Tensor, label float64) float64 {
+func (c *ctx) mse(pred *tensor, label float64) float64 {
 	if pred.R != 1 || pred.C != 1 {
 		badShape("gnn: MSE expects 1x1 prediction")
 	}

@@ -87,8 +87,8 @@ func TestMatMulShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c := NewCtx(false)
-	c.MatMul(NewTensor(2, 3), NewTensor(4, 2))
+	c := newCtx(false)
+	c.matMul(newTensor(2, 3), newTensor(4, 2))
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
@@ -97,8 +97,8 @@ func TestAddShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c := NewCtx(false)
-	c.Add(NewTensor(2, 3), NewTensor(3, 2))
+	c := newCtx(false)
+	c.add(newTensor(2, 3), newTensor(3, 2))
 }
 
 func TestSpMMShapeMismatchPanics(t *testing.T) {
@@ -107,9 +107,9 @@ func TestSpMMShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c := NewCtx(false)
-	s := NewSparse(make([]int, 3))
-	c.SpMM(s, NewTensor(4, 2))
+	c := newCtx(false)
+	s := newSparse(make([]int, 3))
+	c.spmm(s, newTensor(4, 2))
 }
 
 func TestMSERequiresScalar(t *testing.T) {
@@ -118,24 +118,24 @@ func TestMSERequiresScalar(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	c := NewCtx(false)
-	c.MSE(NewTensor(2, 1), 0)
+	c := newCtx(false)
+	c.mse(newTensor(2, 1), 0)
 }
 
 func TestTensorZeroGrad(t *testing.T) {
-	x := NewTensor(2, 3)
+	x := newTensor(2, 3)
 	x.Grad[0] = 5
-	x.ZeroGrad()
+	x.zeroGrad()
 	if x.Grad[0] != 0 {
 		t.Fatal("ZeroGrad broken")
 	}
 }
 
 func TestReLUForwardBackwardSigns(t *testing.T) {
-	c := NewCtx(false)
-	x := NewTensor(1, 4)
+	c := newCtx(false)
+	x := newTensor(1, 4)
 	copy(x.Data, []float64{-2, -0.5, 0.5, 2})
-	y := c.ReLU(x)
+	y := c.relu(x)
 	want := []float64{0, 0, 0.5, 2}
 	for i := range want {
 		if y.Data[i] != want[i] {
@@ -145,7 +145,7 @@ func TestReLUForwardBackwardSigns(t *testing.T) {
 	for i := range y.Grad {
 		y.Grad[i] = 1
 	}
-	c.Backward()
+	c.backward()
 	if x.Grad[0] != 0 || x.Grad[1] != 0 || x.Grad[2] != 1 || x.Grad[3] != 1 {
 		t.Fatalf("relu bwd: %v", x.Grad)
 	}

@@ -48,7 +48,7 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 	}
 	m.fitNormalization(train)
 	workers := par.Workers(opt.Workers)
-	adam := NewAdam(m.Params(), opt.LR)
+	optim := newAdam(m.params(), opt.LR)
 	rng := rand.New(rand.NewSource(opt.Seed + 7))
 	losses := make([]float64, 0, opt.Epochs)
 	order := make([]int, len(train))
@@ -61,16 +61,16 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 		used := 0
 		for _, idx := range order {
 			s := train[idx]
-			if s.Graph.NumNodes() == 0 {
+			if s.Graph.numNodes() == 0 {
 				continue
 			}
 			used++
-			c := NewCtx(true)
+			c := newCtx(true)
 			out := m.forward(c, s.Graph, s.Shape, workers)
 			label := (s.Label - m.labelMean) / m.labelStd
-			sum += c.MSE(out, label)
-			c.Backward()
-			adam.Step()
+			sum += c.mse(out, label)
+			c.backward()
+			optim.step()
 		}
 		if used > 0 {
 			sum /= float64(used)
@@ -82,7 +82,7 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 
 // fitNormalization computes feature and label standardization from samples.
 func (m *Model) fitNormalization(train []Sample) {
-	dim := InputDim
+	dim := inputDim
 	mean := make([]float64, dim)
 	sq := make([]float64, dim)
 	row := make([]float64, dim)
@@ -90,8 +90,8 @@ func (m *Model) fitNormalization(train []Sample) {
 	var lSum, lSq float64
 	for _, s := range train {
 		g := s.Graph
-		for i := 0; i < g.NumNodes(); i++ {
-			g.F.NodeVec(i, s.Shape.AspectRatio, s.Shape.Utilization, row)
+		for i := 0; i < g.numNodes(); i++ {
+			g.f.NodeVec(i, s.Shape.AspectRatio, s.Shape.Utilization, row)
 			for j := 0; j < dim; j++ {
 				mean[j] += row[j]
 				sq[j] += row[j] * row[j]
@@ -140,7 +140,7 @@ func (m *Model) Evaluate(samples []Sample) Metrics {
 	var inf *inference
 	var sc *scratch
 	for _, s := range samples {
-		if s.Graph.NumNodes() == 0 {
+		if s.Graph.numNodes() == 0 {
 			continue
 		}
 		if inf == nil || inf.g != s.Graph {
@@ -160,7 +160,7 @@ func (m *Model) Evaluate(samples []Sample) Metrics {
 	mean := labelSum / float64(n)
 	var tss float64
 	for _, s := range samples {
-		if s.Graph.NumNodes() == 0 {
+		if s.Graph.numNodes() == 0 {
 			continue
 		}
 		d := s.Label - mean

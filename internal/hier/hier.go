@@ -13,8 +13,8 @@ import (
 	"ppaclust/internal/netlist"
 )
 
-// Dendrogram is the levelized logical-hierarchy dendrogram of a design.
-type Dendrogram struct {
+// dendrogram is the levelized logical-hierarchy dendrogram of a design.
+type dendrogram struct {
 	parent   []int
 	level    []int
 	children [][]int
@@ -24,11 +24,11 @@ type Dendrogram struct {
 	nInsts   int
 }
 
-// Build constructs the dendrogram from the design's instance hierarchy
+// build constructs the dendrogram from the design's instance hierarchy
 // (instance names are '/'-separated paths). ok is false when the design is
 // flat (no hierarchy information to exploit).
-func Build(d *netlist.Design) (*Dendrogram, bool) {
-	dg := &Dendrogram{nInsts: len(d.Insts)}
+func build(d *netlist.Design) (*dendrogram, bool) {
+	dg := &dendrogram{nInsts: len(d.Insts)}
 	byPath := map[string]int{}
 	newNode := func(path string, parent int) int {
 		id := len(dg.parent)
@@ -89,7 +89,7 @@ func Build(d *netlist.Design) (*Dendrogram, bool) {
 
 // splitMixedNodes moves instances of internal nodes into a dedicated child
 // leaf so every instance lives at a leaf of the dendrogram.
-func (dg *Dendrogram) splitMixedNodes() {
+func (dg *dendrogram) splitMixedNodes() {
 	n := len(dg.parent)
 	for i := 0; i < n; i++ {
 		if len(dg.children[i]) == 0 || len(dg.insts[i]) == 0 {
@@ -105,7 +105,7 @@ func (dg *Dendrogram) splitMixedNodes() {
 	}
 }
 
-func (dg *Dendrogram) computeLevels() {
+func (dg *dendrogram) computeLevels() {
 	// BFS from root.
 	queue := []int{dg.root}
 	dg.level[dg.root] = 0
@@ -125,7 +125,7 @@ func (dg *Dendrogram) computeLevels() {
 
 // levelize replicates shallow leaves (Algorithm 2 lines 7-12) so that every
 // leaf sits at levelMax.
-func (dg *Dendrogram) levelize() {
+func (dg *dendrogram) levelize() {
 	n := len(dg.parent)
 	for v := 0; v < n; v++ {
 		if len(dg.children[v]) != 0 || dg.level[v] >= dg.levelMax {
@@ -146,16 +146,16 @@ func (dg *Dendrogram) levelize() {
 }
 
 // ancestorAt returns the ancestor of node v at the given level.
-func (dg *Dendrogram) ancestorAt(v, level int) int {
+func (dg *dendrogram) ancestorAt(v, level int) int {
 	for dg.level[v] > level {
 		v = dg.parent[v]
 	}
 	return v
 }
 
-// ClusteringAtLevel returns the instance->cluster assignment induced by the
+// clusteringAtLevel returns the instance->cluster assignment induced by the
 // dendrogram nodes at level k. Cluster labels are dendrogram node IDs.
-func (dg *Dendrogram) ClusteringAtLevel(k int) []int {
+func (dg *dendrogram) clusteringAtLevel(k int) []int {
 	assign := make([]int, dg.nInsts)
 	for v := range dg.parent {
 		if len(dg.insts[v]) == 0 {
@@ -192,7 +192,7 @@ type Result struct {
 // evaluation starts at level 1; this matches the paper's "level_max - 1
 // clusterings".
 func Cluster(d *netlist.Design, h *hypergraph.Hypergraph) (Result, bool) {
-	dg, ok := Build(d)
+	dg, ok := build(d)
 	if !ok {
 		return Result{}, false
 	}
@@ -201,7 +201,7 @@ func Cluster(d *netlist.Design, h *hypergraph.Hypergraph) (Result, bool) {
 	}
 	best := Result{RAvg: math.Inf(1), Level: -1}
 	for k := 1; k < dg.levelMax || k == 1; k++ {
-		assign := dg.ClusteringAtLevel(k)
+		assign := dg.clusteringAtLevel(k)
 		r := h.WeightedAvgRent(assign)
 		best.Scores = append(best.Scores, LevelScore{Level: k, RAvg: r})
 		if r < best.RAvg {

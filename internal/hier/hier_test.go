@@ -82,7 +82,7 @@ func TestBuildFlatDesignFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := Build(d); ok {
+	if _, ok := build(d); ok {
 		t.Fatal("flat design should not produce a dendrogram")
 	}
 	if _, ok := Cluster(d, d.ToHypergraph().H); ok {
@@ -92,7 +92,7 @@ func TestBuildFlatDesignFails(t *testing.T) {
 
 func TestBuildLevelsAndLevelize(t *testing.T) {
 	d := hierDesign(t, 4)
-	dg, ok := Build(d)
+	dg, ok := build(d)
 	if !ok {
 		t.Fatal("expected dendrogram")
 	}
@@ -116,22 +116,22 @@ func TestBuildLevelsAndLevelize(t *testing.T) {
 
 func TestClusteringAtLevelCoversAllInstances(t *testing.T) {
 	d := hierDesign(t, 3)
-	dg, _ := Build(d)
+	dg, _ := build(d)
 	for k := 0; k <= dg.levelMax; k++ {
-		assign := dg.ClusteringAtLevel(k)
+		assign := dg.clusteringAtLevel(k)
 		if len(assign) != len(d.Insts) {
 			t.Fatalf("level %d: %d assignments for %d insts", k, len(assign), len(d.Insts))
 		}
 	}
 	// Level 0 is a single cluster (the root).
-	a0 := dg.ClusteringAtLevel(0)
+	a0 := dg.clusteringAtLevel(0)
 	for _, c := range a0 {
 		if c != a0[0] {
 			t.Fatal("level 0 should be one cluster")
 		}
 	}
 	// Level 1 separates module a (incl. sub) from module b.
-	a1 := dg.ClusteringAtLevel(1)
+	a1 := dg.clusteringAtLevel(1)
 	instA := d.Instance("a/g0").ID
 	instSub := d.Instance("a/sub/g0").ID
 	instB := d.Instance("b/g0").ID
@@ -142,7 +142,7 @@ func TestClusteringAtLevelCoversAllInstances(t *testing.T) {
 		t.Fatal("level 1: a and b should be separate")
 	}
 	// Level 2 separates a/sub from a's own instances.
-	a2 := dg.ClusteringAtLevel(2)
+	a2 := dg.clusteringAtLevel(2)
 	if a2[instA] == a2[instSub] {
 		t.Fatal("level 2: a/<insts> and a/sub should be separate")
 	}

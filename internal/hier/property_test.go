@@ -17,13 +17,13 @@ func TestPropertyLevelsAreRefinements(t *testing.T) {
 		spec.Branch = 2
 		spec.TargetInsts = 120
 		b := designs.Generate(spec)
-		dg, ok := Build(b.Design)
+		dg, ok := build(b.Design)
 		if !ok {
 			return false
 		}
-		prev := dg.ClusteringAtLevel(0)
+		prev := dg.clusteringAtLevel(0)
 		for k := 1; k <= dg.levelMax; k++ {
-			cur := dg.ClusteringAtLevel(k)
+			cur := dg.clusteringAtLevel(k)
 			// Same cluster at level k implies same cluster at level k-1.
 			rep := map[int]int{}
 			for v := range cur {

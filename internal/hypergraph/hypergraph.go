@@ -65,13 +65,6 @@ func (h *Hypergraph) NumEdges() int { return len(h.edgeWeight) }
 // NumPins returns the total number of pins (vertex-edge incidences).
 func (h *Hypergraph) NumPins() int { return len(h.edgePins) }
 
-// AddVertex appends a vertex with weight w and returns its ID.
-func (h *Hypergraph) AddVertex(w float64) int {
-	h.vertexWeight = append(h.vertexWeight, w)
-	h.inc.Store(nil)
-	return len(h.vertexWeight) - 1
-}
-
 // AddEdge appends a hyperedge over the given vertices and returns its ID.
 // Duplicate vertices within one edge are collapsed; the caller's slice is not
 // modified. Edges with fewer than two distinct vertices are still stored
@@ -81,7 +74,7 @@ func (h *Hypergraph) AddEdge(vertices []int, w float64) int {
 	for _, v := range vertices {
 		if v < 0 || v >= len(h.vertexWeight) {
 			// Same contract as indexing a slice out of range: vertex IDs come
-			// from AddVertex, so a bad ID is a caller bug, not input data.
+			// from the constructor, so a bad ID is a caller bug, not input data.
 			panic(fmt.Sprintf("hypergraph: vertex %d out of range [0,%d)", v, len(h.vertexWeight))) //ppalint:ignore nopanic bounds assertion with slice-indexing semantics, a bad vertex ID is a caller bug
 		}
 	}
@@ -118,9 +111,6 @@ func (h *Hypergraph) SetVertexWeight(v int, w float64) { h.vertexWeight[v] = w }
 
 // EdgeWeight returns the weight of edge e.
 func (h *Hypergraph) EdgeWeight(e int) float64 { return h.edgeWeight[e] }
-
-// SetEdgeWeight sets the weight of edge e.
-func (h *Hypergraph) SetEdgeWeight(e int, w float64) { h.edgeWeight[e] = w }
 
 // Edge returns the vertices of edge e, strictly sorted. The returned slice is
 // a view into the hypergraph's flat pin array and must not be mutated.
@@ -317,9 +307,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// ClusterStats describes one cluster's connectivity, the inputs to the Rent
+// clusterStats describes one cluster's connectivity, the inputs to the Rent
 // exponent criterion (Eq. 1 of the paper).
-type ClusterStats struct {
+type clusterStats struct {
 	Size         int     // |c|: number of vertices
 	ExternalEdge int     // E(c): edges crossing the cluster boundary
 	ExternalPins int     // Ext(c): pins in c on external edges
@@ -327,24 +317,24 @@ type ClusterStats struct {
 	Weight       float64 // sum of vertex weights
 }
 
-// RentExponent returns the Rent exponent R_c of the cluster per Eq. 1:
+// rentExponent returns the Rent exponent R_c of the cluster per Eq. 1:
 //
 //	R_c = ln(E(c) / (Int(c)+Ext(c))) / ln(|c|) + 1
 //
 // Degenerate clusters (size < 2 or no pins) return NaN; callers treat those
 // as "no information" and exclude them from weighted averages.
-func (s ClusterStats) RentExponent() float64 {
+func (s clusterStats) rentExponent() float64 {
 	if s.Size < 2 || s.InternalPins+s.ExternalPins == 0 || s.ExternalEdge == 0 {
 		return math.NaN()
 	}
 	return math.Log(float64(s.ExternalEdge)/float64(s.InternalPins+s.ExternalPins))/math.Log(float64(s.Size)) + 1
 }
 
-// ClusterStatsFor computes per-cluster connectivity stats for the clustering
+// clusterStatsFor computes per-cluster connectivity stats for the clustering
 // clusterOf (labels need not be dense). The returned map is keyed by label.
 // Labels are densified up front so the per-edge pin counting runs on flat
 // stamped arrays instead of a map allocation per edge.
-func (h *Hypergraph) ClusterStatsFor(clusterOf []int) map[int]*ClusterStats {
+func (h *Hypergraph) clusterStatsFor(clusterOf []int) map[int]*clusterStats {
 	dense := make(map[int]int)
 	labels := make([]int, 0, 64) // dense id -> original label, first-seen order
 	cid := make([]int32, len(clusterOf))
@@ -357,7 +347,7 @@ func (h *Hypergraph) ClusterStatsFor(clusterOf []int) map[int]*ClusterStats {
 		}
 		cid[v] = int32(id)
 	}
-	stats := make([]ClusterStats, len(labels))
+	stats := make([]clusterStats, len(labels))
 	for v := range clusterOf {
 		s := &stats[cid[v]]
 		s.Size++
@@ -392,7 +382,7 @@ func (h *Hypergraph) ClusterStatsFor(clusterOf []int) map[int]*ClusterStats {
 			}
 		}
 	}
-	out := make(map[int]*ClusterStats, len(labels))
+	out := make(map[int]*clusterStats, len(labels))
 	for i, lab := range labels {
 		out[lab] = &stats[i]
 	}
@@ -403,7 +393,7 @@ func (h *Hypergraph) ClusterStatsFor(clusterOf []int) map[int]*ClusterStats {
 // per-cluster Rent exponents. Clusters whose exponent is NaN contribute a
 // neutral exponent of 1 (a singleton has no internal structure to reward).
 func (h *Hypergraph) WeightedAvgRent(clusterOf []int) float64 {
-	stats := h.ClusterStatsFor(clusterOf)
+	stats := h.clusterStatsFor(clusterOf)
 	// Accumulate in sorted cluster order: float addition is not associative,
 	// and R_avg feeds the clustering objective, so summing in map order would
 	// make the result vary run to run.
@@ -416,7 +406,7 @@ func (h *Hypergraph) WeightedAvgRent(clusterOf []int) float64 {
 	total := 0
 	for _, c := range ids {
 		s := stats[c]
-		r := s.RentExponent()
+		r := s.rentExponent()
 		if math.IsNaN(r) {
 			r = 1
 		}
@@ -446,50 +436,6 @@ func (h *Hypergraph) CutSize(clusterOf []int) float64 {
 		}
 	}
 	return cut
-}
-
-// Validate checks internal consistency and returns an error describing the
-// first violation found.
-func (h *Hypergraph) Validate() error {
-	if len(h.edgeStart) != h.NumEdges()+1 || h.edgeStart[0] != 0 {
-		return fmt.Errorf("edge offset array has %d entries for %d edges", len(h.edgeStart), h.NumEdges())
-	}
-	if int(h.edgeStart[h.NumEdges()]) != len(h.edgePins) {
-		return fmt.Errorf("edge offsets end at %d but pin array has %d entries", h.edgeStart[h.NumEdges()], len(h.edgePins))
-	}
-	for e := range h.edgeWeight {
-		if h.edgeStart[e] > h.edgeStart[e+1] {
-			return fmt.Errorf("edge %d has negative extent", e)
-		}
-		verts := h.Edge(e)
-		for i, v := range verts {
-			if v < 0 || v >= h.NumVertices() {
-				return fmt.Errorf("edge %d references vertex %d out of range", e, v)
-			}
-			if i > 0 && verts[i-1] >= v {
-				return fmt.Errorf("edge %d vertices not strictly sorted", e)
-			}
-		}
-	}
-	inc := h.incidence()
-	for v := 0; v < h.NumVertices(); v++ {
-		for _, e := range inc.edges[inc.start[v]:inc.start[v+1]] {
-			if e < 0 || e >= h.NumEdges() {
-				return fmt.Errorf("vertex %d lists edge %d out of range", v, e)
-			}
-			found := false
-			for _, u := range h.Edge(e) {
-				if u == v {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("vertex %d lists edge %d but edge does not contain it", v, e)
-			}
-		}
-	}
-	return nil
 }
 
 // CliqueExpand converts the hypergraph to a weighted undirected graph using

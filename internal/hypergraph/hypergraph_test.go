@@ -132,12 +132,12 @@ func TestContractBadMap(t *testing.T) {
 
 func TestClusterStats(t *testing.T) {
 	h := buildSample()
-	stats := h.ClusterStatsFor([]int{0, 0, 0, 1, 1, 1})
+	stats := h.clusterStatsFor([]int{0, 0, 0, 1, 1, 1})
 	s0 := stats[0]
 	if s0.Size != 3 || s0.ExternalEdge != 1 || s0.ExternalPins != 1 || s0.InternalPins != 6 {
 		t.Fatalf("stats0=%+v", *s0)
 	}
-	r := s0.RentExponent()
+	r := s0.rentExponent()
 	want := math.Log(1.0/7.0)/math.Log(3.0) + 1
 	if math.Abs(r-want) > 1e-12 {
 		t.Fatalf("rent=%v want %v", r, want)
@@ -145,10 +145,10 @@ func TestClusterStats(t *testing.T) {
 }
 
 func TestRentDegenerate(t *testing.T) {
-	if !math.IsNaN((ClusterStats{Size: 1, ExternalEdge: 2, ExternalPins: 2}).RentExponent()) {
+	if !math.IsNaN((clusterStats{Size: 1, ExternalEdge: 2, ExternalPins: 2}).rentExponent()) {
 		t.Fatal("singleton should be NaN")
 	}
-	if !math.IsNaN((ClusterStats{Size: 3}).RentExponent()) {
+	if !math.IsNaN((clusterStats{Size: 3}).rentExponent()) {
 		t.Fatal("pinless cluster should be NaN")
 	}
 }
@@ -306,8 +306,8 @@ func TestPropertyRentExponentBounded(t *testing.T) {
 		for v := range clusterOf {
 			clusterOf[v] = rng.Intn(4)
 		}
-		for _, s := range h.ClusterStatsFor(clusterOf) {
-			r := s.RentExponent()
+		for _, s := range h.clusterStatsFor(clusterOf) {
+			r := s.rentExponent()
 			if math.IsNaN(r) {
 				continue
 			}

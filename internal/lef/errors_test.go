@@ -37,7 +37,7 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in), netlist.NewLibrary("t"))
+			_, _, err := ParseWith(strings.NewReader(tc.in), netlist.NewLibrary("t"), Options{})
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.in)
 			}

@@ -39,7 +39,7 @@ func FuzzReadLEF(f *testing.F) {
 			t.Fatalf("write after accepting parse: %v", err)
 		}
 		lib2 := netlist.NewLibrary("fuzz")
-		if _, err := Parse(bytes.NewReader(w1.Bytes()), lib2); err != nil {
+		if _, _, err := ParseWith(bytes.NewReader(w1.Bytes()), lib2, Options{}); err != nil {
 			t.Fatalf("re-parse of own output failed: %v\noutput:\n%s", err, w1.String())
 		}
 		var w2 bytes.Buffer

@@ -73,23 +73,18 @@ type Options struct {
 	Lenient bool
 }
 
-// Parse reads MACRO blocks into the given library, creating masters that do
-// not exist and updating geometry of those that do (the usual
+// ParseWith reads MACRO blocks into the given library, creating masters that
+// do not exist and updating geometry of those that do (the usual
 // liberty-then-lef load order). It returns the names of the macros read.
-// Parsing is strict: every malformed field is a *scan.ParseError.
-func Parse(r io.Reader, lib *netlist.Library) ([]string, error) {
-	names, _, err := ParseWith(r, lib, Options{})
-	return names, err
-}
-
-// ParseWith reads LEF under the given options. In lenient mode the returned
-// warnings list the fields that were skipped.
+// Strict parsing (the zero Options) makes every malformed field a
+// *scan.ParseError; in lenient mode the returned warnings list the fields
+// that were skipped.
 func ParseWith(r io.Reader, lib *netlist.Library, o Options) ([]string, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
 		file = "lef"
 	}
-	p := &lefParser{lib: lib, strict: !o.Lenient}
+	p := &lefParser{lib: lib}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
@@ -106,24 +101,11 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) ([]string, []*scan.
 }
 
 type lefParser struct {
-	lib    *netlist.Library
-	names  []string
-	m      *netlist.Master
-	pin    *netlist.MasterPin
-	strict bool
-	warns  *scan.Warnings
-}
-
-func (p *lefParser) tolerate(err error) error {
-	if err == nil || p.strict {
-		return err
-	}
-	if pe, ok := err.(*scan.ParseError); ok {
-		p.warns.Add(pe)
-	} else {
-		p.warns.Add(&scan.ParseError{Msg: err.Error()})
-	}
-	return nil
+	lib   *netlist.Library
+	names []string
+	m     *netlist.Master
+	pin   *netlist.MasterPin
+	warns *scan.Warnings // nil in strict mode
 }
 
 // quant snaps a micron value to the writer's %.4f grid, so re-emission is
@@ -176,7 +158,7 @@ func (p *lefParser) line(ln *scan.Line) error {
 			return ln.Errf(ln.Tok(0), "CLASS outside MACRO")
 		}
 		if err := ln.Require(2); err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 		switch ln.Tok(1) {
 		case "BLOCK":
@@ -191,7 +173,7 @@ func (p *lefParser) line(ln *scan.Line) error {
 			return ln.Errf(ln.Tok(0), "SIZE outside MACRO")
 		}
 		if err := p.size(ln); err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 	case "PIN":
 		if p.m == nil {
@@ -210,7 +192,7 @@ func (p *lefParser) line(ln *scan.Line) error {
 			return ln.Errf(ln.Tok(0), "DIRECTION outside PIN")
 		}
 		if err := ln.Require(2); err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 		switch ln.Tok(1) {
 		case "OUTPUT":
@@ -225,7 +207,7 @@ func (p *lefParser) line(ln *scan.Line) error {
 			return nil // macro-level USE lines are outside the subset
 		}
 		if err := ln.Require(2); err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 		if ln.Tok(1) == "CLOCK" {
 			p.pin.Clock = true
@@ -235,7 +217,7 @@ func (p *lefParser) line(ln *scan.Line) error {
 			return ln.Errf(ln.Tok(0), "ORIGIN outside PIN")
 		}
 		if err := p.origin(ln); err != nil {
-			return p.tolerate(err)
+			return p.warns.Tolerate(err)
 		}
 	case "END":
 		// Close the innermost open block first, so a pin that shares its

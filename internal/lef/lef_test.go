@@ -17,7 +17,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := netlist.NewLibrary("parsed")
-	names, err := Parse(bytes.NewReader(buf.Bytes()), got)
+	names, _, err := ParseWith(bytes.NewReader(buf.Bytes()), got, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestParseIntoExistingLibraryMerges(t *testing.T) {
     DIRECTION INPUT ;
   END A
 END INV_X1`
-	if _, err := Parse(strings.NewReader(src), lib); err != nil {
+	if _, _, err := ParseWith(strings.NewReader(src), lib, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if m.Width != 0.38 || m.Height != 1.4 {
@@ -87,7 +87,7 @@ func TestParseErrors(t *testing.T) {
 	}
 	for _, src := range cases {
 		lib := netlist.NewLibrary("x")
-		if _, err := Parse(strings.NewReader(src), lib); err == nil {
+		if _, _, err := ParseWith(strings.NewReader(src), lib, Options{}); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}

@@ -35,7 +35,7 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in))
+			_, _, err := ParseWith(strings.NewReader(tc.in), Options{})
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.in)
 			}
@@ -57,7 +57,7 @@ func TestMalformedInputs(t *testing.T) {
 	// Unterminated quote must not panic the tokenizer (former out-of-bounds
 	// slice); the input happens to parse, which is fine — the invariant is
 	// no crash.
-	if _, err := Parse(strings.NewReader("library (l) {\n  cell (c) {\n    x : \"unterminated;\n  }\n}\n")); err != nil {
+	if _, _, err := ParseWith(strings.NewReader("library (l) {\n  cell (c) {\n    x : \"unterminated;\n  }\n}\n"), Options{}); err != nil {
 		var pe *scan.ParseError
 		if !errors.As(err, &pe) {
 			t.Fatalf("unterminated string produced a non-structured error: %v", err)

@@ -39,7 +39,7 @@ func FuzzReadLiberty(f *testing.F) {
 		if err := Write(&w1, lib); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)
 		}
-		lib2, err := Parse(bytes.NewReader(w1.Bytes()))
+		lib2, _, err := ParseWith(bytes.NewReader(w1.Bytes()), Options{})
 		if err != nil {
 			t.Fatalf("re-parse of own output failed: %v\noutput:\n%s", err, w1.String())
 		}

@@ -151,21 +151,15 @@ type Options struct {
 	Lenient bool
 }
 
-// Parse reads a liberty file into a new library, strictly: every malformed
-// field is a *scan.ParseError.
-func Parse(r io.Reader) (*netlist.Library, error) {
-	lib, _, err := ParseWith(r, Options{})
-	return lib, err
-}
-
-// ParseWith reads liberty under the given options. In lenient mode the
-// returned warnings list the fields and arcs that were skipped.
+// ParseWith reads a liberty file into a new library. Strict parsing (the
+// zero Options) makes every malformed field a *scan.ParseError; in lenient
+// mode the returned warnings list the fields and arcs that were skipped.
 func ParseWith(r io.Reader, o Options) (*netlist.Library, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
 		file = "liberty"
 	}
-	b := &builder{file: file, strict: !o.Lenient}
+	b := &builder{file: file}
 	if o.Lenient {
 		b.warns = &scan.Warnings{}
 	}
@@ -193,7 +187,7 @@ func ParseWith(r io.Reader, o Options) (*netlist.Library, []*scan.ParseError, er
 			continue
 		}
 		if len(cg.args) == 0 || cg.args[0] == "" {
-			if err := b.tolerate(scan.Errorf(file, cg.line, "cell", "cell without a name")); err != nil {
+			if err := b.warns.Tolerate(scan.Errorf(file, cg.line, "cell", "cell without a name")); err != nil {
 				return nil, b.warns.List(), err
 			}
 			continue
@@ -227,20 +221,8 @@ type attrVal struct {
 // builder turns the parsed group tree into a netlist.Library, applying the
 // strict/lenient policy to numeric attributes.
 type builder struct {
-	file   string
-	strict bool
-	warns  *scan.Warnings
-}
-
-func (b *builder) tolerate(err *scan.ParseError) error {
-	if err == nil || b.strict {
-		if err == nil {
-			return nil
-		}
-		return err
-	}
-	b.warns.Add(err)
-	return nil
+	file  string
+	warns *scan.Warnings // nil in strict mode
 }
 
 // numAttr parses the named attribute as a finite number with |v| <= maxAbs,
@@ -253,7 +235,7 @@ func (b *builder) numAttr(g *group, name string, unit, maxAbs float64) (v float6
 	}
 	raw, pok := scan.ParseFloat(a.s)
 	if !pok || raw < -maxAbs || raw > maxAbs {
-		return 0, false, b.tolerate(scan.Errorf(b.file, a.line, a.s,
+		return 0, false, b.warns.Tolerate(scan.Errorf(b.file, a.line, a.s,
 			"%s: not a finite number in [-%g, %g]", name, maxAbs, maxAbs))
 	}
 	return raw * unit, true, nil
@@ -282,7 +264,7 @@ func (b *builder) cell(g *group) (*netlist.Master, error) {
 			continue
 		}
 		if len(pg.args) == 0 || pg.args[0] == "" {
-			if err := b.tolerate(scan.Errorf(b.file, pg.line, "pin", "pin without a name")); err != nil {
+			if err := b.warns.Tolerate(scan.Errorf(b.file, pg.line, "pin", "pin without a name")); err != nil {
 				return nil, err
 			}
 			continue
@@ -315,7 +297,7 @@ func (b *builder) cell(g *group) (*netlist.Master, error) {
 			}
 			arc, err := b.arc(tg)
 			if err != nil {
-				if terr := b.tolerate(asParseError(err)); terr != nil {
+				if terr := b.warns.Tolerate(err); terr != nil {
 					return nil, terr
 				}
 				continue // lenient: drop the malformed arc
@@ -325,13 +307,6 @@ func (b *builder) cell(g *group) (*netlist.Master, error) {
 		m.AddPin(pin)
 	}
 	return m, nil
-}
-
-func asParseError(err error) *scan.ParseError {
-	if pe, ok := err.(*scan.ParseError); ok {
-		return pe
-	}
-	return &scan.ParseError{Msg: err.Error()}
 }
 
 func (b *builder) arc(g *group) (netlist.TimingArc, error) {

@@ -16,7 +16,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&buf, lib); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()))
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), Options{})
 	if err != nil {
 		t.Fatalf("%v\n--- emitted ---\n%s", err, buf.String()[:600])
 	}
@@ -95,7 +95,7 @@ func TestParseMinimalCell(t *testing.T) {
     }
   }
 }`
-	lib, err := Parse(strings.NewReader(src))
+	lib, _, err := ParseWith(strings.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestParseErrors(t *testing.T) {
 		"library (x) { cell (",
 	}
 	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src)); err == nil {
+		if _, _, err := ParseWith(strings.NewReader(src), Options{}); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
@@ -128,7 +128,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestDuplicateCellFails(t *testing.T) {
 	src := `library (x) { cell (A) { area : 1; } cell (A) { area : 2; } }`
-	if _, err := Parse(strings.NewReader(src)); err == nil {
+	if _, _, err := ParseWith(strings.NewReader(src), Options{}); err == nil {
 		t.Fatal("expected duplicate cell error")
 	}
 }

@@ -15,7 +15,7 @@ func TestWriteParseWriteFixpoint(t *testing.T) {
 	if err := Write(&first, lib); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := Parse(bytes.NewReader(first.Bytes()))
+	parsed, _, err := ParseWith(bytes.NewReader(first.Bytes()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

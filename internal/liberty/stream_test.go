@@ -22,11 +22,11 @@ func TestStreamingLexerChunkInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := srcBuf.Bytes()
-	whole, err := Parse(bytes.NewReader(src))
+	whole, _, err := ParseWith(bytes.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := Parse(iotest.OneByteReader(bytes.NewReader(src)))
+	chunked, _, err := ParseWith(iotest.OneByteReader(bytes.NewReader(src)), Options{})
 	if err != nil {
 		t.Fatalf("one-byte reader: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestStreamingReadErrorSurfaces(t *testing.T) {
 	head := "library (l) {\n  cell (INV_X1) {\n    area : 1.0;\n"
 	boom := errors.New("disk on fire")
 	r := io.MultiReader(strings.NewReader(head), iotest.ErrReader(boom))
-	_, err := Parse(r)
+	_, _, err := ParseWith(r, Options{})
 	if err == nil {
 		t.Fatal("parse accepted a failing reader")
 	}
@@ -64,7 +64,7 @@ func TestStreamingReadErrorSurfaces(t *testing.T) {
 	// The statement-style truncation trap: a read failure right before the
 	// library body must not parse as "library (l)" with no cells.
 	r = io.MultiReader(strings.NewReader("library (l)"), iotest.ErrReader(boom))
-	if _, err := Parse(r); err == nil {
+	if _, _, err := ParseWith(r, Options{}); err == nil {
 		t.Fatal("parse accepted a library truncated by a read failure")
 	}
 }

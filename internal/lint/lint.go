@@ -48,8 +48,8 @@ type Check struct {
 	Run  func(p *Package, report func(pos token.Pos, format string, args ...any))
 }
 
-// Checks returns the full project check catalog in a fixed order.
-func Checks() []*Check {
+// catalog returns the full project check catalog in a fixed order.
+func catalog() []*Check {
 	return []*Check{
 		noPanicCheck, rawIndexCheck, errDropCheck, printLibCheck, i32TruncCheck, ndSourceCheck,
 	}
@@ -58,7 +58,7 @@ func Checks() []*Check {
 // CheckNames returns the catalog's names, in catalog order.
 func CheckNames() []string {
 	var names []string
-	for _, c := range Checks() {
+	for _, c := range catalog() {
 		names = append(names, c.Name)
 	}
 	return names
@@ -68,7 +68,7 @@ func CheckNames() []string {
 // empty spec selects everything; a non-empty one must name at least one
 // check.
 func Select(spec string) ([]*Check, error) {
-	all := Checks()
+	all := catalog()
 	if strings.TrimSpace(spec) == "" {
 		return all, nil
 	}
@@ -167,7 +167,7 @@ func runChecks(pkgs []*Package, checks []*Check) ([]Diagnostic, []Suppression) {
 	suppressed := map[suppressKey]bool{}
 	used := map[suppressKey]bool{}
 	known := map[string]bool{}
-	for _, c := range Checks() {
+	for _, c := range catalog() {
 		known[c.Name] = true
 	}
 	selected := map[string]bool{}

@@ -148,7 +148,11 @@ func TestRepoIsLintClean(t *testing.T) {
 		}
 		pkgs = append(pkgs, p)
 	}
-	diags, sups := lint.Audit(pkgs, lint.Checks())
+	all, err := lint.Select("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, sups := lint.Audit(pkgs, all)
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -279,10 +279,10 @@ func (c *Compact) netHPWL(n int, instX, instY, portX, portY []float64) float64 {
 	return (maxX - minX) + (maxY - minY)
 }
 
-// HPWL returns the total half-perimeter wirelength over all nets, summed in
+// hpwl returns the total half-perimeter wirelength over all nets, summed in
 // net order. Per-net values and the total are bit-identical to the pointer
 // API (Design.NetHPWL summed in net order).
-func (c *Compact) HPWL() float64 {
+func (c *Compact) hpwl() float64 {
 	c.gatherPositions()
 	var sum float64
 	for n := 0; n < len(c.NetStart)-1; n++ {

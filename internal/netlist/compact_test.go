@@ -20,7 +20,7 @@ func TestCompactHPWLMatchesPointerAPI(t *testing.T) {
 		for _, n := range d.Nets {
 			want += d.NetHPWL(n)
 		}
-		for _, got := range []float64{c.HPWL(), d.HPWL()} {
+		for _, got := range []float64{c.hpwl(), d.HPWL()} {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("%s: total HPWL %v != pointer-API %v", stage, got, want)
 			}
@@ -102,7 +102,7 @@ func TestCompactRebuildsAfterTopologyChange(t *testing.T) {
 	if got, want := len(c2.NetStart)-1, len(d.Nets); got != want {
 		t.Fatalf("rebuilt Compact has %d nets, design has %d", got, want)
 	}
-	if math.Float64bits(c2.HPWL()) != math.Float64bits(d.HPWL()) {
-		t.Fatalf("rebuilt Compact HPWL %v != pointer-API %v", c2.HPWL(), d.HPWL())
+	if math.Float64bits(c2.hpwl()) != math.Float64bits(d.HPWL()) {
+		t.Fatalf("rebuilt Compact HPWL %v != pointer-API %v", c2.hpwl(), d.HPWL())
 	}
 }

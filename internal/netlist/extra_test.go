@@ -39,15 +39,6 @@ func TestRectHelpers(t *testing.T) {
 	}
 }
 
-func TestPinDirString(t *testing.T) {
-	if DirInput.String() != "input" || DirOutput.String() != "output" || DirInout.String() != "inout" {
-		t.Fatal("dir strings")
-	}
-	if PinDir(99).String() != "unknown" {
-		t.Fatal("unknown dir")
-	}
-}
-
 func TestNetHPWLWithPortOnly(t *testing.T) {
 	lib := testLib()
 	d := NewDesign("p", lib)

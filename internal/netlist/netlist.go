@@ -25,18 +25,6 @@ const (
 	DirInout
 )
 
-func (d PinDir) String() string {
-	switch d {
-	case DirInput:
-		return "input"
-	case DirOutput:
-		return "output"
-	case DirInout:
-		return "inout"
-	}
-	return "unknown"
-}
-
 // MasterClass distinguishes standard cells from macros and pads.
 type MasterClass int
 
@@ -470,7 +458,7 @@ func (d *Design) NetHPWL(n *Net) float64 {
 // chasing); the per-net values and the net-order sum are bit-identical to
 // summing NetHPWL over d.Nets.
 func (d *Design) HPWL() float64 {
-	return d.Compact().HPWL()
+	return d.Compact().hpwl()
 }
 
 // HPWLWorkers is HPWL; workers is ignored; kept for frozen benchmark/replay.go.

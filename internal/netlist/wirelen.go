@@ -23,8 +23,8 @@ package netlist
 // so a bound never changes bits without changing value.
 //
 // The cache assumes a frozen topology: positions change only through
-// MoveCell (or are re-read wholesale by Rebuild). Adding instances, nets or
-// pins invalidates the cache; call Rebuild afterwards.
+// MoveCell. Adding instances, nets or pins, or moving a cell any other way,
+// invalidates the cache; build a new one afterwards.
 type WirelenCache struct {
 	d                      *Design
 	cm                     *Compact
@@ -33,7 +33,7 @@ type WirelenCache struct {
 
 	// Cache-owned position mirrors, indexed like Compact's pin references.
 	// MoveCell writes instX/instY alongside Instance.X/Y; ports cannot move
-	// through this cache, so portX/portY are snapshots from Rebuild.
+	// through this cache, so portX/portY are snapshots from rebuild.
 	instX, instY []float64
 	portX, portY []float64
 
@@ -50,13 +50,13 @@ type WirelenCache struct {
 // NewWirelenCache builds the cache from current pin positions in O(pins).
 func NewWirelenCache(d *Design) *WirelenCache {
 	c := &WirelenCache{d: d}
-	c.Rebuild()
+	c.rebuild()
 	return c
 }
 
-// Rebuild recomputes every net's bounding box from current positions and
+// rebuild recomputes every net's bounding box from current positions and
 // refreshes the compact connectivity snapshot.
-func (c *WirelenCache) Rebuild() {
+func (c *WirelenCache) rebuild() {
 	if cm := c.d.Compact(); cm != c.cm {
 		c.cm = cm
 		c.indexSlots()

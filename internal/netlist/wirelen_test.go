@@ -169,15 +169,15 @@ func testWirelenCacheMoves(t *testing.T, d *Design, hot []int) *WirelenCache {
 	return c
 }
 
-// TestWirelenCacheRebuild verifies Rebuild resyncs after out-of-band edits.
+// TestWirelenCacheRebuild verifies rebuild resyncs after out-of-band edits.
 func TestWirelenCacheRebuild(t *testing.T) {
 	d := wirelenTestDesign(t, 20, 30, 3)
 	c := NewWirelenCache(d)
 	d.Insts[4].X = 777 // bypass MoveCell
-	c.Rebuild()
+	c.rebuild()
 	for i, n := range d.Nets {
 		if math.Float64bits(c.NetHPWL(i)) != math.Float64bits(d.NetHPWL(n)) {
-			t.Fatalf("net %d stale after Rebuild", i)
+			t.Fatalf("net %d stale after rebuild", i)
 		}
 	}
 }

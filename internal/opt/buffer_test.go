@@ -76,7 +76,8 @@ func TestInsertBuffersSplitsLongNet(t *testing.T) {
 func TestInsertBuffersRespectsClockAndLimit(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(701))
 	d := b.Design
-	place.Global(d, place.Options{Seed: 1, Legalize: true})
+	place.Global(d, place.Options{Seed: 1})
+	place.Legalize(d)
 	clockPins := len(d.Net("clk").Pins)
 	rep, err := InsertBuffers(d, BufferOptions{
 		BufMaster:  d.Lib.Master("BUF_X4"),

@@ -143,7 +143,8 @@ func BenchmarkLegalize(b *testing.B) {
 func BenchmarkDetailed(b *testing.B) {
 	bench := benchDesign(b, "jpeg")
 	d0 := bench.Design.Clone()
-	Global(d0, Options{Seed: 1, Legalize: true})
+	Global(d0, Options{Seed: 1})
+	Legalize(d0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := d0.Clone()
@@ -159,7 +160,8 @@ func BenchmarkDetailedScale100k(b *testing.B) {
 		b.Skip("100k-cell placement set-up")
 	}
 	d0 := designs.Generate(designs.ScaleSpec(100000, 1)).Design
-	Global(d0, Options{Seed: 1, Legalize: true})
+	Global(d0, Options{Seed: 1})
+	Legalize(d0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

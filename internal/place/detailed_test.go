@@ -14,7 +14,8 @@ import (
 func TestDetailedNeverWorsensHPWL(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(301))
 	d := b.Design
-	Global(d, Options{Seed: 1, Legalize: true})
+	Global(d, Options{Seed: 1})
+	Legalize(d)
 	res := Detailed(d, DetailedOptions{Seed: 1})
 	if res.HPWLAfter > res.HPWLBefore+1e-6 {
 		t.Fatalf("detailed placement worsened HPWL: %v -> %v", res.HPWLBefore, res.HPWLAfter)
@@ -29,7 +30,8 @@ func TestDetailedImprovesScatteredPlacement(t *testing.T) {
 	d := b.Design
 	// A deliberately poor but legal placement: global then legalize, then
 	// shuffle equal-width cells pairwise to inject badness.
-	Global(d, Options{Seed: 2, Legalize: true})
+	Global(d, Options{Seed: 2})
+	Legalize(d)
 	var last map[float64]int
 	_ = last
 	byWidth := map[float64][]int{}
@@ -57,7 +59,8 @@ func TestDetailedImprovesScatteredPlacement(t *testing.T) {
 func TestDetailedPreservesLegality(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(303))
 	d := b.Design
-	Global(d, Options{Seed: 3, Legalize: true})
+	Global(d, Options{Seed: 3})
+	Legalize(d)
 	Detailed(d, DetailedOptions{Seed: 3})
 	rep := CheckLegal(d)
 	if rep.Overlaps != 0 || rep.OffRow != 0 || rep.Outside != 0 {
@@ -100,7 +103,8 @@ func TestDetailedDegenerateInputs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := designs.Generate(designs.TinySpec(304)).Design
-			Global(d, Options{Seed: 4, Legalize: true})
+			Global(d, Options{Seed: 4})
+			Legalize(d)
 			tc.prep(d)
 			type xy struct{ x, y float64 }
 			before := make([]xy, len(d.Insts))
@@ -126,7 +130,8 @@ func TestDetailedDegenerateInputs(t *testing.T) {
 // nothing.
 func TestDetailedPassAllocFree(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(5000, 1)).Design
-	Global(d, Options{Seed: 1, Legalize: true})
+	Global(d, Options{Seed: 1})
+	Legalize(d)
 	dp := newDetailer(d, DetailedOptions{Seed: 1}.withDefaults())
 	if allocs := testing.AllocsPerRun(2, func() { dp.pass() }); allocs != 0 {
 		t.Fatalf("a detailed-placement pass allocates %v times, want 0", allocs)
@@ -154,7 +159,8 @@ func TestDetailedGoldenDeterministic(t *testing.T) {
 			"e55068df78f8724e777b5453ace73817cd1c0a2e2f49d824bc709a1fedf77477"},
 	}
 	d0 := designs.Generate(designs.ScaleSpec(20000, 1)).Design
-	Global(d0, Options{Seed: 1, Legalize: true})
+	Global(d0, Options{Seed: 1})
+	Legalize(d0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := d0.Clone()

@@ -61,7 +61,7 @@ func TestGlobalWorkersEquivalent(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := designs.Generate(tc.spec).Design
 			if !tc.incremental {
-				run(t, d, Options{Seed: 3, Legalize: true})
+				run(t, d, Options{Seed: 3})
 				return
 			}
 			Global(d, Options{Seed: 4}) // seed positions

@@ -54,8 +54,6 @@ type Options struct {
 	RegionIterations int
 	// Seed jitters the initial placement deterministically.
 	Seed int64
-	// Legalize snaps cells to rows and sites after global placement.
-	Legalize bool
 	// Workers bounds the goroutines a run uses: 0 = auto (PPACLUST_WORKERS,
 	// else GOMAXPROCS), 1 = everything inline. From two workers up the x and
 	// y solves of a round run side by side, and so do the two halves of the
@@ -154,8 +152,7 @@ type Result struct {
 	Iterations int
 	// Overflow is the bin overflow fraction of the placement the caller
 	// actually gets: re-measured from the committed instance positions and
-	// physical cell areas after legalization (and after any inflation), not
-	// the last loop iterate.
+	// physical cell areas (after any inflation), not the last loop iterate.
 	Overflow float64
 	// CGIterations is the total conjugate-gradient iterations spent across
 	// all axis solves (including the coarse warm-start solve, if any).
@@ -286,9 +283,6 @@ func Global(d *netlist.Design, opt Options) Result {
 		}
 	}
 	p.writeBack()
-	if opt.Legalize {
-		Legalize(d)
-	}
 	return Result{
 		HPWL:            d.HPWL(),
 		Iterations:      iter,

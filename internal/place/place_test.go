@@ -198,7 +198,8 @@ func TestFixedCellsDoNotMove(t *testing.T) {
 
 func TestLegalize(t *testing.T) {
 	d := tinyPlaced(t, 28)
-	Global(d, Options{Seed: 8, Legalize: true})
+	Global(d, Options{Seed: 8})
+	Legalize(d)
 	rep := CheckLegal(d)
 	if rep.OffRow != 0 || rep.OffSite != 0 {
 		t.Fatalf("off-grid cells: %+v", rep)

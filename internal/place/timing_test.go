@@ -112,17 +112,18 @@ func TestTimingDrivenImprovesTNS(t *testing.T) {
 }
 
 // TestOverflowMeasuredAfterLegalize is the regression for Result.Overflow
-// being sampled mid-loop: with legalization on, the reported overflow must
-// describe the final (legalized) positions, not the last spreading round.
+// being sampled mid-loop: the reported overflow must describe the positions
+// Global commits to the design — the ones Legalize then snaps — not the last
+// spreading round.
 func TestOverflowMeasuredAfterLegalize(t *testing.T) {
 	d := designs.Generate(designs.TinySpec(94)).Design
-	res := Global(d, Options{Seed: 2, Legalize: true})
+	res := Global(d, Options{Seed: 2})
 	// Recompute the bin overflow from the design's final coordinates with an
 	// independent placer instance and compare bit-for-bit.
-	p := &placer{d: d, opt: Options{Seed: 2, Legalize: true}.withDefaults(), core: d.Core, workers: 1}
+	p := &placer{d: d, opt: Options{Seed: 2}.withDefaults(), core: d.Core, workers: 1}
 	p.collect()
 	want := p.finalOverflow()
 	if math.Float64bits(res.Overflow) != math.Float64bits(want) {
-		t.Fatalf("Result.Overflow %v != post-legalize overflow %v", res.Overflow, want)
+		t.Fatalf("Result.Overflow %v != committed-position overflow %v", res.Overflow, want)
 	}
 }

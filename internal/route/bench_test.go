@@ -15,7 +15,8 @@ import (
 func BenchmarkGlobalRoute(b *testing.B) {
 	spec, _ := designs.Named("ariane")
 	bench := designs.Generate(spec)
-	place.Global(bench.Design, place.Options{Seed: 1, Legalize: true})
+	place.Global(bench.Design, place.Options{Seed: 1})
+	place.Legalize(bench.Design)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		route.GlobalRoute(bench.Design, route.Options{})

@@ -15,7 +15,7 @@ func TestPropertySegmentLengthLowerBound(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 200, Y1: 200}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g := NewGrid(core, 10, 4, 4)
+		g := newGrid(core, 10, 4, 4)
 		for k := 0; k < 30; k++ {
 			i0, j0 := rng.Intn(g.nx), rng.Intn(g.ny)
 			i1, j1 := rng.Intn(g.nx), rng.Intn(g.ny)

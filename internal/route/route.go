@@ -76,8 +76,8 @@ type Grid struct {
 	vCap   int
 }
 
-// NewGrid builds an empty routing grid over the core.
-func NewGrid(core netlist.Rect, size float64, capH, capV int) *Grid {
+// newGrid builds an empty routing grid over the core.
+func newGrid(core netlist.Rect, size float64, capH, capV int) *Grid {
 	nx := int(math.Ceil(core.W()/size)) + 1
 	ny := int(math.Ceil(core.H()/size)) + 1
 	if nx < 2 {
@@ -471,7 +471,7 @@ func (sc *routeScratch) applyPart(s segRoute) {
 // match serial ones bit for bit.
 func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	opt = opt.withDefaults()
-	g := NewGrid(d.Core, gcellSize(d), opt.CapacityH, opt.CapacityV)
+	g := newGrid(d.Core, gcellSize(d), opt.CapacityH, opt.CapacityV)
 	c := d.Compact()
 	workers := par.Workers(opt.Workers)
 

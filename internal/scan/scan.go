@@ -3,9 +3,9 @@
 // it so that a malformed input line yields a structured *ParseError carrying
 // file name, line number and the offending token — never a panic, and never
 // a silently defaulted value. It also carries the strict/lenient mode
-// convention: strict parsing turns every recoverable field error into a
-// *ParseError, lenient parsing skips the field and records the same error as
-// a warning.
+// policy, Warnings.Tolerate: strict parsing turns every recoverable field
+// error into a *ParseError, lenient parsing skips the field and records the
+// same error as a warning.
 package scan
 
 import (
@@ -18,12 +18,12 @@ import (
 	"unicode/utf8"
 )
 
-// MaxAbs is the universal magnitude cap on parsed floats. Values beyond it
+// maxAbs is the universal magnitude cap on parsed floats. Values beyond it
 // (and NaN/Inf) are rejected: no physical quantity the flow consumes —
 // nanoseconds, picofarads, microns, database units — comes anywhere near it,
 // and the cap keeps downstream float->int conversions and unit rescaling
 // away from overflow and implementation-defined behavior.
-const MaxAbs = 1e30
+const maxAbs = 1e30
 
 // ParseError is the structured error every format reader returns. File is
 // the file name (or the format tag, e.g. "def", when no name was given),
@@ -55,18 +55,28 @@ func Errorf(file string, line int, token, format string, args ...any) *ParseErro
 	return &ParseError{File: file, Line: line, Token: token, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Warnings collects the lenient-mode ParseErrors a reader tolerated. The
-// zero value is ready to use; a nil *Warnings silently drops (strict-mode
-// readers pass nil and return the error instead).
+// Warnings collects the lenient-mode ParseErrors a reader tolerated, and is
+// the one strict/lenient policy every reader applies through Tolerate. A
+// reader in lenient mode holds a non-nil *Warnings (the zero value is ready
+// to use); a nil *Warnings is strict mode.
 type Warnings struct {
 	list []*ParseError
 }
 
-// Add records one warning.
-func (w *Warnings) Add(e *ParseError) {
-	if w != nil && e != nil {
-		w.list = append(w.list, e)
+// Tolerate routes one recoverable field error. In strict mode (nil w) it
+// returns err. In lenient mode it records err as a warning — a plain error
+// becomes a *ParseError carrying its message — and returns nil. A nil err is
+// nil in both modes and records nothing.
+func (w *Warnings) Tolerate(err error) error {
+	if w == nil || err == nil {
+		return err
 	}
+	pe, ok := err.(*ParseError)
+	if !ok {
+		pe = &ParseError{Msg: err.Error()}
+	}
+	w.list = append(w.list, pe)
+	return nil
 }
 
 // List returns the recorded warnings in input order.
@@ -75,14 +85,6 @@ func (w *Warnings) List() []*ParseError {
 		return nil
 	}
 	return w.list
-}
-
-// Len reports the number of recorded warnings.
-func (w *Warnings) Len() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.list)
 }
 
 // Line is one line of whitespace-separated fields with provenance. All
@@ -132,14 +134,14 @@ func (l *Line) Str(i int) (string, error) {
 	return l.Fields[i], nil
 }
 
-// Float parses field i as a finite float64 with |v| <= MaxAbs.
+// Float parses field i as a finite float64 with |v| <= maxAbs.
 func (l *Line) Float(i int) (float64, error) {
 	s, err := l.Str(i)
 	if err != nil {
 		return 0, err
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > MaxAbs {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > maxAbs {
 		return 0, l.Errf(s, "not a finite number")
 	}
 	return v, nil
@@ -158,11 +160,11 @@ func (l *Line) Int(i int) (int, error) {
 	return v, nil
 }
 
-// ParseFloat applies the Float policy (finite, |v| <= MaxAbs) to a bare
+// ParseFloat applies the Float policy (finite, |v| <= maxAbs) to a bare
 // token, for readers that are not line-oriented.
 func ParseFloat(s string) (float64, bool) {
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > MaxAbs {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > maxAbs {
 		return 0, false
 	}
 	return v, true
@@ -243,12 +245,4 @@ func (s *Scanner) Err() error {
 		return Errorf(s.file, s.num, "", "read: %v", err)
 	}
 	return nil
-}
-
-// File returns the name the scanner reports in errors.
-func (s *Scanner) File() string { return s.file }
-
-// Errf builds a *ParseError at the scanner's current line.
-func (s *Scanner) Errf(token, format string, args ...any) *ParseError {
-	return Errorf(s.file, s.num, token, format, args...)
 }

@@ -87,17 +87,39 @@ func TestParseErrorFormat(t *testing.T) {
 	}
 }
 
-func TestWarnings(t *testing.T) {
-	var w Warnings
-	w.Add(Errorf("f", 1, "", "a"))
-	w.Add(Errorf("f", 2, "", "b"))
-	if w.Len() != 2 || len(w.List()) != 2 {
-		t.Fatalf("warnings lost: %d", w.Len())
+// TestWarningsTolerate pins the one strict/lenient policy the readers share:
+// a nil *Warnings (strict) hands every error back and records nothing; a
+// non-nil one (lenient) swallows it, keeping a *ParseError as is and wrapping
+// a plain error's message; a nil error is nil in both modes.
+func TestWarningsTolerate(t *testing.T) {
+	pe := Errorf("f", 1, "tok", "bad field")
+	plain := errors.New("plain failure")
+
+	var strict *Warnings
+	for _, err := range []error{pe, plain, nil} {
+		if got := strict.Tolerate(err); got != err {
+			t.Fatalf("strict Tolerate(%v) = %v, want the error back", err, got)
+		}
 	}
-	var nilW *Warnings
-	nilW.Add(Errorf("f", 3, "", "c")) // must not panic
-	if nilW.Len() != 0 || nilW.List() != nil {
-		t.Fatal("nil Warnings misbehaved")
+	if strict.List() != nil {
+		t.Fatalf("strict mode recorded %v", strict.List())
+	}
+
+	lenient := &Warnings{}
+	for _, err := range []error{pe, plain, nil} {
+		if got := lenient.Tolerate(err); got != nil {
+			t.Fatalf("lenient Tolerate(%v) = %v, want nil", err, got)
+		}
+	}
+	list := lenient.List()
+	if len(list) != 2 {
+		t.Fatalf("lenient mode recorded %d warnings, want 2 (nil err skipped): %v", len(list), list)
+	}
+	if list[0] != pe {
+		t.Fatalf("a *ParseError was not kept as is: %#v", list[0])
+	}
+	if *list[1] != (ParseError{Msg: "plain failure"}) {
+		t.Fatalf("a plain error was not wrapped by message: %#v", list[1])
 	}
 }
 

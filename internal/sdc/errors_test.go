@@ -31,7 +31,7 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in))
+			_, _, err := ParseWith(strings.NewReader(tc.in), Options{})
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.in)
 			}
@@ -51,7 +51,7 @@ func TestMalformedInputs(t *testing.T) {
 		})
 	}
 	// No create_clock at all: file-level error, line 0.
-	_, err := Parse(strings.NewReader("set_load 0.01 [all_outputs]\n"))
+	_, _, err := ParseWith(strings.NewReader("set_load 0.01 [all_outputs]\n"), Options{})
 	var pe *scan.ParseError
 	if !errors.As(err, &pe) || pe.Line != 0 || !strings.Contains(pe.Msg, "no create_clock") {
 		t.Fatalf("missing-clock error malformed: %v", err)
@@ -102,7 +102,7 @@ func TestLenientMode(t *testing.T) {
 func TestExplicitZeroDelayStaysZero(t *testing.T) {
 	in := "create_clock -period 1.0 [get_ports ck]\n" +
 		"set_input_delay 0.0 -clock ck [all_inputs]\n"
-	cons, err := Parse(strings.NewReader(in))
+	cons, _, err := ParseWith(strings.NewReader(in), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

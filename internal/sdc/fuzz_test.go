@@ -39,7 +39,7 @@ func FuzzReadSDC(f *testing.F) {
 		if err := Write(&w1, cons); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)
 		}
-		cons2, err := Parse(bytes.NewReader(w1.Bytes()))
+		cons2, _, err := ParseWith(bytes.NewReader(w1.Bytes()), Options{})
 		if err != nil {
 			t.Fatalf("re-parse of own output failed: %v\noutput:\n%s", err, w1.String())
 		}

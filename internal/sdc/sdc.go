@@ -53,16 +53,10 @@ type Options struct {
 	Lenient bool
 }
 
-// Parse reads SDC commands into constraints, strictly: every malformed
-// field is a *scan.ParseError. Unknown commands are ignored (the subset
-// philosophy of most academic flows).
-func Parse(r io.Reader) (sta.Constraints, error) {
-	cons, _, err := ParseWith(r, Options{})
-	return cons, err
-}
-
-// ParseWith reads SDC under the given options. In lenient mode the returned
-// warnings list the fields that were skipped.
+// ParseWith reads SDC commands into constraints. Strict parsing (the zero
+// Options) makes every malformed field a *scan.ParseError; in lenient mode
+// the returned warnings list the fields that were skipped. Unknown commands
+// are ignored (the subset philosophy of most academic flows).
 func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
@@ -70,17 +64,9 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 	}
 	// Start from neutral values; defaults derive from the parsed period.
 	cons := sta.Constraints{InputSlew: 20e-12, PortCap: 4e-15, InputActivity: 0.15}
-	var warns *scan.Warnings
+	var warns *scan.Warnings // nil in strict mode
 	if o.Lenient {
 		warns = &scan.Warnings{}
-	}
-	strict := !o.Lenient
-	tolerate := func(err *scan.ParseError) error {
-		if strict {
-			return err
-		}
-		warns.Add(err)
-		return nil
 	}
 	// Explicit-value tracking: a written 0.0000 must stay an explicit zero
 	// instead of re-triggering the period-derived defaults.
@@ -114,7 +100,7 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 			// the period, ports just mark clock nets).
 			if port == "" || strings.HasPrefix(port, "-") {
 				err := ln.Errf(port, "create_clock needs a port ([get_ports ...]) or -name")
-				if err := tolerate(err); err != nil {
+				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
 			} else {
@@ -123,7 +109,7 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 			cons.ClockPeriod = period * 1e-9
 		case "set_input_delay":
 			if v, err := commandValue(ln); err != nil {
-				if err := tolerate(err); err != nil {
+				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
 			} else {
@@ -132,7 +118,7 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 			}
 		case "set_output_delay":
 			if v, err := commandValue(ln); err != nil {
-				if err := tolerate(err); err != nil {
+				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
 			} else {
@@ -141,7 +127,7 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 			}
 		case "set_input_transition":
 			if v, err := commandValue(ln); err != nil {
-				if err := tolerate(err); err != nil {
+				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
 			} else {
@@ -149,7 +135,7 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 			}
 		case "set_load":
 			if v, err := commandValue(ln); err != nil {
-				if err := tolerate(err); err != nil {
+				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
 			} else {

@@ -16,7 +16,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&buf, cons); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()))
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ set_output_delay 0.06 -clock clk [all_outputs]
 set_load 0.004 [all_outputs]
 some_unknown_command -foo bar
 `
-	cons, err := Parse(strings.NewReader(src))
+	cons, _, err := ParseWith(strings.NewReader(src), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +66,13 @@ some_unknown_command -foo bar
 }
 
 func TestParseNoClockFails(t *testing.T) {
-	if _, err := Parse(strings.NewReader("set_load 0.01 [all_outputs]\n")); err == nil {
+	if _, _, err := ParseWith(strings.NewReader("set_load 0.01 [all_outputs]\n"), Options{}); err == nil {
 		t.Fatal("expected error without create_clock")
 	}
 }
 
 func TestDefaultsDerived(t *testing.T) {
-	cons, err := Parse(strings.NewReader("create_clock -name clk -period 1.0 [get_ports clk]\n"))
+	cons, _, err := ParseWith(strings.NewReader("create_clock -name clk -period 1.0 [get_ports clk]\n"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

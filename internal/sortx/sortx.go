@@ -22,12 +22,12 @@ func digitBitsFor(n int) uint {
 	return 16
 }
 
-// Bits maps a float64 to a uint64 whose unsigned order matches the float
+// bits maps a float64 to a uint64 whose unsigned order matches the float
 // order: negatives have all bits flipped, positives get the sign bit set.
 // Negative zero maps to the positive-zero key so the two compare equal,
 // exactly as float comparison treats them. Callers sort finite geometry, so
 // NaN handling is not needed.
-func Bits(f float64) uint64 {
+func bits(f float64) uint64 {
 	b := math.Float64bits(f)
 	if b>>63 != 0 {
 		if b == 1<<63 {
@@ -61,7 +61,7 @@ func (s *Sorter) IndexByFloat64(ord []int32, coord []float64) {
 	n := len(ord)
 	s.grow(n)
 	for i := 0; i < n; i++ {
-		s.key[i] = Bits(coord[i])
+		s.key[i] = bits(coord[i])
 	}
 	s.run(ord, n)
 }

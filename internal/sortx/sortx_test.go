@@ -92,7 +92,7 @@ func TestIndexByKeysStable(t *testing.T) {
 func TestBitsOrder(t *testing.T) {
 	vals := []float64{-1e30, -2.5, -1, -0.0, 0.0, 1e-300, 1, 2.5, 1e30}
 	for i := 1; i < len(vals); i++ {
-		a, b := Bits(vals[i-1]), Bits(vals[i])
+		a, b := bits(vals[i-1]), bits(vals[i])
 		if vals[i-1] == vals[i] {
 			if a != b {
 				t.Fatalf("equal floats %v %v map to different keys", vals[i-1], vals[i])

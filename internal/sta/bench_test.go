@@ -47,7 +47,7 @@ func BenchmarkSTABuildAndRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := New(d, cons)
-		a.Run()
+		a.run()
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkSTABuildAndRun(b *testing.B) {
 func BenchmarkSTATopPaths(b *testing.B) {
 	d := benchPipeline(100, 30)
 	a := New(d, consForBench())
-	a.Run()
+	a.run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.TopPaths(100)

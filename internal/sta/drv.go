@@ -18,12 +18,12 @@ type DRVReport struct {
 	CheckedDrivers int
 }
 
-// DefaultMaxSlew is the transition limit applied when checking slews.
-const DefaultMaxSlew = 300e-12
+// defaultMaxSlew is the transition limit applied when checking slews.
+const defaultMaxSlew = 300e-12
 
 // DRV runs the electrical checks against current loads and slews.
 func (a *Analyzer) DRV() DRVReport {
-	a.Run()
+	a.run()
 	var rep DRVReport
 	c := a.d.Compact()
 	for ni := range a.d.Nets {
@@ -55,7 +55,7 @@ func (a *Analyzer) DRV() DRVReport {
 		if a.slew[i] > rep.WorstSlew {
 			rep.WorstSlew = a.slew[i]
 		}
-		if a.slew[i] > DefaultMaxSlew {
+		if a.slew[i] > defaultMaxSlew {
 			rep.MaxSlewViolations++
 		}
 	}

@@ -18,7 +18,7 @@
 // Levels need an acyclic edge set. Netlists with combinational loops (or a
 // register clocked through its own output) do not have one, so build opens
 // each loop by removing its closing edge (cutLoops) before anything else
-// sees the graph, and LoopEdges reports how many were removed — OpenSTA's
+// sees the graph, and WriteReport says how many were removed — OpenSTA's
 // convention: disable an arc, report the loop.
 package sta
 
@@ -129,10 +129,6 @@ func (a *Analyzer) cutLoops() {
 	}
 }
 
-// LoopEdges reports how many edges build removed to open timing loops
-// (0 on a loop-free design). No analysis sees a removed edge.
-func (a *Analyzer) LoopEdges() int { return a.loopEdges }
-
 // buildSchedule buckets nodes by level and writes down, per node, the order
 // its candidates are applied in. No sorting is needed: the orders are what a
 // push along topo produces, so walking topo and dropping each edge into its
@@ -207,8 +203,8 @@ func (a *Analyzer) buildSchedule(level []int32) {
 	}
 }
 
-// Run performs arrival/required propagation if stale.
-func (a *Analyzer) Run() {
+// run performs arrival/required propagation if stale.
+func (a *Analyzer) run() {
 	if a.timeDone {
 		return
 	}

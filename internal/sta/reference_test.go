@@ -549,7 +549,7 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 			r := newRef(fx.d, cons)
 			r.run()
 			a := New(fx.d, cons)
-			a.Run()
+			a.run()
 			compareToRef(t, fmt.Sprintf("%s/zeroWire=%v", fx.name, zeroWire), a, r)
 		}
 	}
@@ -578,7 +578,7 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 
 	al := New(d, cons)
 	al.SetClockArrivalList(list)
-	al.Run()
+	al.run()
 	compareToRef(t, "list", al, r)
 }
 
@@ -589,14 +589,14 @@ func TestUpdateMatchesReference(t *testing.T) {
 	cons := DefaultConstraints(0.4e-9)
 	cons.ClockPorts = []string{"clk"}
 	a := New(d, cons)
-	a.Run()
+	a.run()
 
 	for _, id := range []int{3, 11, 25} {
 		d.Insts[id].X += 2.5
 		d.Insts[id].Y += 1.25
 	}
 	a.Update()
-	a.Run()
+	a.run()
 
 	r := newRef(d, cons)
 	r.run()

@@ -10,8 +10,8 @@ import (
 // the required time, and the slack verdict. A design with timing loops gets
 // a leading line saying how many edges were disabled to open them.
 func (a *Analyzer) WriteReport(w io.Writer, maxPaths int) error {
-	a.Run()
-	if n := a.LoopEdges(); n > 0 {
+	a.run()
+	if n := a.loopEdges; n > 0 {
 		fmt.Fprintf(w, "Timing loops: %d edge(s) disabled to open them\n\n", n)
 	}
 	paths := a.TopPaths(maxPaths)
@@ -25,7 +25,7 @@ func (a *Analyzer) WriteReport(w io.Writer, maxPaths int) error {
 		prev := 0.0
 		first := true
 		for _, pin := range p.Pins {
-			at, ok := a.ArrivalAt(pin)
+			at, ok := a.arrivalAt(pin)
 			if !ok {
 				continue
 			}

@@ -62,13 +62,6 @@ type PinID struct {
 	Pin  string
 }
 
-func (p PinID) String() string {
-	if p.Inst < 0 {
-		return "port:" + p.Pin
-	}
-	return fmt.Sprintf("%d/%s", p.Inst, p.Pin)
-}
-
 type nodeKind uint8
 
 const (
@@ -656,9 +649,9 @@ func (a *Analyzer) clockAtInst(inst int32, clkPin string) float64 {
 	return 0
 }
 
-// ArrivalAt returns the arrival time at a pin; ok is false when unreached.
-func (a *Analyzer) ArrivalAt(id PinID) (float64, bool) {
-	a.Run()
+// arrivalAt returns the arrival time at a pin; ok is false when unreached.
+func (a *Analyzer) arrivalAt(id PinID) (float64, bool) {
+	a.run()
 	n, found := a.nodeOfPin(id)
 	if !found {
 		return 0, false
@@ -676,7 +669,7 @@ type Summary struct {
 
 // Timing returns the design-wide WNS/TNS summary.
 func (a *Analyzer) Timing() Summary {
-	a.Run()
+	a.run()
 	var s Summary
 	for i := 0; i < a.numNodes(); i++ {
 		if !a.endp[i] || !a.hasAT[i] || !a.hasRAT[i] {
@@ -705,7 +698,7 @@ func (a *Analyzer) NetLoad(netID int) float64 { return a.netLoad[netID] }
 // scale, so the buffer is caller-owned and the fill allocates nothing once
 // dst has capacity for len(Nets).
 func (a *Analyzer) NetSlackInto(dst []float64) []float64 {
-	a.Run()
+	a.run()
 	n := len(a.d.Nets)
 	if cap(dst) < n {
 		dst = make([]float64, n)
@@ -739,7 +732,7 @@ type Path struct {
 // endpoint, sorted by ascending slack. This mirrors OpenSTA findPathEnds
 // with endpoint_count=1, unique_pins=true, sort_by_slack=true.
 func (a *Analyzer) TopPaths(maxPaths int) []Path {
-	a.Run()
+	a.run()
 	type endSlack struct {
 		node  int32
 		slack float64

@@ -137,7 +137,7 @@ func TestCombChainArrival(t *testing.T) {
 	d := combChain(t, 3)
 	cons := consFor(1e-9)
 	a := New(d, cons)
-	at, ok := a.ArrivalAt(PinID{Inst: -1, Pin: "out"})
+	at, ok := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
 	if !ok {
 		t.Fatal("out not reached")
 	}
@@ -204,12 +204,12 @@ func TestWireDelayMatters(t *testing.T) {
 	d := combChain(t, 2)
 	cons := consFor(1e-9)
 	a := New(d, cons)
-	at0, _ := a.ArrivalAt(PinID{Inst: -1, Pin: "out"})
+	at0, _ := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
 	// Spread the cells far apart and update.
 	d.Insts[0].X, d.Insts[0].Y = 0, 0
 	d.Insts[1].X, d.Insts[1].Y = 500, 500
 	a.Update()
-	at1, _ := a.ArrivalAt(PinID{Inst: -1, Pin: "out"})
+	at1, _ := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
 	if at1 <= at0 {
 		t.Fatalf("wire delay did not increase arrival: %v <= %v", at1, at0)
 	}

@@ -31,7 +31,7 @@ func TestMalformedInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse(strings.NewReader(tc.in), designs.Lib())
+			_, _, err := ParseWith(strings.NewReader(tc.in), designs.Lib(), Options{})
 			if err == nil {
 				t.Fatalf("parse accepted %q", tc.in)
 			}
@@ -78,7 +78,7 @@ func TestLenientSkipsNonPortAssign(t *testing.T) {
 // write/parse cycle instead of flipping every iteration.
 func TestPortToPortAssignStable(t *testing.T) {
 	in := "module m (x, y);\n  input x;\n  input y;\n  assign x = y;\nendmodule\n"
-	d, err := Parse(strings.NewReader(in), designs.Lib())
+	d, _, err := ParseWith(strings.NewReader(in), designs.Lib(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestPortToPortAssignStable(t *testing.T) {
 	if err := Write(&w1, d); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Parse(strings.NewReader(w1.String()), designs.Lib())
+	d2, _, err := ParseWith(strings.NewReader(w1.String()), designs.Lib(), Options{})
 	if err != nil {
 		t.Fatalf("re-parse failed: %v\n%s", err, w1.String())
 	}
@@ -103,7 +103,7 @@ func TestPortToPortAssignStable(t *testing.T) {
 // rhs-port case, matching the writer's emission for output ports.
 func TestOutputPortAssignPrecedence(t *testing.T) {
 	in := "module m (o, i);\n  output o;\n  input i;\n  assign o = i;\nendmodule\n"
-	d, err := Parse(strings.NewReader(in), designs.Lib())
+	d, _, err := ParseWith(strings.NewReader(in), designs.Lib(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestInoutPortRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), "inout bidir;") {
 		t.Fatalf("missing inout declaration:\n%s", buf.String())
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()), lib)
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTokenizerComments(t *testing.T) {
 /* block
 comment */ input a;
 endmodule`
-	d, err := Parse(strings.NewReader(src), designs.Lib())
+	d, _, err := ParseWith(strings.NewReader(src), designs.Lib(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

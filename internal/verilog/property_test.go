@@ -20,7 +20,7 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 		if err := Write(&buf, b.Design); err != nil {
 			return false
 		}
-		got, err := Parse(bytes.NewReader(buf.Bytes()), b.Design.Lib)
+		got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), b.Design.Lib, Options{})
 		if err != nil {
 			return false
 		}

@@ -23,11 +23,11 @@ func TestStreamingLexerChunkInvariant(t *testing.T) {
 	if err := Write(&src, b.Design); err != nil {
 		t.Fatal(err)
 	}
-	whole, err := Parse(bytes.NewReader(src.Bytes()), b.Design.Lib)
+	whole, _, err := ParseWith(bytes.NewReader(src.Bytes()), b.Design.Lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunked, err := Parse(iotest.OneByteReader(bytes.NewReader(src.Bytes())), b.Design.Lib)
+	chunked, _, err := ParseWith(iotest.OneByteReader(bytes.NewReader(src.Bytes())), b.Design.Lib, Options{})
 	if err != nil {
 		t.Fatalf("one-byte reader: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestStreamingReadErrorSurfaces(t *testing.T) {
 	head := "module m (a);\n  input a;\n  INV_X1 u (.A("
 	boom := errors.New("disk on fire")
 	r := io.MultiReader(strings.NewReader(head), iotest.ErrReader(boom))
-	_, err := Parse(r, designs.Lib())
+	_, _, err := ParseWith(r, designs.Lib(), Options{})
 	if err == nil {
 		t.Fatal("parse accepted a failing reader")
 	}

@@ -164,22 +164,16 @@ type Options struct {
 	Lenient bool
 }
 
-// Parse reads a structural Verilog module into a design bound to lib,
-// strictly: every malformed construct is a *scan.ParseError. Every
-// instantiated cell must exist in lib.
-func Parse(r io.Reader, lib *netlist.Library) (*netlist.Design, error) {
-	d, _, err := ParseWith(r, lib, Options{})
-	return d, err
-}
-
-// ParseWith reads Verilog under the given options. In lenient mode the
-// returned warnings list the statements that were skipped.
+// ParseWith reads a structural Verilog module into a design bound to lib.
+// Every instantiated cell must exist in lib. Strict parsing (the zero
+// Options) makes every malformed construct a *scan.ParseError; in lenient
+// mode the returned warnings list the statements that were skipped.
 func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
 		file = "verilog"
 	}
-	p := &parser{lx: newLexer(r), lib: lib, file: file, strict: !o.Lenient}
+	p := &parser{lx: newLexer(r), lib: lib, file: file}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
@@ -330,8 +324,7 @@ type parser struct {
 	hasPend bool
 	lib     *netlist.Library
 	file    string
-	strict  bool
-	warns   *scan.Warnings
+	warns   *scan.Warnings // nil in strict mode
 }
 
 func (p *parser) peek() token {
@@ -469,10 +462,9 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 				portName, netName = lhs, rhs
 			default:
 				err := p.errf(t.line, lhs, "assign between non-ports %s = %s is outside the subset", lhs, rhs)
-				if p.strict {
+				if err := p.warns.Tolerate(err); err != nil {
 					return nil, err
 				}
-				p.warns.Add(err)
 				continue
 			}
 			n, err := netFor(netName)

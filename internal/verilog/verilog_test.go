@@ -15,7 +15,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := Write(&buf, b.Design); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(bytes.NewReader(buf.Bytes()), b.Design.Lib)
+	got, _, err := ParseWith(bytes.NewReader(buf.Bytes()), b.Design.Lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ module top (a, y, clk);
   DFF_X1 ff1 (.D(n1), .CK(clk), .Q(y));
 endmodule
 `
-	d, err := Parse(strings.NewReader(src), lib)
+	d, _, err := ParseWith(strings.NewReader(src), lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestParseAssign(t *testing.T) {
   INV_X1 u1 (.A(a), .ZN(n1));
   assign y = n1;
 endmodule`
-	d, err := Parse(strings.NewReader(src), lib)
+	d, _, err := ParseWith(strings.NewReader(src), lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestParseErrors(t *testing.T) {
 		"notamodule",
 	}
 	for _, src := range cases {
-		if _, err := Parse(strings.NewReader(src), lib); err == nil {
+		if _, _, err := ParseWith(strings.NewReader(src), lib, Options{}); err == nil {
 			t.Fatalf("expected error for %q", src)
 		}
 	}
@@ -132,7 +132,7 @@ func TestEscapedIdentifiers(t *testing.T) {
 	}
 	lib := designs.Lib()
 	src := "module top (a);\n input a;\n INV_X1 \\u/1 (.A(a));\nendmodule"
-	d, err := Parse(strings.NewReader(src), lib)
+	d, _, err := ParseWith(strings.NewReader(src), lib, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestParseAllocsBounded(t *testing.T) {
 	r := bytes.NewReader(buf.Bytes())
 	allocs := testing.AllocsPerRun(2, func() {
 		r.Reset(buf.Bytes())
-		if _, err := Parse(r, d.Lib); err != nil {
+		if _, _, err := ParseWith(r, d.Lib, Options{}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -13,7 +13,8 @@ func TestWritePlacement(t *testing.T) {
 	spec := designs.TinySpec(901)
 	spec.Macros = 1
 	b := designs.Generate(spec)
-	place.Global(b.Design, place.Options{Seed: 1, Legalize: true})
+	place.Global(b.Design, place.Options{Seed: 1})
+	place.Legalize(b.Design)
 	var sb strings.Builder
 	if err := WritePlacement(&sb, b.Design, Options{DrawNets: 4}); err != nil {
 		t.Fatal(err)

@@ -27,7 +27,8 @@ func (f *failAt) Write(p []byte) (int, error) {
 // last call.
 func TestWriteReturnsFirstError(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(50))
-	place.Global(b.Design, place.Options{Seed: 1, Legalize: true})
+	place.Global(b.Design, place.Options{Seed: 1})
+	place.Legalize(b.Design)
 	opt := Options{DrawNets: 4}
 	clean := &failAt{}
 	if err := WritePlacement(clean, b.Design, opt); err != nil {

@@ -94,18 +94,13 @@ type Runner struct {
 	Opt Options
 }
 
-// Evaluate runs one virtual P&R at the given shape and returns all costs. It
-// works on a clone and leaves sub alone.
-func (r Runner) Evaluate(sub *netlist.Design, shape Shape) Eval {
-	return r.evaluateInPlace(sub.Clone(), shape)
-}
-
-// evaluateInPlace is Evaluate on a design the caller owns. Whatever an
-// earlier evaluation left in d does not matter: Floorplan rewrites the core,
+// evaluateInPlace runs one virtual P&R of d at the given shape and returns
+// all costs. d is a design the caller owns, typically a clone. Whatever an
+// earlier evaluation left in d does not matter: floorplan rewrites the core,
 // the die and every port, and a from-scratch Global ignores prior instance
 // positions, so one clone serves any sequence of shapes.
 func (r Runner) evaluateInPlace(d *netlist.Design, shape Shape) Eval {
-	Floorplan(d, shape)
+	floorplan(d, shape)
 	place.Global(d, place.Options{
 		Iterations: placeIterations,
 		Seed:       r.Opt.Seed,
@@ -136,9 +131,9 @@ func (r Runner) evaluateInPlace(d *netlist.Design, shape Shape) Eval {
 	return ev
 }
 
-// Floorplan sizes the design's die/core for the given shape and places the
+// floorplan sizes the design's die/core for the given shape and places the
 // ports around the boundary (the stand-in for the OpenROAD pin placer).
-func Floorplan(d *netlist.Design, shape Shape) {
+func floorplan(d *netlist.Design, shape Shape) {
 	area := d.TotalCellArea() / shape.Utilization
 	if area <= 0 {
 		area = 1

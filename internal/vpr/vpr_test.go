@@ -109,7 +109,7 @@ func TestFloorplanShapes(t *testing.T) {
 	sub, _ := InduceSubNetlist(d, members)
 	for _, s := range []Shape{{0.75, 0.75}, {1.0, 0.9}, {1.75, 0.8}} {
 		c := sub.Clone()
-		Floorplan(c, s)
+		floorplan(c, s)
 		gotAR := c.Core.H() / c.Core.W()
 		if math.Abs(gotAR-s.AspectRatio) > 0.01 {
 			t.Fatalf("AR=%v want %v", gotAR, s.AspectRatio)
@@ -130,7 +130,7 @@ func TestEvaluateShapeCosts(t *testing.T) {
 	d, members := clusteredTiny(t, 53)
 	sub, _ := InduceSubNetlist(d, members)
 	r := Runner{Opt: Options{Seed: 1}}
-	ev := r.Evaluate(sub, Shape{AspectRatio: 1.0, Utilization: 0.8})
+	ev := r.evaluateInPlace(sub.Clone(), Shape{AspectRatio: 1.0, Utilization: 0.8})
 	if ev.CostHPWL <= 0 {
 		t.Fatalf("CostHPWL=%v", ev.CostHPWL)
 	}
@@ -140,10 +140,10 @@ func TestEvaluateShapeCosts(t *testing.T) {
 	if ev.CoreW <= 0 || ev.CoreH <= 0 {
 		t.Fatal("core not set")
 	}
-	// Evaluate must not mutate the input sub-netlist placement.
+	// Evaluating a clone must leave the input sub-netlist unplaced.
 	for _, inst := range sub.Insts {
 		if inst.Placed {
-			t.Fatal("Evaluate mutated the input design")
+			t.Fatal("evaluating a clone mutated the input design")
 		}
 	}
 }
@@ -366,7 +366,7 @@ func checkSweepEquivalent(t *testing.T, d *netlist.Design, members []int) {
 	want := make([]Eval, len(cands))
 	wantBest, bestCost := cands[0], math.Inf(1)
 	for i, s := range cands {
-		want[i] = runner.Evaluate(sub, s)
+		want[i] = runner.evaluateInPlace(sub.Clone(), s)
 		if want[i].TotalCost < bestCost {
 			wantBest, bestCost = s, want[i].TotalCost
 		}

@@ -2,8 +2,10 @@
 # Functions no entry point reaches: builds the ppa binary and benchmark/ with
 # coverage of every ppaclust package, runs their fast entry points (ppa's as
 # subcommands) under one GOCOVERDIR, and prints the functions left at 0.0 %
-# outside cmd/, benchmark/ and internal/lint. Each is a deletion candidate
-# or safety/format code kept for a stated reason (ROADMAP item 9(c)).
+# outside cmd/, benchmark/ and internal/lint. Each must be on
+# scripts/reach.allow with its reason; the script fails on an unreached
+# function missing from the list and on a listed one that is no longer
+# unreached (stale), as `ppalint -suppressions` does for its directives.
 #
 # Usage: scripts/reach.sh            (~2 min; CI keeps the output as reach.txt)
 set -euo pipefail
@@ -35,4 +37,28 @@ go build -cover -coverpkg=ppaclust/... -o "$t/ppa" ./cmd/ppa
     ./benchmark --workload scale250k --seed 1 --seconds 1 --trace 0 -workdir work
 ) >"$t/run.log" 2>&1 || { tail -20 "$t/run.log" >&2; exit 1; }
 go tool covdata func -i="$GOCOVERDIR" | awk '$NF == "0.0%"' |
-    grep -vE '^ppaclust/(cmd|benchmark|internal/lint)/' || true
+    grep -vE '^ppaclust/(cmd|benchmark|internal/lint)/' >"$t/unreached.txt" || true
+cat "$t/unreached.txt"
+
+# "<package> <function>" keys of the unreached list and of the allow list.
+awk '{ f = $1; sub(/:[0-9]+:$/, "", f); sub(/\/[^\/]*$/, "", f); sub(/^ppaclust\//, "", f); print f, $2 }' \
+    "$t/unreached.txt" | sort -u >"$t/got"
+allow=scripts/reach.allow
+if awk '!/^[[:space:]]*(#|$)/ && NF < 3' "$allow" | grep -q .; then
+    echo "reach: $allow lines need <package> <function> <reason>:" >&2
+    awk '!/^[[:space:]]*(#|$)/ && NF < 3' "$allow" >&2
+    exit 1
+fi
+awk '!/^[[:space:]]*(#|$)/ { print $1, $2 }' "$allow" | sort -u >"$t/want"
+status=0
+if comm -23 "$t/got" "$t/want" | grep -q .; then
+    echo "reach: unreached and not on $allow (delete, reach, or list with a reason):" >&2
+    comm -23 "$t/got" "$t/want" >&2
+    status=1
+fi
+if comm -13 "$t/got" "$t/want" | grep -q .; then
+    echo "reach: STALE entries on $allow (now reached or gone; remove them):" >&2
+    comm -13 "$t/got" "$t/want" >&2
+    status=1
+fi
+exit $status
