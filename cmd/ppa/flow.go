@@ -167,7 +167,7 @@ func flowCmd(args []string) error {
 	}
 	if *writeSVG != "" {
 		if err := writeFile(*writeSVG, func(w io.Writer) error {
-			return viz.WritePlacement(w, res.Placed, viz.Options{})
+			return viz.WritePlacement(w, res.Placed)
 		}); err != nil {
 			return err
 		}

@@ -24,35 +24,25 @@ import (
 
 // Options configures clock tree synthesis.
 type Options struct {
-	// MaxFanout is the maximum sinks driven by one leaf buffer. Default 16.
-	MaxFanout int
 	// BufMaster is the clock buffer cell. Required.
 	BufMaster *netlist.Master
-	// SkipArrivalMap leaves Result.Arrivals nil and reports insertion delays
-	// only through Result.ArrivalList, skipping the per-sink map insert and
-	// pin-name hashing — the mode the scale flow uses with
-	// sta.SetClockArrivalList.
+	// SkipArrivalMap is ignored; kept for frozen benchmark/replay.go.
+	// Insertion delays are reported through Result.ArrivalList only.
 	SkipArrivalMap bool
 	// Workers is ignored; kept for frozen benchmark/replay.go.
 	Workers int
 }
 
-// inputSlew is the slew assumed at each buffer input.
-const inputSlew = 20e-12
-
-func (o Options) withDefaults() Options {
-	if o.MaxFanout <= 0 {
-		o.MaxFanout = 16
-	}
-	return o
-}
+const (
+	// inputSlew is the slew assumed at each buffer input.
+	inputSlew = 20e-12
+	// maxFanout is the most sinks one leaf buffer drives.
+	maxFanout = 16
+)
 
 // Result reports the synthesized clock tree.
 type Result struct {
-	// Arrivals maps each clock sink pin to its insertion delay. Nil when
-	// Options.SkipArrivalMap is set — use ArrivalList instead.
-	Arrivals map[sta.PinID]float64
-	// ArrivalList holds the same insertion delays as a flat slice (leaf
+	// ArrivalList holds each clock sink pin's insertion delay (leaf
 	// traversal order), ready for sta.SetClockArrivalList.
 	ArrivalList []sta.ClockArrival
 	// Buffers is the number of (virtual) clock buffers inserted.
@@ -99,7 +89,6 @@ const annotateForkDepth = 3
 
 // Synthesize builds the clock tree for the given clock net.
 func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
-	opt = opt.withDefaults()
 	c := d.Compact()
 	ni := clockNet.ID
 
@@ -141,9 +130,6 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 		b.mp = append(b.mp, mpIdx)
 	}
 	res := &Result{}
-	if !opt.SkipArrivalMap {
-		res.Arrivals = make(map[sta.PinID]float64, len(b.x))
-	}
 	if len(b.x) == 0 {
 		return res
 	}
@@ -162,7 +148,7 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	b.sideLo = make([]bool, n)
 	buf := make([]int32, n)
 
-	tree := b.build(byX, byY, buf, opt.MaxFanout)
+	tree := b.build(byX, byY, buf)
 	res.Levels = depth(tree)
 
 	// Root wire from the clock source to the tree root.
@@ -196,7 +182,7 @@ func centroid(b *builder, idx []int32) (float64, float64) {
 // each level the chosen axis order is cut at its midpoint and the other
 // order is split by a stable partition on membership, so both children
 // inherit both orderings without sorting or extra allocation.
-func (b *builder) build(bx, by, buf []int32, maxFanout int) *node {
+func (b *builder) build(bx, by, buf []int32) *node {
 	n := len(bx)
 	cx, cy := centroid(b, bx)
 	nd := &node{x: cx, y: cy}
@@ -235,8 +221,8 @@ func (b *builder) build(bx, by, buf []int32, maxFanout int) *node {
 	if !actIsX {
 		loBx, loBy, hiBx, hiBy = othLo, actLo, othHi, actHi
 	}
-	cLo := b.build(loBx, loBy, bufLo, maxFanout)
-	cHi := b.build(hiBx, hiBy, bufHi, maxFanout)
+	cLo := b.build(loBx, loBy, bufLo)
+	cHi := b.build(hiBx, hiBy, bufHi)
 	nd.children = []*node{cLo, cHi}
 	return nd
 }
@@ -311,11 +297,6 @@ func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Resu
 		b.annotateSub(d, s.n, opt, res, &wl, s.at)
 		res.WirelengthUM += wl
 	}
-	if res.Arrivals != nil {
-		for _, a := range res.ArrivalList {
-			res.Arrivals[sta.PinID{Inst: a.Inst, Pin: a.Pin}] = a.T
-		}
-	}
 }
 
 // annotateSub walks one subtree: per-node loads and wires, the wires summed
@@ -387,7 +368,6 @@ func (r *Result) EstimatePower(opt Options, clockPeriod, vdd float64) {
 	if clockPeriod <= 0 {
 		return
 	}
-	opt = opt.withDefaults()
 	freq := 1 / clockPeriod
 	wireCap := sta.WireCapPerMicron * r.WirelengthUM
 	bufCap := float64(r.Buffers) * bufInCap(opt)

@@ -26,19 +26,13 @@ const numCellTypes = 8
 
 // Options controls feature extraction.
 type Options struct {
-	// SampleCap bounds exact all-pairs computations; larger graphs use this
-	// many sampled BFS sources. Default 128.
-	SampleCap int
 	// Seed drives source sampling.
 	Seed int64
 }
 
-func (o Options) withDefaults() Options {
-	if o.SampleCap <= 0 {
-		o.SampleCap = 128
-	}
-	return o
-}
+// sampleCap bounds exact all-pairs computations; larger graphs use this many
+// sampled BFS sources.
+const sampleCap = 128
 
 // Features holds extracted values for one cluster sub-netlist.
 type Features struct {
@@ -102,7 +96,6 @@ func hasPrefix(s, p string) bool {
 
 // Extract computes all features of a cluster sub-netlist.
 func Extract(sub *netlist.Design, opt Options) *Features {
-	opt = opt.withDefaults()
 	n := len(sub.Insts)
 	f := &Features{
 		NumCells:       n,
@@ -178,7 +171,7 @@ func Extract(sub *netlist.Design, opt Options) *Features {
 	}
 	f.computeNeighborhoodDegree(adj)
 	f.computeClustering(adj)
-	f.computeDistancesAndBetweenness(adj, opt)
+	f.computeDistancesAndBetweenness(adj, opt.Seed, sampleCap)
 	f.EdgeConnectivity = edgeConnectivityApprox(adj)
 	f.GreedyColors = greedyColoring(adj)
 	return f
@@ -262,20 +255,21 @@ func (f *Features) computeClustering(adj [][]int) {
 	}
 }
 
-// computeDistancesAndBetweenness runs (possibly sampled) Brandes' algorithm,
-// filling closeness, eccentricity, diameter, radius, global efficiency and
+// computeDistancesAndBetweenness runs Brandes' algorithm from every vertex,
+// or from capN sampled ones (drawn from seed) on larger graphs, filling
+// closeness, eccentricity, diameter, radius, global efficiency and
 // betweenness in one pass.
-func (f *Features) computeDistancesAndBetweenness(adj [][]int, opt Options) {
+func (f *Features) computeDistancesAndBetweenness(adj [][]int, seed int64, capN int) {
 	n := len(adj)
 	sources := make([]int, 0, n)
-	if n <= opt.SampleCap {
+	if n <= capN {
 		for i := 0; i < n; i++ {
 			sources = append(sources, i)
 		}
 	} else {
-		rng := rand.New(rand.NewSource(opt.Seed + 99))
+		rng := rand.New(rand.NewSource(seed + 99))
 		perm := rng.Perm(n)
-		sources = perm[:opt.SampleCap]
+		sources = perm[:capN]
 		sort.Ints(sources)
 	}
 	scale := float64(n) / float64(len(sources))

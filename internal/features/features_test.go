@@ -174,14 +174,23 @@ func TestFanoutBuckets(t *testing.T) {
 	}
 }
 
+// TestSampledExtractionStable runs Extract on a graph above sampleCap, so
+// distances come from sampled sources, and compares it with the exact
+// all-sources pass.
 func TestSampledExtractionStable(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(61))
-	f1 := Extract(b.Design, Options{SampleCap: 32, Seed: 1})
-	f2 := Extract(b.Design, Options{SampleCap: 32, Seed: 1})
+	n := len(b.Design.Insts)
+	if n <= sampleCap {
+		t.Fatalf("%d cells do not exceed sampleCap %d", n, sampleCap)
+	}
+	f1 := Extract(b.Design, Options{Seed: 1})
+	f2 := Extract(b.Design, Options{Seed: 1})
 	if f1.Diameter != f2.Diameter || f1.GlobalEfficiency != f2.GlobalEfficiency {
 		t.Fatal("sampled extraction not deterministic")
 	}
-	full := Extract(b.Design, Options{SampleCap: 1 << 20})
+	full := &Features{Betweenness: make([]float64, n), Closeness: make([]float64, n),
+		Eccentricity: make([]float64, n)}
+	full.computeDistancesAndBetweenness(buildAdjacency(b.Design), 1, n)
 	if full.Diameter < f1.Diameter {
 		t.Fatal("sampled diameter cannot exceed exact diameter")
 	}

@@ -311,16 +311,14 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	// Incremental flat placement. The timing/routability feedback runs here,
 	// on the flat design — the clustered seed placement's synthetic masters
 	// have no timing arcs to analyze.
-	popt := place.Options{Seed: opt.Seed, Incremental: true, AnchorWeight: 0.1,
+	popt := place.Options{Seed: opt.Seed, Incremental: true,
 		Workers:      opt.Workers,
 		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
 		TimingCons: b.Cons}
 	if opt.Tool == ToolInnovus {
 		// Region constraints guide the incremental placement and are then
-		// removed (Algorithm 1 lines 18-20): soft regions.
+		// removed (Algorithm 1 lines 18-20).
 		popt.Regions = buildRegions(d, assign, shaped, cd, clusterInsts)
-		popt.SoftRegions = true
-		popt.RegionIterations = 2
 	}
 	place.Global(d, popt)
 	place.Legalize(d)
@@ -348,7 +346,7 @@ func maybeRepair(d *netlist.Design, o Options) error {
 	if buf == nil {
 		return fmt.Errorf("flow: RepairBuffers needs BUF_X4 in the library")
 	}
-	if _, err := netopt.InsertBuffers(d, netopt.BufferOptions{BufMaster: buf}); err != nil {
+	if _, err := netopt.InsertBuffers(d, buf); err != nil {
 		return err
 	}
 	place.Legalize(d)
@@ -630,7 +628,7 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 		if buf == nil {
 			return fmt.Errorf("flow: clock tree synthesis on net %s needs CLKBUF_X2 in the library", n.Name)
 		}
-		copt := cts.Options{BufMaster: buf, SkipArrivalMap: true}
+		copt := cts.Options{BufMaster: buf}
 		cres := cts.Synthesize(d, n, copt)
 		if len(cres.ArrivalList) > 0 {
 			an.SetClockArrivalList(cres.ArrivalList)

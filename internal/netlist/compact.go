@@ -252,8 +252,9 @@ func (c *Compact) pinXY(k int32, instX, instY, portX, portY []float64) (float64,
 }
 
 // netHPWL computes net n's half-perimeter wirelength over the given position
-// arrays with the same comparison structure as Design.NetHPWL, so the result
-// is bit-identical to it.
+// arrays with the same comparison structure as a walk over the net's pins
+// through PinPos (the tests' NetHPWL oracle), so the result is bit-identical
+// to it.
 func (c *Compact) netHPWL(n int, instX, instY, portX, portY []float64) float64 {
 	lo, hi := c.NetStart[n], c.NetStart[n+1]
 	if hi-lo < 2 {
@@ -281,7 +282,7 @@ func (c *Compact) netHPWL(n int, instX, instY, portX, portY []float64) float64 {
 
 // hpwl returns the total half-perimeter wirelength over all nets, summed in
 // net order. Per-net values and the total are bit-identical to the pointer
-// API (Design.NetHPWL summed in net order).
+// walk (the tests' NetHPWL oracle, summed in net order).
 func (c *Compact) hpwl() float64 {
 	c.gatherPositions()
 	var sum float64

@@ -6,6 +6,33 @@ import (
 	"testing"
 )
 
+// NetHPWL returns the half-perimeter wirelength of net n by walking its
+// pointer pins. It is the oracle the Compact and WirelenCache kernels are
+// held bit-identical to.
+func (d *Design) NetHPWL(n *Net) float64 {
+	if len(n.Pins) < 2 {
+		return 0
+	}
+	minX, minY := 1e308, 1e308
+	maxX, maxY := -1e308, -1e308
+	for _, p := range n.Pins {
+		x, y := d.PinPos(p)
+		if x < minX {
+			minX = x
+		}
+		if x > maxX {
+			maxX = x
+		}
+		if y < minY {
+			minY = y
+		}
+		if y > maxY {
+			maxY = y
+		}
+	}
+	return (maxX - minX) + (maxY - minY)
+}
+
 // TestCompactHPWLMatchesPointerAPI pins the CSR view's equivalence contract:
 // per-net and total HPWL from the compact kernels are bit-identical to the
 // pointer API (NetHPWL, summed in net order), and stay so after positions

@@ -428,35 +428,10 @@ func (d *Design) PinPos(p PinRef) (x, y float64) {
 	return inst.CenterX(), inst.CenterY()
 }
 
-// NetHPWL returns the half-perimeter wirelength of net n.
-func (d *Design) NetHPWL(n *Net) float64 {
-	if len(n.Pins) < 2 {
-		return 0
-	}
-	minX, minY := 1e308, 1e308
-	maxX, maxY := -1e308, -1e308
-	for _, p := range n.Pins {
-		x, y := d.PinPos(p)
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
-	}
-	return (maxX - minX) + (maxY - minY)
-}
-
 // HPWL returns the total half-perimeter wirelength over all nets. It runs on
 // the flat Compact view (contiguous pin arrays instead of per-pin pointer
 // chasing); the per-net values and the net-order sum are bit-identical to
-// summing NetHPWL over d.Nets.
+// summing the pointer-walk NetHPWL the package tests keep as the oracle.
 func (d *Design) HPWL() float64 {
 	return d.Compact().hpwl()
 }

@@ -15,12 +15,13 @@ package netlist
 // int32/float64 memory with no master-pin map lookups and never scans a net
 // to find the moved cell's pins on it.
 //
-// All cached values are bit-identical (math.Float64bits) to Design.NetHPWL /
-// Design.HPWL on the same positions: the from-scratch recompute uses the
-// exact comparison structure of NetHPWL over positions computed by PinPos's
-// own rule (origin plus resolved offset), and the incremental expansion only
-// replaces a bound on a strict inequality — the same rule NetHPWL applies —
-// so a bound never changes bits without changing value.
+// All cached values are bit-identical (math.Float64bits) to Design.HPWL and
+// to the pointer walk the tests keep as the NetHPWL oracle, on the same
+// positions: the from-scratch recompute uses the walk's exact comparison
+// structure over positions computed by PinPos's own rule (origin plus
+// resolved offset), and the incremental expansion only replaces a bound on a
+// strict inequality — the same rule the walk applies — so a bound never
+// changes bits without changing value.
 //
 // The cache assumes a frozen topology: positions change only through
 // MoveCell. Adding instances, nets or pins, or moving a cell any other way,
@@ -116,7 +117,7 @@ func (c *WirelenCache) indexSlots() {
 	}
 }
 
-// recompute rebuilds one net's bbox from scratch, mirroring NetHPWL.
+// recompute rebuilds one net's bbox from scratch, mirroring the pointer walk.
 func (c *WirelenCache) recompute(netID int) {
 	cm := c.cm
 	lo, hi := cm.NetStart[netID], cm.NetStart[netID+1]

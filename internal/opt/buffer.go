@@ -6,40 +6,14 @@ package opt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ppaclust/internal/netlist"
 )
 
-// BufferOptions configures buffer insertion.
-type BufferOptions struct {
-	// BufMaster is the buffer cell to insert. Required.
-	BufMaster *netlist.Master
-	// MaxWireLength triggers insertion when a driver-to-sink span exceeds
-	// it (microns). Default: 1/3 of the core half-perimeter.
-	MaxWireLength float64
-	// MaxFanout triggers insertion when a net drives more sinks. Default 24.
-	MaxFanout int
-	// MaxBuffers bounds total insertions. Default 5% of instance count.
-	MaxBuffers int
-}
-
-func (o BufferOptions) withDefaults(d *netlist.Design) BufferOptions {
-	if o.MaxWireLength <= 0 {
-		o.MaxWireLength = (d.Core.W() + d.Core.H()) / 6
-		// Below ~60um a buffer's intrinsic delay exceeds the wire it saves.
-		if o.MaxWireLength < 60 {
-			o.MaxWireLength = 60
-		}
-	}
-	if o.MaxFanout <= 0 {
-		o.MaxFanout = 24
-	}
-	if o.MaxBuffers <= 0 {
-		o.MaxBuffers = len(d.Insts)/20 + 1
-	}
-	return o
-}
+// maxFanout triggers insertion when a net drives more sinks.
+const maxFanout = 24
 
 // BufferReport summarizes an insertion pass.
 type BufferReport struct {
@@ -51,21 +25,26 @@ type BufferReport struct {
 // the centroid of the far sink group. Clock nets and nets without an
 // instance driver are skipped. The design is modified in place; inserted
 // buffers are placed (unlegalized) at their target location — run the
-// legalizer afterwards.
-func InsertBuffers(d *netlist.Design, opt BufferOptions) (BufferReport, error) {
-	opt = opt.withDefaults(d)
+// legalizer afterwards. buf is the buffer cell to insert.
+func InsertBuffers(d *netlist.Design, buf *netlist.Master) (BufferReport, error) {
 	var rep BufferReport
-	if opt.BufMaster == nil {
-		return rep, fmt.Errorf("opt: BufMaster is required")
+	if buf == nil {
+		return rep, fmt.Errorf("opt: a buffer master is required")
 	}
-	bufIn, bufOut := bufferPins(opt.BufMaster)
+	bufIn, bufOut := bufferPins(buf)
 	if bufIn == "" || bufOut == "" {
-		return rep, fmt.Errorf("opt: %s is not a buffer (need 1 input, 1 output)", opt.BufMaster.Name)
+		return rep, fmt.Errorf("opt: %s is not a buffer (need 1 input, 1 output)", buf.Name)
 	}
+	// A sink farther from its driver than maxWire microns moves behind a
+	// buffer: a sixth of the core's width plus height, and at least 60 um,
+	// below which a buffer's intrinsic delay exceeds the wire it saves. One
+	// pass inserts at most maxBuf buffers, 5% of the instance count.
+	maxWire := math.Max((d.Core.W()+d.Core.H())/6, 60)
+	maxBuf := len(d.Insts)/20 + 1
 
 	// Snapshot net IDs first: we append nets while iterating.
 	numNets := len(d.Nets)
-	for netID := 0; netID < numNets && rep.Inserted < opt.MaxBuffers; netID++ {
+	for netID := 0; netID < numNets && rep.Inserted < maxBuf; netID++ {
 		n := d.Nets[netID]
 		if n.Clock {
 			continue
@@ -97,11 +76,11 @@ func InsertBuffers(d *netlist.Design, opt BufferOptions) (BufferReport, error) {
 			sinks++
 			x, y := d.PinPos(pr)
 			dist := abs(x-dx) + abs(y-dy)
-			if dist > opt.MaxWireLength {
+			if dist > maxWire {
 				far = append(far, sink{pr, dist, x, y})
 			}
 		}
-		overFanout := sinks > opt.MaxFanout
+		overFanout := sinks > maxFanout
 		if len(far) == 0 && !overFanout {
 			continue
 		}
@@ -132,20 +111,20 @@ func InsertBuffers(d *netlist.Design, opt BufferOptions) (BufferReport, error) {
 		}
 		cx /= float64(len(far))
 		cy /= float64(len(far))
-		buf, err := d.AddInstance(fmt.Sprintf("%s_buf%d", n.Name, rep.Inserted), opt.BufMaster)
+		bi, err := d.AddInstance(fmt.Sprintf("%s_buf%d", n.Name, rep.Inserted), buf)
 		if err != nil {
 			return rep, err
 		}
-		buf.X = clamp(cx-opt.BufMaster.Width/2, d.Core.X0, d.Core.X1-opt.BufMaster.Width)
-		buf.Y = clamp(cy-opt.BufMaster.Height/2, d.Core.Y0, d.Core.Y1-opt.BufMaster.Height)
-		buf.Placed = true
+		bi.X = clamp(cx-buf.Width/2, d.Core.X0, d.Core.X1-buf.Width)
+		bi.Y = clamp(cy-buf.Height/2, d.Core.Y0, d.Core.Y1-buf.Height)
+		bi.Placed = true
 		// New net from buffer output to the far sinks.
 		newNet, err := d.AddNet(fmt.Sprintf("%s_bufnet%d", n.Name, rep.Inserted))
 		if err != nil {
 			return rep, err
 		}
 		newNet.Weight = n.Weight
-		d.Connect(newNet, netlist.PinRef{Inst: buf.ID, Pin: bufOut})
+		d.Connect(newNet, netlist.PinRef{Inst: bi.ID, Pin: bufOut})
 		farSet := map[netlist.PinRef]bool{}
 		for _, s := range far {
 			farSet[s.pr] = true
@@ -158,7 +137,7 @@ func InsertBuffers(d *netlist.Design, opt BufferOptions) (BufferReport, error) {
 				kept = append(kept, pr)
 			}
 		}
-		n.Pins = append(kept, netlist.PinRef{Inst: buf.ID, Pin: bufIn})
+		n.Pins = append(kept, netlist.PinRef{Inst: bi.ID, Pin: bufIn})
 		// The pin list was rewired in place, bypassing Connect — retire the
 		// cached connectivity views.
 		d.InvalidateConnectivity()

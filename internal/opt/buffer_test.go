@@ -1,11 +1,11 @@
 package opt
 
 import (
+	"math"
 	"testing"
 
 	"ppaclust/internal/designs"
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/place"
 	"ppaclust/internal/sta"
 )
 
@@ -50,15 +50,14 @@ func TestInsertBuffersSplitsLongNet(t *testing.T) {
 	nets := len(d.Nets)
 	insts := len(d.Insts)
 	before := sta.New(d, cons).Timing().WNS
-	rep, err := InsertBuffers(d, BufferOptions{
-		BufMaster:     d.Lib.Master("BUF_X4"),
-		MaxWireLength: 100,
-	})
+	rep, err := InsertBuffers(d, d.Lib.Master("BUF_X4"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inserted == 0 {
-		t.Fatal("expected at least one buffer")
+	// The 400 um core puts the span threshold at 800/6 um; every sink is
+	// farther, so the one net gets one buffer.
+	if rep.Inserted != 1 {
+		t.Fatalf("inserted=%d want 1", rep.Inserted)
 	}
 	if len(d.Nets) <= nets || len(d.Insts) <= insts {
 		t.Fatal("netlist not modified")
@@ -73,21 +72,29 @@ func TestInsertBuffersSplitsLongNet(t *testing.T) {
 	}
 }
 
+// TestInsertBuffersRespectsClockAndLimit scatters a design's cells over a
+// core ten times its size, so that more nets span the length threshold than
+// the 5%-of-instances limit allows; the count was recorded on commit
+// fde76ed, whose defaults were the thresholds now fixed.
 func TestInsertBuffersRespectsClockAndLimit(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(701))
 	d := b.Design
-	place.Global(d, place.Options{Seed: 1})
-	place.Legalize(d)
+	d.Core.X1 = d.Core.X0 + 10*d.Core.W()
+	d.Core.Y1 = d.Core.Y0 + 10*d.Core.H()
+	for i, inst := range d.Insts {
+		// A deterministic low-discrepancy scatter over the core.
+		_, fx := math.Modf(float64(i) * 0.6180339887)
+		_, fy := math.Modf(float64(i) * 0.4142135623)
+		inst.X, inst.Y, inst.Placed = d.Core.X0+fx*d.Core.W(), d.Core.Y0+fy*d.Core.H(), true
+	}
 	clockPins := len(d.Net("clk").Pins)
-	rep, err := InsertBuffers(d, BufferOptions{
-		BufMaster:  d.Lib.Master("BUF_X4"),
-		MaxBuffers: 3,
-	})
+	limit := len(d.Insts)/20 + 1
+	rep, err := InsertBuffers(d, d.Lib.Master("BUF_X4"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Inserted > 3 {
-		t.Fatalf("limit exceeded: %d", rep.Inserted)
+	if rep.Inserted != limit || limit != 16 {
+		t.Fatalf("inserted %d, want the limit %d (16)", rep.Inserted, limit)
 	}
 	if len(d.Net("clk").Pins) != clockPins {
 		t.Fatal("clock net was modified")
@@ -106,25 +113,24 @@ func TestInsertBuffersFanoutSplit(t *testing.T) {
 	drv.X, drv.Y, drv.Placed = 50, 50, true
 	n, _ := d.AddNet("fanout")
 	d.Connect(n, netlist.PinRef{Inst: drv.ID, Pin: "ZN"})
+	// 30 sinks on a 6x5 grid within 30 um of the driver: over maxFanout, and
+	// none beyond the 60 um span floor, so only the fanout trigger fires.
 	for i := 0; i < 30; i++ {
 		s, _ := d.AddInstance("s"+itoa(i), inv)
-		s.X, s.Y, s.Placed = float64(i*3), float64((i*7)%100), true
+		s.X, s.Y, s.Placed = float64(35+i%6*5), float64(35+i/6*5), true
 		d.Connect(n, netlist.PinRef{Inst: s.ID, Pin: "A"})
 	}
-	rep, err := InsertBuffers(d, BufferOptions{
-		BufMaster:     lib.Master("BUF_X4"),
-		MaxWireLength: 1e9, // disable length trigger; fanout only
-		MaxFanout:     24,
-	})
+	rep, err := InsertBuffers(d, lib.Master("BUF_X4"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Inserted != 1 {
 		t.Fatalf("inserted=%d want 1", rep.Inserted)
 	}
-	// Original net fanout reduced.
-	if got := len(d.Net("fanout").Pins); got >= 31 {
-		t.Fatalf("fanout not reduced: %d pins", got)
+	// The farthest 15 sinks move to the buffer's net: the original keeps the
+	// driver, 15 sinks and the buffer input.
+	if got, moved := len(d.Net("fanout").Pins), len(d.Nets[len(d.Nets)-1].Pins); got != 17 || moved != 16 {
+		t.Fatalf("fanout split into %d and %d pins, want 17 and 16", got, moved)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -133,10 +139,10 @@ func TestInsertBuffersFanoutSplit(t *testing.T) {
 
 func TestInsertBuffersBadMaster(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(702))
-	if _, err := InsertBuffers(b.Design, BufferOptions{}); err == nil {
-		t.Fatal("expected error without BufMaster")
+	if _, err := InsertBuffers(b.Design, nil); err == nil {
+		t.Fatal("expected error without a buffer master")
 	}
-	if _, err := InsertBuffers(b.Design, BufferOptions{BufMaster: b.Design.Lib.Master("NAND2_X1")}); err == nil {
+	if _, err := InsertBuffers(b.Design, b.Design.Lib.Master("NAND2_X1")); err == nil {
 		t.Fatal("expected error for non-buffer master")
 	}
 }

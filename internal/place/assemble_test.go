@@ -97,8 +97,8 @@ func referenceAssemble(p *placer, xAxis bool, spreadW float64) refSystem {
 			r.rhs[vi] += spreadW * anch[vi]
 		}
 		if p.opt.Incremental {
-			r.diag[vi] += p.opt.AnchorWeight
-			r.rhs[vi] += p.opt.AnchorWeight * seed[vi]
+			r.diag[vi] += incrementalAnchorWeight
+			r.rhs[vi] += incrementalAnchorWeight * seed[vi]
 		}
 	}
 	return r
@@ -213,7 +213,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 			check(t, roundPlacer(d, Options{Seed: 1, Workers: w}, 2), spreadWeight)
 		})
 		t.Run("corner-cases/W"+strconv.Itoa(w), func(t *testing.T) {
-			p := roundPlacer(cornerCaseDesign(t), Options{Incremental: true, AnchorWeight: 0.1, Workers: w}, 0)
+			p := roundPlacer(cornerCaseDesign(t), Options{Incremental: true, Workers: w}, 0)
 			if got, want := len(p.activeNets), 4; got != want {
 				t.Fatalf("%d active nets, want %d", got, want)
 			}
@@ -280,7 +280,7 @@ func TestMulADotMatchesReference(t *testing.T) {
 		check(t, roundPlacer(designs.Generate(designs.TinySpec(41)).Design, Options{Seed: 1}, 2))
 	})
 	t.Run("corner-cases", func(t *testing.T) {
-		check(t, roundPlacer(cornerCaseDesign(t), Options{Incremental: true, AnchorWeight: 0.1}, 0))
+		check(t, roundPlacer(cornerCaseDesign(t), Options{Incremental: true}, 0))
 	})
 	t.Run("6.5k", func(t *testing.T) {
 		check(t, roundPlacer(designs.Generate(designs.ScaleSpec(6500, 3)).Design, Options{Seed: 1}, 2))

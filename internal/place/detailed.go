@@ -10,18 +10,12 @@ import (
 
 // DetailedOptions configures detailed placement.
 type DetailedOptions struct {
-	// Passes over all cells. Default 2.
-	Passes int
 	// Seed drives the visit order.
 	Seed int64
 }
 
-func (o DetailedOptions) withDefaults() DetailedOptions {
-	if o.Passes <= 0 {
-		o.Passes = 2
-	}
-	return o
-}
+// detailedPasses is the number of passes over all cells.
+const detailedPasses = 2
 
 // DetailedResult reports the refinement outcome.
 type DetailedResult struct {
@@ -40,14 +34,13 @@ type DetailedResult struct {
 // input and stays legal. The cost is O(pins of the cells visited) per pass;
 // a core with no area leaves the design untouched.
 func Detailed(d *netlist.Design, opt DetailedOptions) DetailedResult {
-	opt = opt.withDefaults()
 	dp := newDetailer(d, opt)
 	hpwl := dp.wl.Total()
 	res := DetailedResult{HPWLBefore: hpwl, HPWLAfter: hpwl}
 	if len(dp.cells) == 0 || !(d.Core.W() > 0 && d.Core.H() > 0) {
 		return res
 	}
-	for pass := 0; pass < opt.Passes; pass++ {
+	for pass := 0; pass < detailedPasses; pass++ {
 		res.Swaps += dp.pass()
 	}
 	res.HPWLAfter = dp.wl.Total()
@@ -70,7 +63,7 @@ type detailer struct {
 	// All wirelength reads and writes in the swap loop go through the
 	// incremental bbox cache: a candidate swap touches O(pins-of-cell) state
 	// instead of recomputing every incident net. Cached values are
-	// bit-identical to NetHPWL/HPWL, so accept/revert decisions — and the
+	// bit-identical to Design.HPWL, so accept/revert decisions — and the
 	// final placement — match the from-scratch evaluation exactly.
 	wl *netlist.WirelenCache
 

@@ -47,7 +47,7 @@ func TestDetailedImprovesScatteredPlacement(t *testing.T) {
 			a.Y, bb.Y = bb.Y, a.Y
 		}
 	}
-	res := Detailed(d, DetailedOptions{Seed: 2, Passes: 3})
+	res := Detailed(d, DetailedOptions{Seed: 2})
 	if res.Swaps == 0 {
 		t.Fatal("expected improving swaps on a shuffled placement")
 	}
@@ -132,7 +132,7 @@ func TestDetailedPassAllocFree(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(5000, 1)).Design
 	Global(d, Options{Seed: 1})
 	Legalize(d)
-	dp := newDetailer(d, DetailedOptions{Seed: 1}.withDefaults())
+	dp := newDetailer(d, DetailedOptions{Seed: 1})
 	if allocs := testing.AllocsPerRun(2, func() { dp.pass() }); allocs != 0 {
 		t.Fatalf("a detailed-placement pass allocates %v times, want 0", allocs)
 	}
@@ -144,7 +144,9 @@ func TestDetailedPassAllocFree(t *testing.T) {
 // were recorded with the pointer-walking implementation this one replaced
 // (commit 8498bee); no reference implementation is kept in the tree. The
 // shuffled case exchanges equal-width neighbours first so that thousands of
-// swaps are accepted and the index's live coordinates are exercised.
+// swaps are accepted and the index's live coordinates are exercised; it was
+// re-recorded on commit fde76ed at detailedPasses, when the pass count
+// stopped being an option.
 func TestDetailedGoldenDeterministic(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -155,8 +157,8 @@ func TestDetailedGoldenDeterministic(t *testing.T) {
 	}{
 		{"legalized", false, DetailedOptions{Seed: 1}, 131,
 			"d7ef571be8d44dd8a0c04dc11318e073d5f981c423568d15fbb3513d48172634"},
-		{"shuffled", true, DetailedOptions{Seed: 2, Passes: 3}, 11972,
-			"e55068df78f8724e777b5453ace73817cd1c0a2e2f49d824bc709a1fedf77477"},
+		{"shuffled", true, DetailedOptions{Seed: 2}, 9968,
+			"833a44a5ab4d95051ce57fa0245b10038ab50756f8f76644bf6a44fda4dc22b1"},
 	}
 	d0 := designs.Generate(designs.ScaleSpec(20000, 1)).Design
 	Global(d0, Options{Seed: 1})

@@ -21,8 +21,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 		{"Iterations default incremental", Options{Incremental: true}, func(o Options) float64 { return float64(o.Iterations) }, 12},
 		{"Iterations negative selects default", Options{Iterations: -1}, func(o Options) float64 { return float64(o.Iterations) }, 24},
 		{"Iterations passthrough", Options{Iterations: 7}, func(o Options) float64 { return float64(o.Iterations) }, 7},
-		{"AnchorWeight default", Options{}, func(o Options) float64 { return o.AnchorWeight }, 0.03},
-		{"AnchorWeight passthrough", Options{AnchorWeight: 0.5}, func(o Options) float64 { return o.AnchorWeight }, 0.5},
 	}
 	for _, c := range cases {
 		got := c.get(c.in.withDefaults())

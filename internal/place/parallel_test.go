@@ -68,8 +68,6 @@ func TestGlobalWorkersEquivalent(t *testing.T) {
 			opt := Options{Seed: 5, Incremental: true}
 			if tc.regions {
 				opt.Regions, _ = quadrantRegions(d)
-				opt.SoftRegions = true
-				opt.RegionIterations = 2
 			}
 			run(t, d, opt)
 		})

@@ -7,7 +7,7 @@
 // (multigrid style; see multigrid.go). It supports the two modes the
 // paper's flow requires: from-scratch placement of (clustered) netlists, and
 // incremental placement seeded from initial positions (Algorithm 1 lines
-// 15-25), optionally under per-instance region constraints (Innovus mode).
+// 15-25), optionally guided by per-instance regions (Innovus mode).
 // A Tetris-style legalizer snaps cells to rows/sites.
 //
 // The hot paths run on the netlist's Compact CSR view: system assembly walks
@@ -37,20 +37,19 @@ type Options struct {
 	// Incremental starts from the instances' current positions and anchors
 	// to them instead of starting at the core center.
 	Incremental bool
-	// AnchorWeight scales the seed anchors in incremental mode. Default 0.03.
-	AnchorWeight float64
-	// Regions constrains instances (by ID) to rectangles; cells are clamped
-	// into their region after every round.
+	// Regions guides instances (by ID) toward rectangles, the Innovus-style
+	// region constraints of Algorithm 1 lines 18-20: for the first
+	// regionRounds rounds a region cell's spreading anchor is clamped into
+	// its region, then the constraints are removed and the cell may leave.
 	Regions map[int]netlist.Rect
-	// SoftRegions makes regions guide instead of confine: spreading anchors
-	// are clamped into the region but final positions may spill out. This
-	// models Innovus-style region constraints that are removed after
-	// incremental placement (Algorithm 1 line 20).
+	// AnchorWeight is ignored; kept for frozen benchmark/replay.go.
+	// Incremental runs anchor to the seed at incrementalAnchorWeight.
+	AnchorWeight float64
+	// SoftRegions is ignored; kept for frozen benchmark/replay.go. Regions
+	// are always soft.
 	SoftRegions bool
-	// RegionIterations bounds how many initial rounds the regions steer
-	// (0 = all rounds). Small values give brief guidance then free
-	// refinement — the "run incremental placement, remove constraints"
-	// recipe.
+	// RegionIterations is ignored; kept for frozen benchmark/replay.go.
+	// Regions steer regionRounds rounds.
 	RegionIterations int
 	// Seed jitters the initial placement deterministically.
 	Seed int64
@@ -97,11 +96,16 @@ func (o Options) withDefaults() Options {
 			o.Iterations = 24
 		}
 	}
-	if o.AnchorWeight <= 0 {
-		o.AnchorWeight = 0.03
-	}
 	return o
 }
+
+const (
+	// incrementalAnchorWeight scales the seed anchors of an incremental run.
+	incrementalAnchorWeight = 0.1
+	// regionRounds is how many initial rounds Options.Regions steers: brief
+	// guidance, then free refinement.
+	regionRounds = 2
+)
 
 // targetDensityOf is the per-bin density ceiling spreading works to:
 // max(0.75, utilization*1.15), clamped to 1.
@@ -246,7 +250,7 @@ func Global(d *netlist.Design, opt Options) Result {
 	best := math.Inf(1)
 	stall := 0
 	for ; iter < opt.Iterations; iter++ {
-		if opt.RegionIterations > 0 && iter == opt.RegionIterations {
+		if iter == regionRounds {
 			p.opt.Regions = nil // constraints removed after the guided phase
 		}
 		spreadW := spreadWeight * math.Sqrt(float64(iter))
@@ -501,8 +505,8 @@ func (s *axisSystem) assemble(p *placer, pos, fix, anch, seed []float64, spreadW
 			rhs[vi] += spreadW * anch[vi]
 		}
 		if p.opt.Incremental {
-			diag[vi] += p.opt.AnchorWeight
-			rhs[vi] += p.opt.AnchorWeight * seed[vi]
+			diag[vi] += incrementalAnchorWeight
+			rhs[vi] += incrementalAnchorWeight * seed[vi]
 		}
 		s.invDiag[vi] = 0
 		if diag[vi] > 0 {
@@ -647,18 +651,12 @@ func (s *axisSystem) mulADot(d, ax []float64) float64 {
 	return dot
 }
 
-// clampAll keeps cells inside the core and, for hard regions, inside their
-// region rectangles.
+// clampAll keeps cells inside the core.
 func (p *placer) clampAll() {
-	for vi, id := range p.movable {
-		r := p.core
-		if p.opt.Regions != nil && !p.opt.SoftRegions {
-			if reg, ok := p.opt.Regions[id]; ok {
-				r = reg
-			}
-		}
-		p.x[vi] = clamp(p.x[vi], r.X0+p.w[vi]/2, r.X1-p.w[vi]/2)
-		p.y[vi] = clamp(p.y[vi], r.Y0+p.h[vi]/2, r.Y1-p.h[vi]/2)
+	c := p.core
+	for vi := range p.movable {
+		p.x[vi] = clamp(p.x[vi], c.X0+p.w[vi]/2, c.X1-p.w[vi]/2)
+		p.y[vi] = clamp(p.y[vi], c.Y0+p.h[vi]/2, c.Y1-p.h[vi]/2)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestIncrementalStaysNearSeed(t *testing.T) {
 	for i, inst := range d.Insts {
 		seedX[i], seedY[i] = inst.CenterX(), inst.CenterY()
 	}
-	Global(d, Options{Seed: 4, Incremental: true, AnchorWeight: 0.5, Iterations: 4})
+	Global(d, Options{Seed: 4, Incremental: true, Iterations: 4})
 	var totalMove float64
 	for i, inst := range d.Insts {
 		totalMove += math.Abs(inst.CenterX()-seedX[i]) + math.Abs(inst.CenterY()-seedY[i])
@@ -160,15 +160,70 @@ func quadrantRegions(d *netlist.Design) (map[int]netlist.Rect, netlist.Rect) {
 	return regions, region
 }
 
-func TestRegionConstraintsRespected(t *testing.T) {
-	d := tinyPlaced(t, 26)
-	regions, region := quadrantRegions(d)
-	Global(d, Options{Seed: 6, Regions: regions})
-	for id := range regions {
-		inst := d.Insts[id]
-		if inst.CenterX() < region.X0-1e-6 || inst.CenterX() > region.X1+1e-6 ||
-			inst.CenterY() < region.Y0-1e-6 || inst.CenterY() > region.Y1+1e-6 {
-			t.Fatalf("instance %s escaped its region: (%v,%v)", inst.Name, inst.CenterX(), inst.CenterY())
+// TestRegionsSoftAndBrief pins the one region semantics the flow uses
+// (Algorithm 1 lines 18-20): regions steer an incremental run's first
+// regionRounds rounds and are then removed, so a region cell is pulled toward
+// its region yet may end outside it. The options that once selected other
+// semantics are inert: setting them leaves every position bit-identical.
+func TestRegionsSoftAndBrief(t *testing.T) {
+	seeded := tinyPlaced(t, 26)
+	Global(seeded, Options{Seed: 6})
+	regions, region := quadrantRegions(seeded)
+	// outside sums the region cells' distances to their region (0 inside)
+	// and counts the cells with a positive one.
+	outside := func(d *netlist.Design) (float64, int) {
+		var dist float64
+		n := 0
+		for id := range regions {
+			inst := d.Insts[id]
+			cx, cy := inst.CenterX(), inst.CenterY()
+			dx := math.Max(0, math.Max(region.X0-cx, cx-region.X1))
+			dy := math.Max(0, math.Max(region.Y0-cy, cy-region.Y1))
+			if dx+dy > 0 {
+				dist += dx + dy
+				n++
+			}
+		}
+		return dist, n
+	}
+	run := func(opt Options) *netlist.Design {
+		d := seeded.Clone()
+		opt.Seed, opt.Incremental = 6, true
+		Global(d, opt)
+		return d
+	}
+
+	free := run(Options{Iterations: regionRounds})
+	guided := run(Options{Iterations: regionRounds, Regions: regions})
+	gd, _ := outside(guided)
+	fd, _ := outside(free)
+	if gd >= fd {
+		t.Fatalf("after %d rounds region cells are %v um from their region guided, %v unguided",
+			regionRounds, gd, fd)
+	}
+	ref := run(Options{Regions: regions})
+	if _, n := outside(ref); n == 0 {
+		t.Fatalf("all %d region cells ended inside their region: regions were not soft", len(regions))
+	}
+
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"SoftRegions false", Options{SoftRegions: false}},
+		{"SoftRegions true", Options{SoftRegions: true}},
+		{"RegionIterations 0", Options{RegionIterations: 0}},
+		{"RegionIterations 5", Options{RegionIterations: 5}},
+		{"AnchorWeight 0.5", Options{AnchorWeight: 0.5}},
+	} {
+		tc.opt.Regions = regions
+		d := run(tc.opt)
+		for i, inst := range d.Insts {
+			if math.Float64bits(inst.X) != math.Float64bits(ref.Insts[i].X) ||
+				math.Float64bits(inst.Y) != math.Float64bits(ref.Insts[i].Y) {
+				t.Fatalf("%s: instance %s at (%v,%v), want (%v,%v)",
+					tc.name, inst.Name, inst.X, inst.Y, ref.Insts[i].X, ref.Insts[i].Y)
+			}
 		}
 	}
 }

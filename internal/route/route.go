@@ -20,8 +20,6 @@ type Options struct {
 	// CapacityH and CapacityV are routing track capacities per GCell edge.
 	// Defaults 10 and 10.
 	CapacityH, CapacityV int
-	// Passes is the number of rip-up-and-reroute passes. Default 2.
-	Passes int
 	// Workers caps the worker goroutines used for net decomposition and
 	// batched initial routing (0 = PPACLUST_WORKERS or GOMAXPROCS). Results
 	// are bit-identical at every worker count.
@@ -31,6 +29,10 @@ type Options struct {
 // maxNetPins: nets with more pins are chain-routed instead of decomposed
 // for quality.
 const maxNetPins = 64
+
+// passes counts the routing passes: the initial route and one rip-up and
+// reroute of the nets that touch overflow.
+const passes = 2
 
 // gcellSize is the GCell edge length in microns: a ~40x40 grid over the
 // core, at least 1 um.
@@ -44,9 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CapacityV <= 0 {
 		o.CapacityV = 10
-	}
-	if o.Passes <= 0 {
-		o.Passes = 2
 	}
 	return o
 }
@@ -577,7 +576,7 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	}
 
 	// Phase 3: serial rip-up and reroute of nets touching overflow.
-	for pass := 1; pass < opt.Passes; pass++ {
+	for pass := 1; pass < passes; pass++ {
 		for ni := 0; ni < nNets; ni++ {
 			s0, s1 := segStart[ni], segStart[ni+1]
 			if s0 == s1 {

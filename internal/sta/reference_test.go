@@ -11,7 +11,7 @@ import (
 
 // refAnalyzer is the pre-CSR, map-based timing analyzer kept verbatim as a
 // test oracle: nodes keyed by PinID through a hash map, pointer-API netlist
-// walks (Design.Driver, PinPos, NetHPWL), AoS node records. The production
+// walks (Design.Driver, PinPos, refNetHPWL), AoS node records. The production
 // Analyzer rebuilt the same graph on netlist.Compact with SoA value arrays;
 // these tests pin the rewrite to the original bit for bit.
 type refAnalyzer struct {
@@ -148,7 +148,7 @@ func (r *refAnalyzer) build() {
 		if r.cons.ZeroWire {
 			r.netLoad[net.ID] = load
 		} else {
-			r.netLoad[net.ID] = load + WireCapPerMicron*d.NetHPWL(net)
+			r.netLoad[net.ID] = load + WireCapPerMicron*refNetHPWL(d, net)
 		}
 	}
 
@@ -601,4 +601,30 @@ func TestUpdateMatchesReference(t *testing.T) {
 	r := newRef(d, cons)
 	r.run()
 	compareToRef(t, "update", a, r)
+}
+
+// refNetHPWL is net n's half-perimeter wirelength by a walk over its pointer
+// pins, the pre-CSR per-net HPWL.
+func refNetHPWL(d *netlist.Design, n *netlist.Net) float64 {
+	if len(n.Pins) < 2 {
+		return 0
+	}
+	minX, minY := 1e308, 1e308
+	maxX, maxY := -1e308, -1e308
+	for _, p := range n.Pins {
+		x, y := d.PinPos(p)
+		if x < minX {
+			minX = x
+		}
+		if x > maxX {
+			maxX = x
+		}
+		if y < minY {
+			minY = y
+		}
+		if y > maxY {
+			maxY = y
+		}
+	}
+	return (maxX - minX) + (maxY - minY)
 }

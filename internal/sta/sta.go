@@ -407,7 +407,8 @@ func (a *Analyzer) posOfSlot(c *netlist.Compact, k int32) (float64, float64) {
 }
 
 // netHPWLGathered computes a net's HPWL over the gathered positions with the
-// same comparison structure as Design.NetHPWL, so the result is bit-identical.
+// same comparison structure as Design.HPWL's per-net kernel, so the result is
+// bit-identical.
 func (a *Analyzer) netHPWLGathered(c *netlist.Compact, ni int) float64 {
 	lo, hi := c.NetStart[ni], c.NetStart[ni+1]
 	if hi-lo < 2 {

@@ -10,13 +10,6 @@ import (
 	"ppaclust/internal/netlist"
 )
 
-// Options controls rendering.
-type Options struct {
-	// DrawNets draws flylines for nets with at most this many pins
-	// (0 disables flylines).
-	DrawNets int
-}
-
 // widthPX is the output image width in pixels (height follows the die
 // aspect ratio).
 const widthPX = 800.0
@@ -24,7 +17,7 @@ const widthPX = 800.0
 // WritePlacement renders the design's die, core, macros, cells and ports.
 // Output goes through one buffer, and the first failed write is the error
 // returned.
-func WritePlacement(out io.Writer, d *netlist.Design, opt Options) error {
+func WritePlacement(out io.Writer, d *netlist.Design) error {
 	if d.Die.W() <= 0 || d.Die.H() <= 0 {
 		return fmt.Errorf("viz: design has no die area")
 	}
@@ -62,20 +55,6 @@ func WritePlacement(out io.Writer, d *netlist.Design, opt Options) error {
 		}
 		fmt.Fprintf(w, `<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="%s" fill-opacity="0.75"/>`+"\n",
 			x(inst.X), y(inst.Y+inst.Master.Height), cw, ch, fill)
-	}
-	// Flylines.
-	if opt.DrawNets > 0 {
-		for _, n := range d.Nets {
-			if len(n.Pins) < 2 || len(n.Pins) > opt.DrawNets {
-				continue
-			}
-			px, py := d.PinPos(n.Pins[0])
-			for _, pr := range n.Pins[1:] {
-				qx, qy := d.PinPos(pr)
-				fmt.Fprintf(w, `<line x1="%.2f" y1="%.2f" x2="%.2f" y2="%.2f" stroke="#5fd068" stroke-width="0.4" stroke-opacity="0.35"/>`+"\n",
-					x(px), y(py), x(qx), y(qy))
-			}
-		}
 	}
 	// Ports.
 	for _, p := range d.Ports {

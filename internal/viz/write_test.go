@@ -29,13 +29,12 @@ func TestWriteReturnsFirstError(t *testing.T) {
 	b := designs.Generate(designs.TinySpec(50))
 	place.Global(b.Design, place.Options{Seed: 1})
 	place.Legalize(b.Design)
-	opt := Options{DrawNets: 4}
 	clean := &failAt{}
-	if err := WritePlacement(clean, b.Design, opt); err != nil {
+	if err := WritePlacement(clean, b.Design); err != nil {
 		t.Fatal(err)
 	}
 	for k := 1; k <= clean.calls; k++ {
-		if err := WritePlacement(&failAt{k: k}, b.Design, opt); !errors.Is(err, errFail) {
+		if err := WritePlacement(&failAt{k: k}, b.Design); !errors.Is(err, errFail) {
 			t.Fatalf("call %d of %d failed, WritePlacement returned %v", k, clean.calls, err)
 		}
 	}

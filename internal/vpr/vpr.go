@@ -112,15 +112,15 @@ func (r Runner) evaluateInPlace(d *netlist.Design, shape Shape) Eval {
 		Workers:   1,
 	})
 	ev := Eval{Shape: shape, CoreW: d.Core.W(), CoreH: d.Core.H()}
-	// HPWL_avg over nets with at least 2 pins.
-	var total float64
+	// HPWL_avg over nets with at least 2 pins; a smaller net adds 0 to the
+	// total.
+	total := d.HPWL()
+	c := d.Compact()
 	nets := 0
-	for _, n := range d.Nets {
-		if len(n.Pins) < 2 {
-			continue
+	for n := range d.Nets {
+		if c.NumNetPins(n) >= 2 {
+			nets++
 		}
-		total += d.NetHPWL(n)
-		nets++
 	}
 	if nets > 0 {
 		ev.HPWL = total
