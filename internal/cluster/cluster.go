@@ -165,7 +165,7 @@ func MultilevelFC(h *hypergraph.Hypergraph, opt Options) Result {
 		}
 	}
 
-	dense, k := densify(assign)
+	dense, k := hypergraph.Densify(assign)
 	res := Result{Assign: dense, NumClusters: k, Levels: levels}
 	count := make([]int, k)
 	for _, c := range dense {
@@ -356,20 +356,6 @@ func pick(cands []ratedCand, rv int, grp []int, weight []float64, maxW float64) 
 		}
 	}
 	return bestU
-}
-
-func densify(assign []int) ([]int, int) {
-	dense := map[int]int{}
-	out := make([]int, len(assign))
-	for i, c := range assign {
-		id, ok := dense[c]
-		if !ok {
-			id = len(dense)
-			dense[c] = id
-		}
-		out[i] = id
-	}
-	return out, len(dense)
 }
 
 // TimingCosts converts top-path slacks into per-hyperedge timing costs t_e,

@@ -132,21 +132,6 @@ func shuffled(n int, rng *rand.Rand) []int {
 	return order
 }
 
-// densify relabels communities to dense 0..k-1 in first-seen order.
-func densify(assign []int) ([]int, int) {
-	dense := map[int]int{}
-	out := make([]int, len(assign))
-	for i, c := range assign {
-		id, ok := dense[c]
-		if !ok {
-			id = len(dense)
-			dense[c] = id
-		}
-		out[i] = id
-	}
-	return out, len(dense)
-}
-
 // aggregate builds the community graph of g under assign (dense labels).
 func aggregate(g *hypergraph.Graph, assign []int, k int) *hypergraph.Graph {
 	ag := hypergraph.NewGraph(k)
@@ -185,7 +170,7 @@ func Louvain(g *hypergraph.Graph, opt Options) []int {
 				break
 			}
 		}
-		dense, k := densify(s.assign)
+		dense, k := hypergraph.Densify(s.assign)
 		if totalMoves == 0 || k == cur.NumVertices() {
 			break
 		}
@@ -197,7 +182,7 @@ func Louvain(g *hypergraph.Graph, opt Options) []int {
 		}
 		cur = aggregate(cur, dense, k)
 	}
-	out, _ := densify(final)
+	out, _ := hypergraph.Densify(final)
 	return out
 }
 
@@ -224,13 +209,13 @@ func Leiden(g *hypergraph.Graph, opt Options) []int {
 				break
 			}
 		}
-		comm, k := densify(s.assign)
+		comm, k := hypergraph.Densify(s.assign)
 		if totalMoves == 0 || k == cur.NumVertices() {
 			break
 		}
 		// Refinement: split each community into connected sub-communities.
 		refined := refine(cur, comm, opt.Resolution, rng)
-		rdense, rk := densify(refined)
+		rdense, rk := hypergraph.Densify(refined)
 		for i := range final {
 			final[i] = rdense[final[i]]
 		}
@@ -239,7 +224,7 @@ func Leiden(g *hypergraph.Graph, opt Options) []int {
 		}
 		cur = aggregate(cur, rdense, rk)
 	}
-	out, _ := densify(final)
+	out, _ := hypergraph.Densify(final)
 	return out
 }
 

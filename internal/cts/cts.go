@@ -89,46 +89,8 @@ const annotateForkDepth = 3
 
 // Synthesize builds the clock tree for the given clock net.
 func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
-	c := d.Compact()
-	ni := clockNet.ID
-
 	var b builder
-	var rootX, rootY float64
-	haveRoot := false
-	s0, s1 := c.NetStart[ni], c.NetStart[ni+1]
-	nPins := int(s1 - s0)
-	b.x = make([]float64, 0, nPins)
-	b.y = make([]float64, 0, nPins)
-	b.cap = make([]float64, 0, nPins)
-	b.inst = make([]int32, 0, nPins)
-	b.mp = make([]int32, 0, nPins)
-	for k := s0; k < s1; k++ {
-		id := c.PinInst[k]
-		if id < 0 {
-			if id == netlist.CompactNoPort {
-				continue
-			}
-			// The last input port in pin order is the clock source.
-			if p := d.Ports[-1-id]; p.Dir == netlist.DirInput {
-				rootX, rootY = p.X, p.Y
-				haveRoot = true
-			}
-			continue
-		}
-		mpIdx := c.PinMP[k]
-		if mpIdx < 0 {
-			continue
-		}
-		mp := &d.Insts[id].Master.Pins[mpIdx]
-		if mp.Dir != netlist.DirInput {
-			continue
-		}
-		b.x = append(b.x, d.Insts[id].X+c.PinDX[k])
-		b.y = append(b.y, d.Insts[id].Y+c.PinDY[k])
-		b.cap = append(b.cap, mp.Cap)
-		b.inst = append(b.inst, id)
-		b.mp = append(b.mp, mpIdx)
-	}
+	rootX, rootY, haveRoot := b.gatherSinks(d, clockNet.ID)
 	res := &Result{}
 	if len(b.x) == 0 {
 		return res
@@ -156,6 +118,44 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	res.WirelengthUM += rootWire
 	b.annotate(d, tree, opt, res, wireDelay(rootWire, bufInCap(opt)))
 	return res
+}
+
+// gatherSinks fills b's sink arrays with the input instance pins of clock
+// net ni, in pin order, at their positions by the compact view. It returns
+// the clock source: the last input port in pin order, if the net has one.
+func (b *builder) gatherSinks(d *netlist.Design, ni int) (rootX, rootY float64, haveRoot bool) {
+	c := d.Compact()
+	var pos netlist.Positions
+	pos.Gather(d)
+	s0, s1 := c.NetStart[ni], c.NetStart[ni+1]
+	nPins := int(s1 - s0)
+	b.x = make([]float64, 0, nPins)
+	b.y = make([]float64, 0, nPins)
+	b.cap = make([]float64, 0, nPins)
+	b.inst = make([]int32, 0, nPins)
+	b.mp = make([]int32, 0, nPins)
+	for k := s0; k < s1; k++ {
+		id := c.PinInst[k]
+		if id < 0 {
+			if d.Ports[-1-id].Dir == netlist.DirInput {
+				rootX, rootY = c.PinXY(&pos, k)
+				haveRoot = true
+			}
+			continue
+		}
+		mpIdx := c.PinMP[k]
+		mp := &d.Insts[id].Master.Pins[mpIdx]
+		if mp.Dir != netlist.DirInput {
+			continue
+		}
+		x, y := c.PinXY(&pos, k)
+		b.x = append(b.x, x)
+		b.y = append(b.y, y)
+		b.cap = append(b.cap, mp.Cap)
+		b.inst = append(b.inst, id)
+		b.mp = append(b.mp, mpIdx)
+	}
+	return rootX, rootY, haveRoot
 }
 
 // centroid averages sink positions; idx == nil means all sinks.

@@ -196,27 +196,7 @@ func TestAnnotateHotLoopAllocFree(t *testing.T) {
 
 	// Rebuild the sink arrays and tree directly to get a subtree handle.
 	var b builder
-	c := d.Compact()
-	ni := clk.ID
-	for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-		id := c.PinInst[k]
-		if id < 0 {
-			continue
-		}
-		mpIdx := c.PinMP[k]
-		if mpIdx < 0 {
-			continue
-		}
-		mp := &d.Insts[id].Master.Pins[mpIdx]
-		if mp.Dir != netlist.DirInput {
-			continue
-		}
-		b.x = append(b.x, d.Insts[id].X+c.PinDX[k])
-		b.y = append(b.y, d.Insts[id].Y+c.PinDY[k])
-		b.cap = append(b.cap, mp.Cap)
-		b.inst = append(b.inst, id)
-		b.mp = append(b.mp, mpIdx)
-	}
+	b.gatherSinks(d, clk.ID)
 	n := len(b.x)
 	if n == 0 {
 		t.Fatal("no sinks")

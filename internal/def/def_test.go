@@ -22,7 +22,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
+	if _, err := got.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Insts) != len(b.Design.Insts) || len(got.Nets) != len(b.Design.Nets) ||

@@ -11,8 +11,9 @@ import (
 )
 
 // FuzzReadDEF asserts the crash-proofing contract of the DEF reader: it
-// never panics, every failure is a structured *scan.ParseError, and any
-// input it accepts re-emits as a write->read->write fixpoint.
+// never panics, every failure is a structured *scan.ParseError, any input it
+// accepts re-emits as a write->read->write fixpoint, and the connectivity
+// build on any design it accepts returns rather than panics.
 func FuzzReadDEF(f *testing.F) {
 	b := designs.Generate(designs.TinySpec(7))
 	var seed bytes.Buffer
@@ -29,14 +30,20 @@ func FuzzReadDEF(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in string) {
 		d, _, err := ParseWith(strings.NewReader(in), designs.Lib(), Options{File: "fuzz.def"})
 		// Lenient mode must also never panic, whatever strict mode decided.
-		if _, _, lerr := ParseWith(strings.NewReader(in), designs.Lib(),
-			Options{File: "fuzz.def", Lenient: true}); lerr != nil {
+		ld, _, lerr := ParseWith(strings.NewReader(in), designs.Lib(),
+			Options{File: "fuzz.def", Lenient: true})
+		if lerr != nil {
 			requireParseError(t, lerr)
+		} else {
+			// The connectivity build may reject an accepted design (a net
+			// naming an undeclared port, say); it must only not panic.
+			_, _ = ld.CompactChecked()
 		}
 		if err != nil {
 			requireParseError(t, err)
 			return
 		}
+		_, _ = d.CompactChecked() // may reject, must not panic
 		var w1 bytes.Buffer
 		if err := Write(&w1, d); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)

@@ -43,7 +43,8 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 		if math.Abs(got.Core.W()-b.Design.Core.W()) > 1 {
 			return false
 		}
-		return got.Validate() == nil
+		_, err = got.CompactChecked()
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

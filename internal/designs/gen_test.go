@@ -60,7 +60,7 @@ func TestNamedSpecs(t *testing.T) {
 func TestGenerateTiny(t *testing.T) {
 	b := Generate(TinySpec(7))
 	d := b.Design
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	st := d.Stats()
@@ -190,7 +190,7 @@ func TestGenerateWithMacros(t *testing.T) {
 			}
 		}
 	}
-	if err := b.Design.Validate(); err != nil {
+	if _, err := b.Design.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 }

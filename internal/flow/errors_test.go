@@ -250,3 +250,41 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestUnresolvedPinIsAnError adds one pin to a signal net of a generated
+// design: in one copy it names an undeclared port, in the other a master pin
+// its cell does not declare. Both used to run through every flow entry
+// point, the port resolved to (0, 0) and the pin to its cell's center; each
+// must now be an error naming the design, the net and the pin.
+func TestUnresolvedPinIsAnError(t *testing.T) {
+	withPin := func(ref netlist.PinRef) (*designs.Benchmark, string) {
+		b := designs.Generate(designs.TinySpec(3))
+		n := b.Design.Nets[0]
+		for _, c := range b.Design.Nets {
+			if !c.Clock && len(c.Pins) >= 2 {
+				n = c
+				break
+			}
+		}
+		b.Design.Connect(n, ref)
+		return b, `net "` + n.Name + `" references `
+	}
+	port, portNet := withPin(netlist.PinRef{Inst: -1, Pin: "no_such_port"})
+	pin, pinNet := withPin(netlist.PinRef{Inst: 0, Pin: "NO_SUCH_PIN"})
+	for _, tc := range []struct {
+		name string
+		b    *designs.Benchmark
+		want string
+	}{
+		{"undeclared port", port, portNet + `undeclared port "no_such_port"`},
+		{"undeclared master pin", pin, pinNet + "pin " + pin.Design.Insts[0].Name + "/NO_SUCH_PIN"},
+	} {
+		for name, run := range validatingEntryPoints {
+			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})
+			if err == nil || !strings.Contains(err.Error(), tc.want) ||
+				!strings.Contains(err.Error(), "design "+tc.b.Design.Name) {
+				t.Errorf("%s, %s: not reported: res=%v err=%v", tc.name, name, res != nil, err)
+			}
+		}
+	}
+}

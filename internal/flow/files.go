@@ -45,7 +45,9 @@ func LoadBenchmark(f Files) (*designs.Benchmark, error) {
 // Verilog and DEF reads run side by side (one after the other at one
 // worker). Errors and warnings come back as if the files were read in turn:
 // a Verilog error wins and carries no DEF warnings, and Verilog warnings are
-// listed before DEF ones.
+// listed before DEF ones. Pin references are resolved at the flow boundary:
+// Run, RunDefault and Cluster reject a net naming an undeclared port or
+// master pin.
 func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.ParseError, error) {
 	var warns []*scan.ParseError
 	lib, w, err := parseFile(f.Liberty, func(r io.Reader) (*netlist.Library, []*scan.ParseError, error) {
@@ -109,9 +111,6 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 				}
 			}
 		}
-	}
-	if err := d.Validate(); err != nil {
-		return nil, warns, fmt.Errorf("flow: loaded design invalid: %w", err)
 	}
 	return &designs.Benchmark{Design: d, Cons: cons}, warns, nil
 }

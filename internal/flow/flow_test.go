@@ -208,7 +208,7 @@ func TestBuildClusteredDesign(t *testing.T) {
 	if len(cd.Insts) != 2 {
 		t.Fatalf("cluster insts=%d", len(cd.Insts))
 	}
-	if err := cd.Validate(); err != nil {
+	if _, err := cd.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	// Shapes respected.

@@ -216,14 +216,6 @@ func Cluster(d *netlist.Design, h *hypergraph.Hypergraph) (Result, bool) {
 	if best.Assign == nil {
 		return Result{}, false
 	}
-	best.Clusters = countDistinct(best.Assign)
+	_, best.Clusters = hypergraph.Densify(best.Assign)
 	return best, true
-}
-
-func countDistinct(assign []int) int {
-	seen := map[int]bool{}
-	for _, c := range assign {
-		seen[c] = true
-	}
-	return len(seen)
 }

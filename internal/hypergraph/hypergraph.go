@@ -181,32 +181,20 @@ type Contraction struct {
 	EdgeMap []int
 }
 
-// Contract builds the coarse hypergraph induced by clusterOf, which maps each
-// vertex to a cluster label (labels need not be dense). Vertex weights are
-// summed per cluster. Parallel coarse edges are merged with weights summed;
-// edges fully inside one cluster are dropped.
-func (h *Hypergraph) Contract(clusterOf []int) (*Contraction, error) {
-	if len(clusterOf) != h.NumVertices() {
-		return nil, fmt.Errorf("hypergraph: cluster map has %d entries for %d vertices", len(clusterOf), h.NumVertices())
-	}
-	n := len(clusterOf)
-
-	// Densify labels in first-seen order so results are deterministic.
-	// Non-negative labels bounded by a small multiple of n (the common case:
-	// merge maps and cluster assignments are vertex-indexed) take a stamp
-	// array; anything else falls back to a map with the same first-seen order.
-	vmap := make([]int, n)
-	nc := 0
+// Densify relabels labels to dense 0..k-1 in first-seen order and returns
+// the relabelling and k. Non-negative labels below twice the label count
+// (vertex-indexed merge maps and cluster assignments) take a stamp array;
+// any others a map, with the same first-seen order.
+func Densify(labels []int) ([]int, int) {
+	n := len(labels)
+	out := make([]int, n)
+	k := 0
 	minL, maxL := 0, -1
-	for _, c := range clusterOf {
-		if maxL < 0 {
-			minL, maxL = c, c
-			continue
-		}
-		if c < minL {
+	for i, c := range labels {
+		if i == 0 || c < minL {
 			minL = c
 		}
-		if c > maxL {
+		if i == 0 || c > maxL {
 			maxL = c
 		}
 	}
@@ -215,25 +203,37 @@ func (h *Hypergraph) Contract(clusterOf []int) (*Contraction, error) {
 		for i := range seen {
 			seen[i] = -1
 		}
-		for v, c := range clusterOf {
+		for i, c := range labels {
 			if seen[c] < 0 {
-				seen[c] = int32(nc)
-				nc++
+				seen[c] = int32(k)
+				k++
 			}
-			vmap[v] = int(seen[c])
+			out[i] = int(seen[c])
 		}
-	} else {
-		dense := make(map[int]int)
-		for v, c := range clusterOf {
-			id, ok := dense[c]
-			if !ok {
-				id = len(dense)
-				dense[c] = id
-			}
-			vmap[v] = id
-		}
-		nc = len(dense)
+		return out, k
 	}
+	dense := make(map[int]int)
+	for i, c := range labels {
+		id, ok := dense[c]
+		if !ok {
+			id = len(dense)
+			dense[c] = id
+		}
+		out[i] = id
+	}
+	return out, len(dense)
+}
+
+// Contract builds the coarse hypergraph induced by clusterOf, which maps each
+// vertex to a cluster label (labels need not be dense). Vertex weights are
+// summed per cluster. Parallel coarse edges are merged with weights summed;
+// edges fully inside one cluster are dropped.
+func (h *Hypergraph) Contract(clusterOf []int) (*Contraction, error) {
+	if len(clusterOf) != h.NumVertices() {
+		return nil, fmt.Errorf("hypergraph: cluster map has %d entries for %d vertices", len(clusterOf), h.NumVertices())
+	}
+	// Densify labels in first-seen order so results are deterministic.
+	vmap, nc := Densify(clusterOf)
 
 	coarse := NewWithCap(nc, h.NumEdges(), h.NumPins())
 	for v, cv := range vmap {

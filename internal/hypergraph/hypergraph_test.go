@@ -420,7 +420,7 @@ func contractReference(h *Hypergraph, clusterOf []int) *Contraction {
 // TestContractMatchesReference checks the integer-hash Contract against the
 // string-key reference on random graphs: identical coarse edges (order
 // included), weights, and vertex/edge maps, for dense labels (the stamp-array
-// densify path) and for sparse, partly negative ones (the map path).
+// Densify path) and for sparse, partly negative ones (the map path).
 func TestContractMatchesReference(t *testing.T) {
 	f := func(seed int64, sparse bool) bool {
 		rng := rand.New(rand.NewSource(seed))

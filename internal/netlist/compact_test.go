@@ -6,6 +6,33 @@ import (
 	"testing"
 )
 
+// PinPos returns the physical position of a pin reference by the pointer
+// API: a port's coordinates, or the instance origin plus the master pin
+// offset when either component is nonzero, otherwise the instance center.
+// It is the oracle Compact.PinXY is held bit-identical to.
+func (d *Design) PinPos(p PinRef) (x, y float64) {
+	if p.IsPort() {
+		port := d.Port(p.Pin)
+		return port.X, port.Y
+	}
+	inst := d.Insts[p.Inst]
+	if mp := inst.Master.Pin(p.Pin); mp.OffsetX != 0 || mp.OffsetY != 0 {
+		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
+	}
+	return inst.CenterX(), inst.CenterY()
+}
+
+// netDriver returns the pin reference in slot NetDrv of net n, the driver
+// the compact view resolved. ok is false for undriven nets.
+func netDriver(d *Design, n *Net) (PinRef, bool) {
+	c := d.Compact()
+	k := c.NetDrv[n.ID]
+	if k < 0 {
+		return PinRef{}, false
+	}
+	return n.Pins[k-c.NetStart[n.ID]], true
+}
+
 // NetHPWL returns the half-perimeter wirelength of net n by walking its
 // pointer pins. It is the oracle the Compact and WirelenCache kernels are
 // held bit-identical to.
@@ -52,9 +79,17 @@ func TestCompactHPWLMatchesPointerAPI(t *testing.T) {
 				t.Fatalf("%s: total HPWL %v != pointer-API %v", stage, got, want)
 			}
 		}
-		c.gatherPositions()
+		var pos Positions
+		pos.Gather(d)
 		for ni, n := range d.Nets {
-			got := c.netHPWL(ni, c.instX, c.instY, c.portX, c.portY)
+			for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
+				x, y := c.PinXY(&pos, k)
+				wx, wy := d.PinPos(n.Pins[k-c.NetStart[ni]])
+				if math.Float64bits(x) != math.Float64bits(wx) || math.Float64bits(y) != math.Float64bits(wy) {
+					t.Fatalf("%s: net %d slot %d at (%v, %v), pointer API (%v, %v)", stage, ni, k, x, y, wx, wy)
+				}
+			}
+			got := c.NetHPWL(&pos, ni)
 			if math.Float64bits(got) != math.Float64bits(d.NetHPWL(n)) {
 				t.Fatalf("%s: net %d HPWL %v != pointer-API %v", stage, ni, got, d.NetHPWL(n))
 			}

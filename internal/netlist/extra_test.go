@@ -26,7 +26,7 @@ func TestDriverPrefersOutputOverInputPort(t *testing.T) {
 	// Port listed first, but the instance output must win.
 	d.Connect(n, PinRef{Inst: -1, Pin: "in"})
 	d.Connect(n, PinRef{Inst: g.ID, Pin: "Y"})
-	drv, ok := d.Driver(n)
+	drv, ok := netDriver(d, n)
 	if !ok || drv.IsPort() || drv.Pin != "Y" {
 		t.Fatalf("driver=%+v", drv)
 	}

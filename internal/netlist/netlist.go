@@ -389,49 +389,8 @@ func (d *Design) PortIndex(name string) int {
 	return -1
 }
 
-// Driver returns the driving pin reference of net n: the first output
-// instance pin, else the first input port. ok is false for undriven nets.
-func (d *Design) Driver(n *Net) (PinRef, bool) {
-	for _, p := range n.Pins {
-		if p.IsPort() {
-			continue
-		}
-		mp := d.Insts[p.Inst].Master.Pin(p.Pin)
-		if mp != nil && mp.Dir == DirOutput {
-			return p, true
-		}
-	}
-	for _, p := range n.Pins {
-		if p.IsPort() {
-			if port := d.Port(p.Pin); port != nil && port.Dir == DirInput {
-				return p, true
-			}
-		}
-	}
-	return PinRef{}, false
-}
-
-// PinPos returns the physical position of a pin reference. Instance pins use
-// the master pin offset when available, otherwise the instance center.
-func (d *Design) PinPos(p PinRef) (x, y float64) {
-	if p.IsPort() {
-		port := d.Port(p.Pin)
-		if port == nil {
-			return 0, 0
-		}
-		return port.X, port.Y
-	}
-	inst := d.Insts[p.Inst]
-	if mp := inst.Master.Pin(p.Pin); mp != nil && (mp.OffsetX != 0 || mp.OffsetY != 0) {
-		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
-	}
-	return inst.CenterX(), inst.CenterY()
-}
-
-// HPWL returns the total half-perimeter wirelength over all nets. It runs on
-// the flat Compact view (contiguous pin arrays instead of per-pin pointer
-// chasing); the per-net values and the net-order sum are bit-identical to
-// summing the pointer-walk NetHPWL the package tests keep as the oracle.
+// HPWL returns the total half-perimeter wirelength over all nets: the
+// Compact view's NetHPWL at the current positions, summed in net order.
 func (d *Design) HPWL() float64 {
 	return d.Compact().hpwl()
 }
@@ -515,32 +474,6 @@ func (d *Design) ToHypergraph() *HypergraphView {
 		view.IOEdge = append(view.IOEdge, io)
 	}
 	return view
-}
-
-// Validate checks referential integrity of the design.
-func (d *Design) Validate() error {
-	for _, inst := range d.Insts {
-		if inst.Master == nil {
-			return fmt.Errorf("instance %q has nil master", inst.Name)
-		}
-	}
-	for _, n := range d.Nets {
-		for _, p := range n.Pins {
-			if p.IsPort() {
-				if d.Port(p.Pin) == nil {
-					return fmt.Errorf("net %q references unknown port %q", n.Name, p.Pin)
-				}
-				continue
-			}
-			if p.Inst >= len(d.Insts) {
-				return fmt.Errorf("net %q references instance %d out of range", n.Name, p.Inst)
-			}
-			if d.Insts[p.Inst].Master.Pin(p.Pin) == nil {
-				return fmt.Errorf("net %q references unknown pin %s/%s", n.Name, d.Insts[p.Inst].Name, p.Pin)
-			}
-		}
-	}
-	return nil
 }
 
 // Clone deep-copies the design's instances, nets and ports (the library is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -74,7 +75,7 @@ func chainDesign(t *testing.T, n int) *Design {
 	qNet, _ := d.AddNet("qnet")
 	d.Connect(qNet, PinRef{Inst: ff.ID, Pin: "Q"})
 	d.Connect(qNet, PinRef{Inst: -1, Pin: "out"})
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -157,18 +158,18 @@ func TestDriver(t *testing.T) {
 	d := chainDesign(t, 2)
 	// n1 is driven by inv0/Y.
 	n1 := d.Net("n1")
-	drv, ok := d.Driver(n1)
+	drv, ok := netDriver(d, n1)
 	if !ok || drv.IsPort() || d.Insts[drv.Inst].Name != "u_core/inv0" || drv.Pin != "Y" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
 	// n0 is driven by the input port.
 	n0 := d.Net("n0")
-	drv, ok = d.Driver(n0)
+	drv, ok = netDriver(d, n0)
 	if !ok || !drv.IsPort() || drv.Pin != "in" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
 	undriven, _ := d.AddNet("floating")
-	if _, ok := d.Driver(undriven); ok {
+	if _, ok := netDriver(d, undriven); ok {
 		t.Fatal("floating net should have no driver")
 	}
 }
@@ -213,7 +214,11 @@ func TestPinOffsets(t *testing.T) {
 	d := NewDesign("t", lib)
 	inst, _ := d.AddInstance("u1", m)
 	inst.X, inst.Y = 10, 20
-	x, y := d.PinPos(PinRef{Inst: inst.ID, Pin: "P"})
+	n, _ := d.AddNet("n")
+	d.Connect(n, PinRef{Inst: inst.ID, Pin: "P"})
+	var pos Positions
+	pos.Gather(d)
+	x, y := d.Compact().PinXY(&pos, 0)
 	if x != 11 || y != 23 {
 		t.Fatalf("pin pos=(%v,%v)", x, y)
 	}
@@ -247,20 +252,36 @@ func TestToHypergraph(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadRefs checks that a pin reference that resolves to
+// nothing is a build error of the compact view, naming the net and the pin:
+// an undeclared master pin, an undeclared port, an out-of-range instance.
 func TestValidateCatchesBadRefs(t *testing.T) {
 	lib := testLib()
-	d := NewDesign("bad", lib)
-	inst, _ := d.AddInstance("u1", lib.Master("INV"))
-	n, _ := d.AddNet("n")
-	d.Connect(n, PinRef{Inst: inst.ID, Pin: "NOPE"})
-	if err := d.Validate(); err == nil {
-		t.Fatal("expected invalid pin error")
-	}
-	d2 := NewDesign("bad2", lib)
-	n2, _ := d2.AddNet("n")
-	d2.Connect(n2, PinRef{Inst: -1, Pin: "ghost"})
-	if err := d2.Validate(); err == nil {
-		t.Fatal("expected unknown port error")
+	for _, tc := range []struct {
+		name string
+		ref  PinRef
+		want []string
+	}{
+		{"master pin", PinRef{Inst: 0, Pin: "NOPE"}, []string{`"n"`, "u1/NOPE", "INV"}},
+		{"port", PinRef{Inst: -1, Pin: "ghost"}, []string{`"n"`, `"ghost"`}},
+		{"instance", PinRef{Inst: 5, Pin: "A"}, []string{`"n"`, "instance 5", "A"}},
+	} {
+		d := NewDesign("bad", lib)
+		if _, err := d.AddInstance("u1", lib.Master("INV")); err != nil {
+			t.Fatal(err)
+		}
+		n, _ := d.AddNet("n")
+		d.Connect(n, PinRef{Inst: 0, Pin: "Y"})
+		d.Connect(n, tc.ref)
+		_, err := d.CompactChecked()
+		if err == nil {
+			t.Fatalf("%s: unresolved pin built a compact view", tc.name)
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", tc.name, err, w)
+			}
+		}
 	}
 }
 

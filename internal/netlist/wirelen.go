@@ -9,18 +9,15 @@ package netlist
 // and is exposed for future incremental passes (timing-driven refinement,
 // annealing).
 //
-// The cache runs on the design's Compact CSR view plus its own position
-// mirrors (instance origins and port coordinates in flat arrays) and an
-// instance -> pin-slot index, so the move path walks contiguous
-// int32/float64 memory with no master-pin map lookups and never scans a net
-// to find the moved cell's pins on it.
+// The cache runs on the design's Compact CSR view plus its own Positions
+// snapshot and an instance -> pin-slot index, so the move path walks
+// contiguous int32/float64 memory with no master-pin map lookups and never
+// scans a net to find the moved cell's pins on it.
 //
-// All cached values are bit-identical (math.Float64bits) to Design.HPWL and
-// to the pointer walk the tests keep as the NetHPWL oracle, on the same
-// positions: the from-scratch recompute uses the walk's exact comparison
-// structure over positions computed by PinPos's own rule (origin plus
-// resolved offset), and the incremental expansion only replaces a bound on a
-// strict inequality — the same rule the walk applies — so a bound never
+// All cached values are bit-identical (math.Float64bits) to Design.HPWL on
+// the same positions: the from-scratch recompute is Compact's own bounding
+// box kernel, and the incremental expansion only replaces a bound on a
+// strict inequality — the same rule the kernel applies — so a bound never
 // changes bits without changing value.
 //
 // The cache assumes a frozen topology: positions change only through
@@ -32,11 +29,10 @@ type WirelenCache struct {
 	minX, maxX, minY, maxY []float64
 	hp                     []float64
 
-	// Cache-owned position mirrors, indexed like Compact's pin references.
-	// MoveCell writes instX/instY alongside Instance.X/Y; ports cannot move
-	// through this cache, so portX/portY are snapshots from rebuild.
-	instX, instY []float64
-	portX, portY []float64
+	// Cache-owned positions. MoveCell writes InstX/InstY alongside
+	// Instance.X/Y; ports cannot move through this cache, so their
+	// coordinates are as rebuild gathered them.
+	pos Positions
 
 	// Instance -> pin-slot CSR: instance i's pins are the Compact slots
 	// slots[slotStart[i]:slotStart[i+1]], ascending. A net's slots are one
@@ -70,22 +66,7 @@ func (c *WirelenCache) rebuild() {
 		c.maxY = make([]float64, n)
 		c.hp = make([]float64, n)
 	}
-	if len(c.instX) != len(c.d.Insts) {
-		c.instX = make([]float64, len(c.d.Insts))
-		c.instY = make([]float64, len(c.d.Insts))
-	}
-	for i, inst := range c.d.Insts {
-		c.instX[i] = inst.X
-		c.instY[i] = inst.Y
-	}
-	if len(c.portX) != len(c.d.Ports) {
-		c.portX = make([]float64, len(c.d.Ports))
-		c.portY = make([]float64, len(c.d.Ports))
-	}
-	for i, p := range c.d.Ports {
-		c.portX[i] = p.X
-		c.portY[i] = p.Y
-	}
+	c.pos.Gather(c.d)
 	for i := 0; i < n; i++ {
 		c.recompute(i)
 	}
@@ -117,31 +98,13 @@ func (c *WirelenCache) indexSlots() {
 	}
 }
 
-// recompute rebuilds one net's bbox from scratch, mirroring the pointer walk.
+// recompute rebuilds one net's bbox from scratch.
 func (c *WirelenCache) recompute(netID int) {
-	cm := c.cm
-	lo, hi := cm.NetStart[netID], cm.NetStart[netID+1]
-	if hi-lo < 2 {
+	if c.cm.NumNetPins(netID) < 2 {
 		c.hp[netID] = 0
 		return
 	}
-	minX, minY := 1e308, 1e308
-	maxX, maxY := -1e308, -1e308
-	for k := lo; k < hi; k++ {
-		x, y := cm.pinXY(k, c.instX, c.instY, c.portX, c.portY)
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
-	}
+	minX, maxX, minY, maxY := c.cm.netBox(&c.pos, netID)
 	c.minX[netID], c.maxX[netID] = minX, maxX
 	c.minY[netID], c.maxY[netID] = minY, maxY
 	c.hp[netID] = (maxX - minX) + (maxY - minY)
@@ -161,13 +124,13 @@ func (c *WirelenCache) Total() float64 {
 }
 
 // PinXY returns the position of compact pin slot k under the cache's current
-// positions, bit-identical to Design.PinPos on the same pin.
+// positions.
 func (c *WirelenCache) PinXY(k int32) (x, y float64) {
-	return c.cm.pinXY(k, c.instX, c.instY, c.portX, c.portY)
+	return c.cm.PinXY(&c.pos, k)
 }
 
 // InstXY returns the cache's mirror of instance id's origin.
-func (c *WirelenCache) InstXY(id int) (x, y float64) { return c.instX[id], c.instY[id] }
+func (c *WirelenCache) InstXY(id int) (x, y float64) { return c.pos.InstX[id], c.pos.InstY[id] }
 
 // MoveCell sets the instance origin to (x, y) and updates the bboxes of its
 // incident nets in O(pins of the cell). A net whose old bbox edge was defined
@@ -178,7 +141,7 @@ func (c *WirelenCache) MoveCell(id int, x, y float64) {
 	inst := c.d.Insts[id]
 	oldX, oldY := inst.X, inst.Y
 	inst.X, inst.Y = x, y
-	c.instX[id], c.instY[id] = x, y
+	c.pos.InstX[id], c.pos.InstY[id] = x, y
 	if oldX == x && oldY == y {
 		return
 	}
@@ -205,8 +168,8 @@ func (c *WirelenCache) moveOnNet(netID int, pins []int32, x, y, oldX, oldY float
 	// Pass 1: does any moved pin own a bbox edge and move off it inward?
 	// Then the new edge may be any other pin — recompute exactly.
 	for _, k := range pins {
-		ox, oy := oldX+cm.PinDX[k], oldY+cm.PinDY[k]
-		nx, ny := x+cm.PinDX[k], y+cm.PinDY[k]
+		ox, oy := oldX+cm.pinDX[k], oldY+cm.pinDY[k]
+		nx, ny := x+cm.pinDX[k], y+cm.pinDY[k]
 		if (ox == c.minX[netID] && nx > ox) || (ox == c.maxX[netID] && nx < ox) ||
 			(oy == c.minY[netID] && ny > oy) || (oy == c.maxY[netID] && ny < oy) {
 			c.recompute(netID)
@@ -215,7 +178,7 @@ func (c *WirelenCache) moveOnNet(netID int, pins []int32, x, y, oldX, oldY float
 	}
 	// Pass 2: every moved pin stayed put or moved outward; expand the bbox.
 	for _, k := range pins {
-		nx, ny := x+cm.PinDX[k], y+cm.PinDY[k]
+		nx, ny := x+cm.pinDX[k], y+cm.pinDY[k]
 		if nx < c.minX[netID] {
 			c.minX[netID] = nx
 		}

@@ -58,7 +58,7 @@ func name(prefix string, i int) string {
 // wirelenHardDesign extends the random design with the shapes the pin-slot
 // index must get right: a 5 000-pin net, an instance with two pins (at
 // distinct offsets) on one net, a net whose only other pin is a port, and a
-// net with a CompactNoPort pin. hot lists the instances on those nets.
+// net whose first pin is a port. hot lists the instances on those nets.
 func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	t.Helper()
 	d = wirelenTestDesign(t, 5200, 300, 5)
@@ -93,7 +93,7 @@ func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	net("big", append(big, PinRef{Inst: o[0], Pin: "A"})...)
 	net("twice", PinRef{Inst: o[0], Pin: "A"}, PinRef{Inst: 7, Pin: "A"}, PinRef{Inst: o[0], Pin: "Y"})
 	net("portonly", PinRef{Inst: o[1], Pin: "Y"}, PinRef{Inst: -1, Pin: name("p", 0)})
-	net("noport", PinRef{Inst: o[1], Pin: "A"}, PinRef{Inst: -1, Pin: "nosuch"}, PinRef{Inst: 9, Pin: "A"})
+	net("portfirst", PinRef{Inst: -1, Pin: name("p", 1)}, PinRef{Inst: o[1], Pin: "A"}, PinRef{Inst: 9, Pin: "A"})
 	return d, []int{o[0], o[1], 0, 7, 9, 4999}
 }
 
@@ -121,9 +121,6 @@ func TestWirelenCacheMatchesHPWL(t *testing.T) {
 	})
 	t.Run("hard", func(t *testing.T) {
 		d, hot := wirelenHardDesign(t)
-		if cm := d.Compact(); cm.PinInst[cm.NetStart[len(d.Nets)-1]+1] != CompactNoPort {
-			t.Fatal("hard design lost its CompactNoPort pin")
-		}
 		c := testWirelenCacheMoves(t, d, hot)
 		// Make one pin own every edge it can of the 5 000-pin net, then take
 		// it back inside: expansion cannot shrink a bbox, so only the exact

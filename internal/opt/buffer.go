@@ -42,66 +42,53 @@ func InsertBuffers(d *netlist.Design, buf *netlist.Master) (BufferReport, error)
 	maxWire := math.Max((d.Core.W()+d.Core.H())/6, 60)
 	maxBuf := len(d.Insts)/20 + 1
 
-	// Snapshot net IDs first: we append nets while iterating.
+	// One compact view and position snapshot, taken before any edit,
+	// resolve every original net: an edit only moves far sinks of the net
+	// at hand onto a new net and adds a buffer cell, so when the loop
+	// reaches a later net its pins and their cells are as the snapshot saw
+	// them. Nets appended while iterating are not visited.
+	c := d.Compact()
+	var pos netlist.Positions
+	pos.Gather(d)
+	type sink struct {
+		pr   netlist.PinRef
+		dist float64
+		x, y float64
+	}
+	var sinks, far []sink
 	numNets := len(d.Nets)
 	for netID := 0; netID < numNets && rep.Inserted < maxBuf; netID++ {
 		n := d.Nets[netID]
-		if n.Clock {
+		kd := c.NetDrv[netID]
+		if n.Clock || kd < 0 || c.PinInst[kd] < 0 {
 			continue
 		}
-		drv, ok := d.Driver(n)
-		if !ok || drv.IsPort() {
-			continue
-		}
-		dx, dy := d.PinPos(drv)
-		// Collect sinks beyond the wirelength threshold.
-		type sink struct {
-			pr   netlist.PinRef
-			dist float64
-			x, y float64
-		}
-		var far []sink
-		sinks := 0
-		for _, pr := range n.Pins {
-			if pr == drv {
+		lo, hi := c.NetStart[netID], c.NetStart[netID+1]
+		drv := n.Pins[kd-lo]
+		dx, dy := c.PinXY(&pos, kd)
+		// Instance input sinks; port connections stay on the original net.
+		sinks, far = sinks[:0], far[:0]
+		for k := lo; k < hi; k++ {
+			pr := n.Pins[k-lo]
+			id := c.PinInst[k]
+			if pr == drv || id < 0 || d.Insts[id].Master.Pins[c.PinMP[k]].Dir != netlist.DirInput {
 				continue
 			}
-			if pr.IsPort() {
-				continue // keep port connections on the original net
+			x, y := c.PinXY(&pos, k)
+			s := sink{pr, abs(x-dx) + abs(y-dy), x, y}
+			sinks = append(sinks, s)
+			if s.dist > maxWire {
+				far = append(far, s)
 			}
-			mp := d.Insts[pr.Inst].Master.Pin(pr.Pin)
-			if mp == nil || mp.Dir != netlist.DirInput {
-				continue
-			}
-			sinks++
-			x, y := d.PinPos(pr)
-			dist := abs(x-dx) + abs(y-dy)
-			if dist > maxWire {
-				far = append(far, sink{pr, dist, x, y})
-			}
-		}
-		overFanout := sinks > maxFanout
-		if len(far) == 0 && !overFanout {
-			continue
-		}
-		if len(far) == 0 && overFanout {
-			// Split the farthest half of the sinks.
-			for _, pr := range n.Pins {
-				if pr == drv || pr.IsPort() {
-					continue
-				}
-				mp := d.Insts[pr.Inst].Master.Pin(pr.Pin)
-				if mp == nil || mp.Dir != netlist.DirInput {
-					continue
-				}
-				x, y := d.PinPos(pr)
-				far = append(far, sink{pr, abs(x-dx) + abs(y-dy), x, y})
-			}
-			sort.Slice(far, func(i, j int) bool { return far[i].dist > far[j].dist })
-			far = far[:len(far)/2]
 		}
 		if len(far) == 0 {
-			continue
+			if len(sinks) <= maxFanout {
+				continue
+			}
+			// Split the farthest half of the sinks.
+			far = append(far, sinks...)
+			sort.Slice(far, func(i, j int) bool { return far[i].dist > far[j].dist })
+			far = far[:len(far)/2]
 		}
 		// Buffer at the centroid of the far group.
 		var cx, cy float64

@@ -62,7 +62,7 @@ func TestInsertBuffersSplitsLongNet(t *testing.T) {
 	if len(d.Nets) <= nets || len(d.Insts) <= insts {
 		t.Fatal("netlist not modified")
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	// Buffering a hugely overloaded wire should improve (or not hurt) WNS.
@@ -99,7 +99,7 @@ func TestInsertBuffersRespectsClockAndLimit(t *testing.T) {
 	if len(d.Net("clk").Pins) != clockPins {
 		t.Fatal("clock net was modified")
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,7 +132,7 @@ func TestInsertBuffersFanoutSplit(t *testing.T) {
 	if got, moved := len(d.Net("fanout").Pins), len(d.Nets[len(d.Nets)-1].Pins); got != 17 || moved != 16 {
 		t.Fatalf("fanout split into %d and %d pins, want 17 and 16", got, moved)
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -107,13 +107,13 @@ func referenceAssemble(p *placer, xAxis bool, spreadW float64) refSystem {
 // cornerCaseDesign is a hand-built design holding the shapes the assembly
 // has to get right: n0's three cells sit on one point (min and max are the
 // same pin, the net emits all 2(P-1) springs of its bound); n1 has two pins
-// on one cell; n2 touches only a fixed cell and ports, one of them undeclared;
-// n3 is an ordinary mixed net; n4 is one pin above maxNetPins and stays out of
+// on one cell; n2 touches only a fixed cell and ports; n3 is an ordinary mixed net; n4 is one pin above maxNetPins and stays out of
 // the model; n5 has a single pin.
 func cornerCaseDesign(t *testing.T) *netlist.Design {
 	t.Helper()
 	lib := netlist.NewLibrary("corner_lib")
 	m := &netlist.Master{Name: "c", Class: netlist.ClassCore, Width: 1, Height: 1}
+	m.AddPin(netlist.MasterPin{Name: "p"})
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 	for i, pins := range [][]netlist.PinRef{
 		{cell(0), cell(1), cell(2)},
 		{cell(3), cell(3), cell(4)},
-		{cell(5), port("p0"), port("p1"), port("undeclared")},
+		{cell(5), port("p0"), port("p1")},
 		{cell(0), cell(3), cell(5), cell(6), port("p1")},
 		huge,
 		{cell(6)},

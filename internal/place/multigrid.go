@@ -105,8 +105,9 @@ func (p *placer) coarseInit() {
 	}
 
 	// Synthetic coarse design: one square cell per cluster (side sqrt of the
-	// summed member area), one net per coarse hyperedge. Pins resolve to the
-	// cell center (no master pins), matching the placer's cell-center model.
+	// summed member area), one net per coarse hyperedge. Each master declares
+	// one pin "p" at zero offset, which resolves to the cell center, matching
+	// the placer's cell-center model.
 	lib := netlist.NewLibrary(d.Name + "_coarse_lib")
 	cd := netlist.NewDesignSized(d.Name+"_coarse", lib, nc, coarse.NumEdges())
 	cd.Core = p.core
@@ -125,6 +126,7 @@ func (p *placer) coarseInit() {
 			Width:  side,
 			Height: side,
 		}
+		m.AddPin(netlist.MasterPin{Name: "p"})
 		if lib.AddMaster(m) != nil {
 			return
 		}

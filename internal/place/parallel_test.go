@@ -117,6 +117,7 @@ func TestCoarseInitRecursionTerminates(t *testing.T) {
 	const n = coarseInitMinCells + 10000
 	lib := netlist.NewLibrary("sparse_lib")
 	m := &netlist.Master{Name: "c", Class: netlist.ClassCore, Width: 1, Height: 1}
+	m.AddPin(netlist.MasterPin{Name: "p"})
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}

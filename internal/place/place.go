@@ -356,10 +356,8 @@ func (p *placer) collect() {
 
 // snapshotConnectivity resolves every compact pin to either a variable index
 // or a constant axis coordinate, so assembly never touches a pointer or a
-// map. It mirrors the coordinate rules of the former pointer walk: a port
-// pin sits at the port (an unknown port at (0,0)); a fixed instance pin sits
-// at the cell center; a movable instance pin tracks the cell-center
-// variable.
+// map. A port pin sits at the port; a fixed instance pin sits at the cell
+// center; a movable instance pin tracks the cell-center variable.
 func (p *placer) snapshotConnectivity() {
 	d := p.d
 	cm := d.Compact()
@@ -371,8 +369,6 @@ func (p *placer) snapshotConnectivity() {
 	for k := 0; k < nPins; k++ {
 		id := cm.PinInst[k]
 		switch {
-		case id == netlist.CompactNoPort:
-			p.pinVar[k] = -1
 		case id < 0:
 			port := d.Ports[-1-id]
 			p.pinVar[k] = -1

@@ -465,23 +465,16 @@ func (sc *routeScratch) applyPart(s segRoute) {
 //     sequential sweep. Congestion relief converges like the serial router;
 //     only the (already deterministic) initial state differs.
 //
-// Wirelength and via totals are integer sums over segments, reduced per
-// worker and then in worker order — exact arithmetic, so parallel totals
-// match serial ones bit for bit.
+// Wirelength and via totals are integer sums over segments, exact in any
+// order, so they are plain serial loops.
 func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	opt = opt.withDefaults()
 	g := newGrid(d.Core, gcellSize(d), opt.CapacityH, opt.CapacityV)
 	c := d.Compact()
 	workers := par.Workers(opt.Workers)
 
-	instX := make([]float64, len(d.Insts))
-	instY := make([]float64, len(d.Insts))
-	par.Blocks(workers, len(d.Insts), func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			instX[i] = d.Insts[i].X
-			instY[i] = d.Insts[i].Y
-		}
-	})
+	var pos netlist.Positions
+	pos.Gather(d)
 
 	scratch := make([]*routeScratch, workers)
 	for w := range scratch {
@@ -498,16 +491,7 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 		for ni := lo; ni < hi; ni++ {
 			cells := sc.cells[:0]
 			for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-				var x, y float64
-				if id := c.PinInst[k]; id >= 0 {
-					x, y = instX[id]+c.PinDX[k], instY[id]+c.PinDY[k]
-				} else if id == netlist.CompactNoPort {
-					x, y = 0, 0
-				} else {
-					p := d.Ports[-1-id]
-					x, y = p.X, p.Y
-				}
-				i, j := g.Cell(x, y)
+				i, j := g.Cell(c.PinXY(&pos, k))
 				idx := j*g.nx + i
 				if sc.cellStamp[idx] == int32(ni) {
 					continue
@@ -603,21 +587,10 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	}
 
 	res := &Result{Grid: g}
-	lenSum := make([]int64, workers)
-	viaSum := make([]int64, workers)
-	par.Blocks(workers, total, func(w, lo, hi int) {
-		var wl, vias int64
-		for k := lo; k < hi; k++ {
-			wl += int64(routed[k].length())
-			vias += int64(routed[k].bends())
-		}
-		lenSum[w] = wl
-		viaSum[w] = vias
-	})
 	var wl, vias int64
-	for w := 0; w < workers; w++ {
-		wl += lenSum[w]
-		vias += viaSum[w]
+	for _, seg := range routed {
+		wl += int64(seg.length())
+		vias += int64(seg.bends())
 	}
 	res.WirelengthUM = float64(wl) * g.size
 	res.Vias = int(vias)

@@ -31,11 +31,7 @@ func (a *Analyzer) DRV() DRVReport {
 		if kd < 0 || c.PinInst[kd] < 0 {
 			continue // undriven or port-driven
 		}
-		mpIdx := c.PinMP[kd]
-		if mpIdx < 0 {
-			continue
-		}
-		mp := &a.d.Insts[c.PinInst[kd]].Master.Pins[mpIdx]
+		mp := &a.d.Insts[c.PinInst[kd]].Master.Pins[c.PinMP[kd]]
 		if mp.MaxCap <= 0 {
 			continue
 		}

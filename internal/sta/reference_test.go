@@ -109,12 +109,12 @@ func (r *refAnalyzer) build() {
 	r.netLoad = make([]float64, len(d.Nets))
 
 	for _, net := range d.Nets {
-		drv, ok := d.Driver(net)
+		drv, ok := refDriver(d, net)
 		if !ok {
 			continue
 		}
 		drvNode := r.nodeOf[PinID{drv.Inst, drv.Pin}]
-		dx, dy := d.PinPos(drv)
+		dx, dy := refPinPos(d, drv)
 		var load float64
 		for _, pr := range net.Pins {
 			if pr == drv {
@@ -138,7 +138,7 @@ func (r *refAnalyzer) build() {
 			}
 			wl := 0.0
 			if !r.cons.ZeroWire {
-				sx, sy := d.PinPos(pr)
+				sx, sy := refPinPos(d, pr)
 				wl = math.Abs(sx-dx) + math.Abs(sy-dy)
 			}
 			r.addEdge(refEdge{from: drvNode, to: sinkNode, wireLen: wl})
@@ -514,9 +514,11 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 			n, _ := d.AddNet(fmt.Sprintf("w%d%s", i, pin))
 			d.Connect(n, drivers[rng.Intn(len(drivers))])
 			d.Connect(n, netlist.PinRef{Inst: g.ID, Pin: pin})
-			// Random extra fanout onto the same net.
+			// Random extra fanout onto the same net, on cells with an A pin.
 			if rng.Intn(3) == 0 && i > 2 {
-				d.Connect(n, netlist.PinRef{Inst: d.Insts[rng.Intn(i)].ID, Pin: "A"})
+				if u := d.Insts[rng.Intn(i)]; u.Master.Pin("A") != nil {
+					d.Connect(n, netlist.PinRef{Inst: u.ID, Pin: "A"})
+				}
 			}
 		}
 		drivers = append(drivers, netlist.PinRef{Inst: g.ID, Pin: "Y"})
@@ -603,6 +605,37 @@ func TestUpdateMatchesReference(t *testing.T) {
 	compareToRef(t, "update", a, r)
 }
 
+// refDriver is net n's driving pin by a walk over its pointer pins: the
+// first output instance pin, else the first input port.
+func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
+	for _, p := range n.Pins {
+		if !p.IsPort() && d.Insts[p.Inst].Master.Pin(p.Pin).Dir == netlist.DirOutput {
+			return p, true
+		}
+	}
+	for _, p := range n.Pins {
+		if p.IsPort() && d.Port(p.Pin).Dir == netlist.DirInput {
+			return p, true
+		}
+	}
+	return netlist.PinRef{}, false
+}
+
+// refPinPos is a pin's position by the pointer API: a port's coordinates,
+// or the instance origin plus the master pin offset when either component is
+// nonzero, otherwise the instance center.
+func refPinPos(d *netlist.Design, p netlist.PinRef) (x, y float64) {
+	if p.IsPort() {
+		port := d.Port(p.Pin)
+		return port.X, port.Y
+	}
+	inst := d.Insts[p.Inst]
+	if mp := inst.Master.Pin(p.Pin); mp.OffsetX != 0 || mp.OffsetY != 0 {
+		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
+	}
+	return inst.CenterX(), inst.CenterY()
+}
+
 // refNetHPWL is net n's half-perimeter wirelength by a walk over its pointer
 // pins, the pre-CSR per-net HPWL.
 func refNetHPWL(d *netlist.Design, n *netlist.Net) float64 {
@@ -612,7 +645,7 @@ func refNetHPWL(d *netlist.Design, n *netlist.Net) float64 {
 	minX, minY := 1e308, 1e308
 	maxX, maxY := -1e308, -1e308
 	for _, p := range n.Pins {
-		x, y := d.PinPos(p)
+		x, y := refPinPos(d, p)
 		if x < minX {
 			minX = x
 		}

@@ -90,8 +90,7 @@ type Analyzer struct {
 	endp     []bool    // timing endpoint (reg D or output port)
 	startp   []bool    // timing startpoint (reg CK->Q origin or input port)
 	nodeCap  []float64 // sink load contribution: input-pin cap or PortCap
-	nodeDX   []float64 // pin offset from instance origin (0 for ports)
-	nodeDY   []float64
+	nodeSlot []int32   // a compact pin slot of the node's pin, -1 if no net arc ends at it
 
 	at, rat, slew []float64
 	hasAT, hasRAT []bool
@@ -130,8 +129,8 @@ type Analyzer struct {
 	actDone  bool
 	timeDone bool
 
-	// Position gather scratch for the geometry refresh.
-	gInstX, gInstY []float64
+	// Position snapshot for the geometry refresh.
+	pos netlist.Positions
 }
 
 // New builds the timing graph for the design. The graph uses current pin
@@ -194,8 +193,7 @@ func (a *Analyzer) addNode(inst, mpIdx int32, k nodeKind) int32 {
 	a.endp = append(a.endp, false)
 	a.startp = append(a.startp, false)
 	a.nodeCap = append(a.nodeCap, 0)
-	a.nodeDX = append(a.nodeDX, 0)
-	a.nodeDY = append(a.nodeDY, 0)
+	a.nodeSlot = append(a.nodeSlot, -1)
 	return idx
 }
 
@@ -260,9 +258,6 @@ func (a *Analyzer) build() {
 				continue
 			}
 			mpIdx := c.PinMP[k]
-			if mpIdx < 0 {
-				continue
-			}
 			slot := a.instPinStart[id] + mpIdx
 			if a.pinNode[slot] >= 0 {
 				continue
@@ -275,8 +270,6 @@ func (a *Analyzer) build() {
 			n := a.addNode(id, mpIdx, kind)
 			a.pinNode[slot] = n
 			a.nodeCap[n] = mp.Cap
-			a.nodeDX[n] = c.PinDX[k]
-			a.nodeDY[n] = c.PinDY[k]
 		}
 	}
 
@@ -297,6 +290,7 @@ func (a *Analyzer) build() {
 			if sink, ok := a.sinkOfSlot(c, kd, k); ok {
 				a.addEdge(drvNode, sink, nil)
 				a.net[sink] = int32(ni)
+				a.nodeSlot[sink] = k
 			}
 		}
 		a.net[drvNode] = int32(ni)
@@ -353,15 +347,11 @@ func (a *Analyzer) build() {
 
 // sinkOfSlot resolves pin slot k of the net driven from slot kd to the node
 // the driver's net arc ends at. ok is false for the driver itself (every pin
-// equal to it by value), pins with no master pin, outputs, and ports that are
-// not outputs. Both the graph build and the load refresh walk a net through
+// equal to it by value), outputs, and ports that are not outputs. Both the graph build and the load refresh walk a net through
 // here, so they agree on what its sinks are.
 func (a *Analyzer) sinkOfSlot(c *netlist.Compact, kd, k int32) (int32, bool) {
 	id, drvID := c.PinInst[k], c.PinInst[kd]
 	if id == drvID && (drvID < 0 || c.PinMP[k] == c.PinMP[kd]) {
-		return 0, false
-	}
-	if id == netlist.CompactNoPort || id >= 0 && c.PinMP[k] < 0 {
 		return 0, false
 	}
 	n := a.nodeOfSlot(c, k)
@@ -375,63 +365,6 @@ func (a *Analyzer) nodeOfSlot(c *netlist.Compact, k int32) int32 {
 		return -1 - id // port index == node index
 	}
 	return a.pinNode[a.instPinStart[id]+c.PinMP[k]]
-}
-
-// gatherPositions snapshots instance origins into contiguous scratch; port
-// coordinates are read directly (few ports).
-func (a *Analyzer) gatherPositions() {
-	d := a.d
-	if len(a.gInstX) != len(d.Insts) {
-		a.gInstX = make([]float64, len(d.Insts))
-		a.gInstY = make([]float64, len(d.Insts))
-	}
-	for i, inst := range d.Insts {
-		a.gInstX[i] = inst.X
-		a.gInstY[i] = inst.Y
-	}
-}
-
-// posOfSlot resolves a compact pin slot's position against the gathered
-// instance origins. The arithmetic (origin + precomputed offset) matches
-// Design.PinPos bit for bit.
-func (a *Analyzer) posOfSlot(c *netlist.Compact, k int32) (float64, float64) {
-	id := c.PinInst[k]
-	if id >= 0 {
-		return a.gInstX[id] + c.PinDX[k], a.gInstY[id] + c.PinDY[k]
-	}
-	if id == netlist.CompactNoPort {
-		return 0, 0
-	}
-	p := a.d.Ports[-1-id]
-	return p.X, p.Y
-}
-
-// netHPWLGathered computes a net's HPWL over the gathered positions with the
-// same comparison structure as Design.HPWL's per-net kernel, so the result is
-// bit-identical.
-func (a *Analyzer) netHPWLGathered(c *netlist.Compact, ni int) float64 {
-	lo, hi := c.NetStart[ni], c.NetStart[ni+1]
-	if hi-lo < 2 {
-		return 0
-	}
-	minX, minY := 1e308, 1e308
-	maxX, maxY := -1e308, -1e308
-	for k := lo; k < hi; k++ {
-		x, y := a.posOfSlot(c, k)
-		if x < minX {
-			minX = x
-		}
-		if x > maxX {
-			maxX = x
-		}
-		if y < minY {
-			minY = y
-		}
-		if y > maxY {
-			maxY = y
-		}
-	}
-	return (maxX - minX) + (maxY - minY)
 }
 
 // buildAdjacency converts the edge lists into in/out CSR with edge ids in

@@ -73,7 +73,7 @@ func combChain(t *testing.T, n int) *netlist.Design {
 	last, _ := d.AddNet("nout")
 	d.Connect(last, prev)
 	d.Connect(last, netlist.PinRef{Inst: -1, Pin: "out"})
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -109,7 +109,7 @@ func regPair(t *testing.T) *netlist.Design {
 	nd, _ := d.AddNet("d0")
 	d.Connect(nd, netlist.PinRef{Inst: -1, Pin: "din"})
 	d.Connect(nd, netlist.PinRef{Inst: ff0.ID, Pin: "D"})
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	return d

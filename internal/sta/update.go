@@ -25,10 +25,10 @@ func (a *Analyzer) Update() {
 // sta.update_nodes.
 func (a *Analyzer) LastUpdateNodes() int { return -1 }
 
-// refreshAllNets refreshes every net's geometry over freshly gathered
-// positions, flat over the compact CSR.
+// refreshAllNets refreshes every net's geometry over a fresh position
+// snapshot, flat over the compact CSR.
 func (a *Analyzer) refreshAllNets() {
-	a.gatherPositions()
+	a.pos.Gather(a.d)
 	c := a.d.Compact()
 	for ni := range a.d.Nets {
 		a.refreshNet(c, ni)
@@ -36,8 +36,8 @@ func (a *Analyzer) refreshAllNets() {
 }
 
 // refreshNet recomputes one net's load and per-sink wire lengths from the
-// gathered pin positions: pin caps in pin order, plus the wire cap of the
-// net's HPWL unless parasitics are off. Callers must gatherPositions first.
+// position snapshot: pin caps in pin order, plus the wire cap of the net's
+// HPWL unless parasitics are off. Callers must gather a.pos first.
 func (a *Analyzer) refreshNet(c *netlist.Compact, ni int) {
 	kd := c.NetDrv[ni]
 	if kd < 0 {
@@ -57,17 +57,10 @@ func (a *Analyzer) refreshNet(c *netlist.Compact, ni int) {
 		}
 		return
 	}
-	a.netLoad[ni] = load + WireCapPerMicron*a.netHPWLGathered(c, ni)
-	dx, dy := a.posOfSlot(c, kd)
+	a.netLoad[ni] = load + WireCapPerMicron*c.NetHPWL(&a.pos, ni)
+	dx, dy := c.PinXY(&a.pos, kd)
 	for ei := lo; ei < hi; ei++ {
-		to := a.eTo[ei]
-		var sx, sy float64
-		if id := a.nodeInst[to]; id >= 0 {
-			sx, sy = a.gInstX[id]+a.nodeDX[to], a.gInstY[id]+a.nodeDY[to]
-		} else {
-			p := a.d.Ports[-1-id]
-			sx, sy = p.X, p.Y
-		}
+		sx, sy := c.PinXY(&a.pos, a.nodeSlot[a.eTo[ei]])
 		a.eWire[ei] = math.Abs(sx-dx) + math.Abs(sy-dy)
 	}
 }

@@ -13,7 +13,8 @@ import (
 // FuzzReadVerilog asserts the structural-Verilog reader never panics,
 // returns structured errors, and round-trips its own emission
 // byte-for-byte (including assign canonicalization and escaped
-// identifiers).
+// identifiers), and that the connectivity build on any design it accepts
+// returns rather than panics.
 func FuzzReadVerilog(f *testing.F) {
 	b := designs.Generate(designs.TinySpec(7))
 	var seed bytes.Buffer
@@ -28,14 +29,20 @@ func FuzzReadVerilog(f *testing.F) {
 	f.Add("module m (a);\n  input a;\n  BOGUS u (.A(a));\nendmodule\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		d, _, err := ParseWith(strings.NewReader(in), designs.Lib(), Options{File: "fuzz.v"})
-		if _, _, lerr := ParseWith(strings.NewReader(in), designs.Lib(),
-			Options{File: "fuzz.v", Lenient: true}); lerr != nil {
+		ld, _, lerr := ParseWith(strings.NewReader(in), designs.Lib(),
+			Options{File: "fuzz.v", Lenient: true})
+		if lerr != nil {
 			requireParseError(t, lerr)
+		} else {
+			// The connectivity build may reject an accepted design (a net
+			// naming an undeclared port, say); it must only not panic.
+			_, _ = ld.CompactChecked()
 		}
 		if err != nil {
 			requireParseError(t, err)
 			return
 		}
+		_, _ = d.CompactChecked() // may reject, must not panic
 		var w1 bytes.Buffer
 		if err := Write(&w1, d); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)

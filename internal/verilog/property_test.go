@@ -41,7 +41,8 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 				return false
 			}
 		}
-		return got.Validate() == nil
+		_, err = got.CompactChecked()
+		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)

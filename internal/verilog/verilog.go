@@ -181,10 +181,16 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	return d, p.warns.List(), err
 }
 
+// token is one lexeme. esc marks an escaped identifier, whose text may
+// spell punctuation (\) is the name ")") and so never matches it.
 type token struct {
 	text string
 	line int
+	esc  bool
 }
+
+// is reports whether t is the punctuation or keyword s.
+func (t token) is(s string) bool { return t.text == s && !t.esc }
 
 // lexer streams tokens from the reader one at a time, so parsing a
 // multi-hundred-MB netlist never holds the raw file bytes or a whole-file
@@ -229,7 +235,7 @@ func (lx *lexer) scanToken() token {
 	for {
 		c, ok := lx.readByte()
 		if !ok {
-			return token{"", lx.last}
+			return token{text: "", line: lx.last}
 		}
 		switch {
 		case c == '\n':
@@ -238,14 +244,14 @@ func (lx *lexer) scanToken() token {
 		case c == '/':
 			d, ok := lx.readByte()
 			if !ok {
-				return token{"/", lx.line}
+				return token{text: "/", line: lx.line}
 			}
 			switch d {
 			case '/':
 				for {
 					c, ok := lx.readByte()
 					if !ok {
-						return token{"", lx.last}
+						return token{text: "", line: lx.last}
 					}
 					if c == '\n' {
 						lx.line++
@@ -257,7 +263,7 @@ func (lx *lexer) scanToken() token {
 				for {
 					c, ok := lx.readByte()
 					if !ok {
-						return token{"", lx.last}
+						return token{text: "", line: lx.last}
 					}
 					if c == '\n' {
 						lx.line++
@@ -285,9 +291,9 @@ func (lx *lexer) scanToken() token {
 				}
 				lx.buf = append(lx.buf, c)
 			}
-			return token{string(lx.buf), ln}
+			return token{text: string(lx.buf), line: ln, esc: true}
 		case punct[c] != "":
-			return token{punct[c], lx.line}
+			return token{text: punct[c], line: lx.line}
 		default:
 			return lx.word(c)
 		}
@@ -315,7 +321,7 @@ func (lx *lexer) word(c byte) token {
 		}
 		lx.buf = append(lx.buf, c)
 	}
-	return token{string(lx.buf), ln}
+	return token{text: string(lx.buf), line: ln}
 }
 
 type parser struct {
@@ -356,7 +362,7 @@ func (p *parser) errf(line int, tok, format string, args ...any) *scan.ParseErro
 
 func (p *parser) expect(text string) error {
 	t := p.next()
-	if t.text != text {
+	if !t.is(text) {
 		if t.text == "" && p.lx.err != nil {
 			return p.eofErr(t.line, "")
 		}
@@ -375,9 +381,9 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	for p.peek().text != ")" && p.peek().text != "" {
+	for !p.peek().is(")") && !p.peek().is("") {
 		p.next() // names declared with directions below
-		if p.peek().text == "," {
+		if p.peek().is(",") {
 			p.next()
 		}
 	}
@@ -431,10 +437,10 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 					return nil, p.errf(nm.line, nm.text, "%v", err)
 				}
 				nx := p.next()
-				if nx.text == ";" {
+				if nx.is(";") {
 					break
 				}
-				if nx.text != "," {
+				if !nx.is(",") {
 					return nil, p.errf(nx.line, nx.text, "bad port declaration")
 				}
 			}
@@ -479,10 +485,10 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 					return nil, p.errf(nm.line, nm.text, "%v", err)
 				}
 				nx := p.next()
-				if nx.text == ";" {
+				if nx.is(";") {
 					break
 				}
-				if nx.text != "," {
+				if !nx.is(",") {
 					return nil, p.errf(nx.line, nx.text, "bad wire declaration")
 				}
 			}
@@ -500,8 +506,8 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
-			for p.peek().text != ")" {
-				if p.peek().text == "" {
+			for !p.peek().is(")") {
+				if p.peek().is("") {
 					return nil, p.eofErr(p.peek().line, "unexpected end of file in instance %s", instName.text)
 				}
 				if err := p.expect("."); err != nil {
@@ -523,7 +529,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 					return nil, p.errf(netName.line, netName.text, "%v", err)
 				}
 				d.Connect(n, netlist.PinRef{Inst: inst.ID, Pin: pin.text})
-				if p.peek().text == "," {
+				if p.peek().is(",") {
 					p.next()
 				}
 			}

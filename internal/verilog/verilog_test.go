@@ -19,7 +19,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Validate(); err != nil {
+	if _, err := got.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Insts) != len(b.Design.Insts) {
@@ -69,7 +69,7 @@ endmodule
 	if len(d.Insts) != 2 || len(d.Ports) != 3 || len(d.Nets) != 4 {
 		t.Fatalf("counts: %d insts %d ports %d nets", len(d.Insts), len(d.Ports), len(d.Nets))
 	}
-	if err := d.Validate(); err != nil {
+	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	// Port "a" is on net "a" which feeds u1/A.

@@ -81,7 +81,7 @@ func TestInduceSubNetlist(t *testing.T) {
 	if len(sub.Insts) != len(members) {
 		t.Fatalf("sub insts=%d want %d", len(sub.Insts), len(members))
 	}
-	if err := sub.Validate(); err != nil {
+	if _, err := sub.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sub.Ports) == 0 {
@@ -217,10 +217,16 @@ func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
 		}
 		newID[id] = ni.ID
 	}
+	c := d.Compact()
 	for _, n := range d.Nets {
 		var internal []netlist.PinRef
 		var externalDrv, externalSink, internalDrv bool
-		drv, hasDrv := d.Driver(n)
+		var drv netlist.PinRef
+		kd := c.NetDrv[n.ID]
+		hasDrv := kd >= 0
+		if hasDrv {
+			drv = n.Pins[kd-c.NetStart[n.ID]]
+		}
 		for _, pr := range n.Pins {
 			if sid, inside := newID[pr.Inst]; !pr.IsPort() && inside {
 				internal = append(internal, netlist.PinRef{Inst: sid, Pin: pr.Pin})

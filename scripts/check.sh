@@ -5,8 +5,29 @@
 #
 # Usage: scripts/check.sh [quick]
 #   quick  skip the full -race test sweep; run vet+build+equivalence only.
+#        scripts/check.sh fuzz <pkg>...
+#          only the bounded fuzz smoke pass, for the named format packages.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Crash-resistance contract: each format reader has one Go-native fuzz
+# target seeded from its own writer output plus a handwritten corpus under
+# testdata/fuzz/. A bounded smoke pass per package keeps the budget fixed
+# while still exercising the mutation engine; the corpus files themselves
+# always run as plain unit tests in the test sweep.
+fuzz_smoke() {
+    echo "==> bounded fuzz smoke pass (10s per format package: $*)"
+    for pkg in "$@"; do
+        go test -run '^$' -fuzz '^FuzzRead' -fuzztime 10s "./internal/$pkg/"
+    done
+}
+
+if [[ "${1:-}" == "fuzz" ]]; then
+    shift
+    fuzz_smoke "$@"
+    echo "OK"
+    exit 0
+fi
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)
@@ -78,15 +99,7 @@ go test -run 'AllocFree|AllocsBounded' ./internal/netlist/ ./internal/route/ \
     ./internal/def/ ./internal/verilog/
 
 if [[ "${1:-}" != "quick" ]]; then
-    # Crash-resistance contract: each format reader has one Go-native fuzz
-    # target seeded from its own writer output plus a handwritten corpus
-    # under testdata/fuzz/. A bounded smoke pass per package keeps the CI
-    # budget fixed while still exercising the mutation engine; the corpus
-    # files themselves always run as plain unit tests in the sweep above.
-    echo "==> bounded fuzz smoke pass (10s per format package)"
-    for pkg in def lef liberty sdc verilog; do
-        go test -run '^$' -fuzz '^FuzzRead' -fuzztime 10s "./internal/$pkg/"
-    done
+    fuzz_smoke def lef liberty sdc verilog
 fi
 
 if [[ "${1:-}" == "quick" ]]; then
