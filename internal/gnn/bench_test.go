@@ -1,18 +1,45 @@
 package gnn
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
-	"ppaclust/internal/designs"
-	"ppaclust/internal/features"
 	"ppaclust/internal/par"
 	"ppaclust/internal/vpr"
 )
 
+// benchGraph is an ariane PPA cluster (~1.6k nodes), the size of graph the
+// flow's shape prediction runs on.
 func benchGraph(b *testing.B) *GraphInput {
 	b.Helper()
-	bench := designs.Generate(designs.TinySpec(500))
-	return BuildGraphInput(bench.Design, features.Options{Seed: 1})
+	return ppaCluster(b, "ariane")
+}
+
+// BenchmarkGemm measures the two dense products of conv blocks 2 and 3,
+// n x 64 · 64 x 64 and n x 64 · 64 x 32, at n = 1200 rows, in multiply-adds
+// per second.
+func BenchmarkGemm(b *testing.B) {
+	const m, k = 1200, hiddenDim
+	rng := rand.New(rand.NewSource(1))
+	a := make([]float64, m*k)
+	for i := range a {
+		a[i] = rng.NormFloat64()
+	}
+	for _, n := range []int{hiddenDim, embedDim} {
+		w := make([]float64, k*n)
+		for i := range w {
+			w[i] = rng.NormFloat64()
+		}
+		out := make([]float64, m*n)
+		b.Run(fmt.Sprintf("%dx%d", k, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				gemm(a, w, out, m, k, n)
+			}
+			b.ReportMetric(float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds(), "madd/s")
+		})
+	}
 }
 
 // BenchmarkPredictBestShape measures the flow's unit of inference work: all

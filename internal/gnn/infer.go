@@ -28,6 +28,9 @@ import (
 //     connection are one pass; layer 3 applies W3 (64→32) before S, halving
 //     its SpMM; and the last block is reduced straight to its column sums,
 //     which is all mean pooling needs.
+//
+// Its products (gemm, sparse.mul, the head) run on the kernels of kernels.go:
+// axpy, axpy4 and the two-row gemm2, SSE2 assembly on amd64.
 
 // shapeCols is the number of leading feature columns that depend on the
 // candidate shape (features.NodeVec: utilization, aspect ratio).
@@ -87,40 +90,28 @@ func coalesce(s *sparse) (*sparse, []float64) {
 // cases. (y+|y|)/2 is exact for every finite y below half the float range.
 func relu(y float64) float64 { return 0.5 * (y + math.Abs(y)) }
 
-// axpy accumulates o += a*x.
-func axpy(o, x []float64, a float64) {
-	x = x[:len(o)]
-	for j := range o {
-		o[j] += a * x[j]
-	}
-}
-
-// axpy4 accumulates o += a0*x0 + a1*x1 + a2*x2 + a3*x3. Folding four updates
-// into one pass over o is what the GEMM and SpMM below are built from: it
-// quarters the loads and stores of the output row.
-func axpy4(o, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
-	x0, x1, x2, x3 = x0[:len(o)], x1[:len(o)], x2[:len(o)], x3[:len(o)]
-	for j := range o {
-		o[j] += a0*x0[j] + a1*x1[j] + a2*x2[j] + a3*x3[j]
-	}
-}
-
-// gemm computes out = a@w for row-major a (m x k), w (k x n), out (m x n).
+// gemm computes out = a@w for row-major a (m x k), w (k x n), out (m x n):
+// rows in pairs through gemm2, an odd last row through axpy4 and axpy. Every
+// element starts at 0 and takes the terms of p in groups of four, then the
+// remaining ones singly, whichever path its row takes.
 func gemm(a, w, out []float64, m, k, n int) {
-	for i := 0; i < m; i++ {
-		o := out[i*n : (i+1)*n]
-		for j := range o {
-			o[j] = 0
-		}
-		ar := a[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			axpy4(o, w[p*n:], w[(p+1)*n:], w[(p+2)*n:], w[(p+3)*n:],
-				ar[p], ar[p+1], ar[p+2], ar[p+3])
-		}
-		for ; p < k; p++ {
-			axpy(o, w[p*n:], ar[p])
-		}
+	out, w = out[:m*n], w[:k*n]
+	clear(out)
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		gemm2(out[i*n:(i+1)*n], out[(i+1)*n:(i+2)*n], a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k], w)
+	}
+	if i == m {
+		return
+	}
+	o, ar := out[i*n:(i+1)*n], a[i*k:(i+1)*k]
+	p := 0
+	for ; p+4 <= k; p += 4 {
+		axpy4(o, w[p*n:], w[(p+1)*n:], w[(p+2)*n:], w[(p+3)*n:],
+			ar[p], ar[p+1], ar[p+2], ar[p+3])
+	}
+	for ; p < k; p++ {
+		axpy(o, w[p*n:], ar[p])
 	}
 }
 

@@ -3,14 +3,19 @@ package gnn
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"ppaclust/internal/cluster"
 	"ppaclust/internal/designs"
 	"ppaclust/internal/features"
+	"ppaclust/internal/hier"
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/sta"
 	"ppaclust/internal/vpr"
 )
 
@@ -72,6 +77,63 @@ func oddGraph(t *testing.T, chain, fanout, isolated int) *GraphInput {
 	return BuildGraphInput(d, features.Options{Seed: 1})
 }
 
+// ppaCluster returns the graph of the largest cluster that the paper's
+// PPA-aware clustering forms on the named benchmark design, at the flow's
+// default weights and seed 1 (hierarchy groups, timing costs from the
+// zero-wire top paths, switching costs at mu = 2): the kind of graph the
+// flow's shape prediction runs on. The ariane one has ~1.6k nodes.
+func ppaCluster(tb testing.TB, name string) *GraphInput {
+	tb.Helper()
+	spec, ok := designs.Named(name)
+	if !ok {
+		tb.Fatalf("no design %q", name)
+	}
+	b := designs.Generate(spec)
+	d := b.Design
+	view := d.ToHypergraph()
+	var groups []int
+	if res, ok := hier.Cluster(d, view.H); ok {
+		groups = res.Assign
+	}
+	cons := b.Cons
+	cons.ZeroWire = true
+	an := sta.New(d, cons)
+	paths := an.TopPaths(100000)
+	pathEdges := make([][]int, len(paths))
+	slacks := make([]float64, len(paths))
+	for i, p := range paths {
+		slacks[i] = p.Slack
+		for _, net := range p.Nets {
+			if e := view.EdgeOfNet[net]; e >= 0 {
+				pathEdges[i] = append(pathEdges[i], e)
+			}
+		}
+	}
+	netAct := an.NetActivity()
+	edgeAct := make([]float64, view.H.NumEdges())
+	for e, net := range view.NetOfEdge {
+		edgeAct[e] = netAct[net]
+	}
+	res := cluster.MultilevelFC(view.H, cluster.Options{
+		Alpha: 1, Beta: 1, Gamma: 1, Seed: 1, Groups: groups,
+		EdgeTimingCost: cluster.TimingCosts(pathEdges, slacks, cons.ClockPeriod, view.H.NumEdges()),
+		EdgeSwitchCost: cluster.SwitchCosts(edgeAct, 2),
+	})
+	sizes := cluster.Sizes(res.Assign, res.NumClusters)
+	largest := slices.Index(sizes, slices.Max(sizes))
+	var members []int
+	for v, c := range res.Assign {
+		if c == largest {
+			members = append(members, v)
+		}
+	}
+	sub, err := vpr.InduceSubNetlist(d, members)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return BuildGraphInput(sub, features.Options{Seed: 1})
+}
+
 var trained struct {
 	once    sync.Once
 	m       *Model
@@ -103,6 +165,25 @@ func TestFitBitIdentical(t *testing.T) {
 	const golden = "8c2ed739d04e6d3d38305a0c39338c9a8ab2d3f5feb157f8c48579c1425d45fa"
 	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != golden {
 		t.Fatalf("trained parameters changed: sha256 %s, want %s", got, golden)
+	}
+}
+
+// TestInferenceBitIdentical pins inference as TestFitBitIdentical pins
+// training: the bits of the 20 candidate costs that its fixed-seed model
+// predicts on an aes and an ariane PPA cluster hash to the value recorded
+// before the products moved to assembly kernels. A kernel that reorders one
+// element's terms, fuses a multiply-add or drops a zero shows up here.
+func TestInferenceBitIdentical(t *testing.T) {
+	m, _ := trainedModel(t)
+	h := sha256.New()
+	for _, name := range []string{"aes", "ariane"} {
+		for _, c := range m.shapeCosts(ppaCluster(t, name), vpr.ShapeCandidates(), 1) {
+			binary.Write(h, binary.LittleEndian, math.Float64bits(c))
+		}
+	}
+	const golden = "ceaa1b6e8d39248a986e6fb12e149230fea65f9095b22082b0d6c4999719689e"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+		t.Fatalf("predicted costs changed: sha256 %s, want %s", got, golden)
 	}
 }
 

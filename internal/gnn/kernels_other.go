@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package gnn
+
+// axpy accumulates o += a*x.
+func axpy(o, x []float64, a float64) { axpyGeneric(o, x, a) }
+
+// axpy4 accumulates o += ((a0*x0 + a1*x1) + a2*x2) + a3*x3.
+func axpy4(o, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64) {
+	axpy4Generic(o, x0, x1, x2, x3, a0, a1, a2, a3)
+}
+
+// gemm2 accumulates o0 += a0·w and o1 += a1·w (gemm2Generic).
+func gemm2(o0, o1, a0, a1, w []float64) { gemm2Generic(o0, o1, a0, a1, w) }

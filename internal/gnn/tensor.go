@@ -1,9 +1,10 @@
-// Package gnn implements the paper's GNN-based Total Cost predictor in pure
-// Go: a small reverse-mode autograd over dense matrices, hypergraph
-// convolution blocks (Bai et al. [3]) with batch normalization and skip
-// connections, four accumulated convolution branches, global mean pooling
-// and a two-layer prediction head — the architecture of Figure 4 — trained
-// with Adam on labels produced by the exact V-P&R runner.
+// Package gnn implements the paper's GNN-based Total Cost predictor in Go,
+// with the dense products in SSE2 assembly on amd64 (kernels.go): a small
+// reverse-mode autograd over dense matrices, hypergraph convolution blocks
+// (Bai et al. [3]) with batch normalization and skip connections, four
+// accumulated convolution branches, global mean pooling and a two-layer
+// prediction head — the architecture of Figure 4 — trained with Adam on
+// labels produced by the exact V-P&R runner.
 package gnn
 
 import (
@@ -144,7 +145,15 @@ func matmulAcc(a, b, out []float64, m, k, n int, ta, tb bool) {
 		b = bt
 	}
 	if !ta {
-		matmulRows(a, b, out, m, k, n)
+		// Row i of out takes B's rows scaled by row i of A, in ascending p.
+		for i := 0; i < m; i++ {
+			outRow := out[i*n : (i+1)*n]
+			for p, av := range a[i*k : (i+1)*k] {
+				if av != 0 {
+					axpy(outRow, b[p*n:(p+1)*n], av)
+				}
+			}
+		}
 		return
 	}
 	// A is an n-node activation read by column: with p outermost both A
@@ -153,48 +162,9 @@ func matmulAcc(a, b, out []float64, m, k, n int, ta, tb bool) {
 	for p := 0; p < k; p++ {
 		bRow := b[p*n : (p+1)*n]
 		for i, av := range a[p*m : (p+1)*m] {
-			if av == 0 {
-				continue
+			if av != 0 {
+				axpy(out[i*n:(i+1)*n], bRow, av)
 			}
-			outRow := out[i*n : (i+1)*n]
-			for j, bv := range bRow {
-				outRow[j] += av * bv
-			}
-		}
-	}
-}
-
-// matmulRows is matmulAcc for row-major A (m x k) and B (k x n). Each row of
-// out is built four columns at a time, the four sums held in registers over
-// all of p.
-func matmulRows(a, b, out []float64, m, k, n int) {
-	for i := 0; i < m; i++ {
-		aRow := a[i*k : (i+1)*k]
-		outRow := out[i*n : (i+1)*n]
-		j := 0
-		for ; j+4 <= n; j += 4 {
-			o0, o1, o2, o3 := outRow[j], outRow[j+1], outRow[j+2], outRow[j+3]
-			q := j // start of B's row p, column j
-			for _, av := range aRow {
-				if av != 0 {
-					bq := b[q : q+4 : q+4]
-					o0 += av * bq[0]
-					o1 += av * bq[1]
-					o2 += av * bq[2]
-					o3 += av * bq[3]
-				}
-				q += n
-			}
-			outRow[j], outRow[j+1], outRow[j+2], outRow[j+3] = o0, o1, o2, o3
-		}
-		for ; j < n; j++ {
-			o := outRow[j]
-			for p, av := range aRow {
-				if av != 0 {
-					o += av * b[p*n+j]
-				}
-			}
-			outRow[j] = o
 		}
 	}
 }

@@ -9,6 +9,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -184,7 +185,9 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	return p, nil
 }
 
-// goFiles lists dir's buildable non-test Go files in sorted order.
+// goFiles lists dir's buildable non-test Go files in sorted order: those
+// whose file name and build constraints match the target GOOS/GOARCH, as
+// `go build` picks them.
 func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -196,6 +199,11 @@ func goFiles(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Size of the code base, the numbers a simplicity PR is measured by
-# (ROADMAP "Quality of design"): non-test Go lines per package and in total,
-# the package count, the exported identifiers each package offers
-# (package-level declarations and methods, as `go doc -short -all` lists them)
-# and its options: the exported fields of its exported `…Options` structs, as
-# `go doc -all` prints them (`CapacityH, CapacityV int` counts two).
+# (ROADMAP "Quality of design"): non-test Go and assembly (.s) lines per
+# package and in total, the package count, the exported identifiers each
+# package offers (package-level declarations and methods, as
+# `go doc -short -all` lists them) and its options: the exported fields of its
+# exported `…Options` structs, as `go doc -all` prints them
+# (`CapacityH, CapacityV int` counts two).
 #
 # Usage: scripts/size.sh            (prints a table; CI keeps it as size.txt)
 set -euo pipefail
@@ -34,7 +35,7 @@ total_options=0
 for pkg in $(go list ./...); do
     dir=${pkg#ppaclust}
     dir=.${dir:-/}
-    files=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go')
+    files=$(find "$dir" -maxdepth 1 \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go')
     [ -n "$files" ] || continue
     # shellcheck disable=SC2086
     lines=$(cat $files | wc -l)
@@ -44,6 +45,6 @@ for pkg in $(go list ./...); do
     total=$((total + lines))
     total_options=$((total_options + opts))
 done
-printf '%-34s %8d\n' "total non-test Go lines" "$total"
+printf '%-34s %8d\n' "total non-test Go and .s lines" "$total"
 printf '%-34s %8d\n' "total options" "$total_options"
 printf '%-34s %8d\n' "packages (go list ./...)" "$(go list ./... | wc -l)"
