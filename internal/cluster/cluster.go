@@ -248,7 +248,10 @@ func fcPass(h *hypergraph.Hypergraph, groups []int, tCost, sCost []float64,
 
 	// Matching: each still-unmatched vertex, in visit order, merges into its
 	// best-rated admissible neighbour cluster.
-	sc := ratingScratch{idx: make(map[int]int)}
+	sc := ratingScratch{pos: make([]int32, n)}
+	for v := range sc.pos {
+		sc.pos[v] = -1
+	}
 	for _, v := range order {
 		if parent[v] != v {
 			continue // already absorbed this pass
@@ -293,20 +296,25 @@ type ratedCand struct {
 	r    float64
 }
 
-// ratingScratch holds the reusable state of one rating scan.
+// ratingScratch holds the reusable state of one rating scan. pos[root] is
+// the root's slot in cands, -1 when it is not a candidate. Each scan first
+// resets the entries the previous one set, so a visit costs its own
+// candidates, not the largest scan before it.
 type ratingScratch struct {
-	idx   map[int]int
+	pos   []int32
 	cands []ratedCand
 }
 
 // rate accumulates the merge candidates of the root vertex v in first-touch
-// order over v's incident edges. That order — not Go's randomized map
-// iteration — is what pick consumes, so a rating scan is deterministic.
+// order over v's incident edges, which is the order pick consumes, so a
+// rating scan is deterministic.
 func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, parent []int, v int,
 	tCost, sCost []float64, opt *Options) []ratedCand {
 
+	for _, c := range sc.cands {
+		sc.pos[c.root] = -1
+	}
 	sc.cands = sc.cands[:0]
-	clear(sc.idx)
 	for _, e := range h.Incident(v) {
 		verts := h.Edge(e)
 		if len(verts) < 2 || len(verts) > maxEdgeSize {
@@ -325,10 +333,10 @@ func (sc *ratingScratch) rate(h *hypergraph.Hypergraph, parent []int, v int,
 			if ru == v {
 				continue
 			}
-			pos, ok := sc.idx[ru]
-			if !ok {
-				pos = len(sc.cands)
-				sc.idx[ru] = pos
+			pos := sc.pos[ru]
+			if pos < 0 {
+				pos = int32(len(sc.cands))
+				sc.pos[ru] = pos
 				sc.cands = append(sc.cands, ratedCand{root: ru})
 			}
 			sc.cands[pos].r += r

@@ -29,8 +29,11 @@ import (
 //     its SpMM; and the last block is reduced straight to its column sums,
 //     which is all mean pooling needs.
 //
-// Its products (gemm, sparse.mul, the head) run on the kernels of kernels.go:
-// axpy, axpy4 and the two-row gemm2, SSE2 assembly on amd64.
+// Every per-node pass runs on the kernels of kernels.go, AVX assembly on
+// amd64 CPUs that have it: the products (gemm, sparse.mul, the head, the
+// rank-1 update) on axpy, axpy4 and the two-row gemm2, normalization + ReLU on
+// bnReLU, the normalizer's variance on varAcc; the skip connection and the
+// pooling are an axpy with a = 1, which is exact.
 
 // shapeCols is the number of leading feature columns that depend on the
 // candidate shape (features.NodeVec: utilization, aspect ratio).
@@ -217,11 +220,7 @@ func (sc *scratch) normalizer(blk *convBlock, z []float64, n, d int) {
 		variance[j] = 0
 	}
 	for i := 0; i < n; i++ {
-		zr := z[i*d : (i+1)*d]
-		for j, m := range mean {
-			dv := zr[j] - m
-			variance[j] += dv * dv * inv
-		}
+		varAcc(variance, z[i*d:], mean, inv)
 	}
 	for j, v := range variance {
 		scale[j] = bn.Gamma.Data[j] / math.Sqrt(v+bn.Eps)
@@ -248,21 +247,15 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		for j := range v {
 			v[j] = u*w1[j] + ar*w1[hiddenDim+j]
 		}
-		h, a := sc.h, inf.a[b]
+		h := sc.h
+		copy(h, inf.a[b])
 		for i := 0; i < n; i++ {
-			hr := h[i*hiddenDim : (i+1)*hiddenDim]
-			arow, ri := a[i*hiddenDim:(i+1)*hiddenDim], r[i]
-			for j := range hr {
-				hr[j] = arow[j] + ri*v[j]
-			}
+			axpy(h[i*hiddenDim:(i+1)*hiddenDim], v, r[i])
 		}
 		sc.normalizer(blk[0], h, n, hiddenDim)
 		beta := blk[0].BN.Beta.Data
 		for i := 0; i < n; i++ {
-			hr := h[i*hiddenDim : (i+1)*hiddenDim]
-			for j, x := range hr {
-				hr[j] = relu((x-sc.mean[j])*sc.scale[j] + beta[j])
-			}
+			bnReLU(h[i*hiddenDim:(i+1)*hiddenDim], sc.mean[:], sc.scale[:], beta)
 		}
 
 		// Layer 2: z = (S·h)·W2, normalize + ReLU + skip in place.
@@ -273,10 +266,8 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		beta = blk[1].BN.Beta.Data
 		for i := 0; i < n; i++ {
 			zr := z[i*hiddenDim : (i+1)*hiddenDim]
-			hr := h[i*hiddenDim : (i+1)*hiddenDim]
-			for j, x := range zr {
-				zr[j] = relu((x-sc.mean[j])*sc.scale[j]+beta[j]) + hr[j]
-			}
+			bnReLU(zr, sc.mean[:], sc.scale[:], beta)
+			axpy(zr, h[i*hiddenDim:], 1)
 		}
 
 		// Layer 3: z = S·(h2·W3) — W3 first, so S runs on embedDim columns —
@@ -289,9 +280,8 @@ func (inf *inference) cost(sc *scratch, shape vpr.Shape) float64 {
 		beta = blk[2].BN.Beta.Data
 		for i := 0; i < n; i++ {
 			zr := z3[i*embedDim : (i+1)*embedDim]
-			for j, x := range zr {
-				emb[j] += relu((x-sc.mean[j])*sc.scale[j] + beta[j])
-			}
+			bnReLU(zr, sc.mean[:embedDim], sc.scale[:embedDim], beta)
+			axpy(emb, zr, 1)
 		}
 	}
 	if n > 0 {

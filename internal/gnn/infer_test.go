@@ -172,18 +172,29 @@ func TestFitBitIdentical(t *testing.T) {
 // training: the bits of the 20 candidate costs that its fixed-seed model
 // predicts on an aes and an ariane PPA cluster hash to the value recorded
 // before the products moved to assembly kernels. A kernel that reorders one
-// element's terms, fuses a multiply-add or drops a zero shows up here.
+// element's terms, fuses a multiply-add or drops a zero shows up here. It runs
+// on the kernels the CPU check chose and again on the portable ones, which
+// a CPU without AVX runs: both must land on the same golden.
 func TestInferenceBitIdentical(t *testing.T) {
 	m, _ := trainedModel(t)
-	h := sha256.New()
-	for _, name := range []string{"aes", "ariane"} {
-		for _, c := range m.shapeCosts(ppaCluster(t, name), vpr.ShapeCandidates(), 1) {
-			binary.Write(h, binary.LittleEndian, math.Float64bits(c))
-		}
-	}
-	const golden = "ceaa1b6e8d39248a986e6fb12e149230fea65f9095b22082b0d6c4999719689e"
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
-		t.Fatalf("predicted costs changed: sha256 %s, want %s", got, golden)
+	for _, path := range []struct {
+		name string
+		avx  bool
+	}{{"chosen", useAVX}, {"portable", false}} {
+		t.Run(path.name, func(t *testing.T) {
+			defer func(saved bool) { useAVX = saved }(useAVX)
+			useAVX = path.avx
+			h := sha256.New()
+			for _, name := range []string{"aes", "ariane"} {
+				for _, c := range m.shapeCosts(ppaCluster(t, name), vpr.ShapeCandidates(), 1) {
+					binary.Write(h, binary.LittleEndian, math.Float64bits(c))
+				}
+			}
+			const golden = "ceaa1b6e8d39248a986e6fb12e149230fea65f9095b22082b0d6c4999719689e"
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != golden {
+				t.Fatalf("predicted costs changed: sha256 %s, want %s", got, golden)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,9 @@
 package gnn
 
-// Portable kernels: the only implementation of axpy, axpy4 and gemm2 on
-// GOARCHes other than amd64 (kernels_other.go), and the reference the amd64
-// assembly (kernels_amd64.s) must match bit for bit (TestKernelsMatchPortable).
+// Portable kernels: the only implementation of axpy, axpy4, gemm2, bnReLU and
+// varAcc on GOARCHes other than amd64 (kernels_other.go) and on amd64 CPUs
+// without AVX, and the reference the amd64 assembly (kernels_amd64.s) must
+// match bit for bit (TestKernelsMatchPortable).
 //
 // Every product is wrapped in an explicit float64 conversion. That rounds it
 // on its own and so forbids the compiler to fuse it with the add that follows
@@ -43,5 +44,24 @@ func gemm2Generic(o0, o1, a0, a1, w []float64) {
 	for ; p < k; p++ {
 		axpyGeneric(o0, w[p*n:], a0[p])
 		axpyGeneric(o1, w[p*n:], a1[p])
+	}
+}
+
+// bnReLUGeneric normalizes and rectifies o in place:
+// o[j] = relu((o[j]-mean[j])*scale[j] + beta[j]).
+func bnReLUGeneric(o, mean, scale, beta []float64) {
+	mean, scale, beta = mean[:len(o)], scale[:len(o)], beta[:len(o)]
+	for j, x := range o {
+		o[j] = relu(float64((x-mean[j])*scale[j]) + beta[j])
+	}
+}
+
+// varAccGeneric accumulates one row's share of a variance:
+// o[j] += ((z[j]-mean[j])*(z[j]-mean[j]))*inv.
+func varAccGeneric(o, z, mean []float64, inv float64) {
+	z, mean = z[:len(o)], mean[:len(o)]
+	for j := range o {
+		d := z[j] - mean[j]
+		o[j] += float64(float64(d*d) * inv)
 	}
 }

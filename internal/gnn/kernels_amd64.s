@@ -1,116 +1,141 @@
 #include "textflag.h"
 
-// SSE2 versions of the portable kernels in kernels.go. Each XMM lane holds one
-// output element and takes exactly the portable kernel's multiplies and adds,
-// in its order: packed MULPD/ADDPD round every lane as the scalar MULSD/ADDSD
-// do, so the results are the same bits. Scalars are broadcast with UNPCKLPD
-// (MOVDDUP is SSE3), loads are unaligned (MOVUPD), and an odd last element
-// takes the scalar instructions.
+// 256-bit AVX versions of the portable kernels in kernels.go. Each YMM lane
+// holds one output element and takes exactly the portable kernel's
+// multiplies, adds and subtracts, in its order: packed VMULPD/VADDPD/VSUBPD
+// round every lane as the scalar instructions do, and no FMA is used, so the
+// results are the same bits. Scalars are broadcast with VBROADCASTSD from
+// memory (its register form is AVX2), loads and stores are unaligned
+// (VMOVUPD), and the last len mod 4 elements take the scalar VEX forms. Every
+// kernel ends in VZEROUPPER, so the SSE code Go runs next pays no transition
+// penalty. Only hasAVX's check lets these run (kernels_amd64.go).
 
-// func axpySSE2(o, x []float64, a float64)
+// func cpuid1ECX() uint32
+// ECX of CPUID leaf 1.
+TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
+	MOVL  $1, AX
+	XORL  CX, CX
+	CPUID
+	MOVL  CX, ret+0(FP)
+	RET
+
+// func xgetbv0() uint32
+// The low word of extended control register 0 (XCR0); valid only when CPUID
+// reports OSXSAVE.
+TEXT ·xgetbv0(SB), NOSPLIT, $0-4
+	XORL   CX, CX
+	XGETBV
+	MOVL   AX, ret+0(FP)
+	RET
+
+// The sign-clearing mask of math.Abs and the 0.5 of relu.
+DATA absMask<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL absMask<>(SB), RODATA|NOPTR, $8
+DATA half<>+0(SB)/8, $0x3fe0000000000000
+GLOBL half<>(SB), RODATA|NOPTR, $8
+
+// func axpyAVX(o, x []float64, a float64)
 // o[j] += a*x[j]; x is as long as o.
-TEXT ·axpySSE2(SB), NOSPLIT, $0-56
-	MOVQ     o_base+0(FP), DI
-	MOVQ     o_len+8(FP), CX
-	MOVQ     x_base+24(FP), SI
-	MOVSD    a+48(FP), X0
-	UNPCKLPD X0, X0
-	XORQ     AX, AX
-	MOVQ     CX, BX
-	ANDQ     $-2, BX
-	JZ       tail
+TEXT ·axpyAVX(SB), NOSPLIT, $0-56
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	MOVQ         x_base+24(FP), SI
+	VBROADCASTSD a+48(FP), Y0
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           tail
 
-pair:
-	MOVUPD (SI)(AX*8), X1
-	MULPD  X0, X1
-	MOVUPD (DI)(AX*8), X2
-	ADDPD  X1, X2
-	MOVUPD X2, (DI)(AX*8)
-	ADDQ   $2, AX
-	CMPQ   AX, BX
-	JLT    pair
+quad:
+	VMOVUPD (SI)(AX*8), Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     quad
 
 tail:
-	CMPQ  AX, CX
-	JGE   done
-	MOVSD (SI)(AX*8), X1
-	MULSD X0, X1
-	MOVSD (DI)(AX*8), X2
-	ADDSD X1, X2
-	MOVSD X2, (DI)(AX*8)
+	CMPQ   AX, CX
+	JGE    done
+	VMOVSD (SI)(AX*8), X1
+	VMULSD X0, X1, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
 
 done:
+	VZEROUPPER
 	RET
 
-// func axpy4SSE2(o, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
+// func axpy4AVX(o, x0, x1, x2, x3 []float64, a0, a1, a2, a3 float64)
 // o[j] += ((a0*x0[j] + a1*x1[j]) + a2*x2[j]) + a3*x3[j]; the x are as long as o.
-TEXT ·axpy4SSE2(SB), NOSPLIT, $0-152
-	MOVQ     o_base+0(FP), DI
-	MOVQ     o_len+8(FP), CX
-	MOVQ     x0_base+24(FP), R8
-	MOVQ     x1_base+48(FP), R9
-	MOVQ     x2_base+72(FP), R10
-	MOVQ     x3_base+96(FP), R11
-	MOVSD    a0+120(FP), X0
-	UNPCKLPD X0, X0
-	MOVSD    a1+128(FP), X1
-	UNPCKLPD X1, X1
-	MOVSD    a2+136(FP), X2
-	UNPCKLPD X2, X2
-	MOVSD    a3+144(FP), X3
-	UNPCKLPD X3, X3
-	XORQ     AX, AX
-	MOVQ     CX, BX
-	ANDQ     $-2, BX
-	JZ       tail
+TEXT ·axpy4AVX(SB), NOSPLIT, $0-152
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	MOVQ         x0_base+24(FP), R8
+	MOVQ         x1_base+48(FP), R9
+	MOVQ         x2_base+72(FP), R10
+	MOVQ         x3_base+96(FP), R11
+	VBROADCASTSD a0+120(FP), Y0
+	VBROADCASTSD a1+128(FP), Y1
+	VBROADCASTSD a2+136(FP), Y2
+	VBROADCASTSD a3+144(FP), Y3
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           tail
 
-pair:
-	MOVUPD (R8)(AX*8), X4
-	MULPD  X0, X4
-	MOVUPD (R9)(AX*8), X5
-	MULPD  X1, X5
-	ADDPD  X5, X4
-	MOVUPD (R10)(AX*8), X6
-	MULPD  X2, X6
-	ADDPD  X6, X4
-	MOVUPD (R11)(AX*8), X7
-	MULPD  X3, X7
-	ADDPD  X7, X4
-	MOVUPD (DI)(AX*8), X5
-	ADDPD  X4, X5
-	MOVUPD X5, (DI)(AX*8)
-	ADDQ   $2, AX
-	CMPQ   AX, BX
-	JLT    pair
+quad:
+	VMOVUPD (R8)(AX*8), Y4
+	VMULPD  Y0, Y4, Y4
+	VMOVUPD (R9)(AX*8), Y5
+	VMULPD  Y1, Y5, Y5
+	VADDPD  Y5, Y4, Y4
+	VMOVUPD (R10)(AX*8), Y6
+	VMULPD  Y2, Y6, Y6
+	VADDPD  Y6, Y4, Y4
+	VMOVUPD (R11)(AX*8), Y7
+	VMULPD  Y3, Y7, Y7
+	VADDPD  Y7, Y4, Y4
+	VADDPD  (DI)(AX*8), Y4, Y4
+	VMOVUPD Y4, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     quad
 
 tail:
-	CMPQ  AX, CX
-	JGE   done
-	MOVSD (R8)(AX*8), X4
-	MULSD X0, X4
-	MOVSD (R9)(AX*8), X5
-	MULSD X1, X5
-	ADDSD X5, X4
-	MOVSD (R10)(AX*8), X6
-	MULSD X2, X6
-	ADDSD X6, X4
-	MOVSD (R11)(AX*8), X7
-	MULSD X3, X7
-	ADDSD X7, X4
-	MOVSD (DI)(AX*8), X5
-	ADDSD X4, X5
-	MOVSD X5, (DI)(AX*8)
+	CMPQ   AX, CX
+	JGE    done
+	VMOVSD (R8)(AX*8), X4
+	VMULSD X0, X4, X4
+	VMOVSD (R9)(AX*8), X5
+	VMULSD X1, X5, X5
+	VADDSD X5, X4, X4
+	VMOVSD (R10)(AX*8), X6
+	VMULSD X2, X6, X6
+	VADDSD X6, X4, X4
+	VMOVSD (R11)(AX*8), X7
+	VMULSD X3, X7, X7
+	VADDSD X7, X4, X4
+	VADDSD (DI)(AX*8), X4, X4
+	VMOVSD X4, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
 
 done:
+	VZEROUPPER
 	RET
 
-// func gemm2SSE2(o0, o1, a0, a1, w []float64)
+// func gemm2AVX(o0, o1, a0, a1, w []float64)
 // o0 += a0·w and o1 += a1·w, w row-major with len(a0) rows of len(o0), in
 // groups of four rows: each element takes ((a_p·w_p + a_p+1·w_p+1) +
 // a_p+2·w_p+2) + a_p+3·w_p+3 per group, as axpy4 adds it, and each load of w
-// feeds both output rows. Columns go four at a time, the last n mod 4 one at
-// a time. len(a0) is a multiple of 4; o1 and a1 are as long as o0 and a0.
-TEXT ·gemm2SSE2(SB), NOSPLIT, $0-120
+// feeds both output rows. Columns go eight at a time, then four, then the
+// last n mod 4 one at a time. len(a0) is a multiple of 4; o1 and a1 are as
+// long as o0 and a0.
+TEXT ·gemm2AVX(SB), NOSPLIT, $0-120
 	MOVQ o0_base+0(FP), DI
 	MOVQ o0_len+8(FP), BX
 	MOVQ o1_base+24(FP), SI
@@ -120,129 +145,133 @@ TEXT ·gemm2SSE2(SB), NOSPLIT, $0-120
 	MOVQ w_base+96(FP), R10
 	MOVQ BX, R11
 	SHLQ $3, R11            // R11: row stride of w in bytes
-	ANDQ $-4, BX            // BX: columns taken four at a time
+	ANDQ $-8, BX            // BX: columns taken eight at a time
 	SHRQ $2, DX             // DX: groups of four rows left
 	JZ   done
 
 group:
-	// R10, R12, R13, CX: rows p..p+3 of w; X0-X3: a0[p..p+3]; X4-X7: a1[p..p+3].
-	LEAQ     (R10)(R11*1), R12
-	LEAQ     (R10)(R11*2), R13
-	LEAQ     (R12)(R11*2), CX
-	MOVSD    0(R8), X0
-	UNPCKLPD X0, X0
-	MOVSD    8(R8), X1
-	UNPCKLPD X1, X1
-	MOVSD    16(R8), X2
-	UNPCKLPD X2, X2
-	MOVSD    24(R8), X3
-	UNPCKLPD X3, X3
-	MOVSD    0(R9), X4
-	UNPCKLPD X4, X4
-	MOVSD    8(R9), X5
-	UNPCKLPD X5, X5
-	MOVSD    16(R9), X6
-	UNPCKLPD X6, X6
-	MOVSD    24(R9), X7
-	UNPCKLPD X7, X7
-	XORQ     AX, AX
-	TESTQ    BX, BX
-	JZ       grouptail
+	// R10, R12, R13, CX: rows p..p+3 of w; Y0-Y3: a0[p..p+3]; Y4-Y7: a1[p..p+3].
+	LEAQ         (R10)(R11*1), R12
+	LEAQ         (R10)(R11*2), R13
+	LEAQ         (R12)(R11*2), CX
+	VBROADCASTSD 0(R8), Y0
+	VBROADCASTSD 8(R8), Y1
+	VBROADCASTSD 16(R8), Y2
+	VBROADCASTSD 24(R8), Y3
+	VBROADCASTSD 0(R9), Y4
+	VBROADCASTSD 8(R9), Y5
+	VBROADCASTSD 16(R9), Y6
+	VBROADCASTSD 24(R9), Y7
+	XORQ         AX, AX
+	TESTQ        BX, BX
+	JZ           groupquad
+
+groupoct:
+	// Y8/Y9 and Y10/Y11: the group's sums for o0 and o1 at columns j..j+3
+	// and j+4..j+7; Y12/Y13 hold a row of w, Y14/Y15 one product.
+	VMOVUPD (R10)(AX*8), Y12
+	VMOVUPD 32(R10)(AX*8), Y13
+	VMULPD  Y0, Y12, Y8
+	VMULPD  Y0, Y13, Y9
+	VMULPD  Y4, Y12, Y10
+	VMULPD  Y4, Y13, Y11
+	VMOVUPD (R12)(AX*8), Y12
+	VMOVUPD 32(R12)(AX*8), Y13
+	VMULPD  Y1, Y12, Y14
+	VMULPD  Y1, Y13, Y15
+	VADDPD  Y14, Y8, Y8
+	VADDPD  Y15, Y9, Y9
+	VMULPD  Y5, Y12, Y12
+	VMULPD  Y5, Y13, Y13
+	VADDPD  Y12, Y10, Y10
+	VADDPD  Y13, Y11, Y11
+	VMOVUPD (R13)(AX*8), Y12
+	VMOVUPD 32(R13)(AX*8), Y13
+	VMULPD  Y2, Y12, Y14
+	VMULPD  Y2, Y13, Y15
+	VADDPD  Y14, Y8, Y8
+	VADDPD  Y15, Y9, Y9
+	VMULPD  Y6, Y12, Y12
+	VMULPD  Y6, Y13, Y13
+	VADDPD  Y12, Y10, Y10
+	VADDPD  Y13, Y11, Y11
+	VMOVUPD (CX)(AX*8), Y12
+	VMOVUPD 32(CX)(AX*8), Y13
+	VMULPD  Y3, Y12, Y14
+	VMULPD  Y3, Y13, Y15
+	VADDPD  Y14, Y8, Y8
+	VADDPD  Y15, Y9, Y9
+	VMULPD  Y7, Y12, Y12
+	VMULPD  Y7, Y13, Y13
+	VADDPD  Y12, Y10, Y10
+	VADDPD  Y13, Y11, Y11
+	VADDPD  (DI)(AX*8), Y8, Y8
+	VADDPD  32(DI)(AX*8), Y9, Y9
+	VMOVUPD Y8, (DI)(AX*8)
+	VMOVUPD Y9, 32(DI)(AX*8)
+	VADDPD  (SI)(AX*8), Y10, Y10
+	VADDPD  32(SI)(AX*8), Y11, Y11
+	VMOVUPD Y10, (SI)(AX*8)
+	VMOVUPD Y11, 32(SI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, BX
+	JLT     groupoct
 
 groupquad:
-	// X8/X9 and X12/X13: the group's sums for o0/o1 at columns j..j+1 and
-	// j+2..j+3.
-	MOVUPD (R10)(AX*8), X8
-	MOVUPD 16(R10)(AX*8), X12
-	MOVAPD X8, X9
-	MOVAPD X12, X13
-	MULPD  X0, X8
-	MULPD  X4, X9
-	MULPD  X0, X12
-	MULPD  X4, X13
-	MOVUPD (R12)(AX*8), X10
-	MOVUPD 16(R12)(AX*8), X14
-	MOVAPD X10, X11
-	MOVAPD X14, X15
-	MULPD  X1, X10
-	MULPD  X5, X11
-	MULPD  X1, X14
-	MULPD  X5, X15
-	ADDPD  X10, X8
-	ADDPD  X11, X9
-	ADDPD  X14, X12
-	ADDPD  X15, X13
-	MOVUPD (R13)(AX*8), X10
-	MOVUPD 16(R13)(AX*8), X14
-	MOVAPD X10, X11
-	MOVAPD X14, X15
-	MULPD  X2, X10
-	MULPD  X6, X11
-	MULPD  X2, X14
-	MULPD  X6, X15
-	ADDPD  X10, X8
-	ADDPD  X11, X9
-	ADDPD  X14, X12
-	ADDPD  X15, X13
-	MOVUPD (CX)(AX*8), X10
-	MOVUPD 16(CX)(AX*8), X14
-	MOVAPD X10, X11
-	MOVAPD X14, X15
-	MULPD  X3, X10
-	MULPD  X7, X11
-	MULPD  X3, X14
-	MULPD  X7, X15
-	ADDPD  X10, X8
-	ADDPD  X11, X9
-	ADDPD  X14, X12
-	ADDPD  X15, X13
-	MOVUPD (DI)(AX*8), X10
-	MOVUPD 16(DI)(AX*8), X14
-	ADDPD  X8, X10
-	ADDPD  X12, X14
-	MOVUPD X10, (DI)(AX*8)
-	MOVUPD X14, 16(DI)(AX*8)
-	MOVUPD (SI)(AX*8), X11
-	MOVUPD 16(SI)(AX*8), X15
-	ADDPD  X9, X11
-	ADDPD  X13, X15
-	MOVUPD X11, (SI)(AX*8)
-	MOVUPD X15, 16(SI)(AX*8)
-	ADDQ   $4, AX
-	CMPQ   AX, BX
-	JLT    groupquad
+	// Four more columns when bit 2 of n is set: the eight-column step on
+	// Y8 and Y10 alone.
+	TESTQ   $4, o0_len+8(FP)
+	JZ      grouptail
+	VMOVUPD (R10)(AX*8), Y12
+	VMULPD  Y0, Y12, Y8
+	VMULPD  Y4, Y12, Y10
+	VMOVUPD (R12)(AX*8), Y12
+	VMULPD  Y1, Y12, Y14
+	VADDPD  Y14, Y8, Y8
+	VMULPD  Y5, Y12, Y12
+	VADDPD  Y12, Y10, Y10
+	VMOVUPD (R13)(AX*8), Y12
+	VMULPD  Y2, Y12, Y14
+	VADDPD  Y14, Y8, Y8
+	VMULPD  Y6, Y12, Y12
+	VADDPD  Y12, Y10, Y10
+	VMOVUPD (CX)(AX*8), Y12
+	VMULPD  Y3, Y12, Y14
+	VADDPD  Y14, Y8, Y8
+	VMULPD  Y7, Y12, Y12
+	VADDPD  Y12, Y10, Y10
+	VADDPD  (DI)(AX*8), Y8, Y8
+	VMOVUPD Y8, (DI)(AX*8)
+	VADDPD  (SI)(AX*8), Y10, Y10
+	VMOVUPD Y10, (SI)(AX*8)
+	ADDQ    $4, AX
 
 grouptail:
+	// The last n mod 4 columns: the same terms on the low lane alone.
 	CMPQ   AX, o0_len+8(FP)
 	JGE    groupnext
-	MOVSD  (R10)(AX*8), X8
-	MOVAPD X8, X9
-	MULSD  X0, X8
-	MULSD  X4, X9
-	MOVSD  (R12)(AX*8), X10
-	MOVAPD X10, X11
-	MULSD  X1, X10
-	MULSD  X5, X11
-	ADDSD  X10, X8
-	ADDSD  X11, X9
-	MOVSD  (R13)(AX*8), X10
-	MOVAPD X10, X11
-	MULSD  X2, X10
-	MULSD  X6, X11
-	ADDSD  X10, X8
-	ADDSD  X11, X9
-	MOVSD  (CX)(AX*8), X10
-	MOVAPD X10, X11
-	MULSD  X3, X10
-	MULSD  X7, X11
-	ADDSD  X10, X8
-	ADDSD  X11, X9
-	MOVSD  (DI)(AX*8), X10
-	ADDSD  X8, X10
-	MOVSD  X10, (DI)(AX*8)
-	MOVSD  (SI)(AX*8), X11
-	ADDSD  X9, X11
-	MOVSD  X11, (SI)(AX*8)
+	VMOVSD (R10)(AX*8), X12
+	VMULSD X0, X12, X8
+	VMULSD X4, X12, X10
+	VMOVSD (R12)(AX*8), X12
+	VMULSD X1, X12, X14
+	VADDSD X14, X8, X8
+	VMULSD X5, X12, X12
+	VADDSD X12, X10, X10
+	VMOVSD (R13)(AX*8), X12
+	VMULSD X2, X12, X14
+	VADDSD X14, X8, X8
+	VMULSD X6, X12, X12
+	VADDSD X12, X10, X10
+	VMOVSD (CX)(AX*8), X12
+	VMULSD X3, X12, X14
+	VADDSD X14, X8, X8
+	VMULSD X7, X12, X12
+	VADDSD X12, X10, X10
+	VADDSD (DI)(AX*8), X8, X8
+	VMOVSD X8, (DI)(AX*8)
+	VADDSD (SI)(AX*8), X10, X10
+	VMOVSD X10, (SI)(AX*8)
 	INCQ   AX
 	JMP    grouptail
 
@@ -254,4 +283,92 @@ groupnext:
 	JNZ  group
 
 done:
+	VZEROUPPER
+	RET
+
+// func bnReLUAVX(o, mean, scale, beta []float64)
+// o[j] = relu((o[j]-mean[j])*scale[j] + beta[j]) in place, relu(y) being
+// 0.5*(y+|y|); mean, scale and beta are as long as o.
+TEXT ·bnReLUAVX(SB), NOSPLIT, $0-96
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	MOVQ         mean_base+24(FP), R8
+	MOVQ         scale_base+48(FP), R9
+	MOVQ         beta_base+72(FP), R10
+	VBROADCASTSD absMask<>(SB), Y14
+	VBROADCASTSD half<>(SB), Y15
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           tail
+
+quad:
+	VMOVUPD (DI)(AX*8), Y0
+	VSUBPD  (R8)(AX*8), Y0, Y0
+	VMULPD  (R9)(AX*8), Y0, Y0
+	VADDPD  (R10)(AX*8), Y0, Y0
+	VANDPD  Y14, Y0, Y1
+	VADDPD  Y1, Y0, Y0
+	VMULPD  Y15, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     quad
+
+tail:
+	CMPQ   AX, CX
+	JGE    done
+	VMOVSD (DI)(AX*8), X0
+	VSUBSD (R8)(AX*8), X0, X0
+	VMULSD (R9)(AX*8), X0, X0
+	VADDSD (R10)(AX*8), X0, X0
+	VANDPD X14, X0, X1
+	VADDSD X1, X0, X0
+	VMULSD X15, X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET
+
+// func varAccAVX(o, z, mean []float64, inv float64)
+// o[j] += ((z[j]-mean[j])*(z[j]-mean[j]))*inv; z and mean are as long as o.
+TEXT ·varAccAVX(SB), NOSPLIT, $0-80
+	MOVQ         o_base+0(FP), DI
+	MOVQ         o_len+8(FP), CX
+	MOVQ         z_base+24(FP), SI
+	MOVQ         mean_base+48(FP), R8
+	VBROADCASTSD inv+72(FP), Y0
+	XORQ         AX, AX
+	MOVQ         CX, BX
+	ANDQ         $-4, BX
+	JZ           tail
+
+quad:
+	VMOVUPD (SI)(AX*8), Y1
+	VSUBPD  (R8)(AX*8), Y1, Y1
+	VMULPD  Y1, Y1, Y1
+	VMULPD  Y0, Y1, Y1
+	VADDPD  (DI)(AX*8), Y1, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, BX
+	JLT     quad
+
+tail:
+	CMPQ   AX, CX
+	JGE    done
+	VMOVSD (SI)(AX*8), X1
+	VSUBSD (R8)(AX*8), X1, X1
+	VMULSD X1, X1, X1
+	VMULSD X0, X1, X1
+	VADDSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	JMP    tail
+
+done:
+	VZEROUPPER
 	RET

@@ -3,6 +3,7 @@ package gnn
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -29,13 +30,18 @@ func gemmGeneric(a, w, out []float64, m, k, n int) {
 	}
 }
 
-// TestKernelsMatchPortable holds axpy, axpy4, gemm2 and gemm (the GOARCH's
-// kernels) to the portable ones bit for bit: every length 0-130 (the packed
-// loop, its odd tail and the empty case), slices starting on an odd word
-// (unaligned for 16-byte loads), magnitudes over twenty decades (any change
-// of term order shows), ±0, subnormals and ±Inf, and NaN in a case of its
-// own; gemm at odd m and at k = 33, the shape-free layer-1 product.
+// TestKernelsMatchPortable holds axpy, axpy4, gemm2, bnReLU, varAcc and gemm
+// (the assembly kernels) to the portable ones bit for bit: every length 0-130
+// (the packed loops, every tail length and the empty case), slices starting
+// on an odd word (unaligned for 16- and 32-byte loads), magnitudes over
+// twenty decades (any change of term order shows), ±0, subnormals and ±Inf,
+// and NaN in a case of its own; gemm2 at every n mod 8 and at k = 33, the
+// shape-free layer-1 product, and gemm at odd m. Where the assembly does not
+// run there is nothing to compare, and the test says why it skips.
 func TestKernelsMatchPortable(t *testing.T) {
+	if !useAVX {
+		t.Skipf("no assembly kernels run here (GOARCH %s; on amd64, a CPU without AVX): the portable kernels are the only ones", runtime.GOARCH)
+	}
 	rng := rand.New(rand.NewSource(1))
 	subnormal := []float64{5e-324, -2.5e-310, 1e-308, 0, math.Copysign(0, -1)}
 	inf := append([]float64{math.Inf(1), math.Inf(-1)}, subnormal...)
@@ -76,6 +82,14 @@ func TestKernelsMatchPortable(t *testing.T) {
 				axpy4(got, x[0], x[1], x[2], x[3], a[0], a[1], a[2], a[3])
 				axpy4Generic(want, x[0], x[1], x[2], x[3], a[0], a[1], a[2], a[3])
 				check(t, "axpy4", got, want)
+
+				varAcc(got, x[0], x[1], a[0])
+				varAccGeneric(want, x[0], x[1], a[0])
+				check(t, "varAcc", got, want)
+
+				bnReLU(got, x[1], x[2], x[3])
+				bnReLUGeneric(want, x[1], x[2], x[3])
+				check(t, "bnReLU", got, want)
 
 				for _, k := range []int{0, 1, 4, 7, 33} {
 					a0, a1, w := fill(k, off, special), fill(k, 1-off, special), fill(k*n, off, special)

@@ -49,6 +49,22 @@ GOARCH=arm64 go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# internal/gnn runs its assembly kernels only where the package's CPU check
+# finds AVX; elsewhere TestKernelsMatchPortable skips and the portable kernels
+# run. On an amd64 host the test must have passed, not skipped: a runner
+# without AVX would otherwise pass this gate without executing the assembly.
+echo "==> GNN assembly kernels against the portable ones"
+if ! kernels=$(go test -count=1 -v -run '^TestKernelsMatchPortable$' ./internal/gnn/ 2>&1); then
+    echo "$kernels" >&2
+    exit 1
+fi
+echo "$kernels" | grep -E '^(--- |ok )'
+if [[ "$(go env GOARCH)" == amd64 ]] && ! grep -q '^--- PASS: TestKernelsMatchPortable' <<<"$kernels"; then
+    echo "TestKernelsMatchPortable did not run the AVX kernels on this amd64 host:" >&2
+    echo "$kernels" >&2
+    exit 1
+fi
+
 # benchmark/ is its own module (replace ppaclust => ../), so nothing above
 # compiles it: removing an exported name it uses would otherwise break the
 # repo benchmark silently.
