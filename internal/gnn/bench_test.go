@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -63,10 +64,12 @@ func BenchmarkPredictBestShape(b *testing.B) {
 var benchShape vpr.Shape
 
 // BenchmarkTrainStep measures one forward+backward+Adam step, with the four
-// branches one after the other and at the automatic worker budget.
+// branches one after the other and at the automatic worker budget, on one
+// tape reset step after step as Fit runs it: B/op is what a step allocates
+// once the tape's arenas have grown.
 func BenchmarkTrainStep(b *testing.B) {
 	g := benchGraph(b)
-	shape := vpr.Shape{AspectRatio: 1.25, Utilization: 0.8}
+	s := Sample{Graph: g, Shape: vpr.Shape{AspectRatio: 1.25, Utilization: 0.8}, Label: 1}
 	for _, bc := range []struct {
 		name    string
 		workers int
@@ -75,15 +78,34 @@ func BenchmarkTrainStep(b *testing.B) {
 			m := NewModel(2)
 			optim := newAdam(m.params(), 1e-3)
 			workers := par.Workers(bc.workers)
+			c := newCtx(true)
+			m.step(c, optim, s, workers)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c := newCtx(true)
-				out := m.forward(c, g, shape, workers)
-				c.mse(out, 1.0)
-				c.backward()
-				optim.step()
+				m.step(c, optim, s, workers)
 			}
 		})
+	}
+}
+
+// BenchmarkFit measures one training epoch at the automatic worker budget
+// over 48 samples: the aes, jpeg and ariane PPA clusters (~0.7k, ~1.3k and
+// ~1.6k nodes), each under the first 16 candidate shapes with a smooth
+// synthetic label. It is the kernel behind the repository benchmark's
+// tables-ml set-up time, which is almost all GNN training.
+func BenchmarkFit(b *testing.B) {
+	var samples []Sample
+	for _, name := range []string{"aes", "jpeg", "ariane"} {
+		g := ppaCluster(b, name)
+		for _, shape := range vpr.ShapeCandidates()[:16] {
+			label := 1 + math.Abs(shape.AspectRatio-1) + shape.Utilization + 0.1*math.Log(float64(g.numNodes()))
+			samples = append(samples, Sample{Graph: g, Shape: shape, Label: label})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		NewModel(1).Fit(samples, TrainOptions{Epochs: 1, Seed: 1})
 	}
 }

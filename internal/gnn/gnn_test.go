@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ppaclust/internal/cluster"
@@ -236,6 +237,33 @@ func TestFitWorkersEquivalent(t *testing.T) {
 			ref = buf.Bytes()
 		} else if !bytes.Equal(buf.Bytes(), ref) {
 			t.Fatalf("Workers=%d: saved model differs from Workers=1", w)
+		}
+	}
+}
+
+// TestTrainStepAllocsBounded: a training step on a tape that has run one
+// step allocates a small fixed number of bytes, whatever the graph's size.
+// Every buffer and tensor header comes from the tape's arenas; what is left
+// is the backward closures and the fork of the four branches. The budget
+// holds on an ariane PPA cluster (~1.6k nodes) and on the union of its two
+// largest clusters, about twice as large, at one worker and at four.
+func TestTrainStepAllocsBounded(t *testing.T) {
+	const budget = 8 << 10
+	shape := vpr.Shape{AspectRatio: 1.25, Utilization: 0.8}
+	for _, g := range []*GraphInput{ppaCluster(t, "ariane"), ppaClusters(t, "ariane", 2)} {
+		for _, workers := range []int{1, 4} {
+			m := NewModel(2)
+			optim := newAdam(m.params(), 1e-3)
+			c := newCtx(true)
+			s := Sample{Graph: g, Shape: shape, Label: 1}
+			m.step(c, optim, s, workers)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			m.step(c, optim, s, workers)
+			runtime.ReadMemStats(&after)
+			if b := after.TotalAlloc - before.TotalAlloc; b > budget {
+				t.Errorf("%d nodes, %d workers: a warmed step allocates %d bytes, budget %d", g.numNodes(), workers, b, budget)
+			}
 		}
 	}
 }

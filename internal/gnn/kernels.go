@@ -1,9 +1,9 @@
 package gnn
 
-// Portable kernels: the only implementation of axpy, axpy4, gemm2, bnReLU and
-// varAcc on GOARCHes other than amd64 (kernels_other.go) and on amd64 CPUs
-// without AVX, and the reference the amd64 assembly (kernels_amd64.s) must
-// match bit for bit (TestKernelsMatchPortable).
+// Portable kernels: the only implementation of axpy, axpy4, gemm2, bnReLU,
+// varAcc and rowAcc on GOARCHes other than amd64 (kernels_other.go) and on
+// amd64 CPUs without AVX, and the reference the amd64 assembly
+// (kernels_amd64.s) must match bit for bit (TestKernelsMatchPortable).
 //
 // Every product is wrapped in an explicit float64 conversion. That rounds it
 // on its own and so forbids the compiler to fuse it with the add that follows
@@ -63,5 +63,22 @@ func varAccGeneric(o, z, mean []float64, inv float64) {
 	for j := range o {
 		d := z[j] - mean[j]
 		o[j] += float64(float64(d*d) * inv)
+	}
+}
+
+// rowAccGeneric accumulates o[j] += a[p*stride]*b[p*n+j] for p = 0..k-1 in
+// ascending order, n = len(o), skipping each term whose coefficient
+// a[p*stride] is ±0 (a NaN coefficient is not skipped): one output row of
+// training's matmulAcc, with b row-major k x n.
+func rowAccGeneric(o, a []float64, stride, k int, b []float64) {
+	n := len(o)
+	b = b[:k*n]
+	for p := 0; p < k; p++ {
+		if av := a[p*stride]; av != 0 {
+			row := b[p*n : (p+1)*n]
+			for j := range o {
+				o[j] += float64(av * row[j])
+			}
+		}
 	}
 }

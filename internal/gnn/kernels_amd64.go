@@ -42,6 +42,9 @@ func bnReLUAVX(o, mean, scale, beta []float64)
 //go:noescape
 func varAccAVX(o, z, mean []float64, inv float64)
 
+//go:noescape
+func rowAccAVX(o, a []float64, stride, k int, b []float64)
+
 // axpy accumulates o += a*x.
 func axpy(o, x []float64, a float64) {
 	if !useAVX {
@@ -98,4 +101,17 @@ func varAcc(o, z, mean []float64, inv float64) {
 	}
 	n := len(o)
 	varAccAVX(o, z[:n], mean[:n], inv)
+}
+
+// rowAcc accumulates o[j] += a[p*stride]*b[p*len(o)+j] for p ascending,
+// skipping ±0 coefficients (rowAccGeneric).
+func rowAcc(o, a []float64, stride, k int, b []float64) {
+	if !useAVX {
+		rowAccGeneric(o, a, stride, k, b)
+		return
+	}
+	if k == 0 {
+		return
+	}
+	rowAccAVX(o, a[:(k-1)*stride+1], stride, k, b[:k*len(o)])
 }

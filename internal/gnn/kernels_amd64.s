@@ -372,3 +372,137 @@ tail:
 done:
 	VZEROUPPER
 	RET
+
+// func rowAccAVX(o, a []float64, stride, k int, b []float64)
+// o[j] += a[p*stride]*b[p*n+j] for p = 0..k-1 in ascending order, n = len(o),
+// skipping every p whose a[p*stride] is ±0 (its bits shifted left one place,
+// dropping the sign, are zero; a NaN is not skipped). b is row-major k x n,
+// k > 0, and a holds (k-1)*stride+1 values. Columns go 32 at a time in the
+// eight accumulators Y0-Y7, which stay in registers across all k terms; then
+// four at a time in Y0; then the last n mod 4 one at a time in X0.
+TEXT ·rowAccAVX(SB), NOSPLIT, $0-88
+	MOVQ o_base+0(FP), DI
+	MOVQ o_len+8(FP), BX    // BX: columns left
+	MOVQ a_base+24(FP), R8
+	MOVQ stride+48(FP), R9
+	SHLQ $3, R9             // R9: stride of a in bytes
+	MOVQ k+56(FP), DX
+	MOVQ b_base+64(FP), R10 // R10: column j of b's row 0
+	MOVQ BX, R11
+	SHLQ $3, R11            // R11: row stride of b in bytes
+
+block32:
+	CMPQ    BX, $32
+	JLT     block4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	VMOVUPD 128(DI), Y4
+	VMOVUPD 160(DI), Y5
+	VMOVUPD 192(DI), Y6
+	VMOVUPD 224(DI), Y7
+	MOVQ    R8, SI          // SI: a[p*stride]
+	MOVQ    R10, R12        // R12: b[p*n+j]
+	MOVQ    DX, CX          // CX: terms left
+
+term32:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           skip32
+	VBROADCASTSD (SI), Y8
+	VMULPD       (R12), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+	VMULPD       32(R12), Y8, Y10
+	VADDPD       Y10, Y1, Y1
+	VMULPD       64(R12), Y8, Y11
+	VADDPD       Y11, Y2, Y2
+	VMULPD       96(R12), Y8, Y12
+	VADDPD       Y12, Y3, Y3
+	VMULPD       128(R12), Y8, Y13
+	VADDPD       Y13, Y4, Y4
+	VMULPD       160(R12), Y8, Y14
+	VADDPD       Y14, Y5, Y5
+	VMULPD       192(R12), Y8, Y15
+	VADDPD       Y15, Y6, Y6
+	VMULPD       224(R12), Y8, Y9
+	VADDPD       Y9, Y7, Y7
+
+skip32:
+	ADDQ R9, SI
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  term32
+
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, R10
+	SUBQ    $32, BX
+	JMP     block32
+
+block4:
+	CMPQ    BX, $4
+	JLT     tail
+	VMOVUPD (DI), Y0
+	MOVQ    R8, SI
+	MOVQ    R10, R12
+	MOVQ    DX, CX
+
+term4:
+	MOVQ         (SI), AX
+	SHLQ         $1, AX
+	JZ           skip4
+	VBROADCASTSD (SI), Y8
+	VMULPD       (R12), Y8, Y9
+	VADDPD       Y9, Y0, Y0
+
+skip4:
+	ADDQ R9, SI
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  term4
+
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R10
+	SUBQ    $4, BX
+	JMP     block4
+
+tail:
+	TESTQ  BX, BX
+	JZ     done
+	VMOVSD (DI), X0
+	MOVQ   R8, SI
+	MOVQ   R10, R12
+	MOVQ   DX, CX
+
+term1:
+	MOVQ   (SI), AX
+	SHLQ   $1, AX
+	JZ     skip1
+	VMOVSD (SI), X8
+	VMULSD (R12), X8, X9
+	VADDSD X9, X0, X0
+
+skip1:
+	ADDQ R9, SI
+	ADDQ R11, R12
+	DECQ CX
+	JNZ  term1
+
+	VMOVSD X0, (DI)
+	ADDQ   $8, DI
+	ADDQ   $8, R10
+	DECQ   BX
+	JMP    tail
+
+done:
+	VZEROUPPER
+	RET

@@ -22,3 +22,7 @@ func bnReLU(o, mean, scale, beta []float64) { bnReLUGeneric(o, mean, scale, beta
 
 // varAcc accumulates o += ((z-mean)*(z-mean))*inv.
 func varAcc(o, z, mean []float64, inv float64) { varAccGeneric(o, z, mean, inv) }
+
+// rowAcc accumulates o[j] += a[p*stride]*b[p*len(o)+j] for p ascending,
+// skipping ±0 coefficients (rowAccGeneric).
+func rowAcc(o, a []float64, stride, k int, b []float64) { rowAccGeneric(o, a, stride, k, b) }

@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -30,14 +31,16 @@ func gemmGeneric(a, w, out []float64, m, k, n int) {
 	}
 }
 
-// TestKernelsMatchPortable holds axpy, axpy4, gemm2, bnReLU, varAcc and gemm
-// (the assembly kernels) to the portable ones bit for bit: every length 0-130
-// (the packed loops, every tail length and the empty case), slices starting
-// on an odd word (unaligned for 16- and 32-byte loads), magnitudes over
-// twenty decades (any change of term order shows), ±0, subnormals and ±Inf,
-// and NaN in a case of its own; gemm2 at every n mod 8 and at k = 33, the
-// shape-free layer-1 product, and gemm at odd m. Where the assembly does not
-// run there is nothing to compare, and the test says why it skips.
+// TestKernelsMatchPortable holds axpy, axpy4, gemm2, bnReLU, varAcc, rowAcc
+// and gemm (the assembly kernels) to the portable ones bit for bit: every
+// length 0-130 (the packed loops, every n mod 32 and n mod 4 tail and the
+// empty case), slices starting on an odd word (unaligned for 16- and 32-byte
+// loads), magnitudes over twenty decades (any change of term order shows),
+// ±0, subnormals and ±Inf, and NaN in a case of its own; gemm2 at every n mod
+// 8 and at k = 33, the shape-free layer-1 product; rowAcc at k = 0, 1 and 33,
+// with stride 1 and 3 and coefficients that are often +0, −0 or NaN; and gemm
+// at odd m. Where the assembly does not run there is nothing to compare, and
+// the test says why it skips.
 func TestKernelsMatchPortable(t *testing.T) {
 	if !useAVX {
 		t.Skipf("no assembly kernels run here (GOARCH %s; on amd64, a CPU without AVX): the portable kernels are the only ones", runtime.GOARCH)
@@ -46,6 +49,8 @@ func TestKernelsMatchPortable(t *testing.T) {
 	subnormal := []float64{5e-324, -2.5e-310, 1e-308, 0, math.Copysign(0, -1)}
 	inf := append([]float64{math.Inf(1), math.Inf(-1)}, subnormal...)
 	nan := append([]float64{math.NaN()}, subnormal...)
+	// rowAcc skips a ±0 coefficient and must not skip a NaN one.
+	zeroNaN := []float64{0, math.Copysign(0, -1), math.NaN()}
 	// fill returns n values starting off at word off of a fresh buffer.
 	fill := func(n, off int, special []float64) []float64 {
 		v := make([]float64, n+off)[off:]
@@ -90,6 +95,17 @@ func TestKernelsMatchPortable(t *testing.T) {
 				bnReLU(got, x[1], x[2], x[3])
 				bnReLUGeneric(want, x[1], x[2], x[3])
 				check(t, "bnReLU", got, want)
+
+				for _, k := range []int{0, 1, 33} {
+					for _, stride := range []int{1, 3} {
+						coef := fill(max(0, (k-1)*stride+1), 1-off, zeroNaN)
+						w := fill(k*n, off, special)
+						got, want := append([]float64(nil), o...), append([]float64(nil), o...)
+						rowAcc(got, coef, stride, k, w)
+						rowAccGeneric(want, coef, stride, k, w)
+						check(t, fmt.Sprintf("rowAcc k=%d stride=%d", k, stride), got, want)
+					}
+				}
 
 				for _, k := range []int{0, 1, 4, 7, 33} {
 					a0, a1, w := fill(k, off, special), fill(k, 1-off, special), fill(k*n, off, special)

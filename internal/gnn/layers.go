@@ -66,8 +66,8 @@ func (bn *batchNorm) params() []*tensor { return []*tensor{bn.Gamma, bn.Beta} }
 // prediction head), where batch statistics are undefined.
 func (bn *batchNorm) forward(c *ctx, x *tensor) *tensor {
 	n, d := x.R, x.C
-	mean := make([]float64, d)
-	variance := make([]float64, d)
+	mean := c.mem.zeros(d)
+	variance := c.mem.zeros(d)
 	if n > 1 {
 		inv := 1 / float64(n)
 		for i := 0; i < n; i++ {
@@ -96,12 +96,12 @@ func (bn *batchNorm) forward(c *ctx, x *tensor) *tensor {
 		copy(mean, bn.RunMean)
 		copy(variance, bn.RunVar)
 	}
-	invStd := make([]float64, d)
+	invStd := c.mem.take(d)
 	for j := 0; j < d; j++ {
 		invStd[j] = 1 / math.Sqrt(variance[j]+bn.Eps)
 	}
-	xhat := make([]float64, n*d)
-	out := newTensor(n, d)
+	xhat := c.mem.take(n * d)
+	out := c.alloc(n, d)
 	for i := 0; i < n; i++ {
 		for j := 0; j < d; j++ {
 			h := (x.Data[i*d+j] - mean[j]) * invStd[j]
@@ -123,21 +123,22 @@ func (bn *batchNorm) forward(c *ctx, x *tensor) *tensor {
 			}
 			return
 		}
-		// Full batch-norm backward.
+		// Full batch-norm backward, row by row: each column's sums still
+		// take their rows in ascending order.
 		invN := 1 / float64(n)
-		for j := 0; j < d; j++ {
-			var sumG, sumGH float64
-			for i := 0; i < n; i++ {
-				g := out.Grad[i*d+j]
-				sumG += g
-				sumGH += g * xhat[i*d+j]
+		sumG, sumGH := c.mem.zeros(d), c.mem.zeros(d)
+		for i := 0; i < n; i++ {
+			for j, g := range out.Grad[i*d : (i+1)*d] {
+				sumG[j] += g
+				sumGH[j] += g * xhat[i*d+j]
 				bn.Gamma.Grad[j] += g * xhat[i*d+j]
 				bn.Beta.Grad[j] += g
 			}
-			for i := 0; i < n; i++ {
-				g := out.Grad[i*d+j]
+		}
+		for i := 0; i < n; i++ {
+			for j, g := range out.Grad[i*d : (i+1)*d] {
 				x.Grad[i*d+j] += bn.Gamma.Data[j] * invStd[j] *
-					(g - sumG*invN - xhat[i*d+j]*sumGH*invN)
+					(g - sumG[j]*invN - xhat[i*d+j]*sumGH[j]*invN)
 			}
 		}
 	})

@@ -81,14 +81,12 @@ func (m *Model) params() []*tensor {
 // nothing — parameters, batch-norm running statistics and activations are
 // all per branch — so the result is bit-identical at any worker count.
 func (m *Model) forward(c *ctx, g *GraphInput, shape vpr.Shape, workers int) *tensor {
-	x := m.inputTensor(g, shape)
+	x := m.inputTensor(c, g, shape)
 	tapes := c.fork(numBranches, workers)
 	var outs [numBranches]*tensor
 	par.Blocks(workers, numBranches, func(_, lo, hi int) {
 		for b := lo; b < hi; b++ {
-			// Every branch's first SpMM backward writes the input's
-			// gradient, which nothing reads: each gets a buffer of its own.
-			h := &tensor{R: x.R, C: x.C, Data: x.Data, Grad: make([]float64, len(x.Data))}
+			h := x
 			for _, blk := range m.branches[b] {
 				h = blk.forward(tapes[b], g.s, h)
 			}
@@ -106,12 +104,13 @@ func (m *Model) forward(c *ctx, g *GraphInput, shape vpr.Shape, workers int) *te
 	return m.head2.forward(c, h)
 }
 
-// inputTensor builds the standardized node-feature matrix. It carries no
-// gradient buffer: forward gives each branch its own.
-func (m *Model) inputTensor(g *GraphInput, shape vpr.Shape) *tensor {
+// inputTensor builds the standardized node-feature matrix on c's arenas. It
+// is a constant: no gradient flows back into the input, so the branches'
+// first SpMM records no backward.
+func (m *Model) inputTensor(c *ctx, g *GraphInput, shape vpr.Shape) *tensor {
 	n := g.numNodes()
-	x := &tensor{R: n, C: inputDim, Data: make([]float64, n*inputDim)}
-	row := make([]float64, inputDim)
+	x := c.constant(n, inputDim)
+	row := c.mem.take(inputDim)
 	for i := 0; i < n; i++ {
 		g.f.NodeVec(i, shape.AspectRatio, shape.Utilization, row)
 		for j := 0; j < inputDim; j++ {

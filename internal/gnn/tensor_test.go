@@ -69,7 +69,7 @@ func TestMatMulAccMatchesReference(t *testing.T) {
 				want := fill(m*n, nil, 0)
 				got := append([]float64(nil), want...)
 				matmulAccRef(a, b, want, m, k, n, ta, tb)
-				matmulAcc(a, b, got, m, k, n, ta, tb)
+				matmulAcc(new(slab[float64]), a, b, got, m, k, n, ta, tb)
 				for i := range want {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%dx%dx%d ta=%v tb=%v B specials %v: out[%d] = %v, reference %v",

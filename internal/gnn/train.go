@@ -51,6 +51,9 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 	optim := newAdam(m.params(), opt.LR)
 	rng := rand.New(rand.NewSource(opt.Seed + 7))
 	losses := make([]float64, 0, opt.Epochs)
+	// One tape for every step: its arenas grow to the largest sample's
+	// footprint and go when Fit returns.
+	c := newCtx(true)
 	order := make([]int, len(train))
 	for i := range order {
 		order[i] = i
@@ -65,12 +68,7 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 				continue
 			}
 			used++
-			c := newCtx(true)
-			out := m.forward(c, s.Graph, s.Shape, workers)
-			label := (s.Label - m.labelMean) / m.labelStd
-			sum += c.mse(out, label)
-			c.backward()
-			optim.step()
+			sum += m.step(c, optim, s, workers)
 		}
 		if used > 0 {
 			sum /= float64(used)
@@ -78,6 +76,18 @@ func (m *Model) Fit(train []Sample, opt TrainOptions) []float64 {
 		losses = append(losses, sum)
 	}
 	return losses
+}
+
+// step runs one training step on s: the taped forward on c, the MSE against
+// the standardized label, backward and the Adam update, then resets c for the
+// next step. It returns the loss.
+func (m *Model) step(c *ctx, optim *adam, s Sample, workers int) float64 {
+	out := m.forward(c, s.Graph, s.Shape, workers)
+	loss := c.mse(out, (s.Label-m.labelMean)/m.labelStd)
+	c.backward()
+	optim.step()
+	c.reset()
+	return loss
 }
 
 // fitNormalization computes feature and label standardization from samples.
