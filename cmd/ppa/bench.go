@@ -20,7 +20,7 @@ import (
 // benchCmd regenerates the paper's evaluation: Tables 1-6, the Section 4.4
 // GNN metrics and Figure 5, writing the paper-vs-measured report to
 // EXPERIMENTS.md, or one section of it to stdout (-table). -timing-driven
-// runs the timing/routability-driven placement A/B instead.
+// runs the timing-driven placement A/B instead.
 func benchCmd(args []string) (err error) {
 	fs := flag.NewFlagSet("ppa bench", flag.ContinueOnError)
 	fast := fs.Bool("fast", false, "shrink designs and ML dataset for a quick run")
@@ -29,7 +29,7 @@ func benchCmd(args []string) (err error) {
 		"goroutine budget of the stages that fan out (0 = PPACLUST_WORKERS or GOMAXPROCS, 1 = sequential)")
 	table := fs.String("table", "", "print one section of the report (1-6, gnn, figure5, runtime, ablation) to stdout")
 	timingDriven := fs.String("timing-driven", "",
-		"run the timing/routability-driven placement A/B: \"tables\" for the Table-3/4 protocols, or a size list like \"10k\" for flat scale designs")
+		"run the timing-driven placement A/B: \"tables\" for the Table-3/4 protocols, or a size list like \"10k\" for flat scale designs")
 	tdOut := fs.String("td-out", "BENCH_timing_driven.json", "timing-driven A/B output path")
 	out := fs.String("o", "EXPERIMENTS.md", "report output path (full runs)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -188,8 +188,7 @@ func timingDrivenRows(s *experiments.Suite, spec string) ([]experiments.TDRow, e
 		if err != nil {
 			return nil, err
 		}
-		td, err := flow.RunDefault(b, flow.Options{Seed: seed, Workers: workers,
-			TimingDriven: true, RoutabilityDriven: true})
+		td, err := flow.RunDefault(b, flow.Options{Seed: seed, Workers: workers, TimingDriven: true})
 		if err != nil {
 			return nil, err
 		}

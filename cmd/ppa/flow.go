@@ -73,7 +73,6 @@ func flowCmd(args []string) error {
 	skipRoute := fs.Bool("skip-route", false, "stop after placement (HPWL only)")
 	repair := fs.Bool("repair", false, "insert buffers on long/high-fanout nets after placement")
 	timingDriven := fs.Bool("timing-driven", false, "reweight critical nets from STA feedback at placement overflow checkpoints")
-	routabilityDriven := fs.Bool("routability-driven", false, "inflate congested cells from router feedback at placement overflow checkpoints")
 	writeDEF := fs.String("write-def", "", "write the final placement to this DEF file")
 	writeSVG := fs.String("svg", "", "write a placement visualization to this SVG file")
 	report := fs.Int("report", 0, "print a report_checks-style timing report for the N worst paths")
@@ -88,7 +87,7 @@ func flowCmd(args []string) error {
 	}
 
 	opt := flow.Options{Seed: *seed, SkipRoute: *skipRoute, RepairBuffers: *repair,
-		TimingDriven: *timingDriven, RoutabilityDriven: *routabilityDriven}
+		TimingDriven: *timingDriven}
 	if err := parseFlowChoices(&opt, *tool, *method, *shapes); err != nil {
 		return err
 	}

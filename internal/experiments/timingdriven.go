@@ -1,9 +1,9 @@
 // The -timing-driven A/B comparison: the same flow run twice, with and
-// without the placer's timing/routability feedback checkpoints, on the
-// Table-3/4 protocols (OpenROAD mode on the four routable designs, Innovus
-// mode on all six). The clustered PPA-aware flow with uniform shapes is used
-// for both arms — the model-free configuration — so the only difference
-// between A and B is the place-level feedback under test.
+// without the placer's timing feedback checkpoints, on the Table-3/4
+// protocols (OpenROAD mode on the four routable designs, Innovus mode on all
+// six). The clustered PPA-aware flow with uniform shapes is used for both
+// arms — the model-free configuration — so the only difference between A and
+// B is the place-level feedback under test.
 package experiments
 
 import (
@@ -59,7 +59,7 @@ func MakeTDRow(design, tool string, insts int, base, td *flow.Result) TDRow {
 
 // TimingDrivenAB runs the Table-3/4 protocol A/B: per (design, tool) job,
 // the clustered flow without feedback vs the identical flow with
-// TimingDriven and RoutabilityDriven placement enabled.
+// TimingDriven placement enabled.
 func (s *Suite) TimingDrivenAB() ([]TDRow, error) {
 	type job struct {
 		name string
@@ -92,7 +92,6 @@ func (s *Suite) TimingDrivenAB() ([]TDRow, error) {
 			return nil, err
 		}
 		opt.TimingDriven = true
-		opt.RoutabilityDriven = true
 		td, err := flow.Run(b, opt)
 		if err != nil {
 			return nil, err

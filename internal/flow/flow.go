@@ -125,11 +125,6 @@ type Options struct {
 	// the benchmark's constraints. Applied identically by Run and
 	// RunDefault.
 	TimingDriven bool
-	// RoutabilityDriven enables congestion-feedback cell inflation at the
-	// flat placement's overflow checkpoints
-	// (place.Options.RoutabilityDriven). Applied identically by Run and
-	// RunDefault.
-	RoutabilityDriven bool
 	// Workers bounds the goroutines of the stages that fan out — the V-P&R
 	// and GNN shape sweeps, the placer's axis pair and the router: 0 = auto
 	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = everything inline. Clustering,
@@ -309,13 +304,12 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 		inst.Y = ci.CenterY() - inst.Master.Height/2
 		inst.Placed = true
 	}
-	// Incremental flat placement. The timing/routability feedback runs here,
-	// on the flat design — the clustered seed placement's synthetic masters
-	// have no timing arcs to analyze.
+	// Incremental flat placement. The timing feedback runs here, on the flat
+	// design — the clustered seed placement's synthetic masters have no
+	// timing arcs to analyze.
 	popt := place.Options{Seed: opt.Seed, Incremental: true,
 		Workers:      opt.Workers,
-		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
-		TimingCons: b.Cons}
+		TimingDriven: opt.TimingDriven, TimingCons: b.Cons}
 	if opt.Tool == ToolInnovus {
 		// Region constraints guide the incremental placement and are then
 		// removed (Algorithm 1 lines 18-20).
@@ -364,8 +358,7 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	}
 	t0 := time.Now()
 	place.Global(d, place.Options{Seed: opt.Seed, Workers: opt.Workers,
-		TimingDriven: opt.TimingDriven, RoutabilityDriven: opt.RoutabilityDriven,
-		TimingCons: b.Cons})
+		TimingDriven: opt.TimingDriven, TimingCons: b.Cons})
 	place.Legalize(d)
 	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
 	res.IncrPlaceTime = time.Since(t0)

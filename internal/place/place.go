@@ -56,10 +56,9 @@ type Options struct {
 	// Workers bounds the goroutines a run uses: 0 = auto (PPACLUST_WORKERS,
 	// else GOMAXPROCS), 1 = everything inline. From two workers up the x and
 	// y solves of a round run side by side, and so do the two halves of the
-	// spreading bisection's first cut; the placer forks nowhere else, so the
-	// third worker and up only reach the router of a RoutabilityDriven
-	// checkpoint. The halves of either pair share no state, so the placement
-	// is bit-identical for every worker count.
+	// spreading bisection's first cut; the placer forks nowhere else, so a
+	// third worker and up buy it nothing. The halves of either pair share no
+	// state, so the placement is bit-identical for every worker count.
 	Workers int
 	// TimingDriven enables STA feedback at the overflow checkpoints: the
 	// incremental analyzer runs on the current coordinates, nets are ranked
@@ -70,11 +69,6 @@ type Options struct {
 	// TimingCons are the constraints the checkpoint STA runs under. Only
 	// read when TimingDriven is set.
 	TimingCons sta.Constraints
-	// RoutabilityDriven enables congestion feedback at the overflow
-	// checkpoints: the GCell router runs on a coarse grid and movable cells
-	// in congested GCells have their spreading areas inflated so the next
-	// rounds push them apart. Off by default. See driven.go.
-	RoutabilityDriven bool
 	// noStall disables the overflow-stagnation stop. Only the coarse
 	// warm-start recursion sets it: the coarse model's huge cluster-cells
 	// floor its quantized overflow immediately, yet the later rounds keep
@@ -155,16 +149,15 @@ type Result struct {
 	HPWL       float64
 	Iterations int
 	// Overflow is the bin overflow fraction of the placement the caller
-	// actually gets: re-measured from the committed instance positions and
-	// physical cell areas (after any inflation), not the last loop iterate.
+	// actually gets: re-measured from the committed positions and the
+	// masters' areas, not the last loop iterate.
 	Overflow float64
 	// CGIterations is the total conjugate-gradient iterations spent across
 	// all axis solves (including the coarse warm-start solve, if any).
 	CGIterations int
-	// TimingReweights and RouteInflations count the feedback checkpoints
-	// that actually changed net weights / cell areas (see driven.go).
+	// TimingReweights counts the feedback checkpoints that actually changed
+	// net weights (see driven.go).
 	TimingReweights int
-	RouteInflations int
 }
 
 type placer struct {
@@ -177,7 +170,7 @@ type placer struct {
 	varOf   []int // instance ID -> variable index, -1 if fixed
 	x, y    []float64
 	w, h    []float64 // cell dims per variable
-	area    []float64 // spreading area per variable: w*h, scaled by inflation
+	area    []float64 // spreading area w*h, stored: the bisection reads it in coordinate order
 
 	// Flat connectivity snapshot for system assembly, derived from the
 	// design's Compact view at collect time. Fixed instances and ports do
@@ -206,14 +199,13 @@ type placer struct {
 	sideLo            []bool       // bisection membership marks
 	cgIters           int          // all axis solves so far, plus the coarse warm start's
 
-	// timing/routability feedback state (driven.go)
-	ckptNext   int           // next checkpointOverflows index to fire
-	an         *sta.Analyzer // built lazily at the first timing checkpoint
-	slackBuf   []float64     // NetSlackInto scratch
-	netW0      []float64     // pre-reweight net weights (netWeightMax base)
-	critBuf    []int32       // candidate net scratch for criticality ranking
-	reweights  int
-	inflations int
+	// timing feedback state (driven.go)
+	ckptNext  int           // next checkpointOverflows index to fire
+	an        *sta.Analyzer // built lazily at the first timing checkpoint
+	slackBuf  []float64     // NetSlackInto scratch
+	netW0     []float64     // pre-reweight net weights (netWeightMax base)
+	critBuf   []int32       // candidate net scratch for criticality ranking
+	reweights int
 }
 
 // maxNetPins is the pin-count ceiling above which a net is excluded from the
@@ -258,9 +250,9 @@ func Global(d *netlist.Design, opt Options) Result {
 		p.clampAll()
 		overflow = p.computeSpreadTargets()
 		if p.checkpoint(overflow) {
-			// A feedback checkpoint changed net weights or cell areas; give
-			// the loop fresh rounds to absorb it before any stagnation cut
-			// or early exit. The reset is a pure function of the overflow
+			// A feedback checkpoint changed net weights; give the loop
+			// fresh rounds to absorb it before any stagnation cut or early
+			// exit. The reset is a pure function of the overflow
 			// sequence, so it is bit-identical across worker counts.
 			best = math.Inf(1)
 			stall = 0
@@ -293,14 +285,12 @@ func Global(d *netlist.Design, opt Options) Result {
 		Overflow:        p.finalOverflow(),
 		CGIterations:    p.cgIters,
 		TimingReweights: p.reweights,
-		RouteInflations: p.inflations,
 	}
 }
 
 // finalOverflow re-measures bin overflow from the committed instance
-// positions and physical master areas. The loop-iterate overflow describes
-// pre-legalization coordinates and inflation-scaled areas; Result.Overflow
-// must describe the placement the caller actually gets.
+// positions and the masters' areas, so Result.Overflow describes the
+// placement the caller gets rather than the solver's last iterate.
 func (p *placer) finalOverflow() float64 {
 	g := p.bins
 	g.clear()

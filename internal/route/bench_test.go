@@ -1,6 +1,5 @@
-// External test package: the placer now consumes this package for its
-// routability-driven checkpoints, so an in-package test importing place
-// would be an import cycle.
+// External test package: the benchmark drives route through its exported
+// API only, on a design the placer placed, as the flow does.
 package route_test
 
 import (

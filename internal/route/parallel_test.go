@@ -10,10 +10,9 @@ import (
 )
 
 // scatterTiny generates the tiny benchmark and scatters its movable cells
-// deterministically across the core. The placer cannot be used here — it
-// imports this package for its routability-driven checkpoints, so an
-// in-package import would be a cycle — and routing equivalence only needs a
-// placed design, not a good placement.
+// deterministically across the core. Routing equivalence only needs a placed
+// design, not a good placement, so the scatter stands in for the placer and
+// keeps this test independent of it.
 func scatterTiny(t *testing.T, seed int64) *netlist.Design {
 	t.Helper()
 	b := designs.Generate(designs.TinySpec(seed))

@@ -1,6 +1,5 @@
-// External tests: these exercise GlobalRoute on placed designs and need the
-// placer, which now imports this package for its routability-driven
-// checkpoints — an in-package import would be a cycle.
+// External tests: these exercise GlobalRoute through its exported API on
+// designs the placer placed, as the flow calls it.
 package route_test
 
 import (

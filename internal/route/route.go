@@ -93,8 +93,8 @@ func newGrid(core netlist.Rect, size float64, capH, capV int) *Grid {
 	}
 }
 
-// Cell maps a physical position to GCell coordinates.
-func (g *Grid) Cell(x, y float64) (int, int) {
+// cell maps a physical position to GCell coordinates.
+func (g *Grid) cell(x, y float64) (int, int) {
 	i := int((x - g.core.X0) / g.size)
 	j := int((y - g.core.Y0) / g.size)
 	if i < 0 {
@@ -491,7 +491,7 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 		for ni := lo; ni < hi; ni++ {
 			cells := sc.cells[:0]
 			for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-				i, j := g.Cell(c.PinXY(&pos, k))
+				i, j := g.cell(c.PinXY(&pos, k))
 				idx := j*g.nx + i
 				if sc.cellStamp[idx] == int32(ni) {
 					continue
@@ -647,9 +647,9 @@ func manhattan(a, b [2]int) int {
 	return abs(a[0]-b[0]) + abs(a[1]-b[1])
 }
 
-// CellCongestion returns the per-GCell congestion (max of the utilizations of
+// cellCongestion returns the per-GCell congestion (max of the utilizations of
 // the edges leaving the cell rightward and upward).
-func (g *Grid) CellCongestion() []float64 {
+func (g *Grid) cellCongestion() []float64 {
 	out := make([]float64, g.nx*g.ny)
 	for j := 0; j < g.ny; j++ {
 		for i := 0; i < g.nx; i++ {
@@ -669,7 +669,7 @@ func (g *Grid) CellCongestion() []float64 {
 // TopPercentAvg implements Eq. 5: the mean congestion over the top x% most
 // congested GCells (x in (0,100]).
 func (g *Grid) TopPercentAvg(x float64) float64 {
-	cong := g.CellCongestion()
+	cong := g.cellCongestion()
 	sort.Sort(sort.Reverse(sort.Float64Slice(cong)))
 	n := int(float64(len(cong)) * x / 100)
 	if n < 1 {
@@ -681,6 +681,3 @@ func (g *Grid) TopPercentAvg(x float64) float64 {
 	}
 	return sum / float64(n)
 }
-
-// Dims returns the grid dimensions (nx, ny).
-func (g *Grid) Dims() (int, int) { return g.nx, g.ny }

@@ -13,12 +13,12 @@ func TestGridBasics(t *testing.T) {
 	if g.nx != 11 || g.ny != 11 {
 		t.Fatalf("grid %dx%d", g.nx, g.ny)
 	}
-	i, j := g.Cell(55, 5)
+	i, j := g.cell(55, 5)
 	if i != 5 || j != 0 {
 		t.Fatalf("cell=(%d,%d)", i, j)
 	}
 	// Clamping outside the core.
-	i, j = g.Cell(-10, 1e9)
+	i, j = g.cell(-10, 1e9)
 	if i != 0 || j != g.ny-1 {
 		t.Fatalf("clamped cell=(%d,%d)", i, j)
 	}
@@ -128,12 +128,12 @@ func TestTopPercentAvg(t *testing.T) {
 func TestCellCongestionShape(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
 	g := newGrid(core, 10, 4, 4)
-	c := g.CellCongestion()
+	c := g.cellCongestion()
 	if len(c) != g.nx*g.ny {
 		t.Fatalf("len=%d want %d", len(c), g.nx*g.ny)
 	}
 	g.hUse[g.hIdx(2, 3)] = 2
-	c = g.CellCongestion()
+	c = g.cellCongestion()
 	if c[3*g.nx+2] != 0.5 {
 		t.Fatalf("congestion=%v want 0.5", c[3*g.nx+2])
 	}

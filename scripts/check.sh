@@ -49,6 +49,16 @@ GOARCH=arm64 go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+# Layering: the placer takes its feedback from STA only, and the router runs
+# after placement in internal/flow. A placer that imports the router again
+# would put a router inside the placement loop; fail on it.
+echo "==> layering: internal/place does not depend on internal/route"
+place_deps=$(go list -deps ./internal/place)
+if grep -qx 'ppaclust/internal/route' <<<"$place_deps"; then
+    echo "internal/place depends on ppaclust/internal/route" >&2
+    exit 1
+fi
+
 # internal/gnn runs its assembly kernels only where the package's CPU check
 # finds AVX; elsewhere TestKernelsMatchPortable skips and the portable kernels
 # run. On an amd64 host the test must have passed, not skipped: a runner
