@@ -71,7 +71,6 @@ func flowCmd(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	runDefault := fs.Bool("default", false, "run the flat default flow instead")
 	skipRoute := fs.Bool("skip-route", false, "stop after placement (HPWL only)")
-	repair := fs.Bool("repair", false, "insert buffers on long/high-fanout nets after placement")
 	timingDriven := fs.Bool("timing-driven", false, "reweight critical nets from STA feedback at placement overflow checkpoints")
 	writeDEF := fs.String("write-def", "", "write the final placement to this DEF file")
 	writeSVG := fs.String("svg", "", "write a placement visualization to this SVG file")
@@ -86,8 +85,7 @@ func flowCmd(args []string) error {
 		return err
 	}
 
-	opt := flow.Options{Seed: *seed, SkipRoute: *skipRoute, RepairBuffers: *repair,
-		TimingDriven: *timingDriven}
+	opt := flow.Options{Seed: *seed, SkipRoute: *skipRoute, TimingDriven: *timingDriven}
 	if err := parseFlowChoices(&opt, *tool, *method, *shapes); err != nil {
 		return err
 	}

@@ -70,6 +70,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"vpr", "-design", "nope"},
 		{"bench", "-table", "nope"},
 		{"flow", "-tool", "nope"},
+		{"flow", "-repair"},
 	} {
 		work, logs := t.TempDir(), t.TempDir()
 		outFile, err := os.Create(logs + "/stdout")

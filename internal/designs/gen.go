@@ -560,7 +560,7 @@ func (g *generator) floorplan() {
 	perim := 4 * side
 	for i, p := range d.Ports {
 		t := perim * float64(i) / float64(n)
-		x, y := pointOnPerimeter(d.Core, t)
+		x, y := d.Core.PerimeterPoint(t)
 		p.X, p.Y, p.Placed = x, y, true
 	}
 	// Macros along the left and right edges, fixed.
@@ -583,20 +583,6 @@ func (g *generator) floorplan() {
 		inst.Placed = true
 		inst.Fixed = true
 		mi++
-	}
-}
-
-func pointOnPerimeter(r netlist.Rect, t float64) (float64, float64) {
-	w, h := r.W(), r.H()
-	switch {
-	case t < w:
-		return r.X0 + t, r.Y0
-	case t < w+h:
-		return r.X1, r.Y0 + (t - w)
-	case t < 2*w+h:
-		return r.X1 - (t - w - h), r.Y1
-	default:
-		return r.X0, r.Y1 - (t - 2*w - h)
 	}
 }
 

@@ -216,7 +216,7 @@ func TestPointOnPerimeter(t *testing.T) {
 		{0, 0, 0}, {5, 5, 0}, {10, 10, 0}, {15, 10, 5}, {25, 5, 10}, {35, 0, 5},
 	}
 	for _, c := range cases {
-		x, y := pointOnPerimeter(r, c.t)
+		x, y := r.PerimeterPoint(c.t)
 		if math.Abs(x-c.x) > 1e-9 || math.Abs(y-c.y) > 1e-9 {
 			t.Errorf("t=%v got (%v,%v) want (%v,%v)", c.t, x, y, c.x, c.y)
 		}

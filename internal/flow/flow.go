@@ -17,7 +17,6 @@ import (
 	"ppaclust/internal/gnn"
 	"ppaclust/internal/hier"
 	"ppaclust/internal/netlist"
-	netopt "ppaclust/internal/opt"
 	"ppaclust/internal/place"
 	"ppaclust/internal/power"
 	"ppaclust/internal/route"
@@ -116,10 +115,6 @@ type Options struct {
 	VPRMinInsts int        // shape-selection gate; default 50 (paper: 200)
 	Seed        int64
 	SkipRoute   bool // post-place evaluation only (hyperparameter study)
-	// RepairBuffers runs post-placement buffer insertion on long and
-	// high-fanout nets before evaluation (the opt_design analogue). Applied
-	// identically by Run and RunDefault so comparisons stay fair.
-	RepairBuffers bool
 	// TimingDriven enables STA-feedback net reweighting at the flat
 	// placement's overflow checkpoints (place.Options.TimingDriven), using
 	// the benchmark's constraints. Applied identically by Run and
@@ -321,31 +316,12 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	res.IncrPlaceTime = time.Since(t0)
 	res.PlaceTime = res.ClusterTime + res.SeedPlaceTime + res.IncrPlaceTime
 
-	if err := maybeRepair(d, opt); err != nil {
-		return nil, err
-	}
 	// ---- Evaluation (lines 27-30) ----
 	if err := evaluate(d, b.Cons, opt, res, an); err != nil {
 		return nil, err
 	}
 	res.Placed = d
 	return res, nil
-}
-
-// maybeRepair runs optional buffer insertion followed by re-legalization.
-func maybeRepair(d *netlist.Design, o Options) error {
-	if !o.RepairBuffers {
-		return nil
-	}
-	buf := d.Lib.Master("BUF_X4")
-	if buf == nil {
-		return fmt.Errorf("flow: RepairBuffers needs BUF_X4 in the library")
-	}
-	if _, err := netopt.InsertBuffers(d, buf); err != nil {
-		return err
-	}
-	place.Legalize(d)
-	return nil
 }
 
 // RunDefault executes the flat (no clustering, no V-P&R) baseline flow.
@@ -363,9 +339,6 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
 	res.IncrPlaceTime = time.Since(t0)
 	res.PlaceTime = res.IncrPlaceTime
-	if err := maybeRepair(d, opt); err != nil {
-		return nil, err
-	}
 	if err := evaluate(d, b.Cons, opt, res, nil); err != nil {
 		return nil, err
 	}
@@ -593,8 +566,7 @@ func mathSqrt(v float64) float64 {
 // the clustering stage already built an analyzer (PPA-aware method), it is
 // reused: the graph topology is unchanged, so SetZeroWire to placed
 // parasitics plus Update yields bit-identical results to a fresh sta.New.
-// Buffer repair inserts instances and nets — a topology change — so the
-// analyzer is rebuilt in that case.
+// Every other run builds a fresh one.
 func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result, an *sta.Analyzer) error {
 	res.HPWL = d.HPWL()
 	if opt.SkipRoute {
@@ -607,7 +579,7 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 	res.MaxCongestion = rres.MaxCongestion
 
 	// CTS on the clock net (if any), then propagated-clock STA.
-	if an == nil || opt.RepairBuffers {
+	if an == nil {
 		an = sta.New(d, cons)
 	} else {
 		an.SetZeroWire(cons.ZeroWire)

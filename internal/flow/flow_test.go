@@ -272,35 +272,12 @@ func TestStringers(t *testing.T) {
 	}
 }
 
-func TestRunWithBufferRepair(t *testing.T) {
-	b := tinyBench(91)
-	plain, err := RunDefault(b, Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	repaired, err := RunDefault(b, Options{Seed: 9, RepairBuffers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired.RoutedWL <= 0 {
-		t.Fatal("repair flow produced no routing")
-	}
-	// Buffering must not catastrophically hurt timing (tiny designs have
-	// little to repair; allow sub-ns noise).
-	if repaired.TNS < plain.TNS-1e-9 {
-		t.Fatalf("repair degraded TNS badly: %v vs %v", repaired.TNS, plain.TNS)
-	}
-	// Clustered flow with repair also runs.
-	if _, err := Run(b, Options{Seed: 9, Shapes: ShapeUniform, RepairBuffers: true}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestClockArrivalsRetimePlaced: an analyzer built on Result.Placed with
 // Result.ClockArrivals set reports the WNS/TNS the flow printed, bit for bit,
-// for both flows and with buffer repair (which rebuilds the evaluation
-// analyzer). `ppa flow -report` builds its report this way; without the CTS
-// arrivals it timed an ideal clock and disagreed with the metrics above it.
+// for both flows and for a clustered run on MFC, whose evaluation builds a
+// fresh analyzer instead of reusing the clustering one. `ppa flow -report`
+// builds its report this way; without the CTS arrivals it timed an ideal
+// clock and disagreed with the metrics above it.
 func TestClockArrivalsRetimePlaced(t *testing.T) {
 	b := tinyBench(92)
 	for _, tc := range []struct {
@@ -310,7 +287,7 @@ func TestClockArrivalsRetimePlaced(t *testing.T) {
 	}{
 		{"clustered", Run, Options{Seed: 3, Shapes: ShapeUniform}},
 		{"default", RunDefault, Options{Seed: 3}},
-		{"clustered-repair", Run, Options{Seed: 3, Shapes: ShapeUniform, RepairBuffers: true}},
+		{"clustered-mfc", Run, Options{Seed: 3, Shapes: ShapeUniform, Method: MethodMFC}},
 	} {
 		res, err := tc.run(b, tc.opt)
 		if err != nil {

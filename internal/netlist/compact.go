@@ -27,10 +27,9 @@ import (
 //
 // A Compact is a topology snapshot: it stays valid while only positions
 // (Instance.X/Y, Port.X/Y) change. Any mutation through AddInstance, AddNet,
-// AddPort, Connect, or InvalidateConnectivity retires it; the next
-// Design.Compact() call rebuilds. An instance pin's offset is the master pin
-// offset when either component is nonzero, otherwise the cell center; PinXY
-// adds it to the instance origin.
+// AddPort or Connect retires it; the next Design.Compact() call rebuilds. An
+// instance pin's offset is the master pin offset when either component is
+// nonzero, otherwise the cell center; PinXY adds it to the instance origin.
 type Compact struct {
 	d   *Design
 	gen uint64
@@ -97,10 +96,13 @@ func (c *Compact) NumNetPins(n int) int {
 }
 
 // Compact returns the design's flat connectivity view, building it on first
-// use and after every topology mutation. The build is O(pins) and the result
-// is cached, so repeated calls between mutations are free. A design that
-// CompactChecked rejects panics here; the flow boundary calls CompactChecked
-// first, so every stage behind it may use this must-style form.
+// use and after every topology mutation. The topology changes only through
+// AddInstance, AddNet, AddPort and Connect, which bump the design's
+// generation; nothing rewires Net.Pins in place. The build is O(pins) and
+// the result is cached, so repeated calls between mutations are free. A
+// design that CompactChecked rejects panics here; the flow boundary calls
+// CompactChecked first, so every stage behind it may use this must-style
+// form.
 func (d *Design) Compact() *Compact {
 	c, err := d.CompactChecked()
 	if err != nil {
@@ -126,13 +128,6 @@ func (d *Design) CompactChecked() (*Compact, error) {
 	}
 	d.compact = c
 	return c, nil
-}
-
-// InvalidateConnectivity retires the cached Compact view after direct
-// net-pin surgery (code that rewires Net.Pins in place instead of going
-// through Connect, such as buffer insertion).
-func (d *Design) InvalidateConnectivity() {
-	d.topoGen++
 }
 
 func buildCompact(d *Design, gen uint64) (*Compact, error) {

@@ -215,6 +215,23 @@ func (r Rect) H() float64 { return r.Y1 - r.Y0 }
 // Area returns the rectangle area.
 func (r Rect) Area() float64 { return r.W() * r.H() }
 
+// PerimeterPoint returns the point at distance t along the rectangle's
+// boundary, walked counter-clockwise from (X0, Y0): bottom, right, top,
+// then left edge. The floorplans space ports evenly along this walk.
+func (r Rect) PerimeterPoint(t float64) (float64, float64) {
+	w, h := r.W(), r.H()
+	switch {
+	case t < w:
+		return r.X0 + t, r.Y0
+	case t < w+h:
+		return r.X1, r.Y0 + (t - w)
+	case t < 2*w+h:
+		return r.X1 - (t - w - h), r.Y1
+	default:
+		return r.X0, r.Y1 - (t - 2*w - h)
+	}
+}
+
 // PinRef identifies one connection of a net: either pin Pin of instance
 // Inst, or (when Inst < 0) the top-level port named Pin.
 type PinRef struct {

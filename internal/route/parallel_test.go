@@ -70,7 +70,7 @@ func TestGlobalRouteWorkersEquivalent(t *testing.T) {
 // must not allocate.
 func TestRouteHotLoopAllocFree(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 400, Y1: 400}
-	g := newGrid(core, 10, 4, 4)
+	g := newGrid(core, 10, 4)
 	sc := newRouteScratch(g)
 	cells := [][2]int{{1, 2}, {17, 3}, {9, 30}, {25, 25}, {33, 8}}
 	var segs [][4]int

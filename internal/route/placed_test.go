@@ -42,7 +42,7 @@ func TestGlobalRouteOnPlacedDesign(t *testing.T) {
 // it to 8.
 func TestRipUpReducesOverflow(t *testing.T) {
 	d := placedTiny(t, 32)
-	r := route.GlobalRoute(d, route.Options{CapacityH: 3, CapacityV: 3})
+	r := route.GlobalRoute(d, route.Options{Capacity: 3})
 	if r.Overflow != 8 {
 		t.Fatalf("overflow %d, want 8 (81 before rip-up)", r.Overflow)
 	}

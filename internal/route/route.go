@@ -17,9 +17,9 @@ import (
 
 // Options configures global routing.
 type Options struct {
-	// CapacityH and CapacityV are routing track capacities per GCell edge.
-	// Defaults 10 and 10.
-	CapacityH, CapacityV int
+	// Capacity is the routing track capacity of every GCell edge, in both
+	// directions. Default 10.
+	Capacity int
 	// Workers caps the worker goroutines used for net decomposition and
 	// batched initial routing (0 = PPACLUST_WORKERS or GOMAXPROCS). Results
 	// are bit-identical at every worker count.
@@ -41,11 +41,8 @@ func gcellSize(d *netlist.Design) float64 {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CapacityH <= 0 {
-		o.CapacityH = 10
-	}
-	if o.CapacityV <= 0 {
-		o.CapacityV = 10
+	if o.Capacity <= 0 {
+		o.Capacity = 10
 	}
 	return o
 }
@@ -66,17 +63,16 @@ type Result struct {
 
 // Grid is the GCell routing grid with per-edge usage.
 type Grid struct {
-	core   netlist.Rect
-	nx, ny int
-	size   float64
-	hUse   []int // edge (i,j)->(i+1,j): index j*(nx-1)+i
-	vUse   []int // edge (i,j)->(i,j+1): index j*nx+i
-	hCap   int
-	vCap   int
+	core     netlist.Rect
+	nx, ny   int
+	size     float64
+	hUse     []int // edge (i,j)->(i+1,j): index j*(nx-1)+i
+	vUse     []int // edge (i,j)->(i,j+1): index j*nx+i
+	capacity int   // tracks per edge, both directions
 }
 
 // newGrid builds an empty routing grid over the core.
-func newGrid(core netlist.Rect, size float64, capH, capV int) *Grid {
+func newGrid(core netlist.Rect, size float64, capacity int) *Grid {
 	nx := int(math.Ceil(core.W()/size)) + 1
 	ny := int(math.Ceil(core.H()/size)) + 1
 	if nx < 2 {
@@ -87,9 +83,9 @@ func newGrid(core netlist.Rect, size float64, capH, capV int) *Grid {
 	}
 	return &Grid{
 		core: core, nx: nx, ny: ny, size: size,
-		hUse: make([]int, (nx-1)*ny),
-		vUse: make([]int, nx*(ny-1)),
-		hCap: capH, vCap: capV,
+		hUse:     make([]int, (nx-1)*ny),
+		vUse:     make([]int, nx*(ny-1)),
+		capacity: capacity,
 	}
 }
 
@@ -206,7 +202,7 @@ func (c *routeCtx) runCostH(i0, i1, j int) float64 {
 	g := c.g
 	var cost float64
 	for i := i0; i < i1; i++ {
-		cost += edgeCost(c.useH(g.hIdx(i, j)), g.hCap)
+		cost += edgeCost(c.useH(g.hIdx(i, j)), g.capacity)
 	}
 	return cost
 }
@@ -218,7 +214,7 @@ func (c *routeCtx) runCostV(j0, j1, i int) float64 {
 	g := c.g
 	var cost float64
 	for j := j0; j < j1; j++ {
-		cost += edgeCost(c.useV(g.vIdx(i, j)), g.vCap)
+		cost += edgeCost(c.useV(g.vIdx(i, j)), g.capacity)
 	}
 	return cost
 }
@@ -469,7 +465,7 @@ func (sc *routeScratch) applyPart(s segRoute) {
 // order, so they are plain serial loops.
 func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	opt = opt.withDefaults()
-	g := newGrid(d.Core, gcellSize(d), opt.CapacityH, opt.CapacityV)
+	g := newGrid(d.Core, gcellSize(d), opt.Capacity)
 	c := d.Compact()
 	workers := par.Workers(opt.Workers)
 
@@ -594,20 +590,14 @@ func GlobalRoute(d *netlist.Design, opt Options) *Result {
 	}
 	res.WirelengthUM = float64(wl) * g.size
 	res.Vias = int(vias)
-	for _, u := range g.hUse {
-		if u > g.hCap {
-			res.Overflow += u - g.hCap
-		}
-		if c := float64(u) / float64(g.hCap); c > res.MaxCongestion {
-			res.MaxCongestion = c
-		}
-	}
-	for _, u := range g.vUse {
-		if u > g.vCap {
-			res.Overflow += u - g.vCap
-		}
-		if c := float64(u) / float64(g.vCap); c > res.MaxCongestion {
-			res.MaxCongestion = c
+	for _, use := range [2][]int{g.hUse, g.vUse} {
+		for _, u := range use {
+			if u > g.capacity {
+				res.Overflow += u - g.capacity
+			}
+			if c := float64(u) / float64(g.capacity); c > res.MaxCongestion {
+				res.MaxCongestion = c
+			}
 		}
 	}
 	return res
@@ -621,11 +611,11 @@ func (g *Grid) segmentOverflowed(s segRoute) bool {
 		}
 		for a := a0; a < a1 && !over; a++ {
 			if kind == 'h' {
-				if g.hUse[g.hIdx(a, fixed)] > g.hCap {
+				if g.hUse[g.hIdx(a, fixed)] > g.capacity {
 					over = true
 				}
 			} else {
-				if g.vUse[g.vIdx(fixed, a)] > g.vCap {
+				if g.vUse[g.vIdx(fixed, a)] > g.capacity {
 					over = true
 				}
 			}
@@ -655,10 +645,10 @@ func (g *Grid) cellCongestion() []float64 {
 		for i := 0; i < g.nx; i++ {
 			var c float64
 			if i < g.nx-1 {
-				c = math.Max(c, float64(g.hUse[g.hIdx(i, j)])/float64(g.hCap))
+				c = math.Max(c, float64(g.hUse[g.hIdx(i, j)])/float64(g.capacity))
 			}
 			if j < g.ny-1 {
-				c = math.Max(c, float64(g.vUse[g.vIdx(i, j)])/float64(g.vCap))
+				c = math.Max(c, float64(g.vUse[g.vIdx(i, j)])/float64(g.capacity))
 			}
 			out[j*g.nx+i] = c
 		}

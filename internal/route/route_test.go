@@ -9,7 +9,7 @@ import (
 
 func TestGridBasics(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
-	g := newGrid(core, 10, 5, 5)
+	g := newGrid(core, 10, 5)
 	if g.nx != 11 || g.ny != 11 {
 		t.Fatalf("grid %dx%d", g.nx, g.ny)
 	}
@@ -44,7 +44,7 @@ func TestEdgeCostGrowsWithOverflow(t *testing.T) {
 
 func TestRouteStraightLine(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
-	g := newGrid(core, 10, 5, 5)
+	g := newGrid(core, 10, 5)
 	s := g.route(0, 0, 5, 0)
 	if s.length() != 5 {
 		t.Fatalf("length=%d want 5", s.length())
@@ -65,7 +65,7 @@ func TestRouteStraightLine(t *testing.T) {
 
 func TestRouteAvoidsCongestion(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
-	g := newGrid(core, 10, 1, 1) // capacity 1
+	g := newGrid(core, 10, 1) // capacity 1
 	// Saturate the direct horizontal row j=0.
 	for i := 0; i < 10; i++ {
 		g.hUse[g.hIdx(i, 0)] = 1
@@ -108,7 +108,7 @@ func TestDecomposeHugeNetChains(t *testing.T) {
 
 func TestTopPercentAvg(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
-	g := newGrid(core, 10, 10, 10)
+	g := newGrid(core, 10, 10)
 	// One very hot edge.
 	g.hUse[g.hIdx(0, 0)] = 20
 	top1 := g.TopPercentAvg(1)
@@ -127,7 +127,7 @@ func TestTopPercentAvg(t *testing.T) {
 
 func TestCellCongestionShape(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
-	g := newGrid(core, 10, 4, 4)
+	g := newGrid(core, 10, 4)
 	c := g.cellCongestion()
 	if len(c) != g.nx*g.ny {
 		t.Fatalf("len=%d want %d", len(c), g.nx*g.ny)

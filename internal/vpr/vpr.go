@@ -107,9 +107,8 @@ func (r Runner) evaluateInPlace(d *netlist.Design, shape Shape) Eval {
 		Workers:    1,
 	})
 	rres := route.GlobalRoute(d, route.Options{
-		CapacityH: routeCapacity,
-		CapacityV: routeCapacity,
-		Workers:   1,
+		Capacity: routeCapacity,
+		Workers:  1,
 	})
 	ev := Eval{Shape: shape, CoreW: d.Core.W(), CoreH: d.Core.H()}
 	// HPWL_avg over nets with at least 2 pins; a smaller net adds 0 to the
@@ -150,22 +149,8 @@ func floorplan(d *netlist.Design, shape Shape) {
 	perim := 2 * (w + h)
 	for i, p := range d.Ports {
 		t := perim * float64(i) / float64(n)
-		p.X, p.Y = perimeterPoint(d.Core, t)
+		p.X, p.Y = d.Core.PerimeterPoint(t)
 		p.Placed = true
-	}
-}
-
-func perimeterPoint(r netlist.Rect, t float64) (float64, float64) {
-	w, h := r.W(), r.H()
-	switch {
-	case t < w:
-		return r.X0 + t, r.Y0
-	case t < w+h:
-		return r.X1, r.Y0 + (t - w)
-	case t < 2*w+h:
-		return r.X1 - (t - w - h), r.Y1
-	default:
-		return r.X0, r.Y1 - (t - 2*w - h)
 	}
 }
 

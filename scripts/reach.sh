@@ -25,7 +25,7 @@ go build -cover -coverpkg=ppaclust/... -o "$t/ppa" ./cmd/ppa
     ./ppa bench -timing-driven 10k -td-out td.json
     ./ppa bench -fast -timing-driven tables -td-out td.json
     ./ppa gen -design aes -o files
-    ./ppa flow -design aes -tool innovus -shapes vpr -repair -report 3 -svg p.svg -write-def p.def
+    ./ppa flow -design aes -tool innovus -shapes vpr -report 3 -svg p.svg -write-def p.def
     ./ppa flow -design aes -method leiden -shapes random -timing-driven
     ./ppa flow -design aes -method louvain -skip-route
     ./ppa flow -design ariane -method mfc -default

@@ -5,7 +5,7 @@
 # package offers (package-level declarations and methods, as
 # `go doc -short -all` lists them) and its options: the exported fields of its
 # exported `…Options` structs, as `go doc -all` prints them
-# (`CapacityH, CapacityV int` counts two).
+# (`Alpha, Beta, Gamma float64` counts three).
 #
 # Usage: scripts/size.sh            (prints a table; CI keeps it as size.txt)
 set -euo pipefail
