@@ -14,21 +14,14 @@ import (
 
 // Options configures community detection.
 type Options struct {
-	Resolution float64 // modularity resolution γ (default 1)
-	Seed       int64   // RNG seed for vertex visit order
+	Seed int64 // RNG seed for vertex visit order
 }
 
 const (
-	maxLevels = 10 // aggregation levels
-	maxPasses = 10 // local-moving passes per level
+	maxLevels  = 10 // aggregation levels
+	maxPasses  = 10 // local-moving passes per level
+	resolution = 1  // modularity resolution γ, standard modularity
 )
-
-func (o Options) withDefaults() Options {
-	if o.Resolution <= 0 {
-		o.Resolution = 1
-	}
-	return o
-}
 
 // Modularity returns the weighted modularity of the assignment at the given
 // resolution. Self-loops count via the standard A_ii = 2*loop convention.
@@ -152,7 +145,6 @@ func aggregate(g *hypergraph.Graph, assign []int, k int) *hypergraph.Graph {
 
 // Louvain runs the Louvain method and returns a dense community assignment.
 func Louvain(g *hypergraph.Graph, opt Options) []int {
-	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	// assignment of original vertices, starts as identity through levels
 	final := make([]int, g.NumVertices())
@@ -161,7 +153,7 @@ func Louvain(g *hypergraph.Graph, opt Options) []int {
 	}
 	cur := g
 	for level := 0; level < maxLevels; level++ {
-		s := newState(cur, opt.Resolution)
+		s := newState(cur, resolution)
 		totalMoves := 0
 		for pass := 0; pass < maxPasses; pass++ {
 			moves := s.localMove(shuffled(cur.NumVertices(), rng))
@@ -191,7 +183,6 @@ func Louvain(g *hypergraph.Graph, opt Options) []int {
 // partition as the initial assignment of the aggregate graph. It guarantees
 // that returned communities are internally connected.
 func Leiden(g *hypergraph.Graph, opt Options) []int {
-	opt = opt.withDefaults()
 	rng := rand.New(rand.NewSource(opt.Seed))
 	final := make([]int, g.NumVertices())
 	for i := range final {
@@ -200,7 +191,7 @@ func Leiden(g *hypergraph.Graph, opt Options) []int {
 	cur := g
 	// comm carries the community assignment of cur's vertices between levels.
 	for level := 0; level < maxLevels; level++ {
-		s := newState(cur, opt.Resolution)
+		s := newState(cur, resolution)
 		totalMoves := 0
 		for pass := 0; pass < maxPasses; pass++ {
 			moves := s.localMove(shuffled(cur.NumVertices(), rng))
@@ -214,7 +205,7 @@ func Leiden(g *hypergraph.Graph, opt Options) []int {
 			break
 		}
 		// Refinement: split each community into connected sub-communities.
-		refined := refine(cur, comm, opt.Resolution, rng)
+		refined := refine(cur, comm, resolution, rng)
 		rdense, rk := hypergraph.Densify(refined)
 		for i := range final {
 			final[i] = rdense[final[i]]

@@ -183,15 +183,6 @@ func TestLeidenAtLeastAsGoodAsLouvainOnPlanted(t *testing.T) {
 	}
 }
 
-func TestResolutionControlsGranularity(t *testing.T) {
-	g := cliques(4, 6, 1.5)
-	lo := NumCommunities(Louvain(g, Options{Seed: 1, Resolution: 0.1}))
-	hi := NumCommunities(Louvain(g, Options{Seed: 1, Resolution: 4}))
-	if lo > hi {
-		t.Fatalf("low resolution should give fewer communities: %d > %d", lo, hi)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	g := cliques(3, 7, 0.5)
 	a := Louvain(g, Options{Seed: 11})

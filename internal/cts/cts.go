@@ -67,7 +67,7 @@ type builder struct {
 	// Sink SoA, in clock-net pin order.
 	x, y, cap []float64
 	inst      []int32
-	mp        []int32 // master-pin index (for the pin name at emit time)
+	mp        []int32 // master-pin index
 
 	sideLo []bool // membership marks for the stable partitions
 }
@@ -116,7 +116,7 @@ func Synthesize(d *netlist.Design, clockNet *netlist.Net, opt Options) *Result {
 	// Root wire from the clock source to the tree root.
 	rootWire := math.Abs(tree.x-rootX) + math.Abs(tree.y-rootY)
 	res.WirelengthUM += rootWire
-	b.annotate(d, tree, opt, res, wireDelay(rootWire, bufInCap(opt)))
+	b.annotate(tree, opt, res, wireDelay(rootWire, bufInCap(opt)))
 	return res
 }
 
@@ -260,7 +260,7 @@ func wireDelay(length, loadCap float64) float64 {
 // annotateForkDepth levels add their wires to the wirelength total as they
 // are met; each subtree below is summed on its own and added afterwards, in
 // DFS order.
-func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Result, at0 float64) {
+func (b *builder) annotate(root *node, opt Options, res *Result, at0 float64) {
 	type subtree struct {
 		n  *node
 		at float64
@@ -294,14 +294,14 @@ func (b *builder) annotate(d *netlist.Design, root *node, opt Options, res *Resu
 	res.MinInsertion = math.Inf(1)
 	for _, s := range subs {
 		var wl float64
-		b.annotateSub(d, s.n, opt, res, &wl, s.at)
+		b.annotateSub(s.n, opt, res, &wl, s.at)
 		res.WirelengthUM += wl
 	}
 }
 
 // annotateSub walks one subtree: per-node loads and wires, the wires summed
 // into wlSum, and per-sink insertion delays appended to res in leaf order.
-func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, res *Result, wlSum *float64, at float64) {
+func (b *builder) annotateSub(n *node, opt Options, res *Result, wlSum *float64, at float64) {
 	res.Buffers++
 	// Load seen by this node's buffer: wires + child buffer inputs or sinks.
 	var load, wl float64
@@ -327,16 +327,15 @@ func (b *builder) annotateSub(d *netlist.Design, n *node, opt Options, res *Resu
 	if len(n.children) > 0 {
 		for _, c := range n.children {
 			l := math.Abs(c.x-n.x) + math.Abs(c.y-n.y)
-			b.annotateSub(d, c, opt, res, wlSum, out+wireDelay(l, bufInCap(opt)))
+			b.annotateSub(c, opt, res, wlSum, out+wireDelay(l, bufInCap(opt)))
 		}
 		return
 	}
 	for _, si := range n.sinks {
 		l := math.Abs(b.x[si]-n.x) + math.Abs(b.y[si]-n.y)
 		ins := out + wireDelay(l, b.cap[si])
-		inst := b.inst[si]
-		pin := d.Insts[inst].Master.Pins[b.mp[si]].Name
-		res.ArrivalList = append(res.ArrivalList, sta.ClockArrival{Inst: int(inst), Pin: pin, T: ins})
+		pin := netlist.PinRef{Inst: int(b.inst[si]), Pin: int(b.mp[si])}
+		res.ArrivalList = append(res.ArrivalList, sta.ClockArrival{Pin: pin, T: ins})
 		if ins > res.MaxInsertion {
 			res.MaxInsertion = ins
 		}

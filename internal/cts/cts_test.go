@@ -33,9 +33,9 @@ func TestSynthesizeCoversAllSinks(t *testing.T) {
 	if len(res.ArrivalList) != want {
 		t.Fatalf("arrivals=%d want %d", len(res.ArrivalList), want)
 	}
-	seen := map[sta.PinID]bool{}
+	seen := map[netlist.PinRef]bool{}
 	for _, a := range res.ArrivalList {
-		pin := sta.PinID{Inst: a.Inst, Pin: a.Pin}
+		pin := a.Pin
 		if seen[pin] {
 			t.Fatalf("sink %v has two arrivals", pin)
 		}
@@ -46,10 +46,10 @@ func TestSynthesizeCoversAllSinks(t *testing.T) {
 	}
 }
 
-// arrivalOf returns inst's insertion delay at pin from res.ArrivalList.
-func arrivalOf(res *Result, inst int, pin string) float64 {
+// arrivalOf returns the insertion delay at pin from res.ArrivalList.
+func arrivalOf(res *Result, pin netlist.PinRef) float64 {
 	for _, a := range res.ArrivalList {
-		if a.Inst == inst && a.Pin == pin {
+		if a.Pin == pin {
 			return a.T
 		}
 	}
@@ -153,7 +153,7 @@ func TestInsertionGrowsWithDistance(t *testing.T) {
 	clkPort.X, clkPort.Y, clkPort.Placed = 0, 0, true
 	cn, _ := d.AddNet("clk")
 	cn.Clock = true
-	d.Connect(cn, netlist.PinRef{Inst: -1, Pin: "clk"})
+	d.Connect(cn, pinRef(d, -1, "clk"))
 	dff := lib.Master("DFF_X1")
 	var ids []int
 	for i := 0; i < 32; i++ {
@@ -161,12 +161,12 @@ func TestInsertionGrowsWithDistance(t *testing.T) {
 		ff.X = float64(i * 12)
 		ff.Y = float64(i * 12)
 		ff.Placed = true
-		d.Connect(cn, netlist.PinRef{Inst: ff.ID, Pin: "CK"})
+		d.Connect(cn, pinRef(d, ff.ID, "CK"))
 		ids = append(ids, ff.ID)
 	}
 	res := Synthesize(d, cn, Options{BufMaster: lib.Master("CLKBUF_X2")})
-	near := arrivalOf(res, ids[0], "CK")
-	far := arrivalOf(res, ids[31], "CK")
+	near := arrivalOf(res, pinRef(d, ids[0], "CK"))
+	far := arrivalOf(res, pinRef(d, ids[31], "CK"))
 	if near <= 0 || far <= 0 {
 		t.Fatalf("arrivals: near=%v far=%v", near, far)
 	}
@@ -214,7 +214,7 @@ func TestAnnotateHotLoopAllocFree(t *testing.T) {
 	var wl float64
 	avg := testing.AllocsPerRun(20, func() {
 		walk.ArrivalList = walk.ArrivalList[:0]
-		b.annotateSub(d, tree, opt, walk, &wl, 1e-12)
+		b.annotateSub(tree, opt, walk, &wl, 1e-12)
 	})
 	if len(walk.ArrivalList) != n {
 		t.Fatalf("walk reached %d of %d sinks", len(walk.ArrivalList), n)
@@ -222,4 +222,13 @@ func TestAnnotateHotLoopAllocFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("annotate allocates %.1f times per walk, want 0", avg)
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -40,9 +40,9 @@ func TestSynthesizeGolden(t *testing.T) {
 			h := fnv.New64a()
 			var word [8]byte
 			for _, a := range res.ArrivalList {
-				binary.LittleEndian.PutUint64(word[:], uint64(a.Inst))
+				binary.LittleEndian.PutUint64(word[:], uint64(a.Pin.Inst))
 				h.Write(word[:])
-				h.Write([]byte(a.Pin))
+				h.Write([]byte(d.PinName(a.Pin)))
 				binary.LittleEndian.PutUint64(word[:], math.Float64bits(a.T))
 				h.Write(word[:])
 			}

@@ -96,10 +96,10 @@ func Write(w io.Writer, d *netlist.Design) error {
 		line = appendEscaped(append(line[:0], "- "...), n.Name)
 		for _, pr := range n.Pins {
 			if pr.IsPort() {
-				line = appendEscaped(append(line, " ( PIN "...), pr.Pin)
+				line = appendEscaped(append(line, " ( PIN "...), d.PinName(pr))
 			} else {
 				line = appendEscaped(append(line, " ( "...), d.Insts[pr.Inst].Name)
-				line = append(append(line, ' '), pr.Pin...)
+				line = append(append(line, ' '), d.PinName(pr)...)
 			}
 			line = append(line, " )"...)
 			if len(line) > lineFlush {
@@ -455,15 +455,19 @@ func (p *defParser) net(ln *scan.Line) error {
 				n.Pins = make([]netlist.PinRef, 0, (ln.Len()-i)/4+1)
 			}
 			a, b := ln.Tok(i+1), ln.Tok(i+2)
-			if a == "PIN" {
-				p.d.Connect(n, netlist.PinRef{Inst: -1, Pin: b})
-			} else {
-				inst := p.d.Instance(a)
-				if inst == nil {
+			inst := -1
+			if a != "PIN" {
+				in := p.d.Instance(a)
+				if in == nil {
 					return ln.Errf(a, "unknown instance")
 				}
-				p.d.Connect(n, netlist.PinRef{Inst: inst.ID, Pin: b})
+				inst = in.ID
 			}
+			ref, err := p.d.PinRefOf(inst, b)
+			if err != nil {
+				return ln.Errf(b, "%v", err)
+			}
+			p.d.Connect(n, ref)
 			i += 3
 			if i < ln.Len() && ln.Tok(i) == ")" {
 				i++

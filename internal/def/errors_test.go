@@ -33,8 +33,10 @@ func TestMalformedInputs(t *testing.T) {
 		{"component bad coord", "DESIGN d ;\nCOMPONENTS 1 ;\n- u INV_X1 + PLACED ( a 2 ) N ;\n", 3, "number"},
 		{"pin placed bad", "DESIGN d ;\nPINS 1 ;\n- p + NET p + DIRECTION INPUT + PLACED ( 1 b ) N ;\n", 3, "number"},
 		{"net truncated conn", "DESIGN d ;\nCOMPONENTS 1 ;\n- u INV_X1 ;\nEND COMPONENTS\nNETS 1 ;\n- n ( u\n", 6, "truncated"},
-		{"net bad weight", "DESIGN d ;\nNETS 1 ;\n- n ( PIN a ) + WEIGHT x ;\n", 3, "integer"},
-		{"weight fractional", "DESIGN d ;\nNETS 1 ;\n- n ( PIN a ) + WEIGHT 2.5 ;\n", 3, "integer"},
+		{"net bad weight", "DESIGN d ;\nPINS 1 ;\n- a + NET a ;\nEND PINS\nNETS 1 ;\n- n ( PIN a ) + WEIGHT x ;\n", 6, "integer"},
+		{"weight fractional", "DESIGN d ;\nPINS 1 ;\n- a + NET a ;\nEND PINS\nNETS 1 ;\n- n ( PIN a ) + WEIGHT 2.5 ;\n", 6, "integer"},
+		{"net undeclared port", "DESIGN d ;\nCOMPONENTS 1 ;\n- u INV_X1 ;\nEND COMPONENTS\nNETS 1 ;\n- n ( u ZN ) ( PIN b ) ;\n", 6, `no port "b"`},
+		{"net undeclared master pin", "DESIGN d ;\nCOMPONENTS 1 ;\n- u INV_X1 ;\nEND COMPONENTS\nNETS 1 ;\n- n ( u Q ) ;\n", 6, `no pin "Q"`},
 		{"coord overflow", "DESIGN d ;\nDIEAREA ( 0 0 ) ( 99999999999999 1 ) ;\n", 2, "range"},
 	}
 	for _, tc := range cases {
@@ -92,5 +94,9 @@ func TestLenientMode(t *testing.T) {
 	if _, _, err := ParseWith(strings.NewReader("DESIGN d ;\nUNITS DISTANCE MICRONS x ;\n"),
 		designs.Lib(), Options{Lenient: true}); err == nil {
 		t.Fatal("corrupt UNITS must stay fatal in lenient mode")
+	}
+	if _, _, err := ParseWith(strings.NewReader("DESIGN d ;\nNETS 1 ;\n- n ( PIN nosuch ) ;\n"),
+		designs.Lib(), Options{Lenient: true}); err == nil {
+		t.Fatal("a net pin naming an undeclared port must stay fatal in lenient mode")
 	}
 }

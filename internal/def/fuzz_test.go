@@ -13,7 +13,8 @@ import (
 // FuzzReadDEF asserts the crash-proofing contract of the DEF reader: it
 // never panics, every failure is a structured *scan.ParseError, any input it
 // accepts re-emits as a write->read->write fixpoint, and the connectivity
-// build on any design it accepts returns rather than panics.
+// build accepts any design it accepts: the reader resolves every pin, so
+// nothing is left for the build to reject.
 func FuzzReadDEF(f *testing.F) {
 	b := designs.Generate(designs.TinySpec(7))
 	var seed bytes.Buffer
@@ -34,16 +35,16 @@ func FuzzReadDEF(f *testing.F) {
 			Options{File: "fuzz.def", Lenient: true})
 		if lerr != nil {
 			requireParseError(t, lerr)
-		} else {
-			// The connectivity build may reject an accepted design (a net
-			// naming an undeclared port, say); it must only not panic.
-			_, _ = ld.CompactChecked()
+		} else if _, err := ld.CompactChecked(); err != nil {
+			t.Fatalf("lenient parse accepted a design the connectivity build rejects: %v", err)
 		}
 		if err != nil {
 			requireParseError(t, err)
 			return
 		}
-		_, _ = d.CompactChecked() // may reject, must not panic
+		if _, err := d.CompactChecked(); err != nil {
+			t.Fatalf("parse accepted a design the connectivity build rejects: %v", err)
+		}
 		var w1 bytes.Buffer
 		if err := Write(&w1, d); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)

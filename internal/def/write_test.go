@@ -94,14 +94,21 @@ func fixture(t testing.TB) *netlist.Design {
 		}
 		return n
 	}
-	port := func(name string) netlist.PinRef { return netlist.PinRef{Inst: -1, Pin: name} }
-	net("clk", port("clk"), netlist.PinRef{Inst: ff, Pin: "CK"}).Clock = true
-	net("a b", port("a b"), netlist.PinRef{Inst: u1, Pin: "A"}, netlist.PinRef{Inst: g, Pin: "A1"})
-	net("n1", netlist.PinRef{Inst: u1, Pin: "ZN"}, netlist.PinRef{Inst: ff, Pin: "D"},
-		netlist.PinRef{Inst: ff, Pin: "D"}, port("y"))
-	net("n_in", port("in2"), netlist.PinRef{Inst: g, Pin: "A2"})
-	net("w/q", netlist.PinRef{Inst: ff, Pin: "Q"}, port("io[0]")).Weight = 3
-	net("g out", netlist.PinRef{Inst: g, Pin: "ZN"})
+	pin := func(inst int, name string) netlist.PinRef {
+		ref, err := d.PinRefOf(inst, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ref
+	}
+	port := func(name string) netlist.PinRef { return pin(-1, name) }
+	net("clk", port("clk"), pin(ff, "CK")).Clock = true
+	net("a b", port("a b"), pin(u1, "A"), pin(g, "A1"))
+	net("n1", pin(u1, "ZN"), pin(ff, "D"),
+		pin(ff, "D"), port("y"))
+	net("n_in", port("in2"), pin(g, "A2"))
+	net("w/q", pin(ff, "Q"), port("io[0]")).Weight = 3
+	net("g out", pin(g, "ZN"))
 	return d
 }
 

@@ -166,6 +166,14 @@ func must(err error) {
 	}
 }
 
+// pin resolves pin name of instance inst (a port when inst < 0); every name
+// the generator connects is declared by its master or port list.
+func (g *generator) pin(inst int, name string) netlist.PinRef {
+	ref, err := g.d.PinRefOf(inst, name)
+	must(err)
+	return ref
+}
+
 func (g *generator) newNetFor(drv *driver) *netlist.Net {
 	if drv.net != nil {
 		return drv.net
@@ -215,7 +223,7 @@ func (g *generator) build() {
 	clk, _ := d.AddPort("clk", netlist.DirInput)
 	g.clockNet, _ = d.AddNet("clk")
 	g.clockNet.Clock = true
-	d.Connect(g.clockNet, netlist.PinRef{Inst: -1, Pin: "clk"})
+	d.Connect(g.clockNet, g.pin(-1, "clk"))
 	_ = clk
 
 	// Primary inputs.
@@ -228,20 +236,20 @@ func (g *generator) build() {
 		name := "in" + itoa(i)
 		_, err := d.AddPort(name, netlist.DirInput)
 		must(err)
-		primary = append(primary, driver{ref: netlist.PinRef{Inst: -1, Pin: name}, leaf: -1})
+		primary = append(primary, driver{ref: g.pin(-1, name), leaf: -1})
 	}
 
 	// Global control registers: their outputs broadcast across the design.
 	nCtrl := 3 + spec.TargetInsts/2500
 	for i := 0; i < nCtrl; i++ {
 		ff := g.addInst("top/ctrl", g.dff)
-		d.Connect(g.clockNet, netlist.PinRef{Inst: ff.ID, Pin: "CK"})
+		d.Connect(g.clockNet, g.pin(ff.ID, "CK"))
 		// Control registers resample a primary input: a one-hop, timing-
 		// harmless path.
 		drv := &primary[g.rng.Intn(len(primary))]
 		n := g.newNetFor(drv)
-		d.Connect(n, netlist.PinRef{Inst: ff.ID, Pin: "D"})
-		g.broadcast = append(g.broadcast, driver{ref: netlist.PinRef{Inst: ff.ID, Pin: "Q"}, leaf: -1})
+		d.Connect(n, g.pin(ff.ID, "D"))
+		g.broadcast = append(g.broadcast, driver{ref: g.pin(ff.ID, "Q"), leaf: -1})
 	}
 
 	leaves := g.leafPaths()
@@ -295,7 +303,7 @@ func (g *generator) build() {
 		}
 		drv := &g.exports[li][g.rng.Intn(len(g.exports[li]))]
 		n := g.newNetFor(drv)
-		d.Connect(n, netlist.PinRef{Inst: -1, Pin: name})
+		d.Connect(n, g.pin(-1, name))
 	}
 
 	g.floorplan()
@@ -481,16 +489,15 @@ func (g *generator) materializeLeaf(li int, path string, plan *leafPlan, primary
 	for i := 0; i < nReg; i++ {
 		ff := g.addInst(path, g.dff)
 		regs = append(regs, ff)
-		d.Connect(g.clockNet, netlist.PinRef{Inst: ff.ID, Pin: "CK"})
-		local = append(local, driver{ref: netlist.PinRef{Inst: ff.ID, Pin: "Q"}, leaf: li})
+		d.Connect(g.clockNet, g.pin(ff.ID, "CK"))
+		local = append(local, driver{ref: g.pin(ff.ID, "Q"), leaf: li})
 	}
 	pk := 0
 	for _, gi := range plan.gates {
 		m := g.gates[gi]
 		inst := g.addInst(path, m)
 		for pi := range m.Pins {
-			mp := &m.Pins[pi]
-			if mp.Dir != netlist.DirInput {
+			if m.Pins[pi].Dir != netlist.DirInput {
 				continue
 			}
 			ref := plan.picks[pk]
@@ -507,14 +514,14 @@ func (g *generator) materializeLeaf(li int, path string, plan *leafPlan, primary
 				drv = &local[ref.a]
 			}
 			n := g.newNetFor(drv)
-			d.Connect(n, netlist.PinRef{Inst: inst.ID, Pin: mp.Name})
+			d.Connect(n, netlist.PinRef{Inst: inst.ID, Pin: pi})
 		}
-		local = append(local, driver{ref: netlist.PinRef{Inst: inst.ID, Pin: "ZN"}, leaf: li})
+		local = append(local, driver{ref: g.pin(inst.ID, "ZN"), leaf: li})
 	}
 	for i, ff := range regs {
 		drv := &local[plan.dClose[i]]
 		n := g.newNetFor(drv)
-		d.Connect(n, netlist.PinRef{Inst: ff.ID, Pin: "D"})
+		d.Connect(n, g.pin(ff.ID, "D"))
 	}
 	for _, idx := range plan.exps {
 		g.exports[li] = append(g.exports[li], local[idx])
@@ -526,17 +533,17 @@ func (g *generator) addMacro(mi, li int, path string) {
 	d := g.d
 	ram, err := d.AddInstance(path+"/ram"+itoa(mi), g.ram)
 	must(err)
-	d.Connect(g.clockNet, netlist.PinRef{Inst: ram.ID, Pin: "CK"})
+	d.Connect(g.clockNet, g.pin(ram.ID, "CK"))
 	exp := g.exports[li]
 	for i := 0; i < 8 && len(exp) > 0; i++ {
 		drv := &exp[g.rng.Intn(len(exp))]
 		n := g.newNetFor(drv)
-		d.Connect(n, netlist.PinRef{Inst: ram.ID, Pin: "A" + itoa(i)})
+		d.Connect(n, g.pin(ram.ID, "A"+itoa(i)))
 	}
 	// RAM outputs become new exported drivers.
 	for i := 0; i < 8; i++ {
 		g.exports[li] = append(g.exports[li],
-			driver{ref: netlist.PinRef{Inst: ram.ID, Pin: "Q" + itoa(i)}, leaf: li})
+			driver{ref: g.pin(ram.ID, "Q"+itoa(i)), leaf: li})
 	}
 }
 

@@ -97,12 +97,12 @@ func TestGenerateTiny(t *testing.T) {
 		drivers := 0
 		for _, p := range n.Pins {
 			if p.IsPort() {
-				if port := d.Port(p.Pin); port != nil && port.Dir == netlist.DirInput {
+				if d.Ports[p.Pin].Dir == netlist.DirInput {
 					drivers++
 				}
 				continue
 			}
-			mp := d.Insts[p.Inst].Master.Pin(p.Pin)
+			mp := &d.Insts[p.Inst].Master.Pins[p.Pin]
 			if mp.Dir == netlist.DirOutput {
 				drivers++
 			}

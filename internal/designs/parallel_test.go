@@ -53,7 +53,7 @@ func designFingerprint(d *netlist.Design) uint64 {
 		w64(uint64(len(n.Pins)))
 		for _, p := range n.Pins {
 			w64(uint64(uint32(p.Inst)))
-			ws(p.Pin)
+			ws(d.PinName(p))
 		}
 	}
 	return h.Sum64()

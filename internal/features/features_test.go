@@ -24,8 +24,8 @@ func pathGraphDesign(t *testing.T) *netlist.Design {
 	}
 	for i := 1; i < 4; i++ {
 		n, _ := d.AddNet("n" + itoa(i))
-		d.Connect(n, netlist.PinRef{Inst: ids[i-1], Pin: "ZN"})
-		d.Connect(n, netlist.PinRef{Inst: ids[i], Pin: "A"})
+		d.Connect(n, pinRef(d, ids[i-1], "ZN"))
+		d.Connect(n, pinRef(d, ids[i], "A"))
 	}
 	return d
 }
@@ -89,8 +89,8 @@ func TestTriangleClustering(t *testing.T) {
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	for i, p := range pairs {
 		n, _ := d.AddNet("n" + itoa(i))
-		d.Connect(n, netlist.PinRef{Inst: p[0], Pin: "ZN"})
-		d.Connect(n, netlist.PinRef{Inst: p[1], Pin: "A"})
+		d.Connect(n, pinRef(d, p[0], "ZN"))
+		d.Connect(n, pinRef(d, p[1], "A"))
 	}
 	f := Extract(d, Options{})
 	for i := 0; i < 3; i++ {
@@ -155,15 +155,15 @@ func TestFanoutBuckets(t *testing.T) {
 	}
 	// Net with fanout 6 (7 pins).
 	n1, _ := d.AddNet("f6")
-	d.Connect(n1, netlist.PinRef{Inst: 0, Pin: "ZN"})
+	d.Connect(n1, pinRef(d, 0, "ZN"))
 	for i := 1; i <= 6; i++ {
-		d.Connect(n1, netlist.PinRef{Inst: i, Pin: "A"})
+		d.Connect(n1, pinRef(d, i, "A"))
 	}
 	// Net with fanout 12 (13 pins).
 	n2, _ := d.AddNet("f12")
-	d.Connect(n2, netlist.PinRef{Inst: 1, Pin: "ZN"})
+	d.Connect(n2, pinRef(d, 1, "ZN"))
 	for i := 2; i <= 13; i++ {
-		d.Connect(n2, netlist.PinRef{Inst: i, Pin: "A"})
+		d.Connect(n2, pinRef(d, i, "A"))
 	}
 	f := Extract(d, Options{})
 	if f.NetsFanout5to10 != 1 || f.NetsFanoutGT10 != 1 {
@@ -203,4 +203,13 @@ func TestEmptyDesign(t *testing.T) {
 	if f.NumCells != 0 || f.Diameter != 0 {
 		t.Fatalf("empty features: %+v", f)
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -3,7 +3,9 @@ package flow
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"ppaclust/internal/features"
 	"ppaclust/internal/netlist"
@@ -90,12 +92,13 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 		np.X, np.Y, np.Placed = p.X, p.Y, p.Placed
 	}
 
-	// Contract nets, merging parallels.
+	// Contract nets, merging parallels. A net's ports keep their order by
+	// name; cd's port i is d's port i.
 	merged := map[string]*netlist.Net{}
 	var kb []byte
 	for _, n := range d.Nets {
 		clusterSet := map[int]bool{}
-		var ports []string
+		var ports []int
 		for _, pr := range n.Pins {
 			if pr.IsPort() {
 				ports = append(ports, pr.Pin)
@@ -111,15 +114,13 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 			cids = append(cids, c)
 		}
 		sort.Ints(cids)
-		sort.Strings(ports)
+		slices.SortFunc(ports, func(a, b int) int { return strings.Compare(d.Ports[a].Name, d.Ports[b].Name) })
 		kb = kb[:0]
 		for _, c := range cids {
 			kb = append(kb, fmt.Sprintf("c%d,", c)...)
 		}
 		for _, p := range ports {
-			kb = append(kb, 'p')
-			kb = append(kb, p...)
-			kb = append(kb, ',')
+			kb = append(kb, fmt.Sprintf("p%d,", p)...)
 		}
 		k := string(kb)
 		if ex, ok := merged[k]; ok {
@@ -133,7 +134,7 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 		nn.Weight = n.Weight
 		nn.Clock = n.Clock
 		for _, c := range cids {
-			cd.Connect(nn, netlist.PinRef{Inst: clusterInsts[c], Pin: "P"})
+			cd.Connect(nn, netlist.PinRef{Inst: clusterInsts[c]}) // pin 0, "P"
 		}
 		for _, p := range ports {
 			cd.Connect(nn, netlist.PinRef{Inst: -1, Pin: p})

@@ -59,12 +59,12 @@ func TestClusteredNetWeightAccumulates(t *testing.T) {
 	}
 	// Two parallel nets between the same cluster pair.
 	n1, _ := d.AddNet("n1")
-	d.Connect(n1, netlist.PinRef{Inst: 0, Pin: "ZN"})
-	d.Connect(n1, netlist.PinRef{Inst: 2, Pin: "A"})
+	d.Connect(n1, pinRef(d, 0, "ZN"))
+	d.Connect(n1, pinRef(d, 2, "A"))
 	n2, _ := d.AddNet("n2")
 	n2.Weight = 3
-	d.Connect(n2, netlist.PinRef{Inst: 1, Pin: "ZN"})
-	d.Connect(n2, netlist.PinRef{Inst: 3, Pin: "A"})
+	d.Connect(n2, pinRef(d, 1, "ZN"))
+	d.Connect(n2, pinRef(d, 3, "A"))
 	assign := []int{0, 0, 1, 1}
 	cd, _, err := BuildClusteredDesign(d, assign, 2, nil)
 	if err != nil {
@@ -92,4 +92,13 @@ func TestClusteredDesignKeepsFloorplan(t *testing.T) {
 	if cd.RowHeight != d.RowHeight || cd.SiteWidth != d.SiteWidth {
 		t.Fatal("row/site geometry lost")
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -251,11 +252,12 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 	}
 }
 
-// TestUnresolvedPinIsAnError adds one pin to a signal net of a generated
-// design: in one copy it names an undeclared port, in the other a master pin
-// its cell does not declare. Both used to run through every flow entry
-// point, the port resolved to (0, 0) and the pin to its cell's center; each
-// must now be an error naming the design, the net and the pin.
+// TestUnresolvedPinIsAnError connects one out-of-range pin to a signal net of
+// a generated design, straight through Connect, past the readers that would
+// refuse the name: a port index past the port list, a master pin index past
+// its cell's pins, an instance past the instance list. Every flow entry
+// point must report each as an error naming the design, the net and the
+// reference.
 func TestUnresolvedPinIsAnError(t *testing.T) {
 	withPin := func(ref netlist.PinRef) (*designs.Benchmark, string) {
 		b := designs.Generate(designs.TinySpec(3))
@@ -269,15 +271,17 @@ func TestUnresolvedPinIsAnError(t *testing.T) {
 		b.Design.Connect(n, ref)
 		return b, `net "` + n.Name + `" references `
 	}
-	port, portNet := withPin(netlist.PinRef{Inst: -1, Pin: "no_such_port"})
-	pin, pinNet := withPin(netlist.PinRef{Inst: 0, Pin: "NO_SUCH_PIN"})
+	port, portNet := withPin(netlist.PinRef{Inst: -1, Pin: 1000})
+	pin, pinNet := withPin(netlist.PinRef{Inst: 0, Pin: 99})
+	inst, instNet := withPin(netlist.PinRef{Inst: 1 << 20, Pin: 0})
 	for _, tc := range []struct {
 		name string
 		b    *designs.Benchmark
 		want string
 	}{
-		{"undeclared port", port, portNet + `undeclared port "no_such_port"`},
-		{"undeclared master pin", pin, pinNet + "pin " + pin.Design.Insts[0].Name + "/NO_SUCH_PIN"},
+		{"port out of range", port, fmt.Sprintf("%sport 1000 of %d", portNet, len(port.Design.Ports))},
+		{"master pin out of range", pin, pinNet + "pin 99 of " + pin.Design.Insts[0].Name},
+		{"instance out of range", inst, fmt.Sprintf("%sinstance %d of %d", instNet, 1<<20, len(inst.Design.Insts))},
 	} {
 		for name, run := range validatingEntryPoints {
 			res, err := run(tc.b, Options{Seed: 1, Shapes: ShapeUniform})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"ppaclust/internal/def"
 	"ppaclust/internal/designs"
@@ -45,9 +46,10 @@ func LoadBenchmark(f Files) (*designs.Benchmark, error) {
 // Verilog and DEF reads run side by side (one after the other at one
 // worker). Errors and warnings come back as if the files were read in turn:
 // a Verilog error wins and carries no DEF warnings, and Verilog warnings are
-// listed before DEF ones. Pin references are resolved at the flow boundary:
-// Run, RunDefault and Cluster reject a net naming an undeclared port or
-// master pin.
+// listed before DEF ones. The readers resolve every pin name as they read
+// it: a net pin naming an undeclared port or master pin is a parse error
+// with file and line. So is, in both modes, an SDC clock root that names no
+// port of the design; the nets on a clock root are marked as clock nets.
 func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.ParseError, error) {
 	var warns []*scan.ParseError
 	lib, w, err := parseFile(f.Liberty, func(r io.Reader) (*netlist.Library, []*scan.ParseError, error) {
@@ -102,13 +104,14 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 	if err != nil {
 		return nil, warns, fmt.Errorf("flow: sdc: %w", err)
 	}
-	// Mark clock nets from the SDC clock roots.
 	for _, clkPort := range cons.ClockPorts {
+		root, err := d.PinRefOf(-1, clkPort)
+		if err != nil {
+			return nil, warns, fmt.Errorf("flow: sdc: %s: clock root: %w", f.SDC, err)
+		}
 		for _, n := range d.Nets {
-			for _, pr := range n.Pins {
-				if pr.IsPort() && pr.Pin == clkPort {
-					n.Clock = true
-				}
+			if slices.Contains(n.Pins, root) {
+				n.Clock = true
 			}
 		}
 	}

@@ -103,6 +103,30 @@ func TestLoadBenchmarkMissingFiles(t *testing.T) {
 	}
 }
 
+// TestClockRootMustNameAPort: an SDC clock root that names no port of the
+// design is a load error naming the root, in strict and lenient mode alike;
+// it used to leave every net unmarked and the flow timed without CTS.
+func TestClockRootMustNameAPort(t *testing.T) {
+	files := writeFileSet(t, t.TempDir(), designs.Generate(designs.TinySpec(5)))
+	text, err := os.ReadFile(files.SDC)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := strings.Replace(string(text), "get_ports clk", "get_ports nosuch", 1)
+	if bad == string(text) {
+		t.Fatalf("written SDC has no clock root on port clk:\n%s", text)
+	}
+	if err := os.WriteFile(files.SDC, []byte(bad), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, lenient := range []bool{false, true} {
+		b, _, err := LoadBenchmarkWith(files, lenient)
+		if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+			t.Errorf("lenient %v: clock root naming no port loaded: b=%v err=%v", lenient, b != nil, err)
+		}
+	}
+}
+
 // loadDigest is the SHA-256 of what a load produces: every instance, net and
 // port, the floorplan and the constraints, floats by their bits.
 func loadDigest(b *designs.Benchmark) string {
@@ -115,7 +139,7 @@ func loadDigest(b *designs.Benchmark) string {
 	for _, n := range d.Nets {
 		fmt.Fprintf(h, "N %s %x %t", n.Name, bits(n.Weight), n.Clock)
 		for _, pr := range n.Pins {
-			fmt.Fprintf(h, " %d:%s", pr.Inst, pr.Pin)
+			fmt.Fprintf(h, " %d:%s", pr.Inst, d.PinName(pr))
 		}
 		fmt.Fprintln(h)
 	}

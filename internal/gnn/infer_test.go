@@ -57,18 +57,18 @@ func oddGraph(t *testing.T, chain, fanout, isolated int) *GraphInput {
 	for i := 1; i < chain; i++ {
 		cur := add(fmt.Sprintf("c%d", i))
 		n := net(fmt.Sprintf("n%d", i))
-		d.Connect(n, netlist.PinRef{Inst: prev, Pin: "ZN"})
-		d.Connect(n, netlist.PinRef{Inst: cur, Pin: "A"})
+		d.Connect(n, pinRef(d, prev, "ZN"))
+		d.Connect(n, pinRef(d, cur, "A"))
 		if i%5 == 0 {
-			d.Connect(n, netlist.PinRef{Inst: cur, Pin: "A"})
+			d.Connect(n, pinRef(d, cur, "A"))
 		}
 		prev = cur
 	}
 	if fanout > 0 {
 		big := net("big")
-		d.Connect(big, netlist.PinRef{Inst: prev, Pin: "ZN"})
+		d.Connect(big, pinRef(d, prev, "ZN"))
 		for i := 0; i < fanout; i++ {
-			d.Connect(big, netlist.PinRef{Inst: add(fmt.Sprintf("f%d", i)), Pin: "A"})
+			d.Connect(big, pinRef(d, add(fmt.Sprintf("f%d", i)), "A"))
 		}
 	}
 	for i := 0; i < isolated; i++ {
@@ -394,4 +394,13 @@ func TestFitLossAveragesUsedSamples(t *testing.T) {
 			t.Fatalf("loss over no usable sample = %v, want 0", l)
 		}
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -49,14 +49,14 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 				t.Fatal(err)
 			}
 			netN++
-			d.Connect(n, netlist.PinRef{Inst: ids[i-1], Pin: "Y"})
-			d.Connect(n, netlist.PinRef{Inst: ids[i], Pin: "A"})
+			d.Connect(n, pinRef(d, ids[i-1], "Y"))
+			d.Connect(n, pinRef(d, ids[i], "A"))
 			// Add a chord for density.
 			if i >= 2 {
 				c, _ := d.AddNet(fmt.Sprintf("n%d", netN))
 				netN++
-				d.Connect(c, netlist.PinRef{Inst: ids[i-2], Pin: "Y"})
-				d.Connect(c, netlist.PinRef{Inst: ids[i], Pin: "A"})
+				d.Connect(c, pinRef(d, ids[i-2], "Y"))
+				d.Connect(c, pinRef(d, ids[i], "A"))
 			}
 		}
 	}
@@ -65,12 +65,12 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	connect(sID)
 	// One cross-module net.
 	x, _ := d.AddNet("xab")
-	d.Connect(x, netlist.PinRef{Inst: aID[0], Pin: "Y"})
-	d.Connect(x, netlist.PinRef{Inst: bID[0], Pin: "A"})
+	d.Connect(x, pinRef(d, aID[0], "Y"))
+	d.Connect(x, pinRef(d, bID[0], "A"))
 	// Connect sub to its parent module a.
 	x2, _ := d.AddNet("xas")
-	d.Connect(x2, netlist.PinRef{Inst: aID[k-1], Pin: "Y"})
-	d.Connect(x2, netlist.PinRef{Inst: sID[0], Pin: "A"})
+	d.Connect(x2, pinRef(d, aID[k-1], "Y"))
+	d.Connect(x2, pinRef(d, sID[0], "A"))
 	return d
 }
 
@@ -195,8 +195,8 @@ func TestSingleModuleDesign(t *testing.T) {
 	}
 	for i := 1; i < 5; i++ {
 		n, _ := d.AddNet(fmt.Sprintf("n%d", i))
-		d.Connect(n, netlist.PinRef{Inst: ids[i-1], Pin: "Y"})
-		d.Connect(n, netlist.PinRef{Inst: ids[i], Pin: "A"})
+		d.Connect(n, pinRef(d, ids[i-1], "Y"))
+		d.Connect(n, pinRef(d, ids[i], "A"))
 	}
 	res, ok := Cluster(d, d.ToHypergraph().H)
 	if !ok {
@@ -205,4 +205,13 @@ func TestSingleModuleDesign(t *testing.T) {
 	if res.Clusters != 1 || res.Level != 1 {
 		t.Fatalf("res=%+v", res)
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

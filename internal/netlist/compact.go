@@ -7,14 +7,14 @@ import (
 
 // Compact is the flat struct-of-arrays/CSR view of a design's connectivity,
 // built once per topology and consumed by the hot paths (HPWL, WirelenCache,
-// the global placer's system assembly, STA, routing, CTS). It is the one
-// place a PinRef is resolved: where the pointer API walks
-// *Net -> []PinRef -> *Instance -> *Master -> map lookup per pin, the compact
-// view resolves every pin once at build time into parallel arrays — owning
+// the global placer's system assembly, STA, routing, CTS). Where the pointer
+// API walks *Net -> []PinRef -> *Instance -> *Master per pin, the compact
+// view flattens every pin once at build time into parallel arrays — owning
 // instance (or port), master pin, and the pin's X/Y offset from the instance
-// origin — so inner loops touch contiguous int32/float64 memory only. Every
-// slot resolves: a reference to an undeclared port, an undeclared master pin
-// or an out-of-range instance is a build error (CompactChecked).
+// origin — so inner loops touch contiguous int32/float64 memory only. The
+// readers have already turned pin names into indices (PinRefOf); the build
+// only checks them: a reference to a port, instance or master pin out of
+// range is a build error (CompactChecked).
 //
 // Index conventions:
 //   - Net n's pins occupy PinInst/PinMP[NetStart[n]:NetStart[n+1]], in the
@@ -38,7 +38,7 @@ type Compact struct {
 	NetStart []int32
 	PinInst  []int32
 	// PinMP[k] is the master-pin index of pin k within its instance's master
-	// (Master.PinIndex), or -1 for port pins.
+	// (PinRef.Pin), or -1 for port pins.
 	PinMP []int32
 	// pinDX/pinDY[k] is instance pin k's resolved offset from its
 	// instance's origin (0 for port pins).
@@ -112,8 +112,8 @@ func (d *Design) Compact() *Compact {
 }
 
 // CompactChecked is Compact with the build's checks surfaced as an error
-// instead of a panic: a pin naming an undeclared port, an undeclared master
-// pin or an out-of-range instance, and a pin count beyond the math.MaxInt32
+// instead of a panic: a pin whose port, instance or master pin is out of
+// range, and a pin count beyond the math.MaxInt32
 // the int32 CSR can index, past which truncation would silently corrupt
 // connectivity.
 func (d *Design) CompactChecked() (*Compact, error) {
@@ -158,27 +158,25 @@ func buildCompact(d *Design, gen uint64) (*Compact, error) {
 			var dx, dy float64
 			slot := int32(len(c.PinInst))
 			if p.IsPort() {
-				pi := d.PortIndex(p.Pin)
-				if pi < 0 {
-					return nil, fmt.Errorf("netlist: net %q references undeclared port %q", n.Name, p.Pin)
+				if p.Pin < 0 || p.Pin >= len(d.Ports) {
+					return nil, fmt.Errorf("netlist: net %q references port %d of %d", n.Name, p.Pin, len(d.Ports))
 				}
-				id = -1 - int32(pi)
-				if portDrvSlot < 0 && d.Ports[pi].Dir == DirInput {
+				id = -1 - int32(p.Pin)
+				if portDrvSlot < 0 && d.Ports[p.Pin].Dir == DirInput {
 					portDrvSlot = slot
 				}
 			} else {
 				if p.Inst >= len(d.Insts) {
-					return nil, fmt.Errorf("netlist: net %q references instance %d of %d (pin %s)", n.Name, p.Inst, len(d.Insts), p.Pin)
+					return nil, fmt.Errorf("netlist: net %q references instance %d of %d", n.Name, p.Inst, len(d.Insts))
 				}
 				id = int32(p.Inst)
 				inst := d.Insts[p.Inst]
 				m := inst.Master
-				i := m.PinIndex(p.Pin)
-				if i < 0 {
-					return nil, fmt.Errorf("netlist: net %q references pin %s/%s, which master %s does not declare", n.Name, inst.Name, p.Pin, m.Name)
+				if p.Pin < 0 || p.Pin >= len(m.Pins) {
+					return nil, fmt.Errorf("netlist: net %q references pin %d of %s, whose master %s has %d", n.Name, p.Pin, inst.Name, m.Name, len(m.Pins))
 				}
-				mpIdx = int32(i)
-				mp := &m.Pins[i]
+				mpIdx = int32(p.Pin)
+				mp := &m.Pins[p.Pin]
 				if mp.OffsetX != 0 || mp.OffsetY != 0 {
 					dx, dy = mp.OffsetX, mp.OffsetY
 				} else {

@@ -12,11 +12,11 @@ import (
 // It is the oracle Compact.PinXY is held bit-identical to.
 func (d *Design) PinPos(p PinRef) (x, y float64) {
 	if p.IsPort() {
-		port := d.Port(p.Pin)
+		port := d.Ports[p.Pin]
 		return port.X, port.Y
 	}
 	inst := d.Insts[p.Inst]
-	if mp := inst.Master.Pin(p.Pin); mp.OffsetX != 0 || mp.OffsetY != 0 {
+	if mp := &inst.Master.Pins[p.Pin]; mp.OffsetX != 0 || mp.OffsetY != 0 {
 		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
 	}
 	return inst.CenterX(), inst.CenterY()
@@ -155,8 +155,8 @@ func TestCompactRebuildsAfterTopologyChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Connect(n, PinRef{Inst: 0, Pin: "Y"})
-	d.Connect(n, PinRef{Inst: 1, Pin: "A"})
+	d.Connect(n, pinRef(d, 0, "Y"))
+	d.Connect(n, pinRef(d, 1, "A"))
 	c2 := d.Compact()
 	if c2 == c1 {
 		t.Fatal("topology mutation must retire the cached Compact")

@@ -24,10 +24,10 @@ func TestDriverPrefersOutputOverInputPort(t *testing.T) {
 	g, _ := d.AddInstance("g", lib.Master("INV"))
 	n, _ := d.AddNet("n")
 	// Port listed first, but the instance output must win.
-	d.Connect(n, PinRef{Inst: -1, Pin: "in"})
-	d.Connect(n, PinRef{Inst: g.ID, Pin: "Y"})
+	d.Connect(n, pinRef(d, -1, "in"))
+	d.Connect(n, pinRef(d, g.ID, "Y"))
 	drv, ok := netDriver(d, n)
-	if !ok || drv.IsPort() || drv.Pin != "Y" {
+	if !ok || drv.IsPort() || d.PinName(drv) != "Y" {
 		t.Fatalf("driver=%+v", drv)
 	}
 }
@@ -47,8 +47,8 @@ func TestNetHPWLWithPortOnly(t *testing.T) {
 	b, _ := d.AddPort("b", DirOutput)
 	b.X, b.Y = 3, 4
 	n, _ := d.AddNet("n")
-	d.Connect(n, PinRef{Inst: -1, Pin: "a"})
-	d.Connect(n, PinRef{Inst: -1, Pin: "b"})
+	d.Connect(n, pinRef(d, -1, "a"))
+	d.Connect(n, pinRef(d, -1, "b"))
 	if got := d.NetHPWL(n); math.Abs(got-7) > 1e-12 {
 		t.Fatalf("hpwl=%v want 7", got)
 	}

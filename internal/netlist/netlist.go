@@ -232,11 +232,13 @@ func (r Rect) PerimeterPoint(t float64) (float64, float64) {
 	}
 }
 
-// PinRef identifies one connection of a net: either pin Pin of instance
-// Inst, or (when Inst < 0) the top-level port named Pin.
+// PinRef identifies one connection of a net: master pin Pin (an index into
+// Master.Pins) of instance Inst, or, when Inst < 0, the top-level port with
+// index Pin in Design.Ports. The readers turn names into references once,
+// through PinRefOf; every later stage works on the indices.
 type PinRef struct {
 	Inst int
-	Pin  string
+	Pin  int
 }
 
 // IsPort reports whether the reference names a top-level port.
@@ -398,12 +400,34 @@ func (d *Design) Port(name string) *Port {
 	return nil
 }
 
-// PortIndex returns the index of the named port, or -1.
-func (d *Design) PortIndex(name string) int {
-	if i, ok := d.portByName[name]; ok {
-		return i
+// PinRefOf resolves a pin name to its reference: pin name of instance inst,
+// or, when inst < 0, the port called name. It is the one place a name
+// becomes a PinRef; an instance out of range, a pin the instance's master
+// does not declare and an undeclared port are errors.
+func (d *Design) PinRefOf(inst int, name string) (PinRef, error) {
+	if inst < 0 {
+		if i, ok := d.portByName[name]; ok {
+			return PinRef{Inst: -1, Pin: i}, nil
+		}
+		return PinRef{}, fmt.Errorf("design %s has no port %q", d.Name, name)
 	}
-	return -1
+	if inst >= len(d.Insts) {
+		return PinRef{}, fmt.Errorf("design %s has no instance %d (pin %s)", d.Name, inst, name)
+	}
+	m := d.Insts[inst].Master
+	if i := m.PinIndex(name); i >= 0 {
+		return PinRef{Inst: inst, Pin: i}, nil
+	}
+	return PinRef{}, fmt.Errorf("cell %s has no pin %q", m.Name, name)
+}
+
+// PinName returns the name of the pin p refers to: the port name, or the
+// master pin name. The reference must be in range (CompactChecked).
+func (d *Design) PinName(p PinRef) string {
+	if p.IsPort() {
+		return d.Ports[p.Pin].Name
+	}
+	return d.Insts[p.Inst].Master.Pins[p.Pin].Name
 }
 
 // HPWL returns the total half-perimeter wirelength over all nets: the

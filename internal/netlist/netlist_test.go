@@ -48,7 +48,7 @@ func chainDesign(t *testing.T, n int) *Design {
 	clk, _ := d.AddPort("clk", DirInput)
 	clk.X, clk.Y, clk.Placed = 50, 0, true
 
-	prev := PinRef{Inst: -1, Pin: "in"}
+	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
 		inst, err := d.AddInstance(fmt.Sprintf("u_core/inv%d", i), lib.Master("INV"))
 		if err != nil {
@@ -60,21 +60,21 @@ func chainDesign(t *testing.T, n int) *Design {
 			t.Fatal(err)
 		}
 		d.Connect(net, prev)
-		d.Connect(net, PinRef{Inst: inst.ID, Pin: "A"})
-		prev = PinRef{Inst: inst.ID, Pin: "Y"}
+		d.Connect(net, pinRef(d, inst.ID, "A"))
+		prev = pinRef(d, inst.ID, "Y")
 	}
 	ff, _ := d.AddInstance("u_core/ff", lib.Master("DFF"))
 	ff.X, ff.Y, ff.Placed = 80, 50, true
 	dNet, _ := d.AddNet("dnet")
 	d.Connect(dNet, prev)
-	d.Connect(dNet, PinRef{Inst: ff.ID, Pin: "D"})
+	d.Connect(dNet, pinRef(d, ff.ID, "D"))
 	clkNet, _ := d.AddNet("clknet")
 	clkNet.Clock = true
-	d.Connect(clkNet, PinRef{Inst: -1, Pin: "clk"})
-	d.Connect(clkNet, PinRef{Inst: ff.ID, Pin: "CK"})
+	d.Connect(clkNet, pinRef(d, -1, "clk"))
+	d.Connect(clkNet, pinRef(d, ff.ID, "CK"))
 	qNet, _ := d.AddNet("qnet")
-	d.Connect(qNet, PinRef{Inst: ff.ID, Pin: "Q"})
-	d.Connect(qNet, PinRef{Inst: -1, Pin: "out"})
+	d.Connect(qNet, pinRef(d, ff.ID, "Q"))
+	d.Connect(qNet, pinRef(d, -1, "out"))
 	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +159,13 @@ func TestDriver(t *testing.T) {
 	// n1 is driven by inv0/Y.
 	n1 := d.Net("n1")
 	drv, ok := netDriver(d, n1)
-	if !ok || drv.IsPort() || d.Insts[drv.Inst].Name != "u_core/inv0" || drv.Pin != "Y" {
+	if !ok || drv.IsPort() || d.Insts[drv.Inst].Name != "u_core/inv0" || d.PinName(drv) != "Y" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
 	// n0 is driven by the input port.
 	n0 := d.Net("n0")
 	drv, ok = netDriver(d, n0)
-	if !ok || !drv.IsPort() || drv.Pin != "in" {
+	if !ok || !drv.IsPort() || d.PinName(drv) != "in" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
 	undriven, _ := d.AddNet("floating")
@@ -198,7 +198,7 @@ func TestHPWL(t *testing.T) {
 		t.Fatal("total HPWL should be positive")
 	}
 	single, _ := d.AddNet("single")
-	d.Connect(single, PinRef{Inst: 0, Pin: "Y"})
+	d.Connect(single, pinRef(d, 0, "Y"))
 	if d.NetHPWL(single) != 0 {
 		t.Fatal("single-pin net HPWL should be 0")
 	}
@@ -215,7 +215,7 @@ func TestPinOffsets(t *testing.T) {
 	inst, _ := d.AddInstance("u1", m)
 	inst.X, inst.Y = 10, 20
 	n, _ := d.AddNet("n")
-	d.Connect(n, PinRef{Inst: inst.ID, Pin: "P"})
+	d.Connect(n, pinRef(d, inst.ID, "P"))
 	var pos Positions
 	pos.Gather(d)
 	x, y := d.Compact().PinXY(&pos, 0)
@@ -252,9 +252,10 @@ func TestToHypergraph(t *testing.T) {
 	}
 }
 
-// TestValidateCatchesBadRefs checks that a pin reference that resolves to
-// nothing is a build error of the compact view, naming the net and the pin:
-// an undeclared master pin, an undeclared port, an out-of-range instance.
+// TestValidateCatchesBadRefs checks that a pin reference out of range is a
+// build error of the compact view, naming the net and the reference: a
+// master pin index past the cell's pins, a port index past the port list,
+// an instance past the instance list.
 func TestValidateCatchesBadRefs(t *testing.T) {
 	lib := testLib()
 	for _, tc := range []struct {
@@ -262,16 +263,17 @@ func TestValidateCatchesBadRefs(t *testing.T) {
 		ref  PinRef
 		want []string
 	}{
-		{"master pin", PinRef{Inst: 0, Pin: "NOPE"}, []string{`"n"`, "u1/NOPE", "INV"}},
-		{"port", PinRef{Inst: -1, Pin: "ghost"}, []string{`"n"`, `"ghost"`}},
-		{"instance", PinRef{Inst: 5, Pin: "A"}, []string{`"n"`, "instance 5", "A"}},
+		{"master pin", PinRef{Inst: 0, Pin: 7}, []string{`"n"`, "pin 7 of u1", "INV"}},
+		{"negative master pin", PinRef{Inst: 0, Pin: -2}, []string{`"n"`, "pin -2 of u1"}},
+		{"port", PinRef{Inst: -1, Pin: 3}, []string{`"n"`, "port 3 of 0"}},
+		{"instance", PinRef{Inst: 5, Pin: 0}, []string{`"n"`, "instance 5 of 1"}},
 	} {
 		d := NewDesign("bad", lib)
 		if _, err := d.AddInstance("u1", lib.Master("INV")); err != nil {
 			t.Fatal(err)
 		}
 		n, _ := d.AddNet("n")
-		d.Connect(n, PinRef{Inst: 0, Pin: "Y"})
+		d.Connect(n, pinRef(d, 0, "Y"))
 		d.Connect(n, tc.ref)
 		_, err := d.CompactChecked()
 		if err == nil {
@@ -384,7 +386,7 @@ func TestPropertyHPWLTranslationInvariant(t *testing.T) {
 			}
 			k := 2 + rng.Intn(3)
 			for j := 0; j < k; j++ {
-				d.Connect(net, PinRef{Inst: rng.Intn(n), Pin: "A"})
+				d.Connect(net, pinRef(d, rng.Intn(n), "A"))
 			}
 		}
 		before := d.HPWL()
@@ -398,4 +400,13 @@ func TestPropertyHPWLTranslationInvariant(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *Design, inst int, name string) PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

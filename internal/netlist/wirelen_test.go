@@ -39,12 +39,12 @@ func wirelenTestDesign(t testing.TB, nCells, nNets int, seed int64) *Design {
 		}
 		fan := 1 + rng.Intn(5)
 		drv := rng.Intn(nCells)
-		d.Connect(n, PinRef{Inst: drv, Pin: "Y"})
+		d.Connect(n, pinRef(d, drv, "Y"))
 		for k := 0; k < fan; k++ {
 			if rng.Intn(8) == 0 {
-				d.Connect(n, PinRef{Inst: -1, Pin: name("p", rng.Intn(8))})
+				d.Connect(n, pinRef(d, -1, name("p", rng.Intn(8))))
 			} else {
-				d.Connect(n, PinRef{Inst: rng.Intn(nCells), Pin: "A"})
+				d.Connect(n, pinRef(d, rng.Intn(nCells), "A"))
 			}
 		}
 	}
@@ -88,12 +88,12 @@ func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	}
 	big := make([]PinRef, 0, 5001)
 	for i := 0; i < 5000; i++ {
-		big = append(big, PinRef{Inst: i, Pin: "A"})
+		big = append(big, pinRef(d, i, "A"))
 	}
-	net("big", append(big, PinRef{Inst: o[0], Pin: "A"})...)
-	net("twice", PinRef{Inst: o[0], Pin: "A"}, PinRef{Inst: 7, Pin: "A"}, PinRef{Inst: o[0], Pin: "Y"})
-	net("portonly", PinRef{Inst: o[1], Pin: "Y"}, PinRef{Inst: -1, Pin: name("p", 0)})
-	net("portfirst", PinRef{Inst: -1, Pin: name("p", 1)}, PinRef{Inst: o[1], Pin: "A"}, PinRef{Inst: 9, Pin: "A"})
+	net("big", append(big, pinRef(d, o[0], "A"))...)
+	net("twice", pinRef(d, o[0], "A"), pinRef(d, 7, "A"), pinRef(d, o[0], "Y"))
+	net("portonly", pinRef(d, o[1], "Y"), pinRef(d, -1, name("p", 0)))
+	net("portfirst", pinRef(d, -1, name("p", 1)), pinRef(d, o[1], "A"), pinRef(d, 9, "A"))
 	return d, []int{o[0], o[1], 0, 7, 9, 4999}
 }
 
@@ -226,7 +226,7 @@ func fanoutDesign(t testing.TB, nSmall, nBig int) *Design {
 			default:
 				inst.X, inst.Y = rng.Float64()*1000, rng.Float64()*1000
 			}
-			d.Connect(n, PinRef{Inst: inst.ID, Pin: "A"})
+			d.Connect(n, pinRef(d, inst.ID, "A"))
 		}
 	}
 	return d

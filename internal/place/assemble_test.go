@@ -135,8 +135,8 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 		}
 		port.X, port.Y, port.Placed = xy[0], xy[1], true
 	}
-	cell := func(i int) netlist.PinRef { return netlist.PinRef{Inst: i, Pin: "p"} }
-	port := func(name string) netlist.PinRef { return netlist.PinRef{Inst: -1, Pin: name} }
+	cell := func(i int) netlist.PinRef { return pinRef(d, i, "p") }
+	port := func(name string) netlist.PinRef { return pinRef(d, -1, name) }
 	huge := make([]netlist.PinRef, maxNetPins+1)
 	for i := range huge {
 		huge[i] = cell(i % len(at))
@@ -301,4 +301,13 @@ func TestSolveRoundAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(3, func() { p.solveRound(spreadWeight) }); allocs > 16 {
 		t.Fatalf("one round at W=2 allocates %v times, want only par.Blocks' fork", allocs)
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -120,7 +120,9 @@ func Legalize(d *netlist.Design) {
 	}
 }
 
-// CheckLegal reports row-alignment and overlap violations (for tests).
+// LegalReport counts the legality violations CheckLegal finds among the
+// movable standard cells: cells off a row, off the site grid, overlapping a
+// neighbour, or outside the core.
 type LegalReport struct {
 	OffRow   int
 	OffSite  int

@@ -151,7 +151,7 @@ func (p *placer) coarseInit() {
 		}
 		net.Weight = coarse.EdgeWeight(e)
 		for _, v := range coarse.Edge(e) {
-			cd.Connect(net, netlist.PinRef{Inst: v, Pin: "p"})
+			cd.Connect(net, netlist.PinRef{Inst: v}) // pin 0, "p"
 		}
 	}
 

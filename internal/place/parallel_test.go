@@ -133,8 +133,8 @@ func TestCoarseInitRecursionTerminates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.Connect(net, netlist.PinRef{Inst: 2 * e, Pin: "p"})
-		d.Connect(net, netlist.PinRef{Inst: 2*e + 1, Pin: "p"})
+		d.Connect(net, pinRef(d, 2*e, "p"))
+		d.Connect(net, pinRef(d, 2*e+1, "p"))
 	}
 	done := make(chan Result, 1)
 	go func() { done <- Global(d, Options{Seed: 1, Iterations: 1}) }()

@@ -47,7 +47,7 @@ func Analyze(a *sta.Analyzer, vdd float64) Report {
 			if mp.Dir != netlist.DirOutput || len(mp.Arcs) == 0 {
 				continue
 			}
-			outAct := a.PinActivity(sta.PinID{Inst: inst.ID, Pin: mp.Name})
+			outAct := a.PinActivity(netlist.PinRef{Inst: inst.ID, Pin: pi})
 			var energy float64
 			for ai := range mp.Arcs {
 				energy += mp.Arcs[ai].Energy

@@ -28,11 +28,11 @@ func oneGate(t *testing.T) (*netlist.Design, sta.Constraints) {
 	g, _ := d.AddInstance("g", inv)
 	g.X, g.Y = -0.5, -1
 	n0, _ := d.AddNet("n0")
-	d.Connect(n0, netlist.PinRef{Inst: -1, Pin: "in"})
-	d.Connect(n0, netlist.PinRef{Inst: g.ID, Pin: "A"})
+	d.Connect(n0, pinRef(d, -1, "in"))
+	d.Connect(n0, pinRef(d, g.ID, "A"))
 	n1, _ := d.AddNet("n1")
-	d.Connect(n1, netlist.PinRef{Inst: g.ID, Pin: "Y"})
-	d.Connect(n1, netlist.PinRef{Inst: -1, Pin: "out"})
+	d.Connect(n1, pinRef(d, g.ID, "Y"))
+	d.Connect(n1, pinRef(d, -1, "out"))
 	cons := sta.DefaultConstraints(1e-9)
 	return d, cons
 }
@@ -125,4 +125,13 @@ func TestPowerScalesWithFrequency(t *testing.T) {
 	if math.Abs(pFast.Switching-2*pSlow.Switching)/pSlow.Switching > 1e-9 {
 		t.Fatal("switching should scale with frequency")
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

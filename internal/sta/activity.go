@@ -135,9 +135,9 @@ func (a *Analyzer) NetActivity() []float64 {
 }
 
 // PinActivity returns the switching activity at one pin (0 if unknown).
-func (a *Analyzer) PinActivity(id PinID) float64 {
+func (a *Analyzer) PinActivity(p netlist.PinRef) float64 {
 	a.runActivity()
-	if n, ok := a.nodeOfPin(id); ok {
+	if n, ok := a.nodeOfPin(p); ok {
 		return a.activity[n]
 	}
 	return 0

@@ -32,12 +32,12 @@ func TestDRVMaxCapViolation(t *testing.T) {
 	in, _ := d.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
 	n0, _ := d.AddNet("n0")
-	d.Connect(n0, netlist.PinRef{Inst: -1, Pin: "in"})
-	d.Connect(n0, netlist.PinRef{Inst: g0.ID, Pin: "A"})
+	d.Connect(n0, pinRef(d, -1, "in"))
+	d.Connect(n0, pinRef(d, g0.ID, "A"))
 	n1, _ := d.AddNet("n1")
-	d.Connect(n1, netlist.PinRef{Inst: g0.ID, Pin: "Y"})
+	d.Connect(n1, pinRef(d, g0.ID, "Y"))
 	_ = n1
-	d.Connect(n1, netlist.PinRef{Inst: g1.ID, Pin: "A"})
+	d.Connect(n1, pinRef(d, g1.ID, "A"))
 	a := New(d, consFor(1e-9))
 	rep := a.DRV()
 	if rep.MaxCapViolations != 1 {

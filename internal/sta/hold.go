@@ -84,15 +84,13 @@ func (a *Analyzer) HoldTiming() HoldSummary {
 		if a.kind[i] != nodeInput || !a.endp[i] || !hasMin[i] {
 			continue
 		}
-		inst := a.nodeInst[i]
-		mp := &a.d.Insts[inst].Master.Pins[a.nodeMP[i]]
-		for ai := range mp.Arcs {
-			arc := &mp.Arcs[ai]
+		for s := a.checkOff[i]; s < a.checkOff[i+1]; s++ {
+			arc := a.checkArc[s]
 			if arc.Kind != netlist.ArcHold {
 				continue
 			}
 			hold := arc.Delay.Lookup(a.cons.InputSlew, 0)
-			clkAt := a.clockAtInst(inst, arc.From)
+			clkAt := a.clockAtNode(a.checkClk[s])
 			slack := minAT[i] - (clkAt + hold)
 			sum.Endpoints++
 			if slack < 0 {

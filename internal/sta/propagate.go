@@ -307,10 +307,13 @@ func (a *Analyzer) seedRequired(v int32) {
 		a.rat[v] = T - a.cons.OutputDelay
 		a.hasRAT[v] = true
 	case nodeInput:
-		for s := a.setupOff[v]; s < a.setupOff[v+1]; s++ {
-			arc := a.setupArc[s]
+		for s := a.checkOff[v]; s < a.checkOff[v+1]; s++ {
+			arc := a.checkArc[s]
+			if arc.Kind != netlist.ArcSetup {
+				continue
+			}
 			setup := arc.Delay.Lookup(a.slew[v], 0)
-			captureClk := a.clockAtNode(a.setupClk[s])
+			captureClk := a.clockAtNode(a.checkClk[s])
 			rat := T + captureClk - setup
 			if rat < a.rat[v] {
 				a.rat[v] = rat

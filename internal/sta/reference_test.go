@@ -10,7 +10,7 @@ import (
 )
 
 // refAnalyzer is the pre-CSR, map-based timing analyzer kept verbatim as a
-// test oracle: nodes keyed by PinID through a hash map, pointer-API netlist
+// test oracle: nodes keyed by (instance, pin name) through a hash map, pointer-API netlist
 // walks (Design.Driver, PinPos, refNetHPWL), AoS node records. The production
 // Analyzer rebuilt the same graph on netlist.Compact with SoA value arrays;
 // these tests pin the rewrite to the original bit for bit.
@@ -22,11 +22,18 @@ type refAnalyzer struct {
 	edges   []refEdge
 	in      [][]int
 	out     [][]int
-	nodeOf  map[PinID]int
+	nodeOf  map[refPin]int
 	topo    []int
 	netLoad []float64
 
 	clockArrival map[int]float64
+}
+
+// refPin keys an oracle node by name: an instance pin, or a port when
+// Inst < 0.
+type refPin struct {
+	Inst int
+	Pin  string
 }
 
 type refEdge struct {
@@ -37,7 +44,7 @@ type refEdge struct {
 }
 
 type refNode struct {
-	id     PinID
+	id     refPin
 	kind   nodeKind
 	net    int
 	at     float64
@@ -50,12 +57,12 @@ type refNode struct {
 }
 
 func newRef(d *netlist.Design, cons Constraints) *refAnalyzer {
-	r := &refAnalyzer{d: d, cons: cons, nodeOf: make(map[PinID]int)}
+	r := &refAnalyzer{d: d, cons: cons, nodeOf: make(map[refPin]int)}
 	r.build()
 	return r
 }
 
-func (r *refAnalyzer) addNode(id PinID, kind nodeKind) int {
+func (r *refAnalyzer) addNode(id refPin, kind nodeKind) int {
 	if idx, ok := r.nodeOf[id]; ok {
 		return idx
 	}
@@ -83,7 +90,7 @@ func (r *refAnalyzer) build() {
 		if p.Dir == netlist.DirOutput {
 			kind = nodePortOut
 		}
-		n := r.addNode(PinID{Inst: -1, Pin: p.Name}, kind)
+		n := r.addNode(refPin{Inst: -1, Pin: p.Name}, kind)
 		if clockPorts[p.Name] {
 			r.nodes[n].isClk = true
 		}
@@ -93,7 +100,7 @@ func (r *refAnalyzer) build() {
 			if pr.IsPort() {
 				continue
 			}
-			mp := d.Insts[pr.Inst].Master.Pin(pr.Pin)
+			mp := d.Insts[pr.Inst].Master.Pin(d.PinName(pr))
 			if mp == nil {
 				continue
 			}
@@ -101,7 +108,7 @@ func (r *refAnalyzer) build() {
 			if mp.Dir == netlist.DirOutput {
 				kind = nodeOutput
 			}
-			r.addNode(PinID{pr.Inst, pr.Pin}, kind)
+			r.addNode(refPin{pr.Inst, d.PinName(pr)}, kind)
 		}
 	}
 	r.in = make([][]int, len(r.nodes))
@@ -113,7 +120,7 @@ func (r *refAnalyzer) build() {
 		if !ok {
 			continue
 		}
-		drvNode := r.nodeOf[PinID{drv.Inst, drv.Pin}]
+		drvNode := r.nodeOf[refPin{drv.Inst, d.PinName(drv)}]
 		dx, dy := refPinPos(d, drv)
 		var load float64
 		for _, pr := range net.Pins {
@@ -122,18 +129,18 @@ func (r *refAnalyzer) build() {
 			}
 			var sinkNode int
 			if pr.IsPort() {
-				port := d.Port(pr.Pin)
-				if port == nil || port.Dir != netlist.DirOutput {
+				port := d.Ports[pr.Pin]
+				if port.Dir != netlist.DirOutput {
 					continue
 				}
-				sinkNode = r.nodeOf[PinID{-1, pr.Pin}]
+				sinkNode = r.nodeOf[refPin{-1, port.Name}]
 				load += r.cons.PortCap
 			} else {
-				mp := d.Insts[pr.Inst].Master.Pin(pr.Pin)
+				mp := d.Insts[pr.Inst].Master.Pin(d.PinName(pr))
 				if mp == nil || mp.Dir == netlist.DirOutput {
 					continue
 				}
-				sinkNode = r.nodeOf[PinID{pr.Inst, pr.Pin}]
+				sinkNode = r.nodeOf[refPin{pr.Inst, d.PinName(pr)}]
 				load += mp.Cap
 			}
 			wl := 0.0
@@ -158,7 +165,7 @@ func (r *refAnalyzer) build() {
 			if mp.Dir != netlist.DirOutput {
 				continue
 			}
-			toNode, ok := r.nodeOf[PinID{inst.ID, mp.Name}]
+			toNode, ok := r.nodeOf[refPin{inst.ID, mp.Name}]
 			if !ok {
 				continue
 			}
@@ -167,7 +174,7 @@ func (r *refAnalyzer) build() {
 				if arc.Kind != netlist.ArcComb && arc.Kind != netlist.ArcClkToQ {
 					continue
 				}
-				fromNode, ok := r.nodeOf[PinID{inst.ID, arc.From}]
+				fromNode, ok := r.nodeOf[refPin{inst.ID, arc.From}]
 				if !ok {
 					continue
 				}
@@ -271,7 +278,7 @@ func (r *refAnalyzer) build() {
 	r.topo = order
 }
 
-func (r *refAnalyzer) setClockArrivals(arrivals map[PinID]float64) {
+func (r *refAnalyzer) setClockArrivals(arrivals map[refPin]float64) {
 	if arrivals == nil {
 		r.clockArrival = nil
 		return
@@ -288,7 +295,7 @@ func (r *refAnalyzer) clockAtInst(inst int, clkPin string) float64 {
 	if r.clockArrival == nil {
 		return 0
 	}
-	if n, ok := r.nodeOf[PinID{inst, clkPin}]; ok {
+	if n, ok := r.nodeOf[refPin{inst, clkPin}]; ok {
 		return r.clockArrival[n]
 	}
 	return 0
@@ -444,7 +451,7 @@ func compareToRef(t *testing.T, tag string, a *Analyzer, r *refAnalyzer) {
 	}
 	for i := range r.nodes {
 		rn := &r.nodes[i]
-		n, ok := a.nodeOfPin(rn.id)
+		n, ok := a.nodeOfPin(pinRef(r.d, rn.id.Inst, rn.id.Pin))
 		if !ok {
 			t.Fatalf("%s: pin %v missing from compact analyzer", tag, rn.id)
 		}
@@ -480,19 +487,19 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 	clk.X, clk.Y = 0, 0
 	cn, _ := d.AddNet("clkroot")
 	cn.Clock = true
-	d.Connect(cn, netlist.PinRef{Inst: -1, Pin: "clk"})
+	d.Connect(cn, pinRef(d, -1, "clk"))
 	cbuf, _ := d.AddInstance("cbuf", l.Master("INV"))
 	cbuf.X, cbuf.Y = 1, 1
-	d.Connect(cn, netlist.PinRef{Inst: cbuf.ID, Pin: "A"})
+	d.Connect(cn, pinRef(d, cbuf.ID, "A"))
 	ctree, _ := d.AddNet("clktree")
 	ctree.Clock = true
-	d.Connect(ctree, netlist.PinRef{Inst: cbuf.ID, Pin: "Y"})
+	d.Connect(ctree, pinRef(d, cbuf.ID, "Y"))
 
 	in0, _ := d.AddPort("in0", netlist.DirInput)
 	in0.X, in0.Y = 0, 5
 	in1, _ := d.AddPort("in1", netlist.DirInput)
 	in1.X, in1.Y = 0, 9
-	drivers := []netlist.PinRef{{Inst: -1, Pin: "in0"}, {Inst: -1, Pin: "in1"}}
+	drivers := []netlist.PinRef{pinRef(d, -1, "in0"), pinRef(d, -1, "in1")}
 	masters := []string{"INV", "NAND2", "DFF"}
 	for i := 0; i < cells; i++ {
 		m := l.Master(masters[rng.Intn(len(masters))])
@@ -501,9 +508,9 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 		if m.Name == "DFF" {
 			n, _ := d.AddNet(fmt.Sprintf("d%d", i))
 			d.Connect(n, drivers[rng.Intn(len(drivers))])
-			d.Connect(n, netlist.PinRef{Inst: g.ID, Pin: "D"})
-			d.Connect(ctree, netlist.PinRef{Inst: g.ID, Pin: "CK"})
-			drivers = append(drivers, netlist.PinRef{Inst: g.ID, Pin: "Q"})
+			d.Connect(n, pinRef(d, g.ID, "D"))
+			d.Connect(ctree, pinRef(d, g.ID, "CK"))
+			drivers = append(drivers, pinRef(d, g.ID, "Q"))
 			continue
 		}
 		ins := []string{"A"}
@@ -513,21 +520,21 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 		for _, pin := range ins {
 			n, _ := d.AddNet(fmt.Sprintf("w%d%s", i, pin))
 			d.Connect(n, drivers[rng.Intn(len(drivers))])
-			d.Connect(n, netlist.PinRef{Inst: g.ID, Pin: pin})
+			d.Connect(n, pinRef(d, g.ID, pin))
 			// Random extra fanout onto the same net, on cells with an A pin.
 			if rng.Intn(3) == 0 && i > 2 {
 				if u := d.Insts[rng.Intn(i)]; u.Master.Pin("A") != nil {
-					d.Connect(n, netlist.PinRef{Inst: u.ID, Pin: "A"})
+					d.Connect(n, pinRef(d, u.ID, "A"))
 				}
 			}
 		}
-		drivers = append(drivers, netlist.PinRef{Inst: g.ID, Pin: "Y"})
+		drivers = append(drivers, pinRef(d, g.ID, "Y"))
 	}
 	out, _ := d.AddPort("dout", netlist.DirOutput)
 	out.X, out.Y = 120, 60
 	on, _ := d.AddNet("outnet")
 	d.Connect(on, drivers[len(drivers)-1])
-	d.Connect(on, netlist.PinRef{Inst: -1, Pin: "dout"})
+	d.Connect(on, pinRef(d, -1, "dout"))
 	return d
 }
 
@@ -564,15 +571,15 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 	cons := DefaultConstraints(0.4e-9)
 	cons.ClockPorts = []string{"clk"}
 
-	arr := make(map[PinID]float64)
+	arr := make(map[refPin]float64)
 	var list []ClockArrival
 	for _, inst := range d.Insts {
 		if inst.Master.Name != "DFF" {
 			continue
 		}
 		t := 1e-12 * float64(inst.ID%7)
-		arr[PinID{inst.ID, "CK"}] = t
-		list = append(list, ClockArrival{Inst: inst.ID, Pin: "CK", T: t})
+		arr[refPin{inst.ID, "CK"}] = t
+		list = append(list, ClockArrival{Pin: pinRef(d, inst.ID, "CK"), T: t})
 	}
 	r := newRef(d, cons)
 	r.setClockArrivals(arr)
@@ -609,12 +616,12 @@ func TestUpdateMatchesReference(t *testing.T) {
 // first output instance pin, else the first input port.
 func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
 	for _, p := range n.Pins {
-		if !p.IsPort() && d.Insts[p.Inst].Master.Pin(p.Pin).Dir == netlist.DirOutput {
+		if !p.IsPort() && d.Insts[p.Inst].Master.Pin(d.PinName(p)).Dir == netlist.DirOutput {
 			return p, true
 		}
 	}
 	for _, p := range n.Pins {
-		if p.IsPort() && d.Port(p.Pin).Dir == netlist.DirInput {
+		if p.IsPort() && d.Port(d.PinName(p)).Dir == netlist.DirInput {
 			return p, true
 		}
 	}
@@ -626,11 +633,11 @@ func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
 // nonzero, otherwise the instance center.
 func refPinPos(d *netlist.Design, p netlist.PinRef) (x, y float64) {
 	if p.IsPort() {
-		port := d.Port(p.Pin)
+		port := d.Port(d.PinName(p))
 		return port.X, port.Y
 	}
 	inst := d.Insts[p.Inst]
-	if mp := inst.Master.Pin(p.Pin); mp.OffsetX != 0 || mp.OffsetY != 0 {
+	if mp := inst.Master.Pin(d.PinName(p)); mp.OffsetX != 0 || mp.OffsetY != 0 {
 		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
 	}
 	return inst.CenterX(), inst.CenterY()

@@ -3,6 +3,8 @@ package sta
 import (
 	"fmt"
 	"io"
+
+	"ppaclust/internal/netlist"
 )
 
 // WriteReport renders the worst maxPaths timing paths in the familiar
@@ -51,9 +53,10 @@ func (a *Analyzer) WriteReport(w io.Writer, maxPaths int) error {
 	return err
 }
 
-func (a *Analyzer) pinName(id PinID) string {
-	if id.Inst < 0 {
-		return "port " + id.Pin
+func (a *Analyzer) pinName(p netlist.PinRef) string {
+	if p.IsPort() {
+		return "port " + a.d.PinName(p)
 	}
-	return a.d.Insts[id.Inst].Name + "/" + id.Pin + " (" + a.d.Insts[id.Inst].Master.Name + ")"
+	inst := a.d.Insts[p.Inst]
+	return inst.Name + "/" + a.d.PinName(p) + " (" + inst.Master.Name + ")"
 }

@@ -22,10 +22,17 @@ func wire(d *netlist.Design, name string, pins ...netlist.PinRef) *netlist.Net {
 	return n
 }
 
-func port(name string) netlist.PinRef { return netlist.PinRef{Inst: -1, Pin: name} }
-
-func pin(inst *netlist.Instance, name string) netlist.PinRef {
-	return netlist.PinRef{Inst: inst.ID, Pin: name}
+// pin resolves pin name of inst, or the port called name when inst is nil.
+func pin(d *netlist.Design, inst *netlist.Instance, name string) netlist.PinRef {
+	id := -1
+	if inst != nil {
+		id = inst.ID
+	}
+	ref, err := d.PinRefOf(id, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }
 
 func shapeDesign(name string) (*netlist.Design, *netlist.Library) {
@@ -45,16 +52,16 @@ func bufferedClock() (*netlist.Design, sta.Constraints) {
 	d.AddPort("din", netlist.DirInput)
 	d.AddPort("out", netlist.DirOutput)
 	buf, _ := d.AddInstance("cbuf", lib.Master("CLKBUF_X2"))
-	wire(d, "clk", port("clk"), pin(buf, "A")).Clock = true
-	ctree := wire(d, "ctree", pin(buf, "Z"))
+	wire(d, "clk", pin(d, nil, "clk"), pin(d, buf, "A")).Clock = true
+	ctree := wire(d, "ctree", pin(d, buf, "Z"))
 	ctree.Clock = true
-	din := wire(d, "d", port("din"))
+	din := wire(d, "d", pin(d, nil, "din"))
 	for i := 0; i < 24; i++ {
 		ff, _ := d.AddInstance(fmt.Sprintf("ff%d", i), lib.Master("DFF_X1"))
-		d.Connect(ctree, pin(ff, "CK"))
-		d.Connect(din, pin(ff, "D"))
+		d.Connect(ctree, pin(d, ff, "CK"))
+		d.Connect(din, pin(d, ff, "D"))
 	}
-	wire(d, "q", pin(d.Instance("ff0"), "Q"), port("out"))
+	wire(d, "q", pin(d, d.Instance("ff0"), "Q"), pin(d, nil, "out"))
 	cons := sta.DefaultConstraints(1e-9)
 	cons.ClockPorts = []string{"clk"}
 	return d, cons
@@ -69,10 +76,10 @@ func ring() (*netlist.Design, sta.Constraints) {
 	g0, _ := d.AddInstance("g0", lib.Master("NAND2_X1"))
 	g1, _ := d.AddInstance("g1", lib.Master("INV_X1"))
 	g2, _ := d.AddInstance("g2", lib.Master("INV_X1"))
-	wire(d, "en", port("en"), pin(g0, "A1"))
-	wire(d, "n0", pin(g0, "ZN"), pin(g1, "A"))
-	wire(d, "n1", pin(g1, "ZN"), pin(g2, "A"))
-	wire(d, "n2", pin(g2, "ZN"), pin(g0, "A2"), port("out"))
+	wire(d, "en", pin(d, nil, "en"), pin(d, g0, "A1"))
+	wire(d, "n0", pin(d, g0, "ZN"), pin(d, g1, "A"))
+	wire(d, "n1", pin(d, g1, "ZN"), pin(d, g2, "A"))
+	wire(d, "n2", pin(d, g2, "ZN"), pin(d, g0, "A2"), pin(d, nil, "out"))
 	return d, sta.DefaultConstraints(1e-9)
 }
 
@@ -86,7 +93,7 @@ func TestLaunchReadsFinalClockSlew(t *testing.T) {
 	lib := d.Lib
 	bufArc := &lib.Master("CLKBUF_X2").Pin("Z").Arcs[0]
 	launch := &lib.Master("DFF_X1").Pin("Q").Arcs[0]
-	q := sta.PinID{Inst: d.Instance("ff0").ID, Pin: "Q"}
+	q := pin(d, d.Instance("ff0"), "Q")
 	a := sta.New(d, cons)
 	slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(d.Net("ctree").ID))
 	want := launch.Delay.Lookup(slewCK, a.NetLoad(d.Net("q").ID)) // ideal clock: arrival 0
@@ -112,7 +119,7 @@ func TestCombinationalLoopDoesNotHang(t *testing.T) {
 		if sum.Endpoints != 1 || math.IsInf(sum.WNS, 0) || math.IsNaN(sum.WNS) {
 			t.Fatalf("build %d: summary %+v, want one endpoint with a finite WNS", build, sum)
 		}
-		if at, ok := a.ArrivalAt(sta.PinID{Inst: -1, Pin: "out"}); !ok || at <= cons.InputDelay {
+		if at, ok := a.ArrivalAt(pin(d, nil, "out")); !ok || at <= cons.InputDelay {
 			t.Fatalf("build %d: out arrival %v (reached %v), want beyond the input delay", build, at, ok)
 		}
 		dg := engineDigest(a)

@@ -6,10 +6,11 @@
 //
 // The timing graph is built from the netlist.Compact CSR view and stored as
 // flat struct-of-arrays: int32 node/edge identifiers, per-node float64
-// arrival/required/slew arrays, and int32 in/out adjacency CSR. Pin lookup
-// uses a dense (instance, master-pin-index) -> node table instead of a
-// map[PinID]int, and CTS clock arrivals live in a dense per-node array, so a
-// million-cell graph builds and propagates without per-pin hashing.
+// arrival/required/slew arrays, and int32 in/out adjacency CSR. A pin
+// (netlist.PinRef) finds its node through a dense (instance, master-pin
+// index) -> node table, and CTS clock arrivals live in a dense per-node
+// array, so a million-cell graph builds and propagates without per-pin
+// hashing.
 //
 // Units: seconds, farads, watts, microns.
 package sta
@@ -54,13 +55,6 @@ const (
 	WireCapPerMicron = 0.2e-15 // F/um
 	WireResPerMicron = 2.0     // ohm/um
 )
-
-// PinID identifies a timing graph node: an instance pin, or a port when
-// Inst < 0.
-type PinID struct {
-	Inst int
-	Pin  string
-}
 
 type nodeKind uint8
 
@@ -110,11 +104,12 @@ type Analyzer struct {
 	instPinStart []int32
 	pinNode      []int32
 
-	// Setup-check CSR per endpoint node: the setup arcs of the node's master
-	// pin (in mp.Arcs order) with their capture-clock nodes preresolved.
-	setupOff []int32
-	setupArc []*netlist.TimingArc
-	setupClk []int32
+	// Timing-check CSR per data input node: the setup and hold arcs of the
+	// node's master pin (in mp.Arcs order) with their capture-clock nodes
+	// preresolved.
+	checkOff []int32
+	checkArc []*netlist.TimingArc
+	checkClk []int32
 
 	topo      []int32  // data order: every non-launch edge goes forward
 	loopEdges int      // edges removed at build to open timing loops
@@ -149,38 +144,30 @@ func (a *Analyzer) Constraints() Constraints { return a.cons }
 
 func (a *Analyzer) numNodes() int { return len(a.nodeInst) }
 
-// pinIDOf reconstructs the public PinID of a node.
-func (a *Analyzer) pinIDOf(v int) PinID {
+// pinOf returns the pin of node v.
+func (a *Analyzer) pinOf(v int32) netlist.PinRef {
 	id := a.nodeInst[v]
 	if id < 0 {
-		return PinID{Inst: -1, Pin: a.d.Ports[-1-id].Name}
+		return netlist.PinRef{Inst: -1, Pin: int(-1 - id)}
 	}
-	return PinID{Inst: int(id), Pin: a.d.Insts[id].Master.Pins[a.nodeMP[v]].Name}
+	return netlist.PinRef{Inst: int(id), Pin: int(a.nodeMP[v])}
 }
 
-// nodeOfPin resolves a PinID to its node index (false when the pin has no
-// node). Ports resolve through the design's port index; instance pins through
-// the master pin index and the dense pin-node table.
-func (a *Analyzer) nodeOfPin(id PinID) (int, bool) {
-	if id.Inst < 0 {
-		pi := a.d.PortIndex(id.Pin)
-		if pi < 0 || pi >= len(a.d.Ports) {
+// nodeOfPin returns the node of pin p (false when the pin is out of range
+// or on no net): ports occupy nodes [0, len(Ports)) in order, instance pins
+// index the dense pin-node table.
+func (a *Analyzer) nodeOfPin(p netlist.PinRef) (int32, bool) {
+	if p.IsPort() {
+		if p.Pin < 0 || p.Pin >= len(a.d.Ports) {
 			return 0, false
 		}
-		return pi, true // ports occupy nodes [0, len(Ports)) in order
+		return int32(p.Pin), true
 	}
-	if id.Inst >= len(a.d.Insts) {
+	if p.Inst >= len(a.d.Insts) || p.Pin < 0 || p.Pin >= len(a.d.Insts[p.Inst].Master.Pins) {
 		return 0, false
 	}
-	mpIdx := a.d.Insts[id.Inst].Master.PinIndex(id.Pin)
-	if mpIdx < 0 {
-		return 0, false
-	}
-	n := a.pinNode[a.instPinStart[id.Inst]+int32(mpIdx)]
-	if n < 0 {
-		return 0, false
-	}
-	return int(n), true
+	n := a.pinNode[a.instPinStart[p.Inst]+int32(p.Pin)]
+	return n, n >= 0
 }
 
 func (a *Analyzer) addNode(inst, mpIdx int32, k nodeKind) int32 {
@@ -337,9 +324,9 @@ func (a *Analyzer) build() {
 		a.buildAdjacency()
 		level, _ = a.levelize()
 	}
-	a.buildSetupIndex()
+	a.buildCheckIndex()
 	a.initValueArrays()
-	a.markSpecialNodes(clockPorts)
+	a.markSpecialNodes()
 	a.topoSort()
 	a.buildSchedule(level)
 	a.refreshAllNets()
@@ -395,16 +382,17 @@ func (a *Analyzer) buildAdjacency() {
 	}
 }
 
-// buildSetupIndex collects, per endpoint data pin, the setup arcs of its
-// master pin (in mp.Arcs order) with preresolved capture-clock nodes, so the
-// required-time seeds run without any name lookups.
-func (a *Analyzer) buildSetupIndex() {
+// buildCheckIndex collects, per data input pin, the setup and hold arcs of
+// its master pin (in mp.Arcs order) with preresolved capture-clock nodes, so
+// the required-time seeds and the hold checks run without any name lookups.
+// A data input with a setup arc is a timing endpoint.
+func (a *Analyzer) buildCheckIndex() {
 	n := a.numNodes()
-	a.setupOff = make([]int32, n+1)
-	a.setupArc = a.setupArc[:0]
-	a.setupClk = a.setupClk[:0]
+	a.checkOff = make([]int32, n+1)
+	a.checkArc = a.checkArc[:0]
+	a.checkClk = a.checkClk[:0]
 	for v := 0; v < n; v++ {
-		a.setupOff[v] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs (about one per register data pin) are fewer than the edges, which build asserts fit int32
+		a.checkOff[v] = int32(len(a.checkArc)) //ppalint:ignore i32trunc check arcs (about two per register data pin) are fewer than the edges, which build asserts fit int32
 		if a.kind[v] != nodeInput {
 			continue
 		}
@@ -413,18 +401,19 @@ func (a *Analyzer) buildSetupIndex() {
 		mp := &m.Pins[a.nodeMP[v]]
 		for ai := range mp.Arcs {
 			arc := &mp.Arcs[ai]
-			if arc.Kind != netlist.ArcSetup {
+			if arc.Kind != netlist.ArcSetup && arc.Kind != netlist.ArcHold {
 				continue
 			}
+			a.endp[v] = a.endp[v] || arc.Kind == netlist.ArcSetup
 			clkNode := int32(-1)
 			if fi := m.PinIndex(arc.From); fi >= 0 {
 				clkNode = a.pinNode[a.instPinStart[inst]+int32(fi)]
 			}
-			a.setupArc = append(a.setupArc, arc)
-			a.setupClk = append(a.setupClk, clkNode)
+			a.checkArc = append(a.checkArc, arc)
+			a.checkClk = append(a.checkClk, clkNode)
 		}
 	}
-	a.setupOff[n] = int32(len(a.setupArc)) //ppalint:ignore i32trunc setup arcs (about one per register data pin) are fewer than the edges, which build asserts fit int32
+	a.checkOff[n] = int32(len(a.checkArc)) //ppalint:ignore i32trunc check arcs (about two per register data pin) are fewer than the edges, which build asserts fit int32
 }
 
 func (a *Analyzer) initValueArrays() {
@@ -444,7 +433,7 @@ func (a *Analyzer) isLaunchEdge(ei int32) bool {
 }
 
 // markSpecialNodes labels clock pins, startpoints and endpoints.
-func (a *Analyzer) markSpecialNodes(clockPorts map[string]bool) {
+func (a *Analyzer) markSpecialNodes() {
 	d := a.d
 	// Propagate clock from clock ports through net arcs and buffers/inverters.
 	var queue []int32
@@ -479,7 +468,9 @@ func (a *Analyzer) markSpecialNodes(clockPorts map[string]bool) {
 	for i := 0; i < a.numNodes(); i++ {
 		switch a.kind[i] {
 		case nodePortIn:
-			if !clockPorts[d.Ports[-1-a.nodeInst[i]].Name] {
+			// An input port is a clock node only as a clock root: no
+			// arc ends at a port that drives a net.
+			if !a.isClk[i] {
 				a.startp[i] = true
 			}
 		case nodePortOut:
@@ -490,11 +481,6 @@ func (a *Analyzer) markSpecialNodes(clockPorts map[string]bool) {
 				if a.isLaunchEdge(ei) {
 					a.startp[i] = true
 				}
-			}
-		case nodeInput:
-			// Data input with a setup arc is an endpoint.
-			if a.setupOff[i+1] > a.setupOff[i] {
-				a.endp[i] = true
 			}
 		}
 	}
@@ -537,11 +523,10 @@ func (a *Analyzer) topoSort() {
 }
 
 // ClockArrival is one CTS-computed clock arrival: the insertion delay T at
-// clock pin Pin of instance Inst.
+// clock pin Pin.
 type ClockArrival struct {
-	Inst int
-	Pin  string
-	T    float64
+	Pin netlist.PinRef
+	T   float64
 }
 
 // SetClockArrivalList installs per-pin clock arrival times (from CTS) on the
@@ -555,7 +540,7 @@ func (a *Analyzer) SetClockArrivalList(list []ClockArrival) {
 	}
 	a.clockAt = make([]float64, a.numNodes())
 	for _, ca := range list {
-		if n, ok := a.nodeOfPin(PinID{Inst: ca.Inst, Pin: ca.Pin}); ok {
+		if n, ok := a.nodeOfPin(ca.Pin); ok {
 			a.clockAt[n] = ca.T
 		}
 	}
@@ -571,22 +556,10 @@ func (a *Analyzer) clockAtNode(n int32) float64 {
 	return a.clockAt[n]
 }
 
-// clockAtInst returns the clock arrival at the named pin of an instance
-// (used by the cold-path hold checks, which resolve arc.From by name).
-func (a *Analyzer) clockAtInst(inst int32, clkPin string) float64 {
-	if a.clockAt == nil {
-		return 0
-	}
-	if n, ok := a.nodeOfPin(PinID{Inst: int(inst), Pin: clkPin}); ok {
-		return a.clockAt[n]
-	}
-	return 0
-}
-
 // arrivalAt returns the arrival time at a pin; ok is false when unreached.
-func (a *Analyzer) arrivalAt(id PinID) (float64, bool) {
+func (a *Analyzer) arrivalAt(p netlist.PinRef) (float64, bool) {
 	a.run()
-	n, found := a.nodeOfPin(id)
+	n, found := a.nodeOfPin(p)
 	if !found {
 		return 0, false
 	}
@@ -627,10 +600,10 @@ func (a *Analyzer) NetLoad(netID int) float64 { return a.netLoad[netID] }
 
 // NetSlackInto fills dst (grown if needed; nil allocates) with, for each net,
 // the worst slack over the pins of the net (+Inf for unconstrained nets) and
-// returns it. This is the per-net timing criticality the clustering consumes.
-// The placer's timing-driven checkpoints call this repeatedly at full-design
-// scale, so the buffer is caller-owned and the fill allocates nothing once
-// dst has capacity for len(Nets).
+// returns it. The timing-driven placer reweights nets from it; its
+// checkpoints call this repeatedly at full-design scale, so the buffer is
+// caller-owned and the fill allocates nothing once dst has capacity for
+// len(Nets).
 func (a *Analyzer) NetSlackInto(dst []float64) []float64 {
 	a.run()
 	n := len(a.d.Nets)
@@ -657,9 +630,9 @@ func (a *Analyzer) NetSlackInto(dst []float64) []float64 {
 // Path is one extracted timing path.
 type Path struct {
 	Slack    float64
-	Pins     []PinID
+	Pins     []netlist.PinRef
 	Nets     []int // nets traversed, aligned with hops between pins
-	Endpoint PinID
+	Endpoint netlist.PinRef
 }
 
 // TopPaths enumerates up to maxPaths timing paths: the worst path per
@@ -688,11 +661,11 @@ func (a *Analyzer) TopPaths(maxPaths int) []Path {
 	}
 	paths := make([]Path, 0, len(ends))
 	for _, es := range ends {
-		p := Path{Slack: es.slack, Endpoint: a.pinIDOf(int(es.node))}
+		p := Path{Slack: es.slack, Endpoint: a.pinOf(es.node)}
 		// Backtrack via worst-arrival predecessor edges.
 		cur := es.node
 		for cur >= 0 {
-			p.Pins = append(p.Pins, a.pinIDOf(int(cur)))
+			p.Pins = append(p.Pins, a.pinOf(cur))
 			ei := a.worstIn[cur]
 			if ei < 0 {
 				break
@@ -703,7 +676,7 @@ func (a *Analyzer) TopPaths(maxPaths int) []Path {
 			}
 			if arc != nil && arc.Kind == netlist.ArcClkToQ {
 				// Launch point reached.
-				p.Pins = append(p.Pins, a.pinIDOf(int(a.eFrom[ei])))
+				p.Pins = append(p.Pins, a.pinOf(a.eFrom[ei]))
 				break
 			}
 			cur = a.eFrom[ei]

@@ -58,7 +58,7 @@ func combChain(t *testing.T, n int) *netlist.Design {
 	in.X, in.Y = 0, 0
 	out, _ := d.AddPort("out", netlist.DirOutput)
 	out.X, out.Y = 0, 0
-	prev := netlist.PinRef{Inst: -1, Pin: "in"}
+	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
 		inst, err := d.AddInstance(fmt.Sprintf("i%d", i), l.Master("INV"))
 		if err != nil {
@@ -67,12 +67,12 @@ func combChain(t *testing.T, n int) *netlist.Design {
 		inst.X, inst.Y = -0.5, -1 // center at origin
 		net, _ := d.AddNet(fmt.Sprintf("n%d", i))
 		d.Connect(net, prev)
-		d.Connect(net, netlist.PinRef{Inst: inst.ID, Pin: "A"})
-		prev = netlist.PinRef{Inst: inst.ID, Pin: "Y"}
+		d.Connect(net, pinRef(d, inst.ID, "A"))
+		prev = pinRef(d, inst.ID, "Y")
 	}
 	last, _ := d.AddNet("nout")
 	d.Connect(last, prev)
-	d.Connect(last, netlist.PinRef{Inst: -1, Pin: "out"})
+	d.Connect(last, pinRef(d, -1, "out"))
 	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
@@ -94,21 +94,21 @@ func regPair(t *testing.T) *netlist.Design {
 	}
 	cn, _ := d.AddNet("clknet")
 	cn.Clock = true
-	d.Connect(cn, netlist.PinRef{Inst: -1, Pin: "clk"})
-	d.Connect(cn, netlist.PinRef{Inst: ff0.ID, Pin: "CK"})
-	d.Connect(cn, netlist.PinRef{Inst: ff1.ID, Pin: "CK"})
+	d.Connect(cn, pinRef(d, -1, "clk"))
+	d.Connect(cn, pinRef(d, ff0.ID, "CK"))
+	d.Connect(cn, pinRef(d, ff1.ID, "CK"))
 	n0, _ := d.AddNet("q0")
-	d.Connect(n0, netlist.PinRef{Inst: ff0.ID, Pin: "Q"})
-	d.Connect(n0, netlist.PinRef{Inst: inv.ID, Pin: "A"})
+	d.Connect(n0, pinRef(d, ff0.ID, "Q"))
+	d.Connect(n0, pinRef(d, inv.ID, "A"))
 	n1, _ := d.AddNet("d1")
-	d.Connect(n1, netlist.PinRef{Inst: inv.ID, Pin: "Y"})
-	d.Connect(n1, netlist.PinRef{Inst: ff1.ID, Pin: "D"})
+	d.Connect(n1, pinRef(d, inv.ID, "Y"))
+	d.Connect(n1, pinRef(d, ff1.ID, "D"))
 	// ff0.D floats; drive it from a data port to make it reachable.
 	din, _ := d.AddPort("din", netlist.DirInput)
 	din.X, din.Y = 0, 0
 	nd, _ := d.AddNet("d0")
-	d.Connect(nd, netlist.PinRef{Inst: -1, Pin: "din"})
-	d.Connect(nd, netlist.PinRef{Inst: ff0.ID, Pin: "D"})
+	d.Connect(nd, pinRef(d, -1, "din"))
+	d.Connect(nd, pinRef(d, ff0.ID, "D"))
 	if _, err := d.CompactChecked(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func consFor(period float64, clocks ...string) Constraints {
 }
 
 // endpointSlack returns the slack of the worst path ending at the pin.
-func endpointSlack(t *testing.T, a *Analyzer, id PinID) float64 {
+func endpointSlack(t *testing.T, a *Analyzer, id netlist.PinRef) float64 {
 	t.Helper()
 	for _, p := range a.TopPaths(1 << 20) {
 		if p.Endpoint == id {
@@ -137,7 +137,7 @@ func TestCombChainArrival(t *testing.T) {
 	d := combChain(t, 3)
 	cons := consFor(1e-9)
 	a := New(d, cons)
-	at, ok := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
+	at, ok := a.arrivalAt(pinRef(d, -1, "out"))
 	if !ok {
 		t.Fatal("out not reached")
 	}
@@ -145,7 +145,7 @@ func TestCombChainArrival(t *testing.T) {
 	if math.Abs(at-want) > 1e-15 {
 		t.Fatalf("AT(out)=%v want %v", at, want)
 	}
-	slack := endpointSlack(t, a, PinID{Inst: -1, Pin: "out"})
+	slack := endpointSlack(t, a, pinRef(d, -1, "out"))
 	wantSlack := (1e-9 - cons.OutputDelay) - want
 	if math.Abs(slack-wantSlack) > 1e-15 {
 		t.Fatalf("slack=%v want %v", slack, wantSlack)
@@ -171,7 +171,7 @@ func TestRegToRegSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, consFor(period, "clk"))
-	slack := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	slack := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
 	want := period - setupTime - (clk2q + invDelay)
 	if math.Abs(slack-want) > 1e-15 {
 		t.Fatalf("slack=%v want %v", slack, want)
@@ -182,20 +182,20 @@ func TestClockArrivalsShiftSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, consFor(period, "clk"))
-	base := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	base := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
 	// Useful skew: delay capture clock by 10ps -> slack improves by 10ps.
 	skew := 10e-12
 	a.SetClockArrivalList([]ClockArrival{
-		{Inst: d.Instance("ff0").ID, Pin: "CK", T: 0},
-		{Inst: d.Instance("ff1").ID, Pin: "CK", T: skew},
+		{Pin: pinRef(d, d.Instance("ff0").ID, "CK"), T: 0},
+		{Pin: pinRef(d, d.Instance("ff1").ID, "CK"), T: skew},
 	})
-	got := endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})
+	got := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
 	if math.Abs(got-(base+skew)) > 1e-15 {
 		t.Fatalf("slack with skew=%v want %v", got, base+skew)
 	}
 	// Restore ideal clock.
 	a.SetClockArrivalList(nil)
-	if math.Abs(endpointSlack(t, a, PinID{Inst: d.Instance("ff1").ID, Pin: "D"})-base) > 1e-15 {
+	if math.Abs(endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))-base) > 1e-15 {
 		t.Fatal("resetting clock arrivals should restore base slack")
 	}
 }
@@ -204,12 +204,12 @@ func TestWireDelayMatters(t *testing.T) {
 	d := combChain(t, 2)
 	cons := consFor(1e-9)
 	a := New(d, cons)
-	at0, _ := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
+	at0, _ := a.arrivalAt(pinRef(d, -1, "out"))
 	// Spread the cells far apart and update.
 	d.Insts[0].X, d.Insts[0].Y = 0, 0
 	d.Insts[1].X, d.Insts[1].Y = 500, 500
 	a.Update()
-	at1, _ := a.arrivalAt(PinID{Inst: -1, Pin: "out"})
+	at1, _ := a.arrivalAt(pinRef(d, -1, "out"))
 	if at1 <= at0 {
 		t.Fatalf("wire delay did not increase arrival: %v <= %v", at1, at0)
 	}
@@ -230,7 +230,7 @@ func TestTopPathsOrderAndContent(t *testing.T) {
 	// The worst path should end at ff1/D and start at ff0 (launch).
 	p := paths[0]
 	ff1 := d.Instance("ff1").ID
-	if p.Endpoint != (PinID{Inst: ff1, Pin: "D"}) {
+	if p.Endpoint != pinRef(d, ff1, "D") {
 		t.Fatalf("worst endpoint=%v", p.Endpoint)
 	}
 	first := p.Pins[0]
@@ -295,14 +295,14 @@ func TestActivityGateAttenuation(t *testing.T) {
 	out.X, out.Y = 0, 0
 	g, _ := d.AddInstance("g", l.Master("NAND2"))
 	na, _ := d.AddNet("na")
-	d.Connect(na, netlist.PinRef{Inst: -1, Pin: "a"})
-	d.Connect(na, netlist.PinRef{Inst: g.ID, Pin: "A"})
+	d.Connect(na, pinRef(d, -1, "a"))
+	d.Connect(na, pinRef(d, g.ID, "A"))
 	nb, _ := d.AddNet("nb")
-	d.Connect(nb, netlist.PinRef{Inst: -1, Pin: "b"})
-	d.Connect(nb, netlist.PinRef{Inst: g.ID, Pin: "B"})
+	d.Connect(nb, pinRef(d, -1, "b"))
+	d.Connect(nb, pinRef(d, g.ID, "B"))
 	ny, _ := d.AddNet("ny")
-	d.Connect(ny, netlist.PinRef{Inst: g.ID, Pin: "Y"})
-	d.Connect(ny, netlist.PinRef{Inst: -1, Pin: "y"})
+	d.Connect(ny, pinRef(d, g.ID, "Y"))
+	d.Connect(ny, pinRef(d, -1, "y"))
 	cons := consFor(1e-9)
 	an := New(d, cons)
 	act := an.NetActivity()
@@ -348,4 +348,13 @@ func TestWriteReport(t *testing.T) {
 	if !strings.Contains(sb.String(), "No constrained paths") {
 		t.Fatal("empty report wrong")
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -71,6 +71,13 @@ func TestLenientSkipsNonPortAssign(t *testing.T) {
 		designs.Lib(), Options{Lenient: true}); err == nil {
 		t.Fatal("unknown cell must stay fatal in lenient mode")
 	}
+	// So do unknown pins, at the pin's line.
+	_, _, err = ParseWith(strings.NewReader("module m (a);\n  input a;\n  INV_X1 u (.A(a),\n    .Q(a));\nendmodule\n"),
+		designs.Lib(), Options{Lenient: true})
+	var pe *scan.ParseError
+	if !errors.As(err, &pe) || pe.Line != 4 {
+		t.Fatalf("unknown pin in lenient mode: got %v, want a parse error at line 4", err)
+	}
 }
 
 // TestPortToPortAssignStable checks the canonicalization order fix: an
@@ -114,7 +121,7 @@ func TestOutputPortAssignPrecedence(t *testing.T) {
 	}
 	found := false
 	for _, pr := range n.Pins {
-		if pr.IsPort() && pr.Pin == "o" {
+		if pr.IsPort() && d.PinName(pr) == "o" {
 			found = true
 		}
 	}

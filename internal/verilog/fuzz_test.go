@@ -13,8 +13,9 @@ import (
 // FuzzReadVerilog asserts the structural-Verilog reader never panics,
 // returns structured errors, and round-trips its own emission
 // byte-for-byte (including assign canonicalization and escaped
-// identifiers), and that the connectivity build on any design it accepts
-// returns rather than panics.
+// identifiers), and that the connectivity build accepts any design it
+// accepts: the reader resolves every pin, so nothing is left for the build
+// to reject.
 func FuzzReadVerilog(f *testing.F) {
 	b := designs.Generate(designs.TinySpec(7))
 	var seed bytes.Buffer
@@ -33,16 +34,16 @@ func FuzzReadVerilog(f *testing.F) {
 			Options{File: "fuzz.v", Lenient: true})
 		if lerr != nil {
 			requireParseError(t, lerr)
-		} else {
-			// The connectivity build may reject an accepted design (a net
-			// naming an undeclared port, say); it must only not panic.
-			_, _ = ld.CompactChecked()
+		} else if _, err := ld.CompactChecked(); err != nil {
+			t.Fatalf("lenient parse accepted a design the connectivity build rejects: %v", err)
 		}
 		if err != nil {
 			requireParseError(t, err)
 			return
 		}
-		_, _ = d.CompactChecked() // may reject, must not panic
+		if _, err := d.CompactChecked(); err != nil {
+			t.Fatalf("parse accepted a design the connectivity build rejects: %v", err)
+		}
 		var w1 bytes.Buffer
 		if err := Write(&w1, d); err != nil {
 			t.Fatalf("write after accepting parse: %v", err)

@@ -17,8 +17,8 @@ func TestInoutPortRoundTrip(t *testing.T) {
 	}
 	g, _ := d.AddInstance("g", lib.Master("INV_X1"))
 	n, _ := d.AddNet("bidir")
-	d.Connect(n, netlist.PinRef{Inst: -1, Pin: "bidir"})
-	d.Connect(n, netlist.PinRef{Inst: g.ID, Pin: "A"})
+	d.Connect(n, pinRef(d, -1, "bidir"))
+	d.Connect(n, pinRef(d, g.ID, "A"))
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)
@@ -48,4 +48,13 @@ endmodule`
 	if len(d.Ports) != 1 {
 		t.Fatal("comment handling broke parsing")
 	}
+}
+
+// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	ref, err := d.PinRefOf(inst, name)
+	if err != nil {
+		panic(err)
+	}
+	return ref
 }

@@ -77,7 +77,7 @@ func Write(w io.Writer, d *netlist.Design) error {
 	for _, n := range d.Nets {
 		for _, pr := range n.Pins {
 			if !pr.IsPort() {
-				conns[next[pr.Inst]] = conn{pr.Pin, n.Name}
+				conns[next[pr.Inst]] = conn{d.PinName(pr), n.Name}
 				next[pr.Inst]++
 			} else if a, ok := appendAssign(text, d, n, pr); ok {
 				assigns = append(assigns, a[len(text):])
@@ -122,11 +122,8 @@ func Write(w io.Writer, d *netlist.Design) error {
 // under another name ("assign out = net" for an output port, "assign net =
 // in" otherwise); ok is false, and b unchanged, for any other pin.
 func appendAssign(b []byte, d *netlist.Design, n *netlist.Net, pr netlist.PinRef) (_ []byte, ok bool) {
-	if pr.Pin == n.Name {
-		return b, false
-	}
-	port := d.Port(pr.Pin)
-	if port == nil {
+	port := d.Ports[pr.Pin]
+	if port.Name == n.Name {
 		return b, false
 	}
 	lhs, rhs := n.Name, port.Name
@@ -406,19 +403,14 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 		case "endmodule":
 			// Attach port pins to their same-named nets (unless an assign
 			// already placed the port on another net).
-			for _, port := range d.Ports {
+			for pi, port := range d.Ports {
 				n := d.Net(port.Name)
 				if n == nil {
 					continue
 				}
-				has := false
-				for _, pr := range n.Pins {
-					if pr.IsPort() && pr.Pin == port.Name {
-						has = true
-					}
-				}
-				if !has {
-					d.Connect(n, netlist.PinRef{Inst: -1, Pin: port.Name})
+				ref := netlist.PinRef{Inst: -1, Pin: pi}
+				if !slices.Contains(n.Pins, ref) {
+					d.Connect(n, ref)
 				}
 			}
 			return d, nil
@@ -457,15 +449,17 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			// first keeps port-to-port assigns stable across a write/parse
 			// cycle: the writer emits "assign out = net" for output ports
 			// and "assign net = in" for inputs.
-			lp, rp := d.Port(lhs), d.Port(rhs)
-			var portName, netName string
+			lp, lerr := d.PinRefOf(-1, lhs)
+			rp, rerr := d.PinRefOf(-1, rhs)
+			var port netlist.PinRef
+			var netName string
 			switch {
-			case lp != nil && lp.Dir == netlist.DirOutput:
-				portName, netName = lhs, rhs
-			case rp != nil:
-				portName, netName = rhs, lhs
-			case lp != nil:
-				portName, netName = lhs, rhs
+			case lerr == nil && d.Ports[lp.Pin].Dir == netlist.DirOutput:
+				port, netName = lp, rhs
+			case rerr == nil:
+				port, netName = rp, lhs
+			case lerr == nil:
+				port, netName = lp, rhs
 			default:
 				err := p.errf(t.line, lhs, "assign between non-ports %s = %s is outside the subset", lhs, rhs)
 				if err := p.warns.Tolerate(err); err != nil {
@@ -477,7 +471,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			if err != nil {
 				return nil, p.errf(t.line, netName, "%v", err)
 			}
-			d.Connect(n, netlist.PinRef{Inst: -1, Pin: portName})
+			d.Connect(n, port)
 		case "wire":
 			for {
 				nm := p.next()
@@ -514,7 +508,8 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 					return nil, err
 				}
 				pin := p.next()
-				if master.Pin(pin.text) == nil {
+				ref, err := d.PinRefOf(inst.ID, pin.text)
+				if err != nil {
 					return nil, p.errf(pin.line, pin.text, "cell %s has no such pin", master.Name)
 				}
 				if err := p.expect("("); err != nil {
@@ -528,7 +523,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 				if err != nil {
 					return nil, p.errf(netName.line, netName.text, "%v", err)
 				}
-				d.Connect(n, netlist.PinRef{Inst: inst.ID, Pin: pin.text})
+				d.Connect(n, ref)
 				if p.peek().is(",") {
 					p.next()
 				}

@@ -95,7 +95,7 @@ endmodule`
 	n1 := d.Net("n1")
 	foundPort := false
 	for _, pr := range n1.Pins {
-		if pr.IsPort() && pr.Pin == "y" {
+		if pr.IsPort() && d.PinName(pr) == "y" {
 			foundPort = true
 		}
 	}

@@ -201,7 +201,7 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 		for _, pr := range n.Pins {
 			// A port pin's Inst is negative and so never a member.
 			if sid, inside := newID[pr.Inst]; inside {
-				internal = append(internal, netlist.PinRef{Inst: sid, Pin: pr.Pin})
+				internal = append(internal, netlist.PinRef{Inst: sid, Pin: pr.Pin}) // same master
 				if hasDrv && pr == drv {
 					internalDrv = true
 				}
@@ -228,18 +228,16 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 			sub.Connect(sn, pr)
 		}
 		if needInPort {
-			pname := fmt.Sprintf("vin_%s", n.Name)
-			if _, err := sub.AddPort(pname, netlist.DirInput); err != nil {
+			if _, err := sub.AddPort("vin_"+n.Name, netlist.DirInput); err != nil {
 				return nil, err
 			}
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: pname})
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 		if needOutPort {
-			pname := fmt.Sprintf("vout_%s", n.Name)
-			if _, err := sub.AddPort(pname, netlist.DirOutput); err != nil {
+			if _, err := sub.AddPort("vout_"+n.Name, netlist.DirOutput); err != nil {
 				return nil, err
 			}
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: pname})
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 	}
 	return sub, nil

@@ -253,13 +253,21 @@ func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
 			if _, err := sub.AddPort("vin_"+n.Name, netlist.DirInput); err != nil {
 				return nil, err
 			}
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: "vin_" + n.Name})
+			ref, err := sub.PinRefOf(-1, "vin_"+n.Name)
+			if err != nil {
+				return nil, err
+			}
+			sub.Connect(sn, ref)
 		}
 		if needOutPort {
 			if _, err := sub.AddPort("vout_"+n.Name, netlist.DirOutput); err != nil {
 				return nil, err
 			}
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: "vout_" + n.Name})
+			ref, err := sub.PinRefOf(-1, "vout_"+n.Name)
+			if err != nil {
+				return nil, err
+			}
+			sub.Connect(sn, ref)
 		}
 	}
 	return sub, nil
@@ -278,7 +286,7 @@ func dumpDesign(d *netlist.Design) string {
 	for _, n := range d.Nets {
 		fmt.Fprintf(&sb, "N %d %s w=%v clk=%v", n.ID, n.Name, n.Weight, n.Clock)
 		for _, pr := range n.Pins {
-			fmt.Fprintf(&sb, " %d/%s", pr.Inst, pr.Pin)
+			fmt.Fprintf(&sb, " %d/%s", pr.Inst, d.PinName(pr))
 		}
 		sb.WriteByte('\n')
 	}

@@ -31,6 +31,7 @@ options() {
 
 printf '%-34s %8s %9s %8s\n' package lines exported options
 total=0
+total_exported=0
 total_options=0
 for pkg in $(go list ./...); do
     dir=${pkg#ppaclust}
@@ -43,8 +44,10 @@ for pkg in $(go list ./...); do
     opts=$(go doc -all "$pkg" 2>/dev/null | options)
     printf '%-34s %8d %9d %8d\n' "$dir" "$lines" "$exported" "$opts"
     total=$((total + lines))
+    total_exported=$((total_exported + exported))
     total_options=$((total_options + opts))
 done
 printf '%-34s %8d\n' "total non-test Go and .s lines" "$total"
+printf '%-34s %8d\n' "total exported identifiers" "$total_exported"
 printf '%-34s %8d\n' "total options" "$total_options"
 printf '%-34s %8d\n' "packages (go list ./...)" "$(go list ./... | wc -l)"
