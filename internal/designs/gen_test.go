@@ -30,7 +30,7 @@ func TestLibMasters(t *testing.T) {
 		t.Fatal("RAM should be a macro")
 	}
 	// Delay tables: more load -> more delay.
-	arc := &lib.Master("INV_X1").Pin("ZN").Arcs[0]
+	arc := &lib.Master("INV_X1").Pins[1].Arcs[0] // ZN
 	if arc.Delay.Lookup(10e-12, 40e-15) <= arc.Delay.Lookup(10e-12, 2e-15) {
 		t.Fatal("delay should grow with load")
 	}

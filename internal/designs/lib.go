@@ -85,7 +85,7 @@ func Lib() *netlist.Library {
 			m.AddPin(netlist.MasterPin{Name: in, Dir: netlist.DirInput, Cap: g.cap})
 		}
 		out := m.AddPin(netlist.MasterPin{Name: "ZN", Dir: netlist.DirOutput, MaxCap: 80e-15})
-		for _, in := range g.inputs {
+		for in := range g.inputs { // input i is pin i
 			out.Arcs = append(out.Arcs, netlist.TimingArc{
 				From:   in,
 				Kind:   netlist.ArcComb,
@@ -97,7 +97,7 @@ func Lib() *netlist.Library {
 		mustAdd(lib, m)
 	}
 
-	// DFF_X1: D, CK -> Q with clk-to-q, setup and hold arcs.
+	// DFF_X1: D, CK -> Q with clk-to-q, setup and hold arcs; CK is pin 1.
 	dff := &netlist.Master{
 		Name:    "DFF_X1",
 		Class:   netlist.ClassCore,
@@ -108,14 +108,14 @@ func Lib() *netlist.Library {
 	dff.AddPin(netlist.MasterPin{
 		Name: "D", Dir: netlist.DirInput, Cap: 1.2e-15,
 		Arcs: []netlist.TimingArc{
-			{From: "CK", Kind: netlist.ArcSetup, Delay: netlist.Const(35e-12)},
-			{From: "CK", Kind: netlist.ArcHold, Delay: netlist.Const(5e-12)},
+			{From: 1, Kind: netlist.ArcSetup, Delay: netlist.Const(35e-12)},
+			{From: 1, Kind: netlist.ArcHold, Delay: netlist.Const(5e-12)},
 		},
 	})
 	dff.AddPin(netlist.MasterPin{Name: "CK", Dir: netlist.DirInput, Cap: 0.9e-15, Clock: true})
 	q := dff.AddPin(netlist.MasterPin{Name: "Q", Dir: netlist.DirOutput, MaxCap: 80e-15})
 	q.Arcs = []netlist.TimingArc{{
-		From:   "CK",
+		From:   1,
 		Kind:   netlist.ArcClkToQ,
 		Delay:  makeTable(70e-12, 0.15, 2.4e3),
 		Slew:   makeSlewTable(8e-12, 2.4e3),
@@ -134,7 +134,7 @@ func Lib() *netlist.Library {
 	cb.AddPin(netlist.MasterPin{Name: "A", Dir: netlist.DirInput, Cap: 1.6e-15})
 	cbo := cb.AddPin(netlist.MasterPin{Name: "Z", Dir: netlist.DirOutput, MaxCap: 120e-15})
 	cbo.Arcs = []netlist.TimingArc{{
-		From:   "A",
+		From:   0,
 		Kind:   netlist.ArcComb,
 		Delay:  makeTable(20e-12, 0.2, 1.0e3),
 		Slew:   makeSlewTable(6e-12, 1.0e3),
@@ -142,7 +142,8 @@ func Lib() *netlist.Library {
 	}}
 	mustAdd(lib, cb)
 
-	// A small SRAM macro (address in, data out), preplaced in big designs.
+	// A small SRAM macro (address in, data out), preplaced in big designs:
+	// address pins 0-7, CK pin 8, data pins 9-16.
 	ram := &netlist.Master{
 		Name:    "RAM32X32",
 		Class:   netlist.ClassMacro,
@@ -154,7 +155,7 @@ func Lib() *netlist.Library {
 		ram.AddPin(netlist.MasterPin{
 			Name: "A" + itoa(i), Dir: netlist.DirInput, Cap: 2.2e-15,
 			OffsetX: 0.2, OffsetY: 1 + float64(i),
-			Arcs: []netlist.TimingArc{{From: "CK", Kind: netlist.ArcSetup, Delay: netlist.Const(60e-12)}},
+			Arcs: []netlist.TimingArc{{From: 8, Kind: netlist.ArcSetup, Delay: netlist.Const(60e-12)}},
 		})
 	}
 	ram.AddPin(netlist.MasterPin{Name: "CK", Dir: netlist.DirInput, Cap: 2.0e-15, Clock: true, OffsetX: 0.2, OffsetY: 0.5})
@@ -164,7 +165,7 @@ func Lib() *netlist.Library {
 			OffsetX: 23.8, OffsetY: 1 + float64(i),
 		})
 		p.Arcs = []netlist.TimingArc{{
-			From:   "CK",
+			From:   8,
 			Kind:   netlist.ArcClkToQ,
 			Delay:  makeTable(240e-12, 0.1, 1.5e3),
 			Slew:   makeSlewTable(12e-12, 1.5e3),

@@ -67,33 +67,6 @@ type Features struct {
 	CellType       []int
 }
 
-// cellTypeIndex maps a master to its one-hot slot.
-func cellTypeIndex(m *netlist.Master) int {
-	name := m.Name
-	switch {
-	case hasPrefix(name, "INV"):
-		return 0
-	case hasPrefix(name, "BUF"), hasPrefix(name, "CLKBUF"):
-		return 1
-	case hasPrefix(name, "NAND"):
-		return 2
-	case hasPrefix(name, "NOR"):
-		return 3
-	case hasPrefix(name, "AND"), hasPrefix(name, "OR"):
-		return 4
-	case hasPrefix(name, "XOR"), hasPrefix(name, "XNOR"):
-		return 5
-	case hasPrefix(name, "MUX"), hasPrefix(name, "AOI"), hasPrefix(name, "OAI"):
-		return 6
-	default: // DFF, macros, everything sequential or unknown
-		return 7
-	}
-}
-
-func hasPrefix(s, p string) bool {
-	return len(s) >= len(p) && s[:len(p)] == p
-}
-
 // Extract computes all features of a cluster sub-netlist.
 func Extract(sub *netlist.Design, opt Options) *Features {
 	n := len(sub.Insts)
@@ -152,7 +125,7 @@ func Extract(sub *netlist.Design, opt Options) *Features {
 	cm := sub.Compact()
 	for i, inst := range sub.Insts {
 		f.CellArea[i] = inst.Master.Area()
-		f.CellType[i] = cellTypeIndex(inst.Master)
+		f.CellType[i] = inst.Master.Func.OneHotSlot()
 		f.CellDegree[i] = float64(cm.InstStart[inst.ID+1] - cm.InstStart[inst.ID])
 		degSum += f.CellDegree[i]
 		edges += len(adj[i])

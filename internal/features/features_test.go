@@ -113,9 +113,16 @@ func TestCellTypeIndex(t *testing.T) {
 		"NOR2_X1": 3, "AND2_X1": 4, "OR2_X1": 4, "XOR2_X1": 5,
 		"MUX2_X1": 6, "AOI21_X1": 6, "DFF_X1": 7, "RAM32X32": 7,
 	}
-	for name, want := range cases {
-		if got := cellTypeIndex(lib.Master(name)); got != want {
-			t.Errorf("cellTypeIndex(%s)=%d want %d", name, got, want)
+	d := netlist.NewDesign("types", lib)
+	for name := range cases {
+		if _, err := d.AddInstance(name, lib.Master(name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := Extract(d, Options{})
+	for i, inst := range d.Insts {
+		if got, want := f.CellType[i], cases[inst.Name]; got != want {
+			t.Errorf("cell type of %s = %d, want %d", inst.Name, got, want)
 		}
 	}
 }

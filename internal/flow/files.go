@@ -49,7 +49,8 @@ func LoadBenchmark(f Files) (*designs.Benchmark, error) {
 // listed before DEF ones. The readers resolve every pin name as they read
 // it: a net pin naming an undeclared port or master pin is a parse error
 // with file and line. So is, in both modes, an SDC clock root that names no
-// port of the design; the nets on a clock root are marked as clock nets.
+// port of the design; the nets on a clock root are marked as clock nets,
+// which is where the STA, CTS and activity take the clock from.
 func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.ParseError, error) {
 	var warns []*scan.ParseError
 	lib, w, err := parseFile(f.Liberty, func(r io.Reader) (*netlist.Library, []*scan.ParseError, error) {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,6 +125,37 @@ func TestClockRootMustNameAPort(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
 			t.Errorf("lenient %v: clock root naming no port loaded: b=%v err=%v", lenient, b != nil, err)
 		}
+	}
+}
+
+// TestVirtualClockLoads: a virtual clock (create_clock -name with no
+// [get_ports ...]) names no clock root, so a file set whose SDC adds one
+// still loads, with only the real root's net marked as a clock net.
+func TestVirtualClockLoads(t *testing.T) {
+	files := writeFileSet(t, t.TempDir(), designs.Generate(designs.TinySpec(5)))
+	f, err := os.OpenFile(files.SDC, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString("create_clock -name vclk -period 1.0\n")
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadBenchmark(files)
+	if err != nil {
+		t.Fatalf("virtual clock: %v", err)
+	}
+	var clockNets []string
+	for _, n := range b.Design.Nets {
+		if n.Clock {
+			clockNets = append(clockNets, n.Name)
+		}
+	}
+	if !slices.Equal(b.Cons.ClockPorts, []string{"clk"}) || !slices.Equal(clockNets, []string{"clk"}) {
+		t.Fatalf("clock ports %v, clock nets %v; want the port clk and its net", b.Cons.ClockPorts, clockNets)
 	}
 }
 

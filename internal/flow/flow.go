@@ -191,7 +191,6 @@ type Result struct {
 	ShapeTime     time.Duration
 	SeedPlaceTime time.Duration
 	IncrPlaceTime time.Duration
-	RouteTime     time.Duration
 	// PlaceTime is the clustering-flow placement cost compared against the
 	// default flow in Table 2: clustering + seed + incremental placement.
 	PlaceTime time.Duration
@@ -572,9 +571,7 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 	if opt.SkipRoute {
 		return nil
 	}
-	t0 := time.Now()
 	rres := route.GlobalRoute(d, route.Options{Workers: opt.Workers})
-	res.RouteTime = time.Since(t0)
 	res.Overflow = rres.Overflow
 	res.MaxCongestion = rres.MaxCongestion
 

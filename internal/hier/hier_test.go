@@ -13,7 +13,7 @@ func miniLib() *netlist.Library {
 	m := &netlist.Master{Name: "G", Width: 1, Height: 1}
 	m.AddPin(netlist.MasterPin{Name: "A", Dir: netlist.DirInput, Cap: 1e-15})
 	y := m.AddPin(netlist.MasterPin{Name: "Y", Dir: netlist.DirOutput})
-	y.Arcs = []netlist.TimingArc{{From: "A", Kind: netlist.ArcComb, Delay: netlist.Const(1e-12), Slew: netlist.Const(1e-12)}}
+	y.Arcs = []netlist.TimingArc{{From: 0, Kind: netlist.ArcComb, Delay: netlist.Const(1e-12), Slew: netlist.Const(1e-12)}}
 	if err := l.AddMaster(m); err != nil {
 		panic(err)
 	}

@@ -80,11 +80,11 @@ func TestLenientMode(t *testing.T) {
 		t.Fatalf("warnings = %d, want 3: %v", len(warns), warns)
 	}
 	m := lib.Master("M")
-	if m == nil || m.Pin("P") == nil {
+	if m == nil || m.PinIndex("P") != 0 {
 		t.Fatal("macro or pin lost in lenient mode")
 	}
-	if m.Pin("P").OffsetX != 0.1 {
-		t.Fatalf("offset = %v", m.Pin("P").OffsetX)
+	if m.Pins[0].OffsetX != 0.1 {
+		t.Fatalf("offset = %v", m.Pins[0].OffsetX)
 	}
 	// MACRO without a name stays fatal.
 	if _, _, err := ParseWith(strings.NewReader("MACRO\n"), netlist.NewLibrary("t"),

@@ -182,8 +182,8 @@ func (p *lefParser) line(ln *scan.Line) error {
 		if err := ln.Require(2); err != nil {
 			return err
 		}
-		if ex := p.m.Pin(ln.Tok(1)); ex != nil {
-			p.pin = ex
+		if i := p.m.PinIndex(ln.Tok(1)); i >= 0 {
+			p.pin = &p.m.Pins[i]
 		} else {
 			p.pin = p.m.AddPin(netlist.MasterPin{Name: ln.Tok(1)})
 		}

@@ -41,8 +41,12 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		}
 		for pi := range om.Pins {
 			op := &om.Pins[pi]
-			gp := gm.Pin(op.Name)
-			if gp == nil || gp.Dir != op.Dir || gp.Clock != op.Clock {
+			gi := gm.PinIndex(op.Name)
+			if gi < 0 {
+				t.Fatalf("%s pin %s lost", name, op.Name)
+			}
+			gp := &gm.Pins[gi]
+			if gp.Dir != op.Dir || gp.Clock != op.Clock {
 				t.Fatalf("%s pin %s mismatch", name, op.Name)
 			}
 			if gp.OffsetX != op.OffsetX || gp.OffsetY != op.OffsetY {
@@ -73,7 +77,7 @@ END INV_X1`
 	if m.Width != 0.38 || m.Height != 1.4 {
 		t.Fatalf("geometry not merged: %v x %v", m.Width, m.Height)
 	}
-	if m.Pin("A").Cap != 5e-15 {
+	if m.Pins[m.PinIndex("A")].Cap != 5e-15 {
 		t.Fatal("electrical data clobbered")
 	}
 }

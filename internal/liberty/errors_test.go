@@ -31,6 +31,7 @@ func TestMalformedInputs(t *testing.T) {
 		{"nameless pin", "library (l) {\n  cell (c) {\n    pin () {\n      direction : input;\n    }\n  }\n}\n", 3, "without a name"},
 		{"bad table number", "library (l) {\n  cell (c) {\n    pin (Z) {\n      timing () {\n        cell_rise () {\n          index_1 (\"x\");\n          values (\"0.1\");\n        }\n      }\n    }\n  }\n}\n", 6, "table number"},
 		{"table shape", "library (l) {\n  cell (c) {\n    pin (Z) {\n      timing () {\n        cell_rise () {\n          index_1 (\"0.1, 0.2\");\n          index_2 (\"0.001\");\n          values (\"0.5\");\n        }\n      }\n    }\n  }\n}\n", 5, "rows"},
+		{"unknown related pin", "library (l) {\n  cell (c) {\n    pin (Z) {\n      timing () {\n        related_pin : \"B\";\n      }\n    }\n  }\n}\n", 5, "names no pin"},
 		{"denormal table entry", "library (l) {\n  cell (c) {\n    pin (Z) {\n      timing () {\n        cell_rise () {\n          index_1 (\"1e-300\");\n          values (\"0.1\");\n        }\n      }\n    }\n  }\n}\n", 6, "table number"},
 	}
 	for _, tc := range cases {
@@ -65,8 +66,9 @@ func TestMalformedInputs(t *testing.T) {
 	}
 }
 
-// TestLenientMode checks that bad numeric attributes and malformed arcs
-// downgrade to warnings that carry their line numbers.
+// TestLenientMode checks that bad numeric attributes, malformed arcs and
+// arcs whose related_pin names no pin of the cell downgrade to warnings that
+// carry their line numbers.
 func TestLenientMode(t *testing.T) {
 	in := "library (l) {\n" +
 		"  cell (C) {\n" +
@@ -85,6 +87,12 @@ func TestLenientMode(t *testing.T) {
 		"          values (\"0.1\");\n" +
 		"        }\n" +
 		"      }\n" +
+		"      timing () {\n" +
+		"        related_pin : \"B\";\n" + // warn: no pin B, arc dropped
+		"      }\n" +
+		"      timing () {\n" +
+		"        related_pin : \"A\";\n" +
+		"      }\n" +
 		"    }\n" +
 		"  }\n" +
 		"}\n"
@@ -92,8 +100,8 @@ func TestLenientMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lenient parse failed: %v", err)
 	}
-	if len(warns) != 3 {
-		t.Fatalf("warnings = %d, want 3: %v", len(warns), warns)
+	if len(warns) != 4 {
+		t.Fatalf("warnings = %d, want 4: %v", len(warns), warns)
 	}
 	m := lib.Master("C")
 	if m == nil {
@@ -102,13 +110,13 @@ func TestLenientMode(t *testing.T) {
 	if m.Leakage == 0 {
 		t.Fatal("good leakage value lost")
 	}
-	if m.Pin("A").Cap != 0 {
+	if m.Pins[0].Cap != 0 { // A
 		t.Fatal("bad capacitance should be skipped")
 	}
-	if len(m.Pin("Z").Arcs) != 0 {
-		t.Fatal("malformed arc should be dropped in lenient mode")
+	if z := m.Pins[1]; len(z.Arcs) != 1 || z.Arcs[0].From != 0 {
+		t.Fatalf("arcs of Z = %+v: the malformed arc and the one from no pin should be dropped in lenient mode, the one from A kept", z.Arcs)
 	}
-	for _, wantLine := range []int{3, 7, 14} {
+	for _, wantLine := range []int{3, 7, 14, 19} {
 		found := false
 		for _, w := range warns {
 			if w.Line == wantLine {

@@ -53,7 +53,7 @@ func Write(out io.Writer, lib *netlist.Library) error {
 			fmt.Fprintf(w, "    is_macro_cell : true;\n")
 		}
 		for pi := range m.Pins {
-			writePin(w, &m.Pins[pi])
+			writePin(w, m, &m.Pins[pi])
 		}
 		fmt.Fprintf(w, "  }\n")
 	}
@@ -61,7 +61,7 @@ func Write(out io.Writer, lib *netlist.Library) error {
 	return w.Flush()
 }
 
-func writePin(w io.Writer, p *netlist.MasterPin) {
+func writePin(w io.Writer, m *netlist.Master, p *netlist.MasterPin) {
 	fmt.Fprintf(w, "    pin (%s) {\n", p.Name)
 	dir := "input"
 	switch p.Dir {
@@ -81,7 +81,7 @@ func writePin(w io.Writer, p *netlist.MasterPin) {
 		fmt.Fprintf(w, "      clock : true;\n")
 	}
 	for ai := range p.Arcs {
-		writeArc(w, &p.Arcs[ai])
+		writeArc(w, m.Pins[p.Arcs[ai].From].Name, &p.Arcs[ai])
 	}
 	fmt.Fprintf(w, "    }\n")
 }
@@ -99,9 +99,9 @@ func arcKindName(k netlist.ArcKind) string {
 	}
 }
 
-func writeArc(w io.Writer, a *netlist.TimingArc) {
+func writeArc(w io.Writer, related string, a *netlist.TimingArc) {
 	fmt.Fprintf(w, "      timing () {\n")
-	fmt.Fprintf(w, "        related_pin : \"%s\";\n", a.From)
+	fmt.Fprintf(w, "        related_pin : \"%s\";\n", related)
 	fmt.Fprintf(w, "        timing_type : %s;\n", arcKindName(a.Kind))
 	if a.Energy > 0 {
 		fmt.Fprintf(w, "        energy : %.6f;\n", a.Energy/energyUnit)
@@ -144,8 +144,9 @@ type Options struct {
 	// File names the input in errors; defaults to "liberty".
 	File string
 	// Lenient tolerates recoverable field errors — unparsable or
-	// out-of-range numeric attributes, malformed NLDM tables — by skipping
-	// the attribute (or dropping the timing arc) and recording a warning.
+	// out-of-range numeric attributes, malformed NLDM tables, a related_pin
+	// naming no pin of the cell — by skipping the attribute (or dropping the
+	// timing arc) and recording a warning.
 	// Structural errors (broken group syntax, duplicate cells) are fatal in
 	// both modes.
 	Lenient bool
@@ -259,6 +260,14 @@ func (b *builder) cell(g *group) (*netlist.Master, error) {
 		m.Height = 1.4
 		m.Width = a / m.Height
 	}
+	// An arc names its related pin, which may come later in the cell: arcs
+	// wait here until every pin is read, then resolve to a pin index.
+	type pendingArc struct {
+		pin     int
+		arc     netlist.TimingArc
+		related attrVal
+	}
+	var pending []pendingArc
 	for _, pg := range g.groups {
 		if pg.name != "pin" {
 			continue
@@ -302,15 +311,28 @@ func (b *builder) cell(g *group) (*netlist.Master, error) {
 				}
 				continue // lenient: drop the malformed arc
 			}
-			pin.Arcs = append(pin.Arcs, arc)
+			related := tg.attrs["related_pin"]
+			related.line = max(related.line, tg.line) // a missing one: the timing group's
+			pending = append(pending, pendingArc{len(m.Pins), arc, related})
 		}
 		m.AddPin(pin)
+	}
+	for _, pa := range pending {
+		name := strings.Trim(pa.related.s, "\"")
+		if pa.arc.From = m.PinIndex(name); pa.arc.From < 0 {
+			err := scan.Errorf(b.file, pa.related.line, name, "related_pin %q names no pin of cell %s", name, m.Name)
+			if err := b.warns.Tolerate(err); err != nil {
+				return nil, err
+			}
+			continue // lenient: drop the arc
+		}
+		m.Pins[pa.pin].Arcs = append(m.Pins[pa.pin].Arcs, pa.arc)
 	}
 	return m, nil
 }
 
 func (b *builder) arc(g *group) (netlist.TimingArc, error) {
-	arc := netlist.TimingArc{From: strings.Trim(g.attrs["related_pin"].s, "\"")}
+	var arc netlist.TimingArc
 	switch g.attrs["timing_type"].s {
 	case "rising_edge", "falling_edge":
 		arc.Kind = netlist.ArcClkToQ

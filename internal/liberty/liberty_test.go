@@ -34,10 +34,11 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		}
 		for pi := range om.Pins {
 			op := &om.Pins[pi]
-			gp := gm.Pin(op.Name)
-			if gp == nil {
+			gi := gm.PinIndex(op.Name)
+			if gi < 0 {
 				t.Fatalf("%s pin %s lost", name, op.Name)
 			}
+			gp := &gm.Pins[gi]
 			if gp.Dir != op.Dir || gp.Clock != op.Clock {
 				t.Fatalf("%s pin %s flags", name, op.Name)
 			}
@@ -49,7 +50,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 			}
 			for ai := range op.Arcs {
 				oa, ga := &op.Arcs[ai], &gp.Arcs[ai]
-				if ga.Kind != oa.Kind || ga.From != oa.From {
+				if ga.Kind != oa.Kind || gm.Pins[ga.From].Name != om.Pins[oa.From].Name {
 					t.Fatalf("%s/%s arc %d kind/from mismatch", name, op.Name, ai)
 				}
 				// Table lookups must agree at probe points.
@@ -106,7 +107,7 @@ func TestParseMinimalCell(t *testing.T) {
 	if math.Abs(buf.Leakage-12e-9) > 1e-15 {
 		t.Fatalf("leakage=%v", buf.Leakage)
 	}
-	arc := &buf.Pin("Z").Arcs[0]
+	arc := &buf.Pins[1].Arcs[0] // Z
 	got := arc.Delay.Lookup(0.01e-9, 0.001e-12)
 	if math.Abs(got-0.02e-9) > 1e-15 {
 		t.Fatalf("table corner=%v", got)

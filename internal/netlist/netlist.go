@@ -95,11 +95,12 @@ func locate(axis []float64, x float64) (lo, hi int, frac float64) {
 }
 
 // TimingArc is one timing arc of a master pin. For ArcComb and ArcClkToQ the
-// arc belongs to the output pin and From names the related input; for
-// ArcSetup/ArcHold the arc belongs to the data input and From names the
-// clock pin.
+// arc belongs to the output pin and From is the related input; for
+// ArcSetup/ArcHold the arc belongs to the data input and From is the clock
+// pin. From indexes Master.Pins: the liberty reader resolves related_pin into
+// it, the STA follows it, and the liberty writer prints the pin's name.
 type TimingArc struct {
-	From   string
+	From   int
 	Kind   ArcKind
 	Delay  Table
 	Slew   Table
@@ -118,9 +119,42 @@ type MasterPin struct {
 	Arcs    []TimingArc
 }
 
+// CellFunc is a master's logic function: an index into cellFuncs, set from
+// the master's name family when it joins a library (Library.AddMaster). The
+// zero value is every other cell: registers, macros, unknown families.
+type CellFunc uint8
+
+// cellFuncs holds, per function, its name prefixes (matched ignoring case;
+// none is a prefix of another, so the order does not matter), its activity
+// factor and its one-hot slot.
+var cellFuncs = []struct {
+	prefixes []string
+	factor   float64
+	slot     int
+}{
+	{nil, 1, 7},
+	{[]string{"INV"}, 1, 0},
+	{[]string{"BUF", "CLKBUF"}, 1, 1},
+	{[]string{"NAND"}, 0.75, 2},
+	{[]string{"NOR"}, 0.75, 3},
+	{[]string{"AND", "OR"}, 0.75, 4},
+	{[]string{"XOR", "XNOR"}, 1.5, 5},
+	{[]string{"MUX"}, 0.9, 6},
+	{[]string{"AOI", "OAI"}, 0.75, 6},
+}
+
+// ActivityFactor is the ratio of output to input switching activity in the
+// STA's vectorless propagation: XOR-class gates amplify toggling, masking
+// gates attenuate it, the rest pass it on.
+func (f CellFunc) ActivityFactor() float64 { return cellFuncs[f].factor }
+
+// OneHotSlot is the cell-type slot of the GNN node features, in [0, 8).
+func (f CellFunc) OneHotSlot() int { return cellFuncs[f].slot }
+
 // Master is a library cell (standard cell or macro).
 type Master struct {
 	Name    string
+	Func    CellFunc // set by Library.AddMaster
 	Class   MasterClass
 	Width   float64
 	Height  float64
@@ -139,17 +173,8 @@ func (m *Master) AddPin(p MasterPin) *MasterPin {
 	return &m.Pins[len(m.Pins)-1]
 }
 
-// Pin returns the pin with the given name, or nil.
-func (m *Master) Pin(name string) *MasterPin {
-	if i, ok := m.pinIdx[name]; ok {
-		return &m.Pins[i]
-	}
-	return nil
-}
-
-// PinIndex returns the index of the named pin in Pins, or -1. Flat consumers
-// (the compact STA graph) key per-instance pin arrays by this index instead
-// of hashing pin-name strings.
+// PinIndex returns the index of the named pin in Pins, or -1. Only the
+// readers look pins up by name; every later stage works on the index.
 func (m *Master) PinIndex(name string) int {
 	if i, ok := m.pinIdx[name]; ok {
 		return i
@@ -185,10 +210,19 @@ func NewLibrary(name string) *Library {
 	return &Library{Name: name, masters: make(map[string]*Master)}
 }
 
-// AddMaster registers a master; it fails on duplicate names.
+// AddMaster registers a master and sets its Func from its name; it fails on
+// duplicate names.
 func (l *Library) AddMaster(m *Master) error {
 	if _, dup := l.masters[m.Name]; dup {
 		return fmt.Errorf("library %s: duplicate master %q", l.Name, m.Name)
+	}
+	u := strings.ToUpper(m.Name)
+	for f, c := range cellFuncs {
+		for _, p := range c.prefixes {
+			if strings.HasPrefix(u, p) {
+				m.Func = CellFunc(f)
+			}
+		}
 	}
 	l.masters[m.Name] = m
 	l.order = append(l.order, m.Name)

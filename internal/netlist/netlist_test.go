@@ -15,16 +15,16 @@ func testLib() *Library {
 	inv := &Master{Name: "INV", Class: ClassCore, Width: 1, Height: 2, Leakage: 1e-9}
 	inv.AddPin(MasterPin{Name: "A", Dir: DirInput, Cap: 1e-15})
 	out := inv.AddPin(MasterPin{Name: "Y", Dir: DirOutput, MaxCap: 50e-15})
-	out.Arcs = []TimingArc{{From: "A", Kind: ArcComb, Delay: Const(10e-12), Slew: Const(5e-12), Energy: 1e-15}}
+	out.Arcs = []TimingArc{{From: 0, Kind: ArcComb, Delay: Const(10e-12), Slew: Const(5e-12), Energy: 1e-15}}
 	if err := lib.AddMaster(inv); err != nil {
 		panic(err)
 	}
 	dff := &Master{Name: "DFF", Class: ClassCore, Width: 3, Height: 2, Leakage: 3e-9}
 	dff.AddPin(MasterPin{Name: "D", Dir: DirInput, Cap: 1.2e-15,
-		Arcs: []TimingArc{{From: "CK", Kind: ArcSetup, Delay: Const(20e-12)}}})
+		Arcs: []TimingArc{{From: 1, Kind: ArcSetup, Delay: Const(20e-12)}}})
 	dff.AddPin(MasterPin{Name: "CK", Dir: DirInput, Cap: 0.8e-15, Clock: true})
 	q := dff.AddPin(MasterPin{Name: "Q", Dir: DirOutput, MaxCap: 60e-15})
-	q.Arcs = []TimingArc{{From: "CK", Kind: ArcClkToQ, Delay: Const(40e-12), Slew: Const(8e-12), Energy: 2e-15}}
+	q.Arcs = []TimingArc{{From: 1, Kind: ArcClkToQ, Delay: Const(40e-12), Slew: Const(8e-12), Energy: 2e-15}}
 	if err := lib.AddMaster(dff); err != nil {
 		panic(err)
 	}
@@ -112,10 +112,10 @@ func TestTableLookup(t *testing.T) {
 func TestMasterBasics(t *testing.T) {
 	lib := testLib()
 	inv := lib.Master("INV")
-	if inv == nil || inv.Pin("A") == nil || inv.Pin("Y") == nil {
+	if inv == nil || inv.PinIndex("A") != 0 || inv.PinIndex("Y") != 1 {
 		t.Fatal("INV pins missing")
 	}
-	if inv.Pin("Z") != nil {
+	if inv.PinIndex("Z") != -1 {
 		t.Fatal("unexpected pin Z")
 	}
 	if inv.IsSequential() {

@@ -15,7 +15,7 @@ func oneGate(t *testing.T) (*netlist.Design, sta.Constraints) {
 	inv := &netlist.Master{Name: "INV", Width: 1, Height: 2, Leakage: 5e-9}
 	inv.AddPin(netlist.MasterPin{Name: "A", Dir: netlist.DirInput, Cap: 2e-15})
 	y := inv.AddPin(netlist.MasterPin{Name: "Y", Dir: netlist.DirOutput})
-	y.Arcs = []netlist.TimingArc{{From: "A", Kind: netlist.ArcComb,
+	y.Arcs = []netlist.TimingArc{{From: 0, Kind: netlist.ArcComb,
 		Delay: netlist.Const(10e-12), Slew: netlist.Const(5e-12), Energy: 3e-15}}
 	if err := l.AddMaster(inv); err != nil {
 		t.Fatal(err)

@@ -91,19 +91,22 @@ func ParseWith(r io.Reader, o Options) (sta.Constraints, []*scan.ParseError, err
 					ln.Errf("-period", "clock period %g ns out of range [%g, %g]",
 						period, minPeriodNS, maxPeriodNS)
 			}
+			// [get_ports X] makes X a clock root; a virtual clock (-name
+			// only) sets the period alone. A clock without a usable name
+			// cannot be re-emitted; the period is still recorded in lenient
+			// mode (the flow needs only the period, ports just mark clock
+			// nets).
 			port := portArg(ln)
+			name := port
 			if port == "" {
-				port, _ = flagString(ln, "-name")
+				name = flagString(ln, "-name")
 			}
-			// A clock without a usable port name cannot be re-emitted; the
-			// period is still recorded in lenient mode (the flow needs only
-			// the period, ports just mark clock nets).
-			if port == "" || strings.HasPrefix(port, "-") {
-				err := ln.Errf(port, "create_clock needs a port ([get_ports ...]) or -name")
+			if name == "" || strings.HasPrefix(name, "-") {
+				err := ln.Errf(name, "create_clock needs a port ([get_ports ...]) or -name")
 				if err := warns.Tolerate(err); err != nil {
 					return cons, warns.List(), err
 				}
-			} else {
+			} else if port != "" {
 				cons.ClockPorts = append(cons.ClockPorts, port)
 			}
 			cons.ClockPeriod = period * 1e-9
@@ -186,14 +189,14 @@ func flagValue(ln *scan.Line, flag string) (float64, *scan.ParseError) {
 	return 0, ln.Errf(ln.Tok(0), "missing %s", flag)
 }
 
-// flagString finds "flag value" and returns the value token.
-func flagString(ln *scan.Line, flag string) (string, bool) {
+// flagString finds "flag value" and returns the value token, or "".
+func flagString(ln *scan.Line, flag string) string {
 	for i := 0; i+1 < ln.Len(); i++ {
 		if ln.Tok(i) == flag {
-			return ln.Tok(i + 1), true
+			return ln.Tok(i + 1)
 		}
 	}
-	return "", false
+	return ""
 }
 
 // portArg extracts X from "[ get_ports X ]".

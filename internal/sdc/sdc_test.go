@@ -80,3 +80,17 @@ func TestDefaultsDerived(t *testing.T) {
 		t.Fatalf("derived delays: %v %v", cons.InputDelay, cons.OutputDelay)
 	}
 }
+
+// TestVirtualClock: create_clock with -name and no [get_ports ...] sets the
+// period and names no clock root, in both modes and without a warning.
+func TestVirtualClock(t *testing.T) {
+	for _, lenient := range []bool{false, true} {
+		cons, warns, err := ParseWith(strings.NewReader("create_clock -name vclk -period 1.0\n"), Options{Lenient: lenient})
+		if err != nil || len(warns) != 0 {
+			t.Fatalf("lenient=%v: err %v, warnings %v", lenient, err, warns)
+		}
+		if math.Abs(cons.ClockPeriod-1e-9) > 1e-18 || len(cons.ClockPorts) != 0 {
+			t.Fatalf("lenient=%v: period %v, clock ports %v", lenient, cons.ClockPeriod, cons.ClockPorts)
+		}
+	}
+}

@@ -1,34 +1,13 @@
 package sta
 
-import (
-	"strings"
-
-	"ppaclust/internal/netlist"
-)
+import "ppaclust/internal/netlist"
 
 // Vectorless switching-activity propagation, the reproduction's equivalent of
 // OpenSTA's findClkedActivity. Activities are expressed in toggles per clock
 // cycle. Clock nets toggle twice per cycle; data inputs start at
 // Constraints.InputActivity; gate outputs derive from input activities via a
-// per-function attenuation factor (the standard lag-one vectorless model).
-
-// activityFactor returns the output/input activity ratio for a master,
-// inferred from its name family. Unknown cells behave like buffers.
-func activityFactor(master string) float64 {
-	u := strings.ToUpper(master)
-	switch {
-	case strings.HasPrefix(u, "XOR"), strings.HasPrefix(u, "XNOR"):
-		return 1.5 // XOR-class gates amplify toggling
-	case strings.HasPrefix(u, "NAND"), strings.HasPrefix(u, "AND"),
-		strings.HasPrefix(u, "NOR"), strings.HasPrefix(u, "OR"),
-		strings.HasPrefix(u, "AOI"), strings.HasPrefix(u, "OAI"):
-		return 0.75 // masking gates attenuate
-	case strings.HasPrefix(u, "MUX"):
-		return 0.9
-	default:
-		return 1.0 // INV/BUF and unknown
-	}
-}
+// per-function attenuation factor (netlist.CellFunc.ActivityFactor, the
+// standard lag-one vectorless model).
 
 const clockActivity = 2.0 // two transitions per cycle
 
@@ -39,17 +18,6 @@ func (a *Analyzer) runActivity() {
 	}
 	n := a.numNodes()
 	act := make([]float64, n)
-	// Per-master activity factors, memoized by master identity so the hot
-	// loop never re-parses cell-name prefixes.
-	factors := make(map[*netlist.Master]float64)
-	factorOf := func(m *netlist.Master) float64 {
-		if f, ok := factors[m]; ok {
-			return f
-		}
-		f := activityFactor(m.Name)
-		factors[m] = f
-		return f
-	}
 	// Seeds.
 	for i := 0; i < n; i++ {
 		if a.kind[i] != nodePortIn {
@@ -98,7 +66,7 @@ func (a *Analyzer) runActivity() {
 			to := a.eTo[ei]
 			var propagated float64
 			if a.eArc[ei] != nil {
-				propagated = act[v] * factorOf(a.d.Insts[a.nodeInst[to]].Master)
+				propagated = act[v] * a.d.Insts[a.nodeInst[to]].Master.Func.ActivityFactor()
 			} else {
 				propagated = act[v] // wires carry activity unchanged
 			}

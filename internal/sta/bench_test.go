@@ -43,7 +43,7 @@ func benchPipeline(w, dep int) *netlist.Design {
 // arrival/required propagation on a ~10k-pin pipeline.
 func BenchmarkSTABuildAndRun(b *testing.B) {
 	d := benchPipeline(100, 30)
-	cons := consForBench()
+	cons := DefaultConstraints(1e-9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := New(d, cons)
@@ -54,7 +54,7 @@ func BenchmarkSTABuildAndRun(b *testing.B) {
 // BenchmarkSTATopPaths measures path enumeration.
 func BenchmarkSTATopPaths(b *testing.B) {
 	d := benchPipeline(100, 30)
-	a := New(d, consForBench())
+	a := New(d, DefaultConstraints(1e-9))
 	a.run()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -65,16 +65,10 @@ func BenchmarkSTATopPaths(b *testing.B) {
 // BenchmarkSTAActivity measures vectorless activity propagation.
 func BenchmarkSTAActivity(b *testing.B) {
 	d := benchPipeline(100, 30)
-	cons := consForBench()
+	cons := DefaultConstraints(1e-9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a := New(d, cons)
 		a.NetActivity()
 	}
-}
-
-func consForBench() Constraints {
-	c := DefaultConstraints(1e-9)
-	c.ClockPorts = []string{"clk"}
-	return c
 }

@@ -8,7 +8,7 @@ import (
 
 func TestDRVCleanDesign(t *testing.T) {
 	d := combChain(t, 3)
-	a := New(d, consFor(1e-9))
+	a := New(d, DefaultConstraints(1e-9))
 	rep := a.DRV()
 	if rep.CheckedDrivers == 0 {
 		t.Fatal("no drivers checked")
@@ -25,7 +25,7 @@ func TestDRVMaxCapViolation(t *testing.T) {
 	l := lib()
 	// Give INV a tiny max cap so any load violates.
 	inv := l.Master("INV")
-	inv.Pin("Y").MaxCap = 0.1e-15
+	masterPin(inv, "Y").MaxCap = 0.1e-15
 	d := netlist.NewDesign("v", l)
 	g0, _ := d.AddInstance("g0", inv)
 	g1, _ := d.AddInstance("g1", inv)
@@ -38,7 +38,7 @@ func TestDRVMaxCapViolation(t *testing.T) {
 	d.Connect(n1, pinRef(d, g0.ID, "Y"))
 	_ = n1
 	d.Connect(n1, pinRef(d, g1.ID, "A"))
-	a := New(d, consFor(1e-9))
+	a := New(d, DefaultConstraints(1e-9))
 	rep := a.DRV()
 	if rep.MaxCapViolations != 1 {
 		t.Fatalf("want 1 max-cap violation, got %+v", rep)

@@ -7,7 +7,7 @@ import (
 
 func TestHoldRegPairClean(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(1e-9, "clk"))
+	a := New(d, DefaultConstraints(1e-9))
 	sum := a.HoldTiming()
 	if sum.Endpoints == 0 {
 		t.Fatal("no hold endpoints")
@@ -20,7 +20,7 @@ func TestHoldRegPairClean(t *testing.T) {
 
 func TestHoldViolationWithSkew(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(1e-9, "clk"))
+	a := New(d, DefaultConstraints(1e-9))
 	// Capture clock arrives 100ps late: data (50ps) beats clk+hold (105ps).
 	a.SetClockArrivalList([]ClockArrival{
 		{Pin: pinRef(d, d.Instance("ff0").ID, "CK"), T: 0},
@@ -41,7 +41,7 @@ func TestHoldViolationWithSkew(t *testing.T) {
 
 func TestHoldIgnoresCombOnlyDesign(t *testing.T) {
 	d := combChain(t, 3)
-	a := New(d, consFor(1e-9))
+	a := New(d, DefaultConstraints(1e-9))
 	sum := a.HoldTiming()
 	if sum.Endpoints != 0 {
 		t.Fatalf("pure combinational design has no hold endpoints: %+v", sum)

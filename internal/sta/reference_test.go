@@ -81,18 +81,22 @@ func (r *refAnalyzer) addEdge(e refEdge) {
 
 func (r *refAnalyzer) build() {
 	d := r.d
-	clockPorts := make(map[string]bool)
-	for _, p := range r.cons.ClockPorts {
-		clockPorts[p] = true
-	}
 	for _, p := range d.Ports {
 		kind := nodePortIn
 		if p.Dir == netlist.DirOutput {
 			kind = nodePortOut
 		}
-		n := r.addNode(refPin{Inst: -1, Pin: p.Name}, kind)
-		if clockPorts[p.Name] {
-			r.nodes[n].isClk = true
+		r.addNode(refPin{Inst: -1, Pin: p.Name}, kind)
+	}
+	// Clock roots: input ports on clock nets.
+	for _, net := range d.Nets {
+		for _, pr := range net.Pins {
+			if !net.Clock || !pr.IsPort() {
+				continue
+			}
+			if n := r.nodeOf[refPin{-1, d.PinName(pr)}]; r.nodes[n].kind == nodePortIn {
+				r.nodes[n].isClk = true
+			}
 		}
 	}
 	for _, net := range d.Nets {
@@ -100,7 +104,7 @@ func (r *refAnalyzer) build() {
 			if pr.IsPort() {
 				continue
 			}
-			mp := d.Insts[pr.Inst].Master.Pin(d.PinName(pr))
+			mp := masterPin(d.Insts[pr.Inst].Master, d.PinName(pr))
 			if mp == nil {
 				continue
 			}
@@ -136,7 +140,7 @@ func (r *refAnalyzer) build() {
 				sinkNode = r.nodeOf[refPin{-1, port.Name}]
 				load += r.cons.PortCap
 			} else {
-				mp := d.Insts[pr.Inst].Master.Pin(d.PinName(pr))
+				mp := masterPin(d.Insts[pr.Inst].Master, d.PinName(pr))
 				if mp == nil || mp.Dir == netlist.DirOutput {
 					continue
 				}
@@ -174,7 +178,7 @@ func (r *refAnalyzer) build() {
 				if arc.Kind != netlist.ArcComb && arc.Kind != netlist.ArcClkToQ {
 					continue
 				}
-				fromNode, ok := r.nodeOf[refPin{inst.ID, arc.From}]
+				fromNode, ok := r.nodeOf[refPin{inst.ID, inst.Master.Pins[arc.From].Name}]
 				if !ok {
 					continue
 				}
@@ -208,7 +212,7 @@ func (r *refAnalyzer) build() {
 	for i := range r.nodes {
 		nd := &r.nodes[i]
 		if nd.id.Inst >= 0 {
-			mp := d.Insts[nd.id.Inst].Master.Pin(nd.id.Pin)
+			mp := masterPin(d.Insts[nd.id.Inst].Master, nd.id.Pin)
 			if mp != nil && mp.Clock {
 				nd.isClk = true
 			}
@@ -221,7 +225,7 @@ func (r *refAnalyzer) build() {
 		case nodePortOut:
 			nd.endp = true
 		case nodeInput:
-			mp := d.Insts[nd.id.Inst].Master.Pin(nd.id.Pin)
+			mp := masterPin(d.Insts[nd.id.Inst].Master, nd.id.Pin)
 			if mp != nil {
 				for ai := range mp.Arcs {
 					if mp.Arcs[ai].Kind == netlist.ArcSetup {
@@ -291,11 +295,11 @@ func (r *refAnalyzer) setClockArrivals(arrivals map[refPin]float64) {
 	}
 }
 
-func (r *refAnalyzer) clockAtInst(inst int, clkPin string) float64 {
+func (r *refAnalyzer) clockAtInst(inst int, arc *netlist.TimingArc) float64 {
 	if r.clockArrival == nil {
 		return 0
 	}
-	if n, ok := r.nodeOf[refPin{inst, clkPin}]; ok {
+	if n, ok := r.nodeOf[refPin{inst, r.d.Insts[inst].Master.Pins[arc.From].Name}]; ok {
 		return r.clockArrival[n]
 	}
 	return 0
@@ -314,7 +318,7 @@ func (r *refAnalyzer) sinkCap(sinkNode int) float64 {
 	if nd.id.Inst < 0 {
 		return r.cons.PortCap
 	}
-	mp := r.d.Insts[nd.id.Inst].Master.Pin(nd.id.Pin)
+	mp := masterPin(r.d.Insts[nd.id.Inst].Master, nd.id.Pin)
 	if mp == nil {
 		return 0
 	}
@@ -344,7 +348,7 @@ func (r *refAnalyzer) run() {
 				continue
 			}
 			load := r.loadOf(v)
-			clkAt := r.clockAtInst(nd.id.Inst, e.arc.From)
+			clkAt := r.clockAtInst(nd.id.Inst, e.arc)
 			slewIn := r.nodes[e.from].slew
 			at := clkAt + e.arc.Delay.Lookup(slewIn, load)
 			if at > nd.at {
@@ -397,14 +401,14 @@ func (r *refAnalyzer) run() {
 			nd.rat = T - r.cons.OutputDelay
 			nd.hasRAT = true
 		case nodeInput:
-			mp := r.d.Insts[nd.id.Inst].Master.Pin(nd.id.Pin)
+			mp := masterPin(r.d.Insts[nd.id.Inst].Master, nd.id.Pin)
 			for ai := range mp.Arcs {
 				arc := &mp.Arcs[ai]
 				if arc.Kind != netlist.ArcSetup {
 					continue
 				}
 				setup := arc.Delay.Lookup(nd.slew, 0)
-				captureClk := r.clockAtInst(nd.id.Inst, arc.From)
+				captureClk := r.clockAtInst(nd.id.Inst, arc)
 				rat := T + captureClk - setup
 				if rat < nd.rat {
 					nd.rat = rat
@@ -523,7 +527,7 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 			d.Connect(n, pinRef(d, g.ID, pin))
 			// Random extra fanout onto the same net, on cells with an A pin.
 			if rng.Intn(3) == 0 && i > 2 {
-				if u := d.Insts[rng.Intn(i)]; u.Master.Pin("A") != nil {
+				if u := d.Insts[rng.Intn(i)]; masterPin(u.Master, "A") != nil {
 					d.Connect(n, pinRef(d, u.ID, "A"))
 				}
 			}
@@ -553,7 +557,6 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 	for _, fx := range fixtures {
 		for _, zeroWire := range []bool{false, true} {
 			cons := DefaultConstraints(0.4e-9)
-			cons.ClockPorts = []string{"clk"}
 			cons.ZeroWire = zeroWire
 			r := newRef(fx.d, cons)
 			r.run()
@@ -569,7 +572,6 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 	d := benchPipeline(6, 4)
 	cons := DefaultConstraints(0.4e-9)
-	cons.ClockPorts = []string{"clk"}
 
 	arr := make(map[refPin]float64)
 	var list []ClockArrival
@@ -596,7 +598,6 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 func TestUpdateMatchesReference(t *testing.T) {
 	d := benchPipeline(8, 6)
 	cons := DefaultConstraints(0.4e-9)
-	cons.ClockPorts = []string{"clk"}
 	a := New(d, cons)
 	a.run()
 
@@ -612,11 +613,20 @@ func TestUpdateMatchesReference(t *testing.T) {
 	compareToRef(t, "update", a, r)
 }
 
+// masterPin is the oracle's pin lookup by name: the pin of m called name,
+// or nil.
+func masterPin(m *netlist.Master, name string) *netlist.MasterPin {
+	if i := m.PinIndex(name); i >= 0 {
+		return &m.Pins[i]
+	}
+	return nil
+}
+
 // refDriver is net n's driving pin by a walk over its pointer pins: the
 // first output instance pin, else the first input port.
 func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
 	for _, p := range n.Pins {
-		if !p.IsPort() && d.Insts[p.Inst].Master.Pin(d.PinName(p)).Dir == netlist.DirOutput {
+		if !p.IsPort() && masterPin(d.Insts[p.Inst].Master, d.PinName(p)).Dir == netlist.DirOutput {
 			return p, true
 		}
 	}
@@ -637,7 +647,7 @@ func refPinPos(d *netlist.Design, p netlist.PinRef) (x, y float64) {
 		return port.X, port.Y
 	}
 	inst := d.Insts[p.Inst]
-	if mp := inst.Master.Pin(d.PinName(p)); mp.OffsetX != 0 || mp.OffsetY != 0 {
+	if mp := masterPin(inst.Master, d.PinName(p)); mp.OffsetX != 0 || mp.OffsetY != 0 {
 		return inst.X + mp.OffsetX, inst.Y + mp.OffsetY
 	}
 	return inst.CenterX(), inst.CenterY()

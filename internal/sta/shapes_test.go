@@ -63,7 +63,6 @@ func bufferedClock() (*netlist.Design, sta.Constraints) {
 	}
 	wire(d, "q", pin(d, d.Instance("ff0"), "Q"), pin(d, nil, "out"))
 	cons := sta.DefaultConstraints(1e-9)
-	cons.ClockPorts = []string{"clk"}
 	return d, cons
 }
 
@@ -91,9 +90,10 @@ func TestLaunchReadsFinalClockSlew(t *testing.T) {
 	d, cons := bufferedClock()
 	cons.ZeroWire = true // no wire delay: slew(CK) is the buffer's output slew
 	lib := d.Lib
-	bufArc := &lib.Master("CLKBUF_X2").Pin("Z").Arcs[0]
-	launch := &lib.Master("DFF_X1").Pin("Q").Arcs[0]
+	cb := lib.Master("CLKBUF_X2")
+	bufArc := &cb.Pins[cb.PinIndex("Z")].Arcs[0]
 	q := pin(d, d.Instance("ff0"), "Q")
+	launch := &d.Insts[q.Inst].Master.Pins[q.Pin].Arcs[0]
 	a := sta.New(d, cons)
 	slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(d.Net("ctree").ID))
 	want := launch.Delay.Lookup(slewCK, a.NetLoad(d.Net("q").ID)) // ideal clock: arrival 0

@@ -26,7 +26,7 @@ import (
 // Constraints is the subset of SDC the flow consumes.
 type Constraints struct {
 	ClockPeriod   float64  // target clock period (s)
-	ClockPorts    []string // input ports that are clock roots
+	ClockPorts    []string // clock root ports, read only by sdc and the loader, which marks their nets Clock
 	InputDelay    float64  // arrival at non-clock input ports (s)
 	OutputDelay   float64  // required margin at output ports (s)
 	InputSlew     float64  // transition at input ports (s)
@@ -198,10 +198,6 @@ func (a *Analyzer) addEdge(from, to int32, arc *netlist.TimingArc) {
 func (a *Analyzer) build() {
 	d := a.d
 	c := d.Compact()
-	clockPorts := make(map[string]bool)
-	for _, p := range a.cons.ClockPorts {
-		clockPorts[p] = true
-	}
 
 	// Dense (instance, master-pin-index) -> node table. Count slots in int
 	// first: the per-instance prefix sums below narrow to int32, and past
@@ -233,8 +229,16 @@ func (a *Analyzer) build() {
 		}
 		n := a.addNode(int32(-1-pi), -1, k)
 		a.nodeCap[n] = a.cons.PortCap
-		if clockPorts[p.Name] {
-			a.isClk[n] = true
+	}
+	// Clock roots: the input ports on nets marked as clock nets.
+	for _, n := range d.Nets {
+		if !n.Clock {
+			continue
+		}
+		for _, p := range n.Pins {
+			if p.IsPort() && a.kind[p.Pin] == nodePortIn {
+				a.isClk[p.Pin] = true
+			}
 		}
 	}
 	// Nodes for instance pins that appear on nets, in net/pin order.
@@ -301,11 +305,7 @@ func (a *Analyzer) build() {
 				if arc.Kind != netlist.ArcComb && arc.Kind != netlist.ArcClkToQ {
 					continue
 				}
-				fi := inst.Master.PinIndex(arc.From)
-				if fi < 0 {
-					continue
-				}
-				fromNode := a.pinNode[base+int32(fi)]
+				fromNode := a.pinNode[base+int32(arc.From)]
 				if fromNode < 0 {
 					continue
 				}
@@ -397,20 +397,15 @@ func (a *Analyzer) buildCheckIndex() {
 			continue
 		}
 		inst := a.nodeInst[v]
-		m := a.d.Insts[inst].Master
-		mp := &m.Pins[a.nodeMP[v]]
+		mp := &a.d.Insts[inst].Master.Pins[a.nodeMP[v]]
 		for ai := range mp.Arcs {
 			arc := &mp.Arcs[ai]
 			if arc.Kind != netlist.ArcSetup && arc.Kind != netlist.ArcHold {
 				continue
 			}
 			a.endp[v] = a.endp[v] || arc.Kind == netlist.ArcSetup
-			clkNode := int32(-1)
-			if fi := m.PinIndex(arc.From); fi >= 0 {
-				clkNode = a.pinNode[a.instPinStart[inst]+int32(fi)]
-			}
 			a.checkArc = append(a.checkArc, arc)
-			a.checkClk = append(a.checkClk, clkNode)
+			a.checkClk = append(a.checkClk, a.pinNode[a.instPinStart[inst]+int32(arc.From)])
 		}
 	}
 	a.checkOff[n] = int32(len(a.checkArc)) //ppalint:ignore i32trunc check arcs (about two per register data pin) are fewer than the edges, which build asserts fit int32

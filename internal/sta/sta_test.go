@@ -21,25 +21,25 @@ func lib() *netlist.Library {
 	inv := &netlist.Master{Name: "INV", Width: 1, Height: 2, Leakage: 1e-9}
 	inv.AddPin(netlist.MasterPin{Name: "A", Dir: netlist.DirInput, Cap: 1e-15})
 	y := inv.AddPin(netlist.MasterPin{Name: "Y", Dir: netlist.DirOutput, MaxCap: 50e-15})
-	y.Arcs = []netlist.TimingArc{{From: "A", Kind: netlist.ArcComb,
+	y.Arcs = []netlist.TimingArc{{From: 0, Kind: netlist.ArcComb,
 		Delay: netlist.Const(invDelay), Slew: netlist.Const(5e-12), Energy: 1e-15}}
 	nand := &netlist.Master{Name: "NAND2", Width: 1.5, Height: 2, Leakage: 2e-9}
 	nand.AddPin(netlist.MasterPin{Name: "A", Dir: netlist.DirInput, Cap: 1e-15})
 	nand.AddPin(netlist.MasterPin{Name: "B", Dir: netlist.DirInput, Cap: 1e-15})
 	ny := nand.AddPin(netlist.MasterPin{Name: "Y", Dir: netlist.DirOutput, MaxCap: 50e-15})
 	ny.Arcs = []netlist.TimingArc{
-		{From: "A", Kind: netlist.ArcComb, Delay: netlist.Const(15e-12), Slew: netlist.Const(6e-12), Energy: 1.2e-15},
-		{From: "B", Kind: netlist.ArcComb, Delay: netlist.Const(15e-12), Slew: netlist.Const(6e-12), Energy: 1.2e-15},
+		{From: 0, Kind: netlist.ArcComb, Delay: netlist.Const(15e-12), Slew: netlist.Const(6e-12), Energy: 1.2e-15},
+		{From: 1, Kind: netlist.ArcComb, Delay: netlist.Const(15e-12), Slew: netlist.Const(6e-12), Energy: 1.2e-15},
 	}
 	dff := &netlist.Master{Name: "DFF", Width: 3, Height: 2, Leakage: 3e-9}
 	dff.AddPin(netlist.MasterPin{Name: "D", Dir: netlist.DirInput, Cap: 1.2e-15,
 		Arcs: []netlist.TimingArc{
-			{From: "CK", Kind: netlist.ArcSetup, Delay: netlist.Const(setupTime)},
-			{From: "CK", Kind: netlist.ArcHold, Delay: netlist.Const(holdTime)},
+			{From: 1, Kind: netlist.ArcSetup, Delay: netlist.Const(setupTime)},
+			{From: 1, Kind: netlist.ArcHold, Delay: netlist.Const(holdTime)},
 		}})
 	dff.AddPin(netlist.MasterPin{Name: "CK", Dir: netlist.DirInput, Cap: 0.8e-15, Clock: true})
 	q := dff.AddPin(netlist.MasterPin{Name: "Q", Dir: netlist.DirOutput, MaxCap: 60e-15})
-	q.Arcs = []netlist.TimingArc{{From: "CK", Kind: netlist.ArcClkToQ,
+	q.Arcs = []netlist.TimingArc{{From: 1, Kind: netlist.ArcClkToQ,
 		Delay: netlist.Const(clk2q), Slew: netlist.Const(8e-12), Energy: 2e-15}}
 	for _, m := range []*netlist.Master{inv, nand, dff} {
 		if err := l.AddMaster(m); err != nil {
@@ -115,12 +115,6 @@ func regPair(t *testing.T) *netlist.Design {
 	return d
 }
 
-func consFor(period float64, clocks ...string) Constraints {
-	c := DefaultConstraints(period)
-	c.ClockPorts = clocks
-	return c
-}
-
 // endpointSlack returns the slack of the worst path ending at the pin.
 func endpointSlack(t *testing.T, a *Analyzer, id netlist.PinRef) float64 {
 	t.Helper()
@@ -135,7 +129,7 @@ func endpointSlack(t *testing.T, a *Analyzer, id netlist.PinRef) float64 {
 
 func TestCombChainArrival(t *testing.T) {
 	d := combChain(t, 3)
-	cons := consFor(1e-9)
+	cons := DefaultConstraints(1e-9)
 	a := New(d, cons)
 	at, ok := a.arrivalAt(pinRef(d, -1, "out"))
 	if !ok {
@@ -159,7 +153,7 @@ func TestCombChainArrival(t *testing.T) {
 func TestCombChainViolation(t *testing.T) {
 	d := combChain(t, 5)
 	// Make the clock absurdly tight so the path fails.
-	cons := consFor(40e-12)
+	cons := DefaultConstraints(40e-12)
 	a := New(d, cons)
 	sum := a.Timing()
 	if sum.Failing != 1 || sum.WNS >= 0 || math.Abs(sum.TNS-sum.WNS) > 1e-18 {
@@ -170,7 +164,7 @@ func TestCombChainViolation(t *testing.T) {
 func TestRegToRegSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
-	a := New(d, consFor(period, "clk"))
+	a := New(d, DefaultConstraints(period))
 	slack := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
 	want := period - setupTime - (clk2q + invDelay)
 	if math.Abs(slack-want) > 1e-15 {
@@ -181,7 +175,7 @@ func TestRegToRegSlack(t *testing.T) {
 func TestClockArrivalsShiftSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
-	a := New(d, consFor(period, "clk"))
+	a := New(d, DefaultConstraints(period))
 	base := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
 	// Useful skew: delay capture clock by 10ps -> slack improves by 10ps.
 	skew := 10e-12
@@ -202,7 +196,7 @@ func TestClockArrivalsShiftSlack(t *testing.T) {
 
 func TestWireDelayMatters(t *testing.T) {
 	d := combChain(t, 2)
-	cons := consFor(1e-9)
+	cons := DefaultConstraints(1e-9)
 	a := New(d, cons)
 	at0, _ := a.arrivalAt(pinRef(d, -1, "out"))
 	// Spread the cells far apart and update.
@@ -217,7 +211,7 @@ func TestWireDelayMatters(t *testing.T) {
 
 func TestTopPathsOrderAndContent(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(50e-12, "clk"))
+	a := New(d, DefaultConstraints(50e-12))
 	paths := a.TopPaths(10)
 	if len(paths) == 0 {
 		t.Fatal("no paths")
@@ -244,7 +238,7 @@ func TestTopPathsOrderAndContent(t *testing.T) {
 
 func TestTopPathsLimit(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(50e-12, "clk"))
+	a := New(d, DefaultConstraints(50e-12))
 	if got := len(a.TopPaths(1)); got != 1 {
 		t.Fatalf("len=%d want 1", got)
 	}
@@ -252,7 +246,7 @@ func TestTopPathsLimit(t *testing.T) {
 
 func TestNetSlack(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(50e-12, "clk"))
+	a := New(d, DefaultConstraints(50e-12))
 	ns := a.NetSlackInto(nil)
 	q0 := d.Net("q0").ID
 	d1 := d.Net("d1").ID
@@ -267,7 +261,7 @@ func TestNetSlack(t *testing.T) {
 
 func TestActivityPropagation(t *testing.T) {
 	d := regPair(t)
-	cons := consFor(1e-9, "clk")
+	cons := DefaultConstraints(1e-9)
 	a := New(d, cons)
 	act := a.NetActivity()
 	if got := act[d.Net("clknet").ID]; got != 2.0 {
@@ -303,7 +297,7 @@ func TestActivityGateAttenuation(t *testing.T) {
 	ny, _ := d.AddNet("ny")
 	d.Connect(ny, pinRef(d, g.ID, "Y"))
 	d.Connect(ny, pinRef(d, -1, "y"))
-	cons := consFor(1e-9)
+	cons := DefaultConstraints(1e-9)
 	an := New(d, cons)
 	act := an.NetActivity()
 	want := 0.75 * cons.InputActivity
@@ -312,21 +306,53 @@ func TestActivityGateAttenuation(t *testing.T) {
 	}
 }
 
+// TestClockRootFromNetFlag: a clock root is an input port on a net marked
+// as a clock net; Constraints.ClockPorts names none here. regPair's clk port
+// starts at time 0 with the clock's activity while its net is marked, and is
+// a data input once the mark is cleared.
+func TestClockRootFromNetFlag(t *testing.T) {
+	d := regPair(t)
+	cons := DefaultConstraints(1e-9)
+	clk := pinRef(d, -1, "clk")
+	for _, marked := range []bool{true, false} {
+		d.Net("clknet").Clock = marked
+		a := New(d, cons)
+		wantAt, wantAct := cons.InputDelay, cons.InputActivity
+		if marked {
+			wantAt, wantAct = 0, clockActivity
+		}
+		if at, ok := a.arrivalAt(clk); !ok || at != wantAt {
+			t.Errorf("marked=%v: clk arrival %v (reached %v), want %v", marked, at, ok, wantAt)
+		}
+		if act := a.PinActivity(clk); act != wantAct {
+			t.Errorf("marked=%v: clk activity %v, want %v", marked, act, wantAct)
+		}
+	}
+}
+
+// TestActivityFactorFamilies pins the factor a master's name family gets
+// when the master joins a library; the family match ignores case.
 func TestActivityFactorFamilies(t *testing.T) {
 	cases := map[string]float64{
 		"XOR2_X1": 1.5, "NAND2_X2": 0.75, "NOR3_X1": 0.75, "AOI21_X1": 0.75,
 		"MUX2_X1": 0.9, "INV_X4": 1.0, "BUF_X8": 1.0, "DFF_X1": 1.0,
+		"xnor2_x1": 1.5, "oai22_x1": 0.75,
 	}
+	l := netlist.NewLibrary("families")
 	for name, want := range cases {
-		if got := activityFactor(name); got != want {
-			t.Errorf("activityFactor(%s)=%v want %v", name, got, want)
+		m := &netlist.Master{Name: name}
+		if err := l.AddMaster(m); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Func.ActivityFactor(); got != want {
+			t.Errorf("activity factor of %s = %v, want %v", name, got, want)
 		}
 	}
 }
 
 func TestWriteReport(t *testing.T) {
 	d := regPair(t)
-	a := New(d, consFor(50e-12, "clk"))
+	a := New(d, DefaultConstraints(50e-12))
 	var sb strings.Builder
 	if err := a.WriteReport(&sb, 2); err != nil {
 		t.Fatal(err)
@@ -340,7 +366,7 @@ func TestWriteReport(t *testing.T) {
 	// Empty design reports gracefully.
 	lib2 := lib()
 	empty := netlist.NewDesign("e", lib2)
-	a2 := New(empty, consFor(1e-9))
+	a2 := New(empty, DefaultConstraints(1e-9))
 	sb.Reset()
 	if err := a2.WriteReport(&sb, 5); err != nil {
 		t.Fatal(err)

@@ -59,6 +59,20 @@ if grep -qx 'ppaclust/internal/route' <<<"$place_deps"; then
     exit 1
 fi
 
+# Names belong to the readers: they resolve pin names to indices and SDC
+# clock roots to clock-net marks once, and no later layer looks a pin up by
+# name or reads the clock port names. Fail on a program file outside
+# internal/{netlist,verilog,def,lef,liberty,sdc,designs} and
+# internal/flow/files.go that does.
+echo "==> names stay in the readers: no PinIndex(, PinRefOf( or .ClockPorts past them"
+name_reads=$(grep -rnE --include='*.go' 'PinIndex\(|PinRefOf\(|\.ClockPorts' cmd internal benchmark |
+    grep -vE '^internal/(netlist|verilog|def|lef|liberty|sdc|designs)/|^internal/flow/files\.go:|_test\.go:' || true)
+if [[ -n "$name_reads" ]]; then
+    echo "name lookups past the readers:" >&2
+    echo "$name_reads" >&2
+    exit 1
+fi
+
 # internal/gnn runs its assembly kernels only where the package's CPU check
 # finds AVX; elsewhere TestKernelsMatchPortable skips and the portable kernels
 # run. On an amd64 host the test must have passed, not skipped: a runner
