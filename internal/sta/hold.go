@@ -69,8 +69,7 @@ func (a *Analyzer) HoldTiming() HoldSummary {
 			if arc != nil {
 				at = minAT[v] + arc.Delay.Lookup(a.cons.InputSlew, a.loadOf(to))
 			} else {
-				sinkCap := a.nodeCap[to]
-				at = minAT[v] + WireResPerMicron*a.eWire[ei]*(WireCapPerMicron*a.eWire[ei]/2+sinkCap)
+				at = minAT[v] + a.wireDelay(ei)
 			}
 			if at < minAT[to] {
 				minAT[to] = at

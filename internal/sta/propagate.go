@@ -1,25 +1,25 @@
-// Setup arrival/required propagation: one levelized engine.
+// Setup arrival/required propagation: two pushes along one topological order.
 //
-// Every node has a level, 1 + the highest level over ALL its in-edges (clk->Q
-// launch arcs included). The forward pass runs the levels in ascending order
-// and each node pulls its arrival from its in-edges; the backward pass runs
-// them in descending order and each node pulls its required time from its
-// out-edges. When a level runs, every value a node reads — its sources'
-// at/slew going forward, its sinks' rat going backward, and the clock-pin
-// slew a launch arc samples — is final, and nodes within a level write only
-// their own fields.
+// topo is Kahn's algorithm over every arc, clk->Q launch arcs included, in
+// node-id and edge-id order, so a register's CK pin comes before its Q. The
+// forward pass walks topo: each node first applies its own launch candidates,
+// which read the slew of a CK pin whose fan-in has already pushed and is
+// final, then, if reached, pushes its arrival along its data arcs. The
+// backward pass walks topo in reverse: each reached node pushes its required
+// time to the near end of each data arc.
 //
-// Bit-exactness: a node's candidates are applied with strict comparisons in
-// one fixed order, the one a relaxation pushed along topo would produce (and
-// the one the test oracle, refAnalyzer, does produce): forward, by (topo rank
-// of the source, edge id) with launch arcs last; backward, by (descending
-// topo rank of the sink, edge id).
+// Every candidate is applied with a strict comparison, so among equal values
+// the first one applied wins. A node's data-arc candidates come in order of
+// (topo rank of the source, edge id) and its launch candidates after them;
+// worstIn, the in-edge TopPaths backtracks through, is the first of the
+// worst. Required candidates come in order of (descending topo rank of the
+// sink, edge id).
 //
-// Levels need an acyclic edge set. Netlists with combinational loops (or a
-// register clocked through its own output) do not have one, so build opens
-// each loop by removing its closing edge (cutLoops) before anything else
-// sees the graph, and WriteReport says how many were removed — OpenSTA's
-// convention: disable an arc, report the loop.
+// A topological order needs an acyclic edge set. Netlists with combinational
+// loops (or a register clocked through its own output) do not have one, so
+// build opens each loop by removing its closing edge (cutLoops) before
+// anything else sees the graph, and WriteReport says how many were removed —
+// OpenSTA's convention: disable an arc, report the loop.
 package sta
 
 import (
@@ -28,44 +28,29 @@ import (
 	"ppaclust/internal/netlist"
 )
 
-// schedule is the level schedule and the per-node candidate orders.
-type schedule struct {
-	levelNodes []int32 // nodes by ascending level, ascending id within one
-
-	// pullIn permutes each node's inEdge run (same inOff offsets) into the
-	// order arrival candidates are applied in, launch arcs last.
-	pullIn []int32
-
-	pullOutOff []int32 // node -> offset into pullOut
-	pullOut    []int32 // non-launch out-edge ids in required-candidate order
-}
-
-// levelize computes level(v) = 1 + max level over all in-edges by Kahn's
-// algorithm. ok is false when the edge set is cyclic (some node never ran
-// out of unvisited in-edges).
-func (a *Analyzer) levelize() (level []int32, ok bool) {
+// topoSort orders the nodes by Kahn's algorithm over every edge, in node-id
+// and edge-id order, and reports whether the order is complete: false when
+// the edge set is cyclic (some node never ran out of unvisited in-edges).
+func (a *Analyzer) topoSort() bool {
 	n := a.numNodes()
 	indeg := make([]int32, n)
-	queue := make([]int32, 0, n)
+	order := make([]int32, 0, n)
 	for v := 0; v < n; v++ {
 		if indeg[v] = a.inOff[v+1] - a.inOff[v]; indeg[v] == 0 {
-			queue = append(queue, int32(v))
+			order = append(order, int32(v))
 		}
 	}
-	level = make([]int32, n)
-	for qi := 0; qi < len(queue); qi++ {
-		v := queue[qi]
+	for qi := 0; qi < len(order); qi++ {
+		v := order[qi]
 		for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
 			t := a.eTo[ei]
-			if l := level[v] + 1; l > level[t] {
-				level[t] = l
-			}
 			if indeg[t]--; indeg[t] == 0 {
-				queue = append(queue, t)
+				order = append(order, t)
 			}
 		}
 	}
-	return level, len(queue) == n
+	a.topo = order
+	return len(order) == n
 }
 
 // cutLoops makes the edge set acyclic by removing the back edges of a
@@ -129,97 +114,22 @@ func (a *Analyzer) cutLoops() {
 	}
 }
 
-// buildSchedule buckets nodes by level and writes down, per node, the order
-// its candidates are applied in. No sorting is needed: the orders are what a
-// push along topo produces, so walking topo and dropping each edge into its
-// far end's next free slot yields them directly.
-func (a *Analyzer) buildSchedule(level []int32) {
-	n := a.numNodes()
-	sc := &a.sched
-	maxLevel := int32(0)
-	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	lfill := make([]int, maxLevel+2) // level -> next free slot of levelNodes
-	for _, l := range level {
-		lfill[l+1]++
-	}
-	for i := 1; i < len(lfill); i++ {
-		lfill[i] += lfill[i-1]
-	}
-	sc.levelNodes = make([]int32, n)
-	for v := 0; v < n; v++ {
-		sc.levelNodes[lfill[level[v]]] = int32(v)
-		lfill[level[v]]++
-	}
-
-	// Forward: sources in topo order push their non-launch out-edges in
-	// edge-id order; a node's launch arcs fire at its own visit, after every
-	// source has pushed, in in-list order.
-	sc.pullIn = make([]int32, len(a.eFrom))
-	fill := append([]int32(nil), a.inOff[:n]...)
-	for _, v := range a.topo {
-		for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
-			if !a.isLaunchEdge(ei) {
-				t := a.eTo[ei]
-				sc.pullIn[fill[t]] = ei
-				fill[t]++
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
-			if a.isLaunchEdge(ei) {
-				sc.pullIn[fill[v]] = ei
-				fill[v]++
-			}
-		}
-	}
-
-	// Backward: sinks in reverse topo order push their non-launch in-edges
-	// in edge-id order.
-	sc.pullOutOff = make([]int32, n+1)
-	for ei, f := range a.eFrom {
-		if !a.isLaunchEdge(int32(ei)) {
-			sc.pullOutOff[f+1]++
-		}
-	}
-	for i := 1; i <= n; i++ {
-		sc.pullOutOff[i] += sc.pullOutOff[i-1]
-	}
-	sc.pullOut = make([]int32, sc.pullOutOff[n])
-	copy(fill, sc.pullOutOff[:n])
-	for i := len(a.topo) - 1; i >= 0; i-- {
-		v := a.topo[i]
-		for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
-			if !a.isLaunchEdge(ei) {
-				u := a.eFrom[ei]
-				sc.pullOut[fill[u]] = ei
-				fill[u]++
-			}
-		}
-	}
-}
-
 // run performs arrival/required propagation if stale.
 func (a *Analyzer) run() {
 	if a.timeDone {
 		return
 	}
-	sc := &a.sched
 	for v := int32(0); v < int32(a.numNodes()); v++ {
 		a.seedArrival(v)
 	}
-	for _, v := range sc.levelNodes {
-		a.pullArrival(v)
+	for _, v := range a.topo {
+		a.pushArrival(v)
 	}
 	for v := int32(0); v < int32(a.numNodes()); v++ {
 		a.seedRequired(v)
 	}
-	for i := len(sc.levelNodes) - 1; i >= 0; i-- {
-		a.pullRequired(sc.levelNodes[i])
+	for i := len(a.topo) - 1; i >= 0; i-- {
+		a.pushRequired(a.topo[i])
 	}
 	a.timeDone = true
 }
@@ -241,11 +151,15 @@ func (a *Analyzer) seedArrival(v int32) {
 	}
 }
 
-// pullArrival applies every in-candidate of v, in schedule order.
-func (a *Analyzer) pullArrival(v int32) {
-	for _, ei := range a.sched.pullIn[a.inOff[v]:a.inOff[v+1]] {
-		arc := a.eArc[ei]
-		if arc != nil && arc.Kind == netlist.ArcClkToQ {
+// pushArrival applies v's launch candidates and, if v is reached, offers
+// its arrival to the far end of each of its data arcs.
+func (a *Analyzer) pushArrival(v int32) {
+	if a.startp[v] { // only a launch point has a launch arc in
+		for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
+			arc := a.eArc[ei]
+			if arc == nil || arc.Kind != netlist.ArcClkToQ {
+				continue
+			}
 			// Launch: arrival = clock arrival + clk->Q delay.
 			load := a.loadOf(v)
 			clkAt := a.clockAtNode(a.eFrom[ei])
@@ -257,31 +171,40 @@ func (a *Analyzer) pullArrival(v int32) {
 				a.worstIn[v] = ei
 				a.slew[v] = arc.Slew.Lookup(slewIn, load)
 			}
-			continue
-		}
-		from := a.eFrom[ei]
-		if !a.hasAT[from] {
-			continue
-		}
-		var at, slew float64
-		if arc != nil {
-			load := a.loadOf(v)
-			at = a.at[from] + arc.Delay.Lookup(a.slew[from], load)
-			slew = arc.Slew.Lookup(a.slew[from], load)
-		} else {
-			// Net arc: Elmore-style wire delay to this sink.
-			sinkCap := a.nodeCap[v]
-			wd := WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
-			at = a.at[from] + wd
-			slew = a.slew[from] + 0.2*wd
-		}
-		if at > a.at[v] {
-			a.at[v] = at
-			a.hasAT[v] = true
-			a.worstIn[v] = ei
-			a.slew[v] = slew
 		}
 	}
+	if !a.hasAT[v] {
+		return
+	}
+	for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
+		arc := a.eArc[ei]
+		if arc != nil && arc.Kind == netlist.ArcClkToQ {
+			continue
+		}
+		to := a.eTo[ei]
+		var at, slew float64
+		if arc != nil {
+			load := a.loadOf(to)
+			at = a.at[v] + arc.Delay.Lookup(a.slew[v], load)
+			slew = arc.Slew.Lookup(a.slew[v], load)
+		} else {
+			wd := a.wireDelay(ei)
+			at = a.at[v] + wd
+			slew = a.slew[v] + 0.2*wd
+		}
+		if at > a.at[to] {
+			a.at[to] = at
+			a.hasAT[to] = true
+			a.worstIn[to] = ei
+			a.slew[to] = slew
+		}
+	}
+}
+
+// wireDelay is the Elmore-style delay of net arc ei to its sink.
+func (a *Analyzer) wireDelay(ei int32) float64 {
+	w := a.eWire[ei]
+	return WireResPerMicron * w * (WireCapPerMicron*w/2 + a.nodeCap[a.eTo[ei]])
 }
 
 func (a *Analyzer) loadOf(outNode int32) float64 {
@@ -323,22 +246,23 @@ func (a *Analyzer) seedRequired(v int32) {
 	}
 }
 
-// pullRequired applies every out-candidate of u, in schedule order.
-func (a *Analyzer) pullRequired(u int32) {
-	for _, ei := range a.sched.pullOut[a.sched.pullOutOff[u]:a.sched.pullOutOff[u+1]] {
-		to := a.eTo[ei]
-		if !a.hasRAT[to] {
+// pushRequired offers v's required time, if it has one, to the near end of
+// each of its data arcs.
+func (a *Analyzer) pushRequired(v int32) {
+	if !a.hasRAT[v] {
+		return
+	}
+	for _, ei := range a.inEdge[a.inOff[v]:a.inOff[v+1]] {
+		arc := a.eArc[ei]
+		if arc != nil && arc.Kind == netlist.ArcClkToQ {
 			continue
 		}
-		arc := a.eArc[ei]
+		u := a.eFrom[ei]
 		var rat float64
 		if arc != nil {
-			load := a.loadOf(to)
-			rat = a.rat[to] - arc.Delay.Lookup(a.slew[u], load)
+			rat = a.rat[v] - arc.Delay.Lookup(a.slew[u], a.loadOf(v))
 		} else {
-			sinkCap := a.nodeCap[to]
-			wd := WireResPerMicron * a.eWire[ei] * (WireCapPerMicron*a.eWire[ei]/2 + sinkCap)
-			rat = a.rat[to] - wd
+			rat = a.rat[v] - a.wireDelay(ei)
 		}
 		if rat < a.rat[u] {
 			a.rat[u] = rat

@@ -236,15 +236,11 @@ func (r *refAnalyzer) build() {
 		}
 	}
 
-	// Kahn topo sort with launch arcs excluded, IDs appended on cycles.
+	// Kahn topo sort over every arc, launch arcs included, IDs appended on
+	// cycles.
 	n := len(r.nodes)
 	indeg := make([]int, n)
-	enabled := make([]bool, len(r.edges))
-	for ei, e := range r.edges {
-		if e.isCell && e.arc.Kind == netlist.ArcClkToQ {
-			continue
-		}
-		enabled[ei] = true
+	for _, e := range r.edges {
 		indeg[e.to]++
 	}
 	q := make([]int, 0, n)
@@ -258,9 +254,6 @@ func (r *refAnalyzer) build() {
 		v := q[qi]
 		order = append(order, v)
 		for _, ei := range r.out[v] {
-			if !enabled[ei] {
-				continue
-			}
 			t := r.edges[ei].to
 			indeg[t]--
 			if indeg[t] == 0 {
@@ -472,19 +465,12 @@ func compareToRef(t *testing.T, tag string, a *Analyzer, r *refAnalyzer) {
 	}
 }
 
-// tangledDesign builds an irregular placed netlist exercising the corners the
-// regular fixtures miss: multi-fanout nets, shared clock tree through a
-// buffer, output ports, multi-input gates, and a seeded random placement.
-//
-// The clock buffer makes every launch arc read a CK slew that the oracle's
-// push along topo has not written yet (Q is a source there, CK is not). The
-// oracle and the analyzer still agree bit for bit because lib()'s tables are
-// all netlist.Const: no delay depends on slew, so the stale read is invisible
-// here. TestLaunchReadsFinalClockSlew uses slew-sensitive tables and checks
-// the analyzer against the formula instead.
-func tangledDesign(t *testing.T, cells int) *netlist.Design {
+// tangledDesign builds an irregular placed netlist on library l exercising
+// the corners the regular fixtures miss: multi-fanout nets, shared clock tree
+// through a buffer, output ports, multi-input gates, and a seeded random
+// placement. l must have lib()'s masters and pin names.
+func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design {
 	t.Helper()
-	l := lib()
 	d := netlist.NewDesign("tangled", l)
 	rng := rand.New(rand.NewSource(7))
 	clk, _ := d.AddPort("clk", netlist.DirInput)
@@ -542,16 +528,51 @@ func tangledDesign(t *testing.T, cells int) *netlist.Design {
 	return d
 }
 
+// slewLib is lib() with every delay, output slew and setup table given a
+// slew axis (and a load axis), so a launch arc behind the clock buffer of
+// tangledDesign reads a CK slew that differs from Constraints.InputSlew and
+// the value it launches with depends on it.
+func slewLib() *netlist.Library {
+	l := lib()
+	axes := func(tb *netlist.Table) {
+		v := tb.Values[0][0]
+		*tb = netlist.Table{
+			Slews:  []float64{0, 100e-12},
+			Loads:  []float64{0, 20e-15},
+			Values: [][]float64{{v, 1.5 * v}, {2 * v, 3 * v}},
+		}
+	}
+	for _, name := range l.MasterNames() {
+		m := l.Master(name)
+		for pi := range m.Pins {
+			for ai := range m.Pins[pi].Arcs {
+				arc := &m.Pins[pi].Arcs[ai]
+				if arc.Kind == netlist.ArcHold {
+					continue
+				}
+				axes(&arc.Delay)
+				if arc.Kind != netlist.ArcSetup {
+					axes(&arc.Slew)
+				}
+			}
+		}
+	}
+	return l
+}
+
 // TestCompactMatchesReferenceFull pins the CSR/SoA analyzer to the map-based
 // reference on full propagation: every arrival, required, and slew must match
-// bit for bit, on one worker and on four, with and without wire parasitics.
+// bit for bit, with and without wire parasitics. tangled-slew is the one
+// fixture whose tables read the slew, so there a launch arc that sampled its
+// CK pin before the clock buffer's slew reached it would differ.
 func TestCompactMatchesReferenceFull(t *testing.T) {
 	fixtures := []struct {
 		name string
 		d    *netlist.Design
 	}{
 		{"pipeline", benchPipeline(8, 6)},
-		{"tangled", tangledDesign(t, 120)},
+		{"tangled", tangledDesign(t, lib(), 120)},
+		{"tangled-slew", tangledDesign(t, slewLib(), 120)},
 		{"regpair", regPair(t)},
 	}
 	for _, fx := range fixtures {

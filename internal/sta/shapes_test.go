@@ -1,6 +1,6 @@
 // The two graph shapes that used to drop to another engine: a clock behind a
-// buffer (a launch arc whose clock pin is written after its Q in topo) and a
-// combinational loop.
+// buffer (a launch arc whose clock pin an order without launch arcs writes
+// after its Q) and a combinational loop.
 package sta_test
 
 import (
@@ -83,9 +83,9 @@ func ring() (*netlist.Design, sta.Constraints) {
 }
 
 // TestLaunchReadsFinalClockSlew: the launch arc must sample the slew the
-// clock buffer actually delivers at CK. (A push along
-// topo visits Q, a source there, before CK is written and so launches with
-// Constraints.InputSlew: 82.60 ps here instead of 83.39 ps, optimistic.)
+// clock buffer actually delivers at CK. (A push along an order without
+// launch arcs visits Q, a source there, before CK is written and so launches
+// with Constraints.InputSlew: 82.60 ps here instead of 83.39 ps, optimistic.)
 func TestLaunchReadsFinalClockSlew(t *testing.T) {
 	d, cons := bufferedClock()
 	cons.ZeroWire = true // no wire delay: slew(CK) is the buffer's output slew

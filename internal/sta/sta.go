@@ -111,9 +111,8 @@ type Analyzer struct {
 	checkArc []*netlist.TimingArc
 	checkClk []int32
 
-	topo      []int32  // data order: every non-launch edge goes forward
-	loopEdges int      // edges removed at build to open timing loops
-	sched     schedule // level schedule and per-node pull orders
+	topo      []int32 // topological order over every edge, launch arcs included
+	loopEdges int     // edges removed at build to open timing loops
 
 	netLoad   []float64 // total load capacitance per net
 	netArcOff []int32   // net -> its net arcs are edge ids [netArcOff[n], netArcOff[n+1])
@@ -318,17 +317,14 @@ func (a *Analyzer) build() {
 	}
 
 	a.buildAdjacency()
-	level, acyclic := a.levelize()
-	if !acyclic {
+	if !a.topoSort() {
 		a.cutLoops()
 		a.buildAdjacency()
-		level, _ = a.levelize()
+		a.topoSort()
 	}
 	a.buildCheckIndex()
 	a.initValueArrays()
 	a.markSpecialNodes()
-	a.topoSort()
-	a.buildSchedule(level)
 	a.refreshAllNets()
 }
 
@@ -479,42 +475,6 @@ func (a *Analyzer) markSpecialNodes() {
 			}
 		}
 	}
-}
-
-// topoSort orders nodes so every data edge goes forward: Kahn's algorithm in
-// node-id and edge-id order over the edges that are not clk->Q launch arcs. A
-// launch starts a new timing frame, so a Q output is a source here instead of
-// ranking after its clock pin. The order is complete because build has
-// already opened every loop (cutLoops). Hold and activity propagation walk
-// it, and it fixes the order setup candidates are applied in (buildSchedule).
-func (a *Analyzer) topoSort() {
-	n := a.numNodes()
-	indeg := make([]int32, n)
-	for ei, t := range a.eTo {
-		if !a.isLaunchEdge(int32(ei)) {
-			indeg[t]++
-		}
-	}
-	order := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			order = append(order, int32(i))
-		}
-	}
-	for qi := 0; qi < len(order); qi++ {
-		v := order[qi]
-		for _, ei := range a.outEdge[a.outOff[v]:a.outOff[v+1]] {
-			if a.isLaunchEdge(ei) {
-				continue
-			}
-			t := a.eTo[ei]
-			indeg[t]--
-			if indeg[t] == 0 {
-				order = append(order, t)
-			}
-		}
-	}
-	a.topo = order
 }
 
 // ClockArrival is one CTS-computed clock arrival: the insertion delay T at

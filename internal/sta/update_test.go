@@ -68,10 +68,11 @@ func requireIdentical(t *testing.T, ctx string, a, b *sta.Analyzer) {
 // TestIncrementalSTAEquivalent moves a share of the cells, calls Update, and
 // requires bit-identical results to a fresh analysis — at Workers=1 and
 // Workers=8 on both sides, three rounds on one reused analyzer. The two
-// hand-built rows are the shapes the level schedule treats specially: a
-// clock behind a buffer and a combinational loop. (The name dates from when
-// Update had a dirty-cone arm; it is kept because the test floor lists these
-// rows by name.)
+// hand-built rows are the shapes the topological order has to get right: a
+// clock behind a buffer, whose CK pin must precede its Q, and a
+// combinational loop, which build cuts before sorting. (The name dates from
+// when Update had a dirty-cone arm; it is kept because the test floor lists
+// these rows by name.)
 func TestIncrementalSTAEquivalent(t *testing.T) {
 	generated := func(name string) func() (*netlist.Design, sta.Constraints) {
 		return func() (*netlist.Design, sta.Constraints) {

@@ -26,6 +26,7 @@ kernels=(
     "./internal/place/ ^BenchmarkSolveRound$ 10x"
     "./internal/cluster/ ^BenchmarkMultilevelFCScale100k$ 1s"
     "./internal/place/ ^BenchmarkDetailedScale100k$ 1x"
+    "./internal/sta/ ^Benchmark(STABuildAndRunScale100k|TopPathsScale100k)$ 1s"
 )
 
 out=$(mktemp)
