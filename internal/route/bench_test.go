@@ -21,3 +21,19 @@ func BenchmarkGlobalRoute(b *testing.B) {
 		route.GlobalRoute(bench.Design, route.Options{})
 	}
 }
+
+// BenchmarkGlobalRouteScale100k measures routing the repo benchmark's
+// scale100k design (ScaleSpec(100000, 1)), placed and legalized outside the
+// timer.
+func BenchmarkGlobalRouteScale100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-cell placement set-up")
+	}
+	d := designs.Generate(designs.ScaleSpec(100000, 1)).Design
+	place.Global(d, place.Options{Seed: 1})
+	place.Legalize(d)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		route.GlobalRoute(d, route.Options{})
+	}
+}

@@ -51,14 +51,9 @@ func TestGlobalRouteWorkersEquivalent(t *testing.T) {
 		if got.Vias != ref.Vias {
 			t.Fatalf("W=%d vias %d != %d", w, got.Vias, ref.Vias)
 		}
-		for i := range ref.Grid.hUse {
-			if got.Grid.hUse[i] != ref.Grid.hUse[i] {
-				t.Fatalf("W=%d hUse[%d] %d != %d", w, i, got.Grid.hUse[i], ref.Grid.hUse[i])
-			}
-		}
-		for i := range ref.Grid.vUse {
-			if got.Grid.vUse[i] != ref.Grid.vUse[i] {
-				t.Fatalf("W=%d vUse[%d] %d != %d", w, i, got.Grid.vUse[i], ref.Grid.vUse[i])
+		for e := range ref.Grid.use {
+			if got.Grid.use[e] != ref.Grid.use[e] {
+				t.Fatalf("W=%d use[%d] %d != %d", w, e, got.Grid.use[e], ref.Grid.use[e])
 			}
 		}
 	}
@@ -87,11 +82,8 @@ func TestRouteHotLoopAllocFree(t *testing.T) {
 			ctx.addOwn(s)
 			sc.applyPart(s)
 		}
-		for i := range sc.partH {
-			sc.partH[i] = 0
-		}
-		for i := range sc.partV {
-			sc.partV[i] = 0
+		for e := range sc.part {
+			sc.part[e] = 0
 		}
 	})
 	if avg != 0 {

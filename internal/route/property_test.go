@@ -26,12 +26,7 @@ func TestPropertySegmentLengthLowerBound(t *testing.T) {
 			g.apply(s, 1)
 			g.apply(s, -1)
 		}
-		for _, u := range g.hUse {
-			if u != 0 {
-				return false
-			}
-		}
-		for _, u := range g.vUse {
+		for _, u := range g.use {
 			if u != 0 {
 				return false
 			}

@@ -51,13 +51,13 @@ func TestRouteStraightLine(t *testing.T) {
 	}
 	g.apply(s, 1)
 	for i := 0; i < 5; i++ {
-		if g.hUse[g.hIdx(i, 0)] != 1 {
+		if g.use[g.hIdx(i, 0)] != 1 {
 			t.Fatalf("edge %d not used", i)
 		}
 	}
 	g.apply(s, -1)
 	for i := 0; i < 5; i++ {
-		if g.hUse[g.hIdx(i, 0)] != 0 {
+		if g.use[g.hIdx(i, 0)] != 0 {
 			t.Fatal("rip-up did not restore usage")
 		}
 	}
@@ -68,7 +68,7 @@ func TestRouteAvoidsCongestion(t *testing.T) {
 	g := newGrid(core, 10, 1) // capacity 1
 	// Saturate the direct horizontal row j=0.
 	for i := 0; i < 10; i++ {
-		g.hUse[g.hIdx(i, 0)] = 1
+		g.use[g.hIdx(i, 0)] = 1
 	}
 	s := g.route(0, 0, 9, 0)
 	// The best route should detour off row 0.
@@ -110,7 +110,7 @@ func TestTopPercentAvg(t *testing.T) {
 	core := netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
 	g := newGrid(core, 10, 10)
 	// One very hot edge.
-	g.hUse[g.hIdx(0, 0)] = 20
+	g.use[g.hIdx(0, 0)] = 20
 	top1 := g.TopPercentAvg(1)
 	top100 := g.TopPercentAvg(100)
 	if top1 < top100 {
@@ -132,7 +132,7 @@ func TestCellCongestionShape(t *testing.T) {
 	if len(c) != g.nx*g.ny {
 		t.Fatalf("len=%d want %d", len(c), g.nx*g.ny)
 	}
-	g.hUse[g.hIdx(2, 3)] = 2
+	g.use[g.hIdx(2, 3)] = 2
 	c = g.cellCongestion()
 	if c[3*g.nx+2] != 0.5 {
 		t.Fatalf("congestion=%v want 0.5", c[3*g.nx+2])

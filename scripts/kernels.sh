@@ -1,21 +1,33 @@
 #!/usr/bin/env bash
-# The kernel record (ROADMAP item 19): runs a fixed list of Go benchmarks with
-# -count 5 -benchmem and appends one JSON line per benchmark to
+# The kernel record (ROADMAP item 19): runs a fixed list of Go benchmarks five
+# times with -benchmem and appends one JSON line per benchmark to
 # BENCH_kernels.jsonl at the root of the tree: the commit, the kernel (its
 # benchmark name without the `Benchmark` prefix and the -GOMAXPROCS suffix),
 # GOMAXPROCS, the CPU model go test reports, the number of runs, the median
 # and interquartile range of ns/op, and the medians of B/op and allocs/op.
 # Quartiles interpolate linearly between the sorted runs, as scripts/pairs.sh
-# does; no benchstat is needed. A [perf_opt] change appends the lines of its
-# parent and its own, and a listed kernel that moved by more than its IQR gets
-# a sentence in CHANGES.md.
+# does; no benchstat is needed. Each listed package is compiled once with
+# `go test -c`, and each of the five runs is one `-test.count 1` process of
+# that binary, started in its package directory.
 #
-# Usage: scripts/kernels.sh [label]     (~6 min on 2 vCPU)
-#   label  the commit field; default `git describe --always --dirty`, so an
-#          uncommitted tree reads <parent>-dirty
+# <ref> (default HEAD) is unpacked with `git archive`, as scripts/pairs.sh
+# does, and its packages are compiled too; each kernel then runs parent and
+# working tree alternately, the parent first in odd runs and the working tree
+# first in even ones, so drift of a shared box falls on both sides alike.
+# The parent's lines are labelled with its short hash, the working tree's
+# with [label]; a kernel the parent lacks gets only the working tree's line.
+# A listed kernel that moved by more than its IQR gets a sentence in
+# CHANGES.md.
+#
+# Usage: scripts/kernels.sh [ref] [label]   (~12 min on 2 vCPU)
+#   ref    the parent; default HEAD, so an uncommitted change is recorded
+#          against the commit it sits on
+#   label  the working tree's commit field; default `git describe --always
+#          --dirty`, so an uncommitted tree reads <parent>-dirty
 set -euo pipefail
 cd "$(dirname "$0")/.."
-label=${1:-$(git describe --always --dirty 2>/dev/null || echo unknown)}
+ref=${1:-HEAD}
+label=${2:-$(git describe --always --dirty 2>/dev/null || echo unknown)}
 
 # <package> <benchmark regexp> <benchtime>: the 100k detailed placement sets
 # up for ~10 s per call of the benchmark function, so it runs one op per
@@ -27,17 +39,47 @@ kernels=(
     "./internal/cluster/ ^BenchmarkMultilevelFCScale100k$ 1s"
     "./internal/place/ ^BenchmarkDetailedScale100k$ 1x"
     "./internal/sta/ ^Benchmark(STABuildAndRunScale100k|TopPathsScale100k)$ 1s"
+    "./internal/route/ ^BenchmarkGlobalRouteScale100k$ 1s"
 )
 
-out=$(mktemp)
-trap 'rm -f "$out"' EXIT
+t=$(mktemp -d)
+trap 'rm -rf "$t"' EXIT
+tree_change=$PWD
+tree_parent=$t/parent
+mkdir "$tree_parent"
+git archive "$ref" | tar -x -C "$tree_parent"
+: >"$t/change.out"
+: >"$t/parent.out"
+
+# build <package>: compiles the package's test binary in both trees, once. A
+# package the parent cannot build (it may predate the benchmark) leaves no
+# parent binary; a build error in the working tree stops the script.
+build() {
+    local name=${1//\//_}.test
+    [ -e "$t/change.$name" ] && return
+    (cd "$tree_parent" && go test -c -o "$t/parent.$name" "$1" >&2) ||
+        echo "kernels.sh: $ref cannot build $1; it gets no parent line" >&2
+    go test -c -o "$t/change.$name" "$1" >&2
+}
+
 for k in "${kernels[@]}"; do
     read -r pkg re benchtime <<<"$k"
     echo "==> $pkg $re" >&2
-    go test -run '^$' -bench "$re" -benchtime "$benchtime" -count 5 -benchmem "$pkg" | tee -a "$out" >&2
+    build "$pkg"
+    for run in 1 2 3 4 5; do
+        order=(parent change)
+        ((run % 2)) || order=(change parent)
+        for side in "${order[@]}"; do
+            tree=tree_$side exe=$t/$side.${pkg//\//_}.test
+            [ -e "$exe" ] || continue
+            (cd "${!tree}/$pkg" && "$exe" -test.run '^$' -test.bench "$re" -test.benchtime "$benchtime" \
+                -test.count 1 -test.benchmem) | tee -a "$t/$side.out" >&2
+        done
+    done
 done
 
-awk -v commit="$label" '
+summarize() {
+awk -v commit="$1" '
 function quantile(a, cnt, q,    pos, lo) {  # linear interpolation on a sorted array
     pos = 1 + (cnt - 1) * q; lo = int(pos)
     return lo >= cnt ? a[cnt] : a[lo] + (pos - lo) * (a[lo + 1] - a[lo])
@@ -64,4 +106,9 @@ END {
         printf "\"ns_op_median\":%.0f,\"ns_op_iqr\":%.0f,", quantile(ns, n, 0.5), quantile(ns, n, 0.75) - quantile(ns, n, 0.25)
         printf "\"b_op\":%.0f,\"allocs_op\":%.0f}\n", quantile(bytes, n, 0.5), quantile(allocs, n, 0.5)
     }
-}' "$out" | tee -a BENCH_kernels.jsonl
+}' "$2"
+}
+{
+    summarize "$(git rev-parse --short "$ref")" "$t/parent.out"
+    summarize "$label" "$t/change.out"
+} | tee -a BENCH_kernels.jsonl
