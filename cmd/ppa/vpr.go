@@ -18,7 +18,7 @@ func vprCmd(args []string) error {
 	fs := flag.NewFlagSet("ppa vpr", flag.ContinueOnError)
 	design := fs.String("design", "aes", designFlag)
 	seed := fs.Int64("seed", 1, "random seed")
-	minInsts := fs.Int("min", 50, "shape clusters above this many instances (the flow's VPRMinInsts)")
+	minInsts := fs.Int("min", 50, "shape clusters above this many instances (the flow's own gate is 50)")
 	maxClusters := fs.Int("max-clusters", 4, "stop after this many shaped clusters")
 	verbose := fs.Bool("v", false, "print every candidate's cost")
 	if err := parseFlags(fs, args); err != nil {

@@ -13,7 +13,7 @@ func BenchmarkSynthesize(b *testing.B) {
 	bench := designs.Generate(spec)
 	place.Global(bench.Design, place.Options{Seed: 1})
 	place.Legalize(bench.Design)
-	clk := bench.Design.Net("clk")
+	clk := clockNet(bench.Design)
 	opt := Options{BufMaster: bench.Design.Lib.Master("CLKBUF_X2")}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

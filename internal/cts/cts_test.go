@@ -9,11 +9,21 @@ import (
 	"ppaclust/internal/sta"
 )
 
+// clockNet finds a generated design's clock net, "clk".
+func clockNet(d *netlist.Design) *netlist.Net {
+	for _, n := range d.Nets {
+		if n.Name == "clk" {
+			return n
+		}
+	}
+	return nil
+}
+
 func placedBench(t *testing.T, seed int64) (*netlist.Design, *netlist.Net, Options) {
 	t.Helper()
 	b := designs.Generate(designs.TinySpec(seed))
 	place.Global(b.Design, place.Options{Seed: seed})
-	clk := b.Design.Net("clk")
+	clk := clockNet(b.Design)
 	if clk == nil {
 		t.Fatal("no clock net")
 	}
@@ -96,7 +106,7 @@ func TestArrivalsUsableBySTA(t *testing.T) {
 	place.Global(d, place.Options{Seed: 44})
 	a := sta.New(d, b.Cons)
 	ideal := a.Timing()
-	res := Synthesize(d, d.Net("clk"), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
+	res := Synthesize(d, clockNet(d), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
 	a.SetClockArrivalList(res.ArrivalList)
 	prop := a.Timing()
 	if prop.Endpoints != ideal.Endpoints {
@@ -111,7 +121,7 @@ func TestArrivalsUsableBySTA(t *testing.T) {
 func TestEmptyClockNet(t *testing.T) {
 	lib := designs.Lib()
 	d := netlist.NewDesign("e", lib)
-	n, _ := d.AddNet("clk")
+	n := d.AddNet("clk")
 	res := Synthesize(d, n, Options{BufMaster: lib.Master("CLKBUF_X2")})
 	if len(res.ArrivalList) != 0 || res.Buffers != 0 {
 		t.Fatalf("empty net result %+v", res)
@@ -149,15 +159,15 @@ func TestInsertionGrowsWithDistance(t *testing.T) {
 	lib := designs.Lib()
 	d := netlist.NewDesign("spread", lib)
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 400, Y1: 400}
-	clkPort, _ := d.AddPort("clk", netlist.DirInput)
+	clkPort := d.AddPort("clk", netlist.DirInput)
 	clkPort.X, clkPort.Y, clkPort.Placed = 0, 0, true
-	cn, _ := d.AddNet("clk")
+	cn := d.AddNet("clk")
 	cn.Clock = true
 	d.Connect(cn, pinRef(d, -1, "clk"))
 	dff := lib.Master("DFF_X1")
 	var ids []int
 	for i := 0; i < 32; i++ {
-		ff, _ := d.AddInstance("ff"+itoaCTS(i), dff)
+		ff := d.AddInstance("ff"+itoaCTS(i), dff)
 		ff.X = float64(i * 12)
 		ff.Y = float64(i * 12)
 		ff.Placed = true
@@ -224,8 +234,17 @@ func TestAnnotateHotLoopAllocFree(t *testing.T) {
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return netlist.PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

@@ -36,7 +36,7 @@ func TestSynthesizeGolden(t *testing.T) {
 			d := designs.Generate(tc.spec).Design
 			place.Global(d, place.Options{Seed: 1, Workers: 1})
 			place.Legalize(d)
-			res := Synthesize(d, d.Net("clk"), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
+			res := Synthesize(d, clockNet(d), Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
 			h := fnv.New64a()
 			var word [8]byte
 			for _, a := range res.ArrivalList {

@@ -153,8 +153,8 @@ type Options struct {
 	// Lenient tolerates recoverable field errors — bad placement
 	// coordinates, malformed ROW/DIEAREA geometry, unparsable net weights —
 	// by skipping the field and recording a warning. Structural errors
-	// (unknown masters or instances, missing DESIGN, corrupt UNITS) are
-	// fatal in both modes.
+	// (unknown masters or instances, repeated COMPONENTS, PINS or NETS
+	// names, missing DESIGN, corrupt UNITS) are fatal in both modes.
 	Lenient bool
 }
 
@@ -166,7 +166,10 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	if file == "" {
 		file = "def"
 	}
-	p := &defParser{lib: lib, units: dbu}
+	p := &defParser{
+		lib: lib, units: dbu,
+		insts: map[string]int{}, ports: map[string]int{}, nets: map[string]struct{}{},
+	}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
@@ -191,6 +194,11 @@ type defParser struct {
 	section string
 	units   float64
 	warns   *scan.Warnings // nil in strict mode
+
+	// Name indices for the length of the parse (the design keeps none):
+	// instance and port name to index, and the net names seen.
+	insts, ports map[string]int
+	nets         map[string]struct{}
 }
 
 func (p *defParser) line(ln *scan.Line) error {
@@ -381,10 +389,11 @@ func (p *defParser) component(ln *scan.Line) error {
 	if m == nil {
 		return ln.Errf(ln.Tok(2), "unknown master")
 	}
-	inst, err := p.d.AddInstance(ln.Tok(1), m)
-	if err != nil {
-		return ln.Errf(ln.Tok(1), "%v", err)
+	if _, dup := p.insts[ln.Tok(1)]; dup {
+		return ln.Errf(ln.Tok(1), "duplicate component")
 	}
+	inst := p.d.AddInstance(ln.Tok(1), m)
+	p.insts[inst.Name] = inst.ID
 	x, y, fixed, found, err := p.placedAt(ln, 3)
 	if err := p.warns.Tolerate(err); err != nil {
 		return err
@@ -420,10 +429,11 @@ func (p *defParser) pin(ln *scan.Line) error {
 			dir = netlist.DirInout
 		}
 	}
-	port, err := p.d.AddPort(ln.Tok(1), dir)
-	if err != nil {
-		return ln.Errf(ln.Tok(1), "%v", err)
+	if _, dup := p.ports[ln.Tok(1)]; dup {
+		return ln.Errf(ln.Tok(1), "duplicate pin")
 	}
+	p.ports[ln.Tok(1)] = len(p.d.Ports)
+	port := p.d.AddPort(ln.Tok(1), dir)
 	x, y, _, found, err := p.placedAt(ln, 2)
 	if err := p.warns.Tolerate(err); err != nil {
 		return err
@@ -439,10 +449,11 @@ func (p *defParser) net(ln *scan.Line) error {
 	if err := ln.Require(2); err != nil {
 		return err
 	}
-	n, err := p.d.AddNet(ln.Tok(1))
-	if err != nil {
-		return ln.Errf(ln.Tok(1), "%v", err)
+	if _, dup := p.nets[ln.Tok(1)]; dup {
+		return ln.Errf(ln.Tok(1), "duplicate net")
 	}
+	p.nets[ln.Tok(1)] = struct{}{}
+	n := p.d.AddNet(ln.Tok(1))
 	i := 2
 	for i < ln.Len() {
 		switch ln.Tok(i) {
@@ -454,18 +465,9 @@ func (p *defParser) net(ln *scan.Line) error {
 				// Size the pins once: a connection "( a b )" is four tokens.
 				n.Pins = make([]netlist.PinRef, 0, (ln.Len()-i)/4+1)
 			}
-			a, b := ln.Tok(i+1), ln.Tok(i+2)
-			inst := -1
-			if a != "PIN" {
-				in := p.d.Instance(a)
-				if in == nil {
-					return ln.Errf(a, "unknown instance")
-				}
-				inst = in.ID
-			}
-			ref, err := p.d.PinRefOf(inst, b)
+			ref, err := p.pinRef(ln, ln.Tok(i+1), ln.Tok(i+2))
 			if err != nil {
-				return ln.Errf(b, "%v", err)
+				return err
 			}
 			p.d.Connect(n, ref)
 			i += 3
@@ -500,6 +502,27 @@ func (p *defParser) net(ln *scan.Line) error {
 		}
 	}
 	return nil
+}
+
+// pinRef resolves the net connection "( a b )": pin b of component a, or
+// the pin (top-level port) b when a is PIN.
+func (p *defParser) pinRef(ln *scan.Line, a, b string) (netlist.PinRef, error) {
+	if a == "PIN" {
+		i, ok := p.ports[b]
+		if !ok {
+			return netlist.PinRef{}, ln.Errf(b, "no port %q", b)
+		}
+		return netlist.PinRef{Inst: -1, Pin: i}, nil
+	}
+	inst, ok := p.insts[a]
+	if !ok {
+		return netlist.PinRef{}, ln.Errf(a, "unknown instance")
+	}
+	ref, err := p.d.PinRefOf(inst, b)
+	if err != nil {
+		return netlist.PinRef{}, ln.Errf(b, "%v", err)
+	}
+	return ref, nil
 }
 
 // weight parses a NET WEIGHT value: DEF weights are integers.

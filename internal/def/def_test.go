@@ -30,8 +30,9 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal("counts changed in round trip")
 	}
 	// Placement coordinates survive within DBU rounding.
+	ix := indexNames(got)
 	for _, inst := range b.Design.Insts {
-		ri := got.Instance(inst.Name)
+		ri := ix.insts[inst.Name]
 		if ri == nil {
 			t.Fatalf("instance %q lost", inst.Name)
 		}
@@ -47,7 +48,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal("die area changed")
 	}
 	// Net weights and clock flags survive.
-	clk := got.Net("clk")
+	clk := ix.nets["clk"]
 	if clk == nil || !clk.Clock {
 		t.Fatal("clock flag lost")
 	}
@@ -104,7 +105,7 @@ END DESIGN`
 	if d.Die.X1 != 10 {
 		t.Fatalf("die X1=%v want 10", d.Die.X1)
 	}
-	u1 := d.Instance("u1")
+	u1 := indexNames(d).insts["u1"]
 	if u1.X != 1 || u1.Y != 2 {
 		t.Fatalf("u1 at (%v,%v)", u1.X, u1.Y)
 	}
@@ -128,7 +129,7 @@ func TestParseLongNetLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := d.Net("n1"); n == nil || len(n.Pins) != conns {
+	if n := indexNames(d).nets["n1"]; n == nil || len(n.Pins) != conns {
 		t.Fatalf("net n1 = %+v, want %d pins", n, conns)
 	}
 }

@@ -78,7 +78,7 @@ func TestLenientMode(t *testing.T) {
 	if len(warns) != 3 {
 		t.Fatalf("warnings = %d, want 3: %v", len(warns), warns)
 	}
-	if d.Instance("u") == nil || d.Instance("u").Placed {
+	if u := indexNames(d).insts["u"]; u == nil || u.Placed {
 		t.Fatal("instance should exist unplaced")
 	}
 	for i, wantLine := range []int{2, 3, 5} {
@@ -98,5 +98,28 @@ func TestLenientMode(t *testing.T) {
 	if _, _, err := ParseWith(strings.NewReader("DESIGN d ;\nNETS 1 ;\n- n ( PIN nosuch ) ;\n"),
 		designs.Lib(), Options{Lenient: true}); err == nil {
 		t.Fatal("a net pin naming an undeclared port must stay fatal in lenient mode")
+	}
+}
+
+// TestDuplicateNamesFatal checks that the reader, the one place that
+// checks names, rejects a repeated COMPONENTS, PINS or NETS entry at its
+// line, in both modes.
+func TestDuplicateNamesFatal(t *testing.T) {
+	cases := []struct {
+		name, in string
+		line     int
+	}{
+		{"component", "DESIGN d ;\nCOMPONENTS 2 ;\n- u INV_X1 ;\n- u INV_X1 ;\nEND COMPONENTS\n", 4},
+		{"pin", "DESIGN d ;\nPINS 2 ;\n- a + NET a ;\n- a + NET a ;\nEND PINS\n", 4},
+		{"net", "DESIGN d ;\nPINS 1 ;\n- a + NET a ;\nEND PINS\nNETS 2 ;\n- n ( PIN a ) ;\n- n ( PIN a ) ;\nEND NETS\n", 7},
+	}
+	for _, tc := range cases {
+		for _, lenient := range []bool{false, true} {
+			_, _, err := ParseWith(strings.NewReader(tc.in), designs.Lib(), Options{File: "dup.def", Lenient: lenient})
+			var pe *scan.ParseError
+			if !errors.As(err, &pe) || pe.File != "dup.def" || pe.Line != tc.line || !strings.Contains(pe.Msg, "duplicate "+tc.name) {
+				t.Errorf("duplicate %s, lenient=%v: got %v, want a parse error at dup.def:%d", tc.name, lenient, err, tc.line)
+			}
+		}
 	}
 }

@@ -30,8 +30,9 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 		if len(got.Insts) != len(b.Design.Insts) || len(got.Nets) != len(b.Design.Nets) {
 			return false
 		}
+		ix := indexNames(got)
 		for _, inst := range b.Design.Insts {
-			ri := got.Instance(inst.Name)
+			ri := ix.insts[inst.Name]
 			if ri == nil {
 				return false
 			}

@@ -129,11 +129,7 @@ func generate(spec Spec, workers int) *Benchmark {
 		lib:     Lib(),
 		spec:    spec,
 	}
-	// Pre-size the design for the requested cell count: instances get the
-	// target plus control registers and macros, nets track instances nearly
-	// one-to-one (every driver pin opens at most one net).
-	instCap := spec.TargetInsts + spec.TargetInsts/16 + spec.Macros + 64
-	g.d = netlist.NewDesignSized(spec.Name, g.lib, instCap, instCap+spec.IOs+8)
+	g.d = netlist.NewDesign(spec.Name, g.lib)
 	// Resolve masters once instead of a name-map lookup per instance.
 	for _, name := range []string{
 		"INV_X1", "INV_X1", "INV_X2", "BUF_X1",
@@ -156,30 +152,28 @@ func generate(spec Spec, workers int) *Benchmark {
 	return &Benchmark{Design: g.d, Cons: cons, Spec: spec}
 }
 
-// must asserts a generator invariant: every AddNet/AddInstance/AddPort name
-// derives from a monotone counter, so duplicate-name errors cannot occur on
-// any input. A failure here is a bug in the generator itself, which no
-// caller could meaningfully handle.
-func must(err error) {
-	if err != nil {
-		panic(err) //ppalint:ignore nopanic invariant assertion: counter-derived names are unique by construction, failure is a generator bug
-	}
-}
-
-// pin resolves pin name of instance inst (a port when inst < 0); every name
-// the generator connects is declared by its master or port list.
+// pin resolves pin name of instance inst. Every pin the generator connects
+// is declared by the instance's master, so an error here is a bug in the
+// generator itself, which no caller could meaningfully handle.
 func (g *generator) pin(inst int, name string) netlist.PinRef {
 	ref, err := g.d.PinRefOf(inst, name)
-	must(err)
+	if err != nil {
+		panic(err) //ppalint:ignore nopanic invariant assertion: the generator connects only pins its masters declare, failure is a generator bug
+	}
 	return ref
+}
+
+// addPort adds a top-level port and returns its reference.
+func (g *generator) addPort(name string, dir netlist.PinDir) netlist.PinRef {
+	g.d.AddPort(name, dir)
+	return netlist.PinRef{Inst: -1, Pin: len(g.d.Ports) - 1}
 }
 
 func (g *generator) newNetFor(drv *driver) *netlist.Net {
 	if drv.net != nil {
 		return drv.net
 	}
-	n, err := g.d.AddNet("n" + itoa(g.netCount))
-	must(err)
+	n := g.d.AddNet("n" + itoa(g.netCount))
 	g.netCount++
 	g.d.Connect(n, drv.ref)
 	drv.net = n
@@ -187,8 +181,7 @@ func (g *generator) newNetFor(drv *driver) *netlist.Net {
 }
 
 func (g *generator) addInst(path string, master *netlist.Master) *netlist.Instance {
-	inst, err := g.d.AddInstance(path+"/g"+itoa(g.instCount), master)
-	must(err)
+	inst := g.d.AddInstance(path+"/g"+itoa(g.instCount), master)
 	g.instCount++
 	return inst
 }
@@ -220,11 +213,10 @@ func (g *generator) build() {
 	spec := g.spec
 
 	// Clock port and net.
-	clk, _ := d.AddPort("clk", netlist.DirInput)
-	g.clockNet, _ = d.AddNet("clk")
+	clk := g.addPort("clk", netlist.DirInput)
+	g.clockNet = d.AddNet("clk")
 	g.clockNet.Clock = true
-	d.Connect(g.clockNet, g.pin(-1, "clk"))
-	_ = clk
+	d.Connect(g.clockNet, clk)
 
 	// Primary inputs.
 	nIn := spec.IOs / 2
@@ -233,10 +225,7 @@ func (g *generator) build() {
 	}
 	primary := make([]driver, 0, nIn)
 	for i := 0; i < nIn; i++ {
-		name := "in" + itoa(i)
-		_, err := d.AddPort(name, netlist.DirInput)
-		must(err)
-		primary = append(primary, driver{ref: g.pin(-1, name), leaf: -1})
+		primary = append(primary, driver{ref: g.addPort("in"+itoa(i), netlist.DirInput), leaf: -1})
 	}
 
 	// Global control registers: their outputs broadcast across the design.
@@ -294,16 +283,14 @@ func (g *generator) build() {
 		nOut = 4
 	}
 	for i := 0; i < nOut; i++ {
-		name := "out" + itoa(i)
-		_, err := d.AddPort(name, netlist.DirOutput)
-		must(err)
+		out := g.addPort("out"+itoa(i), netlist.DirOutput)
 		li := g.rng.Intn(len(g.exports))
 		if len(g.exports[li]) == 0 {
 			continue
 		}
 		drv := &g.exports[li][g.rng.Intn(len(g.exports[li]))]
 		n := g.newNetFor(drv)
-		d.Connect(n, g.pin(-1, name))
+		d.Connect(n, out)
 	}
 
 	g.floorplan()
@@ -531,8 +518,7 @@ func (g *generator) materializeLeaf(li int, path string, plan *leafPlan, primary
 // addMacro instantiates a RAM connected to leaf li's exports.
 func (g *generator) addMacro(mi, li int, path string) {
 	d := g.d
-	ram, err := d.AddInstance(path+"/ram"+itoa(mi), g.ram)
-	must(err)
+	ram := d.AddInstance(path+"/ram"+itoa(mi), g.ram)
 	d.Connect(g.clockNet, g.pin(ram.ID, "CK"))
 	exp := g.exports[li]
 	for i := 0; i < 8 && len(exp) > 0; i++ {

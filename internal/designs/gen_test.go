@@ -2,6 +2,7 @@ package designs
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ppaclust/internal/hier"
@@ -71,10 +72,11 @@ func TestGenerateTiny(t *testing.T) {
 		t.Fatal("no registers generated")
 	}
 	// Clock net reaches every register.
-	clkNet := d.Net("clk")
-	if clkNet == nil || !clkNet.Clock {
+	i := slices.IndexFunc(d.Nets, func(n *netlist.Net) bool { return n.Name == "clk" })
+	if i < 0 || !d.Nets[i].Clock {
 		t.Fatal("clock net missing")
 	}
+	clkNet := d.Nets[i]
 	ckPins := 0
 	for _, p := range clkNet.Pins {
 		if !p.IsPort() {

@@ -16,14 +16,11 @@ func pathGraphDesign(t *testing.T) *netlist.Design {
 	inv := lib.Master("INV_X1")
 	ids := make([]int, 4)
 	for i := range ids {
-		inst, err := d.AddInstance("g"+itoa(i), inv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance("g"+itoa(i), inv)
 		ids[i] = inst.ID
 	}
 	for i := 1; i < 4; i++ {
-		n, _ := d.AddNet("n" + itoa(i))
+		n := d.AddNet("n" + itoa(i))
 		d.Connect(n, pinRef(d, ids[i-1], "ZN"))
 		d.Connect(n, pinRef(d, ids[i], "A"))
 	}
@@ -82,13 +79,11 @@ func TestTriangleClustering(t *testing.T) {
 	d := netlist.NewDesign("tri", lib)
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 3; i++ {
-		if _, err := d.AddInstance("g"+itoa(i), inv); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance("g"+itoa(i), inv)
 	}
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	for i, p := range pairs {
-		n, _ := d.AddNet("n" + itoa(i))
+		n := d.AddNet("n" + itoa(i))
 		d.Connect(n, pinRef(d, p[0], "ZN"))
 		d.Connect(n, pinRef(d, p[1], "A"))
 	}
@@ -115,9 +110,7 @@ func TestCellTypeIndex(t *testing.T) {
 	}
 	d := netlist.NewDesign("types", lib)
 	for name := range cases {
-		if _, err := d.AddInstance(name, lib.Master(name)); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance(name, lib.Master(name))
 	}
 	f := Extract(d, Options{})
 	for i, inst := range d.Insts {
@@ -156,18 +149,16 @@ func TestFanoutBuckets(t *testing.T) {
 	d := netlist.NewDesign("fan", lib)
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 14; i++ {
-		if _, err := d.AddInstance("g"+string(rune('a'+i)), inv); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance("g"+string(rune('a'+i)), inv)
 	}
 	// Net with fanout 6 (7 pins).
-	n1, _ := d.AddNet("f6")
+	n1 := d.AddNet("f6")
 	d.Connect(n1, pinRef(d, 0, "ZN"))
 	for i := 1; i <= 6; i++ {
 		d.Connect(n1, pinRef(d, i, "A"))
 	}
 	// Net with fanout 12 (13 pins).
-	n2, _ := d.AddNet("f12")
+	n2 := d.AddNet("f12")
 	d.Connect(n2, pinRef(d, 1, "ZN"))
 	for i := 2; i <= 13; i++ {
 		d.Connect(n2, pinRef(d, i, "A"))

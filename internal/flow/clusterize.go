@@ -75,20 +75,12 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 		if err := lib.AddMaster(m); err != nil {
 			return nil, nil, fmt.Errorf("clusterize %s: cluster master %d: %w", d.Name, c, err)
 		}
-		ci, err := cd.AddInstance(fmt.Sprintf("clust_%d", c), m)
-		if err != nil {
-			return nil, nil, fmt.Errorf("clusterize %s: cluster instance %d: %w", d.Name, c, err)
-		}
-		clusterInsts[c] = ci.ID
+		clusterInsts[c] = cd.AddInstance(fmt.Sprintf("clust_%d", c), m).ID
 	}
 
-	// Ports carry over verbatim. Duplicate port names would come from a
-	// corrupt input design; report them with design context.
+	// Ports carry over verbatim.
 	for _, p := range d.Ports {
-		np, err := cd.AddPort(p.Name, p.Dir)
-		if err != nil {
-			return nil, nil, fmt.Errorf("clusterize %s: port %s: %w", d.Name, p.Name, err)
-		}
+		np := cd.AddPort(p.Name, p.Dir)
 		np.X, np.Y, np.Placed = p.X, p.Y, p.Placed
 	}
 
@@ -127,10 +119,7 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 			ex.Weight += n.Weight
 			continue
 		}
-		nn, err := cd.AddNet(fmt.Sprintf("cn%d", len(cd.Nets)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("clusterize %s: net %s: %w", d.Name, n.Name, err)
-		}
+		nn := cd.AddNet(fmt.Sprintf("cn%d", len(cd.Nets)))
 		nn.Weight = n.Weight
 		nn.Clock = n.Clock
 		for _, c := range cids {

@@ -53,15 +53,13 @@ func TestClusteredNetWeightAccumulates(t *testing.T) {
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 4; i++ {
-		if _, err := d.AddInstance("g"+string(rune('0'+i)), inv); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance("g"+string(rune('0'+i)), inv)
 	}
 	// Two parallel nets between the same cluster pair.
-	n1, _ := d.AddNet("n1")
+	n1 := d.AddNet("n1")
 	d.Connect(n1, pinRef(d, 0, "ZN"))
 	d.Connect(n1, pinRef(d, 2, "A"))
-	n2, _ := d.AddNet("n2")
+	n2 := d.AddNet("n2")
 	n2.Weight = 3
 	d.Connect(n2, pinRef(d, 1, "ZN"))
 	d.Connect(n2, pinRef(d, 3, "A"))

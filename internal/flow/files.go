@@ -71,6 +71,7 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 	}
 	var (
 		d, fp          *netlist.Design
+		fpIndex        floorplanIndex
 		vWarns, dWarns []*scan.ParseError
 		vErr, dErr     error
 	)
@@ -84,6 +85,9 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 				fp, dWarns, dErr = parseFile(f.DEF, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
 					return def.ParseWith(r, lib, def.Options{File: f.DEF, Lenient: lenient})
 				})
+				if dErr == nil {
+					fpIndex = indexFloorplan(fp)
+				}
 			}
 		}
 	})
@@ -96,7 +100,7 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 		return nil, warns, fmt.Errorf("flow: def: %w", dErr)
 	}
 	if fp != nil {
-		mergeFloorplan(d, fp)
+		mergeFloorplan(d, fp, fpIndex)
 	}
 	cons, w, err := parseFile(f.SDC, func(r io.Reader) (sta.Constraints, []*scan.ParseError, error) {
 		return sdc.ParseWith(r, sdc.Options{File: f.SDC, Lenient: lenient})
@@ -106,10 +110,11 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 		return nil, warns, fmt.Errorf("flow: sdc: %w", err)
 	}
 	for _, clkPort := range cons.ClockPorts {
-		root, err := d.PinRefOf(-1, clkPort)
-		if err != nil {
-			return nil, warns, fmt.Errorf("flow: sdc: %s: clock root: %w", f.SDC, err)
+		pi := slices.IndexFunc(d.Ports, func(p *netlist.Port) bool { return p.Name == clkPort })
+		if pi < 0 {
+			return nil, warns, fmt.Errorf("flow: sdc: %s: clock root: design %s has no port %q", f.SDC, d.Name, clkPort)
 		}
+		root := netlist.PinRef{Inst: -1, Pin: pi}
 		for _, n := range d.Nets {
 			if slices.Contains(n.Pins, root) {
 				n.Clock = true
@@ -131,19 +136,44 @@ func parseFile[T any](path string, parse func(io.Reader) (T, []*scan.ParseError,
 	return parse(f)
 }
 
+// floorplanIndex finds a DEF-parsed design's placed or fixed instances
+// and placed ports by name.
+type floorplanIndex struct {
+	insts map[string]*netlist.Instance
+	ports map[string]*netlist.Port
+}
+
+// indexFloorplan builds the index mergeFloorplan looks names up in; the
+// loader builds it beside the Verilog read.
+func indexFloorplan(fp *netlist.Design) floorplanIndex {
+	ix := floorplanIndex{insts: map[string]*netlist.Instance{}, ports: map[string]*netlist.Port{}}
+	for _, inst := range fp.Insts {
+		if inst.Placed || inst.Fixed {
+			ix.insts[inst.Name] = inst
+		}
+	}
+	for _, p := range fp.Ports {
+		if p.Placed {
+			ix.ports[p.Name] = p
+		}
+	}
+	return ix
+}
+
 // mergeFloorplan copies geometry from a DEF-parsed design into the
 // Verilog-parsed design by name: die/core/rows, port placement, instance
-// placement and fixed status.
-func mergeFloorplan(d, fp *netlist.Design) {
+// placement and fixed status. A name the DEF does not place keeps the
+// Verilog design's (unplaced) state.
+func mergeFloorplan(d, fp *netlist.Design, ix floorplanIndex) {
 	d.Die, d.Core = fp.Die, fp.Core
 	d.RowHeight, d.SiteWidth = fp.RowHeight, fp.SiteWidth
-	for _, p := range fp.Ports {
-		if dp := d.Port(p.Name); dp != nil && p.Placed {
+	for _, dp := range d.Ports {
+		if p := ix.ports[dp.Name]; p != nil {
 			dp.X, dp.Y, dp.Placed = p.X, p.Y, true
 		}
 	}
-	for _, inst := range fp.Insts {
-		if di := d.Instance(inst.Name); di != nil && (inst.Placed || inst.Fixed) {
+	for _, di := range d.Insts {
+		if inst := ix.insts[di.Name]; inst != nil {
 			di.X, di.Y = inst.X, inst.Y
 			di.Placed = inst.Placed
 			di.Fixed = inst.Fixed

@@ -112,7 +112,6 @@ type Options struct {
 	Gamma       float64    // Eq. 3 switching weight, default 1; negative = disabled (0)
 	Mu          float64    // Eq. 2 exponent, default 2
 	NoHierarchy bool       // drop the hierarchy grouping constraints (ablation)
-	VPRMinInsts int        // shape-selection gate; default 50 (paper: 200)
 	Seed        int64
 	SkipRoute   bool // post-place evaluation only (hyperparameter study)
 	// TimingDriven enables STA-feedback net reweighting at the flat
@@ -135,6 +134,10 @@ const (
 	// ioWeightScale is the OpenROAD-style weight scale on IO nets of the
 	// clustered netlist.
 	ioWeightScale = 4
+	// vprMinInsts is the shape-selection gate: only clusters above this
+	// many instances get a shape (the paper's 200, scaled to the smaller
+	// clusters of the generated designs).
+	vprMinInsts = 50
 )
 
 func (o Options) withDefaults() Options {
@@ -149,9 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Mu == 0 {
 		o.Mu = 2
-	}
-	if o.VPRMinInsts <= 0 {
-		o.VPRMinInsts = 50
 	}
 	return o
 }
@@ -443,7 +443,7 @@ func selectShapes(d *netlist.Design, assign []int, nClusters int, opt Options) (
 	cands := vpr.ShapeCandidates()
 	for c := 0; c < nClusters; c++ {
 		shapes[c] = vpr.UniformShape
-		if len(members[c]) <= opt.VPRMinInsts {
+		if len(members[c]) <= vprMinInsts {
 			continue
 		}
 		shaped[c] = true

@@ -76,7 +76,7 @@ func TestRunComparableToDefault(t *testing.T) {
 
 func TestRunWithVPRShapes(t *testing.T) {
 	b := tinyBench(84)
-	res, err := Run(b, Options{Seed: 4, Shapes: ShapeVPR, VPRMinInsts: 30})
+	res, err := Run(b, Options{Seed: 4, Shapes: ShapeVPR})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestRunWithVPRShapes(t *testing.T) {
 
 func TestRunInnovusModeWithRegions(t *testing.T) {
 	b := tinyBench(85)
-	res, err := Run(b, Options{Seed: 5, Tool: ToolInnovus, Shapes: ShapeRandom, VPRMinInsts: 20})
+	res, err := Run(b, Options{Seed: 5, Tool: ToolInnovus, Shapes: ShapeRandom})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestClusterIsRunsClustering(t *testing.T) {
 
 func TestVPRMLRequiresModel(t *testing.T) {
 	b := tinyBench(87)
-	_, err := Run(b, Options{Seed: 7, Shapes: ShapeVPRML, VPRMinInsts: 10})
+	_, err := Run(b, Options{Seed: 7, Shapes: ShapeVPRML})
 	if err == nil {
 		t.Fatal("expected error without a trained model")
 	}
@@ -236,7 +236,7 @@ func TestBuildClusteredDesign(t *testing.T) {
 func TestScaleIONets(t *testing.T) {
 	b := tinyBench(90)
 	d := b.Design.Clone()
-	var ioNet, coreNet string
+	ioNet, coreNet := -1, -1
 	for _, n := range d.Nets {
 		hasPort := false
 		for _, pr := range n.Pins {
@@ -244,19 +244,19 @@ func TestScaleIONets(t *testing.T) {
 				hasPort = true
 			}
 		}
-		if hasPort && ioNet == "" {
-			ioNet = n.Name
+		if hasPort && ioNet < 0 {
+			ioNet = n.ID
 		}
-		if !hasPort && coreNet == "" && len(n.Pins) >= 2 {
-			coreNet = n.Name
+		if !hasPort && coreNet < 0 && len(n.Pins) >= 2 {
+			coreNet = n.ID
 		}
 	}
 	scaleIONets(d, 4)
-	if d.Net(ioNet).Weight != 4 {
-		t.Fatalf("IO net weight=%v", d.Net(ioNet).Weight)
+	if d.Nets[ioNet].Weight != 4 {
+		t.Fatalf("IO net weight=%v", d.Nets[ioNet].Weight)
 	}
-	if d.Net(coreNet).Weight != 1 {
-		t.Fatalf("core net weight=%v", d.Net(coreNet).Weight)
+	if d.Nets[coreNet].Weight != 1 {
+		t.Fatalf("core net weight=%v", d.Nets[coreNet].Weight)
 	}
 }
 

@@ -48,7 +48,6 @@ func TestRunWorkersEquivalent(t *testing.T) {
 			}
 			if tc.shapes == ShapeVPRML {
 				opt.Model = gnn.NewModel(3)
-				opt.VPRMinInsts = 10
 			}
 			type entry struct {
 				flow string

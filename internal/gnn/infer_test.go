@@ -40,17 +40,11 @@ func oddGraph(t *testing.T, chain, fanout, isolated int) *GraphInput {
 	d := netlist.NewDesign("odd", lib)
 	inv := lib.Master("INV_X1")
 	add := func(name string) int {
-		inst, err := d.AddInstance(name, inv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(name, inv)
 		return inst.ID
 	}
 	net := func(name string) *netlist.Net {
-		n, err := d.AddNet(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := d.AddNet(name)
 		return n
 	}
 	prev := add("c0")

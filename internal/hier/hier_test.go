@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ppaclust/internal/netlist"
@@ -29,10 +30,7 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	l := miniLib()
 	d := netlist.NewDesign("h", l)
 	add := func(name string) *netlist.Instance {
-		inst, err := d.AddInstance(name, l.Master("G"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(name, l.Master("G"))
 		return inst
 	}
 	var aID, bID, sID []int
@@ -44,16 +42,13 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	netN := 0
 	connect := func(ids []int) {
 		for i := 1; i < len(ids); i++ {
-			n, err := d.AddNet(fmt.Sprintf("n%d", netN))
-			if err != nil {
-				t.Fatal(err)
-			}
+			n := d.AddNet(fmt.Sprintf("n%d", netN))
 			netN++
 			d.Connect(n, pinRef(d, ids[i-1], "Y"))
 			d.Connect(n, pinRef(d, ids[i], "A"))
 			// Add a chord for density.
 			if i >= 2 {
-				c, _ := d.AddNet(fmt.Sprintf("n%d", netN))
+				c := d.AddNet(fmt.Sprintf("n%d", netN))
 				netN++
 				d.Connect(c, pinRef(d, ids[i-2], "Y"))
 				d.Connect(c, pinRef(d, ids[i], "A"))
@@ -64,11 +59,11 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	connect(bID)
 	connect(sID)
 	// One cross-module net.
-	x, _ := d.AddNet("xab")
+	x := d.AddNet("xab")
 	d.Connect(x, pinRef(d, aID[0], "Y"))
 	d.Connect(x, pinRef(d, bID[0], "A"))
 	// Connect sub to its parent module a.
-	x2, _ := d.AddNet("xas")
+	x2 := d.AddNet("xas")
 	d.Connect(x2, pinRef(d, aID[k-1], "Y"))
 	d.Connect(x2, pinRef(d, sID[0], "A"))
 	return d
@@ -78,9 +73,7 @@ func TestBuildFlatDesignFails(t *testing.T) {
 	l := miniLib()
 	d := netlist.NewDesign("flat", l)
 	for i := 0; i < 4; i++ {
-		if _, err := d.AddInstance(fmt.Sprintf("g%d", i), l.Master("G")); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance(fmt.Sprintf("g%d", i), l.Master("G"))
 	}
 	if _, ok := build(d); ok {
 		t.Fatal("flat design should not produce a dendrogram")
@@ -132,9 +125,10 @@ func TestClusteringAtLevelCoversAllInstances(t *testing.T) {
 	}
 	// Level 1 separates module a (incl. sub) from module b.
 	a1 := dg.clusteringAtLevel(1)
-	instA := d.Instance("a/g0").ID
-	instSub := d.Instance("a/sub/g0").ID
-	instB := d.Instance("b/g0").ID
+	instID := func(name string) int {
+		return slices.IndexFunc(d.Insts, func(inst *netlist.Instance) bool { return inst.Name == name })
+	}
+	instA, instSub, instB := instID("a/g0"), instID("a/sub/g0"), instID("b/g0")
 	if a1[instA] != a1[instSub] {
 		t.Fatal("level 1: a and a/sub should share a cluster")
 	}
@@ -190,11 +184,11 @@ func TestSingleModuleDesign(t *testing.T) {
 	d := netlist.NewDesign("one", l)
 	var ids []int
 	for i := 0; i < 5; i++ {
-		inst, _ := d.AddInstance(fmt.Sprintf("m/g%d", i), l.Master("G"))
+		inst := d.AddInstance(fmt.Sprintf("m/g%d", i), l.Master("G"))
 		ids = append(ids, inst.ID)
 	}
 	for i := 1; i < 5; i++ {
-		n, _ := d.AddNet(fmt.Sprintf("n%d", i))
+		n := d.AddNet(fmt.Sprintf("n%d", i))
 		d.Connect(n, pinRef(d, ids[i-1], "Y"))
 		d.Connect(n, pinRef(d, ids[i], "A"))
 	}

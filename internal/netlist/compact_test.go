@@ -151,10 +151,7 @@ func TestCompactRebuildsAfterTopologyChange(t *testing.T) {
 	if d.Compact() != c1 {
 		t.Fatal("unchanged topology must return the cached Compact")
 	}
-	n, err := d.AddNet("extra")
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := d.AddNet("extra")
 	d.Connect(n, pinRef(d, 0, "Y"))
 	d.Connect(n, pinRef(d, 1, "A"))
 	c2 := d.Compact()

@@ -19,10 +19,10 @@ func TestTableSinglePoint(t *testing.T) {
 func TestDriverPrefersOutputOverInputPort(t *testing.T) {
 	lib := testLib()
 	d := NewDesign("drv", lib)
-	in, _ := d.AddPort("in", DirInput)
+	in := d.AddPort("in", DirInput)
 	_ = in
-	g, _ := d.AddInstance("g", lib.Master("INV"))
-	n, _ := d.AddNet("n")
+	g := d.AddInstance("g", lib.Master("INV"))
+	n := d.AddNet("n")
 	// Port listed first, but the instance output must win.
 	d.Connect(n, pinRef(d, -1, "in"))
 	d.Connect(n, pinRef(d, g.ID, "Y"))
@@ -42,11 +42,11 @@ func TestRectHelpers(t *testing.T) {
 func TestNetHPWLWithPortOnly(t *testing.T) {
 	lib := testLib()
 	d := NewDesign("p", lib)
-	a, _ := d.AddPort("a", DirInput)
+	a := d.AddPort("a", DirInput)
 	a.X, a.Y = 0, 0
-	b, _ := d.AddPort("b", DirOutput)
+	b := d.AddPort("b", DirOutput)
 	b.X, b.Y = 3, 4
-	n, _ := d.AddNet("n")
+	n := d.AddNet("n")
 	d.Connect(n, pinRef(d, -1, "a"))
 	d.Connect(n, pinRef(d, -1, "b"))
 	if got := d.NetHPWL(n); math.Abs(got-7) > 1e-12 {

@@ -269,7 +269,8 @@ func (r Rect) PerimeterPoint(t float64) (float64, float64) {
 // PinRef identifies one connection of a net: master pin Pin (an index into
 // Master.Pins) of instance Inst, or, when Inst < 0, the top-level port with
 // index Pin in Design.Ports. The readers turn names into references once,
-// through PinRefOf; every later stage works on the indices.
+// instance pins through PinRefOf and ports through their own name index;
+// every later stage works on the indices.
 type PinRef struct {
 	Inst int
 	Pin  int
@@ -333,10 +334,6 @@ type Design struct {
 	RowHeight float64
 	SiteWidth float64
 
-	instByName map[string]int
-	netByName  map[string]int
-	portByName map[string]int
-
 	// Compact-view cache: topoGen counts topology mutations; the cached
 	// view is valid while its generation matches.
 	topoGen   uint64
@@ -344,63 +341,38 @@ type Design struct {
 	compactMu sync.Mutex
 }
 
-// NewDesign returns an empty design bound to the given library.
+// NewDesign returns an empty design bound to the given library. A design
+// keeps no name index: the readers resolve names while they parse, and
+// every later stage addresses instances, nets and ports by index.
 func NewDesign(name string, lib *Library) *Design {
-	return NewDesignSized(name, lib, 0, 0)
+	return &Design{Name: name, Lib: lib}
 }
 
-// NewDesignSized returns an empty design with name-index maps pre-sized for
-// the expected instance and net counts, so million-cell construction does not
-// rehash-thrash. Zero capacities behave like NewDesign.
-func NewDesignSized(name string, lib *Library, instCap, netCap int) *Design {
-	return &Design{
-		Name:       name,
-		Lib:        lib,
-		Insts:      make([]*Instance, 0, instCap),
-		Nets:       make([]*Net, 0, netCap),
-		instByName: make(map[string]int, instCap),
-		netByName:  make(map[string]int, netCap),
-		portByName: make(map[string]int),
-	}
-}
-
-// AddInstance creates an instance of master and returns it.
-func (d *Design) AddInstance(name string, master *Master) (*Instance, error) {
-	if master == nil {
-		return nil, fmt.Errorf("design %s: instance %q has nil master", d.Name, name)
-	}
-	if _, dup := d.instByName[name]; dup {
-		return nil, fmt.Errorf("design %s: duplicate instance %q", d.Name, name)
-	}
+// AddInstance creates an instance of master and returns it. Names are not
+// checked: the readers reject a duplicate, and every other caller derives
+// its names from indices.
+func (d *Design) AddInstance(name string, master *Master) *Instance {
 	inst := &Instance{ID: len(d.Insts), Name: name, Master: master}
 	d.Insts = append(d.Insts, inst)
-	d.instByName[name] = inst.ID
 	d.topoGen++
-	return inst, nil
+	return inst
 }
 
 // AddNet creates an empty net and returns it.
-func (d *Design) AddNet(name string) (*Net, error) {
-	if _, dup := d.netByName[name]; dup {
-		return nil, fmt.Errorf("design %s: duplicate net %q", d.Name, name)
-	}
+func (d *Design) AddNet(name string) *Net {
 	n := &Net{ID: len(d.Nets), Name: name, Weight: 1}
 	d.Nets = append(d.Nets, n)
-	d.netByName[name] = n.ID
 	d.topoGen++
-	return n, nil
+	return n
 }
 
-// AddPort creates a top-level port and returns it.
-func (d *Design) AddPort(name string, dir PinDir) (*Port, error) {
-	if _, dup := d.portByName[name]; dup {
-		return nil, fmt.Errorf("design %s: duplicate port %q", d.Name, name)
-	}
+// AddPort creates a top-level port and returns it; its PinRef is
+// PinRef{Inst: -1, Pin: len(d.Ports) - 1}.
+func (d *Design) AddPort(name string, dir PinDir) *Port {
 	p := &Port{Name: name, Dir: dir}
 	d.Ports = append(d.Ports, p)
-	d.portByName[name] = len(d.Ports) - 1
 	d.topoGen++
-	return p, nil
+	return p
 }
 
 // Connect attaches pin ref to net n. It does not check for duplicates; real
@@ -410,42 +382,12 @@ func (d *Design) Connect(n *Net, ref PinRef) {
 	d.topoGen++
 }
 
-// Instance returns the instance with the given name, or nil.
-func (d *Design) Instance(name string) *Instance {
-	if i, ok := d.instByName[name]; ok {
-		return d.Insts[i]
-	}
-	return nil
-}
-
-// Net returns the net with the given name, or nil.
-func (d *Design) Net(name string) *Net {
-	if i, ok := d.netByName[name]; ok {
-		return d.Nets[i]
-	}
-	return nil
-}
-
-// Port returns the port with the given name, or nil.
-func (d *Design) Port(name string) *Port {
-	if i, ok := d.portByName[name]; ok {
-		return d.Ports[i]
-	}
-	return nil
-}
-
-// PinRefOf resolves a pin name to its reference: pin name of instance inst,
-// or, when inst < 0, the port called name. It is the one place a name
-// becomes a PinRef; an instance out of range, a pin the instance's master
-// does not declare and an undeclared port are errors.
+// PinRefOf resolves pin name of instance inst to its reference. It is the
+// one place a master pin name becomes a PinRef; an instance out of range and
+// a pin the instance's master does not declare are errors. A port's
+// reference needs no lookup: port i is PinRef{Inst: -1, Pin: i}.
 func (d *Design) PinRefOf(inst int, name string) (PinRef, error) {
-	if inst < 0 {
-		if i, ok := d.portByName[name]; ok {
-			return PinRef{Inst: -1, Pin: i}, nil
-		}
-		return PinRef{}, fmt.Errorf("design %s has no port %q", d.Name, name)
-	}
-	if inst >= len(d.Insts) {
+	if inst < 0 || inst >= len(d.Insts) {
 		return PinRef{}, fmt.Errorf("design %s has no instance %d (pin %s)", d.Name, inst, name)
 	}
 	m := d.Insts[inst].Master
@@ -561,20 +503,17 @@ func (d *Design) Clone() *Design {
 	for i, inst := range d.Insts {
 		cp := *inst
 		c.Insts[i] = &cp
-		c.instByName[cp.Name] = i
 	}
 	c.Nets = make([]*Net, len(d.Nets))
 	for i, n := range d.Nets {
 		cp := *n
 		cp.Pins = append([]PinRef(nil), n.Pins...)
 		c.Nets[i] = &cp
-		c.netByName[cp.Name] = i
 	}
 	c.Ports = make([]*Port, len(d.Ports))
 	for i, p := range d.Ports {
 		cp := *p
 		c.Ports[i] = &cp
-		c.portByName[cp.Name] = i
 	}
 	return c
 }

@@ -38,41 +38,32 @@ func chainDesign(t *testing.T, n int) *Design {
 	d := NewDesign("chain", lib)
 	d.Die = Rect{0, 0, 100, 100}
 	d.Core = Rect{5, 5, 95, 95}
-	in, err := d.AddPort("in", DirInput)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := d.AddPort("in", DirInput)
 	in.X, in.Y, in.Placed = 0, 50, true
-	outp, _ := d.AddPort("out", DirOutput)
+	outp := d.AddPort("out", DirOutput)
 	outp.X, outp.Y, outp.Placed = 100, 50, true
-	clk, _ := d.AddPort("clk", DirInput)
+	clk := d.AddPort("clk", DirInput)
 	clk.X, clk.Y, clk.Placed = 50, 0, true
 
 	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
-		inst, err := d.AddInstance(fmt.Sprintf("u_core/inv%d", i), lib.Master("INV"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(fmt.Sprintf("u_core/inv%d", i), lib.Master("INV"))
 		inst.X, inst.Y, inst.Placed = float64(10+i*5), 50, true
-		net, err := d.AddNet(fmt.Sprintf("n%d", i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := d.AddNet(fmt.Sprintf("n%d", i))
 		d.Connect(net, prev)
 		d.Connect(net, pinRef(d, inst.ID, "A"))
 		prev = pinRef(d, inst.ID, "Y")
 	}
-	ff, _ := d.AddInstance("u_core/ff", lib.Master("DFF"))
+	ff := d.AddInstance("u_core/ff", lib.Master("DFF"))
 	ff.X, ff.Y, ff.Placed = 80, 50, true
-	dNet, _ := d.AddNet("dnet")
+	dNet := d.AddNet("dnet")
 	d.Connect(dNet, prev)
 	d.Connect(dNet, pinRef(d, ff.ID, "D"))
-	clkNet, _ := d.AddNet("clknet")
+	clkNet := d.AddNet("clknet")
 	clkNet.Clock = true
 	d.Connect(clkNet, pinRef(d, -1, "clk"))
 	d.Connect(clkNet, pinRef(d, ff.ID, "CK"))
-	qNet, _ := d.AddNet("qnet")
+	qNet := d.AddNet("qnet")
 	d.Connect(qNet, pinRef(d, ff.ID, "Q"))
 	d.Connect(qNet, pinRef(d, -1, "out"))
 	if _, err := d.CompactChecked(); err != nil {
@@ -134,20 +125,23 @@ func TestMasterBasics(t *testing.T) {
 
 func TestDesignConstruction(t *testing.T) {
 	d := chainDesign(t, 3)
-	if d.Instance("u_core/inv1") == nil {
-		t.Fatal("instance lookup failed")
+	// Objects are numbered in creation order; no name index stands beside
+	// the slices.
+	if len(d.Insts) != 4 || len(d.Nets) != 6 || len(d.Ports) != 3 {
+		t.Fatalf("%d insts, %d nets, %d ports", len(d.Insts), len(d.Nets), len(d.Ports))
 	}
-	if d.Net("dnet") == nil || d.Port("clk") == nil {
-		t.Fatal("net/port lookup failed")
+	for i, inst := range d.Insts {
+		if inst.ID != i {
+			t.Fatalf("instance %d has ID %d", i, inst.ID)
+		}
 	}
-	if _, err := d.AddInstance("u_core/inv1", d.Lib.Master("INV")); err == nil {
-		t.Fatal("expected duplicate instance error")
+	for i, n := range d.Nets {
+		if n.ID != i {
+			t.Fatalf("net %d has ID %d", i, n.ID)
+		}
 	}
-	if _, err := d.AddNet("dnet"); err == nil {
-		t.Fatal("expected duplicate net error")
-	}
-	if _, err := d.AddPort("clk", DirInput); err == nil {
-		t.Fatal("expected duplicate port error")
+	if d.Insts[1].Name != "u_core/inv1" || d.Nets[3].Name != "dnet" || d.Ports[2].Name != "clk" {
+		t.Fatalf("names out of creation order: %s %s %s", d.Insts[1].Name, d.Nets[3].Name, d.Ports[2].Name)
 	}
 	if got := d.Insts[0].HierPath(); len(got) != 1 || got[0] != "u_core" {
 		t.Fatalf("hier path=%v", got)
@@ -157,18 +151,18 @@ func TestDesignConstruction(t *testing.T) {
 func TestDriver(t *testing.T) {
 	d := chainDesign(t, 2)
 	// n1 is driven by inv0/Y.
-	n1 := d.Net("n1")
+	n1 := netNamed(d, "n1")
 	drv, ok := netDriver(d, n1)
 	if !ok || drv.IsPort() || d.Insts[drv.Inst].Name != "u_core/inv0" || d.PinName(drv) != "Y" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
 	// n0 is driven by the input port.
-	n0 := d.Net("n0")
+	n0 := netNamed(d, "n0")
 	drv, ok = netDriver(d, n0)
 	if !ok || !drv.IsPort() || d.PinName(drv) != "in" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
-	undriven, _ := d.AddNet("floating")
+	undriven := d.AddNet("floating")
 	if _, ok := netDriver(d, undriven); ok {
 		t.Fatal("floating net should have no driver")
 	}
@@ -178,10 +172,10 @@ func TestInstNets(t *testing.T) {
 	d := chainDesign(t, 2)
 	cm := d.Compact()
 	deg := func(id int) int { return int(cm.InstStart[id+1] - cm.InstStart[id]) }
-	if inv0 := d.Instance("u_core/inv0"); deg(inv0.ID) != 2 {
+	if inv0 := instNamed(d, "u_core/inv0"); deg(inv0.ID) != 2 {
 		t.Fatalf("inv0 has %d nets, want 2", deg(inv0.ID))
 	}
-	if ff := d.Instance("u_core/ff"); deg(ff.ID) != 3 {
+	if ff := instNamed(d, "u_core/ff"); deg(ff.ID) != 3 {
 		t.Fatalf("ff has %d nets, want 3", deg(ff.ID))
 	}
 }
@@ -189,7 +183,7 @@ func TestInstNets(t *testing.T) {
 func TestHPWL(t *testing.T) {
 	d := chainDesign(t, 1)
 	// n0: port(0,50) to inv0 center (10.5, 51) -> 10.5 + 1.
-	n0 := d.Net("n0")
+	n0 := netNamed(d, "n0")
 	want := 10.5 + 1.0
 	if got := d.NetHPWL(n0); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("hpwl(n0)=%v want %v", got, want)
@@ -197,7 +191,7 @@ func TestHPWL(t *testing.T) {
 	if d.HPWL() <= 0 {
 		t.Fatal("total HPWL should be positive")
 	}
-	single, _ := d.AddNet("single")
+	single := d.AddNet("single")
 	d.Connect(single, pinRef(d, 0, "Y"))
 	if d.NetHPWL(single) != 0 {
 		t.Fatal("single-pin net HPWL should be 0")
@@ -212,9 +206,9 @@ func TestPinOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDesign("t", lib)
-	inst, _ := d.AddInstance("u1", m)
+	inst := d.AddInstance("u1", m)
 	inst.X, inst.Y = 10, 20
-	n, _ := d.AddNet("n")
+	n := d.AddNet("n")
 	d.Connect(n, pinRef(d, inst.ID, "P"))
 	var pos Positions
 	pos.Gather(d)
@@ -243,7 +237,7 @@ func TestToHypergraph(t *testing.T) {
 			t.Fatalf("edge/net maps inconsistent at e=%d", e)
 		}
 	}
-	if view.EdgeOfNet[d.Net("n0").ID] != -1 {
+	if view.EdgeOfNet[netNamed(d, "n0").ID] != -1 {
 		t.Fatal("n0 should not map to an edge")
 	}
 	// Vertex weight equals instance area.
@@ -269,10 +263,8 @@ func TestValidateCatchesBadRefs(t *testing.T) {
 		{"instance", PinRef{Inst: 5, Pin: 0}, []string{`"n"`, "instance 5 of 1"}},
 	} {
 		d := NewDesign("bad", lib)
-		if _, err := d.AddInstance("u1", lib.Master("INV")); err != nil {
-			t.Fatal(err)
-		}
-		n, _ := d.AddNet("n")
+		d.AddInstance("u1", lib.Master("INV"))
+		n := d.AddNet("n")
 		d.Connect(n, pinRef(d, 0, "Y"))
 		d.Connect(n, tc.ref)
 		_, err := d.CompactChecked()
@@ -295,8 +287,8 @@ func TestCloneIndependence(t *testing.T) {
 	if d.Insts[0].X == 999 || d.Nets[0].Weight == 42 {
 		t.Fatal("clone shares state with original")
 	}
-	if c.Instance("u_core/inv1") == nil || c.Net("dnet") == nil {
-		t.Fatal("clone lost name indexes")
+	if c.Insts[1].Name != "u_core/inv1" || c.Nets[2].Name != "dnet" || c.Ports[2].Name != "clk" {
+		t.Fatal("clone reordered the design")
 	}
 	if math.Abs(c.HPWL()-d.HPWL()) > 1e-9 {
 		// inv0 moved, HPWL must differ
@@ -373,17 +365,11 @@ func TestPropertyHPWLTranslationInvariant(t *testing.T) {
 		d := NewDesign("p", lib)
 		n := 3 + rng.Intn(10)
 		for i := 0; i < n; i++ {
-			inst, err := d.AddInstance(fmt.Sprintf("u%d", i), lib.Master("INV"))
-			if err != nil {
-				return false
-			}
+			inst := d.AddInstance(fmt.Sprintf("u%d", i), lib.Master("INV"))
 			inst.X, inst.Y = rng.Float64()*100, rng.Float64()*100
 		}
 		for e := 0; e < n; e++ {
-			net, err := d.AddNet(fmt.Sprintf("n%d", e))
-			if err != nil {
-				return false
-			}
+			net := d.AddNet(fmt.Sprintf("n%d", e))
 			k := 2 + rng.Intn(3)
 			for j := 0; j < k; j++ {
 				d.Connect(net, pinRef(d, rng.Intn(n), "A"))
@@ -402,8 +388,37 @@ func TestPropertyHPWLTranslationInvariant(t *testing.T) {
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// instNamed finds a fixture instance by name.
+func instNamed(d *Design, name string) *Instance {
+	for _, inst := range d.Insts {
+		if inst.Name == name {
+			return inst
+		}
+	}
+	panic("no instance " + name)
+}
+
+// netNamed finds a fixture net by name.
+func netNamed(d *Design, name string) *Net {
+	for _, n := range d.Nets {
+		if n.Name == name {
+			return n
+		}
+	}
+	panic("no net " + name)
+}
+
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *Design, inst int, name string) PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

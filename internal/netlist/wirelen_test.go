@@ -17,26 +17,17 @@ func wirelenTestDesign(t testing.TB, nCells, nNets int, seed int64) *Design {
 	rng := rand.New(rand.NewSource(seed))
 	inv := lib.Master("INV")
 	for i := 0; i < nCells; i++ {
-		inst, err := d.AddInstance(name("c", i), inv)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(name("c", i), inv)
 		inst.X = rng.Float64() * 1000
 		inst.Y = rng.Float64() * 1000
 	}
 	for i := 0; i < 8; i++ {
-		p, err := d.AddPort(name("p", i), DirOutput)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := d.AddPort(name("p", i), DirOutput)
 		p.X = rng.Float64() * 1000
 		p.Y = rng.Float64() * 1000
 	}
 	for i := 0; i < nNets; i++ {
-		n, err := d.AddNet(name("n", i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := d.AddNet(name("n", i))
 		fan := 1 + rng.Intn(5)
 		drv := rng.Intn(nCells)
 		d.Connect(n, pinRef(d, drv, "Y"))
@@ -70,18 +61,12 @@ func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	}
 	var o [2]int
 	for i := range o {
-		inst, err := d.AddInstance(fmt.Sprintf("ofs%d", i), ofs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(fmt.Sprintf("ofs%d", i), ofs)
 		inst.X, inst.Y = 300+100*float64(i), 400
 		o[i] = inst.ID
 	}
 	net := func(netName string, pins ...PinRef) {
-		n, err := d.AddNet(netName)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := d.AddNet(netName)
 		for _, p := range pins {
 			d.Connect(n, p)
 		}
@@ -204,20 +189,14 @@ func TestWirelenCacheMoveAllocFree(t *testing.T) {
 func fanoutDesign(t testing.TB, nSmall, nBig int) *Design {
 	t.Helper()
 	lib := testLib()
-	d := NewDesignSized("fanout", lib, nSmall+nBig, 2)
+	d := NewDesign("fanout", lib)
 	d.Core = Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}
 	rng := rand.New(rand.NewSource(9))
 	inv := lib.Master("INV")
 	for _, size := range [2]int{nSmall, nBig} {
-		n, err := d.AddNet(fmt.Sprintf("n%d", size))
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := d.AddNet(fmt.Sprintf("n%d", size))
 		for i := 0; i < size; i++ {
-			inst, err := d.AddInstance(fmt.Sprintf("c%d_%d", size, i), inv)
-			if err != nil {
-				t.Fatal(err)
-			}
+			inst := d.AddInstance(fmt.Sprintf("c%d_%d", size, i), inv)
 			switch i {
 			case 0:
 				inst.X, inst.Y = 0, 0

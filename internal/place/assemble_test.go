@@ -121,18 +121,12 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40}
 	at := [][2]float64{{5, 5}, {5, 5}, {5, 5}, {12, 30}, {31, 7}, {20, 20}, {8, 33}}
 	for i, xy := range at {
-		inst, err := d.AddInstance("i"+strconv.Itoa(i), m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance("i"+strconv.Itoa(i), m)
 		inst.X, inst.Y, inst.Placed = xy[0], xy[1], true
 	}
 	d.Insts[5].Fixed = true
 	for i, xy := range [][2]float64{{0, 17}, {40, 3}} {
-		port, err := d.AddPort("p"+strconv.Itoa(i), netlist.DirInput)
-		if err != nil {
-			t.Fatal(err)
-		}
+		port := d.AddPort("p"+strconv.Itoa(i), netlist.DirInput)
 		port.X, port.Y, port.Placed = xy[0], xy[1], true
 	}
 	cell := func(i int) netlist.PinRef { return pinRef(d, i, "p") }
@@ -149,10 +143,7 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 		huge,
 		{cell(6)},
 	} {
-		net, err := d.AddNet("n" + strconv.Itoa(i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := d.AddNet("n" + strconv.Itoa(i))
 		net.Weight = 1 + 0.5*float64(i)
 		for _, ref := range pins {
 			d.Connect(net, ref)
@@ -303,8 +294,17 @@ func TestSolveRoundAllocFree(t *testing.T) {
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return netlist.PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

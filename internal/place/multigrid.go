@@ -109,7 +109,7 @@ func (p *placer) coarseInit() {
 	// one pin "p" at zero offset, which resolves to the cell center, matching
 	// the placer's cell-center model.
 	lib := netlist.NewLibrary(d.Name + "_coarse_lib")
-	cd := netlist.NewDesignSized(d.Name+"_coarse", lib, nc, coarse.NumEdges())
+	cd := netlist.NewDesign(d.Name+"_coarse", lib)
 	cd.Core = p.core
 	maxSide := math.Min(p.core.W(), p.core.H()) / 2
 	for c := 0; c < nc; c++ {
@@ -130,10 +130,7 @@ func (p *placer) coarseInit() {
 		if lib.AddMaster(m) != nil {
 			return
 		}
-		inst, err := cd.AddInstance("c"+strconv.Itoa(c), m)
-		if err != nil {
-			return
-		}
+		inst := cd.AddInstance("c"+strconv.Itoa(c), m)
 		if fixedArea[c] > 0 {
 			// A cluster holding fixed cells is pinned at their area-weighted
 			// centroid so it anchors its neighborhood, as the fixed cells
@@ -145,10 +142,7 @@ func (p *placer) coarseInit() {
 		}
 	}
 	for e := 0; e < coarse.NumEdges(); e++ {
-		net, err := cd.AddNet("n" + strconv.Itoa(e))
-		if err != nil {
-			return
-		}
+		net := cd.AddNet("n" + strconv.Itoa(e))
 		net.Weight = coarse.EdgeWeight(e)
 		for _, v := range coarse.Edge(e) {
 			cd.Connect(net, netlist.PinRef{Inst: v}) // pin 0, "p"

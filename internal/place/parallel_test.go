@@ -121,18 +121,13 @@ func TestCoarseInitRecursionTerminates(t *testing.T) {
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	d := netlist.NewDesignSized("sparse", lib, n, 10)
+	d := netlist.NewDesign("sparse", lib)
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 700, Y1: 700}
 	for i := 0; i < n; i++ {
-		if _, err := d.AddInstance("i"+strconv.Itoa(i), m); err != nil {
-			t.Fatal(err)
-		}
+		d.AddInstance("i"+strconv.Itoa(i), m)
 	}
 	for e := 0; e < 10; e++ {
-		net, err := d.AddNet("n" + strconv.Itoa(e))
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := d.AddNet("n" + strconv.Itoa(e))
 		d.Connect(net, pinRef(d, 2*e, "p"))
 		d.Connect(net, pinRef(d, 2*e+1, "p"))
 	}

@@ -358,7 +358,7 @@ func TestRemoveOverlaps(t *testing.T) {
 		if err := lib.AddMaster(m); err != nil {
 			t.Fatal(err)
 		}
-		inst, _ := d.AddInstance("b"+string(rune('a'+i)), m)
+		inst := d.AddInstance("b"+string(rune('a'+i)), m)
 		inst.X, inst.Y, inst.Placed = 35, 35, true
 	}
 	if pairOverlap(d) == 0 {
@@ -385,9 +385,9 @@ func TestRemoveOverlapsRespectsFixed(t *testing.T) {
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	fixed, _ := d.AddInstance("fix", m)
+	fixed := d.AddInstance("fix", m)
 	fixed.X, fixed.Y, fixed.Placed, fixed.Fixed = 20, 20, true, true
-	mov, _ := d.AddInstance("mov", m)
+	mov := d.AddInstance("mov", m)
 	mov.X, mov.Y, mov.Placed = 21, 21, true
 	RemoveOverlaps(d)
 	if fixed.X != 20 || fixed.Y != 20 {
@@ -420,7 +420,7 @@ func TestPropertyRemoveOverlapsAlwaysLegal(t *testing.T) {
 			if err := lib.AddMaster(m); err != nil {
 				t.Fatal(err)
 			}
-			inst, _ := d.AddInstance("b"+string(rune('a'+i)), m)
+			inst := d.AddInstance("b"+string(rune('a'+i)), m)
 			inst.X = next() * 40
 			inst.Y = next() * 40
 			inst.Placed = true

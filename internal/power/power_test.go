@@ -21,16 +21,16 @@ func oneGate(t *testing.T) (*netlist.Design, sta.Constraints) {
 		t.Fatal(err)
 	}
 	d := netlist.NewDesign("p", l)
-	in, _ := d.AddPort("in", netlist.DirInput)
+	in := d.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	out, _ := d.AddPort("out", netlist.DirOutput)
+	out := d.AddPort("out", netlist.DirOutput)
 	out.X, out.Y = 0, 0
-	g, _ := d.AddInstance("g", inv)
+	g := d.AddInstance("g", inv)
 	g.X, g.Y = -0.5, -1
-	n0, _ := d.AddNet("n0")
+	n0 := d.AddNet("n0")
 	d.Connect(n0, pinRef(d, -1, "in"))
 	d.Connect(n0, pinRef(d, g.ID, "A"))
-	n1, _ := d.AddNet("n1")
+	n1 := d.AddNet("n1")
 	d.Connect(n1, pinRef(d, g.ID, "Y"))
 	d.Connect(n1, pinRef(d, -1, "out"))
 	cons := sta.DefaultConstraints(1e-9)
@@ -77,7 +77,7 @@ func TestPowerGrowsWithWireLength(t *testing.T) {
 	d, cons := oneGate(t)
 	a := sta.New(d, cons)
 	before := Analyze(a, 1.0).Switching
-	d.Port("out").X = 1000 // long wire on n1
+	d.Ports[1].X = 1000 // "out": long wire on n1
 	a.Update()
 	after := Analyze(a, 1.0).Switching
 	if after <= before {
@@ -127,8 +127,17 @@ func TestPowerScalesWithFrequency(t *testing.T) {
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return netlist.PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

@@ -27,14 +27,14 @@ func TestDRVMaxCapViolation(t *testing.T) {
 	inv := l.Master("INV")
 	masterPin(inv, "Y").MaxCap = 0.1e-15
 	d := netlist.NewDesign("v", l)
-	g0, _ := d.AddInstance("g0", inv)
-	g1, _ := d.AddInstance("g1", inv)
-	in, _ := d.AddPort("in", netlist.DirInput)
+	g0 := d.AddInstance("g0", inv)
+	g1 := d.AddInstance("g1", inv)
+	in := d.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	n0, _ := d.AddNet("n0")
+	n0 := d.AddNet("n0")
 	d.Connect(n0, pinRef(d, -1, "in"))
 	d.Connect(n0, pinRef(d, g0.ID, "A"))
-	n1, _ := d.AddNet("n1")
+	n1 := d.AddNet("n1")
 	d.Connect(n1, pinRef(d, g0.ID, "Y"))
 	_ = n1
 	d.Connect(n1, pinRef(d, g1.ID, "A"))

@@ -23,8 +23,8 @@ func TestHoldViolationWithSkew(t *testing.T) {
 	a := New(d, DefaultConstraints(1e-9))
 	// Capture clock arrives 100ps late: data (50ps) beats clk+hold (105ps).
 	a.SetClockArrivalList([]ClockArrival{
-		{Pin: pinRef(d, d.Instance("ff0").ID, "CK"), T: 0},
-		{Pin: pinRef(d, d.Instance("ff1").ID, "CK"), T: 100e-12},
+		{Pin: pinRef(d, instID(d, "ff0"), "CK"), T: 0},
+		{Pin: pinRef(d, instID(d, "ff1"), "CK"), T: 100e-12},
 	})
 	sum := a.HoldTiming()
 	if sum.Failing == 0 {

@@ -44,7 +44,7 @@ func (p bfPath) at() float64         { return p.ats[len(p.ats)-1] }
 func (g *bfDAG) connect(driver, sink netlist.PinRef) {
 	ni, ok := g.netOf[driver]
 	if !ok {
-		n, _ := g.d.AddNet(fmt.Sprintf("n%d", len(g.d.Nets)))
+		n := g.d.AddNet(fmt.Sprintf("n%d", len(g.d.Nets)))
 		g.d.Connect(n, driver)
 		ni = n.ID
 		g.netOf[driver] = ni
@@ -74,12 +74,12 @@ func randomDAG(seed int64) *bfDAG {
 	g.cons.ZeroWire = seed%2 == 1
 	place := func(x, y *float64) { *x, *y = 50*rng.Float64(), 50*rng.Float64() }
 	port := func(name string, dir netlist.PinDir) netlist.PinRef {
-		p, _ := d.AddPort(name, dir)
+		p := d.AddPort(name, dir)
 		place(&p.X, &p.Y)
 		return pinRef(d, -1, name)
 	}
 	gate := func(master string) *netlist.Instance {
-		inst, _ := d.AddInstance(fmt.Sprintf("g%d", len(d.Insts)), l.Master(master))
+		inst := d.AddInstance(fmt.Sprintf("g%d", len(d.Insts)), l.Master(master))
 		place(&inst.X, &inst.Y)
 		return inst
 	}
@@ -88,7 +88,7 @@ func randomDAG(seed int64) *bfDAG {
 	clk := port("clk", netlist.DirInput)
 	in0 := port("in0", netlist.DirInput)
 	in1 := port("in1", netlist.DirInput)
-	cn, _ := d.AddNet("clk")
+	cn := d.AddNet("clk")
 	cn.Clock = true
 	d.Connect(cn, clk)
 	ffs := []*netlist.Instance{gate("DFF"), gate("DFF")}

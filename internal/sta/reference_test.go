@@ -473,30 +473,30 @@ func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design 
 	t.Helper()
 	d := netlist.NewDesign("tangled", l)
 	rng := rand.New(rand.NewSource(7))
-	clk, _ := d.AddPort("clk", netlist.DirInput)
+	clk := d.AddPort("clk", netlist.DirInput)
 	clk.X, clk.Y = 0, 0
-	cn, _ := d.AddNet("clkroot")
+	cn := d.AddNet("clkroot")
 	cn.Clock = true
 	d.Connect(cn, pinRef(d, -1, "clk"))
-	cbuf, _ := d.AddInstance("cbuf", l.Master("INV"))
+	cbuf := d.AddInstance("cbuf", l.Master("INV"))
 	cbuf.X, cbuf.Y = 1, 1
 	d.Connect(cn, pinRef(d, cbuf.ID, "A"))
-	ctree, _ := d.AddNet("clktree")
+	ctree := d.AddNet("clktree")
 	ctree.Clock = true
 	d.Connect(ctree, pinRef(d, cbuf.ID, "Y"))
 
-	in0, _ := d.AddPort("in0", netlist.DirInput)
+	in0 := d.AddPort("in0", netlist.DirInput)
 	in0.X, in0.Y = 0, 5
-	in1, _ := d.AddPort("in1", netlist.DirInput)
+	in1 := d.AddPort("in1", netlist.DirInput)
 	in1.X, in1.Y = 0, 9
 	drivers := []netlist.PinRef{pinRef(d, -1, "in0"), pinRef(d, -1, "in1")}
 	masters := []string{"INV", "NAND2", "DFF"}
 	for i := 0; i < cells; i++ {
 		m := l.Master(masters[rng.Intn(len(masters))])
-		g, _ := d.AddInstance(fmt.Sprintf("u%d", i), m)
+		g := d.AddInstance(fmt.Sprintf("u%d", i), m)
 		g.X, g.Y = 100*rng.Float64(), 100*rng.Float64()
 		if m.Name == "DFF" {
-			n, _ := d.AddNet(fmt.Sprintf("d%d", i))
+			n := d.AddNet(fmt.Sprintf("d%d", i))
 			d.Connect(n, drivers[rng.Intn(len(drivers))])
 			d.Connect(n, pinRef(d, g.ID, "D"))
 			d.Connect(ctree, pinRef(d, g.ID, "CK"))
@@ -508,7 +508,7 @@ func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design 
 			ins = append(ins, "B")
 		}
 		for _, pin := range ins {
-			n, _ := d.AddNet(fmt.Sprintf("w%d%s", i, pin))
+			n := d.AddNet(fmt.Sprintf("w%d%s", i, pin))
 			d.Connect(n, drivers[rng.Intn(len(drivers))])
 			d.Connect(n, pinRef(d, g.ID, pin))
 			// Random extra fanout onto the same net, on cells with an A pin.
@@ -520,9 +520,9 @@ func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design 
 		}
 		drivers = append(drivers, pinRef(d, g.ID, "Y"))
 	}
-	out, _ := d.AddPort("dout", netlist.DirOutput)
+	out := d.AddPort("dout", netlist.DirOutput)
 	out.X, out.Y = 120, 60
-	on, _ := d.AddNet("outnet")
+	on := d.AddNet("outnet")
 	d.Connect(on, drivers[len(drivers)-1])
 	d.Connect(on, pinRef(d, -1, "dout"))
 	return d
@@ -652,7 +652,7 @@ func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
 		}
 	}
 	for _, p := range n.Pins {
-		if p.IsPort() && d.Port(d.PinName(p)).Dir == netlist.DirInput {
+		if p.IsPort() && d.Ports[p.Pin].Dir == netlist.DirInput {
 			return p, true
 		}
 	}
@@ -664,7 +664,7 @@ func refDriver(d *netlist.Design, n *netlist.Net) (netlist.PinRef, bool) {
 // nonzero, otherwise the instance center.
 func refPinPos(d *netlist.Design, p netlist.PinRef) (x, y float64) {
 	if p.IsPort() {
-		port := d.Port(d.PinName(p))
+		port := d.Ports[p.Pin]
 		return port.X, port.Y
 	}
 	inst := d.Insts[p.Inst]

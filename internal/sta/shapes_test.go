@@ -6,6 +6,7 @@ package sta_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ppaclust/internal/designs"
@@ -15,7 +16,7 @@ import (
 
 // wire connects the pins to a new net, driver first.
 func wire(d *netlist.Design, name string, pins ...netlist.PinRef) *netlist.Net {
-	n, _ := d.AddNet(name)
+	n := d.AddNet(name)
 	for _, p := range pins {
 		d.Connect(n, p)
 	}
@@ -24,15 +25,24 @@ func wire(d *netlist.Design, name string, pins ...netlist.PinRef) *netlist.Net {
 
 // pin resolves pin name of inst, or the port called name when inst is nil.
 func pin(d *netlist.Design, inst *netlist.Instance, name string) netlist.PinRef {
-	id := -1
-	if inst != nil {
-		id = inst.ID
+	if inst == nil {
+		i := slices.IndexFunc(d.Ports, func(p *netlist.Port) bool { return p.Name == name })
+		return netlist.PinRef{Inst: -1, Pin: i}
 	}
-	ref, err := d.PinRefOf(id, name)
+	ref, err := d.PinRefOf(inst.ID, name)
 	if err != nil {
 		panic(err)
 	}
 	return ref
+}
+
+// instNamed and netNamed find a fixture instance or net by name.
+func instNamed(d *netlist.Design, name string) *netlist.Instance {
+	return d.Insts[slices.IndexFunc(d.Insts, func(inst *netlist.Instance) bool { return inst.Name == name })]
+}
+
+func netNamed(d *netlist.Design, name string) *netlist.Net {
+	return d.Nets[slices.IndexFunc(d.Nets, func(n *netlist.Net) bool { return n.Name == name })]
 }
 
 func shapeDesign(name string) (*netlist.Design, *netlist.Library) {
@@ -51,17 +61,17 @@ func bufferedClock() (*netlist.Design, sta.Constraints) {
 	d.AddPort("clk", netlist.DirInput)
 	d.AddPort("din", netlist.DirInput)
 	d.AddPort("out", netlist.DirOutput)
-	buf, _ := d.AddInstance("cbuf", lib.Master("CLKBUF_X2"))
+	buf := d.AddInstance("cbuf", lib.Master("CLKBUF_X2"))
 	wire(d, "clk", pin(d, nil, "clk"), pin(d, buf, "A")).Clock = true
 	ctree := wire(d, "ctree", pin(d, buf, "Z"))
 	ctree.Clock = true
 	din := wire(d, "d", pin(d, nil, "din"))
 	for i := 0; i < 24; i++ {
-		ff, _ := d.AddInstance(fmt.Sprintf("ff%d", i), lib.Master("DFF_X1"))
+		ff := d.AddInstance(fmt.Sprintf("ff%d", i), lib.Master("DFF_X1"))
 		d.Connect(ctree, pin(d, ff, "CK"))
 		d.Connect(din, pin(d, ff, "D"))
 	}
-	wire(d, "q", pin(d, d.Instance("ff0"), "Q"), pin(d, nil, "out"))
+	wire(d, "q", pin(d, instNamed(d, "ff0"), "Q"), pin(d, nil, "out"))
 	cons := sta.DefaultConstraints(1e-9)
 	return d, cons
 }
@@ -72,9 +82,9 @@ func ring() (*netlist.Design, sta.Constraints) {
 	d, lib := shapeDesign("ring")
 	d.AddPort("en", netlist.DirInput)
 	d.AddPort("out", netlist.DirOutput)
-	g0, _ := d.AddInstance("g0", lib.Master("NAND2_X1"))
-	g1, _ := d.AddInstance("g1", lib.Master("INV_X1"))
-	g2, _ := d.AddInstance("g2", lib.Master("INV_X1"))
+	g0 := d.AddInstance("g0", lib.Master("NAND2_X1"))
+	g1 := d.AddInstance("g1", lib.Master("INV_X1"))
+	g2 := d.AddInstance("g2", lib.Master("INV_X1"))
 	wire(d, "en", pin(d, nil, "en"), pin(d, g0, "A1"))
 	wire(d, "n0", pin(d, g0, "ZN"), pin(d, g1, "A"))
 	wire(d, "n1", pin(d, g1, "ZN"), pin(d, g2, "A"))
@@ -92,11 +102,11 @@ func TestLaunchReadsFinalClockSlew(t *testing.T) {
 	lib := d.Lib
 	cb := lib.Master("CLKBUF_X2")
 	bufArc := &cb.Pins[cb.PinIndex("Z")].Arcs[0]
-	q := pin(d, d.Instance("ff0"), "Q")
+	q := pin(d, instNamed(d, "ff0"), "Q")
 	launch := &d.Insts[q.Inst].Master.Pins[q.Pin].Arcs[0]
 	a := sta.New(d, cons)
-	slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(d.Net("ctree").ID))
-	want := launch.Delay.Lookup(slewCK, a.NetLoad(d.Net("q").ID)) // ideal clock: arrival 0
+	slewCK := bufArc.Slew.Lookup(cons.InputSlew, a.NetLoad(netNamed(d, "ctree").ID))
+	want := launch.Delay.Lookup(slewCK, a.NetLoad(netNamed(d, "q").ID)) // ideal clock: arrival 0
 	got, ok := a.ArrivalAt(q)
 	if !ok || math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("arrival(Q) = %.2f ps, want %.2f ps (clk->Q at the buffered slew %.2f ps)",

@@ -3,6 +3,7 @@ package sta
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,23 +55,20 @@ func combChain(t *testing.T, n int) *netlist.Design {
 	t.Helper()
 	l := lib()
 	d := netlist.NewDesign("chain", l)
-	in, _ := d.AddPort("in", netlist.DirInput)
+	in := d.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	out, _ := d.AddPort("out", netlist.DirOutput)
+	out := d.AddPort("out", netlist.DirOutput)
 	out.X, out.Y = 0, 0
 	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
-		inst, err := d.AddInstance(fmt.Sprintf("i%d", i), l.Master("INV"))
-		if err != nil {
-			t.Fatal(err)
-		}
+		inst := d.AddInstance(fmt.Sprintf("i%d", i), l.Master("INV"))
 		inst.X, inst.Y = -0.5, -1 // center at origin
-		net, _ := d.AddNet(fmt.Sprintf("n%d", i))
+		net := d.AddNet(fmt.Sprintf("n%d", i))
 		d.Connect(net, prev)
 		d.Connect(net, pinRef(d, inst.ID, "A"))
 		prev = pinRef(d, inst.ID, "Y")
 	}
-	last, _ := d.AddNet("nout")
+	last := d.AddNet("nout")
 	d.Connect(last, prev)
 	d.Connect(last, pinRef(d, -1, "out"))
 	if _, err := d.CompactChecked(); err != nil {
@@ -84,29 +82,29 @@ func regPair(t *testing.T) *netlist.Design {
 	t.Helper()
 	l := lib()
 	d := netlist.NewDesign("regpair", l)
-	clk, _ := d.AddPort("clk", netlist.DirInput)
+	clk := d.AddPort("clk", netlist.DirInput)
 	clk.X, clk.Y = 0, 0
-	ff0, _ := d.AddInstance("ff0", l.Master("DFF"))
-	ff1, _ := d.AddInstance("ff1", l.Master("DFF"))
-	inv, _ := d.AddInstance("mid", l.Master("INV"))
+	ff0 := d.AddInstance("ff0", l.Master("DFF"))
+	ff1 := d.AddInstance("ff1", l.Master("DFF"))
+	inv := d.AddInstance("mid", l.Master("INV"))
 	for _, inst := range d.Insts {
 		inst.X, inst.Y = -inst.Master.Width/2, -1
 	}
-	cn, _ := d.AddNet("clknet")
+	cn := d.AddNet("clknet")
 	cn.Clock = true
 	d.Connect(cn, pinRef(d, -1, "clk"))
 	d.Connect(cn, pinRef(d, ff0.ID, "CK"))
 	d.Connect(cn, pinRef(d, ff1.ID, "CK"))
-	n0, _ := d.AddNet("q0")
+	n0 := d.AddNet("q0")
 	d.Connect(n0, pinRef(d, ff0.ID, "Q"))
 	d.Connect(n0, pinRef(d, inv.ID, "A"))
-	n1, _ := d.AddNet("d1")
+	n1 := d.AddNet("d1")
 	d.Connect(n1, pinRef(d, inv.ID, "Y"))
 	d.Connect(n1, pinRef(d, ff1.ID, "D"))
 	// ff0.D floats; drive it from a data port to make it reachable.
-	din, _ := d.AddPort("din", netlist.DirInput)
+	din := d.AddPort("din", netlist.DirInput)
 	din.X, din.Y = 0, 0
-	nd, _ := d.AddNet("d0")
+	nd := d.AddNet("d0")
 	d.Connect(nd, pinRef(d, -1, "din"))
 	d.Connect(nd, pinRef(d, ff0.ID, "D"))
 	if _, err := d.CompactChecked(); err != nil {
@@ -165,7 +163,7 @@ func TestRegToRegSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, DefaultConstraints(period))
-	slack := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
+	slack := endpointSlack(t, a, pinRef(d, instID(d, "ff1"), "D"))
 	want := period - setupTime - (clk2q + invDelay)
 	if math.Abs(slack-want) > 1e-15 {
 		t.Fatalf("slack=%v want %v", slack, want)
@@ -176,20 +174,20 @@ func TestClockArrivalsShiftSlack(t *testing.T) {
 	d := regPair(t)
 	period := 100e-12
 	a := New(d, DefaultConstraints(period))
-	base := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
+	base := endpointSlack(t, a, pinRef(d, instID(d, "ff1"), "D"))
 	// Useful skew: delay capture clock by 10ps -> slack improves by 10ps.
 	skew := 10e-12
 	a.SetClockArrivalList([]ClockArrival{
-		{Pin: pinRef(d, d.Instance("ff0").ID, "CK"), T: 0},
-		{Pin: pinRef(d, d.Instance("ff1").ID, "CK"), T: skew},
+		{Pin: pinRef(d, instID(d, "ff0"), "CK"), T: 0},
+		{Pin: pinRef(d, instID(d, "ff1"), "CK"), T: skew},
 	})
-	got := endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))
+	got := endpointSlack(t, a, pinRef(d, instID(d, "ff1"), "D"))
 	if math.Abs(got-(base+skew)) > 1e-15 {
 		t.Fatalf("slack with skew=%v want %v", got, base+skew)
 	}
 	// Restore ideal clock.
 	a.SetClockArrivalList(nil)
-	if math.Abs(endpointSlack(t, a, pinRef(d, d.Instance("ff1").ID, "D"))-base) > 1e-15 {
+	if math.Abs(endpointSlack(t, a, pinRef(d, instID(d, "ff1"), "D"))-base) > 1e-15 {
 		t.Fatal("resetting clock arrivals should restore base slack")
 	}
 }
@@ -223,12 +221,12 @@ func TestTopPathsOrderAndContent(t *testing.T) {
 	}
 	// The worst path should end at ff1/D and start at ff0 (launch).
 	p := paths[0]
-	ff1 := d.Instance("ff1").ID
+	ff1 := instID(d, "ff1")
 	if p.Endpoint != pinRef(d, ff1, "D") {
 		t.Fatalf("worst endpoint=%v", p.Endpoint)
 	}
 	first := p.Pins[0]
-	if first.Inst != d.Instance("ff0").ID {
+	if first.Inst != instID(d, "ff0") {
 		t.Fatalf("path should start at ff0 launch, got %v", first)
 	}
 	if len(p.Nets) == 0 {
@@ -248,8 +246,8 @@ func TestNetSlack(t *testing.T) {
 	d := regPair(t)
 	a := New(d, DefaultConstraints(50e-12))
 	ns := a.NetSlackInto(nil)
-	q0 := d.Net("q0").ID
-	d1 := d.Net("d1").ID
+	q0 := netID(d, "q0")
+	d1 := netID(d, "d1")
 	if math.IsInf(ns[q0], 1) || math.IsInf(ns[d1], 1) {
 		t.Fatalf("critical nets should have finite slack: q0=%v d1=%v", ns[q0], ns[d1])
 	}
@@ -264,16 +262,16 @@ func TestActivityPropagation(t *testing.T) {
 	cons := DefaultConstraints(1e-9)
 	a := New(d, cons)
 	act := a.NetActivity()
-	if got := act[d.Net("clknet").ID]; got != 2.0 {
+	if got := act[netID(d, "clknet")]; got != 2.0 {
 		t.Fatalf("clock activity=%v want 2", got)
 	}
 	// ff0 Q toggles at half its D activity.
 	wantQ := 0.5 * cons.InputActivity
-	if got := act[d.Net("q0").ID]; math.Abs(got-wantQ) > 1e-12 {
+	if got := act[netID(d, "q0")]; math.Abs(got-wantQ) > 1e-12 {
 		t.Fatalf("q0 activity=%v want %v", got, wantQ)
 	}
 	// INV preserves activity.
-	if got := act[d.Net("d1").ID]; math.Abs(got-wantQ) > 1e-12 {
+	if got := act[netID(d, "d1")]; math.Abs(got-wantQ) > 1e-12 {
 		t.Fatalf("d1 activity=%v want %v", got, wantQ)
 	}
 }
@@ -281,20 +279,20 @@ func TestActivityPropagation(t *testing.T) {
 func TestActivityGateAttenuation(t *testing.T) {
 	l := lib()
 	d := netlist.NewDesign("nand", l)
-	a1, _ := d.AddPort("a", netlist.DirInput)
+	a1 := d.AddPort("a", netlist.DirInput)
 	a1.X, a1.Y = 0, 0
-	b1, _ := d.AddPort("b", netlist.DirInput)
+	b1 := d.AddPort("b", netlist.DirInput)
 	b1.X, b1.Y = 0, 0
-	out, _ := d.AddPort("y", netlist.DirOutput)
+	out := d.AddPort("y", netlist.DirOutput)
 	out.X, out.Y = 0, 0
-	g, _ := d.AddInstance("g", l.Master("NAND2"))
-	na, _ := d.AddNet("na")
+	g := d.AddInstance("g", l.Master("NAND2"))
+	na := d.AddNet("na")
 	d.Connect(na, pinRef(d, -1, "a"))
 	d.Connect(na, pinRef(d, g.ID, "A"))
-	nb, _ := d.AddNet("nb")
+	nb := d.AddNet("nb")
 	d.Connect(nb, pinRef(d, -1, "b"))
 	d.Connect(nb, pinRef(d, g.ID, "B"))
-	ny, _ := d.AddNet("ny")
+	ny := d.AddNet("ny")
 	d.Connect(ny, pinRef(d, g.ID, "Y"))
 	d.Connect(ny, pinRef(d, -1, "y"))
 	cons := DefaultConstraints(1e-9)
@@ -315,7 +313,7 @@ func TestClockRootFromNetFlag(t *testing.T) {
 	cons := DefaultConstraints(1e-9)
 	clk := pinRef(d, -1, "clk")
 	for _, marked := range []bool{true, false} {
-		d.Net("clknet").Clock = marked
+		d.Nets[netID(d, "clknet")].Clock = marked
 		a := New(d, cons)
 		wantAt, wantAct := cons.InputDelay, cons.InputActivity
 		if marked {
@@ -376,8 +374,26 @@ func TestWriteReport(t *testing.T) {
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// instID and netID find a fixture instance or net by name.
+func instID(d *netlist.Design, name string) int {
+	return slices.IndexFunc(d.Insts, func(inst *netlist.Instance) bool { return inst.Name == name })
+}
+
+func netID(d *netlist.Design, name string) int {
+	return slices.IndexFunc(d.Nets, func(n *netlist.Net) bool { return n.Name == name })
+}
+
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return netlist.PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

@@ -63,7 +63,7 @@ func TestLenientSkipsNonPortAssign(t *testing.T) {
 	if len(warns) != 1 || warns[0].Line != 4 {
 		t.Fatalf("warnings = %v, want one at line 4", warns)
 	}
-	if d.Instance("u") == nil {
+	if indexNames(d).insts["u"] == nil {
 		t.Fatal("instance after skipped assign lost")
 	}
 	// Unknown cells stay fatal in lenient mode.
@@ -115,7 +115,7 @@ func TestOutputPortAssignPrecedence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Port o should ride on net i.
-	n := d.Net("i")
+	n := indexNames(d).nets["i"]
 	if n == nil {
 		t.Fatal("net i missing")
 	}
@@ -129,4 +129,27 @@ func TestOutputPortAssignPrecedence(t *testing.T) {
 		t.Fatal("output port o not attached to net i")
 	}
 	_ = netlist.DirOutput
+}
+
+// TestDuplicateNamesFatal checks that the reader, the one place that
+// checks names, rejects a repeated instance or port at its line, in both
+// modes.
+func TestDuplicateNamesFatal(t *testing.T) {
+	cases := []struct {
+		name string
+		in   string
+		line int
+	}{
+		{"instance", "module m (a);\n  input a;\n  INV_X1 u (.A(a));\n  INV_X1 u (.A(a));\nendmodule\n", 4},
+		{"port", "module m (a);\n  input a;\n  output a;\nendmodule\n", 3},
+	}
+	for _, tc := range cases {
+		for _, lenient := range []bool{false, true} {
+			_, _, err := ParseWith(strings.NewReader(tc.in), designs.Lib(), Options{File: "dup.v", Lenient: lenient})
+			var pe *scan.ParseError
+			if !errors.As(err, &pe) || pe.File != "dup.v" || pe.Line != tc.line || !strings.Contains(pe.Msg, "duplicate "+tc.name) {
+				t.Errorf("duplicate %s, lenient=%v: got %v, want a parse error at dup.v:%d", tc.name, lenient, err, tc.line)
+			}
+		}
+	}
 }

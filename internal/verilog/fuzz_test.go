@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ppaclust/internal/designs"
+	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
 )
 
@@ -15,7 +16,8 @@ import (
 // byte-for-byte (including assign canonicalization and escaped
 // identifiers), and that the connectivity build accepts any design it
 // accepts: the reader resolves every pin, so nothing is left for the build
-// to reject.
+// to reject. A design it accepts also has unique instance, net and port
+// names: the reader is the one place that checks them.
 func FuzzReadVerilog(f *testing.F) {
 	b := designs.Generate(designs.TinySpec(7))
 	var seed bytes.Buffer
@@ -36,6 +38,8 @@ func FuzzReadVerilog(f *testing.F) {
 			requireParseError(t, lerr)
 		} else if _, err := ld.CompactChecked(); err != nil {
 			t.Fatalf("lenient parse accepted a design the connectivity build rejects: %v", err)
+		} else if !indexNames(ld).unique(ld) {
+			t.Fatal("lenient parse accepted a design with a repeated name")
 		}
 		if err != nil {
 			requireParseError(t, err)
@@ -43,6 +47,9 @@ func FuzzReadVerilog(f *testing.F) {
 		}
 		if _, err := d.CompactChecked(); err != nil {
 			t.Fatalf("parse accepted a design the connectivity build rejects: %v", err)
+		}
+		if !indexNames(d).unique(d) {
+			t.Fatal("parse accepted a design with a repeated name")
 		}
 		var w1 bytes.Buffer
 		if err := Write(&w1, d); err != nil {
@@ -72,4 +79,36 @@ func requireParseError(t *testing.T, err error) {
 	if pe.File == "" {
 		t.Fatalf("ParseError without file context: %v", pe)
 	}
+}
+
+// names indexes a parsed design's instances, nets and ports by name, as the
+// reader did while it parsed; the design keeps no index of its own. A
+// repeated name keeps its last object.
+type names struct {
+	insts map[string]*netlist.Instance
+	nets  map[string]*netlist.Net
+	ports map[string]*netlist.Port
+}
+
+func indexNames(d *netlist.Design) names {
+	ix := names{
+		insts: make(map[string]*netlist.Instance, len(d.Insts)),
+		nets:  make(map[string]*netlist.Net, len(d.Nets)),
+		ports: make(map[string]*netlist.Port, len(d.Ports)),
+	}
+	for _, inst := range d.Insts {
+		ix.insts[inst.Name] = inst
+	}
+	for _, n := range d.Nets {
+		ix.nets[n.Name] = n
+	}
+	for _, p := range d.Ports {
+		ix.ports[p.Name] = p
+	}
+	return ix
+}
+
+// unique reports whether no instance, net or port name of d repeats.
+func (ix names) unique(d *netlist.Design) bool {
+	return len(ix.insts) == len(d.Insts) && len(ix.nets) == len(d.Nets) && len(ix.ports) == len(d.Ports)
 }

@@ -12,11 +12,9 @@ import (
 func TestInoutPortRoundTrip(t *testing.T) {
 	lib := designs.Lib()
 	d := netlist.NewDesign("io", lib)
-	if _, err := d.AddPort("bidir", netlist.DirInout); err != nil {
-		t.Fatal(err)
-	}
-	g, _ := d.AddInstance("g", lib.Master("INV_X1"))
-	n, _ := d.AddNet("bidir")
+	d.AddPort("bidir", netlist.DirInout)
+	g := d.AddInstance("g", lib.Master("INV_X1"))
+	n := d.AddNet("bidir")
 	d.Connect(n, pinRef(d, -1, "bidir"))
 	d.Connect(n, pinRef(d, g.ID, "A"))
 	var buf bytes.Buffer
@@ -30,7 +28,7 @@ func TestInoutPortRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := got.Port("bidir")
+	p := indexNames(got).ports["bidir"]
 	if p == nil || p.Dir != netlist.DirInout {
 		t.Fatal("inout direction lost")
 	}
@@ -50,8 +48,17 @@ endmodule`
 	}
 }
 
-// pinRef resolves a fixture pin by name; fixtures name only declared pins.
+// pinRef resolves a fixture pin by name, a port when inst < 0; fixtures
+// name only declared pins.
 func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
+	if inst < 0 {
+		for i, p := range d.Ports {
+			if p.Name == name {
+				return netlist.PinRef{Inst: -1, Pin: i}
+			}
+		}
+		panic("no port " + name)
+	}
 	ref, err := d.PinRefOf(inst, name)
 	if err != nil {
 		panic(err)

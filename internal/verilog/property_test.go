@@ -29,14 +29,15 @@ func TestPropertyRoundTripManySeeds(t *testing.T) {
 			len(got.Ports) != len(b.Design.Ports) {
 			return false
 		}
+		ix := indexNames(got)
 		for _, n := range b.Design.Nets {
-			rn := got.Net(n.Name)
+			rn := ix.nets[n.Name]
 			if rn == nil || len(rn.Pins) != len(n.Pins) {
 				return false
 			}
 		}
 		for _, inst := range b.Design.Insts {
-			ri := got.Instance(inst.Name)
+			ri := ix.insts[inst.Name]
 			if ri == nil || ri.Master.Name != inst.Master.Name {
 				return false
 			}

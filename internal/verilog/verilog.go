@@ -45,8 +45,12 @@ func Write(w io.Writer, d *netlist.Design) error {
 	}
 	// Wires: nets that are not port nets need declarations. A net named the
 	// same as a port is the port itself.
+	portNames := make(map[string]struct{}, len(d.Ports))
+	for _, p := range d.Ports {
+		portNames[p.Name] = struct{}{}
+	}
 	for _, n := range d.Nets {
-		if d.Port(n.Name) == nil {
+		if _, isPort := portNames[n.Name]; !isPort {
 			bw.Write(append(appendIdent(append(line[:0], "  wire "...), n.Name), ";\n"...))
 		}
 	}
@@ -157,7 +161,8 @@ type Options struct {
 	File string
 	// Lenient tolerates assigns between two non-port names by skipping the
 	// statement and recording a warning. Structural errors (unknown cells,
-	// unknown pins, broken syntax) are fatal in both modes.
+	// unknown pins, repeated instance or port names, broken syntax) are
+	// fatal in both modes.
 	Lenient bool
 }
 
@@ -374,6 +379,11 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 	}
 	name := p.next().text
 	d := netlist.NewDesign(name, p.lib)
+	// Name indices of the module, for the length of the parse: the design
+	// keeps none.
+	insts := map[string]struct{}{}
+	nets := map[string]*netlist.Net{}
+	ports := map[string]int{} // port name -> index in d.Ports
 	// Port list (names only).
 	if err := p.expect("("); err != nil {
 		return nil, err
@@ -391,11 +401,13 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 		return nil, err
 	}
 	// Body.
-	netFor := func(name string) (*netlist.Net, error) {
-		if n := d.Net(name); n != nil {
-			return n, nil
+	netFor := func(name string) *netlist.Net {
+		n := nets[name]
+		if n == nil {
+			n = d.AddNet(name)
+			nets[name] = n
 		}
-		return d.AddNet(name)
+		return n
 	}
 	for {
 		t := p.next()
@@ -404,7 +416,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			// Attach port pins to their same-named nets (unless an assign
 			// already placed the port on another net).
 			for pi, port := range d.Ports {
-				n := d.Net(port.Name)
+				n := nets[port.Name]
 				if n == nil {
 					continue
 				}
@@ -425,9 +437,11 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			}
 			for {
 				nm := p.next()
-				if _, err := d.AddPort(nm.text, dir); err != nil {
-					return nil, p.errf(nm.line, nm.text, "%v", err)
+				if _, dup := ports[nm.text]; dup {
+					return nil, p.errf(nm.line, nm.text, "duplicate port")
 				}
+				ports[nm.text] = len(d.Ports)
+				d.AddPort(nm.text, dir)
 				nx := p.next()
 				if nx.is(";") {
 					break
@@ -449,16 +463,16 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			// first keeps port-to-port assigns stable across a write/parse
 			// cycle: the writer emits "assign out = net" for output ports
 			// and "assign net = in" for inputs.
-			lp, lerr := d.PinRefOf(-1, lhs)
-			rp, rerr := d.PinRefOf(-1, rhs)
-			var port netlist.PinRef
+			lp, lok := ports[lhs]
+			rp, rok := ports[rhs]
+			var port int
 			var netName string
 			switch {
-			case lerr == nil && d.Ports[lp.Pin].Dir == netlist.DirOutput:
+			case lok && d.Ports[lp].Dir == netlist.DirOutput:
 				port, netName = lp, rhs
-			case rerr == nil:
+			case rok:
 				port, netName = rp, lhs
-			case lerr == nil:
+			case lok:
 				port, netName = lp, rhs
 			default:
 				err := p.errf(t.line, lhs, "assign between non-ports %s = %s is outside the subset", lhs, rhs)
@@ -467,17 +481,10 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 				}
 				continue
 			}
-			n, err := netFor(netName)
-			if err != nil {
-				return nil, p.errf(t.line, netName, "%v", err)
-			}
-			d.Connect(n, port)
+			d.Connect(netFor(netName), netlist.PinRef{Inst: -1, Pin: port})
 		case "wire":
 			for {
-				nm := p.next()
-				if _, err := netFor(nm.text); err != nil {
-					return nil, p.errf(nm.line, nm.text, "%v", err)
-				}
+				netFor(p.next().text)
 				nx := p.next()
 				if nx.is(";") {
 					break
@@ -493,10 +500,11 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 				return nil, p.errf(t.line, t.text, "unknown cell")
 			}
 			instName := p.next()
-			inst, err := d.AddInstance(instName.text, master)
-			if err != nil {
-				return nil, p.errf(instName.line, instName.text, "%v", err)
+			if _, dup := insts[instName.text]; dup {
+				return nil, p.errf(instName.line, instName.text, "duplicate instance")
 			}
+			insts[instName.text] = struct{}{}
+			inst := d.AddInstance(instName.text, master)
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
@@ -519,11 +527,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
-				n, err := netFor(netName.text)
-				if err != nil {
-					return nil, p.errf(netName.line, netName.text, "%v", err)
-				}
-				d.Connect(n, ref)
+				d.Connect(netFor(netName.text), ref)
 				if p.peek().is(",") {
 					p.next()
 				}

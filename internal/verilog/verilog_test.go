@@ -29,8 +29,9 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatalf("ports %d != %d", len(got.Ports), len(b.Design.Ports))
 	}
 	// Hierarchy must survive (escaped identifiers).
+	ix := indexNames(got)
 	orig := b.Design.Insts[0]
-	ri := got.Instance(orig.Name)
+	ri := ix.insts[orig.Name]
 	if ri == nil {
 		t.Fatalf("instance %q lost", orig.Name)
 	}
@@ -39,7 +40,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	}
 	// Connectivity: same pin counts per net name.
 	for _, n := range b.Design.Nets {
-		rn := got.Net(n.Name)
+		rn := ix.nets[n.Name]
 		if rn == nil {
 			t.Fatalf("net %q lost", n.Name)
 		}
@@ -73,7 +74,7 @@ endmodule
 		t.Fatal(err)
 	}
 	// Port "a" is on net "a" which feeds u1/A.
-	na := d.Net("a")
+	na := indexNames(d).nets["a"]
 	if len(na.Pins) != 2 {
 		t.Fatalf("net a pins=%v", na.Pins)
 	}
@@ -92,7 +93,7 @@ endmodule`
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1 := d.Net("n1")
+	n1 := indexNames(d).nets["n1"]
 	foundPort := false
 	for _, pr := range n1.Pins {
 		if pr.IsPort() && d.PinName(pr) == "y" {
@@ -136,7 +137,7 @@ func TestEscapedIdentifiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Instance("u/1") == nil {
+	if indexNames(d).insts["u/1"] == nil {
 		t.Fatal("escaped instance name lost")
 	}
 	_ = netlist.PinRef{}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ppaclust/internal/designs"
@@ -66,17 +67,11 @@ func fixture(t testing.TB) *netlist.Design {
 		{"y", netlist.DirOutput, true, 40, 7.0005},
 		{"io[0]", netlist.DirInout, false, 0, 0},
 	} {
-		port, err := d.AddPort(p.name, p.dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		port := d.AddPort(p.name, p.dir)
 		port.Placed, port.X, port.Y = p.placed, p.x, p.y
 	}
 	inst := func(name, master string, x, y float64, placed, fixed bool) int {
-		i, err := d.AddInstance(name, lib.Master(master))
-		if err != nil {
-			t.Fatal(err)
-		}
+		i := d.AddInstance(name, lib.Master(master))
 		i.X, i.Y, i.Placed, i.Fixed = x, y, placed, fixed
 		return i.ID
 	}
@@ -85,10 +80,7 @@ func fixture(t testing.TB) *netlist.Design {
 	g := inst("0g", "NAND2_X1", 3, 4, false, false)
 	inst("lonely", "BUF_X1", 5, 5, true, false)
 	net := func(name string, pins ...netlist.PinRef) *netlist.Net {
-		n, err := d.AddNet(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n := d.AddNet(name)
 		for _, pr := range pins {
 			d.Connect(n, pr)
 		}
@@ -101,7 +93,9 @@ func fixture(t testing.TB) *netlist.Design {
 		}
 		return ref
 	}
-	port := func(name string) netlist.PinRef { return pin(-1, name) }
+	port := func(name string) netlist.PinRef {
+		return netlist.PinRef{Inst: -1, Pin: slices.IndexFunc(d.Ports, func(p *netlist.Port) bool { return p.Name == name })}
+	}
 	net("clk", port("clk"), pin(ff, "CK")).Clock = true
 	net("a b", port("a b"), pin(u1, "A"), pin(g, "A1"))
 	net("n1", pin(u1, "ZN"), pin(ff, "D"),

@@ -177,11 +177,7 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 			return nil, fmt.Errorf("vpr: member instance ID %d outside design %s (%d instances)", id, d.Name, len(d.Insts))
 		}
 		inst := d.Insts[id]
-		ni, err := sub.AddInstance(inst.Name, inst.Master)
-		if err != nil {
-			return nil, err
-		}
-		newID[id] = ni.ID
+		newID[id] = sub.AddInstance(inst.Name, inst.Master).ID
 		for _, netID := range cv.InstNets[cv.InstStart[id]:cv.InstStart[id+1]] {
 			incident = append(incident, int(netID))
 		}
@@ -218,25 +214,18 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 		if len(internal) < 2 && !needInPort && !needOutPort {
 			continue
 		}
-		sn, err := sub.AddNet(n.Name)
-		if err != nil {
-			return nil, err
-		}
+		sn := sub.AddNet(n.Name)
 		sn.Weight = n.Weight
 		sn.Clock = n.Clock
 		for _, pr := range internal {
 			sub.Connect(sn, pr)
 		}
 		if needInPort {
-			if _, err := sub.AddPort("vin_"+n.Name, netlist.DirInput); err != nil {
-				return nil, err
-			}
+			sub.AddPort("vin_"+n.Name, netlist.DirInput)
 			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 		if needOutPort {
-			if _, err := sub.AddPort("vout_"+n.Name, netlist.DirOutput); err != nil {
-				return nil, err
-			}
+			sub.AddPort("vout_"+n.Name, netlist.DirOutput)
 			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 	}

@@ -211,10 +211,7 @@ func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
 	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
 	newID := make(map[int]int, len(members))
 	for _, id := range members {
-		ni, err := sub.AddInstance(d.Insts[id].Name, d.Insts[id].Master)
-		if err != nil {
-			return nil, err
-		}
+		ni := sub.AddInstance(d.Insts[id].Name, d.Insts[id].Master)
 		newID[id] = ni.ID
 	}
 	c := d.Compact()
@@ -241,33 +238,18 @@ func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
 		if len(internal) == 0 || (len(internal) < 2 && !externalDrv && !needOutPort) {
 			continue
 		}
-		sn, err := sub.AddNet(n.Name)
-		if err != nil {
-			return nil, err
-		}
+		sn := sub.AddNet(n.Name)
 		sn.Weight, sn.Clock = n.Weight, n.Clock
 		for _, pr := range internal {
 			sub.Connect(sn, pr)
 		}
 		if externalDrv {
-			if _, err := sub.AddPort("vin_"+n.Name, netlist.DirInput); err != nil {
-				return nil, err
-			}
-			ref, err := sub.PinRefOf(-1, "vin_"+n.Name)
-			if err != nil {
-				return nil, err
-			}
-			sub.Connect(sn, ref)
+			sub.AddPort("vin_"+n.Name, netlist.DirInput)
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 		if needOutPort {
-			if _, err := sub.AddPort("vout_"+n.Name, netlist.DirOutput); err != nil {
-				return nil, err
-			}
-			ref, err := sub.PinRefOf(-1, "vout_"+n.Name)
-			if err != nil {
-				return nil, err
-			}
-			sub.Connect(sn, ref)
+			sub.AddPort("vout_"+n.Name, netlist.DirOutput)
+			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 	}
 	return sub, nil

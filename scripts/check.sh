@@ -59,9 +59,10 @@ if grep -qx 'ppaclust/internal/route' <<<"$place_deps"; then
     exit 1
 fi
 
-# Names belong to the readers: they resolve pin names to indices and SDC
-# clock roots to clock-net marks once, and no later layer looks a pin up by
-# name or reads the clock port names. Fail on a program file outside
+# Names belong to the readers: they resolve pin and port names to indices
+# through their own name indices (the design keeps none) and SDC clock roots
+# to clock-net marks once, and no later layer looks a pin up by name or
+# reads the clock port names. Fail on a program file outside
 # internal/{netlist,verilog,def,lef,liberty,sdc,designs} and
 # internal/flow/files.go that does.
 echo "==> names stay in the readers: no PinIndex(, PinRefOf( or .ClockPorts past them"

@@ -40,6 +40,7 @@ kernels=(
     "./internal/place/ ^BenchmarkDetailedScale100k$ 1x"
     "./internal/sta/ ^Benchmark(STABuildAndRunScale100k|TopPathsScale100k)$ 1s"
     "./internal/route/ ^BenchmarkGlobalRouteScale100k$ 1s"
+    "./internal/netlist/ ^BenchmarkCloneScale100k$ 1s"
 )
 
 t=$(mktemp -d)
