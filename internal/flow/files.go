@@ -11,7 +11,6 @@ import (
 	"ppaclust/internal/lef"
 	"ppaclust/internal/liberty"
 	"ppaclust/internal/netlist"
-	"ppaclust/internal/par"
 	"ppaclust/internal/scan"
 	"ppaclust/internal/sdc"
 	"ppaclust/internal/sta"
@@ -75,20 +74,19 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 		vWarns, dWarns []*scan.ParseError
 		vErr, dErr     error
 	)
-	par.Blocks(par.Workers(0), 2, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if i == 0 {
-				d, vWarns, vErr = parseFile(f.Verilog, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
-					return verilog.ParseWith(r, lib, verilog.Options{File: f.Verilog, Lenient: lenient})
-				})
-			} else if f.DEF != "" {
-				fp, dWarns, dErr = parseFile(f.DEF, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
-					return def.ParseWith(r, lib, def.Options{File: f.DEF, Lenient: lenient})
-				})
-				if dErr == nil {
-					fpIndex = indexFloorplan(fp)
-				}
-			}
+	fork(0, func() {
+		d, vWarns, vErr = parseFile(f.Verilog, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
+			return verilog.ParseWith(r, lib, verilog.Options{File: f.Verilog, Lenient: lenient})
+		})
+	}, func() {
+		if f.DEF == "" {
+			return
+		}
+		fp, dWarns, dErr = parseFile(f.DEF, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
+			return def.ParseWith(r, lib, def.Options{File: f.DEF, Lenient: lenient})
+		})
+		if dErr == nil {
+			fpIndex = indexFloorplan(fp)
 		}
 	})
 	warns = append(warns, vWarns...)

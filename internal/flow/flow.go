@@ -17,6 +17,7 @@ import (
 	"ppaclust/internal/gnn"
 	"ppaclust/internal/hier"
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 	"ppaclust/internal/place"
 	"ppaclust/internal/power"
 	"ppaclust/internal/route"
@@ -120,10 +121,12 @@ type Options struct {
 	// RunDefault.
 	TimingDriven bool
 	// Workers bounds the goroutines of the stages that fan out — the V-P&R
-	// and GNN shape sweeps, the placer's axis pair and the router: 0 = auto
-	// (PPACLUST_WORKERS, else GOMAXPROCS), 1 = everything inline. Clustering,
-	// STA and CTS are sequential. Results are bit-identical for every worker
-	// count.
+	// and GNN shape sweeps, the placer's axis pair and the router — and of
+	// the flow's own forks: RunDefault's evaluation analyzer built beside
+	// legalization and detailed placement, and the router beside CTS, STA
+	// and power. 0 = auto (PPACLUST_WORKERS, else GOMAXPROCS), 1 =
+	// everything inline. Clustering, STA and CTS do not fork inside. Results
+	// are bit-identical for every worker count.
 	Workers int
 }
 
@@ -316,6 +319,11 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	res.PlaceTime = res.ClusterTime + res.SeedPlaceTime + res.IncrPlaceTime
 
 	// ---- Evaluation (lines 27-30) ----
+	// Only the PPA-aware method timed the netlist; the others build the
+	// analyzer evaluate switches to placed parasitics here.
+	if an == nil && !opt.SkipRoute {
+		an = zeroWireAnalyzer(d, b.Cons)
+	}
 	if err := evaluate(d, b.Cons, opt, res, an); err != nil {
 		return nil, err
 	}
@@ -334,11 +342,20 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	t0 := time.Now()
 	place.Global(d, place.Options{Seed: opt.Seed, Workers: opt.Workers,
 		TimingDriven: opt.TimingDriven, TimingCons: b.Cons})
-	place.Legalize(d)
-	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
-	res.IncrPlaceTime = time.Since(t0)
+	// The evaluation's analyzer reads no coordinate while it is zero-wire,
+	// so it is built beside legalization and detailed placement.
+	var an *sta.Analyzer
+	fork(opt.Workers, func() {
+		place.Legalize(d)
+		place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
+		res.IncrPlaceTime = time.Since(t0)
+	}, func() {
+		if !opt.SkipRoute {
+			an = zeroWireAnalyzer(d, b.Cons)
+		}
+	})
 	res.PlaceTime = res.IncrPlaceTime
-	if err := evaluate(d, b.Cons, opt, res, nil); err != nil {
+	if err := evaluate(d, b.Cons, opt, res, an); err != nil {
 		return nil, err
 	}
 	res.Placed = d
@@ -362,7 +379,8 @@ func Cluster(b *designs.Benchmark, opt Options) (cluster.Result, error) {
 // clusterNetlist is Cluster's core: it runs the selected clustering method
 // on d. The PPA-aware method also returns the zero-wire analyzer it timed
 // the netlist with, so evaluate can reuse the timing graph (switched to
-// placed parasitics) instead of rebuilding it.
+// placed parasitics) instead of rebuilding it; the other methods return a
+// nil analyzer.
 func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) (cluster.Result, *sta.Analyzer, error) {
 	view := d.ToHypergraph()
 	switch opt.Method {
@@ -395,9 +413,7 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) (clust
 		// unplaced at this point, so wire parasitics are ignored — timing
 		// criticality reflects logic depth, as in the paper's pre-placement
 		// OpenSTA extraction.
-		zc := cons
-		zc.ZeroWire = true
-		an := sta.New(d, zc)
+		an := zeroWireAnalyzer(d, cons)
 		paths := an.TopPaths(numPaths)
 		pathNets := make([][]int, len(paths))
 		slacks := make([]float64, len(paths))
@@ -426,6 +442,29 @@ func clusterNetlist(d *netlist.Design, cons sta.Constraints, opt Options) (clust
 		return res, an, nil
 	}
 	return cluster.Result{}, nil, fmt.Errorf("flow: unknown clustering method %d", opt.Method)
+}
+
+// zeroWireAnalyzer builds d's analyzer under cons with wire parasitics off.
+// Its build reads no coordinate, so it may run while another stage moves
+// cells; evaluate switches it to placed parasitics.
+func zeroWireAnalyzer(d *netlist.Design, cons sta.Constraints) *sta.Analyzer {
+	cons.ZeroWire = true
+	return sta.New(d, cons)
+}
+
+// fork runs a and b side by side on two goroutines when the worker budget
+// allows it, else a then b inline. They must not write what the other
+// reads.
+func fork(workers int, a, b func()) {
+	par.Blocks(par.Workers(workers), 2, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i == 0 {
+				a()
+			} else {
+				b()
+			}
+		}
+	})
 }
 
 // selectShapes assigns a shape to every cluster. Clusters above the VPR gate
@@ -561,27 +600,43 @@ func mathSqrt(v float64) float64 {
 	return math.Sqrt(v)
 }
 
-// evaluate fills HPWL and (unless SkipRoute) post-route PPA into res. When
-// the clustering stage already built an analyzer (PPA-aware method), it is
-// reused: the graph topology is unchanged, so SetZeroWire to placed
+// evaluate fills HPWL and (unless SkipRoute) post-route PPA into res. an is
+// the design's zero-wire analyzer, built by the flow beside an earlier
+// stage: the graph topology is unchanged, so SetZeroWire to placed
 // parasitics plus Update yields bit-identical results to a fresh sta.New.
-// Every other run builds a fresh one.
+// The router and the timing side (CTS, STA, power) only read the design, so
+// they run side by side, the router on all workers but the one the timing
+// side takes; one worker runs them inline, router first.
 func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result, an *sta.Analyzer) error {
 	res.HPWL = d.HPWL()
 	if opt.SkipRoute {
 		return nil
 	}
-	rres := route.GlobalRoute(d, route.Options{Workers: opt.Workers})
+	workers := par.Workers(opt.Workers)
+	var (
+		rres *route.Result
+		err  error
+	)
+	fork(workers, func() {
+		rres = route.GlobalRoute(d, route.Options{Workers: max(workers-1, 1)})
+	}, func() {
+		err = signoff(d, cons, res, an)
+	})
+	if err != nil {
+		return err
+	}
 	res.Overflow = rres.Overflow
 	res.MaxCongestion = rres.MaxCongestion
+	res.RoutedWL = rres.WirelengthUM + res.ClockWL
+	return nil
+}
 
-	// CTS on the clock net (if any), then propagated-clock STA.
-	if an == nil {
-		an = sta.New(d, cons)
-	} else {
-		an.SetZeroWire(cons.ZeroWire)
-		an.Update()
-	}
+// signoff synthesizes a clock tree on every clock net, times the placed
+// design with all their arrivals on an and fills res's clock, timing, DRV
+// and power fields.
+func signoff(d *netlist.Design, cons sta.Constraints, res *Result, an *sta.Analyzer) error {
+	an.SetZeroWire(cons.ZeroWire)
+	an.Update()
 	var clockPower float64
 	for _, n := range d.Nets {
 		if !n.Clock {
@@ -594,15 +649,13 @@ func evaluate(d *netlist.Design, cons sta.Constraints, opt Options, res *Result,
 		copt := cts.Options{BufMaster: buf}
 		cres := cts.Synthesize(d, n, copt)
 		if len(cres.ArrivalList) > 0 {
-			an.SetClockArrivalList(cres.ArrivalList)
-			res.ClockArrivals = cres.ArrivalList
+			res.ClockArrivals = append(res.ClockArrivals, cres.ArrivalList...)
 			cres.EstimatePower(copt, cons.ClockPeriod, power.DefaultVdd)
 			clockPower += cres.Power
 			res.ClockWL += cres.WirelengthUM
 		}
-		break // single clock domain in our benchmarks
 	}
-	res.RoutedWL = rres.WirelengthUM + res.ClockWL
+	an.SetClockArrivalList(res.ClockArrivals)
 	sum := an.Timing()
 	res.WNS = sum.WNS
 	res.TNS = sum.TNS

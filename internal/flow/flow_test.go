@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"ppaclust/internal/cluster"
+	"ppaclust/internal/cts"
 	"ppaclust/internal/designs"
+	"ppaclust/internal/netlist"
 	"ppaclust/internal/sta"
 	"ppaclust/internal/vpr"
 )
@@ -274,8 +276,8 @@ func TestStringers(t *testing.T) {
 
 // TestClockArrivalsRetimePlaced: an analyzer built on Result.Placed with
 // Result.ClockArrivals set reports the WNS/TNS the flow printed, bit for bit,
-// for both flows and for a clustered run on MFC, whose evaluation builds a
-// fresh analyzer instead of reusing the clustering one. `ppa flow -report`
+// for both flows and for a clustered run on MFC, whose analyzer is built
+// after placement instead of reused from the clustering. `ppa flow -report`
 // builds its report this way; without the CTS arrivals it timed an ideal
 // clock and disagreed with the metrics above it.
 func TestClockArrivalsRetimePlaced(t *testing.T) {
@@ -300,6 +302,69 @@ func TestClockArrivalsRetimePlaced(t *testing.T) {
 		an.SetClockArrivalList(res.ClockArrivals)
 		sum := an.Timing()
 		if sum.WNS != res.WNS || sum.TNS != res.TNS {
+			t.Fatalf("%s: re-timed WNS/TNS %g/%g, flow reported %g/%g",
+				tc.name, sum.WNS, sum.TNS, res.WNS, res.TNS)
+		}
+	}
+}
+
+// TestEveryClockDomainGetsATree splits a generated design's clock sinks over
+// two nets, each rooted at its own clock input port, and checks that both
+// flows synthesize a tree on each: the arrivals cover every sink of both
+// nets, the clock wire is the two trees' sum, and re-timing the placed
+// design with the arrivals reproduces the reported slacks.
+func TestEveryClockDomainGetsATree(t *testing.T) {
+	b := tinyBench(93)
+	d := b.Design
+	clk := d.Nets[slices.IndexFunc(d.Nets, func(n *netlist.Net) bool { return n.Clock })]
+	var keep, moved []netlist.PinRef
+	for i, p := range clk.Pins {
+		if p.IsPort() || i%2 == 0 {
+			keep = append(keep, p)
+		} else {
+			moved = append(moved, p)
+		}
+	}
+	clk.Pins = keep
+	root := d.Ports[keep[slices.IndexFunc(keep, netlist.PinRef.IsPort)].Pin]
+	port := d.AddPort("clk2", netlist.DirInput)
+	port.X, port.Y, port.Placed = root.X, root.Y, true
+	clk2 := d.AddNet("clk2")
+	clk2.Clock = true
+	d.Connect(clk2, netlist.PinRef{Inst: -1, Pin: len(d.Ports) - 1})
+	for _, p := range moved {
+		d.Connect(clk2, p)
+	}
+	if len(moved) == 0 {
+		t.Fatal("the clock net has no sink to move")
+	}
+
+	for _, tc := range []struct {
+		name string
+		run  func(*designs.Benchmark, Options) (*Result, error)
+	}{{"clustered", Run}, {"default", RunDefault}} {
+		res, err := tc.run(b, Options{Seed: 3, Shapes: ShapeUniform})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(res.ClockArrivals) != len(keep)-1+len(moved) {
+			t.Fatalf("%s: %d clock arrivals, want one per sink of both nets (%d)",
+				tc.name, len(res.ClockArrivals), len(keep)-1+len(moved))
+		}
+		var wl float64
+		for _, n := range []*netlist.Net{res.Placed.Nets[clk.ID], res.Placed.Nets[clk2.ID]} {
+			tree := cts.Synthesize(res.Placed, n, cts.Options{BufMaster: d.Lib.Master("CLKBUF_X2")})
+			if tree.WirelengthUM <= 0 {
+				t.Fatalf("%s: net %s has no tree", tc.name, n.Name)
+			}
+			wl += tree.WirelengthUM
+		}
+		if res.ClockWL != wl {
+			t.Fatalf("%s: clock wirelength %v, want the two trees' %v", tc.name, res.ClockWL, wl)
+		}
+		an := sta.New(res.Placed, b.Cons)
+		an.SetClockArrivalList(res.ClockArrivals)
+		if sum := an.Timing(); sum.WNS != res.WNS || sum.TNS != res.TNS {
 			t.Fatalf("%s: re-timed WNS/TNS %g/%g, flow reported %g/%g",
 				tc.name, sum.WNS, sum.TNS, res.WNS, res.TNS)
 		}

@@ -17,7 +17,9 @@ import (
 // scale-10k case is the only place a generated ScaleSpec design goes through
 // generate -> cluster -> place -> STA -> route -> CTS at several worker
 // counts: it is generated at the worker count it then runs at, and the flat
-// default flow is held to the same comparison.
+// default flow is held to the same comparison. The jpeg-mfc case runs a
+// method that builds its evaluation analyzer after placement, and RunDefault,
+// which builds it in a slot of its own.
 func TestRunWorkersEquivalent(t *testing.T) {
 	named := func(design string) func(int) *designs.Benchmark {
 		return func(int) *designs.Benchmark {
@@ -30,21 +32,25 @@ func TestRunWorkersEquivalent(t *testing.T) {
 		name    string
 		bench   func(workers int) *designs.Benchmark
 		tool    Tool
+		method  Method
 		shapes  ShapeMode
 		workers []int // compared against Workers=1
 		flat    bool  // RunDefault too
 	}{
-		{"aes", named("aes"), ToolInnovus, ShapeUniform, []int{4}, false},
-		{"jpeg", named("jpeg"), ToolInnovus, ShapeUniform, []int{4}, false},
-		{"aes-vpr-ml", named("aes"), ToolInnovus, ShapeVPRML, []int{4}, false},
+		{"aes", named("aes"), ToolInnovus, MethodPPAAware, ShapeUniform, []int{4}, false},
+		{"jpeg", named("jpeg"), ToolInnovus, MethodPPAAware, ShapeUniform, []int{4}, false},
+		{"aes-vpr-ml", named("aes"), ToolInnovus, MethodPPAAware, ShapeVPRML, []int{4}, false},
+		// MFC builds its evaluation analyzer after placement, RunDefault
+		// beside legalization and detailed placement.
+		{"jpeg-mfc", named("jpeg"), ToolOpenROAD, MethodMFC, ShapeUniform, []int{2, 8}, true},
 		{"scale-10k", func(w int) *designs.Benchmark {
 			return designs.GenerateWorkers(designs.ScaleSpec(10000, 4243), w)
-		}, ToolOpenROAD, ShapeUniform, []int{2, 8}, true},
+		}, ToolOpenROAD, MethodPPAAware, ShapeUniform, []int{2, 8}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := Options{
 				Seed: 3, Tool: tc.tool,
-				Method: MethodPPAAware, Shapes: tc.shapes,
+				Method: tc.method, Shapes: tc.shapes,
 			}
 			if tc.shapes == ShapeVPRML {
 				opt.Model = gnn.NewModel(3)

@@ -42,11 +42,11 @@ const (
 // failed write is the error returned.
 func Write(out io.Writer, lib *netlist.Library) error {
 	w := bufio.NewWriterSize(out, 64<<10)
-	fmt.Fprintf(w, "library (%s) {\n", lib.Name)
+	fmt.Fprintf(w, "library (%s) {\n", groupArg(lib.Name))
 	fmt.Fprintf(w, "  time_unit : \"1ns\";\n  capacitive_load_unit (1,pf);\n")
 	for _, name := range lib.MasterNames() {
 		m := lib.Master(name)
-		fmt.Fprintf(w, "  cell (%s) {\n", m.Name)
+		fmt.Fprintf(w, "  cell (%s) {\n", groupArg(m.Name))
 		fmt.Fprintf(w, "    area : %.4f;\n", m.Area())
 		fmt.Fprintf(w, "    cell_leakage_power : %.4f;\n", m.Leakage/leakUnit)
 		if m.Class == netlist.ClassMacro {
@@ -61,8 +61,19 @@ func Write(out io.Writer, lib *netlist.Library) error {
 	return w.Flush()
 }
 
+// groupArg renders a library, cell or pin name as a group argument: bare
+// when the lexer reads it back as that one word, else quoted (the reader
+// strips the quotes, and a name it read never holds one). A bare name with
+// white space or punctuation used to re-read as a different name.
+func groupArg(name string) string {
+	if name != "" && !strings.ContainsAny(name, " \t\r\n(){};:,\\\"") && !strings.HasPrefix(name, "/*") {
+		return name
+	}
+	return `"` + name + `"`
+}
+
 func writePin(w io.Writer, m *netlist.Master, p *netlist.MasterPin) {
-	fmt.Fprintf(w, "    pin (%s) {\n", p.Name)
+	fmt.Fprintf(w, "    pin (%s) {\n", groupArg(p.Name))
 	dir := "input"
 	switch p.Dir {
 	case netlist.DirOutput:

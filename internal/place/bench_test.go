@@ -139,6 +139,24 @@ func BenchmarkLegalize(b *testing.B) {
 	}
 }
 
+// BenchmarkLegalizeScale100k is BenchmarkLegalize on the globally placed
+// ScaleSpec(100000, 1) design of the repo benchmark's scale workloads; the
+// copy each op legalizes is made outside the timer.
+func BenchmarkLegalizeScale100k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("100k-cell placement set-up")
+	}
+	d0 := designs.Generate(designs.ScaleSpec(100000, 1)).Design
+	Global(d0, Options{Seed: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := d0.Clone()
+		b.StartTimer()
+		Legalize(d)
+	}
+}
+
 // BenchmarkDetailed measures swap-based detailed placement.
 func BenchmarkDetailed(b *testing.B) {
 	bench := benchDesign(b, "jpeg")

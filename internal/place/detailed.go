@@ -3,7 +3,6 @@ package place
 import (
 	"math"
 	"math/rand"
-	"sort"
 
 	"ppaclust/internal/netlist"
 )
@@ -92,17 +91,30 @@ type detailer struct {
 	stamp  []int64
 	epoch  int64
 	xs, ys []float64
+
+	// Spot cache: cell ci's optimalSpot as last computed, when moves was
+	// spotAt[ci] (-1: never). An accepted swap counts itself in moves and
+	// stamps every net of its two cells with the count in netMoved. Only an
+	// accepted swap moves a pin — a rejected trial restores both origins bit
+	// for bit — so a spot stays exact while none of its cell's spot nets
+	// (those of at most detailMaxNetPins pins) carries a later stamp.
+	spotX, spotY []float64
+	spotOK       []bool
+	spotAt       []int
+	netMoved     []int
+	moves        int
 }
 
 func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 	cm := d.Compact()
 	dp := &detailer{
-		d:     d,
-		cm:    cm,
-		wl:    netlist.NewWirelenCache(d),
-		bw:    d.Core.W() / detailGridN,
-		bh:    d.Core.H() / detailGridN,
-		stamp: make([]int64, len(d.Nets)),
+		d:        d,
+		cm:       cm,
+		wl:       netlist.NewWirelenCache(d),
+		bw:       d.Core.W() / detailGridN,
+		bh:       d.Core.H() / detailGridN,
+		stamp:    make([]int64, len(d.Nets)),
+		netMoved: make([]int, len(d.Nets)),
 	}
 	dp.cells = make([]int32, 0, len(d.Insts))
 	dp.class = make([]int32, 0, len(d.Insts))
@@ -140,6 +152,13 @@ func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 	dp.runOf = make([]int32, nCells)
 	dp.xs = make([]float64, 0, spotPins)
 	dp.ys = make([]float64, 0, spotPins)
+	dp.spotX = make([]float64, nCells)
+	dp.spotY = make([]float64, nCells)
+	dp.spotOK = make([]bool, nCells)
+	dp.spotAt = make([]int, nCells)
+	for ci := range dp.spotAt {
+		dp.spotAt[ci] = -1
+	}
 	return dp
 }
 
@@ -194,7 +213,7 @@ func (dp *detailer) pass() int {
 	swaps := 0
 	for _, ci := range dp.order {
 		id := dp.cells[ci]
-		ox, oy, ok := dp.optimalSpot(id)
+		ox, oy, ok := dp.spot(ci)
 		if !ok {
 			continue
 		}
@@ -215,6 +234,9 @@ func (dp *detailer) pass() int {
 		dp.wl.MoveCell(b, ax, ay)
 		if dp.netCost(a, b) < before-1e-9 {
 			swaps++
+			dp.moves++
+			dp.stampNets(a)
+			dp.stampNets(b)
 			dp.setCentre(self)
 			dp.setCentre(cand)
 		} else {
@@ -244,6 +266,43 @@ func (dp *detailer) netCost(id1, id2 int) float64 {
 	return sum
 }
 
+// stampNets marks every net of instance id as moved at the current swap
+// count.
+func (dp *detailer) stampNets(id int) {
+	cm := dp.cm
+	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
+		dp.netMoved[cm.InstNets[j]] = dp.moves
+	}
+}
+
+// spot returns cell ci's optimalSpot, recomputing it only when the cache
+// cannot vouch for it.
+func (dp *detailer) spot(ci int) (float64, float64, bool) {
+	if !dp.spotFresh(ci) {
+		dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci] = dp.optimalSpot(dp.cells[ci])
+		dp.spotAt[ci] = dp.moves
+	}
+	return dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci]
+}
+
+// spotFresh reports whether cell ci's cached spot was computed and no
+// accepted swap has since moved a cell on one of its spot nets.
+func (dp *detailer) spotFresh(ci int) bool {
+	at := dp.spotAt[ci]
+	if at < 0 {
+		return false
+	}
+	cm := dp.cm
+	id := dp.cells[ci]
+	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
+		n := cm.InstNets[j]
+		if dp.netMoved[n] > at && cm.NumNetPins(int(n)) <= detailMaxNetPins {
+			return false
+		}
+	}
+	return true
+}
+
 // optimalSpot returns the median position of the other pins on the cell's
 // nets — the classic optimal-region center for single-cell moves. Nets with
 // more than detailMaxNetPins pins are skipped.
@@ -268,9 +327,40 @@ func (dp *detailer) optimalSpot(id int32) (float64, float64, bool) {
 	if len(xs) == 0 {
 		return 0, 0, false
 	}
-	sort.Float64s(xs)
-	sort.Float64s(ys)
-	return xs[len(xs)/2], ys[len(ys)/2], true
+	return selectKth(xs, len(xs)/2), selectKth(ys, len(ys)/2), true
+}
+
+// selectKth reorders a and returns the value a sort would put at index k,
+// by Hoare's FIND: partition around a[k], keep the side that holds k. Among
+// finite inputs that value is unique even with ties; only a zero may come
+// back with the other sign, which the callers' differences and math.Abs
+// cannot see.
+func selectKth(a []float64, k int) float64 {
+	l, r := 0, len(a)-1
+	for l < r {
+		x := a[k]
+		i, j := l, r
+		for i <= j {
+			for a[i] < x {
+				i++
+			}
+			for x < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			l = i
+		}
+		if k < i {
+			r = j
+		}
+	}
+	return a[k]
 }
 
 // nearestSameWidth scans outward from the bucket of (ox, oy), ring by ring,

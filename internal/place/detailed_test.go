@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"ppaclust/internal/designs"
@@ -201,5 +203,104 @@ func TestDetailedGoldenDeterministic(t *testing.T) {
 					res.Swaps, got, tc.swaps, tc.hash, res.HPWLBefore, res.HPWLAfter)
 			}
 		})
+	}
+}
+
+// TestDetailedSpotCacheExact is the oracle of the spot cache on the shuffled
+// fixture of TestDetailedGoldenDeterministic, where thousands of swaps are
+// accepted: after every pass, each cell whose cached optimal spot the
+// invalidation rule still trusts must hold, bit for bit, what a fresh
+// optimalSpot computes on the current positions, and what the median of
+// two sorted coordinate lists gathered from the design itself gives.
+func TestDetailedSpotCacheExact(t *testing.T) {
+	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
+	Global(d, Options{Seed: 1})
+	Legalize(d)
+	pending := map[float64]*netlist.Instance{}
+	for _, inst := range d.Insts {
+		if inst.Fixed || inst.Master.Class != netlist.ClassCore {
+			continue
+		}
+		if p := pending[inst.Master.Width]; p != nil {
+			p.X, inst.X = inst.X, p.X
+			p.Y, inst.Y = inst.Y, p.Y
+			delete(pending, inst.Master.Width)
+		} else {
+			pending[inst.Master.Width] = inst
+		}
+	}
+	dp := newDetailer(d, DetailedOptions{Seed: 2})
+	cm := d.Compact()
+	var pos netlist.Positions
+	sortedSpot := func(id int32) (float64, float64, bool) {
+		var xs, ys []float64
+		for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
+			n := cm.InstNets[j]
+			if cm.NumNetPins(int(n)) > detailMaxNetPins {
+				continue
+			}
+			for k := cm.NetStart[n]; k < cm.NetStart[n+1]; k++ {
+				if cm.PinInst[k] != id {
+					x, y := cm.PinXY(&pos, k)
+					xs, ys = append(xs, x), append(ys, y)
+				}
+			}
+		}
+		if len(xs) == 0 {
+			return 0, 0, false
+		}
+		sort.Float64s(xs)
+		sort.Float64s(ys)
+		return xs[len(xs)/2], ys[len(ys)/2], true
+	}
+	same := func(x1, y1 float64, ok1 bool, x2, y2 float64, ok2 bool) bool {
+		return ok1 == ok2 && math.Float64bits(x1) == math.Float64bits(x2) && math.Float64bits(y1) == math.Float64bits(y2)
+	}
+	swaps := 0
+	for pass := 0; pass < detailedPasses; pass++ {
+		swaps += dp.pass()
+		pos.Gather(d)
+		trusted, stale := 0, 0
+		for ci, id := range dp.cells {
+			if !dp.spotFresh(ci) {
+				stale++
+				continue
+			}
+			trusted++
+			x, y, ok := dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci]
+			if fx, fy, fok := dp.optimalSpot(id); !same(x, y, ok, fx, fy, fok) {
+				t.Fatalf("pass %d cell %d: cached spot (%v, %v, %v), fresh optimalSpot (%v, %v, %v)", pass, id, x, y, ok, fx, fy, fok)
+			}
+			if sx, sy, sok := sortedSpot(id); !same(x, y, ok, sx, sy, sok) {
+				t.Fatalf("pass %d cell %d: cached spot (%v, %v, %v), sorted median (%v, %v, %v)", pass, id, x, y, ok, sx, sy, sok)
+			}
+		}
+		if trusted == 0 || stale == 0 {
+			t.Fatalf("pass %d: %d trusted and %d stale spots, want both kinds checked", pass, trusted, stale)
+		}
+	}
+	if swaps != 9968 {
+		t.Fatalf("%d swaps, want the golden 9968", swaps)
+	}
+}
+
+// TestSelectKthMatchesSort holds the selection kernel to the value a sort
+// puts at index k, for every k of short lists dense in ties.
+func TestSelectKthMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		a := make([]float64, n)
+		for i := range a {
+			a[i] = float64(rng.Intn(1+n/3)) * 0.5
+		}
+		want := append([]float64(nil), a...)
+		sort.Float64s(want)
+		for k := range a {
+			b := append([]float64(nil), a...)
+			if got := selectKth(b, k); got != want[k] {
+				t.Fatalf("list %v, k %d: selectKth %v, sort %v", a, k, got, want[k])
+			}
+		}
 	}
 }

@@ -23,19 +23,27 @@ const (
 	maxValue    = 1e9
 )
 
+// virtualClock names the clock Write declares for constraints without a
+// clock port. The reader keeps only the period of a -name-only clock, so the
+// name is free and the written file re-reads to the same constraints.
+const virtualClock = "vclk"
+
 // Write emits constraints in SDC syntax. Output goes through one buffer, and
 // the first failed write is the error returned.
 func Write(out io.Writer, cons sta.Constraints) error {
 	w := bufio.NewWriter(out)
+	ref := virtualClock
+	if len(cons.ClockPorts) == 0 {
+		fmt.Fprintf(w, "create_clock -name %s -period %.4f\n", ref, cons.ClockPeriod*1e9)
+	} else {
+		ref = cons.ClockPorts[0]
+	}
 	for _, clk := range cons.ClockPorts {
 		fmt.Fprintf(w, "create_clock -name %s -period %.4f [get_ports %s]\n",
 			clk, cons.ClockPeriod*1e9, clk)
 	}
-	if len(cons.ClockPorts) > 0 {
-		clk := cons.ClockPorts[0]
-		fmt.Fprintf(w, "set_input_delay %.4f -clock %s [all_inputs]\n", cons.InputDelay*1e9, clk)
-		fmt.Fprintf(w, "set_output_delay %.4f -clock %s [all_outputs]\n", cons.OutputDelay*1e9, clk)
-	}
+	fmt.Fprintf(w, "set_input_delay %.4f -clock %s [all_inputs]\n", cons.InputDelay*1e9, ref)
+	fmt.Fprintf(w, "set_output_delay %.4f -clock %s [all_outputs]\n", cons.OutputDelay*1e9, ref)
 	fmt.Fprintf(w, "set_input_transition %.4f [all_inputs]\n", cons.InputSlew*1e9)
 	fmt.Fprintf(w, "set_load %.6f [all_outputs]\n", cons.PortCap*1e12)
 	return w.Flush()

@@ -26,9 +26,12 @@ func (a *Analyzer) Update() {
 func (a *Analyzer) LastUpdateNodes() int { return -1 }
 
 // refreshAllNets refreshes every net's geometry over a fresh position
-// snapshot, flat over the compact CSR.
+// snapshot, flat over the compact CSR. A zero-wire refresh reads no
+// coordinate, so a zero-wire analyzer can be built while cells move.
 func (a *Analyzer) refreshAllNets() {
-	a.pos.Gather(a.d)
+	if !a.cons.ZeroWire {
+		a.pos.Gather(a.d)
+	}
 	c := a.d.Compact()
 	for ni := range a.d.Nets {
 		a.refreshNet(c, ni)
@@ -37,7 +40,8 @@ func (a *Analyzer) refreshAllNets() {
 
 // refreshNet recomputes one net's load and per-sink wire lengths from the
 // position snapshot: pin caps in pin order, plus the wire cap of the net's
-// HPWL unless parasitics are off. Callers must gather a.pos first.
+// HPWL unless parasitics are off. Callers with parasitics on must gather
+// a.pos first.
 func (a *Analyzer) refreshNet(c *netlist.Compact, ni int) {
 	kd := c.NetDrv[ni]
 	if kd < 0 {

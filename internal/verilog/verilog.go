@@ -242,7 +242,7 @@ func (lx *lexer) scanToken() token {
 		switch {
 		case c == '\n':
 			lx.line++
-		case c == ' ' || c == '\t' || c == '\r':
+		case isSpace(c):
 		case c == '/':
 			d, ok := lx.readByte()
 			if !ok {
@@ -287,7 +287,7 @@ func (lx *lexer) scanToken() token {
 				if !ok {
 					break
 				}
-				if c == ' ' || c == '\t' || c == '\n' {
+				if isSpace(c) || c == '\n' {
 					lx.br.UnreadByte()
 					break
 				}
@@ -306,6 +306,11 @@ func (lx *lexer) scanToken() token {
 // handing one out allocates nothing.
 var punct = [256]string{'(': "(", ')': ")", ',': ",", '.': ".", ';': ";", '=': "="}
 
+// isSpace reports whether c is white space other than the newline the
+// lexer counts lines by. Every token ends at it, escaped identifiers too,
+// so a CRLF file reads as its LF rendering does.
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
+
 // word accumulates an ordinary token starting with c, up to the next
 // whitespace or punctuation byte (which stays unread for the next call).
 func (lx *lexer) word(c byte) token {
@@ -316,7 +321,7 @@ func (lx *lexer) word(c byte) token {
 		if !ok {
 			break
 		}
-		if c == ' ' || c == '\t' || c == '\r' || c == '\n' ||
+		if isSpace(c) || c == '\n' ||
 			c == '(' || c == ')' || c == ',' || c == '.' || c == ';' || c == '=' || c == '\\' {
 			lx.br.UnreadByte()
 			break

@@ -2,6 +2,7 @@ package verilog
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -167,5 +168,48 @@ func TestParseAllocsBounded(t *testing.T) {
 		t.Fatalf("%.0f allocations for %d pins: %.2f per pin, want <= 5", allocs, pins, perPin)
 	} else {
 		t.Logf("%.2f allocations per pin", perPin)
+	}
+}
+
+// TestCRLFEscapedIdentifiers parses one module rendered with LF and with
+// CRLF line ends. The port a/b is declared with its escape ended by a space
+// and connected with it ended by a line end: the CR ends the name as the LF
+// does, so both renderings build the same design in the same storage order
+// and the port's net reaches the instance pin instead of a stray "a/b\r".
+func TestCRLFEscapedIdentifiers(t *testing.T) {
+	src := "module top (\\a/b , y);\ninput \\a/b ;\noutput y;\nwire \\n/1\n;\n" +
+		"INV_X1 \\u/1\n (.A(\\a/b\n), .ZN(\\n/1\n));\nINV_X1 u2 (.A(\\n/1\n), .ZN(y));\nendmodule\n"
+	lib := designs.Lib()
+	lf, _, err := ParseWith(strings.NewReader(src), lib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crlf, _, err := ParseWith(strings.NewReader(strings.ReplaceAll(src, "\n", "\r\n")), lib, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, d := range map[string]*netlist.Design{"LF": lf, "CRLF": crlf} {
+		if n := indexNames(d).nets["a/b"]; n == nil || len(n.Pins) != 2 {
+			t.Fatalf("%s: net a/b is %v, want the port and u/1's A", name, n)
+		}
+	}
+	if len(lf.Insts) != len(crlf.Insts) || len(lf.Nets) != len(crlf.Nets) || len(lf.Ports) != len(crlf.Ports) {
+		t.Fatalf("CRLF read %d insts %d nets %d ports, LF %d %d %d",
+			len(crlf.Insts), len(crlf.Nets), len(crlf.Ports), len(lf.Insts), len(lf.Nets), len(lf.Ports))
+	}
+	for i, p := range lf.Ports {
+		if q := crlf.Ports[i]; p.Name != q.Name || p.Dir != q.Dir {
+			t.Errorf("port %d: CRLF %q %v, LF %q %v", i, q.Name, q.Dir, p.Name, p.Dir)
+		}
+	}
+	for i, inst := range lf.Insts {
+		if q := crlf.Insts[i]; inst.Name != q.Name || inst.Master != q.Master {
+			t.Errorf("instance %d: CRLF %q, LF %q", i, q.Name, inst.Name)
+		}
+	}
+	for i, n := range lf.Nets {
+		if q := crlf.Nets[i]; n.Name != q.Name || !slices.Equal(n.Pins, q.Pins) {
+			t.Errorf("net %d: CRLF %q %v, LF %q %v", i, q.Name, q.Pins, n.Name, n.Pins)
+		}
 	}
 }

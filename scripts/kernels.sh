@@ -38,6 +38,8 @@ kernels=(
     "./internal/place/ ^BenchmarkSolveRound$ 10x"
     "./internal/cluster/ ^BenchmarkMultilevelFCScale100k$ 1s"
     "./internal/place/ ^BenchmarkDetailedScale100k$ 1x"
+    "./internal/place/ ^BenchmarkLegalizeScale100k$ 1s"
+    "./internal/cts/ ^BenchmarkSynthesizeScale100k$ 1s"
     "./internal/sta/ ^Benchmark(STABuildAndRunScale100k|TopPathsScale100k)$ 1s"
     "./internal/route/ ^BenchmarkGlobalRouteScale100k$ 1s"
     "./internal/netlist/ ^BenchmarkCloneScale100k$ 1s"
