@@ -42,6 +42,8 @@ kernels=(
     "./internal/cts/ ^BenchmarkSynthesizeScale100k$ 1s"
     "./internal/sta/ ^Benchmark(STABuildAndRunScale100k|TopPathsScale100k)$ 1s"
     "./internal/route/ ^BenchmarkGlobalRouteScale100k$ 1s"
+    "./internal/route/ ^BenchmarkSteiner$ 1s"
+    "./internal/vpr/ ^BenchmarkBestShape$ 1s"
     "./internal/netlist/ ^BenchmarkCloneScale100k$ 1s"
 )
 
