@@ -314,7 +314,7 @@ func Run(b *designs.Benchmark, opt Options) (*Result, error) {
 	}
 	place.Global(d, popt)
 	place.Legalize(d)
-	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
+	place.Detailed(d, place.DetailedOptions{Seed: opt.Seed, Workers: opt.Workers})
 	res.IncrPlaceTime = time.Since(t0)
 	res.PlaceTime = res.ClusterTime + res.SeedPlaceTime + res.IncrPlaceTime
 
@@ -347,7 +347,7 @@ func RunDefault(b *designs.Benchmark, opt Options) (*Result, error) {
 	var an *sta.Analyzer
 	fork(opt.Workers, func() {
 		place.Legalize(d)
-		place.Detailed(d, place.DetailedOptions{Seed: opt.Seed})
+		place.Detailed(d, place.DetailedOptions{Seed: opt.Seed, Workers: opt.Workers})
 		res.IncrPlaceTime = time.Since(t0)
 	}, func() {
 		if !opt.SkipRoute {

@@ -158,6 +158,113 @@ func (c *WirelenCache) MoveCell(id int, x, y float64) {
 	}
 }
 
+// SwapCost prices the swap of instances a and b without performing it. It
+// returns the summed cached HPWL of their nets — a's nets in InstNets order,
+// then b's nets that are not on a — and the same sum as it would read after
+// MoveCell(a, b's origin) then MoveCell(b, a's origin), equal bit for bit
+// up to the sign of a zero. It writes nothing, so calls may run
+// concurrently with each other (not with MoveCell), and a rejected trial
+// leaves nothing to revert.
+func (c *WirelenCache) SwapCost(a, b int) (before, after float64) {
+	cm := c.cm
+	sa, saEnd := c.slotStart[a], c.slotStart[a+1]
+	sb, sbEnd := c.slotStart[b], c.slotStart[b+1]
+	for j := cm.InstStart[a]; j < cm.InstStart[a+1]; j++ {
+		n := cm.InstNets[j]
+		pa := c.slotsOn(&sa, saEnd, n)
+		pb := c.slotsOn(&sb, sbEnd, n)
+		before += c.hp[n]
+		after += c.swappedHPWL(int(n), a, b, pa, pb)
+	}
+	sa, sb = c.slotStart[a], c.slotStart[b]
+	for j := cm.InstStart[b]; j < cm.InstStart[b+1]; j++ {
+		n := cm.InstNets[j]
+		if len(c.slotsOn(&sa, saEnd, n)) > 0 {
+			continue // on a too: priced above
+		}
+		before += c.hp[n]
+		after += c.swappedHPWL(int(n), a, b, nil, c.slotsOn(&sb, sbEnd, n))
+	}
+	return before, after
+}
+
+// slotsOn returns the run of an instance's ascending pin slots, read from
+// *s up to end, that lie on net n, and advances *s past it. Called with
+// ascending n, it walks each slot once.
+func (c *WirelenCache) slotsOn(s *int32, end, n int32) []int32 {
+	lo, hi := c.cm.NetStart[n], c.cm.NetStart[n+1]
+	for *s < end && c.slots[*s] < lo {
+		*s++
+	}
+	first := *s
+	for *s < end && c.slots[*s] < hi {
+		*s++
+	}
+	return c.slots[first:*s]
+}
+
+// swappedHPWL returns net n's HPWL with instances a and b at each other's
+// origins; pa and pb are their pin slots on the net. It replays moveOnNet's
+// rule on a copy of the cached box: a pin that owns an edge and moves
+// inward forces an exact recompute over the net's pins, otherwise the box
+// only expands. Both yield the exact box of the swapped positions, which is
+// the box the two MoveCell calls would leave.
+func (c *WirelenCache) swappedHPWL(n, a, b int, pa, pb []int32) float64 {
+	cm := c.cm
+	if cm.NumNetPins(n) < 2 {
+		return c.hp[n]
+	}
+	ax, ay := c.pos.InstX[a], c.pos.InstY[a]
+	bx, by := c.pos.InstX[b], c.pos.InstY[b]
+	minX, maxX, minY, maxY := c.minX[n], c.maxX[n], c.minY[n], c.maxY[n]
+	if c.leavesEdge(n, pa, ax, ay, bx, by) || c.leavesEdge(n, pb, bx, by, ax, ay) {
+		minX, minY = 1e308, 1e308
+		maxX, maxY = -1e308, -1e308
+		for k := cm.NetStart[n]; k < cm.NetStart[n+1]; k++ {
+			var x, y float64
+			switch int(cm.PinInst[k]) {
+			case a:
+				x, y = bx+cm.pinDX[k], by+cm.pinDY[k]
+			case b:
+				x, y = ax+cm.pinDX[k], ay+cm.pinDY[k]
+			default:
+				x, y = cm.PinXY(&c.pos, k)
+			}
+			minX, maxX = min(minX, x), max(maxX, x)
+			minY, maxY = min(minY, y), max(maxY, y)
+		}
+		return (maxX - minX) + (maxY - minY)
+	}
+	for _, k := range pa {
+		x, y := bx+cm.pinDX[k], by+cm.pinDY[k]
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+	}
+	for _, k := range pb {
+		x, y := ax+cm.pinDX[k], ay+cm.pinDY[k]
+		minX, maxX = min(minX, x), max(maxX, x)
+		minY, maxY = min(minY, y), max(maxY, y)
+	}
+	return (maxX - minX) + (maxY - minY)
+}
+
+// leavesEdge reports whether a pin of pins, moved with its cell from
+// (oldX, oldY) to (x, y), owns an edge of net n's cached box and moves off
+// it inward, after which the new edge may be any other pin and only an
+// exact recompute finds it.
+func (c *WirelenCache) leavesEdge(n int, pins []int32, oldX, oldY, x, y float64) bool {
+	cm := c.cm
+	for _, k := range pins {
+		ox, oy := oldX+cm.pinDX[k], oldY+cm.pinDY[k]
+		nx, ny := x+cm.pinDX[k], y+cm.pinDY[k]
+		if (ox == c.minX[n] && nx > ox) || (ox == c.maxX[n] && nx < ox) ||
+			(oy == c.minY[n] && ny > oy) || (oy == c.maxY[n] && ny < oy) {
+			return true
+		}
+	}
+	return false
+}
+
 // moveOnNet updates net netID's bbox for a cell moved from (oldX, oldY) to
 // (x, y); pins are the cell's pin slots on the net.
 func (c *WirelenCache) moveOnNet(netID int, pins []int32, x, y, oldX, oldY float64) {
@@ -167,14 +274,9 @@ func (c *WirelenCache) moveOnNet(netID int, pins []int32, x, y, oldX, oldY float
 	}
 	// Pass 1: does any moved pin own a bbox edge and move off it inward?
 	// Then the new edge may be any other pin — recompute exactly.
-	for _, k := range pins {
-		ox, oy := oldX+cm.pinDX[k], oldY+cm.pinDY[k]
-		nx, ny := x+cm.pinDX[k], y+cm.pinDY[k]
-		if (ox == c.minX[netID] && nx > ox) || (ox == c.maxX[netID] && nx < ox) ||
-			(oy == c.minY[netID] && ny > oy) || (oy == c.maxY[netID] && ny < oy) {
-			c.recompute(netID)
-			return
-		}
+	if c.leavesEdge(netID, pins, oldX, oldY, x, y) {
+		c.recompute(netID)
+		return
 	}
 	// Pass 2: every moved pin stayed put or moved outward; expand the bbox.
 	for _, k := range pins {

@@ -235,3 +235,103 @@ func TestWirelenCacheMoveIndependentOfFanout(t *testing.T) {
 	}
 	checkWirelenCache(t, "after timing", d, c)
 }
+
+// TestWirelenCacheSwapCostMatchesMoveCell holds the read-only swap pricing
+// to the moves it stands for: on the hard shapes (two-pin cells, ports, a
+// 5 000-pin net) and on cells stacked on one spot, for random pairs — half
+// of them sharing a net, some at one origin — SwapCost's two sums must equal,
+// bit for bit, the sums of the cached HPWL of the two cells' nets around
+// MoveCell(a, b's origin) and MoveCell(b, a's origin), and SwapCost must
+// leave every cached box, HPWL and position as it found them. Half the swaps
+// are kept, so the pairs are priced on an evolving placement.
+func TestWirelenCacheSwapCostMatchesMoveCell(t *testing.T) {
+	d, hot := wirelenHardDesign(t)
+	for i := 100; i < 140; i++ { // coincident pins: forty cells on one spot
+		d.Insts[i].X, d.Insts[i].Y = 250, 250
+		hot = append(hot, i)
+	}
+	c := NewWirelenCache(d)
+	cm := d.Compact()
+	netCost := func(a, b int) float64 {
+		seen := map[int32]bool{}
+		var sum float64
+		for _, id := range [2]int{a, b} {
+			for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
+				if n := cm.InstNets[j]; !seen[n] {
+					seen[n] = true
+					sum += c.NetHPWL(int(n))
+				}
+			}
+		}
+		return sum
+	}
+	snapshot := func() [][]float64 {
+		var s [][]float64
+		for _, a := range [][]float64{c.minX, c.maxX, c.minY, c.maxY, c.hp, c.pos.InstX, c.pos.InstY} {
+			s = append(s, append([]float64(nil), a...))
+		}
+		return s
+	}
+	rng := rand.New(rand.NewSource(3))
+	pick := func() int {
+		if rng.Intn(2) == 0 {
+			return hot[rng.Intn(len(hot))]
+		}
+		return rng.Intn(len(d.Insts))
+	}
+	shared, moved := 0, 0
+	for step := 0; step < 3000; step++ {
+		a := pick()
+		b := pick()
+		if rng.Intn(2) == 0 && cm.InstStart[a+1] > cm.InstStart[a] {
+			// b shares one of a's nets (a small one, or the 5 000-pin net).
+			n := cm.InstNets[cm.InstStart[a]+int32(rng.Intn(int(cm.InstStart[a+1]-cm.InstStart[a])))]
+			b = int(cm.PinInst[cm.NetStart[n]+int32(rng.Intn(cm.NumNetPins(int(n))))])
+		}
+		if b < 0 || a == b {
+			continue
+		}
+		if rng.Intn(10) == 0 { // a and b at one origin: the swap moves nothing
+			bx, by := c.InstXY(b)
+			c.MoveCell(a, bx, by)
+		}
+		snap := snapshot()
+		before, after := c.SwapCost(a, b)
+		for i, arr := range snapshot() {
+			for k, v := range arr {
+				if math.Float64bits(v) != math.Float64bits(snap[i][k]) {
+					t.Fatalf("step %d: SwapCost(%d, %d) wrote array %d at %d", step, a, b, i, k)
+				}
+			}
+		}
+		wantBefore := netCost(a, b)
+		ax, ay := c.InstXY(a)
+		bx, by := c.InstXY(b)
+		c.MoveCell(a, bx, by)
+		c.MoveCell(b, ax, ay)
+		wantAfter := netCost(a, b)
+		if math.Float64bits(before) != math.Float64bits(wantBefore) || math.Float64bits(after) != math.Float64bits(wantAfter) {
+			t.Fatalf("step %d: SwapCost(%d, %d) = (%v, %v), MoveCell gives (%v, %v)", step, a, b, before, after, wantBefore, wantAfter)
+		}
+		if wantBefore != wantAfter {
+			moved++
+		}
+		if rng.Intn(2) == 0 {
+			c.MoveCell(a, ax, ay)
+			c.MoveCell(b, bx, by)
+		}
+		for j, s := cm.InstStart[a], c.slotStart[b]; j < cm.InstStart[a+1]; j++ {
+			if len(c.slotsOn(&s, c.slotStart[b+1], cm.InstNets[j])) > 0 {
+				shared++
+				break
+			}
+		}
+		if step%97 == 0 {
+			checkWirelenCache(t, fmt.Sprintf("step %d", step), d, c)
+		}
+	}
+	t.Logf("%d swaps of cells sharing a net, %d that changed HPWL", shared, moved)
+	if shared < 500 || moved < 500 {
+		t.Fatalf("%d swaps of cells sharing a net, %d that changed HPWL; want both kinds well covered", shared, moved)
+	}
+}

@@ -5,16 +5,30 @@ import (
 	"math/rand"
 
 	"ppaclust/internal/netlist"
+	"ppaclust/internal/par"
 )
 
 // DetailedOptions configures detailed placement.
 type DetailedOptions struct {
 	// Seed drives the visit order.
 	Seed int64
+	// Workers bounds the goroutines a pass evaluates its visits on: 0 =
+	// auto (PPACLUST_WORKERS, else GOMAXPROCS). The result is bit-identical
+	// at every worker count.
+	Workers int
 }
 
 // detailedPasses is the number of passes over all cells.
 const detailedPasses = 2
+
+// detailChunk is the number of consecutive visits a pass evaluates side by
+// side against one state before committing them in visit order. The
+// evaluation hands out a chunk in detailSlices contiguous slices, so
+// workers that draw cheap visits take more slices.
+const (
+	detailChunk  = 512
+	detailSlices = 16
+)
 
 // DetailedResult reports the refinement outcome.
 type DetailedResult struct {
@@ -31,7 +45,9 @@ type DetailedResult struct {
 // as a swap with the equal-width cell nearest that spot. Only strictly
 // HPWL-improving swaps are accepted, so the result is never worse than the
 // input and stays legal. The cost is O(pins of the cells visited) per pass;
-// a core with no area leaves the design untouched.
+// a core with no area leaves the design untouched. Visits are evaluated on
+// opt.Workers goroutines and committed in visit order, so the result is the
+// serial one.
 func Detailed(d *netlist.Design, opt DetailedOptions) DetailedResult {
 	dp := newDetailer(d, opt)
 	hpwl := dp.wl.Total()
@@ -76,34 +92,58 @@ type detailer struct {
 	// Spatial index, rebuilt once per pass and deliberately stale within it:
 	// run b*nCls+c holds the class-c cells whose centre fell in bucket b at
 	// rebuild time, in instance order, as entries
-	// ex/ey/eid[runStart[run]:runStart[run+1]]. Bucket membership is stale
-	// but coordinates are live: an accepted swap rewrites the centres of its
-	// two entries. entry[ci] locates cell ci's own entry.
+	// ex/ey/ecell[runStart[run]:runStart[run+1]] (ecell: the cell index).
+	// Bucket membership is stale but coordinates are live: an accepted swap
+	// rewrites the centres of its two entries and stamps their runs with
+	// the swap count in runMoved. entry[ci] locates cell ci's own entry,
+	// runOf[ci] its run.
 	bw, bh   float64
 	runStart []int32
 	ex, ey   []float64
-	eid      []int32
+	ecell    []int32
 	entry    []int32
-	runOf    []int32 // rebuild scratch: run of each cell
+	runOf    []int32
+	runMoved []int
 	fill     []int32 // rebuild scratch: next free entry of each run
-
-	// netCost dedup stamps and optimalSpot median buffers.
-	stamp  []int64
-	epoch  int64
-	xs, ys []float64
 
 	// Spot cache: cell ci's optimalSpot as last computed, when moves was
 	// spotAt[ci] (-1: never). An accepted swap counts itself in moves and
 	// stamps every net of its two cells with the count in netMoved. Only an
-	// accepted swap moves a pin — a rejected trial restores both origins bit
-	// for bit — so a spot stays exact while none of its cell's spot nets
-	// (those of at most detailMaxNetPins pins) carries a later stamp.
+	// accepted swap moves a pin — a trial is priced without moving one — so
+	// a spot stays exact while none of its cell's spot nets (those of at
+	// most detailMaxNetPins pins) carries a later stamp.
 	spotX, spotY []float64
 	spotOK       []bool
 	spotAt       []int
 	netMoved     []int
 	moves        int
+
+	// The chunk of the visit order under evaluation, one result slot per
+	// visit, one pair of optimalSpot median buffers per slice, and the fork
+	// body, built once so a pass allocates only par.ForEach's own fork.
+	workers   int
+	chunk     []int
+	visits    []visit
+	medians   []medianBuf
+	evalSlice func(s int)
 }
+
+// visit is what one visit decides, and what it read to decide it: cell
+// ci's optimal spot (spotNew: computed, not taken from the cache), the
+// ring radius its candidate search scanned (-1: it stopped before the
+// search), the candidate entry it priced (-1: none) and whether the swap
+// lowers HPWL.
+type visit struct {
+	ox, oy  float64
+	spotOK  bool
+	spotNew bool
+	accept  bool
+	ring    int32
+	cand    int32
+}
+
+// medianBuf holds one slice's optimalSpot coordinate lists.
+type medianBuf struct{ xs, ys []float64 }
 
 func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 	cm := d.Compact()
@@ -113,8 +153,8 @@ func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 		wl:       netlist.NewWirelenCache(d),
 		bw:       d.Core.W() / detailGridN,
 		bh:       d.Core.H() / detailGridN,
-		stamp:    make([]int64, len(d.Nets)),
 		netMoved: make([]int, len(d.Nets)),
+		workers:  par.Workers(opt.Workers),
 	}
 	dp.cells = make([]int32, 0, len(d.Insts))
 	dp.class = make([]int32, 0, len(d.Insts))
@@ -145,13 +185,24 @@ func newDetailer(d *netlist.Design, opt DetailedOptions) *detailer {
 	dp.order = rand.New(rand.NewSource(opt.Seed + 31)).Perm(nCells)
 	dp.runStart = make([]int32, detailGridN*detailGridN*dp.nCls+1)
 	dp.fill = make([]int32, len(dp.runStart)-1)
+	dp.runMoved = make([]int, len(dp.runStart)-1)
 	dp.ex = make([]float64, nCells)
 	dp.ey = make([]float64, nCells)
-	dp.eid = make([]int32, nCells)
+	dp.ecell = make([]int32, nCells)
 	dp.entry = make([]int32, nCells)
 	dp.runOf = make([]int32, nCells)
-	dp.xs = make([]float64, 0, spotPins)
-	dp.ys = make([]float64, 0, spotPins)
+	dp.visits = make([]visit, min(detailChunk, nCells))
+	dp.medians = make([]medianBuf, detailSlices)
+	for s := range dp.medians {
+		dp.medians[s] = medianBuf{make([]float64, 0, spotPins), make([]float64, 0, spotPins)}
+	}
+	dp.evalSlice = func(s int) {
+		n := len(dp.chunk)
+		k := min(detailSlices, n)
+		for i := s * n / k; i < (s+1)*n/k; i++ {
+			dp.evaluate(dp.chunk[i], &dp.visits[i], &dp.medians[s])
+		}
+	}
 	dp.spotX = make([]float64, nCells)
 	dp.spotY = make([]float64, nCells)
 	dp.spotOK = make([]bool, nCells)
@@ -192,78 +243,144 @@ func (dp *detailer) rebuild() {
 		dp.fill[r] = dp.runStart[r]
 		dp.runStart[r+1] += dp.runStart[r]
 	}
-	for ci, id := range dp.cells {
+	for ci := range dp.cells {
 		e := dp.fill[dp.runOf[ci]]
 		dp.fill[dp.runOf[ci]]++
 		dp.entry[ci] = e
-		dp.eid[e] = id
+		dp.ecell[e] = int32(ci)
 		dp.setCentre(e)
 	}
 }
 
 // setCentre refreshes entry e's coordinates from its instance.
 func (dp *detailer) setCentre(e int32) {
-	inst := dp.d.Insts[dp.eid[e]]
+	inst := dp.d.Insts[dp.cells[dp.ecell[e]]]
 	dp.ex[e], dp.ey[e] = inst.CenterX(), inst.CenterY()
 }
 
 // pass visits every cell once and returns the number of accepted swaps.
+// The visit order is cut into chunks of detailChunk visits (of one at one
+// worker). Every visit of a chunk is first evaluated, on the workers,
+// against the state at the chunk's start; the decisions are then committed
+// in visit order, and a visit whose read set an earlier swap of the chunk
+// touched (dirty) is evaluated again on the live state first. A clean visit
+// read exactly what the serial pass would have read at its turn, so every
+// commit is the serial pass's.
 func (dp *detailer) pass() int {
 	dp.rebuild()
+	size := detailChunk
+	if dp.workers == 1 {
+		size = 1
+	}
 	swaps := 0
-	for _, ci := range dp.order {
-		id := dp.cells[ci]
-		ox, oy, ok := dp.spot(ci)
-		if !ok {
-			continue
-		}
-		self := dp.entry[ci]
-		if math.Abs(ox-dp.ex[self])+math.Abs(oy-dp.ey[self]) < dp.bw/2 {
-			continue // already near-optimal
-		}
-		// Candidate: equal-width cell nearest the optimal spot.
-		cand := dp.nearestSameWidth(self, dp.class[ci], ox, oy)
-		if cand < 0 {
-			continue
-		}
-		a, b := int(id), int(dp.eid[cand])
-		before := dp.netCost(a, b)
-		ax, ay := dp.wl.InstXY(a)
-		bx, by := dp.wl.InstXY(b)
-		dp.wl.MoveCell(a, bx, by)
-		dp.wl.MoveCell(b, ax, ay)
-		if dp.netCost(a, b) < before-1e-9 {
-			swaps++
-			dp.moves++
-			dp.stampNets(a)
-			dp.stampNets(b)
-			dp.setCentre(self)
-			dp.setCentre(cand)
-		} else {
-			// Revert.
-			dp.wl.MoveCell(a, ax, ay)
-			dp.wl.MoveCell(b, bx, by)
+	for lo := 0; lo < len(dp.order); lo += size {
+		dp.chunk = dp.order[lo:min(lo+size, len(dp.order))]
+		start := dp.moves
+		par.ForEach(dp.workers, min(detailSlices, len(dp.chunk)), dp.evalSlice)
+		for i, ci := range dp.chunk {
+			v := &dp.visits[i]
+			if dp.moves > start && dp.dirty(ci, v, start) {
+				dp.evaluate(ci, v, &dp.medians[0])
+			}
+			if dp.commit(ci, v) {
+				swaps++
+			}
 		}
 	}
 	return swaps
 }
 
-// netCost sums the cached HPWL of the nets touching the two instances (the
-// only terms a swap can alter), deduped with an epoch stamp.
-func (dp *detailer) netCost(id1, id2 int) float64 {
-	dp.epoch++
-	cm := dp.cm
-	var sum float64
-	for _, id := range [2]int{id1, id2} {
-		for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
-			n := cm.InstNets[j]
-			if dp.stamp[n] != dp.epoch {
-				dp.stamp[n] = dp.epoch
-				sum += dp.wl.NetHPWL(int(n))
+// evaluate decides cell ci's visit on the current state and records the
+// decision in v. It writes nothing else but the median buffers m, so
+// visits on distinct slots and buffers may be evaluated side by side.
+func (dp *detailer) evaluate(ci int, v *visit, m *medianBuf) {
+	*v = visit{ring: -1, cand: -1}
+	if dp.spotFresh(ci) {
+		v.ox, v.oy, v.spotOK = dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci]
+	} else {
+		v.ox, v.oy, v.spotOK = dp.optimalSpot(dp.cells[ci], m)
+		v.spotNew = true
+	}
+	if !v.spotOK {
+		return
+	}
+	self := dp.entry[ci]
+	if math.Abs(v.ox-dp.ex[self])+math.Abs(v.oy-dp.ey[self]) < dp.bw/2 {
+		return // already near-optimal
+	}
+	// Candidate: equal-width cell nearest the optimal spot.
+	v.cand, v.ring = dp.nearestSameWidth(self, dp.class[ci], v.ox, v.oy)
+	if v.cand < 0 {
+		return
+	}
+	before, after := dp.wl.SwapCost(int(dp.cells[ci]), int(dp.cells[dp.ecell[v.cand]]))
+	v.accept = after < before-1e-9
+}
+
+// dirty reports whether an accepted swap counted after start touched what
+// cell ci's evaluation v read: a pin on a net of the cell, or of its
+// candidate (the spot, the trial's boxes and pins), or an entry of the
+// cell's class in the square of buckets the candidate search scanned. A
+// swap stamps every net of both its cells, so the net test also covers the
+// cell's own centre and the candidate's position whenever that cell has a
+// net; a netless candidate lies in the scanned square, and a netless cell
+// has no spot and reads nothing else.
+func (dp *detailer) dirty(ci int, v *visit, start int) bool {
+	if dp.netsMoved(int(dp.cells[ci]), start) {
+		return true
+	}
+	if v.ring < 0 {
+		return false
+	}
+	b := dp.bucketOf(v.ox, v.oy)
+	si, sj, r := b%detailGridN, b/detailGridN, int(v.ring)
+	for j := max(sj-r, 0); j <= min(sj+r, detailGridN-1); j++ {
+		for i := max(si-r, 0); i <= min(si+r, detailGridN-1); i++ {
+			if dp.runMoved[(j*detailGridN+i)*dp.nCls+int(dp.class[ci])] > start {
+				return true
 			}
 		}
 	}
-	return sum
+	return v.cand >= 0 && dp.netsMoved(int(dp.cells[dp.ecell[v.cand]]), start)
+}
+
+// netsMoved reports whether a net of instance id carries a stamp later than
+// start.
+func (dp *detailer) netsMoved(id, start int) bool {
+	cm := dp.cm
+	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
+		if dp.netMoved[cm.InstNets[j]] > start {
+			return true
+		}
+	}
+	return false
+}
+
+// commit applies visit v of cell ci as the serial pass would at its turn:
+// it caches a newly computed spot and performs an accepted swap, reporting
+// whether it did.
+func (dp *detailer) commit(ci int, v *visit) bool {
+	if v.spotNew {
+		dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci] = v.ox, v.oy, v.spotOK
+		dp.spotAt[ci] = dp.moves
+	}
+	if !v.accept {
+		return false
+	}
+	self, cand := dp.entry[ci], v.cand
+	a, b := int(dp.cells[ci]), int(dp.cells[dp.ecell[cand]])
+	ax, ay := dp.wl.InstXY(a)
+	bx, by := dp.wl.InstXY(b)
+	dp.wl.MoveCell(a, bx, by)
+	dp.wl.MoveCell(b, ax, ay)
+	dp.moves++
+	dp.stampNets(a)
+	dp.stampNets(b)
+	dp.setCentre(self)
+	dp.setCentre(cand)
+	dp.runMoved[dp.runOf[ci]] = dp.moves
+	dp.runMoved[dp.runOf[dp.ecell[cand]]] = dp.moves
+	return true
 }
 
 // stampNets marks every net of instance id as moved at the current swap
@@ -273,16 +390,6 @@ func (dp *detailer) stampNets(id int) {
 	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
 		dp.netMoved[cm.InstNets[j]] = dp.moves
 	}
-}
-
-// spot returns cell ci's optimalSpot, recomputing it only when the cache
-// cannot vouch for it.
-func (dp *detailer) spot(ci int) (float64, float64, bool) {
-	if !dp.spotFresh(ci) {
-		dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci] = dp.optimalSpot(dp.cells[ci])
-		dp.spotAt[ci] = dp.moves
-	}
-	return dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci]
 }
 
 // spotFresh reports whether cell ci's cached spot was computed and no
@@ -304,11 +411,11 @@ func (dp *detailer) spotFresh(ci int) bool {
 }
 
 // optimalSpot returns the median position of the other pins on the cell's
-// nets — the classic optimal-region center for single-cell moves. Nets with
-// more than detailMaxNetPins pins are skipped.
-func (dp *detailer) optimalSpot(id int32) (float64, float64, bool) {
+// nets — the classic optimal-region center for single-cell moves — gathered
+// in m. Nets with more than detailMaxNetPins pins are skipped.
+func (dp *detailer) optimalSpot(id int32, m *medianBuf) (float64, float64, bool) {
 	cm := dp.cm
-	xs, ys := dp.xs[:0], dp.ys[:0]
+	xs, ys := m.xs[:0], m.ys[:0]
 	for j := cm.InstStart[id]; j < cm.InstStart[id+1]; j++ {
 		n := cm.InstNets[j]
 		lo, hi := cm.NetStart[n], cm.NetStart[n+1]
@@ -366,7 +473,8 @@ func selectKth(a []float64, k int) float64 {
 // nearestSameWidth scans outward from the bucket of (ox, oy), ring by ring,
 // for the entry of class cls closest to that point, skipping the cell's own
 // entry self; -1 if the three rings hold none. Ties keep the first entry met.
-func (dp *detailer) nearestSameWidth(self, cls int32, ox, oy float64) int32 {
+// It also returns the radius of the last ring it scanned.
+func (dp *detailer) nearestSameWidth(self, cls int32, ox, oy float64) (int32, int32) {
 	start := dp.bucketOf(ox, oy)
 	si, sj := start%detailGridN, start/detailGridN
 	best := int32(-1)
@@ -394,10 +502,10 @@ func (dp *detailer) nearestSameWidth(self, cls int32, ox, oy float64) int32 {
 			}
 		}
 		if best >= 0 {
-			return best
+			return best, int32(r)
 		}
 	}
-	return best
+	return best, 2
 }
 
 func maxAbs(a, b int) int {

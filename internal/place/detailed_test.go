@@ -128,15 +128,153 @@ func TestDetailedDegenerateInputs(t *testing.T) {
 }
 
 // TestDetailedPassAllocFree asserts that, once newDetailer has sized its
-// arrays, a full pass — index rebuild and every tried swap — allocates
-// nothing.
+// arrays, a full pass at one worker — index rebuild and every tried swap —
+// allocates nothing.
 func TestDetailedPassAllocFree(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(5000, 1)).Design
 	Global(d, Options{Seed: 1})
 	Legalize(d)
-	dp := newDetailer(d, DetailedOptions{Seed: 1})
+	dp := newDetailer(d, DetailedOptions{Seed: 1, Workers: 1})
 	if allocs := testing.AllocsPerRun(2, func() { dp.pass() }); allocs != 0 {
 		t.Fatalf("a detailed-placement pass allocates %v times, want 0", allocs)
+	}
+}
+
+// TestDetailedPassAllocsBounded asserts that a pass at two workers
+// allocates nothing but par.ForEach's fork, once per chunk of the visit
+// order. forkAllocs is what one par.ForEach call at two workers allocates,
+// measured with testing.AllocsPerRun (it is 4 + 1 per goroutine).
+func TestDetailedPassAllocsBounded(t *testing.T) {
+	const forkAllocs = 6
+	d := designs.Generate(designs.ScaleSpec(5000, 1)).Design
+	Global(d, Options{Seed: 1})
+	Legalize(d)
+	dp := newDetailer(d, DetailedOptions{Seed: 1, Workers: 2})
+	chunks := (len(dp.order) + detailChunk - 1) / detailChunk
+	if allocs := testing.AllocsPerRun(2, func() { dp.pass() }); allocs > float64(chunks*forkAllocs) {
+		t.Fatalf("a detailed-placement pass at two workers allocates %v times, want at most %d (%d chunks × %d)",
+			allocs, chunks*forkAllocs, chunks, forkAllocs)
+	}
+}
+
+// serialDetailed is Detailed as it ran before visits were evaluated side by
+// side: one visit at a time, a fresh optimalSpot per visit, and a trial
+// swap made with two MoveCell calls and undone with two more when it is
+// rejected. It is the oracle of TestDetailedWorkersEquivalent.
+func serialDetailed(d *netlist.Design, seed int64) DetailedResult {
+	dp := newDetailer(d, DetailedOptions{Seed: seed, Workers: 1})
+	res := DetailedResult{HPWLBefore: dp.wl.Total()}
+	stamp := make([]int, len(d.Nets))
+	epoch := 0
+	netCost := func(id1, id2 int) float64 {
+		epoch++
+		var sum float64
+		for _, id := range [2]int{id1, id2} {
+			for j := dp.cm.InstStart[id]; j < dp.cm.InstStart[id+1]; j++ {
+				if n := dp.cm.InstNets[j]; stamp[n] != epoch {
+					stamp[n] = epoch
+					sum += dp.wl.NetHPWL(int(n))
+				}
+			}
+		}
+		return sum
+	}
+	for pass := 0; pass < detailedPasses; pass++ {
+		dp.rebuild()
+		for _, ci := range dp.order {
+			ox, oy, ok := dp.optimalSpot(dp.cells[ci], &dp.medians[0])
+			if !ok {
+				continue
+			}
+			self := dp.entry[ci]
+			if math.Abs(ox-dp.ex[self])+math.Abs(oy-dp.ey[self]) < dp.bw/2 {
+				continue
+			}
+			cand, _ := dp.nearestSameWidth(self, dp.class[ci], ox, oy)
+			if cand < 0 {
+				continue
+			}
+			a, b := int(dp.cells[ci]), int(dp.cells[dp.ecell[cand]])
+			before := netCost(a, b)
+			ax, ay := dp.wl.InstXY(a)
+			bx, by := dp.wl.InstXY(b)
+			dp.wl.MoveCell(a, bx, by)
+			dp.wl.MoveCell(b, ax, ay)
+			if netCost(a, b) < before-1e-9 {
+				res.Swaps++
+				dp.setCentre(self)
+				dp.setCentre(cand)
+			} else {
+				dp.wl.MoveCell(a, ax, ay)
+				dp.wl.MoveCell(b, bx, by)
+			}
+		}
+	}
+	res.HPWLAfter = dp.wl.Total()
+	return res
+}
+
+// TestDetailedWorkersEquivalent holds Detailed at one, two and four workers
+// to the serial oracle, bit for bit — every instance origin, the swap count
+// and both HPWL totals — on the golden fixture (legalized and shuffled) and
+// on a 10k-cell design, at two seeds. The shuffled fixture accepts
+// thousands of swaps, so many chunks commit several and their later visits
+// must be caught as dirty.
+func TestDetailedWorkersEquivalent(t *testing.T) {
+	golden := designs.Generate(designs.ScaleSpec(20000, 1)).Design
+	Global(golden, Options{Seed: 1})
+	Legalize(golden)
+	shuffled := golden.Clone()
+	shuffleEqualWidth(shuffled)
+	small := designs.Generate(designs.ScaleSpec(10000, 2)).Design
+	Global(small, Options{Seed: 2})
+	Legalize(small)
+	fixtures := []struct {
+		name string
+		d    *netlist.Design
+	}{{"legalized", golden}, {"shuffled", shuffled}, {"10k", small}}
+	for _, fx := range fixtures {
+		for _, seed := range []int64{1, 2} {
+			want := fx.d.Clone()
+			wantRes := serialDetailed(want, seed)
+			for _, w := range []int{1, 2, 4} {
+				d := fx.d.Clone()
+				res := Detailed(d, DetailedOptions{Seed: seed, Workers: w})
+				if res.Swaps != wantRes.Swaps ||
+					math.Float64bits(res.HPWLBefore) != math.Float64bits(wantRes.HPWLBefore) ||
+					math.Float64bits(res.HPWLAfter) != math.Float64bits(wantRes.HPWLAfter) {
+					t.Fatalf("%s seed %d W=%d: %+v, serial oracle %+v", fx.name, seed, w, res, wantRes)
+				}
+				for i, inst := range d.Insts {
+					if math.Float64bits(inst.X) != math.Float64bits(want.Insts[i].X) ||
+						math.Float64bits(inst.Y) != math.Float64bits(want.Insts[i].Y) {
+						t.Fatalf("%s seed %d W=%d: instance %d at (%v, %v), serial oracle (%v, %v)",
+							fx.name, seed, w, i, inst.X, inst.Y, want.Insts[i].X, want.Insts[i].Y)
+					}
+				}
+			}
+			t.Logf("%s seed %d: %d swaps", fx.name, seed, wantRes.Swaps)
+		}
+	}
+}
+
+// shuffleEqualWidth exchanges the positions of consecutive movable core
+// cells of equal width, in instance order: a legal but poor placement on
+// which Detailed accepts thousands of swaps.
+func shuffleEqualWidth(d *netlist.Design) {
+	pending := map[float64]*netlist.Instance{}
+	for _, inst := range d.Insts {
+		if inst.Fixed || inst.Master.Class != netlist.ClassCore {
+			continue
+		}
+		w := inst.Master.Width
+		if p := pending[w]; p != nil {
+			p.X, inst.X = inst.X, p.X
+			p.Y, inst.Y = inst.Y, p.Y
+			delete(pending, w)
+		} else {
+			pending[w] = inst
+		}
 	}
 }
 
@@ -169,20 +307,7 @@ func TestDetailedGoldenDeterministic(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			d := d0.Clone()
 			if tc.shuffle {
-				pending := map[float64]*netlist.Instance{}
-				for _, inst := range d.Insts {
-					if inst.Fixed || inst.Master.Class != netlist.ClassCore {
-						continue
-					}
-					w := inst.Master.Width
-					if p := pending[w]; p != nil {
-						p.X, inst.X = inst.X, p.X
-						p.Y, inst.Y = inst.Y, p.Y
-						delete(pending, w)
-					} else {
-						pending[w] = inst
-					}
-				}
+				shuffleEqualWidth(d)
 			}
 			res := Detailed(d, tc.opt)
 			h := sha256.New()
@@ -216,19 +341,7 @@ func TestDetailedSpotCacheExact(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
 	Global(d, Options{Seed: 1})
 	Legalize(d)
-	pending := map[float64]*netlist.Instance{}
-	for _, inst := range d.Insts {
-		if inst.Fixed || inst.Master.Class != netlist.ClassCore {
-			continue
-		}
-		if p := pending[inst.Master.Width]; p != nil {
-			p.X, inst.X = inst.X, p.X
-			p.Y, inst.Y = inst.Y, p.Y
-			delete(pending, inst.Master.Width)
-		} else {
-			pending[inst.Master.Width] = inst
-		}
-	}
+	shuffleEqualWidth(d)
 	dp := newDetailer(d, DetailedOptions{Seed: 2})
 	cm := d.Compact()
 	var pos netlist.Positions
@@ -268,7 +381,7 @@ func TestDetailedSpotCacheExact(t *testing.T) {
 			}
 			trusted++
 			x, y, ok := dp.spotX[ci], dp.spotY[ci], dp.spotOK[ci]
-			if fx, fy, fok := dp.optimalSpot(id); !same(x, y, ok, fx, fy, fok) {
+			if fx, fy, fok := dp.optimalSpot(id, &dp.medians[0]); !same(x, y, ok, fx, fy, fok) {
 				t.Fatalf("pass %d cell %d: cached spot (%v, %v, %v), fresh optimalSpot (%v, %v, %v)", pass, id, x, y, ok, fx, fy, fok)
 			}
 			if sx, sy, sok := sortedSpot(id); !same(x, y, ok, sx, sy, sok) {

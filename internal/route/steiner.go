@@ -62,7 +62,13 @@ func (sc *decScratch) decompose(cells [][2]int, maxPins int, out [][4]int) [][4]
 		return out
 	}
 	sc.mst(cells)
-	for _, v := range sc.ord[1:n] {
+	return sc.treeSegments(cells, out)
+}
+
+// treeSegments appends the edges of the tree the last mst call built on
+// cells, child by child in joining order.
+func (sc *decScratch) treeSegments(cells [][2]int, out [][4]int) [][4]int {
+	for _, v := range sc.ord[1:len(cells)] {
 		p := cells[sc.from[v]]
 		out = append(out, [4]int{p[0], p[1], cells[v][0], cells[v][1]})
 	}
@@ -182,6 +188,11 @@ func (sc *decScratch) steiner(cells [][2]int, maxPins int, out [][4]int) [][4]in
 			}
 		}
 		if bestGain <= 0 {
+			// No point helps: the tree just priced against is the result,
+			// the one decompose would build again.
+			if len(pts) <= maxPins {
+				return sc.treeSegments(pts, out)
+			}
 			break
 		}
 		pts = append(pts, [2]int{xs[bestI], ys[bestJ]})

@@ -24,6 +24,9 @@
 #          against the commit it sits on
 #   label  the working tree's commit field; default `git describe --always
 #          --dirty`, so an uncommitted tree reads <parent>-dirty
+# KERNELS=<regexp> in the environment keeps only the entries of the list
+# below whose line matches it (bash =~), e.g.
+#   KERNELS='DetailedScale100k|Steiner' scripts/kernels.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 ref=${1:-HEAD}
@@ -68,6 +71,7 @@ build() {
 }
 
 for k in "${kernels[@]}"; do
+    [[ -z ${KERNELS:-} || $k =~ $KERNELS ]] || continue
     read -r pkg re benchtime <<<"$k"
     echo "==> $pkg $re" >&2
     build "$pkg"
