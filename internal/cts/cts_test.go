@@ -120,8 +120,10 @@ func TestArrivalsUsableBySTA(t *testing.T) {
 
 func TestEmptyClockNet(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("e", lib)
-	n := d.AddNet("clk")
+	b := netlist.NewBuilder("e", lib)
+	d := b.Design
+	n := b.AddNet("clk")
+	build(t, b)
 	res := Synthesize(d, n, Options{BufMaster: lib.Master("CLKBUF_X2")})
 	if len(res.ArrivalList) != 0 || res.Buffers != 0 {
 		t.Fatalf("empty net result %+v", res)
@@ -157,23 +159,25 @@ func TestInsertionGrowsWithDistance(t *testing.T) {
 	// Sinks progressively farther from the clock root should see larger
 	// insertion delay once they land in different subtrees.
 	lib := designs.Lib()
-	d := netlist.NewDesign("spread", lib)
+	b := netlist.NewBuilder("spread", lib)
+	d := b.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 400, Y1: 400}
-	clkPort := d.AddPort("clk", netlist.DirInput)
+	clkPort := b.AddPort("clk", netlist.DirInput)
 	clkPort.X, clkPort.Y, clkPort.Placed = 0, 0, true
-	cn := d.AddNet("clk")
+	cn := b.AddNet("clk")
 	cn.Clock = true
-	d.Connect(cn, pinRef(d, -1, "clk"))
+	b.Connect(cn, pinRef(d, -1, "clk"))
 	dff := lib.Master("DFF_X1")
 	var ids []int
 	for i := 0; i < 32; i++ {
-		ff := d.AddInstance("ff"+itoaCTS(i), dff)
+		ff := b.AddInstance("ff"+itoaCTS(i), dff)
 		ff.X = float64(i * 12)
 		ff.Y = float64(i * 12)
 		ff.Placed = true
-		d.Connect(cn, pinRef(d, ff.ID, "CK"))
+		b.Connect(cn, pinRef(d, ff.ID, "CK"))
 		ids = append(ids, ff.ID)
 	}
+	build(t, b)
 	res := Synthesize(d, cn, Options{BufMaster: lib.Master("CLKBUF_X2")})
 	near := arrivalOf(res, pinRef(d, ids[0], "CK"))
 	far := arrivalOf(res, pinRef(d, ids[31], "CK"))
@@ -250,4 +254,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

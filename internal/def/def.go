@@ -185,12 +185,13 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	if p.d == nil {
 		return nil, p.warns.List(), scan.Errorf(file, 0, "", "no DESIGN statement")
 	}
-	return p.d, p.warns.List(), nil
+	d, err := p.d.Build()
+	return d, p.warns.List(), err
 }
 
 type defParser struct {
 	lib     *netlist.Library
-	d       *netlist.Design
+	d       *netlist.Builder
 	section string
 	units   float64
 	warns   *scan.Warnings // nil in strict mode
@@ -210,7 +211,7 @@ func (p *defParser) line(ln *scan.Line) error {
 		if p.d != nil {
 			return ln.Errf(ln.Tok(1), "duplicate DESIGN statement")
 		}
-		p.d = netlist.NewDesign(ln.Tok(1), p.lib)
+		p.d = netlist.NewBuilder(ln.Tok(1), p.lib)
 	case ln.Tok(0) == "UNITS":
 		// Corrupt units rescale every coordinate in the file; fatal in both
 		// modes.
@@ -460,10 +461,6 @@ func (p *defParser) net(ln *scan.Line) error {
 		case "(":
 			if i+2 >= ln.Len() {
 				return ln.Errf(ln.Tok(i), "truncated net connection")
-			}
-			if n.Pins == nil {
-				// Size the pins once: a connection "( a b )" is four tokens.
-				n.Pins = make([]netlist.PinRef, 0, (ln.Len()-i)/4+1)
 			}
 			ref, err := p.pinRef(ln, ln.Tok(i+1), ln.Tok(i+2))
 			if err != nil {

@@ -51,7 +51,8 @@ func TestWriteReturnsFirstError(t *testing.T) {
 // net.
 func fixture(t testing.TB) *netlist.Design {
 	lib := designs.Lib()
-	d := netlist.NewDesign("top/blk", lib)
+	nb := netlist.NewBuilder("top/blk", lib)
+	d := nb.Design
 	d.Die = netlist.Rect{X0: -2.5, Y0: 0, X1: 40.0005, Y1: 30}
 	d.Core = netlist.Rect{X0: 0, Y0: 1.4, X1: 38, Y1: 29.4}
 	d.RowHeight, d.SiteWidth = designs.RowHeight, designs.SiteWidth
@@ -67,11 +68,11 @@ func fixture(t testing.TB) *netlist.Design {
 		{"y", netlist.DirOutput, true, 40, 7.0005},
 		{"io[0]", netlist.DirInout, false, 0, 0},
 	} {
-		port := d.AddPort(p.name, p.dir)
+		port := nb.AddPort(p.name, p.dir)
 		port.Placed, port.X, port.Y = p.placed, p.x, p.y
 	}
 	inst := func(name, master string, x, y float64, placed, fixed bool) int {
-		i := d.AddInstance(name, lib.Master(master))
+		i := nb.AddInstance(name, lib.Master(master))
 		i.X, i.Y, i.Placed, i.Fixed = x, y, placed, fixed
 		return i.ID
 	}
@@ -80,9 +81,9 @@ func fixture(t testing.TB) *netlist.Design {
 	g := inst("0g", "NAND2_X1", 3, 4, false, false)
 	inst("lonely", "BUF_X1", 5, 5, true, false)
 	net := func(name string, pins ...netlist.PinRef) *netlist.Net {
-		n := d.AddNet(name)
+		n := nb.AddNet(name)
 		for _, pr := range pins {
-			d.Connect(n, pr)
+			nb.Connect(n, pr)
 		}
 		return n
 	}
@@ -103,7 +104,7 @@ func fixture(t testing.TB) *netlist.Design {
 	net("n_in", port("in2"), pin(g, "A2"))
 	net("w/q", pin(ff, "Q"), port("io[0]")).Weight = 3
 	net("g out", pin(g, "ZN"))
-	return d
+	return build(t, nb)
 }
 
 // TestWriteGolden pins Write's output byte for byte: any change to the
@@ -163,4 +164,14 @@ func BenchmarkWrite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

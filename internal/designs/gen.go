@@ -88,7 +88,7 @@ type driver struct {
 type generator struct {
 	rng     *rand.Rand
 	workers int
-	d       *netlist.Design
+	d       *netlist.Builder
 	lib     *netlist.Library
 	spec    Spec
 	gates   []*netlist.Master // comb masters, sampled by weight; resolved once
@@ -129,7 +129,7 @@ func generate(spec Spec, workers int) *Benchmark {
 		lib:     Lib(),
 		spec:    spec,
 	}
-	g.d = netlist.NewDesign(spec.Name, g.lib)
+	g.d = netlist.NewBuilder(spec.Name, g.lib)
 	// Resolve masters once instead of a name-map lookup per instance.
 	for _, name := range []string{
 		"INV_X1", "INV_X1", "INV_X2", "BUF_X1",
@@ -149,18 +149,22 @@ func generate(spec Spec, workers int) *Benchmark {
 	g.build()
 	cons := sta.DefaultConstraints(spec.ClockPeriod)
 	cons.ClockPorts = []string{"clk"}
-	return &Benchmark{Design: g.d, Cons: cons, Spec: spec}
+	return &Benchmark{Design: must(g.d.Build()), Cons: cons, Spec: spec}
 }
 
-// pin resolves pin name of instance inst. Every pin the generator connects
-// is declared by the instance's master, so an error here is a bug in the
-// generator itself, which no caller could meaningfully handle.
-func (g *generator) pin(inst int, name string) netlist.PinRef {
-	ref, err := g.d.PinRefOf(inst, name)
+// must returns v. The generator connects only pins its masters declare, so
+// an error resolving or building them is a bug in the generator itself,
+// which no caller could meaningfully handle.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err) //ppalint:ignore nopanic invariant assertion: the generator connects only pins its masters declare, failure is a generator bug
 	}
-	return ref
+	return v
+}
+
+// pin resolves pin name of instance inst.
+func (g *generator) pin(inst int, name string) netlist.PinRef {
+	return must(g.d.PinRefOf(inst, name))
 }
 
 // addPort adds a top-level port and returns its reference.

@@ -61,9 +61,6 @@ func TestNamedSpecs(t *testing.T) {
 func TestGenerateTiny(t *testing.T) {
 	b := Generate(TinySpec(7))
 	d := b.Design
-	if _, err := d.CompactChecked(); err != nil {
-		t.Fatal(err)
-	}
 	st := d.Stats()
 	if st.Insts < 200 || st.Insts > 600 {
 		t.Fatalf("tiny insts=%d", st.Insts)
@@ -191,9 +188,6 @@ func TestGenerateWithMacros(t *testing.T) {
 				t.Fatal("macro outside core")
 			}
 		}
-	}
-	if _, err := b.Design.CompactChecked(); err != nil {
-		t.Fatal(err)
 	}
 }
 

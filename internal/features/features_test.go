@@ -12,19 +12,20 @@ import (
 func pathGraphDesign(t *testing.T) *netlist.Design {
 	t.Helper()
 	lib := designs.Lib()
-	d := netlist.NewDesign("path", lib)
+	b := netlist.NewBuilder("path", lib)
+	d := b.Design
 	inv := lib.Master("INV_X1")
 	ids := make([]int, 4)
 	for i := range ids {
-		inst := d.AddInstance("g"+itoa(i), inv)
+		inst := b.AddInstance("g"+itoa(i), inv)
 		ids[i] = inst.ID
 	}
 	for i := 1; i < 4; i++ {
-		n := d.AddNet("n" + itoa(i))
-		d.Connect(n, pinRef(d, ids[i-1], "ZN"))
-		d.Connect(n, pinRef(d, ids[i], "A"))
+		n := b.AddNet("n" + itoa(i))
+		b.Connect(n, pinRef(d, ids[i-1], "ZN"))
+		b.Connect(n, pinRef(d, ids[i], "A"))
 	}
-	return d
+	return build(t, b)
 }
 
 func itoa(v int) string { return string(rune('0' + v)) }
@@ -76,17 +77,19 @@ func TestExtractPathGraph(t *testing.T) {
 
 func TestTriangleClustering(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("tri", lib)
+	b := netlist.NewBuilder("tri", lib)
+	d := b.Design
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 3; i++ {
-		d.AddInstance("g"+itoa(i), inv)
+		b.AddInstance("g"+itoa(i), inv)
 	}
 	pairs := [][2]int{{0, 1}, {1, 2}, {0, 2}}
 	for i, p := range pairs {
-		n := d.AddNet("n" + itoa(i))
-		d.Connect(n, pinRef(d, p[0], "ZN"))
-		d.Connect(n, pinRef(d, p[1], "A"))
+		n := b.AddNet("n" + itoa(i))
+		b.Connect(n, pinRef(d, p[0], "ZN"))
+		b.Connect(n, pinRef(d, p[1], "A"))
 	}
+	build(t, b)
 	f := Extract(d, Options{})
 	for i := 0; i < 3; i++ {
 		if f.ClusteringCoef[i] != 1 {
@@ -108,10 +111,12 @@ func TestCellTypeIndex(t *testing.T) {
 		"NOR2_X1": 3, "AND2_X1": 4, "OR2_X1": 4, "XOR2_X1": 5,
 		"MUX2_X1": 6, "AOI21_X1": 6, "DFF_X1": 7, "RAM32X32": 7,
 	}
-	d := netlist.NewDesign("types", lib)
+	b := netlist.NewBuilder("types", lib)
+	d := b.Design
 	for name := range cases {
-		d.AddInstance(name, lib.Master(name))
+		b.AddInstance(name, lib.Master(name))
 	}
+	build(t, b)
 	f := Extract(d, Options{})
 	for i, inst := range d.Insts {
 		if got, want := f.CellType[i], cases[inst.Name]; got != want {
@@ -146,23 +151,25 @@ func TestNodeVec(t *testing.T) {
 
 func TestFanoutBuckets(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("fan", lib)
+	b := netlist.NewBuilder("fan", lib)
+	d := b.Design
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 14; i++ {
-		d.AddInstance("g"+string(rune('a'+i)), inv)
+		b.AddInstance("g"+string(rune('a'+i)), inv)
 	}
 	// Net with fanout 6 (7 pins).
-	n1 := d.AddNet("f6")
-	d.Connect(n1, pinRef(d, 0, "ZN"))
+	n1 := b.AddNet("f6")
+	b.Connect(n1, pinRef(d, 0, "ZN"))
 	for i := 1; i <= 6; i++ {
-		d.Connect(n1, pinRef(d, i, "A"))
+		b.Connect(n1, pinRef(d, i, "A"))
 	}
 	// Net with fanout 12 (13 pins).
-	n2 := d.AddNet("f12")
-	d.Connect(n2, pinRef(d, 1, "ZN"))
+	n2 := b.AddNet("f12")
+	b.Connect(n2, pinRef(d, 1, "ZN"))
 	for i := 2; i <= 13; i++ {
-		d.Connect(n2, pinRef(d, i, "A"))
+		b.Connect(n2, pinRef(d, i, "A"))
 	}
+	build(t, b)
 	f := Extract(d, Options{})
 	if f.NetsFanout5to10 != 1 || f.NetsFanoutGT10 != 1 {
 		t.Fatalf("fanout buckets: %d %d", f.NetsFanout5to10, f.NetsFanoutGT10)
@@ -196,7 +203,7 @@ func TestSampledExtractionStable(t *testing.T) {
 
 func TestEmptyDesign(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("empty", lib)
+	d := build(t, netlist.NewBuilder("empty", lib))
 	f := Extract(d, Options{})
 	if f.NumCells != 0 || f.Diameter != 0 {
 		t.Fatalf("empty features: %+v", f)
@@ -210,4 +217,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -42,7 +42,7 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 	}
 
 	lib := netlist.NewLibrary("clusters")
-	cd := netlist.NewDesign(d.Name+"_clustered", lib)
+	cd := netlist.NewBuilder(d.Name+"_clustered", lib)
 	cd.Die, cd.Core = d.Die, d.Core
 	cd.RowHeight, cd.SiteWidth = d.RowHeight, d.SiteWidth
 
@@ -130,5 +130,9 @@ func BuildClusteredDesign(d *netlist.Design, assign []int, nClusters int,
 		}
 		merged[k] = nn
 	}
-	return cd, clusterInsts, nil
+	built, err := cd.Build()
+	if err != nil {
+		return nil, nil, fmt.Errorf("clusterize %s: %w", d.Name, err)
+	}
+	return built, clusterInsts, nil
 }

@@ -49,20 +49,24 @@ func TestClusterMasterAreasMatchShape(t *testing.T) {
 
 func TestClusteredNetWeightAccumulates(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("w", lib)
+	b := netlist.NewBuilder("w", lib)
+	d := b.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
 	inv := lib.Master("INV_X1")
 	for i := 0; i < 4; i++ {
-		d.AddInstance("g"+string(rune('0'+i)), inv)
+		b.AddInstance("g"+string(rune('0'+i)), inv)
 	}
 	// Two parallel nets between the same cluster pair.
-	n1 := d.AddNet("n1")
-	d.Connect(n1, pinRef(d, 0, "ZN"))
-	d.Connect(n1, pinRef(d, 2, "A"))
-	n2 := d.AddNet("n2")
+	n1 := b.AddNet("n1")
+	b.Connect(n1, pinRef(d, 0, "ZN"))
+	b.Connect(n1, pinRef(d, 2, "A"))
+	n2 := b.AddNet("n2")
 	n2.Weight = 3
-	d.Connect(n2, pinRef(d, 1, "ZN"))
-	d.Connect(n2, pinRef(d, 3, "A"))
+	b.Connect(n2, pinRef(d, 1, "ZN"))
+	b.Connect(n2, pinRef(d, 3, "A"))
+	if _, err := b.Build(); err != nil {
+		t.Fatal(err)
+	}
 	assign := []int{0, 0, 1, 1}
 	cd, _, err := BuildClusteredDesign(d, assign, 2, nil)
 	if err != nil {

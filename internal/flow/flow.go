@@ -199,10 +199,8 @@ type Result struct {
 	PlaceTime time.Duration
 }
 
-// checkDesign validates a design at the boundary of both flows: every net
-// pin resolves to a declared port or master pin and the design fits the
-// int32 compact CSR (CompactChecked), so a bad design fails with an error
-// instead of tripping the must-style Compact panic deep inside a stage, and a core
+// checkDesign validates a design at the boundary of both flows; its pins
+// were checked when it was built (netlist.Builder.Build). It requires a core
 // with room for the cells on at least one row of sites, so no flow reports
 // numbers for a placement that cannot be legal, and finite coordinates on
 // everything the placer holds still plus finite non-negative net weights: one
@@ -211,9 +209,6 @@ type Result struct {
 // period must be finite and positive too: a NaN one yields NaN power with
 // zero WNS/TNS, a zero one a leakage-only power, and neither fails a stage.
 func checkDesign(d *netlist.Design, cons sta.Constraints) error {
-	if _, err := d.CompactChecked(); err != nil {
-		return fmt.Errorf("flow: design %s: %w", d.Name, err)
-	}
 	if !(d.Core.W() > 0 && d.Core.H() > 0) {
 		return fmt.Errorf("flow: design %s: core %g x %g um has no area", d.Name, d.Core.W(), d.Core.H())
 	}

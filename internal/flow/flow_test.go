@@ -210,9 +210,6 @@ func TestBuildClusteredDesign(t *testing.T) {
 	if len(cd.Insts) != 2 {
 		t.Fatalf("cluster insts=%d", len(cd.Insts))
 	}
-	if _, err := cd.CompactChecked(); err != nil {
-		t.Fatal(err)
-	}
 	// Shapes respected.
 	m1 := cd.Insts[clusterInsts[1]].Master
 	ar := m1.Height / m1.Width
@@ -325,19 +322,46 @@ func TestEveryClockDomainGetsATree(t *testing.T) {
 			moved = append(moved, p)
 		}
 	}
-	clk.Pins = keep
-	root := d.Ports[keep[slices.IndexFunc(keep, netlist.PinRef.IsPort)].Pin]
-	port := d.AddPort("clk2", netlist.DirInput)
-	port.X, port.Y, port.Placed = root.X, root.Y, true
-	clk2 := d.AddNet("clk2")
-	clk2.Clock = true
-	d.Connect(clk2, netlist.PinRef{Inst: -1, Pin: len(d.Ports) - 1})
-	for _, p := range moved {
-		d.Connect(clk2, p)
-	}
 	if len(moved) == 0 {
 		t.Fatal("the clock net has no sink to move")
 	}
+	// A built design's connectivity is fixed: record it again, clk with the
+	// kept pins only, then add the second domain.
+	nb := netlist.NewBuilder(d.Name, d.Lib)
+	nb.Die, nb.Core, nb.RowHeight, nb.SiteWidth = d.Die, d.Core, d.RowHeight, d.SiteWidth
+	for _, inst := range d.Insts {
+		c := nb.AddInstance(inst.Name, inst.Master)
+		c.X, c.Y, c.Placed, c.Fixed = inst.X, inst.Y, inst.Placed, inst.Fixed
+	}
+	for _, p := range d.Ports {
+		c := nb.AddPort(p.Name, p.Dir)
+		c.X, c.Y, c.Placed = p.X, p.Y, p.Placed
+	}
+	for _, n := range d.Nets {
+		c := nb.AddNet(n.Name)
+		c.Weight, c.Clock = n.Weight, n.Clock
+		pins := n.Pins
+		if n == clk {
+			pins = keep
+		}
+		for _, p := range pins {
+			nb.Connect(c, p)
+		}
+	}
+	root := d.Ports[keep[slices.IndexFunc(keep, netlist.PinRef.IsPort)].Pin]
+	port := nb.AddPort("clk2", netlist.DirInput)
+	port.X, port.Y, port.Placed = root.X, root.Y, true
+	clk2 := nb.AddNet("clk2")
+	clk2.Clock = true
+	nb.Connect(clk2, netlist.PinRef{Inst: -1, Pin: len(nb.Ports) - 1})
+	for _, p := range moved {
+		nb.Connect(clk2, p)
+	}
+	var err error
+	if b.Design, err = nb.Build(); err != nil {
+		t.Fatal(err)
+	}
+	d = b.Design
 
 	for _, tc := range []struct {
 		name string

@@ -37,37 +37,39 @@ func predictOne(m *Model, g *GraphInput, shape vpr.Shape) float64 {
 func oddGraph(t *testing.T, chain, fanout, isolated int) *GraphInput {
 	t.Helper()
 	lib := designs.Lib()
-	d := netlist.NewDesign("odd", lib)
+	b := netlist.NewBuilder("odd", lib)
+	d := b.Design
 	inv := lib.Master("INV_X1")
 	add := func(name string) int {
-		inst := d.AddInstance(name, inv)
+		inst := b.AddInstance(name, inv)
 		return inst.ID
 	}
 	net := func(name string) *netlist.Net {
-		n := d.AddNet(name)
+		n := b.AddNet(name)
 		return n
 	}
 	prev := add("c0")
 	for i := 1; i < chain; i++ {
 		cur := add(fmt.Sprintf("c%d", i))
 		n := net(fmt.Sprintf("n%d", i))
-		d.Connect(n, pinRef(d, prev, "ZN"))
-		d.Connect(n, pinRef(d, cur, "A"))
+		b.Connect(n, pinRef(d, prev, "ZN"))
+		b.Connect(n, pinRef(d, cur, "A"))
 		if i%5 == 0 {
-			d.Connect(n, pinRef(d, cur, "A"))
+			b.Connect(n, pinRef(d, cur, "A"))
 		}
 		prev = cur
 	}
 	if fanout > 0 {
 		big := net("big")
-		d.Connect(big, pinRef(d, prev, "ZN"))
+		b.Connect(big, pinRef(d, prev, "ZN"))
 		for i := 0; i < fanout; i++ {
-			d.Connect(big, pinRef(d, add(fmt.Sprintf("f%d", i)), "A"))
+			b.Connect(big, pinRef(d, add(fmt.Sprintf("f%d", i)), "A"))
 		}
 	}
 	for i := 0; i < isolated; i++ {
 		add(fmt.Sprintf("iso%d", i))
 	}
+	build(t, b)
 	return BuildGraphInput(d, features.Options{Seed: 1})
 }
 
@@ -337,7 +339,7 @@ func TestInferenceAllocFree(t *testing.T) {
 // have a shape problem.
 func TestPredictBestShapeDegenerateGraphs(t *testing.T) {
 	m, _ := trainedModel(t)
-	empty := BuildGraphInput(netlist.NewDesign("empty", designs.Lib()), features.Options{})
+	empty := BuildGraphInput(build(t, netlist.NewBuilder("empty", designs.Lib())), features.Options{})
 	if got := m.PredictBestShape(empty); got != vpr.UniformShape {
 		t.Fatalf("empty graph: %+v, want the uniform shape", got)
 	}
@@ -371,7 +373,7 @@ func TestPredictBestShapeDegenerateGraphs(t *testing.T) {
 // loss is that sample's squared error at the initial weights.
 func TestFitLossAveragesUsedSamples(t *testing.T) {
 	real := toySamples(t, 1, 71)[0]
-	empty := BuildGraphInput(netlist.NewDesign("empty", designs.Lib()), features.Options{})
+	empty := BuildGraphInput(build(t, netlist.NewBuilder("empty", designs.Lib())), features.Options{})
 	train := []Sample{{Graph: empty, Label: 0.4}, real, {Graph: empty, Label: 0.9}, {Graph: empty, Label: 1.3}}
 
 	ref := NewModel(5)
@@ -397,4 +399,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

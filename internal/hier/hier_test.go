@@ -28,9 +28,10 @@ func miniLib() *netlist.Library {
 func hierDesign(t *testing.T, k int) *netlist.Design {
 	t.Helper()
 	l := miniLib()
-	d := netlist.NewDesign("h", l)
+	nb := netlist.NewBuilder("h", l)
+	d := nb.Design
 	add := func(name string) *netlist.Instance {
-		inst := d.AddInstance(name, l.Master("G"))
+		inst := nb.AddInstance(name, l.Master("G"))
 		return inst
 	}
 	var aID, bID, sID []int
@@ -42,16 +43,16 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	netN := 0
 	connect := func(ids []int) {
 		for i := 1; i < len(ids); i++ {
-			n := d.AddNet(fmt.Sprintf("n%d", netN))
+			n := nb.AddNet(fmt.Sprintf("n%d", netN))
 			netN++
-			d.Connect(n, pinRef(d, ids[i-1], "Y"))
-			d.Connect(n, pinRef(d, ids[i], "A"))
+			nb.Connect(n, pinRef(d, ids[i-1], "Y"))
+			nb.Connect(n, pinRef(d, ids[i], "A"))
 			// Add a chord for density.
 			if i >= 2 {
-				c := d.AddNet(fmt.Sprintf("n%d", netN))
+				c := nb.AddNet(fmt.Sprintf("n%d", netN))
 				netN++
-				d.Connect(c, pinRef(d, ids[i-2], "Y"))
-				d.Connect(c, pinRef(d, ids[i], "A"))
+				nb.Connect(c, pinRef(d, ids[i-2], "Y"))
+				nb.Connect(c, pinRef(d, ids[i], "A"))
 			}
 		}
 	}
@@ -59,22 +60,24 @@ func hierDesign(t *testing.T, k int) *netlist.Design {
 	connect(bID)
 	connect(sID)
 	// One cross-module net.
-	x := d.AddNet("xab")
-	d.Connect(x, pinRef(d, aID[0], "Y"))
-	d.Connect(x, pinRef(d, bID[0], "A"))
+	x := nb.AddNet("xab")
+	nb.Connect(x, pinRef(d, aID[0], "Y"))
+	nb.Connect(x, pinRef(d, bID[0], "A"))
 	// Connect sub to its parent module a.
-	x2 := d.AddNet("xas")
-	d.Connect(x2, pinRef(d, aID[k-1], "Y"))
-	d.Connect(x2, pinRef(d, sID[0], "A"))
-	return d
+	x2 := nb.AddNet("xas")
+	nb.Connect(x2, pinRef(d, aID[k-1], "Y"))
+	nb.Connect(x2, pinRef(d, sID[0], "A"))
+	return mustBuild(t, nb)
 }
 
 func TestBuildFlatDesignFails(t *testing.T) {
 	l := miniLib()
-	d := netlist.NewDesign("flat", l)
+	b := netlist.NewBuilder("flat", l)
+	d := b.Design
 	for i := 0; i < 4; i++ {
-		d.AddInstance(fmt.Sprintf("g%d", i), l.Master("G"))
+		b.AddInstance(fmt.Sprintf("g%d", i), l.Master("G"))
 	}
+	mustBuild(t, b)
 	if _, ok := build(d); ok {
 		t.Fatal("flat design should not produce a dendrogram")
 	}
@@ -181,17 +184,19 @@ func TestClusterSelectsInformativeLevel(t *testing.T) {
 func TestSingleModuleDesign(t *testing.T) {
 	// All instances under one scope: levelMax==1, only level 1 evaluated.
 	l := miniLib()
-	d := netlist.NewDesign("one", l)
+	b := netlist.NewBuilder("one", l)
+	d := b.Design
 	var ids []int
 	for i := 0; i < 5; i++ {
-		inst := d.AddInstance(fmt.Sprintf("m/g%d", i), l.Master("G"))
+		inst := b.AddInstance(fmt.Sprintf("m/g%d", i), l.Master("G"))
 		ids = append(ids, inst.ID)
 	}
 	for i := 1; i < 5; i++ {
-		n := d.AddNet(fmt.Sprintf("n%d", i))
-		d.Connect(n, pinRef(d, ids[i-1], "Y"))
-		d.Connect(n, pinRef(d, ids[i], "A"))
+		n := b.AddNet(fmt.Sprintf("n%d", i))
+		b.Connect(n, pinRef(d, ids[i-1], "Y"))
+		b.Connect(n, pinRef(d, ids[i], "A"))
 	}
+	mustBuild(t, b)
 	res, ok := Cluster(d, d.ToHypergraph().H)
 	if !ok {
 		t.Fatal("single-module design should still cluster (one cluster)")
@@ -208,4 +213,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// mustBuild builds b's design, failing the test on an error.
+func mustBuild(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -6,34 +6,31 @@ import (
 )
 
 // Compact is the flat struct-of-arrays/CSR view of a design's connectivity,
-// built once per topology and consumed by the hot paths (HPWL, WirelenCache,
-// the global placer's system assembly, STA, routing, CTS). Where the pointer
-// API walks *Net -> []PinRef -> *Instance -> *Master per pin, the compact
-// view flattens every pin once at build time into parallel arrays — owning
-// instance (or port), master pin, and the pin's X/Y offset from the instance
-// origin — so inner loops touch contiguous int32/float64 memory only. The
-// readers have already turned pin names into indices (PinRefOf); the build
-// only checks them: a reference to a port, instance or master pin out of
-// range is a build error (CompactChecked).
+// built once by Builder.Build and consumed by the hot paths (HPWL,
+// WirelenCache, the global placer's system assembly, STA, routing, CTS).
+// Where the pointer API walks *Net -> []PinRef -> *Instance -> *Master per
+// pin, the compact view flattens every pin once into parallel arrays —
+// owning instance (or port), master pin, and the pin's X/Y offset from the
+// instance origin — so inner loops touch contiguous int32/float64 memory
+// only. The readers have already turned pin names into indices (PinRefOf);
+// Build only checks them.
 //
 // Index conventions:
 //   - Net n's pins occupy PinInst/PinMP[NetStart[n]:NetStart[n+1]], in the
-//     net's pin order.
+//     net's pin order. Net n's Pins is the same slots of one flat []PinRef,
+//     so slot k names one pin in both.
 //   - PinInst[k] >= 0 is an instance ID; PinInst[k] < 0 encodes the port
 //     with index -1-PinInst[k].
 //   - Instance i's distinct incident nets occupy
 //     InstNets[InstStart[i]:InstStart[i+1]] in ascending net-ID order, each
 //     net once however many of its pins the instance owns.
 //
-// A Compact is a topology snapshot: it stays valid while only positions
-// (Instance.X/Y, Port.X/Y) change. Any mutation through AddInstance, AddNet,
-// AddPort or Connect retires it; the next Design.Compact() call rebuilds. An
-// instance pin's offset is the master pin offset when either component is
-// nonzero, otherwise the cell center; PinXY adds it to the instance origin.
+// A Compact holds topology only and is never modified: positions live in
+// the design (gathered into a Positions to read), so one Compact serves a
+// design and all its clones, on any number of goroutines. An instance pin's
+// offset is the master pin offset when either component is nonzero,
+// otherwise the cell center; PinXY adds it to the instance origin.
 type Compact struct {
-	d   *Design
-	gen uint64
-
 	// Net -> pin CSR.
 	NetStart []int32
 	PinInst  []int32
@@ -52,11 +49,6 @@ type Compact struct {
 	// Instance -> distinct incident nets CSR.
 	InstStart []int32
 	InstNets  []int32
-
-	// Position snapshot for HPWL. Owned by the compact view: HPWL
-	// overwrites it on entry, so concurrent HPWL calls must not share one
-	// Compact.
-	pos Positions
 }
 
 // Positions is a snapshot of a design's instance origins and port
@@ -95,46 +87,24 @@ func (c *Compact) NumNetPins(n int) int {
 	return int(c.NetStart[n+1] - c.NetStart[n])
 }
 
-// Compact returns the design's flat connectivity view, building it on first
-// use and after every topology mutation. The topology changes only through
-// AddInstance, AddNet, AddPort and Connect, which bump the design's
-// generation; nothing rewires Net.Pins in place. The build is O(pins) and
-// the result is cached, so repeated calls between mutations are free. A
-// design that CompactChecked rejects panics here; the flow boundary calls
-// CompactChecked first, so every stage behind it may use this must-style
-// form.
-func (d *Design) Compact() *Compact {
-	c, err := d.CompactChecked()
-	if err != nil {
-		panic(err) //ppalint:ignore nopanic must-style wrapper over CompactChecked for callers behind the flow's checked boundary, matching designs' must/mustAdd idiom
-	}
-	return c
-}
+// Compact returns the design's flat connectivity view, which Build made.
+func (d *Design) Compact() *Compact { return d.compact }
 
-// CompactChecked is Compact with the build's checks surfaced as an error
-// instead of a panic: a pin whose port, instance or master pin is out of
-// range, and a pin count beyond the math.MaxInt32
-// the int32 CSR can index, past which truncation would silently corrupt
-// connectivity.
-func (d *Design) CompactChecked() (*Compact, error) {
-	d.compactMu.Lock()
-	defer d.compactMu.Unlock()
-	if d.compact != nil && d.compact.gen == d.topoGen {
-		return d.compact, nil
-	}
-	c, err := buildCompact(d, d.topoGen)
-	if err != nil {
-		return nil, err
-	}
-	d.compact = c
-	return c, nil
-}
+// CompactChecked is Compact with a nil error, as Build has made its checks;
+// kept for frozen benchmark/replay.go (the reader fuzz targets call it too).
+func (d *Design) CompactChecked() (*Compact, error) { return d.compact, nil }
 
-func buildCompact(d *Design, gen uint64) (*Compact, error) {
-	c := &Compact{d: d, gen: gen}
+// Build checks every recorded pin, lays the pins out net by net and builds
+// the Compact view on the same slot numbering, and returns the finished
+// design, b.Design. A pin whose port, instance or master pin is out of
+// range is an error naming its net, and so is a pin count beyond the
+// math.MaxInt32 the int32 CSR can index, past which truncation would
+// silently corrupt connectivity.
+func (b *Builder) Build() (*Design, error) {
+	d := b.Design
 	nPins := 0
-	for _, n := range d.Nets {
-		nPins += len(n.Pins)
+	for _, chunk := range b.conns {
+		nPins += len(chunk)
 	}
 	// Every int32 below — pin slots, net ids, instance ids — is bounded by
 	// nPins or by a count it dominates, so this single check covers the
@@ -142,54 +112,80 @@ func buildCompact(d *Design, gen uint64) (*Compact, error) {
 	if nPins > math.MaxInt32 {
 		return nil, fmt.Errorf("netlist: design has %d pins, beyond the %d the int32 compact CSR can index", nPins, math.MaxInt32)
 	}
-	c.NetStart = make([]int32, len(d.Nets)+1)
-	c.PinInst = make([]int32, 0, nPins)
-	c.pinDX = make([]float64, 0, nPins)
-	c.pinDY = make([]float64, 0, nPins)
-	c.PinMP = make([]int32, 0, nPins)
+	// Counting sort by net: net n's pins, in Connect order, take the slots
+	// NetStart[n]:NetStart[n+1] of one flat array, which Net.Pins slices
+	// with their capacity capped, so an append to one net's pins copies
+	// instead of overwriting the next net's.
+	c := &Compact{NetStart: make([]int32, len(d.Nets)+1)}
+	for _, chunk := range b.conns {
+		for _, cn := range chunk {
+			c.NetStart[cn.net+1]++
+		}
+	}
+	for n := range d.Nets {
+		c.NetStart[n+1] += c.NetStart[n]
+	}
+	flat := make([]PinRef, nPins)
+	fill := make([]int32, len(d.Nets))
+	copy(fill, c.NetStart)
+	for _, chunk := range b.conns {
+		for _, cn := range chunk {
+			flat[fill[cn.net]] = cn.ref
+			fill[cn.net]++
+		}
+	}
+	b.conns = nil
+
+	c.PinInst = make([]int32, nPins)
+	c.PinMP = make([]int32, nPins)
+	c.pinDX = make([]float64, nPins)
+	c.pinDY = make([]float64, nPins)
 	c.NetDrv = make([]int32, len(d.Nets))
+	// deg counts each instance's distinct nets; lastNet holds 1 + the last
+	// net counted on it.
+	deg := make([]int32, len(d.Insts))
+	lastNet := make([]int32, len(d.Insts))
 	for ni, n := range d.Nets {
-		c.NetStart[ni] = int32(len(c.PinInst))
+		lo, hi := c.NetStart[ni], c.NetStart[ni+1]
+		n.Pins = flat[lo:hi:hi]
 		drvSlot := int32(-1)     // first output instance pin
 		portDrvSlot := int32(-1) // first input-port pin (fallback)
-		for _, p := range n.Pins {
-			var id int32
-			var mpIdx int32 = -1
-			var dx, dy float64
-			slot := int32(len(c.PinInst))
+		for k := lo; k < hi; k++ {
+			p := flat[k]
 			if p.IsPort() {
 				if p.Pin < 0 || p.Pin >= len(d.Ports) {
 					return nil, fmt.Errorf("netlist: net %q references port %d of %d", n.Name, p.Pin, len(d.Ports))
 				}
-				id = -1 - int32(p.Pin)
+				c.PinInst[k] = -1 - int32(p.Pin)
+				c.PinMP[k] = -1
 				if portDrvSlot < 0 && d.Ports[p.Pin].Dir == DirInput {
-					portDrvSlot = slot
+					portDrvSlot = k
 				}
-			} else {
-				if p.Inst >= len(d.Insts) {
-					return nil, fmt.Errorf("netlist: net %q references instance %d of %d", n.Name, p.Inst, len(d.Insts))
-				}
-				id = int32(p.Inst)
-				inst := d.Insts[p.Inst]
-				m := inst.Master
-				if p.Pin < 0 || p.Pin >= len(m.Pins) {
-					return nil, fmt.Errorf("netlist: net %q references pin %d of %s, whose master %s has %d", n.Name, p.Pin, inst.Name, m.Name, len(m.Pins))
-				}
-				mpIdx = int32(p.Pin)
-				mp := &m.Pins[p.Pin]
-				if mp.OffsetX != 0 || mp.OffsetY != 0 {
-					dx, dy = mp.OffsetX, mp.OffsetY
-				} else {
-					dx, dy = m.Width/2, m.Height/2
-				}
-				if drvSlot < 0 && mp.Dir == DirOutput {
-					drvSlot = slot
-				}
+				continue
 			}
-			c.PinInst = append(c.PinInst, id)
-			c.pinDX = append(c.pinDX, dx)
-			c.pinDY = append(c.pinDY, dy)
-			c.PinMP = append(c.PinMP, mpIdx)
+			if p.Inst >= len(d.Insts) {
+				return nil, fmt.Errorf("netlist: net %q references instance %d of %d", n.Name, p.Inst, len(d.Insts))
+			}
+			inst := d.Insts[p.Inst]
+			m := inst.Master
+			if p.Pin < 0 || p.Pin >= len(m.Pins) {
+				return nil, fmt.Errorf("netlist: net %q references pin %d of %s, whose master %s has %d", n.Name, p.Pin, inst.Name, m.Name, len(m.Pins))
+			}
+			c.PinInst[k] = int32(p.Inst)
+			c.PinMP[k] = int32(p.Pin)
+			mp := &m.Pins[p.Pin]
+			if mp.OffsetX != 0 || mp.OffsetY != 0 {
+				c.pinDX[k], c.pinDY[k] = mp.OffsetX, mp.OffsetY
+			} else {
+				c.pinDX[k], c.pinDY[k] = m.Width/2, m.Height/2
+			}
+			if drvSlot < 0 && mp.Dir == DirOutput {
+				drvSlot = k
+			}
+			if lastNet[p.Inst] != int32(ni)+1 {
+				lastNet[p.Inst] = int32(ni) + 1
+				deg[p.Inst]++
+			}
 		}
 		if drvSlot >= 0 {
 			c.NetDrv[ni] = drvSlot
@@ -197,47 +193,28 @@ func buildCompact(d *Design, gen uint64) (*Compact, error) {
 			c.NetDrv[ni] = portDrvSlot
 		}
 	}
-	c.NetStart[len(d.Nets)] = int32(len(c.PinInst))
 
-	// Instance -> net CSR: count distinct instances per net (dedup with a
-	// last-net stamp), prefix-sum, fill. Filling in net order leaves each
-	// instance's nets in ascending net-ID order.
-	lastNet := make([]int32, len(d.Insts))
-	for i := range lastNet {
-		lastNet[i] = -1
-	}
-	deg := make([]int32, len(d.Insts))
-	for ni := range d.Nets {
-		for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-			if id := c.PinInst[k]; id >= 0 && lastNet[id] != int32(ni) {
-				lastNet[id] = int32(ni)
-				deg[id]++
-			}
-		}
-	}
+	// Instance -> net CSR: prefix-sum the counts, then fill in net order,
+	// which leaves each instance's nets ascending, so the last net filled
+	// for an instance tells whether it holds the current one already.
 	c.InstStart = make([]int32, len(d.Insts)+1)
-	var total int32
 	for i, dg := range deg {
-		c.InstStart[i] = total
-		total += dg
+		c.InstStart[i+1] = c.InstStart[i] + dg
 	}
-	c.InstStart[len(d.Insts)] = total
-	c.InstNets = make([]int32, total)
-	fill := make([]int32, len(d.Insts))
-	copy(fill, c.InstStart[:len(d.Insts)])
-	for i := range lastNet {
-		lastNet[i] = -1
-	}
+	c.InstNets = make([]int32, c.InstStart[len(d.Insts)])
+	fill = deg // each instance's next free entry
+	copy(fill, c.InstStart)
 	for ni := range d.Nets {
 		for k := c.NetStart[ni]; k < c.NetStart[ni+1]; k++ {
-			if id := c.PinInst[k]; id >= 0 && lastNet[id] != int32(ni) {
-				lastNet[id] = int32(ni)
+			id := c.PinInst[k]
+			if id >= 0 && (fill[id] == c.InstStart[id] || c.InstNets[fill[id]-1] != int32(ni)) {
 				c.InstNets[fill[id]] = int32(ni)
 				fill[id]++
 			}
 		}
 	}
-	return c, nil
+	d.compact = c
+	return d, nil
 }
 
 // PinXY returns pin slot k's position under p: its instance's origin plus
@@ -284,15 +261,4 @@ func (c *Compact) netBox(p *Positions, n int) (minX, maxX, minY, maxY float64) {
 		}
 	}
 	return minX, maxX, minY, maxY
-}
-
-// hpwl returns the total half-perimeter wirelength over all nets at the
-// design's current positions, summed in net order.
-func (c *Compact) hpwl() float64 {
-	c.pos.Gather(c.d)
-	var sum float64
-	for n := 0; n < len(c.NetStart)-1; n++ {
-		sum += c.NetHPWL(&c.pos, n)
-	}
-	return sum
 }

@@ -18,14 +18,16 @@ func TestTableSinglePoint(t *testing.T) {
 
 func TestDriverPrefersOutputOverInputPort(t *testing.T) {
 	lib := testLib()
-	d := NewDesign("drv", lib)
-	in := d.AddPort("in", DirInput)
+	b := NewBuilder("drv", lib)
+	d := b.Design
+	in := b.AddPort("in", DirInput)
 	_ = in
-	g := d.AddInstance("g", lib.Master("INV"))
-	n := d.AddNet("n")
+	g := b.AddInstance("g", lib.Master("INV"))
+	n := b.AddNet("n")
 	// Port listed first, but the instance output must win.
-	d.Connect(n, pinRef(d, -1, "in"))
-	d.Connect(n, pinRef(d, g.ID, "Y"))
+	b.Connect(n, pinRef(d, -1, "in"))
+	b.Connect(n, pinRef(d, g.ID, "Y"))
+	build(t, b)
 	drv, ok := netDriver(d, n)
 	if !ok || drv.IsPort() || d.PinName(drv) != "Y" {
 		t.Fatalf("driver=%+v", drv)
@@ -41,14 +43,16 @@ func TestRectHelpers(t *testing.T) {
 
 func TestNetHPWLWithPortOnly(t *testing.T) {
 	lib := testLib()
-	d := NewDesign("p", lib)
-	a := d.AddPort("a", DirInput)
+	nb := NewBuilder("p", lib)
+	d := nb.Design
+	a := nb.AddPort("a", DirInput)
 	a.X, a.Y = 0, 0
-	b := d.AddPort("b", DirOutput)
+	b := nb.AddPort("b", DirOutput)
 	b.X, b.Y = 3, 4
-	n := d.AddNet("n")
-	d.Connect(n, pinRef(d, -1, "a"))
-	d.Connect(n, pinRef(d, -1, "b"))
+	n := nb.AddNet("n")
+	nb.Connect(n, pinRef(d, -1, "a"))
+	nb.Connect(n, pinRef(d, -1, "b"))
+	build(t, nb)
 	if got := d.NetHPWL(n); math.Abs(got-7) > 1e-12 {
 		t.Fatalf("hpwl=%v want 7", got)
 	}

@@ -10,7 +10,6 @@ package netlist
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"ppaclust/internal/hypergraph"
 )
@@ -322,7 +321,10 @@ func (i *Instance) HierPath() []string {
 	return parts[:len(parts)-1]
 }
 
-// Design is the complete in-memory design.
+// Design is the complete in-memory design. Its connectivity (instances,
+// nets, ports and every net's pins) is fixed when a Builder builds it; what
+// changes afterwards is per-element state: positions, Placed/Fixed, net
+// Weight and Clock.
 type Design struct {
 	Name      string
 	Lib       *Library
@@ -334,52 +336,74 @@ type Design struct {
 	RowHeight float64
 	SiteWidth float64
 
-	// Compact-view cache: topoGen counts topology mutations; the cached
-	// view is valid while its generation matches.
-	topoGen   uint64
-	compact   *Compact
-	compactMu sync.Mutex
+	// compact is the connectivity view Build made; clones share it.
+	compact *Compact
+	// pos is HPWL's position scratch, so HPWL must not run concurrently on
+	// one design.
+	pos Positions
 }
 
-// NewDesign returns an empty design bound to the given library. A design
-// keeps no name index: the readers resolve names while they parse, and
-// every later stage addresses instances, nets and ports by index.
-func NewDesign(name string, lib *Library) *Design {
-	return &Design{Name: name, Lib: lib}
+// Builder is the one way to make a Design. It records instances, nets,
+// ports and connections; Build checks them once and lays the design's
+// connectivity out. The embedded Design is the one Build returns: before
+// Build its nets hold no pins and it has no Compact view, so nothing that
+// reads connectivity may run on it. A Builder builds one design; nothing
+// may be added after Build. It keeps no name index: the readers resolve names
+// while they parse, and every later stage addresses instances, nets and
+// ports by index.
+type Builder struct {
+	*Design
+	// Every Connect in call order, in chunks whose capacity doubles from
+	// 256 to 65 536 entries: a full chunk is never copied to grow.
+	conns [][]conn
+}
+
+// conn is one recorded Connect: the pin and the ID of its net.
+type conn struct {
+	ref PinRef
+	net int
+}
+
+// NewBuilder returns a builder of an empty design bound to lib.
+func NewBuilder(name string, lib *Library) *Builder {
+	return &Builder{Design: &Design{Name: name, Lib: lib}}
 }
 
 // AddInstance creates an instance of master and returns it. Names are not
 // checked: the readers reject a duplicate, and every other caller derives
 // its names from indices.
-func (d *Design) AddInstance(name string, master *Master) *Instance {
-	inst := &Instance{ID: len(d.Insts), Name: name, Master: master}
-	d.Insts = append(d.Insts, inst)
-	d.topoGen++
+func (b *Builder) AddInstance(name string, master *Master) *Instance {
+	inst := &Instance{ID: len(b.Insts), Name: name, Master: master}
+	b.Insts = append(b.Insts, inst)
 	return inst
 }
 
 // AddNet creates an empty net and returns it.
-func (d *Design) AddNet(name string) *Net {
-	n := &Net{ID: len(d.Nets), Name: name, Weight: 1}
-	d.Nets = append(d.Nets, n)
-	d.topoGen++
+func (b *Builder) AddNet(name string) *Net {
+	n := &Net{ID: len(b.Nets), Name: name, Weight: 1}
+	b.Nets = append(b.Nets, n)
 	return n
 }
 
 // AddPort creates a top-level port and returns it; its PinRef is
-// PinRef{Inst: -1, Pin: len(d.Ports) - 1}.
-func (d *Design) AddPort(name string, dir PinDir) *Port {
+// PinRef{Inst: -1, Pin: len(b.Ports) - 1}.
+func (b *Builder) AddPort(name string, dir PinDir) *Port {
 	p := &Port{Name: name, Dir: dir}
-	d.Ports = append(d.Ports, p)
-	d.topoGen++
+	b.Ports = append(b.Ports, p)
 	return p
 }
 
-// Connect attaches pin ref to net n. It does not check for duplicates; real
-// netlists legitimately connect one net to an instance on multiple pins.
-func (d *Design) Connect(n *Net, ref PinRef) {
-	n.Pins = append(n.Pins, ref)
-	d.topoGen++
+// Connect attaches pin ref to net n; a net's pins keep the order of their
+// Connect calls. It does not check for duplicates (real netlists
+// legitimately connect one net to an instance on multiple pins) and does
+// not check the reference: Build does.
+func (b *Builder) Connect(n *Net, ref PinRef) {
+	k := len(b.conns) - 1
+	if k < 0 || len(b.conns[k]) == cap(b.conns[k]) {
+		b.conns = append(b.conns, make([]conn, 0, 256<<min(len(b.conns), 8)))
+		k++
+	}
+	b.conns[k] = append(b.conns[k], conn{ref, n.ID})
 }
 
 // PinRefOf resolves pin name of instance inst to its reference. It is the
@@ -398,7 +422,7 @@ func (d *Design) PinRefOf(inst int, name string) (PinRef, error) {
 }
 
 // PinName returns the name of the pin p refers to: the port name, or the
-// master pin name. The reference must be in range (CompactChecked).
+// master pin name. The reference must be in range, as Build checks.
 func (d *Design) PinName(p PinRef) string {
 	if p.IsPort() {
 		return d.Ports[p.Pin].Name
@@ -407,9 +431,16 @@ func (d *Design) PinName(p PinRef) string {
 }
 
 // HPWL returns the total half-perimeter wirelength over all nets: the
-// Compact view's NetHPWL at the current positions, summed in net order.
+// Compact view's NetHPWL at the current positions, summed in net order. It
+// gathers the positions into the design's own scratch, so it must not run
+// concurrently on one design; clones have their own.
 func (d *Design) HPWL() float64 {
-	return d.Compact().hpwl()
+	d.pos.Gather(d)
+	var sum float64
+	for n := range d.Nets {
+		sum += d.compact.NetHPWL(&d.pos, n)
+	}
+	return sum
 }
 
 // HPWLWorkers is HPWL; workers is ignored; kept for frozen benchmark/replay.go.
@@ -493,29 +524,29 @@ func (d *Design) ToHypergraph() *HypergraphView {
 	return view
 }
 
-// Clone deep-copies the design's instances, nets and ports (the library is
-// shared, as masters are immutable during a flow).
+// Clone copies the design's per-element state (instances, nets and ports
+// with their positions, Placed/Fixed, Weight and Clock) and shares its
+// topology: every net's pin list and the Compact view, both fixed since
+// Build. The library is shared too, as masters are immutable during a flow.
 func (d *Design) Clone() *Design {
-	c := NewDesign(d.Name, d.Lib)
-	c.Die, c.Core = d.Die, d.Core
-	c.RowHeight, c.SiteWidth = d.RowHeight, d.SiteWidth
-	c.Insts = make([]*Instance, len(d.Insts))
-	for i, inst := range d.Insts {
-		cp := *inst
-		c.Insts[i] = &cp
-	}
-	c.Nets = make([]*Net, len(d.Nets))
-	for i, n := range d.Nets {
-		cp := *n
-		cp.Pins = append([]PinRef(nil), n.Pins...)
-		c.Nets[i] = &cp
-	}
-	c.Ports = make([]*Port, len(d.Ports))
-	for i, p := range d.Ports {
-		cp := *p
-		c.Ports[i] = &cp
-	}
+	c := &Design{Name: d.Name, Lib: d.Lib, Die: d.Die, Core: d.Core,
+		RowHeight: d.RowHeight, SiteWidth: d.SiteWidth, compact: d.compact}
+	c.Insts = clonePtrs(d.Insts)
+	c.Nets = clonePtrs(d.Nets)
+	c.Ports = clonePtrs(d.Ports)
 	return c
+}
+
+// clonePtrs copies every element of s into one new backing array and
+// returns pointers to the copies, in order.
+func clonePtrs[T any](s []*T) []*T {
+	vals := make([]T, len(s))
+	out := make([]*T, len(s))
+	for i, p := range s {
+		vals[i] = *p
+		out[i] = &vals[i]
+	}
+	return out
 }
 
 // Stats summarizes a design for reporting (Table 1 of the paper).

@@ -34,39 +34,52 @@ func testLib() *Library {
 // chainDesign builds port(in) -> INV x n -> DFF -> port(out) with a clock.
 func chainDesign(t *testing.T, n int) *Design {
 	t.Helper()
+	return build(t, chainBuilder(n))
+}
+
+// chainBuilder records chainDesign's design, unbuilt.
+func chainBuilder(n int) *Builder {
 	lib := testLib()
-	d := NewDesign("chain", lib)
+	b := NewBuilder("chain", lib)
+	d := b.Design
 	d.Die = Rect{0, 0, 100, 100}
 	d.Core = Rect{5, 5, 95, 95}
-	in := d.AddPort("in", DirInput)
+	in := b.AddPort("in", DirInput)
 	in.X, in.Y, in.Placed = 0, 50, true
-	outp := d.AddPort("out", DirOutput)
+	outp := b.AddPort("out", DirOutput)
 	outp.X, outp.Y, outp.Placed = 100, 50, true
-	clk := d.AddPort("clk", DirInput)
+	clk := b.AddPort("clk", DirInput)
 	clk.X, clk.Y, clk.Placed = 50, 0, true
 
 	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
-		inst := d.AddInstance(fmt.Sprintf("u_core/inv%d", i), lib.Master("INV"))
+		inst := b.AddInstance(fmt.Sprintf("u_core/inv%d", i), lib.Master("INV"))
 		inst.X, inst.Y, inst.Placed = float64(10+i*5), 50, true
-		net := d.AddNet(fmt.Sprintf("n%d", i))
-		d.Connect(net, prev)
-		d.Connect(net, pinRef(d, inst.ID, "A"))
+		net := b.AddNet(fmt.Sprintf("n%d", i))
+		b.Connect(net, prev)
+		b.Connect(net, pinRef(d, inst.ID, "A"))
 		prev = pinRef(d, inst.ID, "Y")
 	}
-	ff := d.AddInstance("u_core/ff", lib.Master("DFF"))
+	ff := b.AddInstance("u_core/ff", lib.Master("DFF"))
 	ff.X, ff.Y, ff.Placed = 80, 50, true
-	dNet := d.AddNet("dnet")
-	d.Connect(dNet, prev)
-	d.Connect(dNet, pinRef(d, ff.ID, "D"))
-	clkNet := d.AddNet("clknet")
+	dNet := b.AddNet("dnet")
+	b.Connect(dNet, prev)
+	b.Connect(dNet, pinRef(d, ff.ID, "D"))
+	clkNet := b.AddNet("clknet")
 	clkNet.Clock = true
-	d.Connect(clkNet, pinRef(d, -1, "clk"))
-	d.Connect(clkNet, pinRef(d, ff.ID, "CK"))
-	qNet := d.AddNet("qnet")
-	d.Connect(qNet, pinRef(d, ff.ID, "Q"))
-	d.Connect(qNet, pinRef(d, -1, "out"))
-	if _, err := d.CompactChecked(); err != nil {
+	b.Connect(clkNet, pinRef(d, -1, "clk"))
+	b.Connect(clkNet, pinRef(d, ff.ID, "CK"))
+	qNet := b.AddNet("qnet")
+	b.Connect(qNet, pinRef(d, ff.ID, "Q"))
+	b.Connect(qNet, pinRef(d, -1, "out"))
+	return b
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *Builder) *Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -149,7 +162,9 @@ func TestDesignConstruction(t *testing.T) {
 }
 
 func TestDriver(t *testing.T) {
-	d := chainDesign(t, 2)
+	b := chainBuilder(2)
+	undriven := b.AddNet("floating")
+	d := build(t, b)
 	// n1 is driven by inv0/Y.
 	n1 := netNamed(d, "n1")
 	drv, ok := netDriver(d, n1)
@@ -162,7 +177,6 @@ func TestDriver(t *testing.T) {
 	if !ok || !drv.IsPort() || d.PinName(drv) != "in" {
 		t.Fatalf("driver=%+v ok=%v", drv, ok)
 	}
-	undriven := d.AddNet("floating")
 	if _, ok := netDriver(d, undriven); ok {
 		t.Fatal("floating net should have no driver")
 	}
@@ -181,7 +195,10 @@ func TestInstNets(t *testing.T) {
 }
 
 func TestHPWL(t *testing.T) {
-	d := chainDesign(t, 1)
+	b := chainBuilder(1)
+	single := b.AddNet("single")
+	b.Connect(single, pinRef(b.Design, 0, "Y"))
+	d := build(t, b)
 	// n0: port(0,50) to inv0 center (10.5, 51) -> 10.5 + 1.
 	n0 := netNamed(d, "n0")
 	want := 10.5 + 1.0
@@ -191,8 +208,6 @@ func TestHPWL(t *testing.T) {
 	if d.HPWL() <= 0 {
 		t.Fatal("total HPWL should be positive")
 	}
-	single := d.AddNet("single")
-	d.Connect(single, pinRef(d, 0, "Y"))
 	if d.NetHPWL(single) != 0 {
 		t.Fatal("single-pin net HPWL should be 0")
 	}
@@ -205,11 +220,13 @@ func TestPinOffsets(t *testing.T) {
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDesign("t", lib)
-	inst := d.AddInstance("u1", m)
+	b := NewBuilder("t", lib)
+	d := b.Design
+	inst := b.AddInstance("u1", m)
 	inst.X, inst.Y = 10, 20
-	n := d.AddNet("n")
-	d.Connect(n, pinRef(d, inst.ID, "P"))
+	n := b.AddNet("n")
+	b.Connect(n, pinRef(d, inst.ID, "P"))
+	build(t, b)
 	var pos Positions
 	pos.Gather(d)
 	x, y := d.Compact().PinXY(&pos, 0)
@@ -247,7 +264,7 @@ func TestToHypergraph(t *testing.T) {
 }
 
 // TestValidateCatchesBadRefs checks that a pin reference out of range is a
-// build error of the compact view, naming the net and the reference: a
+// Build error, naming the net and the reference: a
 // master pin index past the cell's pins, a port index past the port list,
 // an instance past the instance list.
 func TestValidateCatchesBadRefs(t *testing.T) {
@@ -262,14 +279,15 @@ func TestValidateCatchesBadRefs(t *testing.T) {
 		{"port", PinRef{Inst: -1, Pin: 3}, []string{`"n"`, "port 3 of 0"}},
 		{"instance", PinRef{Inst: 5, Pin: 0}, []string{`"n"`, "instance 5 of 1"}},
 	} {
-		d := NewDesign("bad", lib)
-		d.AddInstance("u1", lib.Master("INV"))
-		n := d.AddNet("n")
-		d.Connect(n, pinRef(d, 0, "Y"))
-		d.Connect(n, tc.ref)
-		_, err := d.CompactChecked()
+		b := NewBuilder("bad", lib)
+		d := b.Design
+		b.AddInstance("u1", lib.Master("INV"))
+		n := b.AddNet("n")
+		b.Connect(n, pinRef(d, 0, "Y"))
+		b.Connect(n, tc.ref)
+		_, err := b.Build()
 		if err == nil {
-			t.Fatalf("%s: unresolved pin built a compact view", tc.name)
+			t.Fatalf("%s: unresolved pin built a design", tc.name)
 		}
 		for _, w := range tc.want {
 			if !strings.Contains(err.Error(), w) {
@@ -362,19 +380,21 @@ func TestPropertyHPWLTranslationInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		lib := testLib()
-		d := NewDesign("p", lib)
+		b := NewBuilder("p", lib)
+		d := b.Design
 		n := 3 + rng.Intn(10)
 		for i := 0; i < n; i++ {
-			inst := d.AddInstance(fmt.Sprintf("u%d", i), lib.Master("INV"))
+			inst := b.AddInstance(fmt.Sprintf("u%d", i), lib.Master("INV"))
 			inst.X, inst.Y = rng.Float64()*100, rng.Float64()*100
 		}
 		for e := 0; e < n; e++ {
-			net := d.AddNet(fmt.Sprintf("n%d", e))
+			net := b.AddNet(fmt.Sprintf("n%d", e))
 			k := 2 + rng.Intn(3)
 			for j := 0; j < k; j++ {
-				d.Connect(net, pinRef(d, rng.Intn(n), "A"))
+				b.Connect(net, pinRef(d, rng.Intn(n), "A"))
 			}
 		}
+		build(t, b)
 		before := d.HPWL()
 		dx, dy := rng.Float64()*50, rng.Float64()*50
 		for _, inst := range d.Insts {

@@ -20,8 +20,8 @@ package netlist
 // strict inequality — the same rule the kernel applies — so a bound never
 // changes bits without changing value.
 //
-// The cache assumes a frozen topology: positions change only through
-// MoveCell. Adding instances, nets or pins, or moving a cell any other way,
+// A design's topology is fixed when it is built, so only positions can go
+// stale: they change only through MoveCell, and moving a cell any other way
 // invalidates the cache; build a new one afterwards.
 type WirelenCache struct {
 	d                      *Design
@@ -46,26 +46,24 @@ type WirelenCache struct {
 
 // NewWirelenCache builds the cache from current pin positions in O(pins).
 func NewWirelenCache(d *Design) *WirelenCache {
-	c := &WirelenCache{d: d}
+	n := len(d.Nets)
+	c := &WirelenCache{
+		d:    d,
+		cm:   d.Compact(),
+		minX: make([]float64, n),
+		maxX: make([]float64, n),
+		minY: make([]float64, n),
+		maxY: make([]float64, n),
+		hp:   make([]float64, n),
+	}
+	c.indexSlots()
 	c.rebuild()
 	return c
 }
 
-// rebuild recomputes every net's bounding box from current positions and
-// refreshes the compact connectivity snapshot.
+// rebuild recomputes every net's bounding box from current positions.
 func (c *WirelenCache) rebuild() {
-	if cm := c.d.Compact(); cm != c.cm {
-		c.cm = cm
-		c.indexSlots()
-	}
 	n := len(c.d.Nets)
-	if len(c.hp) != n {
-		c.minX = make([]float64, n)
-		c.maxX = make([]float64, n)
-		c.minY = make([]float64, n)
-		c.maxY = make([]float64, n)
-		c.hp = make([]float64, n)
-	}
 	c.pos.Gather(c.d)
 	for i := 0; i < n; i++ {
 		c.recompute(i)

@@ -11,35 +11,41 @@ import (
 // random multi-pin nets (some including ports), for cache equivalence tests.
 func wirelenTestDesign(t testing.TB, nCells, nNets int, seed int64) *Design {
 	t.Helper()
+	return build(t, wirelenTestBuilder(nCells, nNets, seed))
+}
+
+// wirelenTestBuilder records wirelenTestDesign's design, unbuilt.
+func wirelenTestBuilder(nCells, nNets int, seed int64) *Builder {
 	lib := testLib()
-	d := NewDesign("wl", lib)
+	b := NewBuilder("wl", lib)
+	d := b.Design
 	d.Core = Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}
 	rng := rand.New(rand.NewSource(seed))
 	inv := lib.Master("INV")
 	for i := 0; i < nCells; i++ {
-		inst := d.AddInstance(name("c", i), inv)
+		inst := b.AddInstance(name("c", i), inv)
 		inst.X = rng.Float64() * 1000
 		inst.Y = rng.Float64() * 1000
 	}
 	for i := 0; i < 8; i++ {
-		p := d.AddPort(name("p", i), DirOutput)
+		p := b.AddPort(name("p", i), DirOutput)
 		p.X = rng.Float64() * 1000
 		p.Y = rng.Float64() * 1000
 	}
 	for i := 0; i < nNets; i++ {
-		n := d.AddNet(name("n", i))
+		n := b.AddNet(name("n", i))
 		fan := 1 + rng.Intn(5)
 		drv := rng.Intn(nCells)
-		d.Connect(n, pinRef(d, drv, "Y"))
+		b.Connect(n, pinRef(d, drv, "Y"))
 		for k := 0; k < fan; k++ {
 			if rng.Intn(8) == 0 {
-				d.Connect(n, pinRef(d, -1, name("p", rng.Intn(8))))
+				b.Connect(n, pinRef(d, -1, name("p", rng.Intn(8))))
 			} else {
-				d.Connect(n, pinRef(d, rng.Intn(nCells), "A"))
+				b.Connect(n, pinRef(d, rng.Intn(nCells), "A"))
 			}
 		}
 	}
-	return d
+	return b
 }
 
 func name(prefix string, i int) string {
@@ -52,7 +58,8 @@ func name(prefix string, i int) string {
 // net whose first pin is a port. hot lists the instances on those nets.
 func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	t.Helper()
-	d = wirelenTestDesign(t, 5200, 300, 5)
+	b := wirelenTestBuilder(5200, 300, 5)
+	d = b.Design
 	ofs := &Master{Name: "OFS", Class: ClassCore, Width: 2, Height: 2}
 	ofs.AddPin(MasterPin{Name: "A", Dir: DirInput, OffsetX: 0.25, OffsetY: 0.5})
 	ofs.AddPin(MasterPin{Name: "Y", Dir: DirOutput, OffsetX: 1.75, OffsetY: 1.5})
@@ -61,14 +68,14 @@ func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	}
 	var o [2]int
 	for i := range o {
-		inst := d.AddInstance(fmt.Sprintf("ofs%d", i), ofs)
+		inst := b.AddInstance(fmt.Sprintf("ofs%d", i), ofs)
 		inst.X, inst.Y = 300+100*float64(i), 400
 		o[i] = inst.ID
 	}
 	net := func(netName string, pins ...PinRef) {
-		n := d.AddNet(netName)
+		n := b.AddNet(netName)
 		for _, p := range pins {
-			d.Connect(n, p)
+			b.Connect(n, p)
 		}
 	}
 	big := make([]PinRef, 0, 5001)
@@ -79,7 +86,7 @@ func wirelenHardDesign(t testing.TB) (d *Design, hot []int) {
 	net("twice", pinRef(d, o[0], "A"), pinRef(d, 7, "A"), pinRef(d, o[0], "Y"))
 	net("portonly", pinRef(d, o[1], "Y"), pinRef(d, -1, name("p", 0)))
 	net("portfirst", pinRef(d, -1, name("p", 1)), pinRef(d, o[1], "A"), pinRef(d, 9, "A"))
-	return d, []int{o[0], o[1], 0, 7, 9, 4999}
+	return build(t, b), []int{o[0], o[1], 0, 7, 9, 4999}
 }
 
 // checkWirelenCache compares every cached per-net value and the total
@@ -189,14 +196,15 @@ func TestWirelenCacheMoveAllocFree(t *testing.T) {
 func fanoutDesign(t testing.TB, nSmall, nBig int) *Design {
 	t.Helper()
 	lib := testLib()
-	d := NewDesign("fanout", lib)
+	b := NewBuilder("fanout", lib)
+	d := b.Design
 	d.Core = Rect{X0: 0, Y0: 0, X1: 1000, Y1: 1000}
 	rng := rand.New(rand.NewSource(9))
 	inv := lib.Master("INV")
 	for _, size := range [2]int{nSmall, nBig} {
-		n := d.AddNet(fmt.Sprintf("n%d", size))
+		n := b.AddNet(fmt.Sprintf("n%d", size))
 		for i := 0; i < size; i++ {
-			inst := d.AddInstance(fmt.Sprintf("c%d_%d", size, i), inv)
+			inst := b.AddInstance(fmt.Sprintf("c%d_%d", size, i), inv)
 			switch i {
 			case 0:
 				inst.X, inst.Y = 0, 0
@@ -205,10 +213,10 @@ func fanoutDesign(t testing.TB, nSmall, nBig int) *Design {
 			default:
 				inst.X, inst.Y = rng.Float64()*1000, rng.Float64()*1000
 			}
-			d.Connect(n, pinRef(d, inst.ID, "A"))
+			b.Connect(n, pinRef(d, inst.ID, "A"))
 		}
 	}
-	return d
+	return build(t, b)
 }
 
 // TestWirelenCacheMoveIndependentOfFanout pins the complexity claim: moving a

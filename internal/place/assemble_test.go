@@ -117,16 +117,17 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	d := netlist.NewDesign("corner", lib)
+	b := netlist.NewBuilder("corner", lib)
+	d := b.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40}
 	at := [][2]float64{{5, 5}, {5, 5}, {5, 5}, {12, 30}, {31, 7}, {20, 20}, {8, 33}}
 	for i, xy := range at {
-		inst := d.AddInstance("i"+strconv.Itoa(i), m)
+		inst := b.AddInstance("i"+strconv.Itoa(i), m)
 		inst.X, inst.Y, inst.Placed = xy[0], xy[1], true
 	}
 	d.Insts[5].Fixed = true
 	for i, xy := range [][2]float64{{0, 17}, {40, 3}} {
-		port := d.AddPort("p"+strconv.Itoa(i), netlist.DirInput)
+		port := b.AddPort("p"+strconv.Itoa(i), netlist.DirInput)
 		port.X, port.Y, port.Placed = xy[0], xy[1], true
 	}
 	cell := func(i int) netlist.PinRef { return pinRef(d, i, "p") }
@@ -143,13 +144,13 @@ func cornerCaseDesign(t *testing.T) *netlist.Design {
 		huge,
 		{cell(6)},
 	} {
-		net := d.AddNet("n" + strconv.Itoa(i))
+		net := b.AddNet("n" + strconv.Itoa(i))
 		net.Weight = 1 + 0.5*float64(i)
 		for _, ref := range pins {
-			d.Connect(net, ref)
+			b.Connect(net, ref)
 		}
 	}
-	return d
+	return build(t, b)
 }
 
 // axisArgs returns the position, constant-pin, anchor and seed vectors of one
@@ -310,4 +311,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

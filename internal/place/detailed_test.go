@@ -72,7 +72,7 @@ func TestDetailedPreservesLegality(t *testing.T) {
 
 func TestDetailedEmptyDesign(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("empty-dp", lib)
+	d := build(t, netlist.NewBuilder("empty-dp", lib))
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}
 	res := Detailed(d, DetailedOptions{})
 	if res.Swaps != 0 || res.HPWLAfter != res.HPWLBefore {

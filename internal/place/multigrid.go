@@ -109,8 +109,8 @@ func (p *placer) coarseInit() {
 	// one pin "p" at zero offset, which resolves to the cell center, matching
 	// the placer's cell-center model.
 	lib := netlist.NewLibrary(d.Name + "_coarse_lib")
-	cd := netlist.NewDesign(d.Name+"_coarse", lib)
-	cd.Core = p.core
+	cb := netlist.NewBuilder(d.Name+"_coarse", lib)
+	cb.Core = p.core
 	maxSide := math.Min(p.core.W(), p.core.H()) / 2
 	for c := 0; c < nc; c++ {
 		side := math.Sqrt(coarse.VertexWeight(c))
@@ -130,7 +130,7 @@ func (p *placer) coarseInit() {
 		if lib.AddMaster(m) != nil {
 			return
 		}
-		inst := cd.AddInstance("c"+strconv.Itoa(c), m)
+		inst := cb.AddInstance("c"+strconv.Itoa(c), m)
 		if fixedArea[c] > 0 {
 			// A cluster holding fixed cells is pinned at their area-weighted
 			// centroid so it anchors its neighborhood, as the fixed cells
@@ -142,11 +142,15 @@ func (p *placer) coarseInit() {
 		}
 	}
 	for e := 0; e < coarse.NumEdges(); e++ {
-		net := cd.AddNet("n" + strconv.Itoa(e))
+		net := cb.AddNet("n" + strconv.Itoa(e))
 		net.Weight = coarse.EdgeWeight(e)
 		for _, v := range coarse.Edge(e) {
-			cd.Connect(net, netlist.PinRef{Inst: v}) // pin 0, "p"
+			cb.Connect(net, netlist.PinRef{Inst: v}) // pin 0, "p"
 		}
+	}
+	cd, err := cb.Build()
+	if err != nil {
+		return
 	}
 
 	// coarseInit: -1 ends the recursion here. The cluster count is a target,

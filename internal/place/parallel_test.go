@@ -121,16 +121,18 @@ func TestCoarseInitRecursionTerminates(t *testing.T) {
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	d := netlist.NewDesign("sparse", lib)
+	b := netlist.NewBuilder("sparse", lib)
+	d := b.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 700, Y1: 700}
 	for i := 0; i < n; i++ {
-		d.AddInstance("i"+strconv.Itoa(i), m)
+		b.AddInstance("i"+strconv.Itoa(i), m)
 	}
 	for e := 0; e < 10; e++ {
-		net := d.AddNet("n" + strconv.Itoa(e))
-		d.Connect(net, pinRef(d, 2*e, "p"))
-		d.Connect(net, pinRef(d, 2*e+1, "p"))
+		net := b.AddNet("n" + strconv.Itoa(e))
+		b.Connect(net, pinRef(d, 2*e, "p"))
+		b.Connect(net, pinRef(d, 2*e+1, "p"))
 	}
+	build(t, b)
 	done := make(chan Result, 1)
 	go func() { done <- Global(d, Options{Seed: 1, Iterations: 1}) }()
 	select {

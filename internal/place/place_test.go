@@ -290,7 +290,7 @@ func TestDeterministicPlacement(t *testing.T) {
 
 func TestEmptyDesign(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("empty", lib)
+	d := build(t, netlist.NewBuilder("empty", lib))
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}
 	res := Global(d, Options{})
 	if res.HPWL != 0 {
@@ -349,7 +349,8 @@ func pairOverlap(d *netlist.Design) float64 {
 
 func TestRemoveOverlaps(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("fp", lib)
+	nb := netlist.NewBuilder("fp", lib)
+	d := nb.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
 	// Big synthetic blocks, all piled at the same spot.
 	for i := 0; i < 6; i++ {
@@ -358,9 +359,10 @@ func TestRemoveOverlaps(t *testing.T) {
 		if err := lib.AddMaster(m); err != nil {
 			t.Fatal(err)
 		}
-		inst := d.AddInstance("b"+string(rune('a'+i)), m)
+		inst := nb.AddInstance("b"+string(rune('a'+i)), m)
 		inst.X, inst.Y, inst.Placed = 35, 35, true
 	}
+	build(t, nb)
 	if pairOverlap(d) == 0 {
 		t.Fatal("expected initial overlap")
 	}
@@ -378,17 +380,19 @@ func TestRemoveOverlaps(t *testing.T) {
 
 func TestRemoveOverlapsRespectsFixed(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("fp2", lib)
+	b := netlist.NewBuilder("fp2", lib)
+	d := b.Design
 	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 60, Y1: 60}
 	m := &netlist.Master{Name: "BLKF", Width: 20, Height: 20}
 	m.AddPin(netlist.MasterPin{Name: "P", Dir: netlist.DirInout})
 	if err := lib.AddMaster(m); err != nil {
 		t.Fatal(err)
 	}
-	fixed := d.AddInstance("fix", m)
+	fixed := b.AddInstance("fix", m)
 	fixed.X, fixed.Y, fixed.Placed, fixed.Fixed = 20, 20, true, true
-	mov := d.AddInstance("mov", m)
+	mov := b.AddInstance("mov", m)
 	mov.X, mov.Y, mov.Placed = 21, 21, true
+	build(t, b)
 	RemoveOverlaps(d)
 	if fixed.X != 20 || fixed.Y != 20 {
 		t.Fatal("fixed cell moved")
@@ -403,7 +407,8 @@ func TestPropertyRemoveOverlapsAlwaysLegal(t *testing.T) {
 	// the core has room.
 	for seed := int64(0); seed < 6; seed++ {
 		lib := netlist.NewLibrary("fpq")
-		d := netlist.NewDesign("fpq", lib)
+		nb := netlist.NewBuilder("fpq", lib)
+		d := nb.Design
 		d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 120, Y1: 120}
 		s := uint64(seed)*6364136223846793005 + 1442695040888963407
 		next := func() float64 {
@@ -420,11 +425,12 @@ func TestPropertyRemoveOverlapsAlwaysLegal(t *testing.T) {
 			if err := lib.AddMaster(m); err != nil {
 				t.Fatal(err)
 			}
-			inst := d.AddInstance("b"+string(rune('a'+i)), m)
+			inst := nb.AddInstance("b"+string(rune('a'+i)), m)
 			inst.X = next() * 40
 			inst.Y = next() * 40
 			inst.Placed = true
 		}
+		build(t, nb)
 		RemoveOverlaps(d)
 		if ov := pairOverlap(d); ov > 1e-6 {
 			t.Fatalf("seed %d: overlap %v remains", seed, ov)

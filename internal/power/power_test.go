@@ -20,21 +20,22 @@ func oneGate(t *testing.T) (*netlist.Design, sta.Constraints) {
 	if err := l.AddMaster(inv); err != nil {
 		t.Fatal(err)
 	}
-	d := netlist.NewDesign("p", l)
-	in := d.AddPort("in", netlist.DirInput)
+	b := netlist.NewBuilder("p", l)
+	d := b.Design
+	in := b.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	out := d.AddPort("out", netlist.DirOutput)
+	out := b.AddPort("out", netlist.DirOutput)
 	out.X, out.Y = 0, 0
-	g := d.AddInstance("g", inv)
+	g := b.AddInstance("g", inv)
 	g.X, g.Y = -0.5, -1
-	n0 := d.AddNet("n0")
-	d.Connect(n0, pinRef(d, -1, "in"))
-	d.Connect(n0, pinRef(d, g.ID, "A"))
-	n1 := d.AddNet("n1")
-	d.Connect(n1, pinRef(d, g.ID, "Y"))
-	d.Connect(n1, pinRef(d, -1, "out"))
+	n0 := b.AddNet("n0")
+	b.Connect(n0, pinRef(d, -1, "in"))
+	b.Connect(n0, pinRef(d, g.ID, "A"))
+	n1 := b.AddNet("n1")
+	b.Connect(n1, pinRef(d, g.ID, "Y"))
+	b.Connect(n1, pinRef(d, -1, "out"))
 	cons := sta.DefaultConstraints(1e-9)
-	return d, cons
+	return build(t, b), cons
 }
 
 func TestAnalyzeHandComputed(t *testing.T) {
@@ -143,4 +144,14 @@ func pinRef(d *netlist.Design, inst int, name string) netlist.PinRef {
 		panic(err)
 	}
 	return ref
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -26,18 +26,20 @@ func TestDRVMaxCapViolation(t *testing.T) {
 	// Give INV a tiny max cap so any load violates.
 	inv := l.Master("INV")
 	masterPin(inv, "Y").MaxCap = 0.1e-15
-	d := netlist.NewDesign("v", l)
-	g0 := d.AddInstance("g0", inv)
-	g1 := d.AddInstance("g1", inv)
-	in := d.AddPort("in", netlist.DirInput)
+	b := netlist.NewBuilder("v", l)
+	d := b.Design
+	g0 := b.AddInstance("g0", inv)
+	g1 := b.AddInstance("g1", inv)
+	in := b.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	n0 := d.AddNet("n0")
-	d.Connect(n0, pinRef(d, -1, "in"))
-	d.Connect(n0, pinRef(d, g0.ID, "A"))
-	n1 := d.AddNet("n1")
-	d.Connect(n1, pinRef(d, g0.ID, "Y"))
+	n0 := b.AddNet("n0")
+	b.Connect(n0, pinRef(d, -1, "in"))
+	b.Connect(n0, pinRef(d, g0.ID, "A"))
+	n1 := b.AddNet("n1")
+	b.Connect(n1, pinRef(d, g0.ID, "Y"))
 	_ = n1
-	d.Connect(n1, pinRef(d, g1.ID, "A"))
+	b.Connect(n1, pinRef(d, g1.ID, "A"))
+	build(t, b)
 	a := New(d, DefaultConstraints(1e-9))
 	rep := a.DRV()
 	if rep.MaxCapViolations != 1 {

@@ -18,6 +18,7 @@ import (
 // bfDAG is a generated design and the connectivity the oracle walks: the
 // sinks of the net each driver pin drives, and that net's id.
 type bfDAG struct {
+	b       *netlist.Builder // records d until randomDAG builds it
 	d       *netlist.Design
 	cons    Constraints
 	fanout  map[netlist.PinRef][]netlist.PinRef
@@ -44,12 +45,12 @@ func (p bfPath) at() float64         { return p.ats[len(p.ats)-1] }
 func (g *bfDAG) connect(driver, sink netlist.PinRef) {
 	ni, ok := g.netOf[driver]
 	if !ok {
-		n := g.d.AddNet(fmt.Sprintf("n%d", len(g.d.Nets)))
-		g.d.Connect(n, driver)
+		n := g.b.AddNet(fmt.Sprintf("n%d", len(g.d.Nets)))
+		g.b.Connect(n, driver)
 		ni = n.ID
 		g.netOf[driver] = ni
 	}
-	g.d.Connect(g.d.Nets[ni], sink)
+	g.b.Connect(g.d.Nets[ni], sink)
 	g.fanout[driver] = append(g.fanout[driver], sink)
 }
 
@@ -62,8 +63,10 @@ func (g *bfDAG) connect(driver, sink netlist.PinRef) {
 func randomDAG(seed int64) *bfDAG {
 	rng := rand.New(rand.NewSource(seed))
 	l := lib()
+	b := netlist.NewBuilder(fmt.Sprintf("dag%d", seed), l)
 	g := &bfDAG{
-		d:       netlist.NewDesign(fmt.Sprintf("dag%d", seed), l),
+		b:       b,
+		d:       b.Design,
 		fanout:  make(map[netlist.PinRef][]netlist.PinRef),
 		netOf:   make(map[netlist.PinRef]int),
 		clockAt: make(map[int]float64),
@@ -74,12 +77,12 @@ func randomDAG(seed int64) *bfDAG {
 	g.cons.ZeroWire = seed%2 == 1
 	place := func(x, y *float64) { *x, *y = 50*rng.Float64(), 50*rng.Float64() }
 	port := func(name string, dir netlist.PinDir) netlist.PinRef {
-		p := d.AddPort(name, dir)
+		p := b.AddPort(name, dir)
 		place(&p.X, &p.Y)
 		return pinRef(d, -1, name)
 	}
 	gate := func(master string) *netlist.Instance {
-		inst := d.AddInstance(fmt.Sprintf("g%d", len(d.Insts)), l.Master(master))
+		inst := b.AddInstance(fmt.Sprintf("g%d", len(d.Insts)), l.Master(master))
 		place(&inst.X, &inst.Y)
 		return inst
 	}
@@ -88,12 +91,12 @@ func randomDAG(seed int64) *bfDAG {
 	clk := port("clk", netlist.DirInput)
 	in0 := port("in0", netlist.DirInput)
 	in1 := port("in1", netlist.DirInput)
-	cn := d.AddNet("clk")
+	cn := b.AddNet("clk")
 	cn.Clock = true
-	d.Connect(cn, clk)
+	b.Connect(cn, clk)
 	ffs := []*netlist.Instance{gate("DFF"), gate("DFF")}
 	for _, ff := range ffs {
-		d.Connect(cn, pin(ff, "CK"))
+		b.Connect(cn, pin(ff, "CK"))
 		g.clockAt[ff.ID] = 80e-12 * rng.Float64()
 		g.starts = append(g.starts, pin(ff, "Q"))
 	}
@@ -126,6 +129,9 @@ func randomDAG(seed int64) *bfDAG {
 	drivers = append(drivers, pin(ffs[1], "Q"))
 	for o := 1 + rng.Intn(2); o > 0; o-- {
 		g.connect(drivers[3+rng.Intn(len(drivers)-3)], port(fmt.Sprintf("out%d", o), netlist.DirOutput))
+	}
+	if _, err := b.Build(); err != nil {
+		panic(err)
 	}
 	return g
 }

@@ -471,35 +471,36 @@ func compareToRef(t *testing.T, tag string, a *Analyzer, r *refAnalyzer) {
 // placement. l must have lib()'s masters and pin names.
 func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design {
 	t.Helper()
-	d := netlist.NewDesign("tangled", l)
+	b := netlist.NewBuilder("tangled", l)
+	d := b.Design
 	rng := rand.New(rand.NewSource(7))
-	clk := d.AddPort("clk", netlist.DirInput)
+	clk := b.AddPort("clk", netlist.DirInput)
 	clk.X, clk.Y = 0, 0
-	cn := d.AddNet("clkroot")
+	cn := b.AddNet("clkroot")
 	cn.Clock = true
-	d.Connect(cn, pinRef(d, -1, "clk"))
-	cbuf := d.AddInstance("cbuf", l.Master("INV"))
+	b.Connect(cn, pinRef(d, -1, "clk"))
+	cbuf := b.AddInstance("cbuf", l.Master("INV"))
 	cbuf.X, cbuf.Y = 1, 1
-	d.Connect(cn, pinRef(d, cbuf.ID, "A"))
-	ctree := d.AddNet("clktree")
+	b.Connect(cn, pinRef(d, cbuf.ID, "A"))
+	ctree := b.AddNet("clktree")
 	ctree.Clock = true
-	d.Connect(ctree, pinRef(d, cbuf.ID, "Y"))
+	b.Connect(ctree, pinRef(d, cbuf.ID, "Y"))
 
-	in0 := d.AddPort("in0", netlist.DirInput)
+	in0 := b.AddPort("in0", netlist.DirInput)
 	in0.X, in0.Y = 0, 5
-	in1 := d.AddPort("in1", netlist.DirInput)
+	in1 := b.AddPort("in1", netlist.DirInput)
 	in1.X, in1.Y = 0, 9
 	drivers := []netlist.PinRef{pinRef(d, -1, "in0"), pinRef(d, -1, "in1")}
 	masters := []string{"INV", "NAND2", "DFF"}
 	for i := 0; i < cells; i++ {
 		m := l.Master(masters[rng.Intn(len(masters))])
-		g := d.AddInstance(fmt.Sprintf("u%d", i), m)
+		g := b.AddInstance(fmt.Sprintf("u%d", i), m)
 		g.X, g.Y = 100*rng.Float64(), 100*rng.Float64()
 		if m.Name == "DFF" {
-			n := d.AddNet(fmt.Sprintf("d%d", i))
-			d.Connect(n, drivers[rng.Intn(len(drivers))])
-			d.Connect(n, pinRef(d, g.ID, "D"))
-			d.Connect(ctree, pinRef(d, g.ID, "CK"))
+			n := b.AddNet(fmt.Sprintf("d%d", i))
+			b.Connect(n, drivers[rng.Intn(len(drivers))])
+			b.Connect(n, pinRef(d, g.ID, "D"))
+			b.Connect(ctree, pinRef(d, g.ID, "CK"))
 			drivers = append(drivers, pinRef(d, g.ID, "Q"))
 			continue
 		}
@@ -508,24 +509,24 @@ func tangledDesign(t *testing.T, l *netlist.Library, cells int) *netlist.Design 
 			ins = append(ins, "B")
 		}
 		for _, pin := range ins {
-			n := d.AddNet(fmt.Sprintf("w%d%s", i, pin))
-			d.Connect(n, drivers[rng.Intn(len(drivers))])
-			d.Connect(n, pinRef(d, g.ID, pin))
+			n := b.AddNet(fmt.Sprintf("w%d%s", i, pin))
+			b.Connect(n, drivers[rng.Intn(len(drivers))])
+			b.Connect(n, pinRef(d, g.ID, pin))
 			// Random extra fanout onto the same net, on cells with an A pin.
 			if rng.Intn(3) == 0 && i > 2 {
 				if u := d.Insts[rng.Intn(i)]; masterPin(u.Master, "A") != nil {
-					d.Connect(n, pinRef(d, u.ID, "A"))
+					b.Connect(n, pinRef(d, u.ID, "A"))
 				}
 			}
 		}
 		drivers = append(drivers, pinRef(d, g.ID, "Y"))
 	}
-	out := d.AddPort("dout", netlist.DirOutput)
+	out := b.AddPort("dout", netlist.DirOutput)
 	out.X, out.Y = 120, 60
-	on := d.AddNet("outnet")
-	d.Connect(on, drivers[len(drivers)-1])
-	d.Connect(on, pinRef(d, -1, "dout"))
-	return d
+	on := b.AddNet("outnet")
+	b.Connect(on, drivers[len(drivers)-1])
+	b.Connect(on, pinRef(d, -1, "dout"))
+	return build(t, b)
 }
 
 // slewLib is lib() with every delay, output slew and setup table given a
@@ -570,7 +571,7 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 		name string
 		d    *netlist.Design
 	}{
-		{"pipeline", benchPipeline(8, 6)},
+		{"pipeline", benchPipeline(t, 8, 6)},
 		{"tangled", tangledDesign(t, lib(), 120)},
 		{"tangled-slew", tangledDesign(t, slewLib(), 120)},
 		{"regpair", regPair(t)},
@@ -591,7 +592,7 @@ func TestCompactMatchesReferenceFull(t *testing.T) {
 // TestCompactMatchesReferenceClockArrivals checks the dense clockAt array
 // against the reference's map under CTS-style useful skew.
 func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
-	d := benchPipeline(6, 4)
+	d := benchPipeline(t, 6, 4)
 	cons := DefaultConstraints(0.4e-9)
 
 	arr := make(map[refPin]float64)
@@ -617,7 +618,7 @@ func TestCompactMatchesReferenceClockArrivals(t *testing.T) {
 // TestUpdateMatchesReference moves cells, calls Update, and checks the result
 // is bit-identical to a reference built fresh from the moved design.
 func TestUpdateMatchesReference(t *testing.T) {
-	d := benchPipeline(8, 6)
+	d := benchPipeline(t, 8, 6)
 	cons := DefaultConstraints(0.4e-9)
 	a := New(d, cons)
 	a.run()

@@ -15,12 +15,21 @@ import (
 )
 
 // wire connects the pins to a new net, driver first.
-func wire(d *netlist.Design, name string, pins ...netlist.PinRef) *netlist.Net {
-	n := d.AddNet(name)
+func wire(b *netlist.Builder, name string, pins ...netlist.PinRef) *netlist.Net {
+	n := b.AddNet(name)
 	for _, p := range pins {
-		d.Connect(n, p)
+		b.Connect(n, p)
 	}
 	return n
+}
+
+// built builds b's design; the fixtures connect only declared pins.
+func built(b *netlist.Builder) *netlist.Design {
+	d, err := b.Build()
+	if err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // pin resolves pin name of inst, or the port called name when inst is nil.
@@ -45,51 +54,53 @@ func netNamed(d *netlist.Design, name string) *netlist.Net {
 	return d.Nets[slices.IndexFunc(d.Nets, func(n *netlist.Net) bool { return n.Name == name })]
 }
 
-func shapeDesign(name string) (*netlist.Design, *netlist.Library) {
+func shapeDesign(name string) (*netlist.Builder, *netlist.Library) {
 	lib := designs.Lib()
-	d := netlist.NewDesign(name, lib)
-	d.Core = netlist.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40}
-	d.Die = d.Core
-	return d, lib
+	b := netlist.NewBuilder(name, lib)
+	b.Core = netlist.Rect{X0: 0, Y0: 0, X1: 40, Y1: 40}
+	b.Die = b.Core
+	return b, lib
 }
 
 // bufferedClock: clk -> CLKBUF_X2 -> 24 x DFF_X1/CK, din -> every D, ff0/Q ->
 // out. The clk->Q delay table depends on the slew at CK, and 24 clock pins
 // load the buffer enough that it delivers a slower edge than InputSlew.
 func bufferedClock() (*netlist.Design, sta.Constraints) {
-	d, lib := shapeDesign("bufclk")
-	d.AddPort("clk", netlist.DirInput)
-	d.AddPort("din", netlist.DirInput)
-	d.AddPort("out", netlist.DirOutput)
-	buf := d.AddInstance("cbuf", lib.Master("CLKBUF_X2"))
-	wire(d, "clk", pin(d, nil, "clk"), pin(d, buf, "A")).Clock = true
-	ctree := wire(d, "ctree", pin(d, buf, "Z"))
+	b, lib := shapeDesign("bufclk")
+	d := b.Design
+	b.AddPort("clk", netlist.DirInput)
+	b.AddPort("din", netlist.DirInput)
+	b.AddPort("out", netlist.DirOutput)
+	buf := b.AddInstance("cbuf", lib.Master("CLKBUF_X2"))
+	wire(b, "clk", pin(d, nil, "clk"), pin(d, buf, "A")).Clock = true
+	ctree := wire(b, "ctree", pin(d, buf, "Z"))
 	ctree.Clock = true
-	din := wire(d, "d", pin(d, nil, "din"))
+	din := wire(b, "d", pin(d, nil, "din"))
 	for i := 0; i < 24; i++ {
-		ff := d.AddInstance(fmt.Sprintf("ff%d", i), lib.Master("DFF_X1"))
-		d.Connect(ctree, pin(d, ff, "CK"))
-		d.Connect(din, pin(d, ff, "D"))
+		ff := b.AddInstance(fmt.Sprintf("ff%d", i), lib.Master("DFF_X1"))
+		b.Connect(ctree, pin(d, ff, "CK"))
+		b.Connect(din, pin(d, ff, "D"))
 	}
-	wire(d, "q", pin(d, instNamed(d, "ff0"), "Q"), pin(d, nil, "out"))
+	wire(b, "q", pin(d, instNamed(d, "ff0"), "Q"), pin(d, nil, "out"))
 	cons := sta.DefaultConstraints(1e-9)
-	return d, cons
+	return built(b), cons
 }
 
 // ring: three inverting stages in a loop (NAND2 -> INV -> INV -> NAND2/A2)
 // with a side input on NAND2/A1 and the loop tapped to an output port.
 func ring() (*netlist.Design, sta.Constraints) {
-	d, lib := shapeDesign("ring")
-	d.AddPort("en", netlist.DirInput)
-	d.AddPort("out", netlist.DirOutput)
-	g0 := d.AddInstance("g0", lib.Master("NAND2_X1"))
-	g1 := d.AddInstance("g1", lib.Master("INV_X1"))
-	g2 := d.AddInstance("g2", lib.Master("INV_X1"))
-	wire(d, "en", pin(d, nil, "en"), pin(d, g0, "A1"))
-	wire(d, "n0", pin(d, g0, "ZN"), pin(d, g1, "A"))
-	wire(d, "n1", pin(d, g1, "ZN"), pin(d, g2, "A"))
-	wire(d, "n2", pin(d, g2, "ZN"), pin(d, g0, "A2"), pin(d, nil, "out"))
-	return d, sta.DefaultConstraints(1e-9)
+	b, lib := shapeDesign("ring")
+	d := b.Design
+	b.AddPort("en", netlist.DirInput)
+	b.AddPort("out", netlist.DirOutput)
+	g0 := b.AddInstance("g0", lib.Master("NAND2_X1"))
+	g1 := b.AddInstance("g1", lib.Master("INV_X1"))
+	g2 := b.AddInstance("g2", lib.Master("INV_X1"))
+	wire(b, "en", pin(d, nil, "en"), pin(d, g0, "A1"))
+	wire(b, "n0", pin(d, g0, "ZN"), pin(d, g1, "A"))
+	wire(b, "n1", pin(d, g1, "ZN"), pin(d, g2, "A"))
+	wire(b, "n2", pin(d, g2, "ZN"), pin(d, g0, "A2"), pin(d, nil, "out"))
+	return built(b), sta.DefaultConstraints(1e-9)
 }
 
 // TestLaunchReadsFinalClockSlew: the launch arc must sample the slew the

@@ -206,7 +206,7 @@ func (a *Analyzer) build() {
 		slots += len(inst.Master.Pins)
 	}
 	if slots > math.MaxInt32 {
-		panic(fmt.Sprintf("sta: design has %d instance pin slots, beyond the %d the int32 node table can index", slots, math.MaxInt32)) //ppalint:ignore nopanic capacity assertion behind flow's CompactChecked boundary; New has no error return
+		panic(fmt.Sprintf("sta: design has %d instance pin slots, beyond the %d the int32 node table can index", slots, math.MaxInt32)) //ppalint:ignore nopanic capacity assertion behind Build's pin-count check; New has no error return
 	}
 	a.instPinStart = make([]int32, len(d.Insts)+1)
 	var totalSlots int32
@@ -313,7 +313,7 @@ func (a *Analyzer) build() {
 		}
 	}
 	if len(a.eFrom) > math.MaxInt32 {
-		panic(fmt.Sprintf("sta: timing graph has %d edges, beyond the %d the int32 edge ids can index", len(a.eFrom), math.MaxInt32)) //ppalint:ignore nopanic capacity assertion behind flow's CompactChecked boundary; New has no error return
+		panic(fmt.Sprintf("sta: timing graph has %d edges, beyond the %d the int32 edge ids can index", len(a.eFrom), math.MaxInt32)) //ppalint:ignore nopanic capacity assertion behind Build's pin-count check; New has no error return
 	}
 
 	a.buildAdjacency()

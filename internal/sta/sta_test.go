@@ -54,24 +54,32 @@ func lib() *netlist.Library {
 func combChain(t *testing.T, n int) *netlist.Design {
 	t.Helper()
 	l := lib()
-	d := netlist.NewDesign("chain", l)
-	in := d.AddPort("in", netlist.DirInput)
+	b := netlist.NewBuilder("chain", l)
+	d := b.Design
+	in := b.AddPort("in", netlist.DirInput)
 	in.X, in.Y = 0, 0
-	out := d.AddPort("out", netlist.DirOutput)
+	out := b.AddPort("out", netlist.DirOutput)
 	out.X, out.Y = 0, 0
 	prev := pinRef(d, -1, "in")
 	for i := 0; i < n; i++ {
-		inst := d.AddInstance(fmt.Sprintf("i%d", i), l.Master("INV"))
+		inst := b.AddInstance(fmt.Sprintf("i%d", i), l.Master("INV"))
 		inst.X, inst.Y = -0.5, -1 // center at origin
-		net := d.AddNet(fmt.Sprintf("n%d", i))
-		d.Connect(net, prev)
-		d.Connect(net, pinRef(d, inst.ID, "A"))
+		net := b.AddNet(fmt.Sprintf("n%d", i))
+		b.Connect(net, prev)
+		b.Connect(net, pinRef(d, inst.ID, "A"))
 		prev = pinRef(d, inst.ID, "Y")
 	}
-	last := d.AddNet("nout")
-	d.Connect(last, prev)
-	d.Connect(last, pinRef(d, -1, "out"))
-	if _, err := d.CompactChecked(); err != nil {
+	last := b.AddNet("nout")
+	b.Connect(last, prev)
+	b.Connect(last, pinRef(d, -1, "out"))
+	return build(t, b)
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
 	return d
@@ -81,36 +89,34 @@ func combChain(t *testing.T, n int) *netlist.Design {
 func regPair(t *testing.T) *netlist.Design {
 	t.Helper()
 	l := lib()
-	d := netlist.NewDesign("regpair", l)
-	clk := d.AddPort("clk", netlist.DirInput)
+	b := netlist.NewBuilder("regpair", l)
+	d := b.Design
+	clk := b.AddPort("clk", netlist.DirInput)
 	clk.X, clk.Y = 0, 0
-	ff0 := d.AddInstance("ff0", l.Master("DFF"))
-	ff1 := d.AddInstance("ff1", l.Master("DFF"))
-	inv := d.AddInstance("mid", l.Master("INV"))
+	ff0 := b.AddInstance("ff0", l.Master("DFF"))
+	ff1 := b.AddInstance("ff1", l.Master("DFF"))
+	inv := b.AddInstance("mid", l.Master("INV"))
 	for _, inst := range d.Insts {
 		inst.X, inst.Y = -inst.Master.Width/2, -1
 	}
-	cn := d.AddNet("clknet")
+	cn := b.AddNet("clknet")
 	cn.Clock = true
-	d.Connect(cn, pinRef(d, -1, "clk"))
-	d.Connect(cn, pinRef(d, ff0.ID, "CK"))
-	d.Connect(cn, pinRef(d, ff1.ID, "CK"))
-	n0 := d.AddNet("q0")
-	d.Connect(n0, pinRef(d, ff0.ID, "Q"))
-	d.Connect(n0, pinRef(d, inv.ID, "A"))
-	n1 := d.AddNet("d1")
-	d.Connect(n1, pinRef(d, inv.ID, "Y"))
-	d.Connect(n1, pinRef(d, ff1.ID, "D"))
+	b.Connect(cn, pinRef(d, -1, "clk"))
+	b.Connect(cn, pinRef(d, ff0.ID, "CK"))
+	b.Connect(cn, pinRef(d, ff1.ID, "CK"))
+	n0 := b.AddNet("q0")
+	b.Connect(n0, pinRef(d, ff0.ID, "Q"))
+	b.Connect(n0, pinRef(d, inv.ID, "A"))
+	n1 := b.AddNet("d1")
+	b.Connect(n1, pinRef(d, inv.ID, "Y"))
+	b.Connect(n1, pinRef(d, ff1.ID, "D"))
 	// ff0.D floats; drive it from a data port to make it reachable.
-	din := d.AddPort("din", netlist.DirInput)
+	din := b.AddPort("din", netlist.DirInput)
 	din.X, din.Y = 0, 0
-	nd := d.AddNet("d0")
-	d.Connect(nd, pinRef(d, -1, "din"))
-	d.Connect(nd, pinRef(d, ff0.ID, "D"))
-	if _, err := d.CompactChecked(); err != nil {
-		t.Fatal(err)
-	}
-	return d
+	nd := b.AddNet("d0")
+	b.Connect(nd, pinRef(d, -1, "din"))
+	b.Connect(nd, pinRef(d, ff0.ID, "D"))
+	return build(t, b)
 }
 
 // endpointSlack returns the slack of the worst path ending at the pin.
@@ -278,23 +284,25 @@ func TestActivityPropagation(t *testing.T) {
 
 func TestActivityGateAttenuation(t *testing.T) {
 	l := lib()
-	d := netlist.NewDesign("nand", l)
-	a1 := d.AddPort("a", netlist.DirInput)
+	bld := netlist.NewBuilder("nand", l)
+	d := bld.Design
+	a1 := bld.AddPort("a", netlist.DirInput)
 	a1.X, a1.Y = 0, 0
-	b1 := d.AddPort("b", netlist.DirInput)
+	b1 := bld.AddPort("b", netlist.DirInput)
 	b1.X, b1.Y = 0, 0
-	out := d.AddPort("y", netlist.DirOutput)
+	out := bld.AddPort("y", netlist.DirOutput)
 	out.X, out.Y = 0, 0
-	g := d.AddInstance("g", l.Master("NAND2"))
-	na := d.AddNet("na")
-	d.Connect(na, pinRef(d, -1, "a"))
-	d.Connect(na, pinRef(d, g.ID, "A"))
-	nb := d.AddNet("nb")
-	d.Connect(nb, pinRef(d, -1, "b"))
-	d.Connect(nb, pinRef(d, g.ID, "B"))
-	ny := d.AddNet("ny")
-	d.Connect(ny, pinRef(d, g.ID, "Y"))
-	d.Connect(ny, pinRef(d, -1, "y"))
+	g := bld.AddInstance("g", l.Master("NAND2"))
+	na := bld.AddNet("na")
+	bld.Connect(na, pinRef(d, -1, "a"))
+	bld.Connect(na, pinRef(d, g.ID, "A"))
+	nb := bld.AddNet("nb")
+	bld.Connect(nb, pinRef(d, -1, "b"))
+	bld.Connect(nb, pinRef(d, g.ID, "B"))
+	ny := bld.AddNet("ny")
+	bld.Connect(ny, pinRef(d, g.ID, "Y"))
+	bld.Connect(ny, pinRef(d, -1, "y"))
+	build(t, bld)
 	cons := DefaultConstraints(1e-9)
 	an := New(d, cons)
 	act := an.NetActivity()
@@ -363,7 +371,7 @@ func TestWriteReport(t *testing.T) {
 	}
 	// Empty design reports gracefully.
 	lib2 := lib()
-	empty := netlist.NewDesign("e", lib2)
+	empty := build(t, netlist.NewBuilder("e", lib2))
 	a2 := New(empty, DefaultConstraints(1e-9))
 	sb.Reset()
 	if err := a2.WriteReport(&sb, 5); err != nil {

@@ -11,12 +11,14 @@ import (
 
 func TestInoutPortRoundTrip(t *testing.T) {
 	lib := designs.Lib()
-	d := netlist.NewDesign("io", lib)
-	d.AddPort("bidir", netlist.DirInout)
-	g := d.AddInstance("g", lib.Master("INV_X1"))
-	n := d.AddNet("bidir")
-	d.Connect(n, pinRef(d, -1, "bidir"))
-	d.Connect(n, pinRef(d, g.ID, "A"))
+	b := netlist.NewBuilder("io", lib)
+	d := b.Design
+	b.AddPort("bidir", netlist.DirInout)
+	g := b.AddInstance("g", lib.Master("INV_X1"))
+	n := b.AddNet("bidir")
+	b.Connect(n, pinRef(d, -1, "bidir"))
+	b.Connect(n, pinRef(d, g.ID, "A"))
+	build(t, b)
 	var buf bytes.Buffer
 	if err := Write(&buf, d); err != nil {
 		t.Fatal(err)

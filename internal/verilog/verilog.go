@@ -383,12 +383,14 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 		return nil, err
 	}
 	name := p.next().text
-	d := netlist.NewDesign(name, p.lib)
+	d := netlist.NewBuilder(name, p.lib)
 	// Name indices of the module, for the length of the parse: the design
 	// keeps none.
 	insts := map[string]struct{}{}
 	nets := map[string]*netlist.Net{}
 	ports := map[string]int{} // port name -> index in d.Ports
+	// Ports an assign has already put on their same-named net.
+	onOwnNet := map[int]bool{}
 	// Port list (names only).
 	if err := p.expect("("); err != nil {
 		return nil, err
@@ -419,18 +421,13 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 		switch t.text {
 		case "endmodule":
 			// Attach port pins to their same-named nets (unless an assign
-			// already placed the port on another net).
+			// already placed the port there).
 			for pi, port := range d.Ports {
-				n := nets[port.Name]
-				if n == nil {
-					continue
-				}
-				ref := netlist.PinRef{Inst: -1, Pin: pi}
-				if !slices.Contains(n.Pins, ref) {
-					d.Connect(n, ref)
+				if n := nets[port.Name]; n != nil && !onOwnNet[pi] {
+					d.Connect(n, netlist.PinRef{Inst: -1, Pin: pi})
 				}
 			}
-			return d, nil
+			return d.Build()
 		case "":
 			return nil, p.eofErr(t.line, "unexpected end of file before endmodule")
 		case "input", "output", "inout":
@@ -485,6 +482,9 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 					return nil, err
 				}
 				continue
+			}
+			if netName == d.Ports[port].Name {
+				onOwnNet[port] = true
 			}
 			d.Connect(netFor(netName), netlist.PinRef{Inst: -1, Pin: port})
 		case "wire":

@@ -39,9 +39,19 @@ func TestWritePlacement(t *testing.T) {
 }
 
 func TestWritePlacementNoDie(t *testing.T) {
-	d := netlist.NewDesign("empty", designs.Lib())
+	d := build(t, netlist.NewBuilder("empty", designs.Lib()))
 	var sb strings.Builder
 	if err := WritePlacement(&sb, d); err == nil {
 		t.Fatal("expected error without a die")
 	}
+}
+
+// build builds b's design, failing the test on an error.
+func build(t testing.TB, b *netlist.Builder) *netlist.Design {
+	t.Helper()
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -165,11 +165,8 @@ func floorplan(d *netlist.Design, shape Shape) {
 // cluster and not to the design, and the sub-netlist is the one a scan over
 // every net would build.
 func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error) {
-	cv, err := d.CompactChecked()
-	if err != nil {
-		return nil, err
-	}
-	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
+	cv := d.Compact()
+	sub := netlist.NewBuilder(d.Name+"_cluster", d.Lib)
 	newID := make(map[int]int, len(members))
 	var incident []int
 	for _, id := range members {
@@ -229,7 +226,7 @@ func InduceSubNetlist(d *netlist.Design, members []int) (*netlist.Design, error)
 			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 	}
-	return sub, nil
+	return sub.Build()
 }
 
 // BestShape runs the full V-P&R sweep over all 20 candidates and returns the

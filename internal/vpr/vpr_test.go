@@ -81,9 +81,6 @@ func TestInduceSubNetlist(t *testing.T) {
 	if len(sub.Insts) != len(members) {
 		t.Fatalf("sub insts=%d want %d", len(sub.Insts), len(members))
 	}
-	if _, err := sub.CompactChecked(); err != nil {
-		t.Fatal(err)
-	}
 	if len(sub.Ports) == 0 {
 		t.Fatal("expected boundary ports for inter-cluster nets")
 	}
@@ -208,10 +205,11 @@ func TestInduceMemberOutOfRange(t *testing.T) {
 // the design and asks Design.Driver for each, which is what InduceSubNetlist
 // did before it learned to visit only the members' nets.
 func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
-	sub := netlist.NewDesign(d.Name+"_cluster", d.Lib)
+	b := netlist.NewBuilder(d.Name+"_cluster", d.Lib)
+	sub := b.Design
 	newID := make(map[int]int, len(members))
 	for _, id := range members {
-		ni := sub.AddInstance(d.Insts[id].Name, d.Insts[id].Master)
+		ni := b.AddInstance(d.Insts[id].Name, d.Insts[id].Master)
 		newID[id] = ni.ID
 	}
 	c := d.Compact()
@@ -238,21 +236,21 @@ func induceFullScan(d *netlist.Design, members []int) (*netlist.Design, error) {
 		if len(internal) == 0 || (len(internal) < 2 && !externalDrv && !needOutPort) {
 			continue
 		}
-		sn := sub.AddNet(n.Name)
+		sn := b.AddNet(n.Name)
 		sn.Weight, sn.Clock = n.Weight, n.Clock
 		for _, pr := range internal {
-			sub.Connect(sn, pr)
+			b.Connect(sn, pr)
 		}
 		if externalDrv {
-			sub.AddPort("vin_"+n.Name, netlist.DirInput)
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
+			b.AddPort("vin_"+n.Name, netlist.DirInput)
+			b.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 		if needOutPort {
-			sub.AddPort("vout_"+n.Name, netlist.DirOutput)
-			sub.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
+			b.AddPort("vout_"+n.Name, netlist.DirOutput)
+			b.Connect(sn, netlist.PinRef{Inst: -1, Pin: len(sub.Ports) - 1})
 		}
 	}
-	return sub, nil
+	return b.Build()
 }
 
 // dumpDesign renders everything InduceSubNetlist decides — instance, net and

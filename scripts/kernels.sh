@@ -34,7 +34,8 @@ label=${2:-$(git describe --always --dirty 2>/dev/null || echo unknown)}
 
 # <package> <benchmark regexp> <benchtime>: the 100k detailed placement sets
 # up for ~10 s per call of the benchmark function, so it runs one op per
-# count; SolveRound runs the ten rounds its doc comment measures.
+# count; SolveRound runs the ten rounds its doc comment measures, and the
+# file-set load (W1 and W2, ~0.5 s each) five.
 kernels=(
     "./internal/gnn/ ^Benchmark(TrainStep|Fit|Gemm|PredictBestShape)$ 1s"
     "./internal/place/ ^BenchmarkMulADot$ 1s"
@@ -48,6 +49,7 @@ kernels=(
     "./internal/route/ ^BenchmarkSteiner$ 1s"
     "./internal/vpr/ ^BenchmarkBestShape$ 1s"
     "./internal/netlist/ ^BenchmarkCloneScale100k$ 1s"
+    "./internal/flow/ ^BenchmarkLoadBenchmark$ 5x"
 )
 
 t=$(mktemp -d)
