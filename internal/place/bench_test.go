@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ppaclust/internal/cluster"
 	"ppaclust/internal/designs"
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/par"
@@ -28,11 +29,33 @@ func BenchmarkGlobalPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalPlace measures seeded incremental placement.
+// BenchmarkIncrementalPlace measures an incremental placement of ariane
+// seeded the way flow.Run seeds it: every cell stacked on the centre of its
+// cluster. The clusters are cluster.MultilevelFC's, and a cluster's centre is
+// the mean of its cells' centres in a flat placement, standing in for the
+// flow's placement of the clustered netlist. Like the flow's runs, it spends
+// the default budget of 6 rounds.
 func BenchmarkIncrementalPlace(b *testing.B) {
 	bench := benchDesign(b, "ariane")
 	d0 := bench.Design.Clone()
 	Global(d0, Options{Seed: 1})
+	cres := cluster.MultilevelFC(d0.ToHypergraph().H, cluster.Options{Alpha: 1, Seed: 1})
+	sumX := make([]float64, cres.NumClusters)
+	sumY := make([]float64, cres.NumClusters)
+	cnt := make([]float64, cres.NumClusters)
+	for id, c := range cres.Assign {
+		if inst := d0.Insts[id]; !inst.Fixed {
+			sumX[c] += inst.CenterX()
+			sumY[c] += inst.CenterY()
+			cnt[c]++
+		}
+	}
+	for id, c := range cres.Assign {
+		if inst := d0.Insts[id]; !inst.Fixed {
+			inst.X = sumX[c]/cnt[c] - inst.Master.Width/2
+			inst.Y = sumY[c]/cnt[c] - inst.Master.Height/2
+		}
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := d0.Clone()

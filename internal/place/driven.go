@@ -5,11 +5,15 @@
 // does: at bin-overflow checkpoints (0.5/0.3/0.2, à la
 // -timing_driven_net_reweight_overflow), the placer commits its coordinates,
 // runs STA, ranks nets by worst slack and multiplicatively reweights the most
-// critical ones so the next B2B assemblies pull them shorter.
+// critical ones so the next B2B assemblies pull them shorter. A run too short
+// to reach a threshold (the clustered flow's 6-round incremental run) fires
+// the checkpoint at a deadline instead, so every checkpoint has rounds after
+// it to act.
 //
 // Determinism: a checkpoint fires when the round's overflow first drops
-// below the next threshold — a pure function of the overflow sequence, which
-// is itself bit-identical across worker counts. Inside a checkpoint, the STA
+// below the next threshold, or at its deadline round — a pure function of
+// the overflow sequence and the round count, which are themselves
+// bit-identical across worker counts. Inside a checkpoint, the STA
 // is sequential, the criticality ranking breaks slack ties by net ID, and the
 // weight updates walk nets in index order. So the feedback path preserves the
 // placer's bit-identity contract.
@@ -48,11 +52,16 @@ var checkpointOverflows = [...]float64{0.5, 0.3, 0.2}
 // reached it, and reports whether the feedback changed any net weight. At
 // most one checkpoint fires per round; if overflow skips below several
 // thresholds at once, the remaining ones fire on the following rounds.
-func (p *placer) checkpoint(overflow float64) bool {
-	if !p.opt.TimingDriven || p.ckptNext >= len(checkpointOverflows) {
+// iter is the round just run (0-based) of the run's rounds. A checkpoint
+// fires at the latest in the round that leaves one round for each later
+// checkpoint and one more to absorb the last, and never in the last round,
+// whose reweighted nets no later round would read.
+func (p *placer) checkpoint(overflow float64, iter, rounds int) bool {
+	if !p.opt.TimingDriven || p.ckptNext >= len(checkpointOverflows) || iter+1 >= rounds {
 		return false
 	}
-	if overflow > checkpointOverflows[p.ckptNext] {
+	deadline := rounds - (len(checkpointOverflows) - p.ckptNext) - 1
+	if overflow > checkpointOverflows[p.ckptNext] && iter < deadline {
 		return false
 	}
 	p.ckptNext++

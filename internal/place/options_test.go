@@ -18,7 +18,9 @@ func TestOptionsWithDefaults(t *testing.T) {
 	}
 	cases := []tc{
 		{"Iterations default", Options{}, func(o Options) float64 { return float64(o.Iterations) }, 24},
-		{"Iterations default incremental", Options{Incremental: true}, func(o Options) float64 { return float64(o.Iterations) }, 12},
+		{"Iterations default incremental", Options{Incremental: true}, func(o Options) float64 { return float64(o.Iterations) }, 6},
+		{"spreadRounds default incremental", Options{Incremental: true}, func(o Options) float64 { return float64(o.spreadRounds) }, 12},
+		{"spreadRounds unset on an explicit budget", Options{Incremental: true, Iterations: 4}, func(o Options) float64 { return float64(o.spreadRounds) }, 0},
 		{"Iterations negative selects default", Options{Iterations: -1}, func(o Options) float64 { return float64(o.Iterations) }, 24},
 		{"Iterations passthrough", Options{Iterations: 7}, func(o Options) float64 { return float64(o.Iterations) }, 7},
 	}

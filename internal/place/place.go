@@ -31,8 +31,10 @@ import (
 
 // Options configures a placement run.
 type Options struct {
-	// Iterations is the number of solve+spread rounds. Default 24 (12 when
-	// Incremental).
+	// Iterations is the number of solve+spread rounds. Default 24, or 6 when
+	// Incremental, which a run still above overflow unspreadOverflow after
+	// them extends round by round to at most 12 (DESIGN.md §13 "Overflow
+	// stagnation stop" says why).
 	Iterations int
 	// Incremental starts from the instances' current positions and anchors
 	// to them instead of starting at the core center.
@@ -75,6 +77,11 @@ type Options struct {
 	// improving the positions the fine problem interpolates from, and the
 	// coarse solve is too cheap for early exit to matter.
 	noStall bool
+	// spreadRounds, when above Iterations, lets a run whose overflow is
+	// still above unspreadOverflow after its last round go on, one round at
+	// a time, to at most spreadRounds rounds. withDefaults sets it for an
+	// incremental run's default budget.
+	spreadRounds int
 	// coarseInit overrides useCoarseInit's size policy: 0 = auto, 1 = force
 	// the warm start on (tests, to exercise it on small designs), -1 = force
 	// it off (the warm-start recursion's coarse solve, so the recursion
@@ -85,7 +92,7 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		if o.Incremental {
-			o.Iterations = 12
+			o.Iterations, o.spreadRounds = 6, 12
 		} else {
 			o.Iterations = 24
 		}
@@ -122,6 +129,10 @@ const (
 	// overflowStop ends the rounds early once bin overflow drops below
 	// this fraction.
 	overflowStop = 0.12
+	// unspreadOverflow is the overflow above which a run's cells still sit
+	// stacked on their seed: a run with Options.spreadRounds goes on past
+	// its budget while its overflow is above it.
+	unspreadOverflow = 0.5
 )
 
 // cgRelTol is the relative preconditioned-residual reduction at which a CG
@@ -241,7 +252,8 @@ func Global(d *netlist.Design, opt Options) Result {
 	overflow := 1.0
 	best := math.Inf(1)
 	stall := 0
-	for ; iter < opt.Iterations; iter++ {
+	rounds := opt.Iterations
+	for ; iter < rounds; iter++ {
 		if iter == regionRounds {
 			p.opt.Regions = nil // constraints removed after the guided phase
 		}
@@ -249,7 +261,10 @@ func Global(d *netlist.Design, opt Options) Result {
 		p.solveRound(spreadW)
 		p.clampAll()
 		overflow = p.computeSpreadTargets()
-		if p.checkpoint(overflow) {
+		if iter+1 == rounds && rounds < opt.spreadRounds && overflow > unspreadOverflow {
+			rounds++ // still stacked on the seed: one more round
+		}
+		if p.checkpoint(overflow, iter, rounds) {
 			// A feedback checkpoint changed net weights; give the loop
 			// fresh rounds to absorb it before any stagnation cut or early
 			// exit. The reset is a pure function of the overflow

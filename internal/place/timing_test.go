@@ -60,7 +60,8 @@ func TestTimingDrivenWorkersEquivalent(t *testing.T) {
 
 // TestTimingDrivenDeterministic asserts that two identical timing-driven
 // runs fire the same checkpoints and produce identical placements — the
-// checkpoint schedule is a pure function of the overflow sequence.
+// checkpoint schedule is a pure function of the overflow sequence and the
+// round count.
 func TestTimingDrivenDeterministic(t *testing.T) {
 	b := designs.Generate(drivenSpec(92))
 	d1 := b.Design.Clone()
@@ -102,6 +103,35 @@ func TestTimingDrivenImprovesTNS(t *testing.T) {
 	}
 	if rt.HPWL > 1.05*rb.HPWL {
 		t.Fatalf("timing-driven HPWL %v exceeds 1.05x baseline %v", rt.HPWL, rb.HPWL)
+	}
+}
+
+// TestTimingDrivenIncrementalFiresEveryCheckpoint runs the feedback in an
+// incremental run on its default budget, seeded with every cell on the core
+// centre: the stack's overflow stays above the lower thresholds through the
+// run, so the checkpoints must fire at their deadlines, and the feedback
+// must still improve TNS over the same run without it.
+func TestTimingDrivenIncrementalFiresEveryCheckpoint(t *testing.T) {
+	b := designs.Generate(drivenSpec(94))
+	cx, cy := (b.Design.Core.X0+b.Design.Core.X1)/2, (b.Design.Core.Y0+b.Design.Core.Y1)/2
+	for _, inst := range b.Design.Insts {
+		if !inst.Fixed {
+			inst.X, inst.Y, inst.Placed = cx, cy, true
+		}
+	}
+	base := b.Design.Clone()
+	td := b.Design.Clone()
+	Global(base, Options{Seed: 1, Incremental: true})
+	opt := drivenOptions(b)
+	opt.Incremental = true
+	rt := Global(td, opt)
+	if rt.TimingReweights != len(checkpointOverflows) {
+		t.Fatalf("%d of %d checkpoints fired in %d rounds (overflow %v)",
+			rt.TimingReweights, len(checkpointOverflows), rt.Iterations, rt.Overflow)
+	}
+	baseTNS, tdTNS := sta.New(base, b.Cons).Timing().TNS, sta.New(td, b.Cons).Timing().TNS
+	if tdTNS < baseTNS {
+		t.Fatalf("timing-driven TNS %v worse than baseline %v", tdTNS, baseTNS)
 	}
 }
 

@@ -112,9 +112,12 @@ go run ./cmd/ppalint -suppressions ./...
 
 if [[ "${1:-}" != "quick" ]]; then
     # The race detector slows the experiment/GNN suites ~10x; on small CPU
-    # budgets they overrun go test's default 10m per-package timeout.
-    echo "==> go test -race ./..."
-    go test -race -timeout 45m ./...
+    # budgets they overrun go test's default 10m per-package timeout. Its
+    # instrumentation also moves testing.AllocsPerRun counts, so the
+    # allocation tests are skipped here: every one of them runs, without
+    # -race, in the allocation step below.
+    echo "==> go test -race ./... (allocation tests skipped: they run below)"
+    go test -race -timeout 45m -skip 'AllocFree|AllocsBounded' ./...
 fi
 
 # Determinism contract: every stage that fans out (DESIGN.md "Parallel

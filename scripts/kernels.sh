@@ -40,6 +40,7 @@ kernels=(
     "./internal/gnn/ ^Benchmark(TrainStep|Fit|Gemm|PredictBestShape)$ 1s"
     "./internal/place/ ^BenchmarkMulADot$ 1s"
     "./internal/place/ ^BenchmarkSolveRound$ 10x"
+    "./internal/place/ ^BenchmarkIncrementalPlace$ 1s"
     "./internal/cluster/ ^BenchmarkMultilevelFCScale100k$ 1s"
     "./internal/place/ ^BenchmarkDetailedScale100k$ 1x"
     "./internal/place/ ^BenchmarkLegalizeScale100k$ 1s"
