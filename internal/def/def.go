@@ -1,6 +1,8 @@
 // Package def reads and writes the DEF subset carrying the floorplan view:
 // die area, placed/fixed components, pin locations, and net connectivity.
-// Coordinates are stored in DEF database units (microns x 1000).
+// Coordinates are stored in DEF database units (microns x 1000). ParseWith
+// reads all of it; ReadFloorplan, the file-set loader's read, checks the
+// nets as ParseWith does but records none.
 package def
 
 import (
@@ -162,18 +164,30 @@ type Options struct {
 // zero Options) makes every malformed field a *scan.ParseError; in lenient
 // mode the returned warnings list the fields that were skipped.
 func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, []*scan.ParseError, error) {
+	return parse(r, lib, o, true)
+}
+
+// ReadFloorplan reads DEF as ParseWith does, with the same checks, errors
+// and warnings, but returns the floorplan only: die, core, rows, components
+// and pins. Every NETS entry is still read and each of its connections
+// resolved, so an unknown component or pin and a repeated net are errors
+// at their line in both modes; the design records no net and no
+// connection.
+func ReadFloorplan(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, []*scan.ParseError, error) {
+	return parse(r, lib, o, false)
+}
+
+// parse reads DEF; keepNets records the nets and their connections.
+func parse(r io.Reader, lib *netlist.Library, o Options, keepNets bool) (*netlist.Design, []*scan.ParseError, error) {
 	file := o.File
 	if file == "" {
 		file = "def"
 	}
-	p := &defParser{
-		lib: lib, units: dbu,
-		insts: map[string]int{}, ports: map[string]int{}, nets: map[string]struct{}{},
-	}
+	sc := scan.NewScanner(r, file, maxLine)
+	p := &defParser{lib: lib, units: dbu, keepNets: keepNets, sc: sc}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
-	sc := scan.NewScanner(r, file, maxLine)
 	for sc.Scan() {
 		if err := p.line(sc.Line()); err != nil {
 			return nil, p.warns.List(), err
@@ -190,16 +204,21 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 }
 
 type defParser struct {
-	lib     *netlist.Library
-	d       *netlist.Builder
-	section string
-	units   float64
-	warns   *scan.Warnings // nil in strict mode
+	lib      *netlist.Library
+	d        *netlist.Builder
+	sc       *scan.Scanner
+	section  string
+	units    float64
+	keepNets bool
+	warns    *scan.Warnings // nil in strict mode
 
 	// Name indices for the length of the parse (the design keeps none):
-	// instance and port name to index, and the net names seen.
+	// instance and port name to index, and the net names seen. Each is
+	// sized from its section's declared count when the section opens.
 	insts, ports map[string]int
 	nets         map[string]struct{}
+	// refs holds the connections of the net being read.
+	refs []netlist.PinRef
 }
 
 func (p *defParser) line(ln *scan.Line) error {
@@ -248,10 +267,19 @@ func (p *defParser) line(ln *scan.Line) error {
 		}
 	case ln.Tok(0) == "COMPONENTS":
 		p.section = "COMPONENTS"
+		if p.insts == nil {
+			p.insts = make(map[string]int, p.declared(ln))
+		}
 	case ln.Tok(0) == "PINS":
 		p.section = "PINS"
+		if p.ports == nil {
+			p.ports = make(map[string]int, p.declared(ln))
+		}
 	case ln.Tok(0) == "NETS":
 		p.section = "NETS"
+		if p.nets == nil {
+			p.nets = make(map[string]struct{}, p.declared(ln))
+		}
 	case ln.Tok(0) == "END":
 		if ln.Len() >= 2 && ln.Tok(1) == p.section {
 			p.section = ""
@@ -270,6 +298,17 @@ func (p *defParser) line(ln *scan.Line) error {
 		}
 	}
 	return nil
+}
+
+// declared returns the entry count a section line "COMPONENTS n ;" declares,
+// as a size hint: 0 when it is not a count, and at most one entry per byte
+// left in the input. A count the section does not match is not an error.
+func (p *defParser) declared(ln *scan.Line) int {
+	n, err := strconv.Atoi(ln.Tok(1))
+	if err != nil || n < 0 {
+		return 0
+	}
+	return min(n, p.sc.Remaining())
 }
 
 // coord parses one coordinate token into microns, applying the units scale
@@ -390,11 +429,11 @@ func (p *defParser) component(ln *scan.Line) error {
 	if m == nil {
 		return ln.Errf(ln.Tok(2), "unknown master")
 	}
-	if _, dup := p.insts[ln.Tok(1)]; dup {
+	seen := len(p.insts)
+	if p.insts[ln.Tok(1)] = len(p.d.Insts); len(p.insts) == seen {
 		return ln.Errf(ln.Tok(1), "duplicate component")
 	}
 	inst := p.d.AddInstance(ln.Tok(1), m)
-	p.insts[inst.Name] = inst.ID
 	x, y, fixed, found, err := p.placedAt(ln, 3)
 	if err := p.warns.Tolerate(err); err != nil {
 		return err
@@ -445,16 +484,18 @@ func (p *defParser) pin(ln *scan.Line) error {
 	return nil
 }
 
-// net parses "- name ( inst pin )... [+ WEIGHT w] [+ USE CLOCK] ;".
+// net parses "- name ( inst pin )... [+ WEIGHT w] [+ USE CLOCK] ;" and
+// records the net when the parse keeps nets.
 func (p *defParser) net(ln *scan.Line) error {
 	if err := ln.Require(2); err != nil {
 		return err
 	}
-	if _, dup := p.nets[ln.Tok(1)]; dup {
+	seen := len(p.nets)
+	if p.nets[ln.Tok(1)] = struct{}{}; len(p.nets) == seen {
 		return ln.Errf(ln.Tok(1), "duplicate net")
 	}
-	p.nets[ln.Tok(1)] = struct{}{}
-	n := p.d.AddNet(ln.Tok(1))
+	p.refs = p.refs[:0]
+	weight, clock := 1.0, false
 	i := 2
 	for i < ln.Len() {
 		switch ln.Tok(i) {
@@ -466,7 +507,7 @@ func (p *defParser) net(ln *scan.Line) error {
 			if err != nil {
 				return err
 			}
-			p.d.Connect(n, ref)
+			p.refs = append(p.refs, ref)
 			i += 3
 			if i < ln.Len() && ln.Tok(i) == ")" {
 				i++
@@ -483,12 +524,12 @@ func (p *defParser) net(ln *scan.Line) error {
 					return err
 				}
 				if werr == nil {
-					n.Weight = w
+					weight = w
 				}
 				i += 3
 			case "USE":
 				if i+2 < ln.Len() && ln.Tok(i+2) == "CLOCK" {
-					n.Clock = true
+					clock = true
 				}
 				i += 3
 			default:
@@ -496,6 +537,13 @@ func (p *defParser) net(ln *scan.Line) error {
 			}
 		default:
 			i++
+		}
+	}
+	if p.keepNets {
+		n := p.d.AddNet(ln.Tok(1))
+		n.Weight, n.Clock = weight, clock
+		for _, ref := range p.refs {
+			p.d.Connect(n, ref)
 		}
 	}
 	return nil

@@ -2,12 +2,15 @@ package def
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"ppaclust/internal/designs"
+	"ppaclust/internal/netlist"
 	"ppaclust/internal/place"
+	"ppaclust/internal/scan"
 )
 
 func TestWriteParseRoundTrip(t *testing.T) {
@@ -131,9 +134,12 @@ func TestParseLongNetLine(t *testing.T) {
 	}
 }
 
-// TestParseAllocsBounded holds the reader to at most two allocations per
-// pin on a 20k-cell design: the per-line field slice is reused and each
-// net's pins are sized once.
+// TestParseAllocsBounded holds both reads of a 20k-cell design to a bound
+// per pin of 1.5 times what they measured when the reader came to lex the
+// whole file in place: a line's fields are substrings of the file, and the
+// design's instances, nets and connections are stored in chunks, so the
+// count grows by one per 1 024 objects. ParseWith measured 336 allocations
+// (0.0067 per pin), ReadFloorplan, which records no nets, 221 (0.0044).
 func TestParseAllocsBounded(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
 	var buf bytes.Buffer
@@ -145,15 +151,24 @@ func TestParseAllocsBounded(t *testing.T) {
 		pins += len(n.Pins)
 	}
 	r := bytes.NewReader(buf.Bytes())
-	allocs := testing.AllocsPerRun(2, func() {
-		r.Reset(buf.Bytes())
-		if _, _, err := ParseWith(r, d.Lib, Options{}); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		read func(io.Reader, *netlist.Library, Options) (*netlist.Design, []*scan.ParseError, error)
+		max  float64
+	}{
+		{"ParseWith", ParseWith, 0.01},
+		{"ReadFloorplan", ReadFloorplan, 0.0065},
+	} {
+		allocs := testing.AllocsPerRun(2, func() {
+			r.Reset(buf.Bytes())
+			if _, _, err := tc.read(r, d.Lib, Options{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if perPin := allocs / float64(pins); perPin > tc.max {
+			t.Errorf("%s: %.0f allocations for %d pins: %.4f per pin, want <= %g", tc.name, allocs, pins, perPin, tc.max)
+		} else {
+			t.Logf("%s: %.0f allocations for %d pins, %.4f per pin", tc.name, allocs, pins, perPin)
 		}
-	})
-	if perPin := allocs / float64(pins); perPin > 2 {
-		t.Fatalf("%.0f allocations for %d pins: %.2f per pin, want <= 2", allocs, pins, perPin)
-	} else {
-		t.Logf("%.2f allocations per pin", perPin)
 	}
 }

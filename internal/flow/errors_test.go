@@ -2,11 +2,14 @@ package flow
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"ppaclust/internal/def"
 	"ppaclust/internal/designs"
 	"ppaclust/internal/netlist"
 	"ppaclust/internal/scan"
@@ -248,5 +251,74 @@ func TestNonFiniteInputIsAnError(t *testing.T) {
 				t.Errorf("%s, %s: not reported: res=%v err=%v", tc.name, name, res != nil, err)
 			}
 		}
+	}
+}
+
+// TestFloorplanReadChecksNets: the loader reads the DEF's floorplan only,
+// and records none of its nets, but still reads and checks every NETS
+// entry. A file set whose DEF names an unknown component, an unknown master
+// pin, a repeated net or a truncated connection is rejected by the strict
+// load with the DEF's file and line; a net weight that is not an integer
+// too. In lenient mode the load returns the errors and warnings the full
+// DEF read returns, as the loader did when it kept the DEF's nets.
+func TestFloorplanReadChecksNets(t *testing.T) {
+	b := designs.Generate(designs.TinySpec(211))
+	inst, port, net := b.Design.Insts[0].Name, b.Design.Ports[0].Name, b.Design.Nets[0].Name
+	for _, tc := range []struct {
+		name, entry, msg string
+		tolerable        bool // a lenient load warns and goes on
+	}{
+		{"unknown component", "- nx ( ghost A ) ;", "unknown instance", false},
+		{"unknown master pin", "- nx ( " + inst + " NOPE ) ;", `no pin "NOPE"`, false},
+		{"duplicate net", "- " + net + " ( PIN " + port + " ) ;", "duplicate net", false},
+		{"truncated connection", "- nx ( " + inst, "truncated net connection", false},
+		{"bad weight", "- nx ( PIN " + port + " ) + WEIGHT x ;", "not an integer", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files := writeFileSet(t, t.TempDir(), b)
+			data, err := os.ReadFile(files.DEF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The entry goes last in the NETS section, so it is the line
+			// rejected, a repeated net included.
+			lines := strings.SplitAfter(string(data), "\n")
+			at := slices.Index(lines, "END NETS\n")
+			if at < 0 {
+				t.Fatalf("written DEF has no NETS section:\n%s", data)
+			}
+			lines = slices.Insert(lines, at, tc.entry+"\n")
+			wantLine := at + 1
+			if err := os.WriteFile(files.DEF, []byte(strings.Join(lines, "")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = LoadBenchmark(files)
+			var pe *scan.ParseError
+			if !errors.As(err, &pe) || pe.File != files.DEF || pe.Line != wantLine || !strings.Contains(pe.Msg, tc.msg) {
+				t.Fatalf("strict load: %v, want %q at %s:%d", err, tc.msg, files.DEF, wantLine)
+			}
+
+			// The full DEF read, which the loader used to make, in lenient mode.
+			f, err := os.Open(files.DEF)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, wantWarns, wantErr := def.ParseWith(f, b.Design.Lib, def.Options{File: files.DEF, Lenient: true})
+			f.Close()
+			if (wantErr == nil) != tc.tolerable || (len(wantWarns) == 1) != tc.tolerable {
+				t.Fatalf("full lenient read: warnings %v, error %v", wantWarns, wantErr)
+			}
+			loaded, warns, err := LoadBenchmarkWith(files, true)
+			if fmt.Sprint(warns) != fmt.Sprint(wantWarns) {
+				t.Errorf("lenient load warns %v, the full DEF read %v", warns, wantWarns)
+			}
+			switch {
+			case wantErr != nil && (err == nil || err.Error() != "flow: def: "+wantErr.Error()):
+				t.Errorf("lenient load: %v, want flow: def: %v", err, wantErr)
+			case wantErr == nil && (err != nil || loaded == nil):
+				t.Errorf("lenient load failed: %v", err)
+			}
+		})
 	}
 }

@@ -29,9 +29,10 @@ type Files struct {
 // LoadBenchmark assembles a runnable benchmark from the standard file set:
 // the Liberty file provides the electrical library, LEF merges in geometry,
 // Verilog provides the netlist, the DEF provides floorplan plus port and
-// macro preplacement (its nets are ignored in favor of the Verilog
-// connectivity), and the SDC provides constraints. Parsing is strict; parse
-// failures surface as *scan.ParseError values carrying file and line.
+// macro preplacement (its nets are checked but not recorded: the Verilog
+// provides the connectivity), and the SDC provides constraints. Parsing is
+// strict; parse failures surface as *scan.ParseError values carrying file
+// and line.
 func LoadBenchmark(f Files) (*designs.Benchmark, error) {
 	b, _, err := LoadBenchmarkWith(f, false)
 	return b, err
@@ -83,7 +84,7 @@ func LoadBenchmarkWith(f Files, lenient bool) (*designs.Benchmark, []*scan.Parse
 			return
 		}
 		fp, dWarns, dErr = parseFile(f.DEF, func(r io.Reader) (*netlist.Design, []*scan.ParseError, error) {
-			return def.ParseWith(r, lib, def.Options{File: f.DEF, Lenient: lenient})
+			return def.ReadFloorplan(r, lib, def.Options{File: f.DEF, Lenient: lenient})
 		})
 		if dErr == nil {
 			fpIndex = indexFloorplan(fp)
@@ -144,7 +145,7 @@ type floorplanIndex struct {
 // indexFloorplan builds the index mergeFloorplan looks names up in; the
 // loader builds it beside the Verilog read.
 func indexFloorplan(fp *netlist.Design) floorplanIndex {
-	ix := floorplanIndex{insts: map[string]*netlist.Instance{}, ports: map[string]*netlist.Port{}}
+	ix := floorplanIndex{insts: make(map[string]*netlist.Instance, len(fp.Insts)), ports: make(map[string]*netlist.Port, len(fp.Ports))}
 	for _, inst := range fp.Insts {
 		if inst.Placed || inst.Fixed {
 			ix.insts[inst.Name] = inst

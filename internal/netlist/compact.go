@@ -134,7 +134,7 @@ func (b *Builder) Build() (*Design, error) {
 			fill[cn.net]++
 		}
 	}
-	b.conns = nil
+	b.insts, b.nets, b.ports, b.conns = nil, nil, nil, nil
 
 	c.PinInst = make([]int32, nPins)
 	c.PinMP = make([]int32, nPins)

@@ -353,9 +353,30 @@ type Design struct {
 // ports by index.
 type Builder struct {
 	*Design
-	// Every Connect in call order, in chunks whose capacity doubles from
-	// 256 to 65 536 entries: a full chunk is never copied to grow.
-	conns [][]conn
+	// The instances, nets and ports the design points to, and every
+	// Connect in call order.
+	insts chunks[Instance]
+	nets  chunks[Net]
+	ports chunks[Port]
+	conns chunks[conn]
+}
+
+// chunks stores values in chunks whose capacity doubles from 16 to 1 024
+// entries: a full chunk is never copied to grow, so a pointer to a stored
+// value stays valid. A design's objects take one allocation per 1 024, not
+// one each, and the design keeps fewer than 1 024 unused entries of each
+// kind, or fewer than it uses.
+type chunks[T any] [][]T
+
+// add stores v and returns a pointer to the stored copy.
+func (c *chunks[T]) add(v T) *T {
+	k := len(*c) - 1
+	if k < 0 || len((*c)[k]) == cap((*c)[k]) {
+		*c = append(*c, make([]T, 0, 16<<min(len(*c), 6)))
+		k++
+	}
+	(*c)[k] = append((*c)[k], v)
+	return &(*c)[k][len((*c)[k])-1]
 }
 
 // conn is one recorded Connect: the pin and the ID of its net.
@@ -373,14 +394,14 @@ func NewBuilder(name string, lib *Library) *Builder {
 // checked: the readers reject a duplicate, and every other caller derives
 // its names from indices.
 func (b *Builder) AddInstance(name string, master *Master) *Instance {
-	inst := &Instance{ID: len(b.Insts), Name: name, Master: master}
+	inst := b.insts.add(Instance{ID: len(b.Insts), Name: name, Master: master})
 	b.Insts = append(b.Insts, inst)
 	return inst
 }
 
 // AddNet creates an empty net and returns it.
 func (b *Builder) AddNet(name string) *Net {
-	n := &Net{ID: len(b.Nets), Name: name, Weight: 1}
+	n := b.nets.add(Net{ID: len(b.Nets), Name: name, Weight: 1})
 	b.Nets = append(b.Nets, n)
 	return n
 }
@@ -388,7 +409,7 @@ func (b *Builder) AddNet(name string) *Net {
 // AddPort creates a top-level port and returns it; its PinRef is
 // PinRef{Inst: -1, Pin: len(b.Ports) - 1}.
 func (b *Builder) AddPort(name string, dir PinDir) *Port {
-	p := &Port{Name: name, Dir: dir}
+	p := b.ports.add(Port{Name: name, Dir: dir})
 	b.Ports = append(b.Ports, p)
 	return p
 }
@@ -398,12 +419,7 @@ func (b *Builder) AddPort(name string, dir PinDir) *Port {
 // legitimately connect one net to an instance on multiple pins) and does
 // not check the reference: Build does.
 func (b *Builder) Connect(n *Net, ref PinRef) {
-	k := len(b.conns) - 1
-	if k < 0 || len(b.conns[k]) == cap(b.conns[k]) {
-		b.conns = append(b.conns, make([]conn, 0, 256<<min(len(b.conns), 8)))
-		k++
-	}
-	b.conns[k] = append(b.conns[k], conn{ref, n.ID})
+	b.conns.add(conn{ref, n.ID})
 }
 
 // PinRefOf resolves pin name of instance inst to its reference. It is the

@@ -5,13 +5,16 @@
 // a silently defaulted value. It also carries the strict/lenient mode
 // policy, Warnings.Tolerate: strict parsing turns every recoverable field
 // error into a *ParseError, lenient parsing skips the field and records the
-// same error as a warning.
+// same error as a warning. The def, lef, sdc and verilog readers take their
+// input whole (ReadAll, Scanner) and lex it in place, so a token is a
+// substring of the input, not a copy.
 package scan
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"io/fs"
 	"math"
 	"strconv"
 	"strings"
@@ -109,9 +112,10 @@ func (l *Line) Tok(i int) string {
 	return l.Fields[i]
 }
 
-// Errf builds a *ParseError anchored at this line.
+// Errf builds a *ParseError anchored at this line. The error keeps a copy
+// of token, not the input it is a substring of.
 func (l *Line) Errf(token, format string, args ...any) *ParseError {
-	return Errorf(l.File, l.Num, token, format, args...)
+	return Errorf(l.File, l.Num, strings.Clone(token), format, args...)
 }
 
 // Require errors unless the line has at least n fields.
@@ -170,33 +174,69 @@ func ParseFloat(s string) (float64, bool) {
 	return v, true
 }
 
-// Scanner wraps bufio.Scanner with file/line provenance, producing Lines.
-type Scanner struct {
-	sc     *bufio.Scanner
-	file   string
-	num    int
-	line   Line
-	fields []string // reused by every Line
+// ReadAll reads r to its end and returns the input as one string, which a
+// reader then lexes in place: a token is a substring, and becomes a string
+// of its own only where the reader keeps it. When r has a Stat method (an
+// *os.File) the string is sized from it, so a file is read into a single
+// allocation, and the string is the builder's buffer, not a copy of it. A
+// read failure is a *ParseError "read: ..." at the line the input had
+// reached.
+func ReadAll(r io.Reader, file string) (string, error) {
+	var sb strings.Builder
+	if st, ok := r.(interface{ Stat() (fs.FileInfo, error) }); ok {
+		if fi, err := st.Stat(); err == nil && fi.Mode().IsRegular() {
+			sb.Grow(int(fi.Size()))
+		}
+	}
+	if _, err := io.Copy(&sb, r); err != nil {
+		return "", Errorf(file, 1+strings.Count(sb.String(), "\n"), "", "read: %v", err)
+	}
+	return sb.String(), nil
 }
 
-// NewScanner builds a Scanner over r. file names the source in errors (pass
-// the format tag, e.g. "def", when no path is known). maxLine bounds the
-// longest accepted line; 0 selects a 1 MiB default. The line buffer starts
-// at 64 KiB and grows to maxLine only when a line needs it.
+// Scanner hands out the lines of a whole input with file/line provenance,
+// as Lines whose fields are substrings of the input: no line is copied.
+type Scanner struct {
+	src     string // the whole input
+	pos     int    // start of the next line in src
+	file    string
+	num     int
+	maxLine int
+	err     error
+	line    Line
+	fields  []string // reused by every Line
+}
+
+// NewScanner reads r whole (ReadAll) and returns a Scanner over it. file
+// names the source in errors (pass the format tag, e.g. "def", when no path
+// is known). maxLine bounds the longest accepted line; 0 selects a 1 MiB
+// default. A read failure or a longer line ends the scan, and Err reports
+// it.
 func NewScanner(r io.Reader, file string, maxLine int) *Scanner {
 	if maxLine <= 0 {
 		maxLine = 1024 * 1024
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, min(maxLine, 64<<10)), maxLine)
-	return &Scanner{sc: sc, file: file}
+	src, err := ReadAll(r, file)
+	return &Scanner{src: src, file: file, maxLine: maxLine, err: err}
 }
 
-// Scan advances to the next non-empty line, reporting false at EOF or error.
+// Scan advances to the next non-empty line, reporting false at the end of
+// the input or on an error.
 func (s *Scanner) Scan() bool {
-	for s.sc.Scan() {
+	for s.err == nil && s.pos < len(s.src) {
+		text := s.src[s.pos:]
+		if n := strings.IndexByte(text, '\n'); n >= 0 {
+			text = text[:n]
+		}
+		if len(text) > s.maxLine {
+			// The number of the last line read, as a bufio.Scanner
+			// reports it.
+			s.err = Errorf(s.file, s.num, "", "read: %v", bufio.ErrTooLong)
+			return false
+		}
+		s.pos += len(text) + 1
 		s.num++
-		s.fields = appendFields(s.fields[:0], s.sc.Text())
+		s.fields = appendFields(s.fields[:0], text)
 		if len(s.fields) == 0 {
 			continue
 		}
@@ -205,6 +245,11 @@ func (s *Scanner) Scan() bool {
 	}
 	return false
 }
+
+// Remaining returns the number of input bytes after the current line. It
+// bounds what a count the input declares can ask for: an entry takes at
+// least one byte.
+func (s *Scanner) Remaining() int { return max(len(s.src)-s.pos, 0) }
 
 // asciiSpace marks the bytes strings.Fields splits ASCII text at.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
@@ -236,13 +281,9 @@ func appendFields(dst []string, s string) []string {
 
 // Line returns the current line. Valid after a true Scan, and only until the
 // next Scan: its Fields slice is reused (the field strings themselves stay
-// valid).
+// valid, and share the input's memory).
 func (s *Scanner) Line() *Line { return &s.line }
 
-// Err returns the underlying reader error, wrapped with provenance.
-func (s *Scanner) Err() error {
-	if err := s.sc.Err(); err != nil {
-		return Errorf(s.file, s.num, "", "read: %v", err)
-	}
-	return nil
-}
+// Err returns the read failure or over-long line that ended the scan, with
+// provenance, or nil.
+func (s *Scanner) Err() error { return s.err }

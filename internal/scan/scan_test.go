@@ -2,9 +2,14 @@ package scan
 
 import (
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestScannerTracksLines(t *testing.T) {
@@ -138,5 +143,73 @@ func TestScanFieldsMatchesStringsFields(t *testing.T) {
 		if want := strings.Fields(s); !slices.Equal(got, want) {
 			t.Errorf("%q: split %q, strings.Fields %q", s, got, want)
 		}
+	}
+}
+
+// TestScannerMaxLine: a line of maxLine bytes is read, a longer one ends the
+// scan with the over-long-line error, numbered as the last line read.
+func TestScannerMaxLine(t *testing.T) {
+	src := "a\n\n" + strings.Repeat("x", 8) + "\n" + strings.Repeat("y", 9) + "\nz\n"
+	sc := NewScanner(strings.NewReader(src), "f.def", 8)
+	var got []int
+	for sc.Scan() {
+		got = append(got, sc.Line().Num)
+	}
+	if !slices.Equal(got, []int{1, 3}) {
+		t.Fatalf("scanned lines %v, want [1 3]", got)
+	}
+	var pe *ParseError
+	if err := sc.Err(); !errors.As(err, &pe) || pe.File != "f.def" || pe.Line != 3 || !strings.Contains(pe.Msg, "too long") {
+		t.Fatalf("over-long line: %v, want a too-long error at f.def:3", err)
+	}
+}
+
+// TestReadFailureIsParseError: a reader that fails comes back from ReadAll
+// and from a Scanner as a *ParseError "read: ..." at the line the input had
+// reached, and the Scanner hands out no line.
+func TestReadFailureIsParseError(t *testing.T) {
+	boom := errors.New("disk on fire")
+	r := func() io.Reader { return io.MultiReader(strings.NewReader("a b\nc\nd"), iotest.ErrReader(boom)) }
+	_, err := ReadAll(r(), "f.lef")
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.File != "f.lef" || pe.Line != 3 || pe.Msg != "read: disk on fire" {
+		t.Fatalf("ReadAll: %v, want read: disk on fire at f.lef:3", err)
+	}
+	sc := NewScanner(r(), "f.lef", 0)
+	if sc.Scan() {
+		t.Fatalf("Scan handed out %v from a failed read", sc.Line())
+	}
+	if err := sc.Err(); !errors.As(err, &pe) || pe.Line != 3 || pe.Msg != "read: disk on fire" {
+		t.Fatalf("Scanner: %v, want read: disk on fire at line 3", err)
+	}
+}
+
+// TestReadAllSizedFromStat reads a file through its Stat size: the text
+// takes one allocation of its own length, not the doubling a reader of
+// unknown length grows by, and comes back as written.
+func TestReadAllSizedFromStat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.def")
+	want := strings.Repeat("- u INV_X1 + PLACED ( 1 2 ) N ;\n", 1<<15)
+	if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := ReadAll(f, path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("read %d bytes, wrote %d", len(got), len(want))
+	}
+	// The text, plus io.Copy's 32 KiB buffer and a few small objects.
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes > uint64(len(want))+64<<10 {
+		t.Fatalf("%d bytes allocated to read %d", bytes, len(want))
 	}
 }

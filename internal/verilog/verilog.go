@@ -2,7 +2,9 @@
 // the flow consumes: one flat module with scalar ports, wires, and primitive
 // instances using named port connections. Hierarchical instance names are
 // emitted as escaped identifiers (\a/b/c ), so the logical hierarchy
-// round-trips through the file format.
+// round-trips through the file format. The reader lexes the whole file in
+// place and copies only the names the design keeps, so the file is garbage
+// once a parse returns.
 package verilog
 
 import (
@@ -175,7 +177,11 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	if file == "" {
 		file = "verilog"
 	}
-	p := &parser{lx: newLexer(r), lib: lib, file: file}
+	src, err := scan.ReadAll(r, file)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := &parser{lx: lexer{src: src, line: 1}, lib: lib, file: file}
 	if o.Lenient {
 		p.warns = &scan.Warnings{}
 	}
@@ -183,211 +189,140 @@ func ParseWith(r io.Reader, lib *netlist.Library, o Options) (*netlist.Design, [
 	return d, p.warns.List(), err
 }
 
-// token is one lexeme. esc marks an escaped identifier, whose text may
-// spell punctuation (\) is the name ")") and so never matches it.
-type token struct {
-	text string
-	line int
-	esc  bool
-}
-
-// is reports whether t is the punctuation or keyword s.
-func (t token) is(s string) bool { return t.text == s && !t.esc }
-
-// lexer streams tokens from the reader one at a time, so parsing a
-// multi-hundred-MB netlist never holds the raw file bytes or a whole-file
-// token slice — peak memory is one bufio window plus the design being built.
-// The empty token text marks exhaustion: EOF, or a read failure left sticky
-// in err.
+// lexer walks the whole file in place, one token per next. The current
+// token is src[start:end] on line tokLine; esc marks an escaped identifier,
+// whose text may spell punctuation (\) is the name ")") and so never
+// matches it. The empty token that is not escaped marks the end of the
+// input, and reports the line of the last non-empty token.
 type lexer struct {
-	br   *bufio.Reader
-	line int
-	last int    // line of the last real token; exhaustion reports here
-	err  error  // sticky non-EOF read error
-	buf  []byte // scratch for multi-byte tokens
+	src        string
+	pos, line  int // the next unread byte and its line
+	last       int // line of the last non-empty token
+	start, end int
+	tokLine    int
+	esc        bool
 }
 
-func newLexer(r io.Reader) *lexer {
-	return &lexer{br: bufio.NewReaderSize(r, 64<<10), line: 1}
-}
+// wordEnd marks the bytes that end an ordinary token: white space and
+// punctuation, which the lexer reads next, and the backslash that starts
+// an escaped identifier.
+var wordEnd = [256]bool{' ': true, '\t': true, '\r': true, '\n': true, '\\': true,
+	'(': true, ')': true, ',': true, '.': true, ';': true, '=': true}
 
-func (lx *lexer) readByte() (byte, bool) {
-	if lx.err != nil {
-		return 0, false
-	}
-	c, err := lx.br.ReadByte()
-	if err != nil {
-		if err != io.EOF {
-			lx.err = err
-		}
-		return 0, false
-	}
-	return c, true
-}
-
-func (lx *lexer) next() token {
-	t := lx.scanToken()
-	if t.text != "" {
-		lx.last = t.line
-	}
-	return t
-}
-
-func (lx *lexer) scanToken() token {
-	for {
-		c, ok := lx.readByte()
-		if !ok {
-			return token{text: "", line: lx.last}
-		}
+// next advances to the next token.
+func (lx *lexer) next() {
+	src := lx.src
+	i := lx.pos
+	for i < len(src) {
+		c := src[i]
 		switch {
 		case c == '\n':
 			lx.line++
+			i++
 		case isSpace(c):
-		case c == '/':
-			d, ok := lx.readByte()
-			if !ok {
-				return token{text: "/", line: lx.line}
+			i++
+		case c == '/' && i+1 < len(src) && src[i+1] == '/':
+			n := strings.IndexByte(src[i+2:], '\n')
+			if n < 0 {
+				i = len(src)
+				break
 			}
-			switch d {
-			case '/':
-				for {
-					c, ok := lx.readByte()
-					if !ok {
-						return token{text: "", line: lx.last}
-					}
-					if c == '\n' {
-						lx.line++
-						break
-					}
-				}
-			case '*':
-				prev := byte(0)
-				for {
-					c, ok := lx.readByte()
-					if !ok {
-						return token{text: "", line: lx.last}
-					}
-					if c == '\n' {
-						lx.line++
-					}
-					if prev == '*' && c == '/' {
-						break
-					}
-					prev = c
-				}
-			default:
-				lx.br.UnreadByte()
-				return lx.word(c)
+			lx.line++
+			i += 2 + n + 1
+		case c == '/' && i+1 < len(src) && src[i+1] == '*':
+			n := strings.Index(src[i+2:], "*/")
+			if n < 0 {
+				i = len(src)
+				break
 			}
-		case c == '\\': // escaped identifier: up to whitespace, backslash dropped
-			ln := lx.line
-			lx.buf = lx.buf[:0]
-			for {
-				c, ok := lx.readByte()
-				if !ok {
-					break
-				}
-				if isSpace(c) || c == '\n' {
-					lx.br.UnreadByte()
-					break
-				}
-				lx.buf = append(lx.buf, c)
+			lx.line += strings.Count(src[i+2:i+2+n], "\n")
+			i += 2 + n + 2
+		case c == '\\': // escaped identifier: up to white space, backslash dropped
+			j := i + 1
+			for j < len(src) && !isSpace(src[j]) && src[j] != '\n' {
+				j++
 			}
-			return token{text: string(lx.buf), line: ln, esc: true}
-		case punct[c] != "":
-			return token{text: punct[c], line: lx.line}
-		default:
-			return lx.word(c)
+			lx.set(i+1, j, true)
+			return
+		case c == '(' || c == ')' || c == ',' || c == '.' || c == ';' || c == '=':
+			lx.set(i, i+1, false)
+			return
+		default: // an ordinary token, '/' included when it starts no comment
+			j := i + 1
+			for j < len(src) && !wordEnd[src[j]] {
+				j++
+			}
+			lx.set(i, j, false)
+			return
 		}
 	}
+	lx.pos = len(src)
+	lx.start, lx.end, lx.tokLine, lx.esc = i, i, lx.last, false
 }
 
-// punct holds the one-byte punctuation tokens as constant strings, so
-// handing one out allocates nothing.
-var punct = [256]string{'(': "(", ')': ")", ',': ",", '.': ".", ';': ";", '=': "="}
+// set makes src[start:end] the current token, on the current line.
+func (lx *lexer) set(start, end int, esc bool) {
+	lx.start, lx.end, lx.tokLine, lx.esc, lx.pos = start, end, lx.line, esc, end
+	if end > start {
+		lx.last = lx.line
+	}
+}
 
 // isSpace reports whether c is white space other than the newline the
 // lexer counts lines by. Every token ends at it, escaped identifiers too,
 // so a CRLF file reads as its LF rendering does.
 func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\r' }
 
-// word accumulates an ordinary token starting with c, up to the next
-// whitespace or punctuation byte (which stays unread for the next call).
-func (lx *lexer) word(c byte) token {
-	ln := lx.line
-	lx.buf = append(lx.buf[:0], c)
-	for {
-		c, ok := lx.readByte()
-		if !ok {
-			break
-		}
-		if isSpace(c) || c == '\n' ||
-			c == '(' || c == ')' || c == ',' || c == '.' || c == ';' || c == '=' || c == '\\' {
-			lx.br.UnreadByte()
-			break
-		}
-		lx.buf = append(lx.buf, c)
-	}
-	return token{text: string(lx.buf), line: ln}
-}
-
 type parser struct {
-	lx      *lexer
-	pend    token
-	hasPend bool
-	lib     *netlist.Library
-	file    string
-	warns   *scan.Warnings // nil in strict mode
+	lx    lexer
+	lib   *netlist.Library
+	file  string
+	warns *scan.Warnings // nil in strict mode
 }
 
-func (p *parser) peek() token {
-	if !p.hasPend {
-		p.pend = p.lx.next()
-		p.hasPend = true
-	}
-	return p.pend
-}
+// tok returns the current token's text, a substring of the file: a name
+// the design keeps is cloned, so the file is garbage once the parse ends.
+func (p *parser) tok() string { return p.lx.src[p.lx.start:p.lx.end] }
 
-func (p *parser) next() token {
-	t := p.peek()
-	p.hasPend = false
-	return t
-}
+// is reports whether the current token is the punctuation or keyword s.
+func (p *parser) is(s string) bool { return !p.lx.esc && p.tok() == s }
 
-// eofErr reports token exhaustion: the underlying read error when one is
-// pending, otherwise the parse-level message.
-func (p *parser) eofErr(line int, format string, args ...any) *scan.ParseError {
-	if p.lx.err != nil {
-		return p.errf(p.lx.line, "", "read: %v", p.lx.err)
-	}
-	return p.errf(line, "", format, args...)
+// take returns the current token and its line, and advances past it.
+func (p *parser) take() (string, int) {
+	t, line := p.tok(), p.lx.tokLine
+	p.lx.next()
+	return t, line
 }
 
 func (p *parser) errf(line int, tok, format string, args ...any) *scan.ParseError {
-	return scan.Errorf(p.file, line, tok, format, args...)
+	return scan.Errorf(p.file, line, strings.Clone(tok), format, args...)
 }
 
-func (p *parser) expect(text string) error {
-	t := p.next()
-	if !t.is(text) {
-		if t.text == "" && p.lx.err != nil {
-			return p.eofErr(t.line, "")
-		}
-		return p.errf(t.line, t.text, "expected %q", text)
+// expect advances past the current token if it is s, and reports it
+// otherwise.
+func (p *parser) expect(s string) error {
+	if !p.is(s) {
+		return p.errf(p.lx.tokLine, p.tok(), "expected %q", s)
 	}
+	p.lx.next()
 	return nil
 }
 
 func (p *parser) parseModule() (*netlist.Design, error) {
+	p.lx.next()
 	if err := p.expect("module"); err != nil {
 		return nil, err
 	}
-	name := p.next().text
-	d := netlist.NewBuilder(name, p.lib)
+	name, _ := p.take()
+	d := netlist.NewBuilder(strings.Clone(name), p.lib)
 	// Name indices of the module, for the length of the parse: the design
-	// keeps none.
-	insts := map[string]struct{}{}
-	nets := map[string]*netlist.Net{}
+	// keeps none, and their keys are substrings of the file. They are
+	// sized from the statements, which all end in ';': nearly every one
+	// declares a wire or an instance, and a netlist has about as many nets
+	// as instances. A map outgrows its hint where that does not hold.
+	stmts := strings.Count(p.lx.src, ";")
+	insts := make(map[string]struct{}, stmts/2)
+	nets := make(map[string]*netlist.Net, stmts/2)
 	ports := map[string]int{} // port name -> index in d.Ports
 	// Ports an assign has already put on their same-named net.
 	onOwnNet := map[int]bool{}
@@ -395,10 +330,10 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 	if err := p.expect("("); err != nil {
 		return nil, err
 	}
-	for !p.peek().is(")") && !p.peek().is("") {
-		p.next() // names declared with directions below
-		if p.peek().is(",") {
-			p.next()
+	for !p.is(")") && !p.is("") {
+		p.lx.next() // names declared with directions below
+		if p.is(",") {
+			p.lx.next()
 		}
 	}
 	if err := p.expect(")"); err != nil {
@@ -411,14 +346,14 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 	netFor := func(name string) *netlist.Net {
 		n := nets[name]
 		if n == nil {
-			n = d.AddNet(name)
+			n = d.AddNet(strings.Clone(name))
 			nets[name] = n
 		}
 		return n
 	}
 	for {
-		t := p.next()
-		switch t.text {
+		kw, line := p.take()
+		switch kw {
 		case "endmodule":
 			// Attach port pins to their same-named nets (unless an assign
 			// already placed the port there).
@@ -429,35 +364,36 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			}
 			return d.Build()
 		case "":
-			return nil, p.eofErr(t.line, "unexpected end of file before endmodule")
+			return nil, p.errf(line, "", "unexpected end of file before endmodule")
 		case "input", "output", "inout":
 			dir := netlist.DirInput
-			if t.text == "output" {
+			if kw == "output" {
 				dir = netlist.DirOutput
-			} else if t.text == "inout" {
+			} else if kw == "inout" {
 				dir = netlist.DirInout
 			}
 			for {
-				nm := p.next()
-				if _, dup := ports[nm.text]; dup {
-					return nil, p.errf(nm.line, nm.text, "duplicate port")
+				nm, nmLine := p.take()
+				if _, dup := ports[nm]; dup {
+					return nil, p.errf(nmLine, nm, "duplicate port")
 				}
-				ports[nm.text] = len(d.Ports)
-				d.AddPort(nm.text, dir)
-				nx := p.next()
-				if nx.is(";") {
+				ports[nm] = len(d.Ports)
+				d.AddPort(strings.Clone(nm), dir)
+				if p.is(";") {
+					p.lx.next()
 					break
 				}
-				if !nx.is(",") {
-					return nil, p.errf(nx.line, nx.text, "bad port declaration")
+				if !p.is(",") {
+					return nil, p.errf(p.lx.tokLine, p.tok(), "bad port declaration")
 				}
+				p.lx.next()
 			}
 		case "assign":
-			lhs := p.next().text
+			lhs, _ := p.take()
 			if err := p.expect("="); err != nil {
 				return nil, err
 			}
-			rhs := p.next().text
+			rhs, _ := p.take()
 			if err := p.expect(";"); err != nil {
 				return nil, err
 			}
@@ -477,7 +413,7 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			case lok:
 				port, netName = lp, rhs
 			default:
-				err := p.errf(t.line, lhs, "assign between non-ports %s = %s is outside the subset", lhs, rhs)
+				err := p.errf(line, lhs, "assign between non-ports %s = %s is outside the subset", lhs, rhs)
 				if err := p.warns.Tolerate(err); err != nil {
 					return nil, err
 				}
@@ -489,55 +425,57 @@ func (p *parser) parseModule() (*netlist.Design, error) {
 			d.Connect(netFor(netName), netlist.PinRef{Inst: -1, Pin: port})
 		case "wire":
 			for {
-				netFor(p.next().text)
-				nx := p.next()
-				if nx.is(";") {
+				name, _ := p.take()
+				netFor(name)
+				if p.is(";") {
+					p.lx.next()
 					break
 				}
-				if !nx.is(",") {
-					return nil, p.errf(nx.line, nx.text, "bad wire declaration")
+				if !p.is(",") {
+					return nil, p.errf(p.lx.tokLine, p.tok(), "bad wire declaration")
 				}
+				p.lx.next()
 			}
 		default:
 			// Instance: MASTER name ( .pin(net), ... ) ;
-			master := p.lib.Master(t.text)
+			master := p.lib.Master(kw)
 			if master == nil {
-				return nil, p.errf(t.line, t.text, "unknown cell")
+				return nil, p.errf(line, kw, "unknown cell")
 			}
-			instName := p.next()
-			if _, dup := insts[instName.text]; dup {
-				return nil, p.errf(instName.line, instName.text, "duplicate instance")
+			name, nameLine := p.take()
+			seen := len(insts)
+			if insts[name] = struct{}{}; len(insts) == seen {
+				return nil, p.errf(nameLine, name, "duplicate instance")
 			}
-			insts[instName.text] = struct{}{}
-			inst := d.AddInstance(instName.text, master)
+			inst := d.AddInstance(strings.Clone(name), master).ID
 			if err := p.expect("("); err != nil {
 				return nil, err
 			}
-			for !p.peek().is(")") {
-				if p.peek().is("") {
-					return nil, p.eofErr(p.peek().line, "unexpected end of file in instance %s", instName.text)
+			for !p.is(")") {
+				if p.is("") {
+					return nil, p.errf(p.lx.tokLine, "", "unexpected end of file in instance %s", name)
 				}
 				if err := p.expect("."); err != nil {
 					return nil, err
 				}
-				pin := p.next()
-				ref, err := d.PinRefOf(inst.ID, pin.text)
-				if err != nil {
-					return nil, p.errf(pin.line, pin.text, "cell %s has no such pin", master.Name)
+				pin, pinLine := p.take()
+				mp := master.PinIndex(pin)
+				if mp < 0 {
+					return nil, p.errf(pinLine, pin, "cell %s has no such pin", master.Name)
 				}
 				if err := p.expect("("); err != nil {
 					return nil, err
 				}
-				netName := p.next()
+				net, _ := p.take()
 				if err := p.expect(")"); err != nil {
 					return nil, err
 				}
-				d.Connect(netFor(netName.text), ref)
-				if p.peek().is(",") {
-					p.next()
+				d.Connect(netFor(net), netlist.PinRef{Inst: inst, Pin: mp})
+				if p.is(",") {
+					p.lx.next()
 				}
 			}
-			p.next() // ")"
+			p.lx.next() // ")"
 			if err := p.expect(";"); err != nil {
 				return nil, err
 			}

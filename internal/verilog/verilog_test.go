@@ -138,9 +138,11 @@ func TestEscapedIdentifiers(t *testing.T) {
 	_ = netlist.PinRef{}
 }
 
-// TestParseAllocsBounded holds the reader to at most five allocations per
-// pin on a 20k-cell design: punctuation tokens are constant strings, so a
-// connection ".A(n1)," costs its two names, not seven tokens.
+// TestParseAllocsBounded holds the reader to 1.5 times the allocations per
+// pin it measured on a 20k-cell design when it came to lex the whole file
+// in place: a token is a substring of the file, so only the names the
+// design keeps are copied (0.67 per pin, about one per instance and one per
+// net), and the design's objects are stored in chunks.
 func TestParseAllocsBounded(t *testing.T) {
 	d := designs.Generate(designs.ScaleSpec(20000, 1)).Design
 	var buf bytes.Buffer
@@ -158,10 +160,10 @@ func TestParseAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if perPin := allocs / float64(pins); perPin > 5 {
-		t.Fatalf("%.0f allocations for %d pins: %.2f per pin, want <= 5", allocs, pins, perPin)
+	if perPin := allocs / float64(pins); perPin > 1 {
+		t.Fatalf("%.0f allocations for %d pins: %.4f per pin, want <= 1", allocs, pins, perPin)
 	} else {
-		t.Logf("%.2f allocations per pin", perPin)
+		t.Logf("%.0f allocations for %d pins, %.4f per pin", allocs, pins, perPin)
 	}
 }
 

@@ -20,6 +20,14 @@ fuzz_smoke() {
     for pkg in "$@"; do
         go test -run '^$' -fuzz '^FuzzRead' -fuzztime 10s "./internal/$pkg/"
     done
+    # The Verilog reader's in-place lexer against the streaming lexer it
+    # replaced, kept in its tests as the oracle: a differential target with
+    # a step of its own, as -fuzz '^FuzzRead' must match exactly one target
+    # per package.
+    if [[ " $* " == *" verilog "* ]]; then
+        echo "==> bounded fuzz smoke pass (10s): verilog lexer against its oracle"
+        go test -run '^$' -fuzz '^FuzzLexerOracle$' -fuzztime 10s ./internal/verilog/
+    fi
 }
 
 if [[ "${1:-}" == "fuzz" ]]; then

@@ -35,7 +35,8 @@ label=${2:-$(git describe --always --dirty 2>/dev/null || echo unknown)}
 # <package> <benchmark regexp> <benchtime>: the 100k detailed placement sets
 # up for ~10 s per call of the benchmark function, so it runs one op per
 # count; SolveRound runs the ten rounds its doc comment measures, and the
-# file-set load (W1 and W2, ~0.5 s each) five.
+# file-set load (W1 and W2, ~0.15-0.3 s each) and each of its two big
+# readers five.
 kernels=(
     "./internal/gnn/ ^Benchmark(TrainStep|Fit|Gemm|PredictBestShape)$ 1s"
     "./internal/place/ ^BenchmarkMulADot$ 1s"
@@ -51,6 +52,8 @@ kernels=(
     "./internal/vpr/ ^BenchmarkBestShape$ 1s"
     "./internal/netlist/ ^BenchmarkCloneScale100k$ 1s"
     "./internal/flow/ ^BenchmarkLoadBenchmark$ 5x"
+    "./internal/verilog/ ^BenchmarkParseVerilog$ 5x"
+    "./internal/def/ ^BenchmarkParseDEF$ 5x"
 )
 
 t=$(mktemp -d)
